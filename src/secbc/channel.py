@@ -190,7 +190,14 @@ def joint_mi(j: JointGaussian, a, b, c=()) -> float:
 
 def _half_logdet_gap(g: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> float:
     eye = np.eye(g.shape[0])
-    return 0.5 * (logdet2(eye + g @ hi @ g.T) - logdet2(eye + g @ lo @ g.T))
+
+    def logdet(k):
+        # G K G^T is symmetric only up to rounding, which outgrows the
+        # symmetry check of logdet2 for large or ill-conditioned gains.
+        m = g @ k @ g.T
+        return logdet2(eye + 0.5 * (m + m.T))
+
+    return 0.5 * (logdet(hi) - logdet(lo))
 
 
 def r1_hat(ch: GaussianBc, k, kstar) -> float:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -35,7 +36,7 @@ from .envelopes import EnvelopeWeights, v_eta, v_hat, v_tilde
 from .errors import SecbcError
 from .matops import SubCovParams, compose_sub_cov, decompose_sub_cov, validate_psd
 from .regions import Frontier
-from .sweeps import GridSpec
+from .sweeps import GridSpec, worker_count
 
 __all__ = ["RunConfig", "main", "run", "emit_csv", "emit_svg", "parse_matrix"]
 
@@ -101,8 +102,8 @@ class RunConfig:
         if (self.power is None) == (self.covariance is None):
             raise ValueError("give exactly one of --power / --covariance")
         if self.power is not None:
-            if self.power < 0:
-                raise ValueError("power must be nonnegative")
+            if not math.isfinite(self.power) or self.power < 0:
+                raise ValueError("power must be finite and nonnegative")
             return float(self.power), None
         return None, validate_psd(self.covariance, name="covariance")
 
@@ -276,13 +277,12 @@ def _cmd_region(cfg: RunConfig) -> int:
 def _cmd_wtc(cfg: RunConfig) -> int:
     ch = cfg.channel()
     power, cov = cfg.constraint()
-    grid = cfg.grid()
     start = time.perf_counter()
     if power is not None:
-        value, kmat, kstar = regions.wtc_capacity_power(ch, power, grid)
+        value, kmat, kstar = regions.wtc_capacity_power(ch, power, cfg.grid())
     else:
         kmat = cov
-        value, kstar = regions.wtc_capacity(ch, cov, grid)
+        value, kstar = regions.wtc_capacity(ch, cov)
     elapsed = time.perf_counter() - start
     print(f"wtc secrecy capacity = {value:.6f} bits/use ({elapsed:.2f} s)")
     print(f"  argmax K* = {np.array2string(kstar, precision=6)}")
@@ -471,11 +471,12 @@ def main(argv=None) -> int:
             cfg.mode = args.command
         elif not cfg.mode:
             cfg.mode = "no-common"
-        # Constraint and channel validation happens before any compute so
-        # configuration mistakes exit with status 2.
+        # Constraint, channel and SECBC_THREADS validation happens before
+        # any compute so configuration mistakes exit with status 2.
         if args.command in ("region", "wtc", "envelope", "compare"):
             cfg.channel()
             cfg.constraint()
+        worker_count()
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2

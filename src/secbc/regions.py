@@ -12,9 +12,11 @@ generating covariances:
 
 Frontiers carry the generating covariances on every point so any output
 row can be re-verified by plugging the matrices back into the rate
-formulas.  Sweeps follow the grid resolutions in :class:`GridSpec`; the
-extreme corners (max confidential rate, max private rate) additionally
-get golden-section polish so they match the dedicated wiretap optimizer.
+formulas.  Sweeps follow the grid resolutions in :class:`GridSpec`.  The
+max-confidential-rate corner of every region is the closed-form wiretap
+optimum of its constraint matrix (:func:`wtc_capacity`); under a power
+constraint that optimum, like the max-private-rate corner, is polished
+by golden section over the trace-p manifold parameters.
 
 Manifold chunks may be evaluated in parallel (see SECBC_THREADS); chunk
 results are always merged in lexicographic parameter order, so output is
@@ -29,9 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import HAVE_NUMBA
 from .channel import GaussianBc, mi_xy
-from .matops import sqrt_factor, validate_psd
+from .matops import rotation, sqrt_factor, validate_psd
 from .sweeps import (
     GridSpec,
     chain_factor,
@@ -40,12 +41,10 @@ from .sweeps import (
     det_i_plus_gram,
     diag_combos,
     diag_values,
-    half_log2_det_gram,
     pair_dets,
     rotation_batch,
     simplex_grid,
     theta_tuple_grid,
-    top_k_flat,
     worker_count,
 )
 
@@ -206,59 +205,53 @@ def _subcov_from_flat(b0, tuples, dcombos, flat, t):
     return 0.5 * (ks + ks.T), b, params
 
 
-def _bounds_spans_level(t, theta_steps, diag_steps):
-    m = t * (t - 1) // 2
-    bounds = [(0.0, 2.0 * math.pi)] * m + [(0.0, 1.0)] * t
-    spans = [2.0 * math.pi / theta_steps] * m + [1.0 / max(diag_steps - 1, 1)] * t
-    return bounds, np.asarray(spans)
+def _half_log2_det(g, k):
+    """0.5 * log2 det(I + G K G^T) for one covariance or a batch (..., t, t)."""
+    _, ld = np.linalg.slogdet(np.eye(g.shape[0]) + g @ k @ g.T)
+    return 0.5 * ld / math.log(2.0)
 
 
-def _max_r1_fixed(ch, b0, grid: GridSpec, extra_seeds=None):
-    """Grid + refine maximum of the raw confidential rate over K* of B0 B0^T."""
-    t = ch.t
-    tuples, vb, dvals, dcombos = _grid_tables(t, grid.theta_steps, grid.diag_steps)
-    l1 = _half_log2_pair(ch.g1, b0[None], vb, dvals, t)[0].reshape(len(vb), -1)
-    l2 = _half_log2_pair(ch.g2, b0[None], vb, dvals, t)[0].reshape(len(vb), -1)
-    raw = l1 - l2
-    seeds = [
-        np.concatenate([tuples[i // dcombos.shape[0]], dcombos[i % dcombos.shape[0]]])
-        for i in top_k_flat(raw, grid.starts)
-    ]
-    if extra_seeds:
-        seeds = seeds + [np.asarray(s, dtype=float) for s in extra_seeds]
+def _wtc_gevd(ch: GaussianBc, k):
+    """Closed-form wiretap optimum over K* below ``k``: (value, argmax).
 
-    def objective(params):
-        (b,) = chain_factor(b0, params, t, 1)
-        return half_log2_det_gram(ch.g1, b) - half_log2_det_gram(ch.g2, b)
+    ``k`` is one covariance (t, t) or a batch (..., t, t); both outputs
+    keep its leading shape.  With S = K^(1/2) and A_j = I + S G_j^T G_j S,
+    the optimum is 1/2 sum log2 max(lambda_i, 1) over the generalized
+    eigenvalues of the pencil (A_1, A_2), attained at K* = S P S where P
+    is the orthogonal projector onto the eigenvectors with lambda_i > 1
+    (Liu & Shamai, IEEE T-IT 2009).  The pencil is solved as
+    lambda_i - 1 = eig(L^-1 (A_1 - A_2) L^-T) with A_2 = L L^T, forming
+    A_1 - A_2 = S (G_1^T G_1 - G_2^T G_2) S directly, so equal gains give
+    K* = 0 exactly.  S comes from ``eigh``, so singular K is fine.
+    """
+    w, v = np.linalg.eigh(k)
+    s = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ np.swapaxes(v, -1, -2)
+    a2 = np.eye(ch.t) + s @ (ch.g2.T @ ch.g2) @ s
+    linv = np.linalg.inv(np.linalg.cholesky(a2))
+    linv_t = np.swapaxes(linv, -1, -2)
+    gap = ch.g1.T @ ch.g1 - ch.g2.T @ ch.g2
+    mu, u = np.linalg.eigh(linv @ s @ gap @ s @ linv_t)
+    # Descending order puts the kept eigenvectors first, so the leading
+    # columns of their QR factor Q span them.
+    mu, u = mu[..., ::-1], u[..., ::-1]
+    keep = mu > 0.0
+    q, _ = np.linalg.qr(linv_t @ u)
+    f = s @ (q * keep[..., None, :])
+    kstar = f @ np.swapaxes(f, -1, -2)
+    value = np.sum(np.log1p(np.maximum(mu, 0.0)), axis=-1) / (2.0 * math.log(2.0))
+    return value, 0.5 * (kstar + np.swapaxes(kstar, -1, -2))
 
-    best_x, best_f = seeds[0], float(raw.max())
-    if grid.refine_iters > 0:
-        bounds, spans = _bounds_spans_level(t, grid.theta_steps, grid.diag_steps)
-        for x0 in seeds:
-            x, fx = coordinate_refine(
-                objective, x0, bounds, spans, grid.refine_tol, grid.refine_iters
-            )
-            if fx > best_f:
-                best_x, best_f = x, fx
-    (b,) = chain_factor(b0, best_x, t, 1)
-    kstar = b @ b.T
-    return best_f, best_x, 0.5 * (kstar + kstar.T)
 
-
-def wtc_capacity(ch: GaussianBc, k, grid: GridSpec | None = None):
+def wtc_capacity(ch: GaussianBc, k):
     """Wiretap secrecy capacity under the covariance constraint ``k``.
 
-    Maximizes the confidential-rate closed form over all K* below k;
-    returns (value, argmax).  The zero matrix is always in the sweep, so
-    the value is nonnegative.
+    Returns (value, argmax) of the closed-form maximum of the
+    confidential rate over all K* below k; the value is nonnegative.
     """
-    grid = grid or GridSpec()
     k = validate_psd(k, name="k")
     if k.shape[0] != ch.t:
         raise ValueError("constraint dimension does not match the channel")
-    if np.abs(k).max() < 1e-15:
-        return 0.0, np.zeros_like(k)
-    value, _, kstar = _max_r1_fixed(ch, sqrt_factor(k), grid)
+    value, kstar = _wtc_gevd(ch, k)
     return float(value), kstar
 
 
@@ -267,9 +260,8 @@ def frontier_fixed_cov(ch: GaussianBc, k, grid: GridSpec | None = None) -> Front
 
     Sweeps sub-covariances of ``k`` on the (angles, scalings) grid,
     clamps the raw confidential rate at zero, Pareto-filters, and splices
-    in the golden-refined max-R1 corner so the frontier endpoint agrees
-    with :func:`wtc_capacity`.  The K* = 0 node puts (0, max R2) on the
-    frontier exactly.
+    in the closed-form max-R1 corner of :func:`wtc_capacity`.  The K* = 0
+    node puts (0, max R2) on the frontier exactly.
     """
     grid = grid or GridSpec()
     k = validate_psd(k, name="k")
@@ -313,11 +305,9 @@ def frontier_fixed_cov(ch: GaussianBc, k, grid: GridSpec | None = None) -> Front
         ks, _, _ = _subcov_from_flat(b0, tuples, dcombos, cand[i][2], t)
         points.append(RatePoint(cand[i][0], cand[i][1], {"k": k, "kstar": ks}))
 
-    if grid.refine_iters > 0:
-        rmax, params, kstar = _max_r1_fixed(ch, b0, grid)
-        (b,) = chain_factor(b0, params, t, 1)
-        r2_at = c2k - half_log2_det_gram(ch.g2, b)
-        points.append(RatePoint(max(0.0, rmax), r2_at, {"k": k, "kstar": kstar}))
+    rmax, kstar = _wtc_gevd(ch, k)
+    r2_at = c2k - _half_log2_det(ch.g2, kstar)
+    points.append(RatePoint(rmax, r2_at, {"k": k, "kstar": kstar}))
     return Frontier(pareto_filter_pairs(points), meta)
 
 
@@ -358,20 +348,12 @@ def _map_ordered(fn, items):
         return list(ex.map(fn, items))
 
 
-def _power_sweep(
-    ch: GaussianBc,
-    p: float,
-    grid: GridSpec,
-    both_confidential: bool,
-    force_numpy: bool = False,
-):
-    """Shared manifold sweep for the two power-constraint pair regions.
+def _power_sweep(ch: GaussianBc, p: float, grid: GridSpec):
+    """Grid sweep of the one-confidential pair region over the trace-p manifold.
 
     Returns (candidates, tables); candidates are rows
-    (r1, r2, node_index, inner_flat_index, raw_r1) merged in node order.
-    The 2x2 case runs through the fused numba kernel; other dimensions
-    (and ``force_numpy``) take the vectorized numpy path, which produces
-    the same candidates.
+    (r1, r2, node_index, inner_flat_index) merged in node order: per node
+    the best private rate in each r1 bin and the max-r1 grid corner.
     """
     t = ch.t
     mani_tuples, vmani, qs = _manifold_nodes(t, p, grid.theta_steps, grid.trace_steps)
@@ -389,12 +371,6 @@ def _power_sweep(
         "vmani": vmani,
     }
 
-    if t == 2 and HAVE_NUMBA and not force_numpy:
-        cand = _power_sweep_kernel(
-            ch, vmani, qs, vb, dvals, r1cap, nbins, both_confidential
-        )
-        return cand, tables
-
     node_ids = np.arange(n_nodes)
     chunk = max(1, int(6_000_000 // max(nflat, 1)))
     chunks = [node_ids[s : s + chunk] for s in range(0, n_nodes, chunk)]
@@ -402,27 +378,10 @@ def _power_sweep(
     def work(ids):
         vi, qi = np.divmod(ids, len(qs))
         bmani = vmani[vi] * np.sqrt(qs[qi])[:, None, :]
-        c1k = 0.5 * np.log2(det_i_plus_gram(ch.g1, bmani))
         c2k = 0.5 * np.log2(det_i_plus_gram(ch.g2, bmani))
         l1 = _half_log2_pair(ch.g1, bmani, vb, dvals, t).reshape(len(ids), -1)
         l2 = _half_log2_pair(ch.g2, bmani, vb, dvals, t).reshape(len(ids), -1)
         raw = l1 - l2
-        if both_confidential:
-            # Both bounds move together in the raw rate, so the single
-            # dominating candidate per node is its max-raw corner.
-            arg = np.argmax(raw, axis=1)
-            amax = raw[np.arange(len(ids)), arg]
-            ck = c2k - c1k
-            out = np.column_stack(
-                [
-                    np.maximum(amax, 0.0),
-                    np.maximum(amax + ck, 0.0),
-                    ids,
-                    arg,
-                    amax,
-                ]
-            )
-            return out
         r1 = np.maximum(raw, 0.0)
         r2 = c2k[:, None] - l2
         bidx = np.minimum((r1 / r1cap * nbins).astype(np.int64), nbins - 1)
@@ -433,92 +392,15 @@ def _power_sweep(
         _, firsts = np.unique(comb[sel], return_index=True)
         pick = sel[firsts]
         rows, flats = np.divmod(pick, nflat)
-        binned = np.column_stack(
-            [
-                r1.ravel()[pick],
-                r2.ravel()[pick],
-                ids[rows],
-                flats,
-                raw.ravel()[pick],
-            ]
-        )
-        # Per-node raw maxima carry the true (unclamped) corner seeds.
+        binned = np.column_stack([r1.ravel()[pick], r2.ravel()[pick], ids[rows], flats])
         arg = np.argmax(raw, axis=1)
-        amax = raw[np.arange(len(ids)), arg]
-        corners = np.column_stack(
-            [
-                np.maximum(amax, 0.0),
-                r2[np.arange(len(ids)), arg],
-                ids,
-                arg,
-                amax,
-            ]
-        )
+        at = np.arange(len(ids))
+        corners = np.column_stack([r1[at, arg], r2[at, arg], ids, arg])
         return np.vstack([binned, corners])
 
     parts = _map_ordered(work, chunks)
-    cand = np.vstack(parts) if parts else np.zeros((0, 5))
+    cand = np.vstack(parts) if parts else np.zeros((0, 4))
     return cand, tables
-
-
-def _power_sweep_kernel(ch, vmani, qs, vb, dvals, r1cap, nbins, both_confidential):
-    """Fused-kernel body of :func:`_power_sweep` for t = 2."""
-    from ._kernels import sweep2
-
-    n_nodes = len(vmani) * len(qs)
-    node_ids = np.arange(n_nodes)
-    rows = []
-    for s in range(0, n_nodes, 1024):
-        ids = node_ids[s : s + 1024]
-        vi, qi = np.divmod(ids, len(qs))
-        bmani = vmani[vi] * np.sqrt(qs[qi])[:, None, :]
-        c1k = 0.5 * np.log2(det_i_plus_gram(ch.g1, bmani))
-        c2k = 0.5 * np.log2(det_i_plus_gram(ch.g2, bmani))
-        kb = 0 if both_confidential else nbins
-        best_r1, best_det2, best_flat, ratio, arg, rdet2 = sweep2(
-            ch.g1, ch.g2, bmani, vb, dvals, r1cap, kb
-        )
-        raw = 0.5 * np.log2(ratio)
-        if both_confidential:
-            ck = c2k - c1k
-            rows.append(
-                np.column_stack(
-                    [
-                        np.maximum(raw, 0.0),
-                        np.maximum(raw + ck, 0.0),
-                        ids,
-                        arg,
-                        raw,
-                    ]
-                )
-            )
-            continue
-        sel = np.flatnonzero(best_flat >= 0)
-        local = sel // nbins
-        rows.append(
-            np.column_stack(
-                [
-                    best_r1[sel],
-                    c2k[local] - 0.5 * np.log2(best_det2[sel]),
-                    ids[local],
-                    best_flat[sel],
-                    best_r1[sel],
-                ]
-            )
-        )
-        # Per-node raw maxima carry the true (unclamped) corner seeds.
-        rows.append(
-            np.column_stack(
-                [
-                    np.maximum(raw, 0.0),
-                    c2k - 0.5 * np.log2(rdet2),
-                    ids,
-                    arg,
-                    raw,
-                ]
-            )
-        )
-    return np.vstack(rows) if rows else np.zeros((0, 5))
 
 
 def _node_constraint(tables, node: int, t: int):
@@ -529,78 +411,58 @@ def _node_constraint(tables, node: int, t: int):
     return 0.5 * (kmat + kmat.T), b, tables["mani_tuples"][vi], qs[qi]
 
 
-def _power_corner_refine(ch, p, grid, tables, seed_rows, objective_kind):
-    """Joint polish over (manifold angles, trace head, inner params).
+def _manifold_scan(t: int, p: float, grid: GridSpec):
+    """Constraint matrices at the trace-p manifold nodes, in node order.
 
-    objective_kind: 'r1' for the raw confidential rate, 'c2' for the
-    private-rate corner, 'bc2' for the both-confidential R2 corner.
-    Trace splits are parameterized by their first t-1 coordinates; an
-    infeasible tail returns -inf, which golden section simply avoids.
+    Returns (kmats, params); each params row holds the node's rotation
+    angles and the first t-1 entries of its trace split, the coordinates
+    that :func:`_power_corner_refine` polishes.
+    """
+    tuples, vmani, qs = _manifold_nodes(t, p, grid.theta_steps, grid.trace_steps)
+    b = (vmani[:, None] * np.sqrt(qs)[None, :, None, :]).reshape(-1, t, t)
+    kmats = b @ np.swapaxes(b, -1, -2)
+    params = np.column_stack(
+        [np.repeat(tuples, len(qs), axis=0), np.tile(qs[:, :-1], (len(vmani), 1))]
+    )
+    return 0.5 * (kmats + np.swapaxes(kmats, -1, -2)), params
+
+
+def _power_corner_refine(ch, p, grid, scan, objective):
+    """Maximize ``objective(K)`` over the trace-p manifold.
+
+    ``objective`` maps a constraint matrix, or a batch of them, to a
+    value.  The ``grid.starts`` best nodes of ``scan`` seed coordinate-wise
+    golden section over the manifold parameters; returns the best
+    constraint matrix.  An infeasible trace tail scores -inf, which golden
+    section simply avoids.
     """
     t = ch.t
     m = t * (t - 1) // 2
     full = math.pi if t == 2 else 2.0 * math.pi
-    mani_bounds = [(0.0, full)] * m + [(0.0, p)] * (t - 1)
-    mani_spans = [full / grid.theta_steps] * m + [
-        p / max(grid.trace_steps - 1, 1)
-    ] * (t - 1)
-    in_bounds, in_spans = _bounds_spans_level(t, grid.theta_steps, grid.diag_steps)
-    bounds = mani_bounds + in_bounds
-    spans = np.concatenate([mani_spans, in_spans])
+    bounds = [(0.0, full)] * m + [(0.0, p)] * (t - 1)
+    spans = np.array(
+        [full / grid.theta_steps] * m + [p / max(grid.trace_steps - 1, 1)] * (t - 1)
+    )
 
-    def split_params(x):
-        ang = x[:m]
-        head = x[m : m + t - 1]
-        tail = p - head.sum()
-        inner = x[m + t - 1 :]
-        return ang, head, tail, inner
+    def constraint(x):
+        q = np.append(x[m:], p - x[m:].sum())
+        b = rotation(x[:m], t) * np.sqrt(np.maximum(q, 0.0))
+        kmat = b @ b.T
+        return 0.5 * (kmat + kmat.T), q[-1] >= 0.0
 
-    def objective(x):
-        ang, head, tail, inner = split_params(x)
-        if tail < 0.0:
-            return -np.inf
-        q = np.concatenate([head, [tail]])
-        bmani = rotation_batch(ang[None], t)[0] * np.sqrt(q)[None, :]
-        if objective_kind == "c2":
-            return half_log2_det_gram(ch.g2, bmani)
-        (b,) = chain_factor(bmani, inner, t, 1)
-        raw = half_log2_det_gram(ch.g1, b) - half_log2_det_gram(ch.g2, b)
-        if objective_kind == "r1":
-            return raw
-        ck = half_log2_det_gram(ch.g2, bmani) - half_log2_det_gram(ch.g1, bmani)
-        return raw + ck
+    def f(x):
+        kmat, feasible = constraint(x)
+        return float(objective(kmat)) if feasible else -np.inf
 
+    kmats, params = scan
     best_x, best_f = None, -np.inf
-    for x0 in seed_rows:
+    for node in np.argsort(-objective(kmats), kind="stable")[: grid.starts]:
         x, fx = coordinate_refine(
-            objective, x0, bounds, spans, grid.refine_tol, grid.refine_iters
+            f, params[node], bounds, spans, grid.refine_tol, grid.refine_iters
         )
         if fx > best_f:
             best_x, best_f = x, fx
-    ang, head, tail, inner = split_params(best_x)
-    q = np.concatenate([head, [max(tail, 0.0)]])
-    bmani = rotation_batch(ang[None], t)[0] * np.sqrt(q)[None, :]
-    kmat = bmani @ bmani.T
-    (b,) = chain_factor(bmani, inner, t, 1)
-    ks = b @ b.T
-    return best_f, 0.5 * (kmat + kmat.T), 0.5 * (ks + ks.T), bmani
-
-
-def _corner_seed(tables, cand_row, t):
-    node = int(cand_row[2])
-    flat = int(cand_row[3])
-    qs = tables["qs"]
-    vi, qi = divmod(node, len(qs))
-    nd = tables["dcombos"].shape[0]
-    ivi, idi = divmod(flat, nd)
-    return np.concatenate(
-        [
-            tables["mani_tuples"][vi],
-            qs[qi][:-1],
-            tables["tuples"][ivi],
-            tables["dcombos"][idi],
-        ]
-    )
+    return constraint(best_x)[0]
 
 
 def frontier_power(ch: GaussianBc, p: float, grid: GridSpec | None = None) -> Frontier:
@@ -609,7 +471,9 @@ def frontier_power(ch: GaussianBc, p: float, grid: GridSpec | None = None) -> Fr
     Sweeps constraint matrices over the trace-p manifold (rotation angles
     plus a simplex-gridded diagonal), unions the per-constraint sweeps,
     and re-filters.  Restricting to trace exactly p is lossless: smaller
-    traces are dominated via :func:`augment_trace`.
+    traces are dominated via :func:`augment_trace`.  The max-R1 corner is
+    the polished closed-form wiretap optimum over the manifold, the
+    max-R2 corner the polished K* = 0 point.
     """
     grid = grid or GridSpec()
     if p < 0:
@@ -629,7 +493,7 @@ def frontier_power(ch: GaussianBc, p: float, grid: GridSpec | None = None) -> Fr
         fr = frontier_fixed_cov(ch, np.array([[float(p)]]), grid)
         return Frontier(fr.points, meta)
 
-    cand, tables = _power_sweep(ch, p, grid, both_confidential=False)
+    cand, tables = _power_sweep(ch, p, grid)
     mask = _pareto_mask(cand[:, 0], cand[:, 1])
     kept = cand[mask]
     points = []
@@ -640,28 +504,13 @@ def frontier_power(ch: GaussianBc, p: float, grid: GridSpec | None = None) -> Fr
         )
         points.append(RatePoint(row[0], row[1], {"k": kmat, "kstar": ks}))
 
-    if grid.refine_iters > 0:
-        order = np.argsort(-cand[:, 4], kind="stable")[: grid.starts]
-        seeds = [_corner_seed(tables, cand[i], t) for i in order]
-        rmax, kmat, ks, bmani = _power_corner_refine(
-            ch, p, grid, tables, seeds, "r1"
-        )
-        r2_at = half_log2_det_gram(ch.g2, bmani) - 0.5 * np.log2(
-            det_i_plus_gram(ch.g2, sqrt_factor(ks)[None])[0]
-        )
-        points.append(RatePoint(max(0.0, rmax), r2_at, {"k": kmat, "kstar": ks}))
-
-        # Max-R2 corner: K* = 0, constraint maximizing the receiver-2 rate.
-        zeros_inner = np.zeros(t * (t - 1) // 2 + t)
-        c2_seeds = []
-        for i in np.argsort(-cand[:, 1], kind="stable")[: grid.starts]:
-            s = _corner_seed(tables, cand[i], t)
-            s[-zeros_inner.size :] = 0.0
-            c2_seeds.append(s)
-        c2max, kmat2, _, _ = _power_corner_refine(ch, p, grid, tables, c2_seeds, "c2")
-        points.append(
-            RatePoint(0.0, c2max, {"k": kmat2, "kstar": np.zeros((t, t))})
-        )
+    rmax, kmat, ks = wtc_capacity_power(ch, p, grid)
+    r2_at = _half_log2_det(ch.g2, kmat) - _half_log2_det(ch.g2, ks)
+    points.append(RatePoint(rmax, r2_at, {"k": kmat, "kstar": ks}))
+    scan = _manifold_scan(t, p, grid)
+    kmat = _power_corner_refine(ch, p, grid, scan, lambda k: _half_log2_det(ch.g2, k))
+    c2max = _half_log2_det(ch.g2, kmat)
+    points.append(RatePoint(0.0, c2max, {"k": kmat, "kstar": np.zeros((t, t))}))
     return Frontier(pareto_filter_pairs(points), meta)
 
 
@@ -670,11 +519,12 @@ def both_confidential_frontier(
 ) -> Frontier:
     """Comparison region with both private messages confidential.
 
-    For a constraint K and sub-covariance S the two bounds are coupled:
-    R2 equals the raw R1 plus a per-constraint offset, so each constraint
-    contributes exactly one undominated corner (its max-raw-R1 point).
-    The frontier is the Pareto filter of those corners over the trace-p
-    manifold.
+    For a constraint K and sub-covariance K* the two bounds are coupled:
+    R2 equals the raw R1 plus C2(K) - C1(K), so each constraint
+    contributes one rectangle whose corner is the closed-form wiretap
+    optimum of K (Liu, Liu, Poor & Shamai, IEEE T-IT 2010).  The frontier
+    is the Pareto filter of those corners over the trace-p manifold,
+    plus the max-R1 and max-R2 corners polished over its parameters.
     """
     grid = grid or GridSpec()
     if p < 0:
@@ -690,65 +540,41 @@ def both_confidential_frontier(
     if p == 0:
         zero = np.zeros((t, t))
         return Frontier([RatePoint(0.0, 0.0, {"k": zero, "kstar": zero})], meta)
-    cand, tables = _power_sweep(ch, p, grid, both_confidential=True)
 
-    mask = _pareto_mask(cand[:, 0], cand[:, 1])
-    points = []
-    for row in cand[mask]:
-        kmat, b, _, _ = _node_constraint(tables, int(row[2]), t)
-        ks, _, _ = _subcov_from_flat(
-            b, tables["tuples"], tables["dcombos"], int(row[3]), t
-        )
-        points.append(RatePoint(row[0], row[1], {"k": kmat, "kstar": ks}))
+    def rates(kmat):
+        r1, ks = _wtc_gevd(ch, kmat)
+        excess = _half_log2_det(ch.g2, kmat) - _half_log2_det(ch.g1, kmat)
+        return r1, r1 + excess, ks
 
-    if grid.refine_iters > 0:
-        if t == 1:
-            kmat = np.array([[float(p)]])
-            raw, _, ks = _max_r1_fixed(ch, sqrt_factor(kmat), grid)
-            ck = mi_xy(ch, kmat, 2) - mi_xy(ch, kmat, 1)
-            points.append(
-                RatePoint(max(0.0, raw), max(0.0, raw + ck), {"k": kmat, "kstar": ks})
-            )
-        else:
-            for kind in ("r1", "bc2"):
-                key = 4 if kind == "r1" else 1
-                order = np.argsort(-cand[:, key], kind="stable")[: grid.starts]
-                seeds = [_corner_seed(tables, cand[i], t) for i in order]
-                raw, kmat, ks, bmani = _power_corner_refine(
-                    ch, p, grid, tables, seeds, kind
-                )
-                ck = half_log2_det_gram(ch.g2, bmani) - half_log2_det_gram(
-                    ch.g1, bmani
-                )
-                if kind == "r1":
-                    r1v, r2v = max(0.0, raw), max(0.0, raw + ck)
-                else:
-                    # The bc2 objective is raw + ck; peel ck back off for R1.
-                    r1v, r2v = max(0.0, raw - ck), max(0.0, raw)
-                points.append(RatePoint(r1v, r2v, {"k": kmat, "kstar": ks}))
+    scan = _manifold_scan(t, p, grid)
+    r1, r2, ks = rates(scan[0])
+    points = [
+        RatePoint(r1[i], r2[i], {"k": scan[0][i], "kstar": ks[i]})
+        for i in np.flatnonzero(_pareto_mask(r1, np.maximum(r2, 0.0)))
+    ]
+    for corner in (0, 1):
+        kmat = _power_corner_refine(ch, p, grid, scan, lambda k: rates(k)[corner])
+        r1v, r2v, ksv = rates(kmat)
+        points.append(RatePoint(r1v, r2v, {"k": kmat, "kstar": ksv}))
     return Frontier(pareto_filter_pairs(points), meta)
 
 
 def wtc_capacity_power(ch: GaussianBc, p: float, grid: GridSpec | None = None):
     """Wiretap secrecy capacity under a total power constraint.
 
-    Maximizes the confidential rate jointly over the trace-p constraint
-    manifold and the sub-covariance; returns (value, constraint, argmax).
+    Maximizes the closed-form fixed-constraint optimum over the trace-p
+    manifold (node scan, then golden-section polish of its parameters);
+    returns (value, constraint, argmax).
     """
     grid = grid or GridSpec()
     t = ch.t
     if p <= 0:
         zero = np.zeros((t, t))
         return 0.0, zero, zero
-    if t == 1:
-        kmat = np.array([[float(p)]])
-        value, kstar = wtc_capacity(ch, kmat, grid)
-        return value, kmat, kstar
-    cand, tables = _power_sweep(ch, p, grid, both_confidential=True)
-    order = np.argsort(-cand[:, 4], kind="stable")[: grid.starts]
-    seeds = [_corner_seed(tables, cand[i], t) for i in order]
-    raw, kmat, ks, _ = _power_corner_refine(ch, p, grid, tables, seeds, "r1")
-    return max(0.0, float(raw)), kmat, ks
+    scan = _manifold_scan(t, p, grid)
+    kmat = _power_corner_refine(ch, p, grid, scan, lambda k: _wtc_gevd(ch, k)[0])
+    value, kstar = _wtc_gevd(ch, kmat)
+    return float(value), kmat, kstar
 
 
 def _common_candidates(ch, b0, kmat, theta_steps, diag_steps):
@@ -907,25 +733,14 @@ def check_k1_zero(ch: GaussianBc, k, samples: int = 100, seed: int = 0) -> bool:
     pair of the split must be dominated by the point generated with
     K1 = 0 and the same total budget reassigned, i.e. by the wiretap
     optimum over K* below K1 + K2 (whose private rate is automatically
-    at least the split's).  Comparisons carry a 1e-6 optimizer slack.
+    at least the split's).  Comparisons carry a 1e-6 slack.
     """
     k = validate_psd(k, name="k")
     t = ch.t
     rng = np.random.default_rng(seed)
     m = t * (t - 1) // 2
     b0 = sqrt_factor(k)
-    # Moderate per-sample sweep; refinement is seeded with the grid top,
-    # the split's own parameters and the full-budget point, which keeps
-    # the 1e-6 comparison honest at this resolution.
-    igrid = GridSpec(
-        theta_steps=24, diag_steps=13, starts=2, refine_iters=36, refine_tol=1e-5
-    )
-    eye = np.eye(t)
-
-    def half_l2(g, mat):
-        a = g @ mat @ g.T
-        return 0.5 * np.linalg.slogdet(eye + a)[1] / math.log(2.0)
-
+    c2k = _half_log2_det(ch.g2, k)
     for _ in range(samples):
         p_out = np.concatenate(
             [rng.uniform(0, 2 * math.pi, m), rng.uniform(0, 1, t)]
@@ -939,16 +754,15 @@ def check_k1_zero(ch: GaussianBc, k, samples: int = 100, seed: int = 0) -> bool:
         k2 = b2 @ b2.T
         k1 = ksum - k2
         r1_split = (
-            half_l2(ch.g1, ksum)
-            - half_l2(ch.g1, k1)
-            - half_l2(ch.g2, ksum)
-            + half_l2(ch.g2, k1)
+            _half_log2_det(ch.g1, ksum)
+            - _half_log2_det(ch.g1, k1)
+            - _half_log2_det(ch.g2, ksum)
+            + _half_log2_det(ch.g2, k1)
         )
-        r2_split = half_l2(ch.g2, k) - half_l2(ch.g2, ksum)
-        seeds = [p_in, np.concatenate([np.zeros(m), np.ones(t)])]
-        w, _, kstar = _max_r1_fixed(ch, bsum, igrid, extra_seeds=seeds)
-        r2_at = half_l2(ch.g2, k) - half_l2(ch.g2, kstar)
-        if max(0.0, w) + 1e-6 < max(0.0, r1_split):
+        r2_split = c2k - _half_log2_det(ch.g2, ksum)
+        w, kstar = _wtc_gevd(ch, ksum)
+        r2_at = c2k - _half_log2_det(ch.g2, kstar)
+        if w + 1e-6 < max(0.0, r1_split):
             return False
         if r2_at + 1e-6 < r2_split:
             return False

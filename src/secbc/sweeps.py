@@ -97,9 +97,12 @@ def worker_count() -> int:
     """Parallel workers: SECBC_THREADS if set, else logical core count."""
     env = os.environ.get("SECBC_THREADS", "").strip()
     if env:
-        n = int(env)
+        try:
+            n = int(env)
+        except ValueError:
+            n = 0
         if n < 1:
-            raise ValueError("SECBC_THREADS must be >= 1")
+            raise ValueError(f"SECBC_THREADS must be an integer >= 1, got {env!r}")
         return n
     return os.cpu_count() or 1
 

@@ -43,6 +43,19 @@ class TestExitCodes:
     def test_missing_channel(self):
         assert main(["region", "--power", "4"]) == 2
 
+    @pytest.mark.parametrize("power", ["nan", "inf"])
+    def test_nonfinite_power(self, power, capsys):
+        code = main(["region", "--power", power, "--g1", G1_ARG, "--g2", G2_ARG])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-2", "two"])
+    def test_bad_thread_count(self, threads, monkeypatch, capsys):
+        monkeypatch.setenv("SECBC_THREADS", threads)
+        code = main(["wtc", "--power", "12", "--g1", G1_ARG, "--g2", G2_ARG, *FAST])
+        assert code == 2
+        assert "SECBC_THREADS" in capsys.readouterr().err
+
     def test_unknown_flag(self):
         with pytest.raises(SystemExit) as exc:
             main(["region", "--bogus", "1"])
@@ -116,6 +129,14 @@ class TestWtcAndEnvelope:
         )
         assert code == 0
         assert "0.660" in capsys.readouterr().out
+
+    def test_wtc_example_channel(self, capsys):
+        base = ["wtc", "--g1", G1_ARG, "--g2", G2_ARG]
+        assert main(base + ["--covariance", "6,0;0,6"]) == 0
+        assert "= 0.873612 bits/use" in capsys.readouterr().out
+        assert main(base + ["--power", "12"]) == 0
+        out = capsys.readouterr().out
+        assert float(out.split("= ")[1].split()[0]) >= 0.938002
 
     def test_envelope_level_inference(self, capsys):
         code = main(

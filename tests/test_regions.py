@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from secbc import (
-    GridSpec,
     RatePoint,
     RateTriple,
     SubCovParams,
@@ -28,7 +27,6 @@ from secbc import (
     region_common_power,
     wtc_capacity,
 )
-from secbc.regions import _pareto_mask, _power_sweep
 from secbc.sweeps import diag_combos, diag_values, theta_tuple_grid
 
 from conftest import random_spd
@@ -107,15 +105,15 @@ class TestFrontierFixedCov:
 
 
 class TestWtcCapacity:
-    def test_symmetric_channel(self, rng, fast_grid):
+    def test_symmetric_channel(self, rng):
         g = rng.normal(size=(2, 2))
         ch = make_channel(g, g)
-        value, kstar = wtc_capacity(ch, np.eye(2), fast_grid)
+        value, kstar = wtc_capacity(ch, np.eye(2))
         assert value <= 1e-9
 
-    def test_scalar(self, fast_grid):
+    def test_scalar(self):
         ch = make_channel([[2.0]], [[1.0]])
-        value, kstar = wtc_capacity(ch, [[1.0]], fast_grid)
+        value, kstar = wtc_capacity(ch, [[1.0]])
         assert value == pytest.approx(0.660964, abs=1e-5)
         assert kstar[0, 0] == pytest.approx(1.0, abs=1e-4)
 
@@ -162,19 +160,6 @@ class TestFrontierPower:
         ff = frontier_fixed_cov(ch, [[1.0]], fast_grid)
         assert fp.max_r1() == pytest.approx(ff.max_r1(), abs=1e-9)
         assert fp.max_r2() == pytest.approx(ff.max_r2(), abs=1e-9)
-
-    def test_kernel_matches_numpy_path(self, example_channel):
-        grid = GridSpec(theta_steps=10, diag_steps=7, trace_steps=7, r1_bins=64)
-        for bc in (False, True):
-            ck, _ = _power_sweep(example_channel, 5.0, grid, bc)
-            cn, _ = _power_sweep(example_channel, 5.0, grid, bc, force_numpy=True)
-            pk = ck[_pareto_mask(ck[:, 0], ck[:, 1])][:, :2]
-            pn = cn[_pareto_mask(cn[:, 0], cn[:, 1])][:, :2]
-            for a, b in ((pk, pn), (pn, pk)):
-                for row in a:
-                    assert np.any(
-                        (b[:, 0] >= row[0] - 1e-9) & (b[:, 1] >= row[1] - 1e-9)
-                    )
 
     def test_points_reverify_from_generators(self, example_channel, fast_grid):
         fr = frontier_power(example_channel, 6.0, fast_grid)
@@ -273,6 +258,13 @@ class TestBothConfidential:
         fr = both_confidential_frontier(example_channel, 6.0, fast_grid)
         value, _, _ = wtc_capacity_power(example_channel, 6.0, fast_grid)
         assert fr.max_r1() == pytest.approx(value, abs=1e-6)
+
+    def test_points_are_closed_form_corners(self, example_channel, fast_grid):
+        # each constraint's rectangle has the wiretap optimum as its corner
+        fr = both_confidential_frontier(example_channel, 6.0, fast_grid)
+        for p in fr.points:
+            value, _ = wtc_capacity(example_channel, p.gen["k"])
+            assert p.r1 == pytest.approx(value, abs=1e-9)
 
 
 class TestCheckK1Zero:
