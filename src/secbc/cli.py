@@ -141,9 +141,10 @@ def _gen_columns(gen: dict) -> list[tuple[str, np.ndarray]]:
 def emit_csv(frontier: Frontier, path: str) -> None:
     """Write the frontier as UTF-8 CSV: rates first, then the generators.
 
-    Rates carry 6 decimal places; generator matrices are written in full
-    precision row-major so every line can be re-verified exactly.  Output
-    bytes depend only on the frontier contents.
+    Rates carry 6 decimal places; generator matrices are written row-major
+    at ``repr`` precision, which reads back bit for bit, so every line can
+    be re-verified exactly.  Output bytes depend only on the frontier
+    contents.
     """
     if not frontier.points:
         raise ValueError("refusing to write an empty frontier")
@@ -159,7 +160,7 @@ def emit_csv(frontier: Frontier, path: str) -> None:
         if triple:
             row.append(f"{p.r0:.6f}")
         for _, mat in _gen_columns(p.gen):
-            row += [f"{v:.12g}" for v in np.asarray(mat).ravel()]
+            row += [repr(float(v)) for v in np.asarray(mat).ravel()]
         lines.append(",".join(row))
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -13,7 +13,8 @@ matrix-ordered feasible set into a box, which is what makes grid sweeps of
 rate regions tractable.
 
 Tolerance conventions (kept apart on purpose): input validation accepts
-eigenvalues down to -1e-9, round trips through the parameterization are
+eigenvalues down to -1e-9 * max(1, ||a||) (spectral norm, so rounding of
+large matrices passes), round trips through the parameterization are
 good to 1e-7 in Frobenius norm, and exact identities hold to 1e-10.
 
 All functions are pure; inputs are never mutated.
@@ -45,8 +46,8 @@ __all__ = [
 
 _LOG2 = math.log(2.0)
 
-# Validation accepts slightly negative eigenvalues; factorization round
-# trips are looser than exact identities.
+# Validation accepts slightly negative eigenvalues, relative to the matrix
+# norm; factorization round trips are looser than exact identities.
 PSD_TOL = 1e-9
 ORDER_TOL = 1e-8
 ROUNDTRIP_TOL = 1e-7
@@ -63,26 +64,35 @@ def validate_psd(a, tol: float = PSD_TOL, name: str = "matrix") -> np.ndarray:
     """Check symmetry and PSD-ness of ``a``; return a symmetrized copy.
 
     Symmetry must hold entrywise to 1e-12 relative accuracy and all
-    eigenvalues must be >= -tol.
+    eigenvalues must be >= -tol * max(1, ||a||), ||a|| the spectral norm.
     """
     a = _as_square(a, name)
     if not np.all(np.abs(a - a.T) <= 1e-12 * (1.0 + np.abs(a))):
         raise ValueError(f"{name} is not symmetric")
     sym = 0.5 * (a + a.T)
-    if sym.shape[0] and np.linalg.eigvalsh(sym).min() < -tol:
-        raise ValueError(f"{name} is not positive semidefinite within {tol}")
+    if sym.shape[0]:
+        eig = np.linalg.eigvalsh(sym)
+        if eig[0] < -tol * max(1.0, -eig[0], eig[-1]):
+            raise ValueError(
+                f"{name} is not positive semidefinite within {tol} of its norm"
+            )
     return sym
 
 
 def psd_leq(a, b, tol: float = PSD_TOL) -> bool:
-    """True iff ``a ⪯ b`` in the PSD ordering, i.e. min eig(b - a) >= -tol."""
+    """True iff ``a ⪯ b`` in the PSD ordering.
+
+    That is min eig(b - a) >= -tol * max(1, ||a||, ||b||) with spectral
+    norms, so the test is invariant to scaling both matrices.
+    """
     a = _as_square(a, "a")
     b = _as_square(b, "b")
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     diff = b - a
     diff = 0.5 * (diff + diff.T)
-    return float(np.linalg.eigvalsh(diff).min()) >= -tol
+    scale = max(1.0, np.linalg.norm(a, 2), np.linalg.norm(b, 2))
+    return float(np.linalg.eigvalsh(diff).min()) >= -tol * scale
 
 
 def logdet2(a) -> float:

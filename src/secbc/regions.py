@@ -5,8 +5,11 @@ generating covariances:
 
 - fixed-covariance pair region: rectangles over sub-covariances K* of K
   (confidential rate, private rate);
-- power-constraint pair region: union of the above over the trace-P
-  manifold of constraint matrices;
+- power-constraint pair region: the private rate depends on K only
+  through C2(K), so the union over K and K* <= K is taken over K* alone
+  with tr K* <= P, each box reaching the closed-form water-filling
+  capacity W(K*) of the power left after K*; a coarse (angles,
+  eigenvalues) grid of K* is zoomed around its Pareto nodes;
 - common-message triple regions (fixed covariance and power);
 - the comparison region where both private messages are confidential.
 
@@ -15,12 +18,12 @@ row can be re-verified by plugging the matrices back into the rate
 formulas.  Sweeps follow the grid resolutions in :class:`GridSpec`.  The
 max-confidential-rate corner of every region is the closed-form wiretap
 optimum of its constraint matrix (:func:`wtc_capacity`); under a power
-constraint that optimum, like the max-private-rate corner, is polished
-by golden section over the trace-p manifold parameters.
+constraint that optimum is polished by golden section over the trace-p
+manifold parameters.
 
-Manifold chunks may be evaluated in parallel (see SECBC_THREADS); chunk
-results are always merged in lexicographic parameter order, so output is
-independent of the worker count.
+Manifold and K* chunks may be evaluated in parallel (see SECBC_THREADS);
+chunk results are always merged in node order, so output is independent
+of the worker count.
 """
 
 from __future__ import annotations
@@ -66,6 +69,13 @@ __all__ = [
 ]
 
 PARETO_SLACK = 1e-9
+# Zoom schedule of the K* sweep behind frontier_power: refinement levels
+# after the coarse grid, points per axis of each level's local grid, and
+# how many parameters one local-grid point may move at once.
+ZOOM_LEVELS = 6
+ZOOM_POINTS = 3
+ZOOM_AXES = 2
+_ZOOM_CHUNK = 32768  # nodes per evaluation chunk (and per worker task)
 
 
 @dataclass
@@ -326,11 +336,15 @@ def augment_trace(kprime, p: float) -> np.ndarray:
     return out
 
 
+def _angle_span(t: int) -> float:
+    """Range of each rotation angle: pi covers every 2x2 eigenbasis."""
+    return math.pi if t == 2 else 2.0 * math.pi
+
+
 def _manifold_nodes(t: int, p: float, theta_steps: int, trace_steps: int):
     """Constraint matrices of trace p: factors B = V(angles) diag(sqrt(q))."""
     m = t * (t - 1) // 2
-    full = math.pi if t == 2 else 2.0 * math.pi
-    tuples = theta_tuple_grid(m, theta_steps, full=full)
+    tuples = theta_tuple_grid(m, theta_steps, full=_angle_span(t))
     vmani = rotation_batch(tuples, t)
     qs = simplex_grid(t, p, trace_steps)
     return tuples, vmani, qs
@@ -346,69 +360,6 @@ def _map_ordered(fn, items):
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=w) as ex:
         return list(ex.map(fn, items))
-
-
-def _power_sweep(ch: GaussianBc, p: float, grid: GridSpec):
-    """Grid sweep of the one-confidential pair region over the trace-p manifold.
-
-    Returns (candidates, tables); candidates are rows
-    (r1, r2, node_index, inner_flat_index) merged in node order: per node
-    the best private rate in each r1 bin and the max-r1 grid corner.
-    """
-    t = ch.t
-    mani_tuples, vmani, qs = _manifold_nodes(t, p, grid.theta_steps, grid.trace_steps)
-    tuples, vb, dvals, dcombos = _grid_tables(t, grid.theta_steps, grid.diag_steps)
-    nd = dcombos.shape[0]
-    nflat = len(vb) * nd
-    n_nodes = len(vmani) * len(qs)
-    r1cap = mi_xy(ch, p * np.eye(t), 1) + 1e-9
-    nbins = grid.r1_bins
-    tables = {
-        "mani_tuples": mani_tuples,
-        "qs": qs,
-        "tuples": tuples,
-        "dcombos": dcombos,
-        "vmani": vmani,
-    }
-
-    node_ids = np.arange(n_nodes)
-    chunk = max(1, int(6_000_000 // max(nflat, 1)))
-    chunks = [node_ids[s : s + chunk] for s in range(0, n_nodes, chunk)]
-
-    def work(ids):
-        vi, qi = np.divmod(ids, len(qs))
-        bmani = vmani[vi] * np.sqrt(qs[qi])[:, None, :]
-        c2k = 0.5 * np.log2(det_i_plus_gram(ch.g2, bmani))
-        l1 = _half_log2_pair(ch.g1, bmani, vb, dvals, t).reshape(len(ids), -1)
-        l2 = _half_log2_pair(ch.g2, bmani, vb, dvals, t).reshape(len(ids), -1)
-        raw = l1 - l2
-        r1 = np.maximum(raw, 0.0)
-        r2 = c2k[:, None] - l2
-        bidx = np.minimum((r1 / r1cap * nbins).astype(np.int64), nbins - 1)
-        comb = (np.arange(len(ids))[:, None] * nbins + bidx).ravel()
-        best = np.full(len(ids) * nbins, -np.inf)
-        np.maximum.at(best, comb, r2.ravel())
-        sel = np.flatnonzero(r2.ravel() >= best[comb])
-        _, firsts = np.unique(comb[sel], return_index=True)
-        pick = sel[firsts]
-        rows, flats = np.divmod(pick, nflat)
-        binned = np.column_stack([r1.ravel()[pick], r2.ravel()[pick], ids[rows], flats])
-        arg = np.argmax(raw, axis=1)
-        at = np.arange(len(ids))
-        corners = np.column_stack([r1[at, arg], r2[at, arg], ids, arg])
-        return np.vstack([binned, corners])
-
-    parts = _map_ordered(work, chunks)
-    cand = np.vstack(parts) if parts else np.zeros((0, 4))
-    return cand, tables
-
-
-def _node_constraint(tables, node: int, t: int):
-    qs = tables["qs"]
-    vi, qi = divmod(int(node), len(qs))
-    b = _mani_factor(tables["vmani"][vi], qs[qi])
-    kmat = b @ b.T
-    return 0.5 * (kmat + kmat.T), b, tables["mani_tuples"][vi], qs[qi]
 
 
 def _manifold_scan(t: int, p: float, grid: GridSpec):
@@ -438,7 +389,7 @@ def _power_corner_refine(ch, p, grid, scan, objective):
     """
     t = ch.t
     m = t * (t - 1) // 2
-    full = math.pi if t == 2 else 2.0 * math.pi
+    full = _angle_span(t)
     bounds = [(0.0, full)] * m + [(0.0, p)] * (t - 1)
     spans = np.array(
         [full / grid.theta_steps] * m + [p / max(grid.trace_steps - 1, 1)] * (t - 1)
@@ -465,15 +416,125 @@ def _power_corner_refine(ch, p, grid, scan, objective):
     return constraint(best_x)[0]
 
 
+def _water_fill(nu, power):
+    """Water-filling over parallel channels with noise levels ``nu``.
+
+    ``nu`` (..., t) holds positive noise levels in ascending order and
+    ``power`` (...) the budget, clamped at zero.  Returns (rate in bits,
+    water level mu); channel i gets power max(mu - nu_i, 0).  The level
+    L_j = (power + nu_1 + ... + nu_j) / j falls while channel j belongs to
+    the active set and rises after it, so mu is the smallest L_j, and zero
+    power gives mu = nu_1 and rate 0 (Telatar 1999).
+    """
+    t = nu.shape[-1]
+    power = np.maximum(np.asarray(power, dtype=float), 0.0)
+    levels = (power[..., None] + np.cumsum(nu, axis=-1)) / np.arange(1, t + 1)
+    mu = levels.min(axis=-1)
+    rate = np.sum(np.log2(np.maximum(mu[..., None], nu) / nu), axis=-1) / 2.0
+    return rate, mu
+
+
+def _kstar_nodes(x, p: float, t: int):
+    """K* = V(angles) diag(p u^2) V^T for parameter rows x = (angles, u)."""
+    m = t * (t - 1) // 2
+    v = rotation_batch(x[:, :m], t)
+    e = p * x[:, m:] ** 2
+    ks = (v * e[:, None, :]) @ np.swapaxes(v, -1, -2)
+    return 0.5 * (ks + np.swapaxes(ks, -1, -2)), e.sum(axis=1)
+
+
+def _noise2(ch: GaussianBc) -> np.ndarray:
+    """(G2^T G2)^-1, so that I + G2 K G2^T = G2 (N + K) G2^T."""
+    ginv = np.linalg.inv(ch.g2)
+    n = ginv @ ginv.T
+    return 0.5 * (n + n.T)
+
+
+def _kstar_rates(ch: GaussianBc, p: float, x) -> np.ndarray:
+    """Rows (r1(K*), W(K*)) for parameter rows ``x`` of :func:`_kstar_nodes`.
+
+    W(K*) is the best private rate over K = K* + Q with Q PSD and
+    tr Q <= p - tr K*: water-filling over the eigenvalues of
+    (G2^T G2)^-1 + K*.
+    """
+    ks, tr = _kstar_nodes(x, p, ch.t)
+    r1 = np.maximum(_half_log2_det(ch.g1, ks) - _half_log2_det(ch.g2, ks), 0.0)
+    w, _ = _water_fill(np.linalg.eigvalsh(_noise2(ch) + ks), p - tr)
+    return np.column_stack([r1, w])
+
+
+def _water_filled(ch: GaussianBc, p: float, kstars) -> np.ndarray:
+    """Constraints K = K* + V diag(q) V^T that attain W(K*), batched.
+
+    V holds the eigenvectors of (G2^T G2)^-1 + K* and q the water-filling
+    powers, so K* <= K and tr K = p hold by construction.
+    """
+    nu, v = np.linalg.eigh(_noise2(ch) + kstars)
+    _, mu = _water_fill(nu, p - np.trace(kstars, axis1=-2, axis2=-1))
+    q = np.maximum(mu[..., None] - nu, 0.0)
+    k = kstars + (v * q[..., None, :]) @ np.swapaxes(v, -1, -2)
+    return 0.5 * (k + np.swapaxes(k, -1, -2))
+
+
+def _zoom_sweep(ch: GaussianBc, p: float, grid: GridSpec):
+    """Pareto nodes of (r1(K*), W(K*)) over K* with tr K* <= p.
+
+    The coarse grid crosses the ``theta_steps`` angle tuples of
+    :func:`_manifold_nodes` with ``trace_steps`` values of u in [0, 1] per
+    eigenvalue e = p u^2 (square-root spacing keeps small eigenvalues
+    resolved), keeping sum u^2 <= 1.  Each zoom level evaluates a local
+    grid of ``ZOOM_POINTS`` per axis spanning +-1 cell around every Pareto
+    node, restricted to points that move at most ``ZOOM_AXES`` parameters
+    (the full tensor grid grows as 3^(t(t+1)/2)), then halves the cell;
+    points outside the ball sum u^2 <= 1 are pulled onto its surface
+    (tr K* = p).  Returns (Pareto params, nodes evaluated per level).
+    """
+    t = ch.t
+    m = t * (t - 1) // 2
+    span = _angle_span(t)
+    u = diag_combos(np.linspace(0.0, 1.0, grid.trace_steps), t)
+    u = u[np.sum(u * u, axis=1) <= 1.0]
+    angles = theta_tuple_grid(m, grid.theta_steps, full=span)
+    x = np.column_stack(
+        [np.repeat(angles, len(u), axis=0), np.tile(u, (len(angles), 1))]
+    )
+    cell = np.array(
+        [span / grid.theta_steps] * m + [1.0 / max(grid.trace_steps - 1, 1)] * t
+    )
+    offsets = diag_combos(np.linspace(-1.0, 1.0, ZOOM_POINTS), m + t)
+    moved = np.count_nonzero(offsets, axis=1)
+    offsets = offsets[(moved >= 1) & (moved <= ZOOM_AXES)]
+
+    def evaluate(x):
+        chunks = [x[s : s + _ZOOM_CHUNK] for s in range(0, len(x), _ZOOM_CHUNK)]
+        return np.vstack(_map_ordered(lambda c: _kstar_rates(ch, p, c), chunks))
+
+    rates = evaluate(x)
+    counts = [len(x)]
+    for _ in range(ZOOM_LEVELS):
+        front = _pareto_mask(rates[:, 0], rates[:, 1])
+        x, rates = x[front], rates[front]
+        new = (x[:, None, :] + offsets * cell).reshape(-1, m + t)
+        norm = np.sqrt(np.sum(new[:, m:] ** 2, axis=1))
+        new[:, m:] /= np.maximum(norm, 1.0)[:, None]
+        x = np.vstack([x, new])
+        rates = np.vstack([rates, evaluate(new)])
+        counts.append(len(new))
+        cell = cell / 2.0
+    return x[_pareto_mask(rates[:, 0], rates[:, 1])], counts
+
+
 def frontier_power(ch: GaussianBc, p: float, grid: GridSpec | None = None) -> Frontier:
     """Pareto frontier of the pair region under total power ``p``.
 
-    Sweeps constraint matrices over the trace-p manifold (rotation angles
-    plus a simplex-gridded diagonal), unions the per-constraint sweeps,
-    and re-filters.  Restricting to trace exactly p is lossless: smaller
-    traces are dominated via :func:`augment_trace`.  The max-R1 corner is
-    the polished closed-form wiretap optimum over the manifold, the
-    max-R2 corner the polished K* = 0 point.
+    R2 depends on the constraint K only through C2(K), so the union over
+    K and K* <= K swaps into a union over tr K* <= p of the boxes
+    [0, r1(K*)] x [0, W(K*)], where W(K*) is the water-filling capacity
+    of (I + G2 K* G2^T)^(-1/2) G2 with power p - tr K* (closed form).
+    :func:`_zoom_sweep` finds the Pareto K*; each kept point gets the
+    constraint that attains W(K*), so tr K = p and K* <= K exactly.  The
+    max-R1 corner re-water-fills the K* of :func:`wtc_capacity_power`;
+    the max-R2 corner is K* = 0.
     """
     grid = grid or GridSpec()
     if p < 0:
@@ -489,28 +550,20 @@ def frontier_power(ch: GaussianBc, p: float, grid: GridSpec | None = None) -> Fr
     if p == 0:
         zero = np.zeros((t, t))
         return Frontier([RatePoint(0.0, 0.0, {"k": zero, "kstar": zero})], meta)
-    if t == 1:
-        fr = frontier_fixed_cov(ch, np.array([[float(p)]]), grid)
-        return Frontier(fr.points, meta)
 
-    cand, tables = _power_sweep(ch, p, grid)
-    mask = _pareto_mask(cand[:, 0], cand[:, 1])
-    kept = cand[mask]
-    points = []
-    for row in kept:
-        kmat, b, _, _ = _node_constraint(tables, int(row[2]), t)
-        ks, _, _ = _subcov_from_flat(
-            b, tables["tuples"], tables["dcombos"], int(row[3]), t
-        )
-        points.append(RatePoint(row[0], row[1], {"k": kmat, "kstar": ks}))
-
-    rmax, kmat, ks = wtc_capacity_power(ch, p, grid)
-    r2_at = _half_log2_det(ch.g2, kmat) - _half_log2_det(ch.g2, ks)
-    points.append(RatePoint(rmax, r2_at, {"k": kmat, "kstar": ks}))
-    scan = _manifold_scan(t, p, grid)
-    kmat = _power_corner_refine(ch, p, grid, scan, lambda k: _half_log2_det(ch.g2, k))
-    c2max = _half_log2_det(ch.g2, kmat)
-    points.append(RatePoint(0.0, c2max, {"k": kmat, "kstar": np.zeros((t, t))}))
+    x, counts = _zoom_sweep(ch, p, grid)
+    meta["nodes_per_level"] = counts
+    _, _, kstar_wtc = wtc_capacity_power(ch, p, grid)
+    kstars = np.concatenate(
+        [_kstar_nodes(x, p, t)[0], kstar_wtc[None], np.zeros((1, t, t))]
+    )
+    kmats = _water_filled(ch, p, kstars)
+    r1 = _half_log2_det(ch.g1, kstars) - _half_log2_det(ch.g2, kstars)
+    r2 = _half_log2_det(ch.g2, kmats) - _half_log2_det(ch.g2, kstars)
+    points = [
+        RatePoint(a, b, {"k": k, "kstar": ks})
+        for a, b, k, ks in zip(r1, r2, kmats, kstars)
+    ]
     return Frontier(pareto_filter_pairs(points), meta)
 
 

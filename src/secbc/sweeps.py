@@ -58,9 +58,13 @@ class GridSpec:
 
     ``theta_steps`` / ``diag_steps`` / ``trace_steps`` drive single-level
     pair sweeps (the documented defaults give sub-1e-2-bit frontiers for
-    t = 2 in seconds).  Chained two-level sweeps use the ``chain_*``
+    t = 2 in seconds).  The power-constraint pair region uses only
+    ``theta_steps`` and ``trace_steps`` (angles and per-eigenvalue steps
+    of its coarse K* grid; its zoom schedule is fixed in
+    :mod:`secbc.regions`).  Chained two-level sweeps use the ``chain_*``
     steps per level and three-level sweeps the ``deep_*`` steps; the full
-    defaults would be astronomically large there.
+    defaults would be astronomically large there.  ``starts``,
+    ``refine_iters`` and ``refine_tol`` budget the golden-section polish.
     """
 
     theta_steps: int = 64
@@ -74,7 +78,6 @@ class GridSpec:
     refine_iters: int = 200
     refine_tol: float = 1e-6
     starts: int = 4
-    r1_bins: int = 2048
 
     def __post_init__(self):
         for name in (
@@ -89,7 +92,7 @@ class GridSpec:
         ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
-        if self.refine_iters < 0 or self.starts < 1 or self.r1_bins < 2:
+        if self.refine_iters < 0 or self.starts < 1:
             raise ValueError("invalid refinement settings")
 
 

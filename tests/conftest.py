@@ -39,11 +39,17 @@ def fast_grid():
         deep_theta_steps=6,
         deep_diag_steps=4,
         deep_trace_steps=7,
-        r1_bins=256,
     )
 
 
 def random_spd(rng, t, scale=1.0, ridge=0.1):
     a = rng.normal(size=(t, t))
     m = scale * (a @ a.T) / t + ridge * np.eye(t)
+    return 0.5 * (m + m.T)
+
+
+def large_singular_covariance():
+    """3x3, rank 2, trace 1.2e7, min eigenvalue -3e-9: PSD up to rounding."""
+    q, _ = np.linalg.qr(np.random.default_rng(46).normal(size=(3, 3)))
+    m = (q * [-3e-9, 4e6, 8e6]) @ q.T
     return 0.5 * (m + m.T)

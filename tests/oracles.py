@@ -138,3 +138,23 @@ def fig2_oracle(g1, g2, p, n_phi=48, n_q=49, n_theta=48, n_d=17, bins=512):
         "stair_r2": stair[np.isfinite(stair)],
         "both_corners": np.array(both_corners),
     }
+
+
+def water_fill_oracle(g, p, iters=200):
+    """max over tr Q <= p of 0.5*log2 det(I + G Q G^T), by bisection.
+
+    The channel splits into parallel gains s_i^2 (singular values of G);
+    the water level is bisected until the powers max(level - 1/s_i^2, 0)
+    use up p.
+    """
+    gains = np.linalg.svd(np.asarray(g, float), compute_uv=False) ** 2
+    floors = 1.0 / gains
+    lo, hi = floors.min(), floors.max() + p
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if np.sum(np.maximum(mid - floors, 0.0)) > p:
+            hi = mid
+        else:
+            lo = mid
+    q = np.maximum(0.5 * (lo + hi) - floors, 0.0)
+    return 0.5 * float(np.sum(np.log2(1.0 + gains * q)))

@@ -255,8 +255,8 @@ def test_criterion_11_k1_zero_optimality(example_channel):
         assert check_k1_zero(example_channel, np.diag([6.0, 6.0]), samples=100, seed=11)
 
 
-def test_criterion_12_determinism(tmp_path, fig2):
-    with _Timer(12, "byte-identical reruns", 120.0):
+def test_criterion_12_determinism(tmp_path, fig2, monkeypatch):
+    with _Timer(12, "byte-identical reruns and thread counts", 120.0):
         args = [
             "region",
             "--mode",
@@ -268,7 +268,10 @@ def test_criterion_12_determinism(tmp_path, fig2):
             "--g2",
             "1.3,1.2;1.5,3.9",
         ]
-        outs = [tmp_path / "run1.csv", tmp_path / "run2.csv"]
-        for out in outs:
+        outs = []
+        for run, threads in enumerate(["1", "2", "2"]):
+            monkeypatch.setenv("SECBC_THREADS", threads)
+            out = tmp_path / f"run{run}.csv"
             assert cli_main(args + ["--out", str(out)]) == 0
-        assert outs[0].read_bytes() == outs[1].read_bytes()
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1] == outs[2]

@@ -7,7 +7,7 @@ from secbc import GridSpec, frontier_fixed_cov, make_channel, r1_hat, r2_hat
 from secbc.cli import emit_csv, emit_svg, main, parse_matrix
 from secbc.regions import Frontier, RatePoint, RateTriple
 
-from conftest import EXAMPLE_G1, EXAMPLE_G2
+from conftest import EXAMPLE_G1, EXAMPLE_G2, large_singular_covariance
 
 G1_ARG = "0.3,2.5;2.2,1.8"
 G2_ARG = "1.3,1.2;1.5,3.9"
@@ -16,6 +16,10 @@ FAST = [
     "--grid-d", "7",
     "--grid-trace", "7",
 ]
+
+
+def _matrix_arg(m):
+    return ";".join(",".join(repr(float(x)) for x in row) for row in m)
 
 
 class TestParseMatrix:
@@ -55,6 +59,17 @@ class TestExitCodes:
         code = main(["wtc", "--power", "12", "--g1", G1_ARG, "--g2", G2_ARG, *FAST])
         assert code == 2
         assert "SECBC_THREADS" in capsys.readouterr().err
+
+    def test_covariance_tolerance_is_relative(self, capsys):
+        gains = ["--g1", "2,0,0;0,1,0;0,0,1", "--g2", "1,0,0;0,2,0;0,0,1"]
+        # PSD up to rounding at trace 1.2e7: min eigenvalue -3e-9
+        big = large_singular_covariance()
+        assert main(["wtc", "--covariance", _matrix_arg(big), *gains]) == 0
+        # min eigenvalue -1e-6 of the norm (8e6) is not rounding
+        v = np.linalg.eigh(big)[1][:, 0]
+        bad = big - 8.0 * np.outer(v, v)
+        assert main(["wtc", "--covariance", _matrix_arg(bad), *gains]) == 2
+        assert "positive semidefinite" in capsys.readouterr().err
 
     def test_unknown_flag(self):
         with pytest.raises(SystemExit) as exc:
@@ -219,6 +234,18 @@ class TestEmitters:
             ks = np.array(vals[2 + t * t : 2 + 2 * t * t]).reshape(t, t)
             assert abs(max(0.0, r1_hat(ch, k, ks)) - r1) <= 5e-7
             assert abs(r2_hat(ch, k, ks) - r2) <= 5e-7
+
+    def test_generators_read_back_bitwise(self, tmp_path):
+        ch = make_channel(EXAMPLE_G1, EXAMPLE_G2)
+        fr = frontier_fixed_cov(ch, np.diag([3.0, 3.0]), GridSpec(theta_steps=10, diag_steps=7))
+        path = tmp_path / "exact.csv"
+        emit_csv(fr, path)
+        rows = path.read_text().splitlines()[1:]
+        assert len(rows) == len(fr.points)
+        for line, p in zip(rows, fr.points):
+            mats = np.array([float(v) for v in line.split(",")[2:]]).reshape(2, 2, 2)
+            assert np.array_equal(mats[0], p.gen["k"])
+            assert np.array_equal(mats[1], p.gen["kstar"])
 
     def test_triple_rows_reverify(self, tmp_path):
         from secbc import region_common_fixed, r_common

@@ -5,9 +5,9 @@ import pytest
 
 from secbc import SubCovParams, compose_sub_cov, decompose_sub_cov, logdet2, psd_leq, rotation, sqrt_factor
 from secbc.errors import SingularMatrixError
-from secbc.matops import rotation_angles
+from secbc.matops import rotation_angles, validate_psd
 
-from conftest import random_spd
+from conftest import large_singular_covariance, random_spd
 
 
 class TestPsdLeq:
@@ -24,6 +24,37 @@ class TestPsdLeq:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
             psd_leq(np.eye(2), np.eye(3))
+
+    def test_scale_invariant(self):
+        # b - a has min eigenvalue -0.9e-9 * ||b||: rounding at any scale
+        for c in (1.0, 1e9):
+            b = c * np.diag([1.0, 0.5])
+            a = b + np.diag([0.0, 0.9e-9 * c])
+            assert psd_leq(a, b, 1e-9)
+            assert not psd_leq(b + np.diag([0.0, 1e-6 * c]), b, 1e-9)
+
+
+class TestRelativePsdTolerance:
+    def test_large_singular_covariance_accepted(self):
+        from secbc import make_channel, r1_hat, wtc_capacity
+
+        k = large_singular_covariance()
+        assert np.linalg.eigvalsh(k).min() < -1e-9  # rejected by an absolute 1e-9
+        assert np.array_equal(validate_psd(k), k)
+        ch = make_channel(np.diag([2.0, 1.0, 1.0]), np.diag([1.0, 2.0, 1.0]))
+        value, kstar = wtc_capacity(ch, k)
+        # rates at trace 1.2e7 are float64 log-dets of entries ~5e7
+        assert r1_hat(ch, k, kstar) == pytest.approx(value, abs=1e-6)
+        assert r1_hat(ch, k, 0.5 * k) <= value + 1e-6
+
+    def test_relative_violation_rejected(self):
+        k = large_singular_covariance()
+        v = np.linalg.eigh(k)[1][:, 0]
+        bad = k - 1e-6 * np.linalg.norm(k, 2) * np.outer(v, v)
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            validate_psd(bad)
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            validate_psd(np.diag([1.0, -1e-6]))
 
 
 class TestLogdet2:

@@ -6,11 +6,9 @@ traces from 1e-3 to 1e9.  The brute-force references come from
 ``tests/oracles.py`` and random sub-covariance samples, evaluated with the
 oracles' own determinant formula.
 
-The solver is called directly: the PSD checks of the public entry points
-use absolute eigenvalue tolerances, which reject a singular K of trace
-1e9 whose computed eigenvalues are -1e-7.  Those checks run here in
-unit-size coordinates, (G, K) -> (sqrt(c) G, K / c), which leave every
-G K G^T, hence every rate, unchanged.  Rates near trace 1e9 are only as
+The public entry points are called at full scale: their PSD checks are
+relative to the matrix norm, so a singular K of trace 1e9 whose computed
+eigenvalues are -1e-7 is accepted.  Rates near trace 1e9 are only as
 accurate as float64 log-determinants of I + G K G^T with entries of that
 size, so every bound below is 1e-9 plus a rounding term proportional to
 eps * tr K * max ||G_j||^2.
@@ -20,7 +18,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secbc import SubCovParams, compose_sub_cov, make_channel, r1_hat
+from secbc import SubCovParams, compose_sub_cov, make_channel, r1_hat, wtc_capacity
 from secbc.regions import _wtc_gevd
 
 from oracles import mi_gauss, wtc_oracle_fixed
@@ -64,11 +62,10 @@ def _brute_force(g1, g2, k, rng):
     if t == 2:
         return wtc_oracle_fixed(g1, g2, k, 24, 9)
     m = t * (t - 1) // 2
-    c = max(1.0, np.trace(k))
     best = 0.0
     for _ in range(SAMPLES):
         p = SubCovParams(rng.uniform(0.0, 2.0 * np.pi, m), rng.uniform(0.0, 1.0, t))
-        ks = c * compose_sub_cov(k / c, p)
+        ks = compose_sub_cov(k, p)
         best = max(best, mi_gauss(g1, ks) - mi_gauss(g2, ks))
     return best
 
@@ -77,7 +74,7 @@ def _brute_force(g1, g2, k, rng):
 @given(instances(), st.integers(0, 2**32 - 1))
 def test_closed_form_beats_brute_force(inst, seed):
     g1, g2, k, tol = inst
-    value, _ = _wtc_gevd(make_channel(g1, g2), k)
+    value, _ = wtc_capacity(make_channel(g1, g2), k)
     assert value >= _brute_force(g1, g2, k, np.random.default_rng(seed)) - tol
 
 
@@ -85,14 +82,13 @@ def test_closed_form_beats_brute_force(inst, seed):
 @given(instances())
 def test_maximizer_reverifies_and_stays_below_k(inst):
     g1, g2, k, tol = inst
-    value, kstar = _wtc_gevd(make_channel(g1, g2), k)
+    ch = make_channel(g1, g2)
+    value, kstar = wtc_capacity(ch, k)
     assert value >= 0.0
     # K* <= K up to the rounding of a matrix of K's size
     scale = 1.0 + np.linalg.norm(k, 2)
     assert np.linalg.eigvalsh(k - kstar).min() >= -64.0 * EPS * scale
-    c = max(1.0, np.trace(k))
-    scaled = make_channel(np.sqrt(c) * g1, np.sqrt(c) * g2)
-    assert abs(r1_hat(scaled, k / c, kstar / c) - value) <= tol
+    assert abs(r1_hat(ch, k, kstar) - value) <= tol
 
 
 @settings(max_examples=50, deadline=None)

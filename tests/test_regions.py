@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from secbc import (
+    GridSpec,
     RatePoint,
     RateTriple,
     SubCovParams,
@@ -30,6 +31,7 @@ from secbc import (
 from secbc.sweeps import diag_combos, diag_values, theta_tuple_grid
 
 from conftest import random_spd
+from oracles import fig2_oracle, water_fill_oracle
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -149,6 +151,18 @@ class TestAugmentTrace:
             augment_trace(np.eye(2), 1.0)
 
 
+def _assert_power_points_reverify(ch, fr, power):
+    """Every point re-verifies, with tr K = power and 0 <= K* <= K."""
+    assert len(fr.points) > 1
+    for p in fr.points:
+        k, ks = p.gen["k"], p.gen["kstar"]
+        assert p.r1 == pytest.approx(max(0.0, r1_hat(ch, k, ks)), abs=1e-9)
+        assert p.r2 == pytest.approx(r2_hat(ch, k, ks), abs=1e-9)
+        assert np.trace(k) == pytest.approx(power, abs=1e-9)
+        assert np.linalg.eigvalsh(k - ks).min() >= -1e-12
+        assert np.linalg.eigvalsh(ks).min() >= -1e-12
+
+
 class TestFrontierPower:
     def test_zero_power(self, example_channel):
         fr = frontier_power(example_channel, 0.0)
@@ -161,14 +175,69 @@ class TestFrontierPower:
         assert fp.max_r1() == pytest.approx(ff.max_r1(), abs=1e-9)
         assert fp.max_r2() == pytest.approx(ff.max_r2(), abs=1e-9)
 
-    def test_points_reverify_from_generators(self, example_channel, fast_grid):
-        fr = frontier_power(example_channel, 6.0, fast_grid)
-        for p in fr.points[:: max(1, len(fr.points) // 10)]:
-            r1 = max(0.0, r1_hat(example_channel, p.gen["k"], p.gen["kstar"]))
-            r2 = r2_hat(example_channel, p.gen["k"], p.gen["kstar"])
-            assert p.r1 == pytest.approx(r1, abs=1e-9)
-            assert p.r2 == pytest.approx(r2, abs=1e-9)
-            assert np.trace(p.gen["k"]) == pytest.approx(6.0, abs=1e-8)
+    def test_points_reverify_from_generators(self, example_channel):
+        fr = frontier_power(example_channel, 6.0, GridSpec(theta_steps=8, trace_steps=5))
+        _assert_power_points_reverify(example_channel, fr, 6.0)
+
+    @pytest.mark.parametrize("t, seed, steps", [(1, 100, 13), (3, 103, 3)])
+    def test_points_reverify_other_dimensions(self, t, seed, steps):
+        rng = np.random.default_rng(seed)
+        ch = make_channel(2.0 * rng.normal(size=(t, t)), rng.normal(size=(t, t)))
+        fr = frontier_power(ch, 6.0, GridSpec(theta_steps=3, trace_steps=steps))
+        _assert_power_points_reverify(ch, fr, 6.0)
+
+    def test_pins_verified_point(self, example_channel):
+        # (0.91573, 2.91756) re-verifies from its covariances, tr K = 12
+        fr = frontier_power(example_channel, 12.0)
+        assert fr.r2_available(0.91573) >= 2.9175
+
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_max_r2_corner_is_water_filling(self, t):
+        rng = np.random.default_rng(200 + t)
+        ch = make_channel(rng.normal(size=(t, t)), rng.normal(size=(t, t)))
+        fr = frontier_power(ch, 5.0, GridSpec(theta_steps=3, trace_steps=3))
+        corner = max(fr.points, key=lambda p: p.r2)
+        assert corner.r2 == pytest.approx(water_fill_oracle(ch.g2, 5.0), abs=1e-9)
+        assert np.abs(corner.gen["kstar"]).max() == 0.0
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_covers_oracle_staircase(self, seed, fast_grid):
+        rng = np.random.default_rng(seed)
+        gains = []
+        while len(gains) < 2:
+            g = rng.normal(size=(2, 2)) * 1.5
+            if np.linalg.cond(g) < 30.0:
+                gains.append(g)
+        power = float(rng.uniform(2.0, 20.0))
+        fr = frontier_power(make_channel(*gains), power, fast_grid)
+        oracle = fig2_oracle(*gains, power, n_phi=12, n_q=13, n_theta=12, n_d=9, bins=128)
+        for r1_edge, r2_best in zip(oracle["stair_r1"], oracle["stair_r2"]):
+            assert fr.r2_available(r1_edge, slack=5e-3) >= r2_best - 5e-3
+
+
+class TestWaterFill:
+    def test_matches_oracle(self, rng):
+        from secbc.regions import _noise2, _water_fill
+
+        for t in (1, 2, 3):
+            ch = make_channel(rng.normal(size=(t, t)), rng.normal(size=(t, t)))
+            for power in (0.01, 1.0, 30.0):
+                nu = np.linalg.eigvalsh(_noise2(ch))
+                rate, _ = _water_fill(nu, power)
+                assert rate == pytest.approx(water_fill_oracle(ch.g2, power), abs=1e-9)
+
+    def test_zero_remaining_power(self, example_channel):
+        from secbc.regions import _noise2, _water_fill, _water_filled
+
+        nu = np.linalg.eigvalsh(_noise2(example_channel))
+        for power in (0.0, -1e-12):
+            rate, mu = _water_fill(nu, power)
+            assert rate == 0.0 and mu == nu[0]
+        # K* of trace p leaves nothing to water-fill: K = K*, R2 = 0
+        ks = np.array([[7.0, 1.0], [1.0, 5.0]])
+        k = _water_filled(example_channel, 12.0, ks)
+        assert np.abs(k - ks).max() <= 1e-12
+        assert r2_hat(example_channel, k, ks) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestRegionCommon:
