@@ -13,9 +13,20 @@ structure guarantees):
   maximized over three chained splits to give ``v_tilde``.
 
 Each maximization is a coarse tensor-grid sweep over sub-covariance
-parameters followed by multi-start coordinate golden-section refinement;
-the tie-break (lowest lexicographic parameter vector) keeps results
-deterministic under any parallel evaluation order.
+parameters followed by multi-start coordinate golden-section refinement.
+The grid is streamed: its innermost level is scored in row blocks of
+outer nodes (:func:`secbc.sweeps.top_k_rows`), so memory stays at one
+block whatever the grid size.  The seeds are the ``GridSpec.starts``
+best distinct grid values, each at its lowest flat index (the
+lexicographically smallest parameter vector); exactly tied nodes are
+almost always one split reached through a degenerate parameterization
+(a zero scaling makes the angles below it irrelevant), so they would
+refine to the same point.  Results are deterministic under any parallel
+evaluation order.  Grid seeds and the best spectral rank-one seeds are
+then refined together, in lockstep, by one batched
+:func:`secbc.sweeps.coordinate_refine`; the objectives therefore take a
+batch of parameter vectors.  ``EnvelopeResult.grid_meta`` records the
+grid nodes scored, the blocks and the line searches each start used.
 
 ``bound_b`` is the closed-form eigenvalue bound certifying that the
 level-2 objective stays bounded over all inputs, and
@@ -44,7 +55,7 @@ from .sweeps import (
     pair_dets,
     rotation_batch,
     theta_tuple_grid,
-    top_k_flat,
+    top_k_rows,
 )
 
 __all__ = [
@@ -102,24 +113,24 @@ def s_eta(ch: GaussianBc, kx, eta: float) -> float:
     return mi_xy(ch, kx, 2) - eta * mi_xy(ch, kx, 1)
 
 
-def _level_bounds_spans(t: int, theta_steps: int, diag_steps: int):
+def _bounds_spans(t: int, theta_steps: int, diag_steps: int, levels: int):
+    """Refinement box and bracket half-widths of a chained parameter vector."""
     m = t * (t - 1) // 2
     bounds = [(0.0, 2.0 * math.pi)] * m + [(0.0, 1.0)] * t
     spans = [2.0 * math.pi / theta_steps] * m
     # widest gap of the sqrt-spaced scaling grid sits at the top end
     spans += [2.0 / max(diag_steps - 1, 1)] * t
-    return bounds, np.asarray(spans)
+    return bounds * levels, np.tile(spans, levels)
 
 
-def _refine_multi(objective, seeds, bounds, spans, grid: GridSpec):
-    best_x, best_f = None, -np.inf
-    for x0 in seeds:
-        x, fx = coordinate_refine(
-            objective, x0, bounds, spans, grid.refine_tol, grid.refine_iters
-        )
-        if fx > best_f:
-            best_x, best_f = x, fx
-    return best_x, best_f
+def _level_logdets(ch: GaussianBc, b0: np.ndarray, params, levels: int):
+    """0.5*log2 det(I + G_j K G_j^T) of each chained level, shape (S, levels, 2).
+
+    ``params`` is a batch (S, n) of chained parameter vectors below the
+    factor ``b0``; the last axis holds j = 1, 2 from one ``slogdet``.
+    """
+    factors = chain_factor(b0, params, ch.t, levels)
+    return half_log2_det_gram(np.stack([ch.g1, ch.g2]), factors[:, :, None])
 
 
 def _rank1_angles(b0: np.ndarray, u: np.ndarray, t: int):
@@ -143,32 +154,36 @@ def _spectral_seeds(ch: GaussianBc, b0: np.ndarray, eta: float, levels: int):
     """Rank-one starting points for the chained envelope optimizations.
 
     Optima with tiny splits live inside narrow direction cones that a
-    coarse angle grid can step over entirely; the extreme directions of
-    the linearized objectives (generalized eigenvectors of the two gain
-    Grams, top eigenvector of W2 - eta*W1) seed those basins directly.
+    coarse angle grid can step over entirely, and (for any t, scalar
+    channels included) below the first nonzero scaling node; the extreme
+    directions of the linearized objectives (generalized eigenvectors of
+    the two gain Grams, top eigenvector of W2 - eta*W1) seed those basins
+    directly with small splits delta.  For t = 1 the only direction is
+    the scalar one, which needs no angles.
     """
     from scipy.linalg import eigh as generalized_eigh
 
     t = ch.t
-    if t < 2:
-        return []
-    w1 = ch.g1.T @ ch.g1
-    w2 = ch.g2.T @ ch.g2
-    dirs = []
-    try:
-        _, vecs = generalized_eigh(w1, w2)
-        dirs += [vecs[:, 0], vecs[:, -1]]
-    except np.linalg.LinAlgError:  # pragma: no cover - defensive
-        pass
-    _, vecs = np.linalg.eigh(w2 - eta * w1)
-    dirs.append(vecs[:, -1])
-
     m = t * (t - 1) // 2
+    if t == 1:
+        angles = [np.zeros(0)]
+    else:
+        w1 = ch.g1.T @ ch.g1
+        w2 = ch.g2.T @ ch.g2
+        dirs = []
+        try:
+            _, vecs = generalized_eigh(w1, w2)
+            dirs += [vecs[:, 0], vecs[:, -1]]
+        except np.linalg.LinAlgError:  # pragma: no cover - defensive
+            pass
+        _, vecs = np.linalg.eigh(w2 - eta * w1)
+        dirs.append(vecs[:, -1])
+        angles = [_rank1_angles(b0, u / np.linalg.norm(u), t) for u in dirs]
+
     zeros_level = np.zeros(m + t)
     ones_level = np.concatenate([np.zeros(m), np.ones(t)])
     seeds = []
-    for u in dirs:
-        ang = _rank1_angles(b0, u / np.linalg.norm(u), t)
+    for ang in angles:
         if ang is None:
             continue
         for delta in (1e-3, 1e-2, 1e-1):
@@ -188,16 +203,26 @@ def _spectral_seeds(ch: GaussianBc, b0: np.ndarray, eta: float, levels: int):
     return seeds
 
 
-def _select_starts(objective, grid_seeds, extra_seeds, keep: int):
-    """Grid seeds plus the ``keep`` best-scoring spectral seeds."""
-    starts = list(grid_seeds)
-    if extra_seeds:
-        scored = sorted(
-            ((objective(s), i) for i, s in enumerate(extra_seeds)),
-            key=lambda p: (-p[0], p[1]),
-        )
-        starts += [extra_seeds[i] for _, i in scored[:keep]]
-    return starts
+def _refine(objective, seeds, top_value, extra, keep, box, grid):
+    """(argmax params, value, line searches per start) after a grid sweep.
+
+    Without a refinement budget the best grid node stands.  Otherwise the
+    grid seeds plus the ``keep`` best-scoring ``extra`` seeds (scored in
+    one batch, ties to the earlier seed) are polished together by
+    :func:`coordinate_refine`; the best start wins, ties to the earlier.
+    """
+    if grid.refine_iters == 0:
+        return seeds[0], float(top_value), []
+    starts = list(seeds)
+    if extra:
+        scores = objective(np.array(extra))
+        starts += [extra[i] for i in np.argsort(-scores, kind="stable")[:keep]]
+    bounds, spans = box
+    x, fx, used = coordinate_refine(
+        objective, np.array(starts), bounds, spans, grid.refine_tol, grid.refine_iters
+    )
+    best = int(np.argmax(fx))
+    return x[best], float(fx[best]), used.tolist()
 
 
 def _seed_params(flat_idx, shapes, theta_tuples_list, dcombos_list):
@@ -224,6 +249,21 @@ def _seed_params(flat_idx, shapes, theta_tuples_list, dcombos_list):
     return out
 
 
+def _grid_meta(grid, theta_steps, diag_steps, levels, seeds, nodes, blocks, used):
+    return {
+        "resolution": {
+            "theta_steps": theta_steps,
+            "diag_steps": diag_steps,
+            "levels": levels,
+        },
+        "refine_budget": grid.refine_iters,
+        "starts": len(seeds),
+        "grid_nodes": nodes,
+        "grid_blocks": blocks,
+        "line_searches": used,
+    }
+
+
 def v_eta(ch: GaussianBc, k, eta: float, grid: GridSpec | None = None) -> EnvelopeResult:
     """Maximum of the level-1 objective over all ``K*`` below ``k``.
 
@@ -244,37 +284,30 @@ def v_eta(ch: GaussianBc, k, eta: float, grid: GridSpec | None = None) -> Envelo
     dvals = diag_values_sqrt(grid.diag_steps)
     dgrids = [dvals] * t
     dcombos = diag_combos(dvals, t)
-    l1 = 0.5 * np.log2(pair_dets(ch.g1, b0[None], vb, dgrids)[0])
-    l2 = 0.5 * np.log2(pair_dets(ch.g2, b0[None], vb, dgrids)[0])
-    svals = (l2 - eta * l1).reshape(tuples.shape[0], -1)
 
-    seeds = [
-        np.concatenate([tuples[i // dcombos.shape[0]], dcombos[i % dcombos.shape[0]]])
-        for i in top_k_flat(svals, grid.starts)
-    ]
-    bounds, spans = _level_bounds_spans(t, grid.theta_steps, grid.diag_steps)
+    def score(lo, hi):
+        l1 = 0.5 * np.log2(pair_dets(ch.g1, b0[None], vb[lo:hi], dgrids)[0])
+        l2 = 0.5 * np.log2(pair_dets(ch.g2, b0[None], vb[lo:hi], dgrids)[0])
+        return (l2 - eta * l1).reshape(hi - lo, -1)
+
+    flat, top, blocks = top_k_rows(score, len(vb), grid.starts, distinct=True)
+    seeds = _seed_params(flat, [len(vb), len(dcombos)], [tuples], [dcombos])
 
     def objective(params):
-        (bstar,) = chain_factor(b0, params, t, 1)
-        return half_log2_det_gram(ch.g2, bstar) - eta * half_log2_det_gram(
-            ch.g1, bstar
-        )
+        h = _level_logdets(ch, b0, params, 1)
+        return h[:, 0, 1] - eta * h[:, 0, 0]
 
-    if grid.refine_iters > 0:
-        starts = _select_starts(
-            objective, seeds, _spectral_seeds(ch, b0, eta, 1), 2
-        )
-        x, val = _refine_multi(objective, starts, bounds, spans, grid)
-    else:
-        x, val = seeds[0], float(svals.max())
-    (bstar,) = chain_factor(b0, x, t, 1)
+    box = _bounds_spans(t, grid.theta_steps, grid.diag_steps, 1)
+    x, val, used = _refine(
+        objective, seeds, top[0], _spectral_seeds(ch, b0, eta, 1), 2, box, grid
+    )
+    bstar = chain_factor(b0, x, t, 1)[0, 0]
     kstar = bstar @ bstar.T
-    meta = {
-        "resolution": {"theta_steps": grid.theta_steps, "diag_steps": grid.diag_steps},
-        "refine_budget": grid.refine_iters,
-        "starts": len(seeds),
-    }
-    return EnvelopeResult(float(val), [0.5 * (kstar + kstar.T)], meta)
+    meta = _grid_meta(
+        grid, grid.theta_steps, grid.diag_steps, 1, seeds,
+        len(vb) * len(dcombos), blocks, used,
+    )
+    return EnvelopeResult(val, [0.5 * (kstar + kstar.T)], meta)
 
 
 def t_lambda_eta(
@@ -300,7 +333,8 @@ def v_hat(
     """Maximum of the level-2 objective over splits ``K1 + K2`` below ``k``.
 
     Sweeps the chained parameterization (outer K1+K2 below k, inner K1
-    below K1+K2) jointly; argmax_splits holds [K1, K2].
+    below K1+K2) jointly, streaming the inner level in row blocks of
+    outer nodes; argmax_splits holds [K1, K2].
     """
     grid = grid or GridSpec()
     k = validate_psd(k, name="k")
@@ -311,67 +345,47 @@ def v_hat(
     b0 = sqrt_factor(k)
     m = t * (t - 1) // 2
 
-    tup1 = theta_tuple_grid(m, grid.chain_theta_steps)
-    v1 = rotation_batch(tup1, t)
+    tup = theta_tuple_grid(m, grid.chain_theta_steps)
+    vb = rotation_batch(tup, t)
     dvals = diag_values_sqrt(grid.chain_diag_steps)
     dc = diag_combos(dvals, t)
-    kids = children_factors(b0[None], v1, dc)[0]  # (nv1, nd1, t, t)
-    nv1, nd1 = kids.shape[0], kids.shape[1]
-    flat_kids = kids.reshape(nv1 * nd1, t, t)
+    dgrids = [dvals] * t
+    flat_kids = children_factors(b0[None], vb, dc)[0].reshape(-1, t, t)
 
     l1o = 0.5 * np.log2(det_i_plus_gram(ch.g1, flat_kids))
     l2o = 0.5 * np.log2(det_i_plus_gram(ch.g2, flat_kids))
     gterm = lam1 * l1o - (lam1 + lam2) * l2o  # (N1,)
 
-    tup2 = theta_tuple_grid(m, grid.chain_theta_steps)
-    v2 = rotation_batch(tup2, t)
-    dgrids = [dvals] * t
-    di1 = 0.5 * np.log2(pair_dets(ch.g1, flat_kids, v2, dgrids))
-    di2 = 0.5 * np.log2(pair_dets(ch.g2, flat_kids, v2, dgrids))
-    total = gterm.reshape(-1, 1, 1) + lam1 * (
-        (di2 - eta * di1).reshape(flat_kids.shape[0], v2.shape[0], -1)
-    )
+    def score(lo, hi):
+        di1 = 0.5 * np.log2(pair_dets(ch.g1, flat_kids[lo:hi], vb, dgrids))
+        di2 = 0.5 * np.log2(pair_dets(ch.g2, flat_kids[lo:hi], vb, dgrids))
+        return gterm[lo:hi, None] + lam1 * (di2 - eta * di1).reshape(hi - lo, -1)
 
-    shapes = [nv1, nd1, v2.shape[0], dc.shape[0]]
-    seeds = _seed_params(
-        top_k_flat(total, grid.starts), shapes, [tup1, tup2], [dc, dc]
-    )
-    bounds1, spans1 = _level_bounds_spans(t, grid.chain_theta_steps, grid.chain_diag_steps)
-    bounds = bounds1 + bounds1
-    spans = np.concatenate([spans1, spans1])
+    flat, top, blocks = top_k_rows(score, len(flat_kids), grid.starts, distinct=True)
+    shapes = [len(vb), len(dc)] * 2
+    seeds = _seed_params(flat, shapes, [tup, tup], [dc, dc])
 
     def objective(params):
-        bsum, binner = chain_factor(b0, params, t, 2)
-        val = lam1 * half_log2_det_gram(ch.g1, bsum)
-        val -= (lam1 + lam2) * half_log2_det_gram(ch.g2, bsum)
-        val += lam1 * (
-            half_log2_det_gram(ch.g2, binner)
-            - eta * half_log2_det_gram(ch.g1, binner)
-        )
+        h = _level_logdets(ch, b0, params, 2)
+        val = lam1 * h[:, 0, 0]
+        val -= (lam1 + lam2) * h[:, 0, 1]
+        val += lam1 * (h[:, 1, 1] - eta * h[:, 1, 0])
         return val
 
-    if grid.refine_iters > 0:
-        starts = _select_starts(
-            objective, seeds, _spectral_seeds(ch, b0, eta, 2), 3
-        )
-        x, val = _refine_multi(objective, starts, bounds, spans, grid)
-    else:
-        x, val = seeds[0], float(total.max())
-    bsum, binner = chain_factor(b0, x, t, 2)
+    box = _bounds_spans(t, grid.chain_theta_steps, grid.chain_diag_steps, 2)
+    x, val, used = _refine(
+        objective, seeds, top[0], _spectral_seeds(ch, b0, eta, 2), 3, box, grid
+    )
+    bsum, binner = chain_factor(b0, x, t, 2)[0]
     ksum = bsum @ bsum.T
     k1 = binner @ binner.T
     k1 = 0.5 * (k1 + k1.T)
     k2 = 0.5 * (ksum + ksum.T) - k1
-    meta = {
-        "resolution": {
-            "theta_steps": grid.chain_theta_steps,
-            "diag_steps": grid.chain_diag_steps,
-            "levels": 2,
-        },
-        "refine_budget": grid.refine_iters,
-        "starts": len(seeds),
-    }
-    return EnvelopeResult(float(val), [k1, k2], meta)
+    meta = _grid_meta(
+        grid, grid.chain_theta_steps, grid.chain_diag_steps, 2, seeds,
+        len(flat_kids) * len(vb) * len(dc), blocks, used,
+    )
+    return EnvelopeResult(val, [k1, k2], meta)
 
 
 def f_value(
@@ -398,7 +412,8 @@ def v_tilde(
     """Maximum of the layered level-3 objective over triple splits.
 
     Sweeps K1 + K2 + K3 below ``k`` through three chained sub-covariance
-    levels (coarser per-level grids, then a joint 3-level refinement);
+    levels (coarser per-level grids, the innermost level streamed in row
+    blocks of two-level nodes, then a joint 3-level refinement);
     argmax_splits holds [K1, K2, K3].
     """
     if w.lambda0 <= w.lambda2:
@@ -419,75 +434,50 @@ def v_tilde(
     dc = diag_combos(dvals, t)
     dgrids = [dvals] * t
 
-    kids1 = children_factors(b0[None], vb, dc)[0]
-    n1 = kids1.shape[0] * kids1.shape[1]
-    flat1 = kids1.reshape(n1, t, t)
+    flat1 = children_factors(b0[None], vb, dc)[0].reshape(-1, t, t)
     a1 = 0.5 * np.log2(det_i_plus_gram(ch.g1, flat1))
     a2 = 0.5 * np.log2(det_i_plus_gram(ch.g2, flat1))
     aterm = (lam2 - abar * lam0) * a2 - alpha * lam0 * a1  # (N1,)
 
-    kids2 = children_factors(flat1, vb, dc)
-    n2 = kids2.shape[1] * kids2.shape[2]
-    flat2 = kids2.reshape(n1 * n2, t, t)
+    n1 = len(flat1)
+    flat2 = children_factors(flat1, vb, dc).reshape(-1, t, t)
+    n2 = len(flat2) // n1
     b1 = 0.5 * np.log2(det_i_plus_gram(ch.g1, flat2))
     b2 = 0.5 * np.log2(det_i_plus_gram(ch.g2, flat2))
     bterm = lam1 * b1 - (lam1 + lam2) * b2  # (N1*N2,)
+    outer = np.repeat(aterm, n2) + bterm
 
-    c1 = 0.5 * np.log2(pair_dets(ch.g1, flat2, vb, dgrids))
-    c2 = 0.5 * np.log2(pair_dets(ch.g2, flat2, vb, dgrids))
-    inner = (c2 - eta * c1).reshape(n1 * n2, -1)  # (N1*N2, N3)
+    def score(lo, hi):
+        c1 = 0.5 * np.log2(pair_dets(ch.g1, flat2[lo:hi], vb, dgrids))
+        c2 = 0.5 * np.log2(pair_dets(ch.g2, flat2[lo:hi], vb, dgrids))
+        return outer[lo:hi, None] + lam1 * (c2 - eta * c1).reshape(hi - lo, -1)
 
-    total = (
-        np.repeat(aterm, n2).reshape(-1, 1) + bterm.reshape(-1, 1) + lam1 * inner
-    )
-    shapes = [
-        kids1.shape[0],
-        kids1.shape[1],
-        kids2.shape[1],
-        kids2.shape[2],
-        vb.shape[0],
-        dc.shape[0],
-    ]
-    seeds = _seed_params(
-        top_k_flat(total, grid.starts), shapes, [tup, tup, tup], [dc, dc, dc]
-    )
-    bounds1, spans1 = _level_bounds_spans(t, grid.deep_theta_steps, grid.deep_diag_steps)
-    bounds = bounds1 * 3
-    spans = np.concatenate([spans1] * 3)
+    flat, top, blocks = top_k_rows(score, len(flat2), grid.starts, distinct=True)
+    shapes = [len(vb), len(dc)] * 3
+    seeds = _seed_params(flat, shapes, [tup] * 3, [dc] * 3)
 
     def objective(params):
-        b123, b12, binner = chain_factor(b0, params, t, 3)
-        val = (lam2 - abar * lam0) * half_log2_det_gram(ch.g2, b123)
-        val -= alpha * lam0 * half_log2_det_gram(ch.g1, b123)
-        val += lam1 * half_log2_det_gram(ch.g1, b12)
-        val -= (lam1 + lam2) * half_log2_det_gram(ch.g2, b12)
-        val += lam1 * (
-            half_log2_det_gram(ch.g2, binner)
-            - eta * half_log2_det_gram(ch.g1, binner)
-        )
+        h = _level_logdets(ch, b0, params, 3)
+        val = (lam2 - abar * lam0) * h[:, 0, 1]
+        val -= alpha * lam0 * h[:, 0, 0]
+        val += lam1 * h[:, 1, 0]
+        val -= (lam1 + lam2) * h[:, 1, 1]
+        val += lam1 * (h[:, 2, 1] - eta * h[:, 2, 0])
         return val
 
-    if grid.refine_iters > 0:
-        starts = _select_starts(
-            objective, seeds, _spectral_seeds(ch, b0, eta, 3), 3
-        )
-        x, val = _refine_multi(objective, starts, bounds, spans, grid)
-    else:
-        x, val = seeds[0], float(total.max())
-    b123, b12, binner = chain_factor(b0, x, t, 3)
+    box = _bounds_spans(t, grid.deep_theta_steps, grid.deep_diag_steps, 3)
+    x, val, used = _refine(
+        objective, seeds, top[0], _spectral_seeds(ch, b0, eta, 3), 3, box, grid
+    )
+    b123, b12, binner = chain_factor(b0, x, t, 3)[0]
     k123 = 0.5 * ((b123 @ b123.T) + (b123 @ b123.T).T)
     k12 = 0.5 * ((b12 @ b12.T) + (b12 @ b12.T).T)
     k1 = 0.5 * ((binner @ binner.T) + (binner @ binner.T).T)
-    meta = {
-        "resolution": {
-            "theta_steps": grid.deep_theta_steps,
-            "diag_steps": grid.deep_diag_steps,
-            "levels": 3,
-        },
-        "refine_budget": grid.refine_iters,
-        "starts": len(seeds),
-    }
-    return EnvelopeResult(float(val), [k1, k12 - k1, k123 - k12], meta)
+    meta = _grid_meta(
+        grid, grid.deep_theta_steps, grid.deep_diag_steps, 3, seeds,
+        len(flat2) * len(vb) * len(dc), blocks, used,
+    )
+    return EnvelopeResult(val, [k1, k12 - k1, k123 - k12], meta)
 
 
 def bound_b(ch: GaussianBc, w: EnvelopeWeights) -> float:

@@ -29,13 +29,12 @@ of the worker count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channel import GaussianBc, mi_xy
-from .matops import rotation, sqrt_factor, validate_psd
+from .matops import sqrt_factor, validate_psd
 from .sweeps import (
     GridSpec,
     chain_factor,
@@ -44,11 +43,11 @@ from .sweeps import (
     det_i_plus_gram,
     diag_combos,
     diag_values,
+    map_ordered,
     pair_dets,
     rotation_batch,
     simplex_grid,
     theta_tuple_grid,
-    worker_count,
 )
 
 __all__ = [
@@ -210,7 +209,7 @@ def _subcov_from_flat(b0, tuples, dcombos, flat, t):
     nd = dcombos.shape[0]
     vi, di = divmod(int(flat), nd)
     params = np.concatenate([tuples[vi], dcombos[di]])
-    (b,) = chain_factor(b0, params, t, 1)
+    b = chain_factor(b0, params, t, 1)[0, 0]
     ks = b @ b.T
     return 0.5 * (ks + ks.T), b, params
 
@@ -354,14 +353,6 @@ def _mani_factor(vmani_row: np.ndarray, q_row: np.ndarray) -> np.ndarray:
     return vmani_row * np.sqrt(q_row)[None, :]
 
 
-def _map_ordered(fn, items):
-    w = worker_count()
-    if w <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=w) as ex:
-        return list(ex.map(fn, items))
-
-
 def _manifold_scan(t: int, p: float, grid: GridSpec):
     """Constraint matrices at the trace-p manifold nodes, in node order.
 
@@ -381,11 +372,11 @@ def _manifold_scan(t: int, p: float, grid: GridSpec):
 def _power_corner_refine(ch, p, grid, scan, objective):
     """Maximize ``objective(K)`` over the trace-p manifold.
 
-    ``objective`` maps a constraint matrix, or a batch of them, to a
-    value.  The ``grid.starts`` best nodes of ``scan`` seed coordinate-wise
-    golden section over the manifold parameters; returns the best
-    constraint matrix.  An infeasible trace tail scores -inf, which golden
-    section simply avoids.
+    ``objective`` maps a batch of constraint matrices to their values.
+    The ``grid.starts`` best nodes of ``scan`` seed coordinate-wise golden
+    section over the manifold parameters, refined together as one batch;
+    returns the best constraint matrix.  An infeasible trace tail scores
+    -inf, which golden section simply avoids.
     """
     t = ch.t
     m = t * (t - 1) // 2
@@ -396,24 +387,22 @@ def _power_corner_refine(ch, p, grid, scan, objective):
     )
 
     def constraint(x):
-        q = np.append(x[m:], p - x[m:].sum())
-        b = rotation(x[:m], t) * np.sqrt(np.maximum(q, 0.0))
-        kmat = b @ b.T
-        return 0.5 * (kmat + kmat.T), q[-1] >= 0.0
+        q = np.column_stack([x[:, m:], p - x[:, m:].sum(axis=1)])
+        b = rotation_batch(x[:, :m], t) * np.sqrt(np.maximum(q, 0.0))[:, None, :]
+        kmat = b @ np.swapaxes(b, -1, -2)
+        return 0.5 * (kmat + np.swapaxes(kmat, -1, -2)), q[:, -1] >= 0.0
 
     def f(x):
         kmat, feasible = constraint(x)
-        return float(objective(kmat)) if feasible else -np.inf
+        return np.where(feasible, objective(kmat), -np.inf)
 
     kmats, params = scan
-    best_x, best_f = None, -np.inf
-    for node in np.argsort(-objective(kmats), kind="stable")[: grid.starts]:
-        x, fx = coordinate_refine(
-            f, params[node], bounds, spans, grid.refine_tol, grid.refine_iters
-        )
-        if fx > best_f:
-            best_x, best_f = x, fx
-    return constraint(best_x)[0]
+    nodes = np.argsort(-objective(kmats), kind="stable")[: grid.starts]
+    x, fx, _ = coordinate_refine(
+        f, params[nodes], bounds, spans, grid.refine_tol, grid.refine_iters
+    )
+    kbest, _ = constraint(x[[int(np.argmax(fx))]])
+    return kbest[0]
 
 
 def _water_fill(nu, power):
@@ -507,7 +496,7 @@ def _zoom_sweep(ch: GaussianBc, p: float, grid: GridSpec):
 
     def evaluate(x):
         chunks = [x[s : s + _ZOOM_CHUNK] for s in range(0, len(x), _ZOOM_CHUNK)]
-        return np.vstack(_map_ordered(lambda c: _kstar_rates(ch, p, c), chunks))
+        return np.vstack(map_ordered(lambda c: _kstar_rates(ch, p, c), chunks))
 
     rates = evaluate(x)
     counts = [len(x)]
@@ -765,7 +754,7 @@ def region_common_power(ch: GaussianBc, p: float, grid: GridSpec | None = None) 
         cand = _reduce_triples(cand, bins=64)
         return np.column_stack([cand, np.full(cand.shape[0], node_idx)]), tables
 
-    parts = _map_ordered(work, list(enumerate(nodes)))
+    parts = map_ordered(work, list(enumerate(nodes)))
     tables = parts[0][1]
     cand = np.vstack([c for c, _ in parts])
     cand = _reduce_triples(cand)
@@ -801,9 +790,9 @@ def check_k1_zero(ch: GaussianBc, k, samples: int = 100, seed: int = 0) -> bool:
         p_in = np.concatenate(
             [rng.uniform(0, 2 * math.pi, m), rng.uniform(0, 1, t)]
         )
-        (bsum,) = chain_factor(b0, p_out, t, 1)
+        bsum = chain_factor(b0, p_out, t, 1)[0, 0]
         ksum = bsum @ bsum.T
-        (b2,) = chain_factor(bsum, p_in, t, 1)
+        b2 = chain_factor(bsum, p_in, t, 1)[0, 0]
         k2 = b2 @ b2.T
         k1 = ksum - k2
         r1_split = (

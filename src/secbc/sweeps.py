@@ -13,9 +13,24 @@ Gram matrix is exactly the sub-covariance.  Determinants of
 expansion of ``det(I + D M)``, which costs 2^t coefficient arrays instead
 of one determinant per grid node.
 
-Ties during argmax selection always resolve to the lowest flat index,
-i.e. the lexicographically smallest parameter vector, so sweeps are
-reproducible regardless of how callers parallelize.
+Grids are reduced in row blocks (:func:`top_k_rows`), so no sweep holds
+more than about ``GRID_BLOCK_NODES`` nodes at once: each block is cut to
+its own top k and the survivors are merged.  Selection orders nodes by
+(value descending, flat index ascending), so ties always resolve to the
+lowest flat index, i.e. the lexicographically smallest parameter vector.
+That order is total, so the merged top k is exactly the top k of the
+whole grid, and blocks may run on any number of workers
+(:func:`map_ordered`) without changing the result.  The ``distinct``
+selection (the k best distinct values, each at its lowest index) merges
+exactly in the same way.
+
+Refinement runs a batch of starts in lockstep (:func:`coordinate_refine`,
+:func:`golden_max`): every objective call evaluates the live lanes at
+once, and a lane that has finished is masked out, so each lane performs
+exactly the line searches and evaluations it would perform alone.
+Objectives therefore map a batch of parameter vectors (S, n) to (S,)
+values; :func:`chain_factor` and :func:`half_log2_det_gram` are batched
+to match.
 """
 
 from __future__ import annotations
@@ -23,11 +38,12 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .matops import givens_pairs, rotation
+from .matops import givens_pairs
 
 __all__ = [
     "GridSpec",
@@ -46,10 +62,15 @@ __all__ = [
     "golden_max",
     "coordinate_refine",
     "top_k_flat",
+    "top_k_rows",
     "worker_count",
+    "map_ordered",
 ]
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Grid nodes scored per row block by top_k_rows (and per worker task).
+GRID_BLOCK_NODES = 1 << 16
+_TIE_OVERSAMPLE = 64  # candidates per wanted value in a distinct top-k cut
 
 
 @dataclass(frozen=True)
@@ -110,6 +131,15 @@ def worker_count() -> int:
     return os.cpu_count() or 1
 
 
+def map_ordered(fn, items):
+    """[fn(x) for x in items] on :func:`worker_count` threads, in item order."""
+    w = worker_count()
+    if w <= 1 or len(items) <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=w) as ex:
+        return list(ex.map(fn, items))
+
+
 def theta_values(steps: int, full: float = 2.0 * math.pi) -> np.ndarray:
     """Angle grid on [0, full); endpoint omitted because of periodicity."""
     return np.linspace(0.0, full, steps, endpoint=False)
@@ -153,17 +183,17 @@ def rotation_batch(theta_cols: np.ndarray, t: int) -> np.ndarray:
     pairs = givens_pairs(t)
     if theta_cols.shape[1] != len(pairs):
         raise ValueError("angle tuple length does not match dimension")
-    out = np.broadcast_to(np.eye(t), (n, t, t)).copy()
+    cos, sin = np.cos(theta_cols), np.sin(theta_cols)
+    out = None
     for k, (i, j) in enumerate(pairs):
-        c = np.cos(theta_cols[:, k])
-        s = np.sin(theta_cols[:, k])
-        g = np.zeros((n, t, t))
-        g[:, np.arange(t), np.arange(t)] = 1.0
-        g[:, i, i] = c
-        g[:, j, j] = c
-        g[:, i, j] = -s
-        g[:, j, i] = s
-        out = out @ g
+        g = np.empty((n, t, t))
+        g[:] = np.eye(t)
+        g[:, i, i] = g[:, j, j] = cos[:, k]
+        g[:, i, j] = -sin[:, k]
+        g[:, j, i] = sin[:, k]
+        out = g if out is None else out @ g
+    if out is None:  # t = 1 has no angles
+        out = np.ones((n, 1, 1))
     return out
 
 
@@ -206,26 +236,41 @@ def pair_dets(
     t = parents.shape[-1]
     if len(dgrids) != t:
         raise ValueError("need one diagonal grid per dimension")
-    a = np.einsum("ij,njk,vkl->nvil", g, parents, vbatch)
-    m = np.einsum("nvki,nvkj->nvij", a, a)
-    n, nv = m.shape[0], m.shape[1]
-    dshape = tuple(len(d) for d in dgrids)
+    # M = V^T P V with P = (G B)^T (G B): one Gram per parent, then all
+    # rotations at once as a single (N, t^2) @ (t^2, nv t^2) product.
+    n, nv = parents.shape[0], vbatch.shape[0]
+    gb = g @ parents
+    p = (np.swapaxes(gb, -1, -2) @ gb).reshape(n, t * t)
+    w = np.einsum("vki,vlj->klvij", vbatch, vbatch).reshape(t * t, nv * t * t)
+    m = (p @ w).reshape(n, nv, t, t)
     dres = [
         np.asarray(d, dtype=float).reshape(
             (1,) * i + (len(d),) + (1,) * (t - 1 - i)
         )
         for i, d in enumerate(dgrids)
     ]
-    out = np.ones((n, nv) + dshape)
+    # Terms are summed in subset order; the sum stays at the broadcast
+    # shape of the terms so far and is updated in place once it is full.
+    out = np.ones((n, nv) + (1,) * t)
     lead = (slice(None), slice(None)) + (None,) * t
     for r in range(1, t + 1):
         for subset in itertools.combinations(range(t), r):
             idx = list(subset)
-            minors = np.linalg.det(m[:, :, idx][:, :, :, idx])
+            if r == 1:
+                minors = m[:, :, idx[0], idx[0]]
+            elif r == 2:
+                i, j = idx
+                minors = m[:, :, i, i] * m[:, :, j, j] - m[:, :, i, j] * m[:, :, j, i]
+            else:
+                minors = np.linalg.det(m[:, :, idx][:, :, :, idx])
             dfact = dres[idx[0]]
             for i in idx[1:]:
                 dfact = dfact * dres[i]
-            out = out + minors[lead] * dfact[None, None]
+            term = minors[lead] * dfact[None, None]
+            if np.broadcast_shapes(out.shape, term.shape) == out.shape:
+                out += term
+            else:
+                out = out + term
     return out
 
 
@@ -246,26 +291,46 @@ def simplex_grid(t: int, total: float, steps: int) -> np.ndarray:
     return np.column_stack([head[keep], np.maximum(rest[keep], 0.0)])
 
 
-def golden_max(f, lo: float, hi: float, xtol: float = 1e-6):
-    """Golden-section maximization of ``f`` on [lo, hi]; returns (x, f(x))."""
-    a, b = float(lo), float(hi)
-    if b <= a:
-        return a, f(a)
+def golden_max(f, lo, hi, xtol: float = 1e-6):
+    """Golden-section maximization of a batch of 1-D functions, in lockstep.
+
+    Lane j maximizes ``x -> f(x, [j])`` on [lo[j], hi[j]]; ``f(x, lanes)``
+    evaluates the lanes ``lanes`` (indices into ``lo``) at the points
+    ``x`` and returns their values.  Each call passes only lanes whose
+    interval is still wider than ``xtol``, so every lane performs exactly
+    the evaluations of a scalar golden-section search.  Returns (x, f(x))
+    arrays over the lanes.
+    """
+    a = np.array(lo, dtype=float, ndmin=1)
+    b = np.array(hi, dtype=float, ndmin=1)
+    xbest = a.copy()
+    fbest = np.empty(a.size)
+    flat = np.flatnonzero(b <= a)
+    if flat.size:
+        fbest[flat] = f(a[flat], flat)
+    lanes = np.flatnonzero(~(b <= a))
+    if lanes.size == 0:
+        return xbest, fbest
+    a, b = a[lanes], b[lanes]
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while (b - a) > xtol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INVPHI * (b - a)
-            f1 = f(x1)
-    if f1 >= f2:
-        return x1, f1
-    return x2, f2
+    f12 = f(np.concatenate([x1, x2]), np.concatenate([lanes, lanes]))
+    f1, f2 = f12[: lanes.size], f12[lanes.size :]
+    live = np.flatnonzero((b - a) > xtol)
+    while live.size:
+        up = f1[live] < f2[live]
+        i, j = live[up], live[~up]
+        a[i], x1[i], f1[i] = x1[i], x2[i], f2[i]
+        x2[i] = a[i] + _INVPHI * (b[i] - a[i])
+        b[j], x2[j], f2[j] = x2[j], x1[j], f1[j]
+        x1[j] = b[j] - _INVPHI * (b[j] - a[j])
+        fnew = f(np.concatenate([x2[i], x1[j]]), lanes[np.concatenate([i, j])])
+        f2[i], f1[j] = fnew[: i.size], fnew[i.size :]
+        live = live[(b[live] - a[live]) > xtol]
+    first = f1 >= f2
+    xbest[lanes] = np.where(first, x1, x2)
+    fbest[lanes] = np.where(first, f1, f2)
+    return xbest, fbest
 
 
 def coordinate_refine(
@@ -276,79 +341,184 @@ def coordinate_refine(
     xtol: float = 1e-6,
     budget: int = 200,
 ):
-    """Coordinate-wise golden-section polish of a grid optimum.
+    """Coordinate-wise golden-section polish of a batch of grid optima.
 
-    Each line search brackets one coordinate within +-span of the current
-    point (the grid already localized the basin) and runs golden section
-    to ``xtol``.  ``budget`` caps the total number of line searches.
-    Returns (x, fx) with fx >= f(x0).
+    ``x0`` holds one start per row (S, n) and ``f`` maps (S', n) points
+    to (S',) values.  Each line search brackets one coordinate within
+    +-span of the current point (the grid already localized the basin)
+    and runs golden section to ``xtol``.  A sweep that moved the point is
+    followed by a pattern step: one more golden-section search along the
+    sweep's displacement, out to the box boundary, which follows ridges
+    that coordinate steps alone would crawl along.  ``budget`` caps the
+    line searches (pattern steps included) per start.
+
+    All starts sweep in lockstep, one batched objective call per
+    golden-section step; a start drops out when a sweep moves it less
+    than ``xtol`` or its budget is spent, so each row ends exactly where
+    it would if refined alone.  Returns (x, fx, used): the polished
+    points, their values (each >= f(x0) row-wise) and the line searches
+    each start used.
     """
-    x = np.array(x0, dtype=float)
+    x = np.array(x0, dtype=float, ndmin=2)
     fx = f(x)
-    used = 0
-    n = x.size
-    while used < budget:
-        moved = 0.0
-        for i in range(n):
-            if used >= budget:
-                break
-            lo = max(bounds[i][0], x[i] - spans[i])
-            hi = min(bounds[i][1], x[i] + spans[i])
-            if hi - lo < xtol:
+    used = np.zeros(x.shape[0], dtype=int)
+    lower = np.array([bd[0] for bd in bounds], dtype=float)
+    upper = np.array([bd[1] for bd in bounds], dtype=float)
+    live = used < budget
+    while live.any():
+        moved = np.zeros(x.shape[0])
+        start = x.copy()
+        for i in range(x.shape[1]):
+            lanes = np.flatnonzero(live & (used < budget))
+            lo = np.maximum(lower[i], x[lanes, i] - spans[i])
+            hi = np.minimum(upper[i], x[lanes, i] + spans[i])
+            wide = ~(hi - lo < xtol)
+            lanes, lo, hi = lanes[wide], lo[wide], hi[wide]
+            if lanes.size == 0:
                 continue
 
-            def line(v, i=i):
-                y = x.copy()
-                y[i] = v
+            def line(v, sub, i=i, lanes=lanes):
+                y = x[lanes[sub]]
+                y[:, i] = v
                 return f(y)
 
             xi, fi = golden_max(line, lo, hi, xtol)
-            used += 1
-            if fi > fx:
-                moved = max(moved, abs(xi - x[i]))
-                x[i] = xi
-                fx = fi
-        if moved < xtol:
-            break
-    return x, fx
+            used[lanes] += 1
+            better = fi > fx[lanes]
+            won = lanes[better]
+            moved[won] = np.maximum(moved[won], np.abs(xi[better] - x[won, i]))
+            x[won, i] = xi[better]
+            fx[won] = fi[better]
+        lanes = np.flatnonzero(live & ~(moved < xtol) & (used < budget))
+        if lanes.size:
+            step = x[lanes] - start[lanes]
+            norm = np.abs(step).max(axis=1)
+            unit = step / norm[:, None]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                room = np.where(
+                    unit > 0,
+                    (upper - x[lanes]) / unit,
+                    np.where(unit < 0, (lower - x[lanes]) / unit, np.inf),
+                )
+            reach = np.maximum(room.min(axis=1), 0.0)
+
+            def ray(v, sub, lanes=lanes, unit=unit):
+                return f(x[lanes[sub]] + v[:, None] * unit[sub])
+
+            si, fi = golden_max(ray, np.zeros(lanes.size), reach, xtol)
+            used[lanes] += 1
+            better = fi > fx[lanes]
+            won = lanes[better]
+            x[won] += si[better, None] * unit[better]
+            fx[won] = fi[better]
+        live &= ~(moved < xtol) & (used < budget)
+    return x, fx, used
 
 
-def top_k_flat(values: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest entries, ties broken by lowest index."""
-    flat = np.asarray(values).ravel()
-    k = min(k, flat.size)
-    part = np.argpartition(-flat, k - 1)[:k] if k < flat.size else np.arange(flat.size)
-    order = np.lexsort((part, -flat[part]))
+def top_k_flat(values: np.ndarray, k: int, distinct: bool = False) -> np.ndarray:
+    """Indices of the k largest entries, ties broken by lowest index.
+
+    Everything strictly above the k-th largest value is kept, then the
+    lowest-index entries equal to it fill the remaining places.  With
+    ``distinct``, an entry equal to a selected one is skipped: the result
+    is the k largest distinct values, each at its lowest index.
+    """
+    neg = -np.asarray(values).ravel()
+    if distinct:
+        picked, rest = [], np.arange(neg.size)
+        while rest.size and len(picked) < k:
+            sub = neg[rest]
+            # Oversample the cut so that ties rarely force another round.
+            m = min(_TIE_OVERSAMPLE * (k - len(picked)), sub.size)
+            kth = np.partition(sub, m - 1)[m - 1]
+            sel = rest[sub <= kth]
+            _, first = np.unique(neg[sel], return_index=True)
+            picked.extend(sel[first[: k - len(picked)]])
+            rest = rest[sub > kth]
+        return np.array(picked, dtype=np.intp)
+    k = min(k, neg.size)
+    if k < neg.size:
+        kth = np.partition(neg, k - 1)[k - 1]
+        above = np.flatnonzero(neg < kth)
+        ties = np.flatnonzero(neg == kth)[: k - above.size]
+        part = np.concatenate([above, ties])
+    else:
+        part = np.arange(neg.size)
+    order = np.lexsort((part, neg[part]))
     return part[order]
 
 
-def chain_factor(
-    b0: np.ndarray, params: np.ndarray, t: int, levels: int
-) -> list[np.ndarray]:
-    """Chained square-root factors [B_1, ..., B_levels].
+def top_k_rows(score, n_rows: int, k: int, distinct: bool = False):
+    """:func:`top_k_flat` of an (n_rows, n_cols) matrix scored in row blocks.
 
-    ``params`` concatenates (angles, diag) per level; each level's factor
-    is parent @ V(angles) @ diag(sqrt(diag)).  Angles are taken mod 2*pi
-    and scalings clipped to [0, 1] so refinement may wander slightly out
-    of the box without breaking the parameterization.
+    ``score(lo, hi)`` returns rows lo..hi-1 of the matrix.  Row 0 is
+    scored alone to learn n_cols; the remaining rows go in blocks of
+    max(1, GRID_BLOCK_NODES // n_cols) rows through :func:`map_ordered`.
+    Each block is cut to its own top k and the survivors are merged by
+    (value descending, flat index ascending), which is exactly the top k
+    of the whole matrix; with ``distinct`` the merge keeps the lowest
+    index of each value.  Returns (flat indices, their values, blocks).
+    """
+
+    def block(span):
+        lo, hi = span
+        vals = np.asarray(score(lo, hi))
+        # The k best row maxima are k entries (k distinct values), so the
+        # block's top k all reach the k-th of them: rank only those entries.
+        rmax = vals.max(axis=1)
+        rbest = top_k_flat(rmax, k, distinct)
+        floor = rmax[rbest[-1]] if len(rbest) == k else -np.inf
+        flat = vals.ravel()
+        cand = np.flatnonzero(flat >= floor)
+        idx = cand[top_k_flat(flat[cand], k, distinct)]
+        return idx + lo * vals.shape[1], flat[idx], vals.shape[1]
+
+    first = block((0, 1))
+    rows = max(1, GRID_BLOCK_NODES // first[2])
+    spans = [(lo, min(lo + rows, n_rows)) for lo in range(1, n_rows, rows)]
+    parts = [first] + map_ordered(block, spans)
+    idx = np.concatenate([p[0] for p in parts])
+    vals = np.concatenate([p[1] for p in parts])
+    order = np.lexsort((idx, -vals))
+    if distinct:
+        # -vals[order] is sorted, so each value's first place has its lowest index
+        order = order[np.unique(-vals[order], return_index=True)[1]]
+    order = order[:k]
+    return idx[order], vals[order], len(parts)
+
+
+def chain_factor(b0: np.ndarray, params: np.ndarray, t: int, levels: int) -> np.ndarray:
+    """Chained square-root factors of a batch of parameter vectors.
+
+    ``params`` (S, levels * (m + t)) concatenates (angles, diag) per
+    level; each level's factor is parent @ V(angles) @ diag(sqrt(diag)),
+    starting from ``b0``.  Returns (S, levels, t, t) with level 0 the
+    outermost.  Angles are taken mod 2*pi and scalings clipped to [0, 1]
+    so refinement may wander slightly out of the box without breaking
+    the parameterization.
     """
     m = t * (t - 1) // 2
-    per = m + t
-    params = np.asarray(params, dtype=float)
-    out: list[np.ndarray] = []
+    params = np.asarray(params, dtype=float).reshape(-1, levels, m + t)
+    ang = np.mod(params[:, :, :m], 2.0 * math.pi)
+    scale = np.sqrt(np.clip(params[:, :, m:], 0.0, 1.0))
+    rots = rotation_batch(ang.reshape(len(params) * levels, m), t)
+    rots = rots.reshape(-1, levels, t, t)
+    out = np.empty(rots.shape)
     b = b0
     for lev in range(levels):
-        chunk = params[lev * per : (lev + 1) * per]
-        ang = np.mod(chunk[:m], 2.0 * math.pi)
-        d = np.clip(chunk[m:], 0.0, 1.0)
-        b = (b @ rotation(ang, t)) * np.sqrt(d)
-        out.append(b)
+        b = (b @ rots[:, lev]) * scale[:, lev, None, :]
+        out[:, lev] = b
     return out
 
 
-def half_log2_det_gram(g: np.ndarray, factor: np.ndarray) -> float:
-    """0.5 * log2 det(I + G B B^T G^T) for a single factor B."""
-    a = g @ factor
-    m = np.eye(a.shape[1]) + a.T @ a
+def half_log2_det_gram(g: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """0.5 * log2 det(I + G B B^T G^T) over a batch of factors B (..., t, t).
+
+    ``g`` is one gain (r, t) or a stack (..., r, t) broadcasting against
+    the factors' leading axes, so several gains share one ``slogdet``.
+    """
+    a = g @ factors
+    m = np.swapaxes(a, -1, -2) @ a
+    m += np.eye(a.shape[-1])
     _, ld = np.linalg.slogdet(m)
     return 0.5 * ld / math.log(2.0)

@@ -300,6 +300,52 @@ class TestVTilde:
             )
 
 
+def brute_v_tilde_scalar(g1, g2, k, w, n=200001):
+    """Scalar level-3 maximum by nested running maxima on a dense grid.
+
+    With 0 <= k1 <= k12 <= k123 <= k the layered objective separates into
+    A(k123) + B(k12) + C(k1), so the triple maximum is a cumulative max of
+    C, added to B, cumulative max again, added to A.
+    """
+    xs = np.linspace(0.0, k, n)
+    c1 = 0.5 * np.log2(1 + g1 * g1 * xs)
+    c2 = 0.5 * np.log2(1 + g2 * g2 * xs)
+    abar = 1.0 - w.alpha
+    a = (w.lambda2 - abar * w.lambda0) * c2 - w.alpha * w.lambda0 * c1
+    b = w.lambda1 * c1 - (w.lambda1 + w.lambda2) * c2
+    c = w.lambda1 * (c2 - w.eta * c1)
+    return float(np.max(a + np.maximum.accumulate(b + np.maximum.accumulate(c))))
+
+
+class TestVTildeTinySplits:
+    """A scalar optimum at k123 ~ 0.023, below the first nonzero grid node."""
+
+    GA = (2.636316851362973, 1.1503208079067702)
+    GB = (2.91386674788965, 2.900355618172444)
+    KA, KB = 0.8818900033421035, 0.5102698242844474
+    W = EnvelopeWeights(
+        lambda0=1.4653366606987612,
+        lambda1=1.0,
+        lambda2=0.9898295890574751,
+        eta=1.4265499875347296,
+        alpha=0.4089569203770177,
+    )
+
+    def test_matches_dense_oracle(self):
+        oracle = brute_v_tilde_scalar(*self.GA, self.KA, self.W)
+        assert oracle > 2e-3
+        res = v_tilde(scalar_ch(*self.GA), [[self.KA]], self.W)
+        assert res.value == pytest.approx(oracle, abs=1e-6)
+        assert sum(s[0, 0] for s in res.argmax_splits) <= self.KA + 1e-9
+
+    def test_factorization_holds(self):
+        product, total = factorization_gap(
+            scalar_ch(*self.GA), scalar_ch(*self.GB), [[self.KA]], [[self.KB]],
+            self.W, mode="vtilde",
+        )
+        assert product <= total + 1e-6
+
+
 class TestBoundB:
     def test_scalar_identical_gains_is_tight_zero(self):
         # with g1 = g2 = 1 the doubled difference is -2*lam2*I(X;Y1) <= 0
