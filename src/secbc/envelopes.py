@@ -290,7 +290,7 @@ def v_eta(ch: GaussianBc, k, eta: float, grid: GridSpec | None = None) -> Envelo
         l2 = 0.5 * np.log2(pair_dets(ch.g2, b0[None], vb[lo:hi], dgrids)[0])
         return (l2 - eta * l1).reshape(hi - lo, -1)
 
-    flat, top, blocks = top_k_rows(score, len(vb), grid.starts, distinct=True)
+    flat, top, blocks = top_k_rows(score, len(vb), len(dcombos), grid.starts)
     seeds = _seed_params(flat, [len(vb), len(dcombos)], [tuples], [dcombos])
 
     def objective(params):
@@ -361,7 +361,7 @@ def v_hat(
         di2 = 0.5 * np.log2(pair_dets(ch.g2, flat_kids[lo:hi], vb, dgrids))
         return gterm[lo:hi, None] + lam1 * (di2 - eta * di1).reshape(hi - lo, -1)
 
-    flat, top, blocks = top_k_rows(score, len(flat_kids), grid.starts, distinct=True)
+    flat, top, blocks = top_k_rows(score, len(flat_kids), len(vb) * len(dc), grid.starts)
     shapes = [len(vb), len(dc)] * 2
     seeds = _seed_params(flat, shapes, [tup, tup], [dc, dc])
 
@@ -452,7 +452,7 @@ def v_tilde(
         c2 = 0.5 * np.log2(pair_dets(ch.g2, flat2[lo:hi], vb, dgrids))
         return outer[lo:hi, None] + lam1 * (c2 - eta * c1).reshape(hi - lo, -1)
 
-    flat, top, blocks = top_k_rows(score, len(flat2), grid.starts, distinct=True)
+    flat, top, blocks = top_k_rows(score, len(flat2), len(vb) * len(dc), grid.starts)
     shapes = [len(vb), len(dc)] * 3
     seeds = _seed_params(flat, shapes, [tup] * 3, [dc] * 3)
 

@@ -15,14 +15,12 @@ of one determinant per grid node.
 
 Grids are reduced in row blocks (:func:`top_k_rows`), so no sweep holds
 more than about ``GRID_BLOCK_NODES`` nodes at once: each block is cut to
-its own top k and the survivors are merged.  Selection orders nodes by
-(value descending, flat index ascending), so ties always resolve to the
-lowest flat index, i.e. the lexicographically smallest parameter vector.
-That order is total, so the merged top k is exactly the top k of the
-whole grid, and blocks may run on any number of workers
-(:func:`map_ordered`) without changing the result.  The ``distinct``
-selection (the k best distinct values, each at its lowest index) merges
-exactly in the same way.
+its own top k and the survivors are merged.  Selection keeps the k best
+distinct values (:func:`top_k_flat`): exactly tied grid nodes count
+once, and each value is taken at its lowest flat index, i.e. the
+lexicographically smallest parameter vector.  The merged top k is
+therefore exactly the top k of the whole grid, and blocks may run on any
+number of workers (:func:`map_ordered`) without changing the result.
 
 Refinement runs a batch of starts in lockstep (:func:`coordinate_refine`,
 :func:`golden_max`): every objective call evaluates the live lanes at
@@ -70,7 +68,6 @@ __all__ = [
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Grid nodes scored per row block by top_k_rows (and per worker task).
 GRID_BLOCK_NODES = 1 << 16
-_TIE_OVERSAMPLE = 64  # candidates per wanted value in a distinct top-k cut
 
 
 @dataclass(frozen=True)
@@ -415,76 +412,47 @@ def coordinate_refine(
     return x, fx, used
 
 
-def top_k_flat(values: np.ndarray, k: int, distinct: bool = False) -> np.ndarray:
-    """Indices of the k largest entries, ties broken by lowest index.
+def top_k_flat(values: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k largest distinct values, each at its lowest index.
 
-    Everything strictly above the k-th largest value is kept, then the
-    lowest-index entries equal to it fill the remaining places.  With
-    ``distinct``, an entry equal to a selected one is skipped: the result
-    is the k largest distinct values, each at its lowest index.
+    The result is ordered by value, descending.  Exactly tied entries
+    count once, so fewer than k indices come back when ``values`` holds
+    fewer than k distinct values.
     """
-    neg = -np.asarray(values).ravel()
-    if distinct:
-        picked, rest = [], np.arange(neg.size)
-        while rest.size and len(picked) < k:
-            sub = neg[rest]
-            # Oversample the cut so that ties rarely force another round.
-            m = min(_TIE_OVERSAMPLE * (k - len(picked)), sub.size)
-            kth = np.partition(sub, m - 1)[m - 1]
-            sel = rest[sub <= kth]
-            _, first = np.unique(neg[sel], return_index=True)
-            picked.extend(sel[first[: k - len(picked)]])
-            rest = rest[sub > kth]
-        return np.array(picked, dtype=np.intp)
-    k = min(k, neg.size)
-    if k < neg.size:
-        kth = np.partition(neg, k - 1)[k - 1]
-        above = np.flatnonzero(neg < kth)
-        ties = np.flatnonzero(neg == kth)[: k - above.size]
-        part = np.concatenate([above, ties])
-    else:
-        part = np.arange(neg.size)
-    order = np.lexsort((part, neg[part]))
-    return part[order]
+    _, first = np.unique(-np.asarray(values).ravel(), return_index=True)
+    return first[:k]
 
 
-def top_k_rows(score, n_rows: int, k: int, distinct: bool = False):
+def top_k_rows(score, n_rows: int, n_cols: int, k: int):
     """:func:`top_k_flat` of an (n_rows, n_cols) matrix scored in row blocks.
 
-    ``score(lo, hi)`` returns rows lo..hi-1 of the matrix.  Row 0 is
-    scored alone to learn n_cols; the remaining rows go in blocks of
-    max(1, GRID_BLOCK_NODES // n_cols) rows through :func:`map_ordered`.
-    Each block is cut to its own top k and the survivors are merged by
-    (value descending, flat index ascending), which is exactly the top k
-    of the whole matrix; with ``distinct`` the merge keeps the lowest
-    index of each value.  Returns (flat indices, their values, blocks).
+    ``score(lo, hi)`` returns rows lo..hi-1 of the matrix.  Blocks of
+    max(1, GRID_BLOCK_NODES // n_cols) rows go through :func:`map_ordered`
+    and each is cut to its own top k.  A value's lowest index lies in the
+    earliest block that holds it, and each block keeps a value at most
+    once, so the top k of the survivors, concatenated in row order, is
+    exactly the top k of the whole matrix.  Returns (flat indices, their
+    values, blocks).
     """
+    rows = max(1, GRID_BLOCK_NODES // n_cols)
 
-    def block(span):
-        lo, hi = span
-        vals = np.asarray(score(lo, hi))
-        # The k best row maxima are k entries (k distinct values), so the
+    def block(lo):
+        vals = np.asarray(score(lo, min(lo + rows, n_rows)))
+        # The k best distinct row maxima are k distinct values, so the
         # block's top k all reach the k-th of them: rank only those entries.
         rmax = vals.max(axis=1)
-        rbest = top_k_flat(rmax, k, distinct)
+        rbest = top_k_flat(rmax, k)
         floor = rmax[rbest[-1]] if len(rbest) == k else -np.inf
         flat = vals.ravel()
         cand = np.flatnonzero(flat >= floor)
-        idx = cand[top_k_flat(flat[cand], k, distinct)]
-        return idx + lo * vals.shape[1], flat[idx], vals.shape[1]
+        idx = cand[top_k_flat(flat[cand], k)]
+        return idx + lo * n_cols, flat[idx]
 
-    first = block((0, 1))
-    rows = max(1, GRID_BLOCK_NODES // first[2])
-    spans = [(lo, min(lo + rows, n_rows)) for lo in range(1, n_rows, rows)]
-    parts = [first] + map_ordered(block, spans)
+    parts = map_ordered(block, list(range(0, n_rows, rows)))
     idx = np.concatenate([p[0] for p in parts])
     vals = np.concatenate([p[1] for p in parts])
-    order = np.lexsort((idx, -vals))
-    if distinct:
-        # -vals[order] is sorted, so each value's first place has its lowest index
-        order = order[np.unique(-vals[order], return_index=True)[1]]
-    order = order[:k]
-    return idx[order], vals[order], len(parts)
+    best = top_k_flat(vals, k)
+    return idx[best], vals[best], len(parts)
 
 
 def chain_factor(b0: np.ndarray, params: np.ndarray, t: int, levels: int) -> np.ndarray:

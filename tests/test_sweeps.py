@@ -17,53 +17,53 @@ from secbc.sweeps import (
 from conftest import EXAMPLE_G1, EXAMPLE_G2
 
 
-def sorted_top_k(values, k, distinct=False):
-    """Reference selection: full stable sort by (value descending, index)."""
+def sorted_top_k(values, k):
+    """Reference selection: stable sort by value descending, first copy of each value."""
     flat = np.asarray(values).ravel()
-    order = np.argsort(-flat, kind="stable")
-    if distinct:
-        seen = set()
-        order = [i for i in order if not (flat[i] in seen or seen.add(flat[i]))]
-    return np.asarray(order[:k])
+    seen = set()
+    order = [
+        i for i in np.argsort(-flat, kind="stable")
+        if not (flat[i] in seen or seen.add(flat[i]))
+    ]
+    return np.asarray(order[:k], dtype=int)
 
 
 class TestTopKFlat:
-    def test_ties_at_the_kth_value_take_lowest_indices(self):
+    def test_ties_take_the_lowest_index(self):
         values = np.zeros(1000)
         values[500] = -1.0
-        assert top_k_flat(values, 4).tolist() == [0, 1, 2, 3]
+        assert top_k_flat(values, 4).tolist() == [0, 500]
+        values[[3, 700]] = 2.0
+        assert top_k_flat(values, 2).tolist() == [3, 0]
 
-    @pytest.mark.parametrize("distinct", [False, True])
     @pytest.mark.parametrize("k", [1, 3, 8, 50])
-    def test_matches_stable_sort_on_heavy_ties(self, rng, k, distinct):
+    def test_matches_stable_sort_on_heavy_ties(self, rng, k):
         for _ in range(20):
             values = rng.integers(0, 6, size=rng.integers(1, 60)).astype(float)
-            got = top_k_flat(values, k, distinct)
-            assert got.tolist() == sorted_top_k(values, k, distinct).tolist()
+            assert top_k_flat(values, k).tolist() == sorted_top_k(values, k).tolist()
 
-    def test_distinct_skips_copies_of_selected_values(self):
+    def test_copies_of_a_selected_value_are_skipped(self):
         values = np.array([1.0, 3.0, 3.0, 2.0, 3.0, 2.0, 0.5])
-        assert top_k_flat(values, 3).tolist() == [1, 2, 4]
-        assert top_k_flat(values, 3, distinct=True).tolist() == [1, 3, 0]
-        assert top_k_flat(values, 9, distinct=True).tolist() == [1, 3, 0, 6]
+        assert top_k_flat(values, 3).tolist() == [1, 3, 0]
+        assert top_k_flat(values, 9).tolist() == [1, 3, 0, 6]
 
 
 class TestTopKRows:
-    @pytest.mark.parametrize("distinct", [False, True])
     @pytest.mark.parametrize("rows_per_block", [1, 7, None])
     @pytest.mark.parametrize("k", [1, 4, 30])
-    def test_equals_top_k_flat(self, rng, monkeypatch, rows_per_block, k, distinct):
+    def test_equals_top_k_flat(self, rng, monkeypatch, rows_per_block, k):
         for n_rows, n_cols in [(1, 5), (23, 9), (64, 3)]:
             values = rng.integers(0, 5, size=(n_rows, n_cols)).astype(float)
             per_block = n_rows if rows_per_block is None else rows_per_block
             monkeypatch.setattr(sweeps, "GRID_BLOCK_NODES", per_block * n_cols)
             idx, vals, blocks = top_k_rows(
-                lambda lo, hi: values[lo:hi], n_rows, k, distinct
+                lambda lo, hi: values[lo:hi], n_rows, n_cols, k
             )
-            expected = top_k_flat(values, k, distinct)
+            expected = top_k_flat(values, k)
             assert idx.tolist() == expected.tolist()
+            assert idx.tolist() == sorted_top_k(values, k).tolist()
             assert vals.tolist() == values.ravel()[expected].tolist()
-            assert blocks == 1 + math.ceil((n_rows - 1) / per_block)
+            assert blocks == math.ceil(n_rows / per_block)
 
     def test_thread_count_does_not_change_the_result(self, rng, monkeypatch):
         values = rng.integers(0, 5, size=(40, 6)).astype(float)
@@ -71,7 +71,7 @@ class TestTopKRows:
         out = []
         for threads in ("1", "2"):
             monkeypatch.setenv("SECBC_THREADS", threads)
-            idx, vals, _ = top_k_rows(lambda lo, hi: values[lo:hi], 40, 5)
+            idx, vals, _ = top_k_rows(lambda lo, hi: values[lo:hi], 40, 6, 5)
             out.append((idx.tolist(), vals.tolist()))
         assert out[0] == out[1]
 
