@@ -55,6 +55,8 @@ class GaussianBc:
         if g2.shape != g1.shape:
             raise ValueError(f"gain shapes differ: {g1.shape} vs {g2.shape}")
         for name, g in (("g1", g1), ("g2", g2)):
+            if not np.all(np.isfinite(g)):
+                raise ValueError(f"{name} has non-finite entries")
             if abs(np.linalg.det(g)) <= _GAIN_DET_TOL:
                 raise ValueError(f"{name} is singular; gains must be invertible")
         g1.setflags(write=False)

@@ -16,6 +16,7 @@ be given as a JSON file via --config with the same field names in
 lower_snake_case.  Explicit flags override config-file values.
 
 Exit codes: 0 success, 2 invalid configuration, 3 numerical failure.
+Every configuration check runs before any computation.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -106,6 +108,26 @@ class RunConfig:
                 raise ValueError("power must be finite and nonnegative")
             return float(self.power), None
         return None, validate_psd(self.covariance, name="covariance")
+
+    def envelope(self) -> tuple[str, EnvelopeWeights]:
+        """(level, weights) of the ``envelope`` command.
+
+        lambda0 picks v_tilde (which needs lambda0 > lambda2), lambda1 or
+        lambda2 picks v_hat, and eta alone v_eta (which needs eta >= 1).
+        """
+        names = ("lambda0", "lambda1", "lambda2", "eta", "alpha")
+        w = EnvelopeWeights(
+            **{n: getattr(self, n) for n in names if getattr(self, n) is not None}
+        )
+        if self.lambda0 is not None:
+            if w.lambda0 <= w.lambda2:
+                raise ValueError("v_tilde needs lambda0 > lambda2")
+            return "v_tilde", w
+        if self.lambda1 is not None or self.lambda2 is not None:
+            return "v_hat", w
+        if w.eta < 1.0:
+            raise ValueError("v_eta needs eta >= 1")
+        return "v_eta", w
 
 
 _MATRIX_FIELDS = {"g1", "g2", "covariance"}
@@ -259,12 +281,8 @@ def _cmd_region(cfg: RunConfig) -> int:
             if power is not None
             else regions.region_common_fixed(ch, cov, grid)
         )
-    elif mode == "both-confidential":
-        if power is None:
-            raise ValueError("mode both-confidential needs --power")
-        fr = regions.both_confidential_frontier(ch, power, grid)
     else:
-        raise ValueError(f"unknown region mode {mode!r}")
+        fr = regions.both_confidential_frontier(ch, power, grid)
     _summarize(f"region --mode {mode}", fr, time.perf_counter() - start)
     if cfg.out:
         emit_csv(fr, cfg.out)
@@ -342,22 +360,14 @@ def _cmd_decomp_check(cfg: RunConfig) -> int:
 
 def _cmd_envelope(cfg: RunConfig) -> int:
     ch = cfg.channel()
-    power, cov = cfg.constraint()
-    if cov is None:
-        raise ValueError("envelope needs --covariance (a constraint matrix)")
+    _, cov = cfg.constraint()
     grid = cfg.grid()
-    kw = {}
-    for name in ("lambda0", "lambda1", "lambda2", "eta", "alpha"):
-        if getattr(cfg, name) is not None:
-            kw[name] = getattr(cfg, name)
-    w = EnvelopeWeights(**kw)
+    level, w = cfg.envelope()
     start = time.perf_counter()
-    if cfg.lambda0 is not None:
-        level, res = "v_tilde", v_tilde(ch, cov, w, grid)
-    elif cfg.lambda1 is not None or cfg.lambda2 is not None:
-        level, res = "v_hat", v_hat(ch, cov, w, grid)
+    if level == "v_eta":
+        res = v_eta(ch, cov, w.eta, grid)
     else:
-        level, res = "v_eta", v_eta(ch, cov, w.eta, grid)
+        res = (v_hat if level == "v_hat" else v_tilde)(ch, cov, w, grid)
     elapsed = time.perf_counter() - start
     print(f"{level} = {res.value:.6f} bits ({elapsed:.2f} s)")
     for i, split in enumerate(res.argmax_splits, start=1):
@@ -368,8 +378,6 @@ def _cmd_envelope(cfg: RunConfig) -> int:
 def _cmd_compare(cfg: RunConfig) -> int:
     ch = cfg.channel()
     power, _ = cfg.constraint()
-    if power is None:
-        raise ValueError("compare needs --power")
     grid = cfg.grid()
     start = time.perf_counter()
     fr = regions.frontier_power(ch, power, grid)
@@ -410,6 +418,50 @@ _MODES = {
     "envelope": _cmd_envelope,
     "compare": _cmd_compare,
 }
+
+
+# The one constraint a mode accepts, where it accepts only one, and the
+# files each mode writes (SVG plots 2-D frontiers only).
+_NEEDS = {"both-confidential": "power", "compare": "power", "envelope": "covariance"}
+_WRITES = {
+    "no-common": ("out", "svg"),
+    "common": ("out",),
+    "both-confidential": ("out", "svg"),
+    "wtc": ("out",),
+    "compare": ("out", "svg"),
+}
+
+
+def _writable(path: str) -> None:
+    folder = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path) or not os.path.isdir(folder) or not os.access(folder, os.W_OK):
+        raise ValueError(f"cannot write {path}: not a file in a writable directory")
+
+
+def _validate(cfg: RunConfig) -> None:
+    """Raise ValueError for any mistake in ``cfg``; runs no computation."""
+    for flag in ("out", "svg"):
+        path = getattr(cfg, flag)
+        if path and flag not in _WRITES.get(cfg.mode, ()):
+            raise ValueError(f"{cfg.mode} writes no --{flag} file")
+        if path:
+            _writable(path)
+    if cfg.mode in ("dpc-check", "decomp-check"):
+        for name in ("trials", "dim", "seed"):
+            val, least = getattr(cfg, name), 0 if name == "seed" else 1
+            if not isinstance(val, int) or val < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {val!r}")
+        return
+    ch = cfg.channel()
+    _, cov = cfg.constraint()
+    if cov is not None and cov.shape[0] != ch.t:
+        raise ValueError(f"covariance is {cov.shape[0]}x{cov.shape[0]}, gains are {ch.t}x{ch.t}")
+    need = _NEEDS.get(cfg.mode)
+    if need is not None and getattr(cfg, need) is None:
+        raise ValueError(f"{cfg.mode} needs --{need}")
+    cfg.grid()
+    if cfg.mode == "envelope":
+        cfg.envelope()
 
 
 def run(cfg: RunConfig) -> int:
@@ -472,13 +524,11 @@ def main(argv=None) -> int:
             cfg.mode = args.command
         elif not cfg.mode:
             cfg.mode = "no-common"
-        # Constraint, channel and SECBC_THREADS validation happens before
-        # any compute so configuration mistakes exit with status 2.
-        if args.command in ("region", "wtc", "envelope", "compare"):
-            cfg.channel()
-            cfg.constraint()
+        # Configuration and SECBC_THREADS are validated before any
+        # compute, so configuration mistakes exit with status 2.
+        _validate(cfg)
         worker_count()
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
     return run(cfg)

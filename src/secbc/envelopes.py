@@ -3,19 +3,26 @@
 Three nested objectives sit behind the region computations, all
 evaluated over Gaussian input families (restricting to Gaussians is
 lossless for the maximized values, which is what the Gaussian-maximizer
-structure guarantees):
+structure guarantees).  They are one layered objective over chained
+splits K_L <= ... <= K_1 <= K: with h_j(K_l) = I(X;Y_j) =
+0.5*log2 det(I + G_j K_l G_j^T),
 
-- level 1:  s(K*) = I(X;Y2) - eta * I(X;Y1), maximized over K* below a
-  constraint to give ``v_eta``;
-- level 2:  lam1*I(X;Y1) - (lam1+lam2)*I(X;Y2) + lam1*s(inner split),
-  maximized over chained splits to give ``v_hat``;
-- level 3:  an (alpha, lam0)-weighted combination on top of level 2,
-  maximized over three chained splits to give ``v_tilde``.
+    sum_{l<L} (a_l*h_1(K_l) + b_l*h_2(K_l)) + c*(h_2(K_L) - eta*h_1(K_L)),
 
-Each maximization is a coarse tensor-grid sweep over sub-covariance
-parameters followed by multi-start coordinate golden-section refinement.
-The grid is streamed: its innermost level is scored in row blocks of
-outer nodes (:func:`secbc.sweeps.top_k_rows`), so memory stays at one
+and each level is one weight table:
+
+- level 1, ``v_eta`` (L = 1): no outer levels, c = 1, i.e.
+  s(K*) = I(X;Y2) - eta*I(X;Y1) over K* below the constraint;
+- level 2, ``v_hat`` (L = 2): outer (lam1, -(lam1+lam2)), c = lam1;
+- level 3, ``v_tilde`` (L = 3): outer (-alpha*lam0, lam2 - (1-alpha)*lam0)
+  and (lam1, -(lam1+lam2)), c = lam1.
+
+One maximizer serves all three: a coarse tensor-grid sweep over the
+chained sub-covariance parameters (``GridSpec`` theta/diag steps for one
+level, ``chain_*`` for two, ``deep_*`` for three) followed by
+multi-start coordinate golden-section refinement.  The outer levels are
+enumerated; the innermost level is streamed, scored in row blocks of
+its parents (:func:`secbc.sweeps.top_k_rows`), so memory stays at one
 block whatever the grid size.  The seeds are the ``GridSpec.starts``
 best distinct grid values, each at its lowest flat index (the
 lexicographically smallest parameter vector); exactly tied nodes are
@@ -24,7 +31,7 @@ almost always one split reached through a degenerate parameterization
 refine to the same point.  Results are deterministic under any parallel
 evaluation order.  Grid seeds and the best spectral rank-one seeds are
 then refined together, in lockstep, by one batched
-:func:`secbc.sweeps.coordinate_refine`; the objectives therefore take a
+:func:`secbc.sweeps.coordinate_refine`; the objective therefore takes a
 batch of parameter vectors.  ``EnvelopeResult.grid_meta`` records the
 grid nodes scored, the blocks and the line searches each start used.
 
@@ -42,19 +49,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import GaussianBc, make_channel, mi_xy
-from .matops import logdet2, rotation_angles, sqrt_factor, validate_psd
+from .matops import gram, logdet2, rotation_angles, sqrt_factor, validate_psd
 from .sweeps import (
     GridSpec,
     chain_factor,
     children_factors,
     coordinate_refine,
     det_i_plus_gram,
-    diag_combos,
     diag_values_sqrt,
+    grid_params,
+    grid_tables,
     half_log2_det_gram,
     pair_dets,
-    rotation_batch,
-    theta_tuple_grid,
     top_k_rows,
 )
 
@@ -71,17 +77,14 @@ __all__ = [
     "factorization_gap",
 ]
 
-_LN2 = math.log(2.0)
-
-
 @dataclass(frozen=True)
 class EnvelopeWeights:
     """Weight bundle (lam0, lam1, lam2, eta, alpha) for the functionals.
 
-    All lambdas must be positive and eta must lie in (0, 2); eta > 1 is
-    the regime of the boundedness results, smaller values are allowed for
-    convexity scans.  ``lambda0 > lambda2`` is additionally required by
-    the level-3 computations and checked there.
+    All lambdas must be positive and finite, and eta must lie in (0, 2);
+    eta > 1 is the regime of the boundedness results, smaller values are
+    allowed for convexity scans.  ``lambda0 > lambda2`` is additionally
+    required by the level-3 computations and checked there.
     """
 
     lambda0: float = 2.0
@@ -91,8 +94,9 @@ class EnvelopeWeights:
     alpha: float = 0.5
 
     def __post_init__(self):
-        if self.lambda0 <= 0 or self.lambda1 <= 0 or self.lambda2 <= 0:
-            raise ValueError("all lambda weights must be positive")
+        lams = (self.lambda0, self.lambda1, self.lambda2)
+        if not all(0.0 < lam < math.inf for lam in lams):
+            raise ValueError("all lambda weights must be positive and finite")
         if not 0.0 < self.eta < 2.0:
             raise ValueError("eta must lie in (0, 2)")
         if not 0.0 <= self.alpha <= 1.0:
@@ -121,16 +125,6 @@ def _bounds_spans(t: int, theta_steps: int, diag_steps: int, levels: int):
     # widest gap of the sqrt-spaced scaling grid sits at the top end
     spans += [2.0 / max(diag_steps - 1, 1)] * t
     return bounds * levels, np.tile(spans, levels)
-
-
-def _level_logdets(ch: GaussianBc, b0: np.ndarray, params, levels: int):
-    """0.5*log2 det(I + G_j K G_j^T) of each chained level, shape (S, levels, 2).
-
-    ``params`` is a batch (S, n) of chained parameter vectors below the
-    factor ``b0``; the last axis holds j = 1, 2 from one ``slogdet``.
-    """
-    factors = chain_factor(b0, params, ch.t, levels)
-    return half_log2_det_gram(np.stack([ch.g1, ch.g2]), factors[:, :, None])
 
 
 def _rank1_angles(b0: np.ndarray, u: np.ndarray, t: int):
@@ -203,54 +197,88 @@ def _spectral_seeds(ch: GaussianBc, b0: np.ndarray, eta: float, levels: int):
     return seeds
 
 
-def _refine(objective, seeds, top_value, extra, keep, box, grid):
-    """(argmax params, value, line searches per start) after a grid sweep.
+# Grid resolution (angle steps, scaling steps) and the number of spectral
+# seeds kept, by the number of chained levels.
+_LEVEL_GRID = {
+    1: ("theta_steps", "diag_steps", 2),
+    2: ("chain_theta_steps", "chain_diag_steps", 3),
+    3: ("deep_theta_steps", "deep_diag_steps", 3),
+}
 
-    Without a refinement budget the best grid node stands.  Otherwise the
-    grid seeds plus the ``keep`` best-scoring ``extra`` seeds (scored in
-    one batch, ties to the earlier seed) are polished together by
-    :func:`coordinate_refine`; the best start wins, ties to the earlier.
+
+def _layered_max(ch: GaussianBc, k, outer, inner: float, eta: float, grid):
+    """Maximize the layered objective (module docstring) below ``k``.
+
+    ``outer`` lists (a_l, b_l) from the outermost level in, ``inner`` is
+    c; L = len(outer) + 1 picks the grid resolution.  The outer levels
+    are enumerated on the grid and summed per level, then across levels;
+    the innermost level is streamed by :func:`top_k_rows`, its rows being
+    the innermost parents (or the rotations when ``k`` is the only
+    parent).  argmax_splits holds K_L, K_{L-1} - K_L, ..., K_1 - K_2.
     """
+    k = validate_psd(k, name="k")
+    t = ch.t
+    if k.shape[0] != t:
+        raise ValueError("constraint dimension does not match the channel")
+    levels = len(outer) + 1
+    theta_name, diag_name, keep = _LEVEL_GRID[levels]
+    theta_steps, diag_steps = getattr(grid, theta_name), getattr(grid, diag_name)
+    gains = (ch.g1, ch.g2)
+    b0 = sqrt_factor(k)
+    tab = grid_tables(t, theta_steps, diag_values_sqrt(diag_steps))
+    nv, nd = len(tab.rots), len(tab.combos)
+
+    parents, terms = b0[None], None
+    for a, b in outer:
+        parents = children_factors(parents, tab.rots, tab.combos).reshape(-1, t, t)
+        h1, h2 = (0.5 * np.log2(det_i_plus_gram(g, parents)) for g in gains)
+        term = a * h1 + b * h2
+        terms = term if terms is None else np.repeat(terms, nv * nd) + term
+
+    def score(lo, hi):
+        rows = (parents[lo:hi], tab.rots) if outer else (parents, tab.rots[lo:hi])
+        h1, h2 = (
+            0.5 * np.log2(pair_dets(g, *rows, tab.dgrids)).reshape(hi - lo, -1)
+            for g in gains
+        )
+        last = inner * (h2 - eta * h1)
+        return last if terms is None else terms[lo:hi, None] + last
+
+    n_rows, n_cols = (len(parents), nv * nd) if outer else (nv, nd)
+    flat, top, blocks = top_k_rows(score, n_rows, n_cols, grid.starts)
+    seeds = grid_params(tab, flat, levels)
+
+    def objective(params):
+        h = half_log2_det_gram(
+            np.stack(gains), chain_factor(b0, params, t, levels)[:, :, None]
+        )
+        val = None
+        for lev, weights in enumerate(outer):
+            for j, w in enumerate(weights):
+                val = w * h[:, lev, j] if val is None else val + w * h[:, lev, j]
+        last = inner * (h[:, -1, 1] - eta * h[:, -1, 0])
+        return last if val is None else val + last
+
+    extra = _spectral_seeds(ch, b0, eta, levels)
     if grid.refine_iters == 0:
-        return seeds[0], float(top_value), []
-    starts = list(seeds)
-    if extra:
-        scores = objective(np.array(extra))
-        starts += [extra[i] for i in np.argsort(-scores, kind="stable")[:keep]]
-    bounds, spans = box
-    x, fx, used = coordinate_refine(
-        objective, np.array(starts), bounds, spans, grid.refine_tol, grid.refine_iters
-    )
-    best = int(np.argmax(fx))
-    return x[best], float(fx[best]), used.tolist()
-
-
-def _seed_params(flat_idx, shapes, theta_tuples_list, dcombos_list):
-    """Parameter vector(s) for flat indices of a chained sweep tensor.
-
-    ``shapes`` lists the per-axis sizes in C order, alternating rotation
-    and scaling axes level by level.
-    """
-    out = []
-    for flat in np.atleast_1d(flat_idx):
-        rest = int(flat)
-        idx = []
-        for size in reversed(shapes):
-            rest, here = divmod(rest, size)
-            idx.append(here)
-        idx.reverse()
-        parts = []
-        for level, (tuples, combos) in enumerate(
-            zip(theta_tuples_list, dcombos_list)
-        ):
-            parts.append(tuples[idx[2 * level]])
-            parts.append(combos[idx[2 * level + 1]])
-        out.append(np.concatenate(parts))
-    return out
-
-
-def _grid_meta(grid, theta_steps, diag_steps, levels, seeds, nodes, blocks, used):
-    return {
+        x, value, used = seeds[0], float(top[0]), []
+    else:
+        # Grid seeds plus the ``keep`` best spectral seeds (scored in one
+        # batch, ties to the earlier seed); the best start wins, ties to
+        # the earlier.
+        starts = list(seeds)
+        if extra:
+            scores = objective(np.array(extra))
+            starts += [extra[i] for i in np.argsort(-scores, kind="stable")[:keep]]
+        bounds, spans = _bounds_spans(t, theta_steps, diag_steps, levels)
+        xs, fx, used = coordinate_refine(
+            objective, np.array(starts), bounds, spans, grid.refine_tol, grid.refine_iters
+        )
+        best = int(np.argmax(fx))
+        x, value, used = xs[best], float(fx[best]), used.tolist()
+    grams = gram(chain_factor(b0, x, t, levels)[0])
+    splits = [grams[-1]] + [grams[lev - 1] - grams[lev] for lev in range(levels - 1, 0, -1)]
+    meta = {
         "resolution": {
             "theta_steps": theta_steps,
             "diag_steps": diag_steps,
@@ -258,10 +286,11 @@ def _grid_meta(grid, theta_steps, diag_steps, levels, seeds, nodes, blocks, used
         },
         "refine_budget": grid.refine_iters,
         "starts": len(seeds),
-        "grid_nodes": nodes,
+        "grid_nodes": n_rows * n_cols,
         "grid_blocks": blocks,
         "line_searches": used,
     }
+    return EnvelopeResult(value, splits, meta)
 
 
 def v_eta(ch: GaussianBc, k, eta: float, grid: GridSpec | None = None) -> EnvelopeResult:
@@ -269,45 +298,11 @@ def v_eta(ch: GaussianBc, k, eta: float, grid: GridSpec | None = None) -> Envelo
 
     The value is always >= 0 because K* = 0 is feasible and scores 0.
     ``eta`` must be >= 1 (equality is the direct continuity evaluation).
+    One level: no outer weights, inner weight 1.
     """
     if eta < 1.0:
         raise ValueError("v_eta requires eta >= 1")
-    grid = grid or GridSpec()
-    k = validate_psd(k, name="k")
-    t = ch.t
-    if k.shape[0] != t:
-        raise ValueError("constraint dimension does not match the channel")
-    b0 = sqrt_factor(k)
-    m = t * (t - 1) // 2
-    tuples = theta_tuple_grid(m, grid.theta_steps)
-    vb = rotation_batch(tuples, t)
-    dvals = diag_values_sqrt(grid.diag_steps)
-    dgrids = [dvals] * t
-    dcombos = diag_combos(dvals, t)
-
-    def score(lo, hi):
-        l1 = 0.5 * np.log2(pair_dets(ch.g1, b0[None], vb[lo:hi], dgrids)[0])
-        l2 = 0.5 * np.log2(pair_dets(ch.g2, b0[None], vb[lo:hi], dgrids)[0])
-        return (l2 - eta * l1).reshape(hi - lo, -1)
-
-    flat, top, blocks = top_k_rows(score, len(vb), len(dcombos), grid.starts)
-    seeds = _seed_params(flat, [len(vb), len(dcombos)], [tuples], [dcombos])
-
-    def objective(params):
-        h = _level_logdets(ch, b0, params, 1)
-        return h[:, 0, 1] - eta * h[:, 0, 0]
-
-    box = _bounds_spans(t, grid.theta_steps, grid.diag_steps, 1)
-    x, val, used = _refine(
-        objective, seeds, top[0], _spectral_seeds(ch, b0, eta, 1), 2, box, grid
-    )
-    bstar = chain_factor(b0, x, t, 1)[0, 0]
-    kstar = bstar @ bstar.T
-    meta = _grid_meta(
-        grid, grid.theta_steps, grid.diag_steps, 1, seeds,
-        len(vb) * len(dcombos), blocks, used,
-    )
-    return EnvelopeResult(val, [0.5 * (kstar + kstar.T)], meta)
+    return _layered_max(ch, k, [], 1.0, eta, grid or GridSpec())
 
 
 def t_lambda_eta(
@@ -332,60 +327,14 @@ def v_hat(
 ) -> EnvelopeResult:
     """Maximum of the level-2 objective over splits ``K1 + K2`` below ``k``.
 
-    Sweeps the chained parameterization (outer K1+K2 below k, inner K1
-    below K1+K2) jointly, streaming the inner level in row blocks of
-    outer nodes; argmax_splits holds [K1, K2].
+    Two chained levels (outer K1+K2 below k, inner K1 below K1+K2) with
+    outer weights (lam1, -(lam1+lam2)) and inner weight lam1, swept
+    jointly at the ``chain_*`` resolution; argmax_splits holds [K1, K2].
     """
-    grid = grid or GridSpec()
-    k = validate_psd(k, name="k")
-    t = ch.t
-    if k.shape[0] != t:
-        raise ValueError("constraint dimension does not match the channel")
-    lam1, lam2, eta = w.lambda1, w.lambda2, w.eta
-    b0 = sqrt_factor(k)
-    m = t * (t - 1) // 2
-
-    tup = theta_tuple_grid(m, grid.chain_theta_steps)
-    vb = rotation_batch(tup, t)
-    dvals = diag_values_sqrt(grid.chain_diag_steps)
-    dc = diag_combos(dvals, t)
-    dgrids = [dvals] * t
-    flat_kids = children_factors(b0[None], vb, dc)[0].reshape(-1, t, t)
-
-    l1o = 0.5 * np.log2(det_i_plus_gram(ch.g1, flat_kids))
-    l2o = 0.5 * np.log2(det_i_plus_gram(ch.g2, flat_kids))
-    gterm = lam1 * l1o - (lam1 + lam2) * l2o  # (N1,)
-
-    def score(lo, hi):
-        di1 = 0.5 * np.log2(pair_dets(ch.g1, flat_kids[lo:hi], vb, dgrids))
-        di2 = 0.5 * np.log2(pair_dets(ch.g2, flat_kids[lo:hi], vb, dgrids))
-        return gterm[lo:hi, None] + lam1 * (di2 - eta * di1).reshape(hi - lo, -1)
-
-    flat, top, blocks = top_k_rows(score, len(flat_kids), len(vb) * len(dc), grid.starts)
-    shapes = [len(vb), len(dc)] * 2
-    seeds = _seed_params(flat, shapes, [tup, tup], [dc, dc])
-
-    def objective(params):
-        h = _level_logdets(ch, b0, params, 2)
-        val = lam1 * h[:, 0, 0]
-        val -= (lam1 + lam2) * h[:, 0, 1]
-        val += lam1 * (h[:, 1, 1] - eta * h[:, 1, 0])
-        return val
-
-    box = _bounds_spans(t, grid.chain_theta_steps, grid.chain_diag_steps, 2)
-    x, val, used = _refine(
-        objective, seeds, top[0], _spectral_seeds(ch, b0, eta, 2), 3, box, grid
+    lam1, lam2 = w.lambda1, w.lambda2
+    return _layered_max(
+        ch, k, [(lam1, -(lam1 + lam2))], lam1, w.eta, grid or GridSpec()
     )
-    bsum, binner = chain_factor(b0, x, t, 2)[0]
-    ksum = bsum @ bsum.T
-    k1 = binner @ binner.T
-    k1 = 0.5 * (k1 + k1.T)
-    k2 = 0.5 * (ksum + ksum.T) - k1
-    meta = _grid_meta(
-        grid, grid.chain_theta_steps, grid.chain_diag_steps, 2, seeds,
-        len(flat_kids) * len(vb) * len(dc), blocks, used,
-    )
-    return EnvelopeResult(val, [k1, k2], meta)
 
 
 def f_value(
@@ -411,73 +360,16 @@ def v_tilde(
 ) -> EnvelopeResult:
     """Maximum of the layered level-3 objective over triple splits.
 
-    Sweeps K1 + K2 + K3 below ``k`` through three chained sub-covariance
-    levels (coarser per-level grids, the innermost level streamed in row
-    blocks of two-level nodes, then a joint 3-level refinement);
-    argmax_splits holds [K1, K2, K3].
+    Three chained levels (K1+K2+K3 below ``k``, K1+K2 below that, K1
+    innermost) at the coarser ``deep_*`` resolution: outer weights
+    (-alpha*lam0, lam2 - (1-alpha)*lam0) and (lam1, -(lam1+lam2)), inner
+    weight lam1; argmax_splits holds [K1, K2, K3].
     """
     if w.lambda0 <= w.lambda2:
         raise ValueError("level-3 computations require lambda0 > lambda2")
-    grid = grid or GridSpec()
-    k = validate_psd(k, name="k")
-    t = ch.t
-    if k.shape[0] != t:
-        raise ValueError("constraint dimension does not match the channel")
-    lam0, lam1, lam2 = w.lambda0, w.lambda1, w.lambda2
-    alpha, abar, eta = w.alpha, 1.0 - w.alpha, w.eta
-    b0 = sqrt_factor(k)
-    m = t * (t - 1) // 2
-
-    tup = theta_tuple_grid(m, grid.deep_theta_steps)
-    vb = rotation_batch(tup, t)
-    dvals = diag_values_sqrt(grid.deep_diag_steps)
-    dc = diag_combos(dvals, t)
-    dgrids = [dvals] * t
-
-    flat1 = children_factors(b0[None], vb, dc)[0].reshape(-1, t, t)
-    a1 = 0.5 * np.log2(det_i_plus_gram(ch.g1, flat1))
-    a2 = 0.5 * np.log2(det_i_plus_gram(ch.g2, flat1))
-    aterm = (lam2 - abar * lam0) * a2 - alpha * lam0 * a1  # (N1,)
-
-    n1 = len(flat1)
-    flat2 = children_factors(flat1, vb, dc).reshape(-1, t, t)
-    n2 = len(flat2) // n1
-    b1 = 0.5 * np.log2(det_i_plus_gram(ch.g1, flat2))
-    b2 = 0.5 * np.log2(det_i_plus_gram(ch.g2, flat2))
-    bterm = lam1 * b1 - (lam1 + lam2) * b2  # (N1*N2,)
-    outer = np.repeat(aterm, n2) + bterm
-
-    def score(lo, hi):
-        c1 = 0.5 * np.log2(pair_dets(ch.g1, flat2[lo:hi], vb, dgrids))
-        c2 = 0.5 * np.log2(pair_dets(ch.g2, flat2[lo:hi], vb, dgrids))
-        return outer[lo:hi, None] + lam1 * (c2 - eta * c1).reshape(hi - lo, -1)
-
-    flat, top, blocks = top_k_rows(score, len(flat2), len(vb) * len(dc), grid.starts)
-    shapes = [len(vb), len(dc)] * 3
-    seeds = _seed_params(flat, shapes, [tup] * 3, [dc] * 3)
-
-    def objective(params):
-        h = _level_logdets(ch, b0, params, 3)
-        val = (lam2 - abar * lam0) * h[:, 0, 1]
-        val -= alpha * lam0 * h[:, 0, 0]
-        val += lam1 * h[:, 1, 0]
-        val -= (lam1 + lam2) * h[:, 1, 1]
-        val += lam1 * (h[:, 2, 1] - eta * h[:, 2, 0])
-        return val
-
-    box = _bounds_spans(t, grid.deep_theta_steps, grid.deep_diag_steps, 3)
-    x, val, used = _refine(
-        objective, seeds, top[0], _spectral_seeds(ch, b0, eta, 3), 3, box, grid
-    )
-    b123, b12, binner = chain_factor(b0, x, t, 3)[0]
-    k123 = 0.5 * ((b123 @ b123.T) + (b123 @ b123.T).T)
-    k12 = 0.5 * ((b12 @ b12.T) + (b12 @ b12.T).T)
-    k1 = 0.5 * ((binner @ binner.T) + (binner @ binner.T).T)
-    meta = _grid_meta(
-        grid, grid.deep_theta_steps, grid.deep_diag_steps, 3, seeds,
-        len(flat2) * len(vb) * len(dc), blocks, used,
-    )
-    return EnvelopeResult(val, [k1, k12 - k1, k123 - k12], meta)
+    lam0, lam1, lam2, alpha = w.lambda0, w.lambda1, w.lambda2, w.alpha
+    outer = [(-alpha * lam0, lam2 - (1.0 - alpha) * lam0), (lam1, -(lam1 + lam2))]
+    return _layered_max(ch, k, outer, lam1, w.eta, grid or GridSpec())
 
 
 def bound_b(ch: GaussianBc, w: EnvelopeWeights) -> float:

@@ -34,10 +34,12 @@ from .errors import SingularMatrixError
 __all__ = [
     "SubCovParams",
     "givens_pairs",
+    "gram",
     "psd_leq",
     "logdet2",
     "sqrt_factor",
     "rotation",
+    "rotation_batch",
     "rotation_angles",
     "compose_sub_cov",
     "decompose_sub_cov",
@@ -136,33 +138,54 @@ def sqrt_factor(k) -> np.ndarray:
     return b
 
 
+def gram(b: np.ndarray) -> np.ndarray:
+    """Symmetrized ``B @ B.T`` of one factor or a batch (..., t, t)."""
+    k = b @ np.swapaxes(b, -1, -2)
+    return 0.5 * (k + np.swapaxes(k, -1, -2))
+
+
 def givens_pairs(t: int) -> list[tuple[int, int]]:
     """Index pairs (i, j), i < j, in the fixed lexicographic sweep order."""
     return [(i, j) for i in range(t) for j in range(i + 1, t)]
 
 
+def rotation_batch(theta_cols, t: int) -> np.ndarray:
+    """Givens products of a batch of angle tuples, shape (n, t, t).
+
+    Row k of ``theta_cols`` holds the t(t-1)/2 angles of one product,
+    one per index pair (i, j), i < j, in lex order; the factors are
+    multiplied in that order.  For t = 2 this is the plane rotation.
+    """
+    theta_cols = np.atleast_2d(np.asarray(theta_cols, dtype=float))
+    n = theta_cols.shape[0]
+    pairs = givens_pairs(t)
+    if theta_cols.shape[1] != len(pairs):
+        raise ValueError("angle tuple length does not match dimension")
+    cos, sin = np.cos(theta_cols), np.sin(theta_cols)
+    out = None
+    for k, (i, j) in enumerate(pairs):
+        g = np.empty((n, t, t))
+        g[:] = np.eye(t)
+        g[:, i, i] = g[:, j, j] = cos[:, k]
+        g[:, i, j] = -sin[:, k]
+        g[:, j, i] = sin[:, k]
+        out = g if out is None else out @ g
+    if out is None:  # t = 1 has no angles
+        out = np.ones((n, 1, 1))
+    return out
+
+
 def rotation(angles, t: int) -> np.ndarray:
-    """Product of Givens rotations over all index pairs in lex order.
+    """One Givens product: :func:`rotation_batch` of a single angle tuple.
 
     ``angles`` must contain t(t-1)/2 values, one per pair (i, j) with
     i < j.  For t = 2 this is the plane rotation by ``angles[0]``.
     """
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
-    pairs = givens_pairs(t)
-    if angles.size != len(pairs):
-        raise ValueError(
-            f"expected {len(pairs)} angles for t={t}, got {angles.size}"
-        )
-    v = np.eye(t)
-    for (i, j), theta in zip(pairs, angles):
-        g = np.eye(t)
-        c, s = math.cos(theta), math.sin(theta)
-        g[i, i] = c
-        g[j, j] = c
-        g[i, j] = -s
-        g[j, i] = s
-        v = v @ g
-    return v
+    m = t * (t - 1) // 2
+    if angles.size != m:
+        raise ValueError(f"expected {m} angles for t={t}, got {angles.size}")
+    return rotation_batch(angles, t)[0]
 
 
 def rotation_angles(v: np.ndarray) -> np.ndarray:
@@ -170,7 +193,9 @@ def rotation_angles(v: np.ndarray) -> np.ndarray:
 
     Peels one column per recursion level using spherical coordinates; the
     reconstruction ``rotation(rotation_angles(v), t)`` reproduces ``v``
-    exactly up to floating point.
+    exactly up to floating point.  Each level is undone by the transpose
+    of the rotation of its own angles (all other angles zero, whose
+    factors are exact identities).
     """
     v = _as_square(v, "rotation matrix")
     t = v.shape[0]
@@ -185,18 +210,10 @@ def rotation_angles(v: np.ndarray) -> np.ndarray:
         for k in range(2, col.size):
             level.append(math.atan2(col[k], run))
             run = math.hypot(run, col[k])
+        padded = np.zeros(t * (t - 1) // 2)
+        padded[len(angles) : len(angles) + len(level)] = level
         angles.extend(level)
-        inv = np.eye(t)
-        pairs = [(i, j) for j in range(i + 1, t)]
-        for (pi, pj), theta in zip(pairs, level):
-            g = np.eye(t)
-            c, s = math.cos(theta), math.sin(theta)
-            g[pi, pi] = c
-            g[pj, pj] = c
-            g[pi, pj] = s  # transpose = inverse rotation
-            g[pj, pi] = -s
-            inv = g @ inv
-        w = inv @ w
+        w = rotation(padded, t).T @ w
     return np.mod(np.asarray(angles, dtype=float), 2.0 * math.pi)
 
 

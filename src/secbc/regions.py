@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import GaussianBc, mi_xy
-from .matops import sqrt_factor, validate_psd
+from .matops import gram, sqrt_factor, validate_psd
 from .sweeps import (
     GridSpec,
     chain_factor,
@@ -43,6 +43,8 @@ from .sweeps import (
     det_i_plus_gram,
     diag_combos,
     diag_values,
+    grid_params,
+    grid_tables,
     map_ordered,
     pair_dets,
     rotation_batch,
@@ -192,26 +194,10 @@ def pareto_filter_triples(points: list, slack: float = PARETO_SLACK) -> list:
     return kept
 
 
-def _grid_tables(t: int, theta_steps: int, diag_steps: int):
-    m = t * (t - 1) // 2
-    tuples = theta_tuple_grid(m, theta_steps)
-    vb = rotation_batch(tuples, t)
-    dvals = diag_values(diag_steps)
-    return tuples, vb, dvals, diag_combos(dvals, t)
-
-
-def _half_log2_pair(g, parents, vb, dvals, t):
-    return 0.5 * np.log2(pair_dets(g, parents, vb, [dvals] * t))
-
-
-def _subcov_from_flat(b0, tuples, dcombos, flat, t):
-    """(sub-covariance, its chained factor, params) for a flat grid index."""
-    nd = dcombos.shape[0]
-    vi, di = divmod(int(flat), nd)
-    params = np.concatenate([tuples[vi], dcombos[di]])
-    b = chain_factor(b0, params, t, 1)[0, 0]
-    ks = b @ b.T
-    return 0.5 * (ks + ks.T), b, params
+def _meta(ch: GaussianBc, grid: GridSpec, mode: str, k=None, p=None) -> dict:
+    """Frontier metadata of a fixed-covariance (``k``) or power (``p``) region."""
+    kind, key, val = ("fixed_cov", "constraint", k) if p is None else ("power", "power", p)
+    return {"kind": kind, "mode": mode, key: val, "channel": (ch.g1, ch.g2), "grid": grid}
 
 
 def _half_log2_det(g, k):
@@ -245,10 +231,8 @@ def _wtc_gevd(ch: GaussianBc, k):
     mu, u = mu[..., ::-1], u[..., ::-1]
     keep = mu > 0.0
     q, _ = np.linalg.qr(linv_t @ u)
-    f = s @ (q * keep[..., None, :])
-    kstar = f @ np.swapaxes(f, -1, -2)
     value = np.sum(np.log1p(np.maximum(mu, 0.0)), axis=-1) / (2.0 * math.log(2.0))
-    return value, 0.5 * (kstar + np.swapaxes(kstar, -1, -2))
+    return value, gram(s @ (q * keep[..., None, :]))
 
 
 def wtc_capacity(ch: GaussianBc, k):
@@ -277,28 +261,24 @@ def frontier_fixed_cov(ch: GaussianBc, k, grid: GridSpec | None = None) -> Front
     t = ch.t
     if k.shape[0] != t:
         raise ValueError("constraint dimension does not match the channel")
-    meta = {
-        "kind": "fixed_cov",
-        "mode": "one_confidential",
-        "constraint": k,
-        "channel": (ch.g1, ch.g2),
-        "grid": grid,
-    }
+    meta = _meta(ch, grid, "one_confidential", k=k)
     if np.abs(k).max() < 1e-15:
         return Frontier(
             [RatePoint(0.0, 0.0, {"k": k, "kstar": np.zeros_like(k)})], meta
         )
     c2k = mi_xy(ch, k, 2)
     b0 = sqrt_factor(k)
-    tuples, vb, dvals, dcombos = _grid_tables(t, grid.theta_steps, grid.diag_steps)
-    nd = dcombos.shape[0]
+    tab = grid_tables(t, grid.theta_steps, diag_values(grid.diag_steps))
+    nd = tab.combos.shape[0]
 
     cand: list[tuple[float, float, int]] = []
     chunk = max(1, int(4_000_000 // max(nd, 1)))
-    for s in range(0, len(vb), chunk):
-        vsel = vb[s : s + chunk]
-        l1 = _half_log2_pair(ch.g1, b0[None], vsel, dvals, t)[0].reshape(len(vsel), -1)
-        l2 = _half_log2_pair(ch.g2, b0[None], vsel, dvals, t)[0].reshape(len(vsel), -1)
+    for s in range(0, len(tab.rots), chunk):
+        vsel = tab.rots[s : s + chunk]
+        l1, l2 = (
+            0.5 * np.log2(pair_dets(g, b0[None], vsel, tab.dgrids))[0].reshape(len(vsel), -1)
+            for g in (ch.g1, ch.g2)
+        )
         r1 = np.maximum(l1 - l2, 0.0).ravel()
         r2 = (c2k - l2).ravel()
         mask = _pareto_mask(r1, r2)
@@ -311,8 +291,8 @@ def frontier_fixed_cov(ch: GaussianBc, k, grid: GridSpec | None = None) -> Front
     mask = _pareto_mask(r1, r2)
     points = []
     for i in np.flatnonzero(mask):
-        ks, _, _ = _subcov_from_flat(b0, tuples, dcombos, cand[i][2], t)
-        points.append(RatePoint(cand[i][0], cand[i][1], {"k": k, "kstar": ks}))
+        b = chain_factor(b0, grid_params(tab, cand[i][2], 1), t, 1)[0, 0]
+        points.append(RatePoint(cand[i][0], cand[i][1], {"k": k, "kstar": gram(b)}))
 
     rmax, kstar = _wtc_gevd(ch, k)
     r2_at = c2k - _half_log2_det(ch.g2, kstar)
@@ -362,11 +342,10 @@ def _manifold_scan(t: int, p: float, grid: GridSpec):
     """
     tuples, vmani, qs = _manifold_nodes(t, p, grid.theta_steps, grid.trace_steps)
     b = (vmani[:, None] * np.sqrt(qs)[None, :, None, :]).reshape(-1, t, t)
-    kmats = b @ np.swapaxes(b, -1, -2)
     params = np.column_stack(
         [np.repeat(tuples, len(qs), axis=0), np.tile(qs[:, :-1], (len(vmani), 1))]
     )
-    return 0.5 * (kmats + np.swapaxes(kmats, -1, -2)), params
+    return gram(b), params
 
 
 def _power_corner_refine(ch, p, grid, scan, objective):
@@ -389,8 +368,7 @@ def _power_corner_refine(ch, p, grid, scan, objective):
     def constraint(x):
         q = np.column_stack([x[:, m:], p - x[:, m:].sum(axis=1)])
         b = rotation_batch(x[:, :m], t) * np.sqrt(np.maximum(q, 0.0))[:, None, :]
-        kmat = b @ np.swapaxes(b, -1, -2)
-        return 0.5 * (kmat + np.swapaxes(kmat, -1, -2)), q[:, -1] >= 0.0
+        return gram(b), q[:, -1] >= 0.0
 
     def f(x):
         kmat, feasible = constraint(x)
@@ -434,9 +412,7 @@ def _kstar_nodes(x, p: float, t: int):
 
 def _noise2(ch: GaussianBc) -> np.ndarray:
     """(G2^T G2)^-1, so that I + G2 K G2^T = G2 (N + K) G2^T."""
-    ginv = np.linalg.inv(ch.g2)
-    n = ginv @ ginv.T
-    return 0.5 * (n + n.T)
+    return gram(np.linalg.inv(ch.g2))
 
 
 def _kstar_rates(ch: GaussianBc, p: float, x) -> np.ndarray:
@@ -529,13 +505,7 @@ def frontier_power(ch: GaussianBc, p: float, grid: GridSpec | None = None) -> Fr
     if p < 0:
         raise ValueError("power must be nonnegative")
     t = ch.t
-    meta = {
-        "kind": "power",
-        "mode": "one_confidential",
-        "power": p,
-        "channel": (ch.g1, ch.g2),
-        "grid": grid,
-    }
+    meta = _meta(ch, grid, "one_confidential", p=p)
     if p == 0:
         zero = np.zeros((t, t))
         return Frontier([RatePoint(0.0, 0.0, {"k": zero, "kstar": zero})], meta)
@@ -572,13 +542,7 @@ def both_confidential_frontier(
     if p < 0:
         raise ValueError("power must be nonnegative")
     t = ch.t
-    meta = {
-        "kind": "power",
-        "mode": "both_confidential",
-        "power": p,
-        "channel": (ch.g1, ch.g2),
-        "grid": grid,
-    }
+    meta = _meta(ch, grid, "both_confidential", p=p)
     if p == 0:
         zero = np.zeros((t, t))
         return Frontier([RatePoint(0.0, 0.0, {"k": zero, "kstar": zero})], meta)
@@ -620,29 +584,28 @@ def wtc_capacity_power(ch: GaussianBc, p: float, grid: GridSpec | None = None):
 
 
 def _common_candidates(ch, b0, kmat, theta_steps, diag_steps):
-    """Candidate (r0, r1, r2, outer_flat, inner_flat) rows for one constraint."""
+    """Candidate (r0, r1, r2, flat) rows for one constraint, and the tables.
+
+    ``flat`` indexes the two-level grid: outer sub-covariance K1+K2 below
+    ``kmat``, inner K2 below K1+K2.
+    """
     t = ch.t
-    tuples, vb, dvals, dcombos = _grid_tables(t, theta_steps, diag_steps)
+    tab = grid_tables(t, theta_steps, diag_values(diag_steps))
     c1k = mi_xy(ch, kmat, 1)
     c2k = mi_xy(ch, kmat, 2)
-    kids = children_factors(b0[None], vb, dcombos)[0]
-    n1 = kids.shape[0] * kids.shape[1]
-    flat1 = kids.reshape(n1, t, t)
-    l1o = 0.5 * np.log2(det_i_plus_gram(ch.g1, flat1))
-    l2o = 0.5 * np.log2(det_i_plus_gram(ch.g2, flat1))
+    flat1 = children_factors(b0[None], tab.rots, tab.combos).reshape(-1, t, t)
+    n1 = len(flat1)
+    l1o, l2o = (0.5 * np.log2(det_i_plus_gram(g, flat1)) for g in (ch.g1, ch.g2))
     r0 = np.minimum(c1k - l1o, c2k - l2o)
-    l1i = _half_log2_pair(ch.g1, flat1, vb, dvals, t).reshape(n1, -1)
-    l2i = _half_log2_pair(ch.g2, flat1, vb, dvals, t).reshape(n1, -1)
-    nflat = l1i.shape[1]
+    l1i, l2i = (
+        0.5 * np.log2(pair_dets(g, flat1, tab.rots, tab.dgrids)).reshape(n1, -1)
+        for g in (ch.g1, ch.g2)
+    )
     r1 = np.maximum(l1i - l2i, 0.0).ravel()
     r2 = np.maximum(l2o[:, None] - l2i, 0.0).ravel()
-    outer = np.repeat(np.arange(n1), nflat)
-    inner = np.tile(np.arange(nflat), n1)
-    cand = np.column_stack(
-        [np.maximum(r0, 0.0)[outer], r1, r2, outer, inner]
-    )
-    tables = {"tuples": tuples, "dcombos": dcombos}
-    return cand, tables
+    outer = np.repeat(np.arange(n1), l1i.shape[1])
+    cand = np.column_stack([np.maximum(r0, 0.0)[outer], r1, r2, np.arange(r1.size)])
+    return cand, tab
 
 
 def _reduce_triples(cand: np.ndarray, bins: int = 96) -> np.ndarray:
@@ -663,20 +626,14 @@ def _reduce_triples(cand: np.ndarray, bins: int = 96) -> np.ndarray:
 
 
 def _triples_from_candidates(ch, b0, kmat, cand, tables) -> list:
-    t = ch.t
     out = []
     for row in cand:
         # The inner split was swept from the chained outer factor, so the
-        # same factor (not a fresh Cholesky root) must rebuild it.
-        ksum, bsum, _ = _subcov_from_flat(
-            b0, tables["tuples"], tables["dcombos"], int(row[3]), t
-        )
-        k2, _, _ = _subcov_from_flat(
-            bsum, tables["tuples"], tables["dcombos"], int(row[4]), t
-        )
-        k1 = ksum - k2
+        # same chain (not a fresh Cholesky root) must rebuild it.
+        factors = chain_factor(b0, grid_params(tables, row[3], 2), ch.t, 2)[0]
+        ksum, k2 = gram(factors)
         out.append(
-            RateTriple(row[0], row[1], row[2], {"k": kmat, "k1": k1, "k2": k2})
+            RateTriple(row[0], row[1], row[2], {"k": kmat, "k1": ksum - k2, "k2": k2})
         )
     return out
 
@@ -693,13 +650,7 @@ def region_common_fixed(ch: GaussianBc, k, grid: GridSpec | None = None) -> Fron
     t = ch.t
     if k.shape[0] != t:
         raise ValueError("constraint dimension does not match the channel")
-    meta = {
-        "kind": "fixed_cov",
-        "mode": "common",
-        "constraint": k,
-        "channel": (ch.g1, ch.g2),
-        "grid": grid,
-    }
+    meta = _meta(ch, grid, "common", k=k)
     zero = np.zeros((t, t))
     if np.abs(k).max() < 1e-15:
         return Frontier([RateTriple(0, 0, 0, {"k": k, "k1": zero, "k2": zero})], meta)
@@ -719,13 +670,7 @@ def region_common_power(ch: GaussianBc, p: float, grid: GridSpec | None = None) 
     if p < 0:
         raise ValueError("power must be nonnegative")
     t = ch.t
-    meta = {
-        "kind": "power",
-        "mode": "common",
-        "power": p,
-        "channel": (ch.g1, ch.g2),
-        "grid": grid,
-    }
+    meta = _meta(ch, grid, "common", p=p)
     zero = np.zeros((t, t))
     if p == 0:
         return Frontier(
@@ -734,7 +679,7 @@ def region_common_power(ch: GaussianBc, p: float, grid: GridSpec | None = None) 
     if t == 1:
         fr = region_common_fixed(ch, np.array([[float(p)]]), grid)
         return Frontier(fr.points, meta)
-    mani_tuples, vmani, qs = _manifold_nodes(
+    _, vmani, qs = _manifold_nodes(
         t, p, grid.deep_theta_steps, grid.deep_trace_steps
     )
     nodes = [(vi, qi) for vi in range(len(vmani)) for qi in range(len(qs))]
@@ -742,8 +687,7 @@ def region_common_power(ch: GaussianBc, p: float, grid: GridSpec | None = None) 
     def node_factor(node):
         vi, qi = node
         b = _mani_factor(vmani[vi], qs[qi])
-        kmat = b @ b.T
-        return b, 0.5 * (kmat + kmat.T)
+        return b, gram(b)
 
     def work(item):
         node_idx, node = item
@@ -761,10 +705,8 @@ def region_common_power(ch: GaussianBc, p: float, grid: GridSpec | None = None) 
     cand = cand[_pareto_rows_triples(cand[:, :3])]
     points = []
     for row in cand:
-        b, kmat = node_factor(nodes[int(row[5])])
-        points.extend(
-            _triples_from_candidates(ch, b, kmat, row[None, :5], tables)
-        )
+        b, kmat = node_factor(nodes[int(row[4])])
+        points.extend(_triples_from_candidates(ch, b, kmat, row[None, :4], tables))
     return Frontier(pareto_filter_triples(points), meta)
 
 

@@ -8,7 +8,10 @@ coordinate-wise golden-section polish of the best grid nodes.
 
 The grid half works on square-root factors: a child of the factor ``B``
 under parameters (theta, d) is ``B @ V(theta) @ diag(sqrt(d))``, whose
-Gram matrix is exactly the sub-covariance.  Determinants of
+Gram matrix is exactly the sub-covariance.  Every level of a grid uses
+the same :class:`GridTables` (angle tuples, their rotations, scaling
+tuples), and :func:`grid_params` turns a flat index of a chained grid
+back into its parameter vector.  Determinants of
 ``I + G K* G^T`` over a whole diagonal grid come from the principal-minor
 expansion of ``det(I + D M)``, which costs 2^t coefficient arrays instead
 of one determinant per grid node.
@@ -35,13 +38,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .matops import givens_pairs
+from .matops import rotation_batch
 
 __all__ = [
     "GridSpec",
@@ -53,6 +57,9 @@ __all__ = [
     "diag_combos",
     "diag_values_sqrt",
     "rotation_batch",
+    "GridTables",
+    "grid_tables",
+    "grid_params",
     "children_factors",
     "det_i_plus_gram",
     "pair_dets",
@@ -107,11 +114,12 @@ class GridSpec:
             "deep_theta_steps",
             "deep_diag_steps",
             "deep_trace_steps",
+            "refine_iters",
+            "starts",
         ):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be a positive integer")
-        if self.refine_iters < 0 or self.starts < 1:
-            raise ValueError("invalid refinement settings")
+            val, least = getattr(self, name), 0 if name == "refine_iters" else 1
+            if isinstance(val, bool) or not isinstance(val, numbers.Integral) or val < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {val!r}")
 
 
 def worker_count() -> int:
@@ -173,25 +181,44 @@ def diag_combos(dvalues: np.ndarray, t: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=-1)
 
 
-def rotation_batch(theta_cols: np.ndarray, t: int) -> np.ndarray:
-    """Vectorized :func:`secbc.matops.rotation` over rows of ``theta_cols``."""
-    theta_cols = np.atleast_2d(np.asarray(theta_cols, dtype=float))
-    n = theta_cols.shape[0]
-    pairs = givens_pairs(t)
-    if theta_cols.shape[1] != len(pairs):
-        raise ValueError("angle tuple length does not match dimension")
-    cos, sin = np.cos(theta_cols), np.sin(theta_cols)
-    out = None
-    for k, (i, j) in enumerate(pairs):
-        g = np.empty((n, t, t))
-        g[:] = np.eye(t)
-        g[:, i, i] = g[:, j, j] = cos[:, k]
-        g[:, i, j] = -sin[:, k]
-        g[:, j, i] = sin[:, k]
-        out = g if out is None else out @ g
-    if out is None:  # t = 1 has no angles
-        out = np.ones((n, 1, 1))
-    return out
+@dataclass(frozen=True)
+class GridTables:
+    """One level of a sub-covariance grid: angle tuples (nv, m), their
+    rotations (nv, t, t), the per-axis scaling values and the scaling
+    tuples (nd, t).  Chained grids repeat the same level."""
+
+    tuples: np.ndarray
+    rots: np.ndarray
+    dvals: np.ndarray
+    combos: np.ndarray
+
+    @property
+    def dgrids(self) -> list[np.ndarray]:
+        return [self.dvals] * self.combos.shape[1]
+
+
+def grid_tables(t: int, theta_steps: int, dvals: np.ndarray) -> GridTables:
+    """Tables of ``theta_steps`` angles per Givens angle times ``dvals``."""
+    tuples = theta_tuple_grid(t * (t - 1) // 2, theta_steps)
+    return GridTables(tuples, rotation_batch(tuples, t), dvals, diag_combos(dvals, t))
+
+
+def grid_params(tables: GridTables, flat, levels: int) -> np.ndarray:
+    """Chained parameter vectors of flat indices into a ``levels``-level grid.
+
+    The grid tensor has axes (rotation, scaling) per level in C order,
+    outermost level first; returns one row of (angles, scalings) per
+    level, concatenated, for each index in ``flat``.
+    """
+    shape = (len(tables.tuples), len(tables.combos)) * levels
+    idx = np.unravel_index(np.atleast_1d(flat).astype(np.intp), shape)
+    return np.hstack(
+        [
+            part
+            for lev in range(levels)
+            for part in (tables.tuples[idx[2 * lev]], tables.combos[idx[2 * lev + 1]])
+        ]
+    )
 
 
 def children_factors(

@@ -35,6 +35,14 @@ class TestMakeChannel:
         with pytest.raises(ValueError):
             make_channel(np.eye(2), np.eye(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_nonfinite_gain_rejected(self, bad, which):
+        gains = [np.eye(2), np.eye(2)]
+        gains[which][0, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            make_channel(*gains)
+
 
 def _mi_via_joint(g, kx, noise):
     """Oracle: I(X;Y) from the stacked (X, Y) covariance, Y = G X + Z."""

@@ -71,6 +71,63 @@ class TestExitCodes:
         assert main(["wtc", "--covariance", _matrix_arg(bad), *gains]) == 2
         assert "positive semidefinite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["region", "--power", "12", "--grid-theta", "0"],
+            ["wtc", "--power", "12", "--grid-trace", "-3"],
+            ["region", "--mode", "common", "--power", "2", "--grid-d", "0"],
+            ["envelope", "--covariance", "3,0;0,2", "--eta", "3"],
+            ["envelope", "--covariance", "3,0;0,2", "--lambda1", "-1"],
+            ["envelope", "--covariance", "3,0;0,2", "--lambda1", "nan"],
+            ["envelope", "--covariance", "3,0;0,2", "--eta", "0.5"],
+            ["envelope", "--covariance", "3,0;0,2", "--lambda0", "0.5"],
+            ["envelope", "--power", "3"],
+            ["region", "--mode", "both-confidential", "--covariance", "6,0;0,6"],
+            ["compare", "--covariance", "6,0;0,6"],
+            ["region", "--covariance", "1,0,0;0,1,0;0,0,1"],
+            ["region", "--mode", "common", "--power", "2", "--svg", "{dir}/c.svg"],
+            ["wtc", "--covariance", "6,0;0,6", "--svg", "{dir}/w.svg"],
+            ["envelope", "--covariance", "3,0;0,2", "--out", "{dir}/e.csv"],
+            ["dpc-check", "--out", "{dir}/d.csv"],
+            ["wtc", "--covariance", "6,0;0,6", "--out", "{dir}/missing/x.csv"],
+            ["wtc", "--covariance", "6,0;0,6", "--out", "{dir}"],
+            ["dpc-check", "--dim", "0"],
+            ["decomp-check", "--dim", "0"],
+            ["dpc-check", "--trials", "-1"],
+            ["dpc-check", "--trials", "0"],
+            ["decomp-check", "--seed", "-1"],
+        ],
+    )
+    def test_bad_configuration_exits_2(self, argv, tmp_path, capsys):
+        argv = [a.replace("{dir}", str(tmp_path)) for a in argv]
+        if argv[0] not in ("dpc-check", "decomp-check"):
+            argv += ["--g1", G1_ARG, "--g2", G2_ARG]
+        assert main(argv) == 2
+        assert "invalid configuration" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "field",
+        [{"power": "12"}, {"power": 4, "grid_theta": "8"}, {"power": 4, "grid_theta": 10.5}],
+    )
+    def test_config_type_error_exits_2(self, field, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"g1": EXAMPLE_G1, "g2": EXAMPLE_G2, **field}))
+        assert main(["region", "--config", str(path)]) == 2
+        assert "invalid configuration" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["region", "--covariance", "6,0;0,6", "--g1", "nan,0;0,1", "--g2", "1,0;0,1"],
+            ["wtc", "--covariance", "6,0;0,6", "--g1", "inf,0;0,1", "--g2", "1,0;0,1"],
+        ],
+    )
+    def test_nonfinite_gains_exit_2(self, argv, capsys):
+        assert main(argv) == 2
+        assert "non-finite" in capsys.readouterr().err
+
     def test_unknown_flag(self):
         with pytest.raises(SystemExit) as exc:
             main(["region", "--bogus", "1"])

@@ -18,7 +18,9 @@ from secbc import (
     v_tilde,
 )
 
-from conftest import random_spd
+from secbc.matops import psd_leq
+
+from conftest import EXAMPLE_G1, EXAMPLE_G2, random_spd
 
 
 def scalar_ch(g1, g2):
@@ -298,6 +300,62 @@ class TestVTilde:
             assert layered(alpha) == pytest.approx(
                 (1 - alpha) * lo + alpha * hi, abs=1e-10
             )
+
+
+def _h(ch, k):
+    return mi_xy(ch, k, 1), mi_xy(ch, k, 2)
+
+
+def layered_objective(level, ch, splits, w):
+    """The level's functional at explicit splits, from ``mi_xy`` alone."""
+    h1, h2 = _h(ch, splits[0])
+    if level == "v_eta":
+        return h2 - w.eta * h1
+    val = w.lambda1 * (h2 - w.eta * h1)
+    o1, o2 = _h(ch, splits[0] + splits[1])
+    val += w.lambda1 * o1 - (w.lambda1 + w.lambda2) * o2
+    if level == "v_tilde":
+        o1, o2 = _h(ch, splits[0] + splits[1] + splits[2])
+        abar = 1.0 - w.alpha
+        val += (w.lambda2 - abar * w.lambda0) * o2 - w.alpha * w.lambda0 * o1
+    return val
+
+
+class TestArgmaxReevaluation:
+    """Each value is its level's functional at the returned splits."""
+
+    W = EnvelopeWeights(lambda0=0.7, lambda1=1.0, lambda2=0.6, eta=1.3, alpha=0.2)
+    GRID = GridSpec(
+        theta_steps=4,
+        diag_steps=3,
+        chain_theta_steps=3,
+        chain_diag_steps=3,
+        deep_theta_steps=2,
+        deep_diag_steps=2,
+        refine_iters=20,
+    )
+
+    @pytest.mark.parametrize("level", ["v_eta", "v_hat", "v_tilde"])
+    @pytest.mark.parametrize("t", [2, 3])
+    def test_value_at_splits(self, level, t):
+        if t == 2:
+            ch, k = make_channel(EXAMPLE_G1, EXAMPLE_G2), np.diag([3.0, 2.0])
+        else:
+            rng = np.random.default_rng(31)
+            ch = make_channel(rng.normal(size=(3, 3)), rng.normal(size=(3, 3)))
+            k = random_spd(rng, 3, scale=2.0)
+        if level == "v_eta":
+            res = v_eta(ch, k, self.W.eta, self.GRID)
+        else:
+            res = {"v_hat": v_hat, "v_tilde": v_tilde}[level](ch, k, self.W, self.GRID)
+        splits = res.argmax_splits
+        assert len(splits) == {"v_eta": 1, "v_hat": 2, "v_tilde": 3}[level]
+        zero = np.zeros((t, t))
+        for split in splits:
+            assert psd_leq(zero, split)
+        assert psd_leq(sum(splits), k)
+        again = layered_objective(level, ch, splits, self.W)
+        assert res.value == pytest.approx(again, abs=1e-9)
 
 
 def brute_v_tilde_scalar(g1, g2, k, w, n=200001):
