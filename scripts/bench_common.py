@@ -1,0 +1,186 @@
+"""Time the common-message sweeps and their triple Pareto filter.
+
+    python scripts/bench_common.py --tree change=. --tree parent=../parent \
+        --out BENCH_common.json
+
+Each ``--tree LABEL=PATH`` names a secbc checkout (its ``src`` is put on
+the import path; default: this checkout as ``change``).  For every tree,
+with SECBC_THREADS=1 (BLAS single-threaded too) and with all cores, each
+case runs in a fresh child process:
+
+- ``region_common_power``: the example channel at P = 12, default grid;
+- ``region_common_fixed``: a seeded t = 3 channel at chain grid (4, 3);
+- ``pareto_filter``: ``regions._pareto_rows_triples`` alone, on the
+  largest input it receives during the ``region_common_power`` case
+  (3822 rows on the example channel); that call also sets its
+  ``peak_rss_mb``.
+
+A child runs its call ``--repeats`` times and reports every wall time
+(``time.perf_counter``) and its ``ru_maxrss`` before and after the calls,
+so ``peak_rss_mb`` includes the interpreter and numpy.  The JSON written
+to ``--out`` holds the machine description and one record per tree,
+thread setting and case.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import resource
+import statistics
+import subprocess
+import sys
+import time
+
+EXAMPLE_G1 = [[0.3, 2.5], [2.2, 1.8]]
+EXAMPLE_G2 = [[1.3, 1.2], [1.5, 3.9]]
+CASES = ("region_common_power", "region_common_fixed", "pareto_filter")
+SINGLE_THREAD_ENV = {
+    "SECBC_THREADS": "1",
+    "OPENBLAS_NUM_THREADS": "1",
+    "OMP_NUM_THREADS": "1",
+    "MKL_NUM_THREADS": "1",
+}
+
+
+def _cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor()
+
+
+def _rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def _seeded_t3():
+    """The t = 3 channel and constraint of the fixed-covariance case."""
+    import numpy as np
+
+    rng = np.random.default_rng(3)
+    g1, g2, a = (rng.normal(size=(3, 3)) for _ in range(3))
+    return g1, g2, a @ a.T / 3.0 + 0.5 * np.eye(3)
+
+
+def _case_call(case: str):
+    """(call, size) for one case; ``size`` describes its input."""
+    import numpy as np
+
+    import secbc
+    from secbc import regions
+
+    example = secbc.make_channel(EXAMPLE_G1, EXAMPLE_G2)
+    if case == "region_common_power":
+        return lambda: len(regions.region_common_power(example, 12.0).points), "P = 12"
+    if case == "region_common_fixed":
+        g1, g2, k = _seeded_t3()
+        ch = secbc.make_channel(g1, g2)
+        grid = secbc.GridSpec(chain_theta_steps=4, chain_diag_steps=3)
+        return lambda: len(regions.region_common_fixed(ch, k, grid).points), "t = 3"
+    inputs = []
+    inner = regions._pareto_rows_triples
+
+    def record(arr, *args, **kwargs):
+        inputs.append(np.array(arr))
+        return inner(arr, *args, **kwargs)
+
+    regions._pareto_rows_triples = record
+    try:
+        regions.region_common_power(example, 12.0)
+    finally:
+        regions._pareto_rows_triples = inner
+    arr = max(inputs, key=len)
+    return lambda: len(inner(arr)), f"{len(arr)} rows"
+
+
+def child(case: str, repeats: int) -> dict:
+    """Run one case ``repeats`` times in this process and report it."""
+    call, size = _case_call(case)
+    rss_before = _rss_mb()
+    times, out = [], None
+    for _ in range(repeats):
+        start = time.perf_counter()
+        out = call()
+        times.append(time.perf_counter() - start)
+    return {
+        "input": size,
+        "output_rows": out,
+        "wall_s": times,
+        "wall_s_median": statistics.median(times),
+        "rss_before_mb": rss_before,
+        "peak_rss_mb": _rss_mb(),
+    }
+
+
+def run_tree(label: str, path: str, repeats: int) -> list[dict]:
+    src = os.path.join(os.path.abspath(path), "src")
+    if not os.path.isdir(os.path.join(src, "secbc")):
+        raise SystemExit(f"no secbc sources under {src}")
+    records = []
+    for threads in ("1", "all"):
+        env = {k: v for k, v in os.environ.items() if k not in SINGLE_THREAD_ENV}
+        if threads == "1":
+            env.update(SINGLE_THREAD_ENV)
+        env["PYTHONPATH"] = src
+        for case in CASES:
+            cmd = [sys.executable, os.path.abspath(__file__), "--child", case]
+            cmd += ["--repeats", str(repeats)]
+            proc = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
+            result = json.loads(proc.stdout.strip().splitlines()[-1])
+            records.append({"tree": label, "threads": threads, "case": case, **result})
+            print(
+                f"{label:>8} threads={threads:>3} {case:20s} "
+                f"{result['wall_s_median']:8.3f} s {result['peak_rss_mb']:7.1f} MB",
+                file=sys.stderr,
+            )
+    return records
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--tree", action="append", default=[], metavar="LABEL=PATH")
+    ap.add_argument("--repeats", type=int, default=5)
+    ap.add_argument("--out", default="BENCH_common.json")
+    ap.add_argument("--child", choices=CASES, help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.repeats < 1:
+        ap.error("--repeats must be at least 1")
+    if args.child:
+        print(json.dumps(child(args.child, args.repeats)))
+        return 0
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    trees = args.tree or ["change=" + here]
+    records = []
+    for spec in trees:
+        label, sep, path = spec.partition("=")
+        if not sep or not label:
+            ap.error(f"--tree wants LABEL=PATH, got {spec!r}")
+        records += run_tree(label, path, args.repeats)
+    import numpy as np
+
+    report = {
+        "machine": {
+            "cpu": _cpu_model(),
+            "cpus": os.cpu_count(),
+            "platform": platform.platform(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        },
+        "repeats": args.repeats,
+        "records": records,
+    }
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=1)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -21,9 +21,13 @@ optimum of its constraint matrix (:func:`wtc_capacity`); under a power
 constraint that optimum is polished by golden section over the trace-p
 manifold parameters.
 
-Manifold and K* chunks may be evaluated in parallel (see SECBC_THREADS);
-chunk results are always merged in node order, so output is independent
-of the worker count.
+The common-message sweeps stream their two-level grid in blocks of
+outer rows of at most ``GRID_BLOCK_NODES`` candidates
+(:func:`secbc.sweeps.row_blocks`).  Each block is cut to one winner per
+(r0, r1) cell before the output-sensitive triple Pareto filter runs.
+Manifold nodes, K* chunks and grid blocks may be evaluated in parallel
+(see SECBC_THREADS).  Results are always merged in node and block order,
+so output does not depend on the worker count or the block size.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ from .sweeps import (
     map_ordered,
     pair_dets,
     rotation_batch,
+    row_blocks,
     simplex_grid,
     theta_tuple_grid,
 )
@@ -171,17 +176,37 @@ def pareto_filter_pairs(points: list, slack: float = PARETO_SLACK) -> list:
 
 
 def _pareto_rows_triples(arr: np.ndarray, slack: float = PARETO_SLACK) -> np.ndarray:
-    """Row indices of Pareto-maximal (r0, r1, r2) rows, duplicates deduped."""
+    """Row indices of Pareto-maximal (r0, r1, r2) rows, duplicates deduped.
+
+    A row is dropped when another is >= in every column and more than
+    ``slack`` larger in one; the kept rows are the first copy of each
+    surviving distinct row, in ascending lexicographic order of the rows.
+    A dominating row sorts before the row it dominates in descending
+    lexicographic order, and a dominated row is also dominated by a kept
+    one, so the rows are walked in that order in blocks, each tested
+    against the rows kept so far and itself: n * (kept + block)
+    comparisons (Kung, Luccio & Preparata 1975).
+    """
+    if slack < 0:
+        raise ValueError(f"slack must be nonnegative, got {slack!r}")
     if arr.shape[0] == 0:
         return np.zeros(0, dtype=int)
     uniq, first = np.unique(arr, axis=0, return_index=True)
-    dominated = np.zeros(len(uniq), dtype=bool)
+    cols = np.ascontiguousarray(uniq[::-1].T)
+    keep = np.zeros(len(uniq), dtype=bool)
+    kept = cols[:, :0]
     for s in range(0, len(uniq), 256):
-        blk = uniq[s : s + 256]
-        geq = (uniq[None, :, :] >= blk[:, None, :]).all(axis=-1)
-        strict = (uniq[None, :, :] > blk[:, None, :] + slack).any(axis=-1)
-        dominated[s : s + 256] = (geq & strict).any(axis=1)
-    return first[~dominated]
+        blk = cols[:, s : s + 256]
+        rivals = np.hstack([kept, blk])
+        geq = np.ones((blk.shape[1], rivals.shape[1]), dtype=bool)
+        strict = np.zeros_like(geq)
+        for mine, theirs in zip(blk, rivals):
+            geq &= theirs[None, :] >= mine[:, None]
+            strict |= theirs[None, :] > (mine + slack)[:, None]
+        free = ~(geq & strict).any(axis=1)
+        keep[s : s + 256] = free
+        kept = np.hstack([kept, blk[:, free]])
+    return first[keep[::-1]]
 
 
 def pareto_filter_triples(points: list, slack: float = PARETO_SLACK) -> list:
@@ -583,59 +608,104 @@ def wtc_capacity_power(ch: GaussianBc, p: float, grid: GridSpec | None = None):
     return float(value), kmat, kstar
 
 
-def _common_candidates(ch, b0, kmat, theta_steps, diag_steps):
-    """Candidate (r0, r1, r2, flat) rows for one constraint, and the tables.
-
-    ``flat`` indexes the two-level grid: outer sub-covariance K1+K2 below
-    ``kmat``, inner K2 below K1+K2.
-    """
-    t = ch.t
-    tab = grid_tables(t, theta_steps, diag_values(diag_steps))
-    c1k = mi_xy(ch, kmat, 1)
-    c2k = mi_xy(ch, kmat, 2)
-    flat1 = children_factors(b0[None], tab.rots, tab.combos).reshape(-1, t, t)
-    n1 = len(flat1)
-    l1o, l2o = (0.5 * np.log2(det_i_plus_gram(g, flat1)) for g in (ch.g1, ch.g2))
-    r0 = np.minimum(c1k - l1o, c2k - l2o)
-    l1i, l2i = (
-        0.5 * np.log2(pair_dets(g, flat1, tab.rots, tab.dgrids)).reshape(n1, -1)
-        for g in (ch.g1, ch.g2)
-    )
-    r1 = np.maximum(l1i - l2i, 0.0).ravel()
-    r2 = np.maximum(l2o[:, None] - l2i, 0.0).ravel()
-    outer = np.repeat(np.arange(n1), l1i.shape[1])
-    cand = np.column_stack([np.maximum(r0, 0.0)[outer], r1, r2, np.arange(r1.size)])
-    return cand, tab
+# (r0, r1) cells per axis of the triple thinning: one constraint's grid,
+# and in region_common_power each manifold node before the union.
+_CELLS = 96
+_NODE_CELLS = 64
 
 
-def _reduce_triples(cand: np.ndarray, bins: int = 96) -> np.ndarray:
-    """Thin triple candidates: max r2 per (r0, r1) cell, then exact filter."""
-    if cand.shape[0] == 0:
-        return cand
-    r0, r1, r2 = cand[:, 0], cand[:, 1], cand[:, 2]
-    s0 = r0.max() + 1e-12
-    s1 = r1.max() + 1e-12
-    b0 = np.minimum((r0 / s0 * bins).astype(np.int64), bins - 1)
-    b1 = np.minimum((r1 / s1 * bins).astype(np.int64), bins - 1)
-    comb = b0 * bins + b1
-    best = np.full(bins * bins, -np.inf)
+def _cell_index(r: np.ndarray, scale: float, bins: int) -> np.ndarray:
+    return np.minimum((r / scale * bins).astype(np.int64), bins - 1)
+
+
+def _cell_winners(comb: np.ndarray, r2: np.ndarray, n_cells: int) -> np.ndarray:
+    """Row of the highest r2 in each occupied cell, the lowest on ties, in cell order."""
+    best = np.full(n_cells, -np.inf)
     np.maximum.at(best, comb, r2)
     sel = np.flatnonzero(r2 >= best[comb])
     _, firsts = np.unique(comb[sel], return_index=True)
-    return cand[sel[firsts]]
+    return sel[firsts]
+
+
+def _reduce_triples(cand: np.ndarray, bins: int = _CELLS) -> np.ndarray:
+    """Thin rows (r0, r1, r2, ...): max r2 per (r0, r1) cell, in cell order."""
+    if cand.shape[0] == 0:
+        return cand
+    r0, r1 = cand[:, 0], cand[:, 1]
+    comb = _cell_index(r0, r0.max() + 1e-12, bins) * bins + _cell_index(
+        r1, r1.max() + 1e-12, bins
+    )
+    return cand[_cell_winners(comb, cand[:, 2], bins * bins)]
+
+
+def _common_cells(ch, b0, kmat, tab, bins: int):
+    """Thinned candidate rows (r0, r1, r2, flat) of one constraint.
+
+    The two-level grid pairs each outer sub-covariance K1+K2 of ``kmat``
+    (factor ``b0``) with each inner split K2 below it; ``flat`` indexes
+    it as in :func:`grid_params`.  The rows are those of
+    :func:`_reduce_triples` on the whole grid, without building it: the
+    inner level is streamed in the outer-row blocks of :func:`row_blocks`,
+    keeping only r1 and r2 until max r1 fixes the cells.  Then each block
+    is cut to its own cell winners, and the blocks are merged in order, a
+    later block taking a cell only with a strictly higher r2, so the
+    lowest flat index wins ties.  Returns (rows, grid rows, blocks).
+    """
+    t = ch.t
+    gains = (ch.g1, ch.g2)
+    c1k, c2k = mi_xy(ch, kmat, 1), mi_xy(ch, kmat, 2)
+    outer = children_factors(b0[None], tab.rots, tab.combos).reshape(-1, t, t)
+    n = len(outer)  # outer nodes, and inner nodes per outer node
+    l1o, l2o = (0.5 * np.log2(det_i_plus_gram(g, outer)) for g in gains)
+    r0 = np.maximum(np.minimum(c1k - l1o, c2k - l2o), 0.0)
+    spans = row_blocks(n, n)
+
+    def rates(span):
+        lo, hi = span
+        # numpy multiplies one row by gemv, which rounds differently from
+        # gemm: a lone row is scored with a neighbour, so that every row's
+        # bits are the same whatever the block size.
+        a = min(lo, max(n - 2, 0))
+        b = min(max(hi, a + 2), n)
+        l1i, l2i = (
+            0.5 * np.log2(pair_dets(g, outer[a:b], tab.rots, tab.dgrids).reshape(b - a, n))
+            for g in gains
+        )
+        l1i, l2i = l1i[lo - a : hi - a], l2i[lo - a : hi - a]
+        return np.maximum(l1i - l2i, 0.0), np.maximum(l2o[lo:hi, None] - l2i, 0.0)
+
+    parts = map_ordered(rates, spans)
+    c0 = _cell_index(r0, r0.max() + 1e-12, bins)
+    s1 = np.max([r1.max() for r1, _ in parts]) + 1e-12
+
+    def winners(item):
+        (lo, hi), (r1, r2) = item
+        comb = (c0[lo:hi, None] * bins + _cell_index(r1, s1, bins)).ravel()
+        r1, r2 = r1.ravel(), r2.ravel()
+        sel = _cell_winners(comb, r2, bins * bins)
+        return comb[sel], r1[sel], r2[sel], sel + lo * n
+
+    best = np.full((bins * bins, 2), -np.inf)  # r1, r2 of each cell's row
+    flat = np.full(bins * bins, -1)
+    for cells, r1, r2, idx in map_ordered(winners, list(zip(spans, parts))):
+        up = r2 > best[cells, 1]
+        cells = cells[up]
+        best[cells] = np.column_stack([r1[up], r2[up]])
+        flat[cells] = idx[up]
+    cells = np.flatnonzero(flat >= 0)
+    rows = np.column_stack([r0[flat[cells] // n], best[cells], flat[cells]])
+    return rows, n * n, len(spans)
 
 
 def _triples_from_candidates(ch, b0, kmat, cand, tables) -> list:
-    out = []
-    for row in cand:
-        # The inner split was swept from the chained outer factor, so the
-        # same chain (not a fresh Cholesky root) must rebuild it.
-        factors = chain_factor(b0, grid_params(tables, row[3], 2), ch.t, 2)[0]
-        ksum, k2 = gram(factors)
-        out.append(
-            RateTriple(row[0], row[1], row[2], {"k": kmat, "k1": ksum - k2, "k2": k2})
-        )
-    return out
+    # The inner split was swept from the chained outer factor, so the
+    # same chain (not a fresh Cholesky root) must rebuild it.
+    factors = chain_factor(b0, grid_params(tables, cand[:, 3], 2), ch.t, 2)
+    ks = gram(factors)
+    return [
+        RateTriple(row[0], row[1], row[2], {"k": kmat, "k1": ksum - k2, "k2": k2})
+        for row, (ksum, k2) in zip(cand, ks)
+    ]
 
 
 def region_common_fixed(ch: GaussianBc, k, grid: GridSpec | None = None) -> Frontier:
@@ -644,6 +714,9 @@ def region_common_fixed(ch: GaussianBc, k, grid: GridSpec | None = None) -> Fron
     Sweeps the chained parameterization: an outer sub-covariance K1+K2 of
     ``k`` (what is left carries the common message) and an inner split of
     it into the confidential layer K2 and receiver 2's private layer K1.
+    The grid is streamed and thinned by :func:`_common_cells`; ``meta``
+    counts its rows (``candidates``), the rows left after thinning
+    (``thinned``) and the blocks.
     """
     grid = grid or GridSpec()
     k = validate_psd(k, name="k")
@@ -655,17 +728,21 @@ def region_common_fixed(ch: GaussianBc, k, grid: GridSpec | None = None) -> Fron
     if np.abs(k).max() < 1e-15:
         return Frontier([RateTriple(0, 0, 0, {"k": k, "k1": zero, "k2": zero})], meta)
     b0 = sqrt_factor(k)
-    cand, tables = _common_candidates(
-        ch, b0, k, grid.chain_theta_steps, grid.chain_diag_steps
-    )
-    cand = _reduce_triples(cand)
+    tab = grid_tables(t, grid.chain_theta_steps, diag_values(grid.chain_diag_steps))
+    cand, meta["candidates"], meta["blocks"] = _common_cells(ch, b0, k, tab, _CELLS)
+    meta["thinned"] = len(cand)
     cand = cand[_pareto_rows_triples(cand[:, :3])]
-    points = _triples_from_candidates(ch, b0, k, cand, tables)
+    points = _triples_from_candidates(ch, b0, k, cand, tab)
     return Frontier(pareto_filter_triples(points), meta)
 
 
 def region_common_power(ch: GaussianBc, p: float, grid: GridSpec | None = None) -> Frontier:
-    """Union of the common-message surfaces over the trace-p manifold."""
+    """Union of the common-message surfaces over the trace-p manifold.
+
+    Each manifold node runs the kernel of :func:`region_common_fixed` on
+    the ``deep_*`` grid with coarser cells; the union of the survivors is
+    thinned again and Pareto-filtered, and ``meta`` sums the counts.
+    """
     grid = grid or GridSpec()
     if p < 0:
         raise ValueError("power must be nonnegative")
@@ -678,35 +755,37 @@ def region_common_power(ch: GaussianBc, p: float, grid: GridSpec | None = None) 
         )
     if t == 1:
         fr = region_common_fixed(ch, np.array([[float(p)]]), grid)
+        meta.update({key: fr.meta[key] for key in ("candidates", "thinned", "blocks")})
         return Frontier(fr.points, meta)
     _, vmani, qs = _manifold_nodes(
         t, p, grid.deep_theta_steps, grid.deep_trace_steps
     )
     nodes = [(vi, qi) for vi in range(len(vmani)) for qi in range(len(qs))]
+    tab = grid_tables(t, grid.deep_theta_steps, diag_values(grid.deep_diag_steps))
 
     def node_factor(node):
         vi, qi = node
         b = _mani_factor(vmani[vi], qs[qi])
         return b, gram(b)
 
-    def work(item):
-        node_idx, node = item
-        b, kmat = node_factor(node)
-        cand, tables = _common_candidates(
-            ch, b, kmat, grid.deep_theta_steps, grid.deep_diag_steps
+    def work(node_idx):
+        cand, evaluated, blocks = _common_cells(
+            ch, *node_factor(nodes[node_idx]), tab, _NODE_CELLS
         )
-        cand = _reduce_triples(cand, bins=64)
-        return np.column_stack([cand, np.full(cand.shape[0], node_idx)]), tables
+        return np.column_stack([cand, np.full(len(cand), node_idx)]), evaluated, blocks
 
-    parts = map_ordered(work, list(enumerate(nodes)))
-    tables = parts[0][1]
-    cand = np.vstack([c for c, _ in parts])
-    cand = _reduce_triples(cand)
+    parts = map_ordered(work, list(range(len(nodes))))
+    cand = _reduce_triples(np.vstack([c for c, _, _ in parts]))
+    meta["candidates"] = sum(evaluated for _, evaluated, _ in parts)
+    meta["blocks"] = sum(blocks for _, _, blocks in parts)
+    meta["thinned"] = len(cand)
     cand = cand[_pareto_rows_triples(cand[:, :3])]
     points = []
-    for row in cand:
-        b, kmat = node_factor(nodes[int(row[4])])
-        points.extend(_triples_from_candidates(ch, b, kmat, row[None, :4], tables))
+    node_of = cand[:, 4].astype(int)
+    for i in np.unique(node_of):
+        b, kmat = node_factor(nodes[i])
+        rows = cand[node_of == i, :4]
+        points.extend(_triples_from_candidates(ch, b, kmat, rows, tab))
     return Frontier(pareto_filter_triples(points), meta)
 
 

@@ -16,14 +16,15 @@ back into its parameter vector.  Determinants of
 expansion of ``det(I + D M)``, which costs 2^t coefficient arrays instead
 of one determinant per grid node.
 
-Grids are reduced in row blocks (:func:`top_k_rows`), so no sweep holds
-more than about ``GRID_BLOCK_NODES`` nodes at once: each block is cut to
-its own top k and the survivors are merged.  Selection keeps the k best
-distinct values (:func:`top_k_flat`): exactly tied grid nodes count
-once, and each value is taken at its lowest flat index, i.e. the
-lexicographically smallest parameter vector.  The merged top k is
-therefore exactly the top k of the whole grid, and blocks may run on any
-number of workers (:func:`map_ordered`) without changing the result.
+Grids are reduced in row blocks (:func:`row_blocks`), so no sweep holds
+more than about ``GRID_BLOCK_NODES`` nodes at once.  In
+:func:`top_k_rows` each block is cut to its own top k and the survivors
+are merged.  Selection keeps the k best distinct values
+(:func:`top_k_flat`): exactly tied grid nodes count once, and each value
+is taken at its lowest flat index, i.e. the lexicographically smallest
+parameter vector.  The merged top k is therefore exactly the top k of
+the whole grid, and blocks may run on any number of workers
+(:func:`map_ordered`) without changing the result.
 
 Refinement runs a batch of starts in lockstep (:func:`coordinate_refine`,
 :func:`golden_max`): every objective call evaluates the live lanes at
@@ -68,12 +69,13 @@ __all__ = [
     "coordinate_refine",
     "top_k_flat",
     "top_k_rows",
+    "row_blocks",
     "worker_count",
     "map_ordered",
 ]
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-# Grid nodes scored per row block by top_k_rows (and per worker task).
+# Grid nodes per row block of row_blocks (and per worker task).
 GRID_BLOCK_NODES = 1 << 16
 
 
@@ -450,21 +452,30 @@ def top_k_flat(values: np.ndarray, k: int) -> np.ndarray:
     return first[:k]
 
 
+def row_blocks(n_rows: int, n_cols: int) -> list[tuple[int, int]]:
+    """Row ranges (lo, hi) of an (n_rows, n_cols) grid, in row order.
+
+    Each block holds max(1, GRID_BLOCK_NODES // n_cols) rows, so at most
+    GRID_BLOCK_NODES nodes unless one row alone is larger.
+    """
+    rows = max(1, GRID_BLOCK_NODES // n_cols)
+    return [(lo, min(lo + rows, n_rows)) for lo in range(0, n_rows, rows)]
+
+
 def top_k_rows(score, n_rows: int, n_cols: int, k: int):
     """:func:`top_k_flat` of an (n_rows, n_cols) matrix scored in row blocks.
 
-    ``score(lo, hi)`` returns rows lo..hi-1 of the matrix.  Blocks of
-    max(1, GRID_BLOCK_NODES // n_cols) rows go through :func:`map_ordered`
-    and each is cut to its own top k.  A value's lowest index lies in the
-    earliest block that holds it, and each block keeps a value at most
-    once, so the top k of the survivors, concatenated in row order, is
-    exactly the top k of the whole matrix.  Returns (flat indices, their
-    values, blocks).
+    ``score(lo, hi)`` returns rows lo..hi-1 of the matrix.  The blocks of
+    :func:`row_blocks` go through :func:`map_ordered` and each is cut to
+    its own top k.  A value's lowest index lies in the earliest block that
+    holds it, and each block keeps a value at most once, so the top k of
+    the survivors, concatenated in row order, is exactly the top k of the
+    whole matrix.  Returns (flat indices, their values, blocks).
     """
-    rows = max(1, GRID_BLOCK_NODES // n_cols)
 
-    def block(lo):
-        vals = np.asarray(score(lo, min(lo + rows, n_rows)))
+    def block(span):
+        lo, hi = span
+        vals = np.asarray(score(lo, hi))
         # The k best distinct row maxima are k distinct values, so the
         # block's top k all reach the k-th of them: rank only those entries.
         rmax = vals.max(axis=1)
@@ -475,7 +486,7 @@ def top_k_rows(score, n_rows: int, n_cols: int, k: int):
         idx = cand[top_k_flat(flat[cand], k)]
         return idx + lo * n_cols, flat[idx]
 
-    parts = map_ordered(block, list(range(0, n_rows, rows)))
+    parts = map_ordered(block, row_blocks(n_rows, n_cols))
     idx = np.concatenate([p[0] for p in parts])
     vals = np.concatenate([p[1] for p in parts])
     best = top_k_flat(vals, k)

@@ -158,3 +158,19 @@ def water_fill_oracle(g, p, iters=200):
             lo = mid
     q = np.maximum(0.5 * (lo + hi) - floors, 0.0)
     return 0.5 * float(np.sum(np.log2(1.0 + gains * q)))
+
+
+def pareto_rows_oracle(arr, slack):
+    """Row indices of Pareto-maximal rows by the quadratic definition.
+
+    Rows are deduped with ``np.unique(axis=0)``; a distinct row is dropped
+    when some row is >= in every column and more than ``slack`` larger in
+    one.  Returns the first copy of each kept row, in ``np.unique`` order.
+    """
+    arr = np.asarray(arr, float)
+    if arr.shape[0] == 0:
+        return np.zeros(0, dtype=int)
+    uniq, first = np.unique(arr, axis=0, return_index=True)
+    geq = (uniq[None, :, :] >= uniq[:, None, :]).all(axis=-1)
+    strict = (uniq[None, :, :] > uniq[:, None, :] + slack).any(axis=-1)
+    return first[~(geq & strict).any(axis=1)]

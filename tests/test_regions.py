@@ -28,6 +28,7 @@ from secbc import (
     region_common_power,
     wtc_capacity,
 )
+from secbc import sweeps
 from secbc.sweeps import diag_combos, diag_values, theta_tuple_grid
 
 from conftest import random_spd
@@ -303,14 +304,88 @@ class TestRegionCommon:
         assert max_r0 >= best - 0.05
 
     def test_triples_reverify_from_generators(self, example_channel, fast_grid):
-        fr = region_common_fixed(example_channel, np.diag([4.0, 4.0]), fast_grid)
-        for p in fr.points[:: max(1, len(fr.points) // 10)]:
-            r0, r1, r2 = r_common(
-                example_channel, p.gen["k"], p.gen["k1"], p.gen["k2"]
-            )
-            assert p.r0 == pytest.approx(max(r0, 0.0), abs=1e-9)
-            assert p.r1 == pytest.approx(max(r1, 0.0), abs=1e-9)
-            assert p.r2 == pytest.approx(max(r2, 0.0), abs=1e-9)
+        k = np.diag([4.0, 4.0])
+        _assert_triples_reverify(
+            example_channel, region_common_fixed(example_channel, k, fast_grid), k
+        )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_triples_reverify(self, seed, fast_grid):
+        t = 1 + seed % 3
+        rng = np.random.default_rng(seed)
+        ch = make_channel(rng.normal(size=(t, t)), rng.normal(size=(t, t)))
+        k = random_spd(rng, t, scale=3.0)
+        grid = GridSpec(chain_theta_steps=4, chain_diag_steps=3) if t == 3 else fast_grid
+        _assert_triples_reverify(ch, region_common_fixed(ch, k, grid), k)
+        if t < 3:
+            power = float(np.trace(k))
+            _assert_triples_reverify(ch, region_common_power(ch, power, fast_grid), power=power)
+
+
+def _assert_triples_reverify(ch, fr, k=None, power=None):
+    """Every triple re-verifies, with K2 <= K1 + K2 <= K and K = k or tr K = power."""
+    assert len(fr.points) > 1
+    for p in fr.points:
+        kmat, k1, k2 = p.gen["k"], p.gen["k1"], p.gen["k2"]
+        r0, r1, r2 = r_common(ch, kmat, k1, k2)
+        assert p.r0 == pytest.approx(max(r0, 0.0), abs=1e-9)
+        assert p.r1 == pytest.approx(max(r1, 0.0), abs=1e-9)
+        assert p.r2 == pytest.approx(max(r2, 0.0), abs=1e-9)
+        assert psd_leq(np.zeros_like(k2), k2)
+        assert psd_leq(k2, k1 + k2) and psd_leq(k1 + k2, kmat)
+        if k is not None:
+            assert np.array_equal(kmat, k)
+        else:
+            assert np.trace(kmat) == pytest.approx(power, abs=1e-9)
+
+
+class TestCommonStreaming:
+    """The streamed candidate kernel behind both common-message sweeps."""
+
+    K = np.diag([4.0, 4.0])
+
+    def run_both(self, ch, grid):
+        return [region_common_fixed(ch, self.K, grid), region_common_power(ch, 6.0, grid)]
+
+    @staticmethod
+    def fingerprint(fr):
+        return [
+            (np.array([p.r0, p.r1, p.r2]).tobytes(),)
+            + tuple(p.gen[key].tobytes() for key in ("k", "k1", "k2"))
+            for p in fr.points
+        ]
+
+    def test_block_size_and_threads_do_not_change_the_result(
+        self, example_channel, fast_grid, monkeypatch
+    ):
+        reference = [self.fingerprint(fr) for fr in self.run_both(example_channel, fast_grid)]
+        # 1 node per block leaves every outer row alone in its block; 500
+        # nodes gives blocks of 2 (fixed) and 5 (power) outer rows, the
+        # last power block holding a single row.
+        for block_nodes in (1, 500):
+            monkeypatch.setattr(sweeps, "GRID_BLOCK_NODES", block_nodes)
+            for threads in ("1", "2"):
+                monkeypatch.setenv("SECBC_THREADS", threads)
+                runs = self.run_both(example_channel, fast_grid)
+                assert [self.fingerprint(fr) for fr in runs] == reference
+                assert all(fr.meta["blocks"] > 1 for fr in runs)
+
+    def test_meta_counts_grid_rows_thinned_rows_and_blocks(
+        self, example_channel, scalar_channel, fast_grid
+    ):
+        fixed, power = self.run_both(example_channel, fast_grid)
+        n_chain = 8 * 5**2  # t = 2: one angle and two scalings per level
+        assert fixed.meta["candidates"] == n_chain * n_chain
+        assert fixed.meta["blocks"] == 1
+        nodes = 6 * 7  # deep_theta_steps angles times deep_trace_steps splits
+        n_deep = 6 * 4**2
+        assert power.meta["candidates"] == nodes * n_deep * n_deep
+        assert power.meta["blocks"] == nodes
+        for fr in (fixed, power):
+            assert len(fr.points) <= fr.meta["thinned"] <= 96**2
+        scalar = region_common_power(scalar_channel, 3.0, fast_grid)
+        assert scalar.meta["candidates"] == 5 * 5 and scalar.meta["blocks"] == 1
+        assert len(scalar.points) <= scalar.meta["thinned"] <= 25
 
 
 class TestBothConfidential:
