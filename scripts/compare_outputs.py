@@ -1,0 +1,235 @@
+"""Record the outputs of a fixed call list and diff two records.
+
+    SECBC_THREADS=1 python scripts/compare_outputs.py record parent.json --src ../parent/src
+    SECBC_THREADS=1 python scripts/compare_outputs.py record change.json
+    python scripts/compare_outputs.py diff parent.json change.json
+
+``record`` imports secbc from ``--src`` (default: this checkout's
+``src``), runs every case below and writes its outputs as JSON at full
+precision (floats at ``repr`` precision read back bit for bit).  A
+frontier is stored as its rate rows plus one flattened matrix per
+generator and point; ``wtc_capacity_power`` as its value, constraint and
+argmax; a CLI case as the SHA-256 of each file it writes.
+
+``diff`` prints, per case, whether the two records are bitwise equal,
+both point counts and the largest |change| of each rate column and each
+generator.  Each case carries a gate: ``bitwise``, or a tolerance on
+every rate with equal point counts.  The exit status is 1 when a gate
+fails or a case is missing from either record.
+
+The cases (``P`` is the power, ``K`` the covariance constraint):
+
+- ``wtc_capacity_power``, ``both_confidential_frontier`` and
+  ``region_common_power`` on the example channel at P = 12 and on
+  channels from ``default_rng(1000 t + s)``: gains N(0, 1.5^2) redrawn
+  until cond < 30, then P ~ U(2, 20).  t = 1, 2 with s = 1-6 at the
+  default grid; t = 3 with s = 1-3 (first two functions only) at
+  ``theta_steps=8, trace_steps=9``.  All bitwise.
+- ``frontier_fixed_cov`` and ``region_common_fixed`` on the example
+  channel with K = 6I and 4I, and on ``default_rng(100 t + s)`` channels
+  (t = 1-3, s = 1-4) with K = A A^T + 0.1 I.  Default grid, except
+  ``theta_steps=8, diag_steps=9`` and chain grid (4, 3) at t = 3, where
+  the default two-level grid holds about 10^13 nodes.  All bitwise.
+- ``frontier_power`` on the example channel at P = 12 and on
+  ``default_rng(s)`` t = 2 channels (s = 1-5, drawn as above): same
+  point count, every rate within 1e-12.
+- the CLI files ``region --mode common --power 12``, ``wtc --power 12``
+  and the ``_both_confidential.csv`` of ``compare --power 12`` on the
+  example channel: byte-identical.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import sys
+import tempfile
+from functools import partial
+from pathlib import Path
+
+import numpy as np
+
+EXAMPLE_G1 = [[0.3, 2.5], [2.2, 1.8]]
+EXAMPLE_G2 = [[1.3, 1.2], [1.5, 3.9]]
+RATE_TOL_POWER = 1e-12
+
+
+def _gain(rng, t: int) -> np.ndarray:
+    while True:
+        g = rng.normal(size=(t, t)) * 1.5
+        if np.linalg.cond(g) < 30.0:
+            return g
+
+
+def _cases(secbc):
+    """(name, gate, call) triples; gate 0.0 means bitwise."""
+    grid_t3 = secbc.GridSpec(theta_steps=8, trace_steps=9)
+    fixed_t3 = secbc.GridSpec(
+        theta_steps=8, diag_steps=9, chain_theta_steps=4, chain_diag_steps=3
+    )
+    example = secbc.make_channel(EXAMPLE_G1, EXAMPLE_G2)
+    out = []
+
+    power_sets = [("example", example, 12.0, None)]
+    for t in (1, 2, 3):
+        for s in range(1, 7 if t < 3 else 4):
+            rng = np.random.default_rng(1000 * t + s)
+            ch = secbc.make_channel(_gain(rng, t), _gain(rng, t))
+            p = float(rng.uniform(2.0, 20.0))
+            power_sets.append((f"t{t}s{s}", ch, p, grid_t3 if t == 3 else None))
+    for tag, ch, p, grid in power_sets:
+        fns = ["wtc_capacity_power", "both_confidential_frontier"]
+        if grid is None:
+            fns.append("region_common_power")
+        for fn in fns:
+            out.append((f"{fn}[{tag}]", 0.0, partial(getattr(secbc, fn), ch, p, grid)))
+
+    fixed_sets = [("example,6I", example, 6.0 * np.eye(2), None)]
+    fixed_sets.append(("example,4I", example, 4.0 * np.eye(2), None))
+    for t in (1, 2, 3):
+        for s in range(1, 5):
+            rng = np.random.default_rng(100 * t + s)
+            ch = secbc.make_channel(_gain(rng, t), _gain(rng, t))
+            a = rng.normal(size=(t, t))
+            k = a @ a.T + 0.1 * np.eye(t)
+            fixed_sets.append((f"t{t}s{s}", ch, k, fixed_t3 if t == 3 else None))
+    for tag, ch, k, grid in fixed_sets:
+        for fn in ("frontier_fixed_cov", "region_common_fixed"):
+            out.append((f"{fn}[{tag}]", 0.0, partial(getattr(secbc, fn), ch, k, grid)))
+
+    pair_sets = [("example", example, 12.0)]
+    for s in range(1, 6):
+        rng = np.random.default_rng(s)
+        ch = secbc.make_channel(_gain(rng, 2), _gain(rng, 2))
+        pair_sets.append((f"t2s{s}", ch, float(rng.uniform(2.0, 20.0))))
+    for tag, ch, p in pair_sets:
+        call = partial(secbc.frontier_power, ch, p)
+        out.append((f"frontier_power[{tag}]", RATE_TOL_POWER, call))
+
+    chan = ["--g1", "0.3,2.5;2.2,1.8", "--g2", "1.3,1.2;1.5,3.9", "--power", "12"]
+    for name, argv, keep in (
+        ("cli:region-common", ["region", "--mode", "common"], ("out.csv",)),
+        ("cli:wtc", ["wtc"], ("out.csv",)),
+        ("cli:compare", ["compare"], ("out_both_confidential.csv",)),
+    ):
+        out.append((name, 0.0, partial(_cli_files, argv + chan, keep)))
+    return out
+
+
+def _cli_files(argv, keep):
+    """SHA-256 of the files ``keep`` that ``secbc argv --out DIR/out.csv`` writes."""
+    from secbc import cli
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out.csv")
+        with open(os.devnull, "w", encoding="utf-8") as null:
+            saved, sys.stdout = sys.stdout, null
+            try:
+                rc = cli.main(argv + ["--out", path])
+            finally:
+                sys.stdout = saved
+        if rc != 0:
+            raise RuntimeError(f"secbc {' '.join(argv)} exited {rc}")
+        return {
+            name: hashlib.sha256(Path(tmp, name).read_bytes()).hexdigest() for name in keep
+        }
+
+
+def _flat(value) -> dict:
+    """JSON-ready record of one call's output."""
+    if isinstance(value, dict):  # CLI file hashes
+        return {"files": value}
+    if isinstance(value, tuple):  # wtc_capacity_power
+        v, k, ks = value
+        gens = {"k": [np.ravel(k).tolist()], "kstar": [np.ravel(ks).tolist()]}
+        return {"rates": [[float(v)]], "gens": gens}
+    pts = value.points
+    names = list(pts[0].gen) if pts else []
+    if value.is_triple:
+        rates = [[p.r0, p.r1, p.r2] for p in pts]
+    else:
+        rates = [[p.r1, p.r2] for p in pts]
+    gens = {n: [np.ravel(p.gen[n]).tolist() for p in pts] for n in names}
+    return {"rates": rates, "gens": gens}
+
+
+def record(path: str, src: str) -> None:
+    sys.path.insert(0, os.path.abspath(src))
+    import secbc
+
+    cases = {}
+    for name, gate, call in _cases(secbc):
+        cases[name] = {"gate": gate, **_flat(call())}
+        print(name, flush=True)
+    meta = {"src": os.path.abspath(src), "threads": os.environ.get("SECBC_THREADS")}
+    Path(path).write_text(json.dumps({"meta": meta, "cases": cases}) + "\n", encoding="utf-8")
+
+
+def _max_abs(a, b) -> float:
+    if a.size == 0:
+        return 0.0
+    return float(np.max(np.abs(a - b)))
+
+
+def diff(path_a: str, path_b: str) -> int:
+    a = json.loads(Path(path_a).read_text(encoding="utf-8"))["cases"]
+    b = json.loads(Path(path_b).read_text(encoding="utf-8"))["cases"]
+    failed = 0
+    for name in sorted(set(a) | set(b)):
+        if name not in a or name not in b:
+            print(f"FAIL {name}: missing from the {'first' if name not in a else 'second'} record")
+            failed += 1
+            continue
+        x, y = a[name], b[name]
+        if "files" in x:
+            same = x["files"] == y["files"]
+            verdict = "ok   {}: files identical" if same else "FAIL {}: files differ"
+            print(verdict.format(name))
+            failed += not same
+            continue
+        ra, rb = np.array(x["rates"], dtype=float), np.array(y["rates"], dtype=float)
+        bitwise = (
+            ra.tobytes() == rb.tobytes()
+            and set(x["gens"]) == set(y["gens"])
+            and all(
+                np.array(x["gens"][g]).tobytes() == np.array(y["gens"][g]).tobytes()
+                for g in x["gens"]
+            )
+        )
+        line = f"{name}: points {len(ra)} -> {len(rb)}, bitwise {bitwise}"
+        ok = bitwise
+        if not bitwise and ra.shape == rb.shape:
+            cols = ("r0", "r1", "r2") if ra.shape[1:] == (3,) else ("r1", "r2")
+            deltas = [_max_abs(ra[:, i], rb[:, i]) for i in range(ra.shape[1])]
+            line += ", max|d| " + " ".join(f"{c}={d:.2e}" for c, d in zip(cols, deltas))
+            for g in x["gens"]:
+                ga, gb = np.array(x["gens"][g]), np.array(y["gens"].get(g, []))
+                line += f" {g}=" + (f"{_max_abs(ga, gb):.2e}" if ga.shape == gb.shape else "shape")
+            ok = x["gate"] > 0.0 and max(deltas) <= x["gate"]
+        gate = "bitwise" if x["gate"] == 0.0 else f"rates within {x['gate']:g}"
+        print(f"{'ok  ' if ok else 'FAIL'} {line} (gate: {gate})")
+        failed += not ok
+    print(f"{failed} case(s) failed" if failed else "all gates pass")
+    return 1 if failed else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    rec = sub.add_parser("record", help="run the call list and write its outputs")
+    rec.add_argument("out", help="JSON file to write")
+    rec.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
+    dif = sub.add_parser("diff", help="compare two records")
+    dif.add_argument("first")
+    dif.add_argument("second")
+    args = parser.parse_args(argv)
+    if args.command == "record":
+        record(args.out, args.src)
+        return 0
+    return diff(args.first, args.second)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

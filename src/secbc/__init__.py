@@ -56,7 +56,6 @@ from .regions import (
     Frontier,
     RatePoint,
     RateTriple,
-    augment_trace,
     both_confidential_frontier,
     check_k1_zero,
     frontier_fixed_cov,
@@ -87,7 +86,6 @@ __all__ = [
     "SecbcError",
     "SingularMatrixError",
     "SubCovParams",
-    "augment_trace",
     "bound_b",
     "both_confidential_frontier",
     "check_k1_zero",

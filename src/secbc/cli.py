@@ -267,7 +267,7 @@ def _cmd_region(cfg: RunConfig) -> int:
     ch = cfg.channel()
     power, cov = cfg.constraint()
     grid = cfg.grid()
-    mode = cfg.mode or "no-common"
+    mode = cfg.mode
     start = time.perf_counter()
     if mode == "no-common":
         fr = (
@@ -407,29 +407,18 @@ _COMMANDS = {
     "envelope": _cmd_envelope,
     "compare": _cmd_compare,
 }
+# The modes of the region command; every other command is its own mode.
+_REGION_MODES = ("no-common", "common", "both-confidential")
 # run() dispatches on the mode field; region modes share one handler.
-_MODES = {
-    "no-common": _cmd_region,
-    "common": _cmd_region,
-    "both-confidential": _cmd_region,
-    "wtc": _cmd_wtc,
-    "dpc-check": _cmd_dpc_check,
-    "decomp-check": _cmd_decomp_check,
-    "envelope": _cmd_envelope,
-    "compare": _cmd_compare,
-}
+_MODES = dict.fromkeys(_REGION_MODES, _cmd_region)
+_MODES.update((name, fn) for name, fn in _COMMANDS.items() if name != "region")
 
 
 # The one constraint a mode accepts, where it accepts only one, and the
 # files each mode writes (SVG plots 2-D frontiers only).
 _NEEDS = {"both-confidential": "power", "compare": "power", "envelope": "covariance"}
-_WRITES = {
-    "no-common": ("out", "svg"),
-    "common": ("out",),
-    "both-confidential": ("out", "svg"),
-    "wtc": ("out",),
-    "compare": ("out", "svg"),
-}
+_WRITES = dict.fromkeys(_REGION_MODES, ("out", "svg"))
+_WRITES.update({"common": ("out",), "wtc": ("out",), "compare": ("out", "svg")})
 
 
 def _writable(path: str) -> None:
@@ -507,11 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         sp = sub.add_parser(name)
         if name == "region":
-            sp.add_argument(
-                "--mode",
-                choices=["no-common", "common", "both-confidential"],
-                default="no-common",
-            )
+            sp.add_argument("--mode", choices=_REGION_MODES, default=_REGION_MODES[0])
         _add_common(sp)
     return parser
 
@@ -523,7 +508,7 @@ def main(argv=None) -> int:
         if args.command != "region":
             cfg.mode = args.command
         elif not cfg.mode:
-            cfg.mode = "no-common"
+            cfg.mode = _REGION_MODES[0]
         # Configuration and SECBC_THREADS are validated before any
         # compute, so configuration mistakes exit with status 2.
         _validate(cfg)

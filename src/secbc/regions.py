@@ -8,26 +8,35 @@ generating covariances:
 - power-constraint pair region: the private rate depends on K only
   through C2(K), so the union over K and K* <= K is taken over K* alone
   with tr K* <= P, each box reaching the closed-form water-filling
-  capacity W(K*) of the power left after K*; a coarse (angles,
-  eigenvalues) grid of K* is zoomed around its Pareto nodes;
+  capacity W(K*) of the power left after K*;
 - common-message triple regions (fixed covariance and power);
 - the comparison region where both private messages are confidential.
+
+Every covariance under the power constraint is K = V diag(e) V^T, a
+Givens product V of angles and eigenvalues e >= 0, built from rows
+(angles, e) by one factor builder (:func:`_trace_factors`).  Its grids
+cross the angle tuples with a table of eigenvalue rows
+(:func:`_trace_grid`), and there are two such tables: the trace-P
+simplex (``simplex_grid``) for the constraint matrices of the wiretap,
+both-confidential and common-message sweeps, and the u-ball e = P u^2
+with sum u^2 <= 1 for the K* of the pair region, whose coarse grid is
+then zoomed around its Pareto nodes.
 
 Frontiers carry the generating covariances on every point so any output
 row can be re-verified by plugging the matrices back into the rate
 formulas.  Sweeps follow the grid resolutions in :class:`GridSpec`.  The
 max-confidential-rate corner of every region is the closed-form wiretap
 optimum of its constraint matrix (:func:`wtc_capacity`); under a power
-constraint that optimum is polished by golden section over the trace-p
-manifold parameters.
+constraint that optimum is polished by golden section over the angles
+and leading eigenvalues of the trace-P constraint.
 
-The common-message sweeps stream their two-level grid in blocks of
-outer rows of at most ``GRID_BLOCK_NODES`` candidates
-(:func:`secbc.sweeps.row_blocks`).  Each block is cut to one winner per
-(r0, r1) cell before the output-sensitive triple Pareto filter runs.
-Manifold nodes, K* chunks and grid blocks may be evaluated in parallel
-(see SECBC_THREADS).  Results are always merged in node and block order,
-so output does not depend on the worker count or the block size.
+Every grid is streamed in the row blocks of :func:`secbc.sweeps.row_blocks`
+(at most about ``GRID_BLOCK_NODES`` nodes each) through
+:func:`secbc.sweeps.map_ordered`, which may run them in parallel (see
+SECBC_THREADS).  The common-message sweeps cut each block to one winner
+per (r0, r1) cell before the output-sensitive triple Pareto filter runs.
+Blocks and manifold nodes are always merged in order, so output does not
+depend on the worker count or the block size.
 """
 
 from __future__ import annotations
@@ -66,7 +75,6 @@ __all__ = [
     "frontier_fixed_cov",
     "wtc_capacity",
     "wtc_capacity_power",
-    "augment_trace",
     "frontier_power",
     "region_common_fixed",
     "region_common_power",
@@ -81,7 +89,6 @@ PARETO_SLACK = 1e-9
 ZOOM_LEVELS = 6
 ZOOM_POINTS = 3
 ZOOM_AXES = 2
-_ZOOM_CHUNK = 32768  # nodes per evaluation chunk (and per worker task)
 
 
 @dataclass
@@ -225,6 +232,12 @@ def _meta(ch: GaussianBc, grid: GridSpec, mode: str, k=None, p=None) -> dict:
     return {"kind": kind, "mode": mode, key: val, "channel": (ch.g1, ch.g2), "grid": grid}
 
 
+def _check_power(p) -> None:
+    """Reject a negative, nan or infinite power budget before any compute."""
+    if not (math.isfinite(p) and p >= 0):
+        raise ValueError("power must be finite and nonnegative")
+
+
 def _half_log2_det(g, k):
     """0.5 * log2 det(I + G K G^T) for one covariance or a batch (..., t, t)."""
     _, ld = np.linalg.slogdet(np.eye(g.shape[0]) + g @ k @ g.T)
@@ -279,7 +292,10 @@ def frontier_fixed_cov(ch: GaussianBc, k, grid: GridSpec | None = None) -> Front
     Sweeps sub-covariances of ``k`` on the (angles, scalings) grid,
     clamps the raw confidential rate at zero, Pareto-filters, and splices
     in the closed-form max-R1 corner of :func:`wtc_capacity`.  The K* = 0
-    node puts (0, max R2) on the frontier exactly.
+    node puts (0, max R2) on the frontier exactly.  The rotation rows are
+    streamed in :func:`row_blocks`; each block keeps its exactly
+    nondominated nodes, which hold every node the slack-tolerant filter
+    of the whole grid keeps, so the result does not depend on the blocks.
     """
     grid = grid or GridSpec()
     k = validate_psd(k, name="k")
@@ -288,36 +304,31 @@ def frontier_fixed_cov(ch: GaussianBc, k, grid: GridSpec | None = None) -> Front
         raise ValueError("constraint dimension does not match the channel")
     meta = _meta(ch, grid, "one_confidential", k=k)
     if np.abs(k).max() < 1e-15:
-        return Frontier(
-            [RatePoint(0.0, 0.0, {"k": k, "kstar": np.zeros_like(k)})], meta
-        )
+        return Frontier([RatePoint(0.0, 0.0, {"k": k, "kstar": np.zeros_like(k)})], meta)
     c2k = mi_xy(ch, k, 2)
     b0 = sqrt_factor(k)
     tab = grid_tables(t, grid.theta_steps, diag_values(grid.diag_steps))
     nd = tab.combos.shape[0]
 
-    cand: list[tuple[float, float, int]] = []
-    chunk = max(1, int(4_000_000 // max(nd, 1)))
-    for s in range(0, len(tab.rots), chunk):
-        vsel = tab.rots[s : s + chunk]
+    def front(span):
+        lo, hi = span
         l1, l2 = (
-            0.5 * np.log2(pair_dets(g, b0[None], vsel, tab.dgrids))[0].reshape(len(vsel), -1)
+            0.5 * np.log2(pair_dets(g, b0[None], tab.rots[lo:hi], tab.dgrids))[0].ravel()
             for g in (ch.g1, ch.g2)
         )
-        r1 = np.maximum(l1 - l2, 0.0).ravel()
-        r2 = (c2k - l2).ravel()
-        mask = _pareto_mask(r1, r2)
-        idx = np.flatnonzero(mask)
-        base = s * nd
-        cand.extend(zip(r1[idx], r2[idx], (idx + base).tolist()))
+        r1 = np.maximum(l1 - l2, 0.0)
+        r2 = c2k - l2
+        idx = np.flatnonzero(_pareto_mask(r1, r2, 0.0))
+        return r1[idx], r2[idx], idx + lo * nd
 
-    r1 = np.array([c[0] for c in cand])
-    r2 = np.array([c[1] for c in cand])
-    mask = _pareto_mask(r1, r2)
+    r1, r2, flat = (
+        np.concatenate(col)
+        for col in zip(*map_ordered(front, row_blocks(len(tab.rots), nd)))
+    )
     points = []
-    for i in np.flatnonzero(mask):
-        b = chain_factor(b0, grid_params(tab, cand[i][2], 1), t, 1)[0, 0]
-        points.append(RatePoint(cand[i][0], cand[i][1], {"k": k, "kstar": gram(b)}))
+    for i in np.flatnonzero(_pareto_mask(r1, r2)):
+        b = chain_factor(b0, grid_params(tab, flat[i], 1), t, 1)[0, 0]
+        points.append(RatePoint(r1[i], r2[i], {"k": k, "kstar": gram(b)}))
 
     rmax, kstar = _wtc_gevd(ch, k)
     r2_at = c2k - _half_log2_det(ch.g2, kstar)
@@ -325,52 +336,38 @@ def frontier_fixed_cov(ch: GaussianBc, k, grid: GridSpec | None = None) -> Front
     return Frontier(pareto_filter_pairs(points), meta)
 
 
-def augment_trace(kprime, p: float) -> np.ndarray:
-    """Raise the (1,1) entry of ``kprime`` until the trace reaches ``p``.
-
-    The result dominates ``kprime`` in the PSD order and has trace
-    exactly ``p``; raising only a diagonal entry keeps PSD-ness.
-    """
-    kprime = validate_psd(kprime, name="kprime")
-    tr = float(np.trace(kprime))
-    if tr > p + 1e-9 * (1.0 + abs(p)):
-        raise ValueError(f"trace {tr} exceeds the power budget {p}")
-    out = kprime.copy()
-    out[0, 0] += max(p - tr, 0.0)
-    return out
-
-
 def _angle_span(t: int) -> float:
     """Range of each rotation angle: pi covers every 2x2 eigenbasis."""
     return math.pi if t == 2 else 2.0 * math.pi
 
 
-def _manifold_nodes(t: int, p: float, theta_steps: int, trace_steps: int):
-    """Constraint matrices of trace p: factors B = V(angles) diag(sqrt(q))."""
+def _trace_factors(x, t: int) -> np.ndarray:
+    """Factors V(angles) diag(sqrt(e)) of K = V diag(e) V^T, rows x = (angles, e)."""
     m = t * (t - 1) // 2
-    tuples = theta_tuple_grid(m, theta_steps, full=_angle_span(t))
-    vmani = rotation_batch(tuples, t)
-    qs = simplex_grid(t, p, trace_steps)
-    return tuples, vmani, qs
+    return rotation_batch(x[:, :m], t) * np.sqrt(x[:, m:])[:, None, :]
 
 
-def _mani_factor(vmani_row: np.ndarray, q_row: np.ndarray) -> np.ndarray:
-    return vmani_row * np.sqrt(q_row)[None, :]
+def _trace_grid(t: int, theta_steps: int, tails) -> np.ndarray:
+    """Rows (angles, tail): each angle tuple crossed with each row of ``tails``.
+
+    ``theta_steps`` angles per Givens angle span :func:`_angle_span`; the
+    rows run angle-major, so row i holds angle tuple i // len(tails).
+    """
+    angles = theta_tuple_grid(t * (t - 1) // 2, theta_steps, full=_angle_span(t))
+    return np.column_stack(
+        [np.repeat(angles, len(tails), axis=0), np.tile(tails, (len(angles), 1))]
+    )
 
 
 def _manifold_scan(t: int, p: float, grid: GridSpec):
-    """Constraint matrices at the trace-p manifold nodes, in node order.
+    """Constraint matrices of trace p on the simplex grid, in node order.
 
     Returns (kmats, params); each params row holds the node's rotation
-    angles and the first t-1 entries of its trace split, the coordinates
-    that :func:`_power_corner_refine` polishes.
+    angles and its first t-1 eigenvalues, the coordinates that
+    :func:`_power_corner_refine` polishes.
     """
-    tuples, vmani, qs = _manifold_nodes(t, p, grid.theta_steps, grid.trace_steps)
-    b = (vmani[:, None] * np.sqrt(qs)[None, :, None, :]).reshape(-1, t, t)
-    params = np.column_stack(
-        [np.repeat(tuples, len(qs), axis=0), np.tile(qs[:, :-1], (len(vmani), 1))]
-    )
-    return gram(b), params
+    x = _trace_grid(t, grid.theta_steps, simplex_grid(t, p, grid.trace_steps))
+    return gram(_trace_factors(x, t)), x[:, :-1]
 
 
 def _power_corner_refine(ch, p, grid, scan, objective):
@@ -391,9 +388,9 @@ def _power_corner_refine(ch, p, grid, scan, objective):
     )
 
     def constraint(x):
-        q = np.column_stack([x[:, m:], p - x[:, m:].sum(axis=1)])
-        b = rotation_batch(x[:, :m], t) * np.sqrt(np.maximum(q, 0.0))[:, None, :]
-        return gram(b), q[:, -1] >= 0.0
+        e = np.column_stack([x[:, m:], p - x[:, m:].sum(axis=1)])
+        kmat = gram(_trace_factors(np.column_stack([x[:, :m], np.maximum(e, 0.0)]), t))
+        return kmat, e[:, -1] >= 0.0
 
     def f(x):
         kmat, feasible = constraint(x)
@@ -427,12 +424,10 @@ def _water_fill(nu, power):
 
 
 def _kstar_nodes(x, p: float, t: int):
-    """K* = V(angles) diag(p u^2) V^T for parameter rows x = (angles, u)."""
+    """K* = V(angles) diag(p u^2) V^T and its trace, rows x = (angles, u)."""
     m = t * (t - 1) // 2
-    v = rotation_batch(x[:, :m], t)
     e = p * x[:, m:] ** 2
-    ks = (v * e[:, None, :]) @ np.swapaxes(v, -1, -2)
-    return 0.5 * (ks + np.swapaxes(ks, -1, -2)), e.sum(axis=1)
+    return gram(_trace_factors(np.column_stack([x[:, :m], e]), t)), e.sum(axis=1)
 
 
 def _noise2(ch: GaussianBc) -> np.ndarray:
@@ -469,35 +464,32 @@ def _water_filled(ch: GaussianBc, p: float, kstars) -> np.ndarray:
 def _zoom_sweep(ch: GaussianBc, p: float, grid: GridSpec):
     """Pareto nodes of (r1(K*), W(K*)) over K* with tr K* <= p.
 
-    The coarse grid crosses the ``theta_steps`` angle tuples of
-    :func:`_manifold_nodes` with ``trace_steps`` values of u in [0, 1] per
-    eigenvalue e = p u^2 (square-root spacing keeps small eigenvalues
-    resolved), keeping sum u^2 <= 1.  Each zoom level evaluates a local
-    grid of ``ZOOM_POINTS`` per axis spanning +-1 cell around every Pareto
-    node, restricted to points that move at most ``ZOOM_AXES`` parameters
-    (the full tensor grid grows as 3^(t(t+1)/2)), then halves the cell;
-    points outside the ball sum u^2 <= 1 are pulled onto its surface
-    (tr K* = p).  Returns (Pareto params, nodes evaluated per level).
+    The coarse grid is :func:`_trace_grid` over the u-ball: ``trace_steps``
+    values of u in [0, 1] per eigenvalue e = p u^2 (square-root spacing
+    keeps small eigenvalues resolved), keeping sum u^2 <= 1.  Each zoom
+    level evaluates a local grid of ``ZOOM_POINTS`` per axis spanning +-1
+    cell around every Pareto node, restricted to points that move at most
+    ``ZOOM_AXES`` parameters (the full tensor grid grows as
+    3^(t(t+1)/2)), then halves the cell; points outside the ball
+    sum u^2 <= 1 are pulled onto its surface (tr K* = p).  Nodes are
+    evaluated in :func:`row_blocks`.  Returns (Pareto params, nodes
+    evaluated per level).
     """
     t = ch.t
     m = t * (t - 1) // 2
-    span = _angle_span(t)
     u = diag_combos(np.linspace(0.0, 1.0, grid.trace_steps), t)
-    u = u[np.sum(u * u, axis=1) <= 1.0]
-    angles = theta_tuple_grid(m, grid.theta_steps, full=span)
-    x = np.column_stack(
-        [np.repeat(angles, len(u), axis=0), np.tile(u, (len(angles), 1))]
-    )
+    x = _trace_grid(t, grid.theta_steps, u[np.sum(u * u, axis=1) <= 1.0])
     cell = np.array(
-        [span / grid.theta_steps] * m + [1.0 / max(grid.trace_steps - 1, 1)] * t
+        [_angle_span(t) / grid.theta_steps] * m
+        + [1.0 / max(grid.trace_steps - 1, 1)] * t
     )
     offsets = diag_combos(np.linspace(-1.0, 1.0, ZOOM_POINTS), m + t)
     moved = np.count_nonzero(offsets, axis=1)
     offsets = offsets[(moved >= 1) & (moved <= ZOOM_AXES)]
 
     def evaluate(x):
-        chunks = [x[s : s + _ZOOM_CHUNK] for s in range(0, len(x), _ZOOM_CHUNK)]
-        return np.vstack(map_ordered(lambda c: _kstar_rates(ch, p, c), chunks))
+        spans = row_blocks(len(x), 1)
+        return np.vstack(map_ordered(lambda s: _kstar_rates(ch, p, x[s[0] : s[1]]), spans))
 
     rates = evaluate(x)
     counts = [len(x)]
@@ -527,8 +519,7 @@ def frontier_power(ch: GaussianBc, p: float, grid: GridSpec | None = None) -> Fr
     the max-R2 corner is K* = 0.
     """
     grid = grid or GridSpec()
-    if p < 0:
-        raise ValueError("power must be nonnegative")
+    _check_power(p)
     t = ch.t
     meta = _meta(ch, grid, "one_confidential", p=p)
     if p == 0:
@@ -564,8 +555,7 @@ def both_confidential_frontier(
     plus the max-R1 and max-R2 corners polished over its parameters.
     """
     grid = grid or GridSpec()
-    if p < 0:
-        raise ValueError("power must be nonnegative")
+    _check_power(p)
     t = ch.t
     meta = _meta(ch, grid, "both_confidential", p=p)
     if p == 0:
@@ -598,8 +588,9 @@ def wtc_capacity_power(ch: GaussianBc, p: float, grid: GridSpec | None = None):
     returns (value, constraint, argmax).
     """
     grid = grid or GridSpec()
+    _check_power(p)
     t = ch.t
-    if p <= 0:
+    if p == 0:
         zero = np.zeros((t, t))
         return 0.0, zero, zero
     scan = _manifold_scan(t, p, grid)
@@ -739,42 +730,33 @@ def region_common_fixed(ch: GaussianBc, k, grid: GridSpec | None = None) -> Fron
 def region_common_power(ch: GaussianBc, p: float, grid: GridSpec | None = None) -> Frontier:
     """Union of the common-message surfaces over the trace-p manifold.
 
-    Each manifold node runs the kernel of :func:`region_common_fixed` on
-    the ``deep_*`` grid with coarser cells; the union of the survivors is
-    thinned again and Pareto-filtered, and ``meta`` sums the counts.
+    The manifold nodes are the :func:`_trace_grid` of ``deep_theta_steps``
+    angles and the ``deep_trace_steps`` simplex.  Each node runs the kernel
+    of :func:`region_common_fixed` on the ``deep_*`` grid with coarser
+    cells; the union of the survivors is thinned again and
+    Pareto-filtered, and ``meta`` sums the counts.
     """
     grid = grid or GridSpec()
-    if p < 0:
-        raise ValueError("power must be nonnegative")
+    _check_power(p)
     t = ch.t
     meta = _meta(ch, grid, "common", p=p)
     zero = np.zeros((t, t))
     if p == 0:
-        return Frontier(
-            [RateTriple(0, 0, 0, {"k": zero, "k1": zero, "k2": zero})], meta
-        )
+        return Frontier([RateTriple(0, 0, 0, {"k": zero, "k1": zero, "k2": zero})], meta)
     if t == 1:
         fr = region_common_fixed(ch, np.array([[float(p)]]), grid)
         meta.update({key: fr.meta[key] for key in ("candidates", "thinned", "blocks")})
         return Frontier(fr.points, meta)
-    _, vmani, qs = _manifold_nodes(
-        t, p, grid.deep_theta_steps, grid.deep_trace_steps
-    )
-    nodes = [(vi, qi) for vi in range(len(vmani)) for qi in range(len(qs))]
+    x = _trace_grid(t, grid.deep_theta_steps, simplex_grid(t, p, grid.deep_trace_steps))
+    factors = _trace_factors(x, t)
+    kmats = gram(factors)
     tab = grid_tables(t, grid.deep_theta_steps, diag_values(grid.deep_diag_steps))
 
-    def node_factor(node):
-        vi, qi = node
-        b = _mani_factor(vmani[vi], qs[qi])
-        return b, gram(b)
+    def work(i):
+        cand, evaluated, blocks = _common_cells(ch, factors[i], kmats[i], tab, _NODE_CELLS)
+        return np.column_stack([cand, np.full(len(cand), i)]), evaluated, blocks
 
-    def work(node_idx):
-        cand, evaluated, blocks = _common_cells(
-            ch, *node_factor(nodes[node_idx]), tab, _NODE_CELLS
-        )
-        return np.column_stack([cand, np.full(len(cand), node_idx)]), evaluated, blocks
-
-    parts = map_ordered(work, list(range(len(nodes))))
+    parts = map_ordered(work, list(range(len(x))))
     cand = _reduce_triples(np.vstack([c for c, _, _ in parts]))
     meta["candidates"] = sum(evaluated for _, evaluated, _ in parts)
     meta["blocks"] = sum(blocks for _, _, blocks in parts)
@@ -783,9 +765,8 @@ def region_common_power(ch: GaussianBc, p: float, grid: GridSpec | None = None) 
     points = []
     node_of = cand[:, 4].astype(int)
     for i in np.unique(node_of):
-        b, kmat = node_factor(nodes[i])
         rows = cand[node_of == i, :4]
-        points.extend(_triples_from_candidates(ch, b, kmat, rows, tab))
+        points.extend(_triples_from_candidates(ch, factors[i], kmats[i], rows, tab))
     return Frontier(pareto_filter_triples(points), meta)
 
 

@@ -1,8 +1,9 @@
-"""Property tests of the closed-form wiretap optimum.
+"""Property tests of the closed-form wiretap optimum and the power paths.
 
 Instances are random and ill-conditioned channels with t in {1, 2, 3},
 covariance constraints of every rank (so singular K is covered) and
-traces from 1e-3 to 1e9.  The brute-force references come from
+traces from 1e-3 to 1e9; the power-constrained regions get budgets from
+1e-2 to 1e3 and small grids.  The brute-force references come from
 ``tests/oracles.py`` and random sub-covariance samples, evaluated with the
 oracles' own determinant formula.
 
@@ -18,7 +19,18 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secbc import SubCovParams, compose_sub_cov, make_channel, r1_hat, wtc_capacity
+from secbc import (
+    GridSpec,
+    SubCovParams,
+    both_confidential_frontier,
+    compose_sub_cov,
+    frontier_power,
+    make_channel,
+    r1_hat,
+    r2_hat,
+    wtc_capacity,
+    wtc_capacity_power,
+)
 from secbc.regions import _wtc_gevd
 
 from oracles import mi_gauss, wtc_oracle_fixed
@@ -102,3 +114,56 @@ def test_batch_matches_single_solves(inst):
         v1, ks1 = _wtc_gevd(ch, kb)
         assert abs(value - v1) <= tol
         assert np.abs(kstar - ks1).max() <= 64.0 * EPS * (1.0 + np.abs(kb).max())
+
+
+@st.composite
+def power_instances(draw):
+    """(channel, swapped channel, power, grid, tolerance) of one power problem."""
+    t = draw(st.sampled_from([1, 2, 3]))
+    spread = draw(st.sampled_from([0.0, 2.0]))  # gain condition up to 1e3
+    power = 10.0 ** draw(st.floats(-2.0, 3.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g1, g2 = _gain(rng, t, spread), _gain(rng, t, spread)
+    grid = GridSpec(
+        theta_steps=draw(st.integers(2, 4)),
+        trace_steps=draw(st.integers(2, 5)),
+        refine_iters=draw(st.integers(0, 20)),
+    )
+    gain = max(np.linalg.norm(g1, 2), np.linalg.norm(g2, 2)) ** 2
+    tol = 1e-9 + 64.0 * EPS * (1.0 + power * gain)
+    return make_channel(g1, g2), make_channel(g2, g1), power, grid, tol
+
+
+def _assert_power_generators(k, kstar, power):
+    """tr K = power and 0 <= K* <= K, up to rounding of a matrix of K's size."""
+    assert abs(np.trace(k) - power) <= 1e-9 * power
+    floor = -64.0 * EPS * (1.0 + np.linalg.norm(k, 2))
+    assert np.linalg.eigvalsh(kstar).min() >= floor
+    assert np.linalg.eigvalsh(k - kstar).min() >= floor
+
+
+@settings(max_examples=12, deadline=None)
+@given(power_instances())
+def test_power_frontiers_reverify_from_generators(inst):
+    ch, swapped, power, grid, tol = inst
+    for p in frontier_power(ch, power, grid).points:
+        k, ks = p.gen["k"], p.gen["kstar"]
+        _assert_power_generators(k, ks, power)
+        assert abs(p.r1 - max(0.0, r1_hat(ch, k, ks))) <= tol
+        assert abs(p.r2 - r2_hat(ch, k, ks)) <= tol
+    for p in both_confidential_frontier(ch, power, grid).points:
+        k, ks = p.gen["k"], p.gen["kstar"]
+        _assert_power_generators(k, ks, power)
+        assert abs(p.r1 - max(0.0, r1_hat(ch, k, ks))) <= tol
+        # receiver 2's rate is kept secret from receiver 1 as well
+        r2 = r2_hat(ch, k, ks) - r2_hat(swapped, k, ks)
+        assert abs(p.r2 - max(0.0, r2)) <= 2.0 * tol
+
+
+@settings(max_examples=25, deadline=None)
+@given(power_instances())
+def test_wtc_power_value_is_closed_form_of_its_constraint(inst):
+    ch, _, power, grid, tol = inst
+    value, k, kstar = wtc_capacity_power(ch, power, grid)
+    _assert_power_generators(k, kstar, power)
+    assert abs(value - wtc_capacity(ch, k)[0]) <= tol

@@ -10,7 +10,6 @@ from secbc import (
     RatePoint,
     RateTriple,
     SubCovParams,
-    augment_trace,
     both_confidential_frontier,
     check_k1_zero,
     compose_sub_cov,
@@ -27,8 +26,9 @@ from secbc import (
     region_common_fixed,
     region_common_power,
     wtc_capacity,
+    wtc_capacity_power,
 )
-from secbc import sweeps
+from secbc import regions, sweeps
 from secbc.sweeps import diag_combos, diag_values, theta_tuple_grid
 
 from conftest import random_spd
@@ -106,6 +106,17 @@ class TestFrontierFixedCov:
             assert p.r1 == pytest.approx(r1, abs=1e-9)
             assert p.r2 == pytest.approx(r2, abs=1e-9)
 
+    def test_grows_with_the_constraint(self, example_channel, rng, fast_grid):
+        kprime = random_spd(rng, 2, scale=2.0)
+        a = rng.normal(size=(2, 2))
+        full = kprime + a @ a.T * ((10.0 - np.trace(kprime)) / np.sum(a * a))
+        assert np.trace(full) == pytest.approx(10.0)
+        assert psd_leq(kprime, full, 1e-9)
+        small = frontier_fixed_cov(example_channel, kprime, fast_grid)
+        big = frontier_fixed_cov(example_channel, full, fast_grid)
+        for p in small.points:
+            assert big.r2_available(p.r1, slack=5e-3) >= p.r2 - 5e-3
+
 
 class TestWtcCapacity:
     def test_symmetric_channel(self, rng):
@@ -128,30 +139,6 @@ class TestWtcCapacity:
         assert value <= golden["value"] + 5e-3
 
 
-class TestAugmentTrace:
-    def test_already_at_budget(self, rng):
-        k = random_spd(rng, 2)
-        k *= 5.0 / np.trace(k)
-        assert np.allclose(augment_trace(k, 5.0), k)
-
-    def test_zero_matrix(self):
-        out = augment_trace(np.zeros((3, 3)), 12.0)
-        assert np.allclose(out, np.diag([12.0, 0.0, 0.0]))
-
-    def test_dominates_and_grows_frontier(self, example_channel, rng, fast_grid):
-        kprime = random_spd(rng, 2, scale=2.0)
-        full = augment_trace(kprime, 10.0)
-        assert psd_leq(kprime, full, 1e-9)
-        small = frontier_fixed_cov(example_channel, kprime, fast_grid)
-        big = frontier_fixed_cov(example_channel, full, fast_grid)
-        for p in small.points:
-            assert big.r2_available(p.r1, slack=5e-3) >= p.r2 - 5e-3
-
-    def test_trace_overflow(self):
-        with pytest.raises(ValueError):
-            augment_trace(np.eye(2), 1.0)
-
-
 def _assert_power_points_reverify(ch, fr, power):
     """Every point re-verifies, with tr K = power and 0 <= K* <= K."""
     assert len(fr.points) > 1
@@ -162,6 +149,50 @@ def _assert_power_points_reverify(ch, fr, power):
         assert np.trace(k) == pytest.approx(power, abs=1e-9)
         assert np.linalg.eigvalsh(k - ks).min() >= -1e-12
         assert np.linalg.eigvalsh(ks).min() >= -1e-12
+
+
+class TestPowerBudget:
+    @pytest.mark.parametrize(
+        "fn",
+        [frontier_power, both_confidential_frontier, region_common_power, wtc_capacity_power],
+    )
+    @pytest.mark.parametrize("power", [-1.0, math.nan, math.inf])
+    def test_rejected_before_any_compute(self, fn, power, example_channel, monkeypatch):
+        def computed(*args):
+            raise AssertionError("swept a grid before checking the power budget")
+
+        monkeypatch.setattr(regions, "_trace_grid", computed)
+        with pytest.raises(ValueError, match="power must be finite and nonnegative"):
+            fn(example_channel, power)
+
+
+class TestPairStreaming:
+    """The row-block streaming of the fixed-covariance and K* sweeps."""
+
+    @staticmethod
+    def fingerprint(fr):
+        return [
+            (np.array([p.r1, p.r2]).tobytes(), p.gen["k"].tobytes(), p.gen["kstar"].tobytes())
+            for p in fr.points
+        ]
+
+    def test_block_size_and_threads_do_not_change_the_result(
+        self, example_channel, monkeypatch
+    ):
+        grid = GridSpec(theta_steps=6, diag_steps=5, trace_steps=5)
+
+        def run():
+            return [
+                self.fingerprint(frontier_fixed_cov(example_channel, np.diag([4.0, 4.0]), grid)),
+                self.fingerprint(frontier_power(example_channel, 6.0, grid)),
+            ]
+
+        reference = run()
+        # 1 node per block scores every rotation row and K* node alone
+        for block_nodes, threads in ((1, "1"), (7, "2"), (500, "2")):
+            monkeypatch.setattr(sweeps, "GRID_BLOCK_NODES", block_nodes)
+            monkeypatch.setenv("SECBC_THREADS", threads)
+            assert run() == reference
 
 
 class TestFrontierPower:
