@@ -1,7 +1,9 @@
-"""Time the common-message sweeps and their triple Pareto filter.
+"""Time the common-message sweeps, their triple Pareto filter and the envelopes.
 
     python scripts/bench_common.py --tree change=. --tree parent=../parent \
         --out BENCH_common.json
+    python scripts/bench_common.py --cases envelope --tree change=. \
+        --tree parent=../parent --out BENCH_envelope.json
 
 Each ``--tree LABEL=PATH`` names a secbc checkout (its ``src`` is put on
 the import path; default: this checkout as ``change``).  For every tree,
@@ -14,6 +16,12 @@ case runs in a fresh child process:
   largest input it receives during the ``region_common_power`` case
   (3822 rows on the example channel); that call also sets its
   ``peak_rss_mb``.
+
+``--cases envelope`` runs ``v_eta``, ``v_hat`` and ``v_tilde`` instead, on
+the example channel with K = diag(3, 2), lambda = (2, 1, 0.8), eta = 1.2
+and alpha = 0.5 at the default grid; each record adds the value and the
+grid nodes scored (``grid_meta["nodes_scored"]`` where the tree reports
+it).
 
 A child runs its call ``--repeats`` times and reports every wall time
 (``time.perf_counter``) and its ``ru_maxrss`` before and after the calls,
@@ -36,7 +44,10 @@ import time
 
 EXAMPLE_G1 = [[0.3, 2.5], [2.2, 1.8]]
 EXAMPLE_G2 = [[1.3, 1.2], [1.5, 3.9]]
-CASES = ("region_common_power", "region_common_fixed", "pareto_filter")
+CASE_SETS = {
+    "common": ("region_common_power", "region_common_fixed", "pareto_filter"),
+    "envelope": ("v_eta", "v_hat", "v_tilde"),
+}
 SINGLE_THREAD_ENV = {
     "SECBC_THREADS": "1",
     "OPENBLAS_NUM_THREADS": "1",
@@ -69,21 +80,37 @@ def _seeded_t3():
     return g1, g2, a @ a.T / 3.0 + 0.5 * np.eye(3)
 
 
+def _rows(frontier) -> dict:
+    return {"output_rows": len(frontier.points)}
+
+
+def _envelope_output(res) -> dict:
+    return {"value": res.value, "nodes_scored": res.grid_meta.get("nodes_scored")}
+
+
 def _case_call(case: str):
-    """(call, size) for one case; ``size`` describes its input."""
+    """(call, size) for one case; ``call`` returns a dict of outputs and
+    ``size`` describes its input."""
     import numpy as np
 
     import secbc
     from secbc import regions
 
     example = secbc.make_channel(EXAMPLE_G1, EXAMPLE_G2)
+    if case in CASE_SETS["envelope"]:
+        k = np.diag([3.0, 2.0])
+        w = secbc.EnvelopeWeights(lambda0=2.0, lambda1=1.0, lambda2=0.8, eta=1.2, alpha=0.5)
+        if case == "v_eta":
+            return lambda: _envelope_output(secbc.v_eta(example, k, w.eta)), "K = diag(3, 2)"
+        fn = getattr(secbc, case)
+        return lambda: _envelope_output(fn(example, k, w)), "K = diag(3, 2)"
     if case == "region_common_power":
-        return lambda: len(regions.region_common_power(example, 12.0).points), "P = 12"
+        return lambda: _rows(regions.region_common_power(example, 12.0)), "P = 12"
     if case == "region_common_fixed":
         g1, g2, k = _seeded_t3()
         ch = secbc.make_channel(g1, g2)
         grid = secbc.GridSpec(chain_theta_steps=4, chain_diag_steps=3)
-        return lambda: len(regions.region_common_fixed(ch, k, grid).points), "t = 3"
+        return lambda: _rows(regions.region_common_fixed(ch, k, grid)), "t = 3"
     inputs = []
     inner = regions._pareto_rows_triples
 
@@ -97,7 +124,7 @@ def _case_call(case: str):
     finally:
         regions._pareto_rows_triples = inner
     arr = max(inputs, key=len)
-    return lambda: len(inner(arr)), f"{len(arr)} rows"
+    return lambda: {"output_rows": len(inner(arr))}, f"{len(arr)} rows"
 
 
 def child(case: str, repeats: int) -> dict:
@@ -111,7 +138,7 @@ def child(case: str, repeats: int) -> dict:
         times.append(time.perf_counter() - start)
     return {
         "input": size,
-        "output_rows": out,
+        **out,
         "wall_s": times,
         "wall_s_median": statistics.median(times),
         "rss_before_mb": rss_before,
@@ -119,7 +146,7 @@ def child(case: str, repeats: int) -> dict:
     }
 
 
-def run_tree(label: str, path: str, repeats: int) -> list[dict]:
+def run_tree(label: str, path: str, repeats: int, cases) -> list[dict]:
     src = os.path.join(os.path.abspath(path), "src")
     if not os.path.isdir(os.path.join(src, "secbc")):
         raise SystemExit(f"no secbc sources under {src}")
@@ -129,7 +156,7 @@ def run_tree(label: str, path: str, repeats: int) -> list[dict]:
         if threads == "1":
             env.update(SINGLE_THREAD_ENV)
         env["PYTHONPATH"] = src
-        for case in CASES:
+        for case in cases:
             cmd = [sys.executable, os.path.abspath(__file__), "--child", case]
             cmd += ["--repeats", str(repeats)]
             proc = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
@@ -148,7 +175,8 @@ def main(argv=None) -> int:
     ap.add_argument("--tree", action="append", default=[], metavar="LABEL=PATH")
     ap.add_argument("--repeats", type=int, default=5)
     ap.add_argument("--out", default="BENCH_common.json")
-    ap.add_argument("--child", choices=CASES, help=argparse.SUPPRESS)
+    ap.add_argument("--cases", choices=sorted(CASE_SETS), default="common")
+    ap.add_argument("--child", choices=sum(CASE_SETS.values(), ()), help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")
@@ -162,7 +190,7 @@ def main(argv=None) -> int:
         label, sep, path = spec.partition("=")
         if not sep or not label:
             ap.error(f"--tree wants LABEL=PATH, got {spec!r}")
-        records += run_tree(label, path, args.repeats)
+        records += run_tree(label, path, args.repeats, CASE_SETS[args.cases])
     import numpy as np
 
     report = {

@@ -13,8 +13,10 @@ argmax; a CLI case as the SHA-256 of each file it writes.
 
 ``diff`` prints, per case, whether the two records are bitwise equal,
 both point counts and the largest |change| of each rate column and each
-generator.  Each case carries a gate: ``bitwise``, or a tolerance on
-every rate with equal point counts.  The exit status is 1 when a gate
+generator.  Each case carries a gate: ``bitwise``; ``within`` a
+tolerance, every rate with equal point counts; or ``dominates``, every
+value of the second record at least the first's minus a slack (for
+maxima whose search may improve).  The exit status is 1 when a gate
 fails or a case is missing from either record.
 
 The cases (``P`` is the power, ``K`` the covariance constraint):
@@ -36,6 +38,13 @@ The cases (``P`` is the power, ``K`` the covariance constraint):
 - the CLI files ``region --mode common --power 12``, ``wtc --power 12``
   and the ``_both_confidential.csv`` of ``compare --power 12`` on the
   example channel: byte-identical.
+- the envelope calls of the ``envelope`` benchmark workload for seeds
+  1-10 and passes 0-3 (inputs drawn as there from
+  ``default_rng([seed, pass])``): ``v_eta`` at eta = 1 and at the seeded
+  eta, ``v_hat``, ``v_tilde`` and ``factorization_gap`` in modes v, vhat
+  and vtilde, at the default grid.  Each runs refined (gate: every value
+  dominates, within 1e-12) and with ``refine_iters=0`` (the grid
+  maximum: bitwise, value and splits).
 """
 
 from __future__ import annotations
@@ -54,6 +63,8 @@ import numpy as np
 EXAMPLE_G1 = [[0.3, 2.5], [2.2, 1.8]]
 EXAMPLE_G2 = [[1.3, 1.2], [1.5, 3.9]]
 RATE_TOL_POWER = 1e-12
+ENVELOPE_SLACK = 1e-12
+BITWISE = ("bitwise", 0.0)
 
 
 def _gain(rng, t: int) -> np.ndarray:
@@ -64,7 +75,7 @@ def _gain(rng, t: int) -> np.ndarray:
 
 
 def _cases(secbc):
-    """(name, gate, call) triples; gate 0.0 means bitwise."""
+    """(name, gate, call) triples; a gate is (kind, tolerance)."""
     grid_t3 = secbc.GridSpec(theta_steps=8, trace_steps=9)
     fixed_t3 = secbc.GridSpec(
         theta_steps=8, diag_steps=9, chain_theta_steps=4, chain_diag_steps=3
@@ -84,7 +95,7 @@ def _cases(secbc):
         if grid is None:
             fns.append("region_common_power")
         for fn in fns:
-            out.append((f"{fn}[{tag}]", 0.0, partial(getattr(secbc, fn), ch, p, grid)))
+            out.append((f"{fn}[{tag}]", BITWISE, partial(getattr(secbc, fn), ch, p, grid)))
 
     fixed_sets = [("example,6I", example, 6.0 * np.eye(2), None)]
     fixed_sets.append(("example,4I", example, 4.0 * np.eye(2), None))
@@ -97,7 +108,7 @@ def _cases(secbc):
             fixed_sets.append((f"t{t}s{s}", ch, k, fixed_t3 if t == 3 else None))
     for tag, ch, k, grid in fixed_sets:
         for fn in ("frontier_fixed_cov", "region_common_fixed"):
-            out.append((f"{fn}[{tag}]", 0.0, partial(getattr(secbc, fn), ch, k, grid)))
+            out.append((f"{fn}[{tag}]", BITWISE, partial(getattr(secbc, fn), ch, k, grid)))
 
     pair_sets = [("example", example, 12.0)]
     for s in range(1, 6):
@@ -106,7 +117,7 @@ def _cases(secbc):
         pair_sets.append((f"t2s{s}", ch, float(rng.uniform(2.0, 20.0))))
     for tag, ch, p in pair_sets:
         call = partial(secbc.frontier_power, ch, p)
-        out.append((f"frontier_power[{tag}]", RATE_TOL_POWER, call))
+        out.append((f"frontier_power[{tag}]", ("within", RATE_TOL_POWER), call))
 
     chan = ["--g1", "0.3,2.5;2.2,1.8", "--g2", "1.3,1.2;1.5,3.9", "--power", "12"]
     for name, argv, keep in (
@@ -114,8 +125,56 @@ def _cases(secbc):
         ("cli:wtc", ["wtc"], ("out.csv",)),
         ("cli:compare", ["compare"], ("out_both_confidential.csv",)),
     ):
-        out.append((name, 0.0, partial(_cli_files, argv + chan, keep)))
+        out.append((name, BITWISE, partial(_cli_files, argv + chan, keep)))
+
+    unrefined = secbc.GridSpec(refine_iters=0)
+    for seed in range(1, 11):
+        for p in range(4):
+            for name, call in _envelope_calls(secbc, seed, p):
+                tag = f"{name}[s{seed}p{p}]"
+                out.append((tag, ("dominates", ENVELOPE_SLACK), partial(call, None)))
+                out.append((f"{tag}@grid", BITWISE, partial(call, unrefined)))
     return out
+
+
+def _envelope_weights(rng) -> dict:
+    lam2 = float(rng.uniform(0.5, 1.2))
+    return {
+        "lambda0": float(rng.uniform(lam2 + 0.3, 2.5)),
+        "lambda1": 1.0,
+        "lambda2": lam2,
+        "eta": float(rng.uniform(1.05, 1.55)),
+        "alpha": float(rng.uniform(0.2, 0.8)),
+    }
+
+
+def _envelope_calls(secbc, seed: int, p: int):
+    """(name, call(grid)) of one pass of the envelope benchmark workload."""
+    from secbc import envelopes
+
+    rng = np.random.default_rng([seed, p])
+    if p == 0:
+        g1, g2, k = EXAMPLE_G1, EXAMPLE_G2, np.diag([3.0, 2.0])
+    else:
+        g1, g2 = _gain(rng, 2), _gain(rng, 2)
+        a = rng.normal(size=(2, 2))
+        k = a @ a.T + 0.1 * np.eye(2)
+        k = k * (rng.uniform(1.5, 3.0) * 2 / np.trace(k))
+    ch = secbc.make_channel(g1, g2)
+    w = secbc.EnvelopeWeights(**_envelope_weights(rng))
+    calls = [
+        ("v_eta@1", lambda grid: envelopes.v_eta(ch, k, 1.0, grid)),
+        ("v_eta", lambda grid: envelopes.v_eta(ch, k, w.eta, grid)),
+        ("v_hat", lambda grid: envelopes.v_hat(ch, k, w, grid)),
+        ("v_tilde", lambda grid: envelopes.v_tilde(ch, k, w, grid)),
+    ]
+    for mode in ("v", "vhat", "vtilde"):
+        ga, gb = (secbc.make_channel(*rng.uniform(0.5, 3.0, (2, 1, 1))) for _ in range(2))
+        ka, kb = rng.uniform(0.3, 3.0, (2, 1, 1))
+        wts = secbc.EnvelopeWeights(**_envelope_weights(rng))
+        call = partial(envelopes.factorization_gap, ga, gb, ka, kb, wts, mode=mode)
+        calls.append((f"factorization_gap:{mode}", call))
+    return calls
 
 
 def _cli_files(argv, keep):
@@ -141,6 +200,11 @@ def _flat(value) -> dict:
     """JSON-ready record of one call's output."""
     if isinstance(value, dict):  # CLI file hashes
         return {"files": value}
+    if hasattr(value, "argmax_splits"):  # EnvelopeResult
+        gens = {f"split{i}": [np.ravel(s).tolist()] for i, s in enumerate(value.argmax_splits)}
+        return {"rates": [[float(value.value)]], "gens": gens}
+    if isinstance(value, tuple) and len(value) == 2:  # factorization_gap
+        return {"rates": [[float(v) for v in value]], "gens": {}}
     if isinstance(value, tuple):  # wtc_capacity_power
         v, k, ks = value
         gens = {"k": [np.ravel(k).tolist()], "kstar": [np.ravel(ks).tolist()]}
@@ -161,7 +225,7 @@ def record(path: str, src: str) -> None:
 
     cases = {}
     for name, gate, call in _cases(secbc):
-        cases[name] = {"gate": gate, **_flat(call())}
+        cases[name] = {"gate": list(gate), **_flat(call())}
         print(name, flush=True)
     meta = {"src": os.path.abspath(src), "threads": os.environ.get("SECBC_THREADS")}
     Path(path).write_text(json.dumps({"meta": meta, "cases": cases}) + "\n", encoding="utf-8")
@@ -199,16 +263,26 @@ def diff(path_a: str, path_b: str) -> int:
             )
         )
         line = f"{name}: points {len(ra)} -> {len(rb)}, bitwise {bitwise}"
+        kind, tol = x["gate"]
         ok = bitwise
         if not bitwise and ra.shape == rb.shape:
             cols = ("r0", "r1", "r2") if ra.shape[1:] == (3,) else ("r1", "r2")
+            if kind == "dominates":
+                cols = tuple(f"v{i}" for i in range(ra.shape[1]))
             deltas = [_max_abs(ra[:, i], rb[:, i]) for i in range(ra.shape[1])]
             line += ", max|d| " + " ".join(f"{c}={d:.2e}" for c, d in zip(cols, deltas))
             for g in x["gens"]:
                 ga, gb = np.array(x["gens"][g]), np.array(y["gens"].get(g, []))
                 line += f" {g}=" + (f"{_max_abs(ga, gb):.2e}" if ga.shape == gb.shape else "shape")
-            ok = x["gate"] > 0.0 and max(deltas) <= x["gate"]
-        gate = "bitwise" if x["gate"] == 0.0 else f"rates within {x['gate']:g}"
+            if kind == "within":
+                ok = max(deltas) <= tol
+            elif kind == "dominates":
+                low = float(np.min(rb - ra))
+                line += f", min(second - first) {low:+.2e}"
+                ok = low >= -tol
+        gate = {"bitwise": "bitwise", "within": f"rates within {tol:g}"}.get(
+            kind, f"dominates up to {tol:g}"
+        )
         print(f"{'ok  ' if ok else 'FAIL'} {line} (gate: {gate})")
         failed += not ok
     print(f"{failed} case(s) failed" if failed else "all gates pass")

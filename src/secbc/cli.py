@@ -86,14 +86,21 @@ class RunConfig:
     svg: str | None = None
 
     def grid(self) -> GridSpec:
-        kw = {}
-        if self.grid_theta is not None:
-            kw["theta_steps"] = self.grid_theta
-        if self.grid_d is not None:
-            kw["diag_steps"] = self.grid_d
-        if self.grid_trace is not None:
-            kw["trace_steps"] = self.grid_trace
-        return GridSpec(**kw)
+        """GridSpec with --grid-theta/-d/-trace set on the grid the mode sweeps.
+
+        Single-level sweeps use theta/diag/trace steps; ``v_hat`` and the
+        common region under a covariance sweep the two-level ``chain_*``
+        grid (which has no trace steps); ``v_tilde`` and the common region
+        under power the ``deep_*`` grid.  At t = 1 the power-constrained
+        common region is the fixed-covariance one at K = P.
+        """
+        sweep = "single"
+        if self.mode == "common":
+            sweep = "deep" if self.power is not None and self.channel().t > 1 else "chain"
+        elif self.mode == "envelope":
+            sweep = {"v_hat": "chain", "v_tilde": "deep"}.get(self.envelope()[0], "single")
+        flags = (self.grid_theta, self.grid_d, self.grid_trace)
+        return GridSpec(**{n: v for n, v in zip(_GRID_FIELDS[sweep], flags) if v is not None})
 
     def channel(self):
         if self.g1 is None or self.g2 is None:
@@ -131,6 +138,13 @@ class RunConfig:
 
 
 _MATRIX_FIELDS = {"g1", "g2", "covariance"}
+# GridSpec fields set by --grid-theta, --grid-d and --grid-trace, by the
+# grid a command sweeps; the chained grid has no trace steps of its own.
+_GRID_FIELDS = {
+    "single": ("theta_steps", "diag_steps", "trace_steps"),
+    "chain": ("chain_theta_steps", "chain_diag_steps", "trace_steps"),
+    "deep": ("deep_theta_steps", "deep_diag_steps", "deep_trace_steps"),
+}
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -254,13 +268,29 @@ def emit_svg(frontier: Frontier, path: str, comparison: Frontier | None = None) 
         raise OSError(f"cannot write SVG to {path}: {exc}") from exc
 
 
+def _drop_stdout() -> None:
+    """Point stdout at the null device once its reader has gone away."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
+def _echo(line: str) -> None:
+    """Print one line to stdout.  A closed pipe drops the rest of the
+    output, but the command still writes its files and keeps its status."""
+    try:
+        print(line)
+    except BrokenPipeError:
+        _drop_stdout()
+
+
 def _summarize(name: str, frontier: Frontier, elapsed: float) -> None:
-    print(f"{name}: {len(frontier.points)} frontier points in {elapsed:.2f} s")
-    print(f"  max R1 = {frontier.max_r1():.6f} bits/use")
-    print(f"  max R2 = {frontier.max_r2():.6f} bits/use")
+    _echo(f"{name}: {len(frontier.points)} frontier points in {elapsed:.2f} s")
+    _echo(f"  max R1 = {frontier.max_r1():.6f} bits/use")
+    _echo(f"  max R2 = {frontier.max_r2():.6f} bits/use")
     if frontier.is_triple:
         r0 = max(p.r0 for p in frontier.points)
-        print(f"  max R0 = {r0:.6f} bits/use")
+        _echo(f"  max R0 = {r0:.6f} bits/use")
 
 
 def _cmd_region(cfg: RunConfig) -> int:
@@ -286,10 +316,10 @@ def _cmd_region(cfg: RunConfig) -> int:
     _summarize(f"region --mode {mode}", fr, time.perf_counter() - start)
     if cfg.out:
         emit_csv(fr, cfg.out)
-        print(f"  wrote {cfg.out}")
+        _echo(f"  wrote {cfg.out}")
     if cfg.svg:
         emit_svg(fr, cfg.svg)
-        print(f"  wrote {cfg.svg}")
+        _echo(f"  wrote {cfg.svg}")
     return 0
 
 
@@ -303,15 +333,15 @@ def _cmd_wtc(cfg: RunConfig) -> int:
         kmat = cov
         value, kstar = regions.wtc_capacity(ch, cov)
     elapsed = time.perf_counter() - start
-    print(f"wtc secrecy capacity = {value:.6f} bits/use ({elapsed:.2f} s)")
-    print(f"  argmax K* = {np.array2string(kstar, precision=6)}")
+    _echo(f"wtc secrecy capacity = {value:.6f} bits/use ({elapsed:.2f} s)")
+    _echo(f"  argmax K* = {np.array2string(kstar, precision=6)}")
     if cfg.out:
         fr = Frontier(
             [regions.RatePoint(value, 0.0, {"k": kmat, "kstar": kstar})],
             {"kind": "wtc"},
         )
         emit_csv(fr, cfg.out)
-        print(f"  wrote {cfg.out}")
+        _echo(f"  wrote {cfg.out}")
     return 0
 
 
@@ -324,7 +354,7 @@ def _cmd_dpc_check(cfg: RunConfig) -> int:
         lhs, _, gap = dpc_identity_check(inst)
         worst = max(worst, gap / (1.0 + abs(lhs)))
     elapsed = time.perf_counter() - start
-    print(
+    _echo(
         f"dpc-check: {cfg.trials} instances (dim {cfg.dim}, seed {cfg.seed}), "
         f"max relative gap = {worst:.3e} ({elapsed:.2f} s)"
     )
@@ -348,7 +378,7 @@ def _cmd_decomp_check(cfg: RunConfig) -> int:
         back = compose_sub_cov(k, decompose_sub_cov(k, kstar))
         worst = max(worst, float(np.linalg.norm(back - kstar)))
     elapsed = time.perf_counter() - start
-    print(
+    _echo(
         f"decomp-check: {cfg.trials} round trips (dim {t}, seed {cfg.seed}), "
         f"max Frobenius residual = {worst:.3e} ({elapsed:.2f} s)"
     )
@@ -369,9 +399,9 @@ def _cmd_envelope(cfg: RunConfig) -> int:
     else:
         res = (v_hat if level == "v_hat" else v_tilde)(ch, cov, w, grid)
     elapsed = time.perf_counter() - start
-    print(f"{level} = {res.value:.6f} bits ({elapsed:.2f} s)")
+    _echo(f"{level} = {res.value:.6f} bits ({elapsed:.2f} s)")
     for i, split in enumerate(res.argmax_splits, start=1):
-        print(f"  split {i}: {np.array2string(split, precision=6)}")
+        _echo(f"  split {i}: {np.array2string(split, precision=6)}")
     return 0
 
 
@@ -385,17 +415,17 @@ def _cmd_compare(cfg: RunConfig) -> int:
     start = time.perf_counter()
     cmp_fr = regions.both_confidential_frontier(ch, power, grid)
     _summarize("both confidential", cmp_fr, time.perf_counter() - start)
-    print(f"  max R1 difference = {abs(fr.max_r1() - cmp_fr.max_r1()):.2e}")
+    _echo(f"  max R1 difference = {abs(fr.max_r1() - cmp_fr.max_r1()):.2e}")
     if cfg.out:
         emit_csv(fr, cfg.out)
-        print(f"  wrote {cfg.out}")
+        _echo(f"  wrote {cfg.out}")
         stem = cfg.out[:-4] if cfg.out.endswith(".csv") else cfg.out
         cmp_path = f"{stem}_both_confidential.csv"
         emit_csv(cmp_fr, cmp_path)
-        print(f"  wrote {cmp_path}")
+        _echo(f"  wrote {cmp_path}")
     if cfg.svg:
         emit_svg(fr, cfg.svg, comparison=cmp_fr)
-        print(f"  wrote {cfg.svg}")
+        _echo(f"  wrote {cfg.svg}")
     return 0
 
 
@@ -516,7 +546,12 @@ def main(argv=None) -> int:
     except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
-    return run(cfg)
+    status = run(cfg)
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _drop_stdout()
+    return status
 
 
 if __name__ == "__main__":

@@ -23,7 +23,11 @@ level, ``chain_*`` for two, ``deep_*`` for three) followed by
 multi-start coordinate golden-section refinement.  The outer levels are
 enumerated; the innermost level is streamed, scored in row blocks of
 its parents (:func:`secbc.sweeps.top_k_rows`), so memory stays at one
-block whatever the grid size.  The seeds are the ``GridSpec.starts``
+block whatever the grid size.  Since K_L <= K_{L-1} and c > 0, no
+child of a parent scores above terms + c*h2(parent), with the outer
+terms and h2(parent) already known from the outer level, so
+:func:`secbc.sweeps.top_k_bounded` scores only the parents whose bound
+can reach the top k, with the same result.  The seeds are the ``GridSpec.starts``
 best distinct grid values, each at its lowest flat index (the
 lexicographically smallest parameter vector); exactly tied nodes are
 almost always one split reached through a degenerate parameterization
@@ -33,7 +37,8 @@ evaluation order.  Grid seeds and the best spectral rank-one seeds are
 then refined together, in lockstep, by one batched
 :func:`secbc.sweeps.coordinate_refine`; the objective therefore takes a
 batch of parameter vectors.  ``EnvelopeResult.grid_meta`` records the
-grid nodes scored, the blocks and the line searches each start used.
+grid nodes, the nodes scored, the blocks, the line searches each start
+used and the starts that hit the ``refine_iters`` cap (``capped``).
 
 ``bound_b`` is the closed-form eigenvalue bound certifying that the
 level-2 objective stays bounded over all inputs, and
@@ -61,6 +66,8 @@ from .sweeps import (
     grid_tables,
     half_log2_det_gram,
     pair_dets,
+    pair_dets_rows,
+    top_k_bounded,
     top_k_rows,
 )
 
@@ -214,7 +221,10 @@ def _layered_max(ch: GaussianBc, k, outer, inner: float, eta: float, grid):
     are enumerated on the grid and summed per level, then across levels;
     the innermost level is streamed by :func:`top_k_rows`, its rows being
     the innermost parents (or the rotations when ``k`` is the only
-    parent).  argmax_splits holds K_L, K_{L-1} - K_L, ..., K_1 - K_2.
+    parent).  With outer levels and c > 0, :func:`top_k_bounded` scores
+    only the parents whose bound terms + c*h2(parent) can reach the top
+    k, with the same result.  argmax_splits holds K_L, K_{L-1} - K_L,
+    ..., K_1 - K_2.
     """
     k = validate_psd(k, name="k")
     t = ch.t
@@ -235,17 +245,26 @@ def _layered_max(ch: GaussianBc, k, outer, inner: float, eta: float, grid):
         term = a * h1 + b * h2
         terms = term if terms is None else np.repeat(terms, nv * nd) + term
 
-    def score(lo, hi):
-        rows = (parents[lo:hi], tab.rots) if outer else (parents, tab.rots[lo:hi])
-        h1, h2 = (
-            0.5 * np.log2(pair_dets(g, *rows, tab.dgrids)).reshape(hi - lo, -1)
-            for g in gains
-        )
+    def score(rows):
+        if outer:
+            dets = (pair_dets_rows(g, parents, rows, tab.rots, tab.dgrids) for g in gains)
+        else:
+            dets = (pair_dets(g, parents, tab.rots[rows], tab.dgrids) for g in gains)
+        h1, h2 = (0.5 * np.log2(d).reshape(len(rows), -1) for d in dets)
         last = inner * (h2 - eta * h1)
-        return last if terms is None else terms[lo:hi, None] + last
+        return last if terms is None else terms[rows, None] + last
 
     n_rows, n_cols = (len(parents), nv * nd) if outer else (nv, nd)
-    flat, top, blocks = top_k_rows(score, n_rows, n_cols, grid.starts)
+    if outer and inner > 0 and eta >= 0:
+        # K_L <= K_{L-1} gives h2(K_L) <= h2(K_{L-1}) and h1(K_L) >= 0, so
+        # a parent's row stays below terms + c*h2(parent).
+        bound = terms + inner * h2
+        flat, top, blocks, scored = top_k_bounded(score, bound, n_cols, grid.starts)
+    else:
+        flat, top, blocks = top_k_rows(
+            lambda lo, hi: score(np.arange(lo, hi)), n_rows, n_cols, grid.starts
+        )
+        scored = n_rows
     seeds = grid_params(tab, flat, levels)
 
     def objective(params):
@@ -287,8 +306,10 @@ def _layered_max(ch: GaussianBc, k, outer, inner: float, eta: float, grid):
         "refine_budget": grid.refine_iters,
         "starts": len(seeds),
         "grid_nodes": n_rows * n_cols,
+        "nodes_scored": scored * n_cols,
         "grid_blocks": blocks,
         "line_searches": used,
+        "capped": [i for i, u in enumerate(used) if u >= grid.refine_iters],
     }
     return EnvelopeResult(value, splits, meta)
 

@@ -60,6 +60,7 @@ from .sweeps import (
     grid_tables,
     map_ordered,
     pair_dets,
+    pair_dets_rows,
     rotation_batch,
     row_blocks,
     simplex_grid,
@@ -653,16 +654,11 @@ def _common_cells(ch, b0, kmat, tab, bins: int):
 
     def rates(span):
         lo, hi = span
-        # numpy multiplies one row by gemv, which rounds differently from
-        # gemm: a lone row is scored with a neighbour, so that every row's
-        # bits are the same whatever the block size.
-        a = min(lo, max(n - 2, 0))
-        b = min(max(hi, a + 2), n)
+        rows = np.arange(lo, hi)
         l1i, l2i = (
-            0.5 * np.log2(pair_dets(g, outer[a:b], tab.rots, tab.dgrids).reshape(b - a, n))
+            0.5 * np.log2(pair_dets_rows(g, outer, rows, tab.rots, tab.dgrids)).reshape(-1, n)
             for g in gains
         )
-        l1i, l2i = l1i[lo - a : hi - a], l2i[lo - a : hi - a]
         return np.maximum(l1i - l2i, 0.0), np.maximum(l2o[lo:hi, None] - l2i, 0.0)
 
     parts = map_ordered(rates, spans)

@@ -24,12 +24,19 @@ are merged.  Selection keeps the k best distinct values
 is taken at its lowest flat index, i.e. the lexicographically smallest
 parameter vector.  The merged top k is therefore exactly the top k of
 the whole grid, and blocks may run on any number of workers
-(:func:`map_ordered`) without changing the result.
+(:func:`map_ordered`) without changing the result.  Given an upper bound
+per row, :func:`top_k_bounded` scores one block of the best-bounded rows
+first and then only the rows whose bound reaches the k-th value found
+there; its top k is still exact.  :func:`pair_dets_rows` scores any
+subset of parents with the bits of the full batch.
 
 Refinement runs a batch of starts in lockstep (:func:`coordinate_refine`,
 :func:`golden_max`): every objective call evaluates the live lanes at
 once, and a lane that has finished is masked out, so each lane performs
-exactly the line searches and evaluations it would perform alone.
+exactly the line searches and evaluations it would perform alone.  A
+line search whose maximum sits at an end of its bracket returns that
+end after the first call, which also scores both ends and their
+neighbours; the others run plain golden section.
 Objectives therefore map a batch of parameter vectors (S, n) to (S,)
 values; :func:`chain_factor` and :func:`half_log2_det_gram` are batched
 to match.
@@ -64,11 +71,13 @@ __all__ = [
     "children_factors",
     "det_i_plus_gram",
     "pair_dets",
+    "pair_dets_rows",
     "simplex_grid",
     "golden_max",
     "coordinate_refine",
     "top_k_flat",
     "top_k_rows",
+    "top_k_bounded",
     "row_blocks",
     "worker_count",
     "map_ordered",
@@ -91,7 +100,9 @@ class GridSpec:
     :mod:`secbc.regions`).  Chained two-level sweeps use the ``chain_*``
     steps per level and three-level sweeps the ``deep_*`` steps; the full
     defaults would be astronomically large there.  ``starts``,
-    ``refine_iters`` and ``refine_tol`` budget the golden-section polish.
+    ``refine_iters`` and ``refine_tol`` budget the golden-section polish;
+    ``refine_iters`` only caps the line searches per start, which stop
+    on their own once a sweep no longer moves them.
     """
 
     theta_steps: int = 64
@@ -102,7 +113,7 @@ class GridSpec:
     deep_theta_steps: int = 8
     deep_diag_steps: int = 5
     deep_trace_steps: int = 17
-    refine_iters: int = 200
+    refine_iters: int = 1000
     refine_tol: float = 1e-6
     starts: int = 4
 
@@ -300,6 +311,26 @@ def pair_dets(
     return out
 
 
+def pair_dets_rows(
+    g: np.ndarray,
+    parents: np.ndarray,
+    rows: np.ndarray,
+    vbatch: np.ndarray,
+    dgrids: list[np.ndarray],
+) -> np.ndarray:
+    """:func:`pair_dets` of ``parents[rows]``, whatever the batch, to the bit.
+
+    numpy multiplies a single row by gemv, which rounds differently from
+    gemm, so a lone row is scored together with a neighbour: every row
+    then gets the same bits in any batch of rows.
+    """
+    if len(rows) == 1 and len(parents) > 1:
+        lo = min(int(rows[0]), len(parents) - 2)
+        off = int(rows[0]) - lo
+        return pair_dets(g, parents[lo : lo + 2], vbatch, dgrids)[off : off + 1]
+    return pair_dets(g, parents[rows], vbatch, dgrids)
+
+
 def simplex_grid(t: int, total: float, steps: int) -> np.ndarray:
     """Nonnegative t-tuples summing to ``total`` on a uniform grid.
 
@@ -322,10 +353,15 @@ def golden_max(f, lo, hi, xtol: float = 1e-6):
 
     Lane j maximizes ``x -> f(x, [j])`` on [lo[j], hi[j]]; ``f(x, lanes)``
     evaluates the lanes ``lanes`` (indices into ``lo``) at the points
-    ``x`` and returns their values.  Each call passes only lanes whose
-    interval is still wider than ``xtol``, so every lane performs exactly
-    the evaluations of a scalar golden-section search.  Returns (x, f(x))
-    arrays over the lanes.
+    ``x`` and returns their values.  The first call evaluates both
+    interior probes of every lane and, for a lane wider than ``xtol``, also
+    its two ends and each end's neighbour at distance ``xtol``.  An end
+    that scores at least its neighbour, the other end and both interior
+    probes is returned at once (the lower end first): golden section would
+    only creep up to it.  Every other lane continues from the same probes,
+    each call passing only lanes whose interval is still wider than
+    ``xtol``, so it performs exactly the evaluations of a scalar
+    golden-section search.  Returns (x, f(x)) arrays over the lanes.
     """
     a = np.array(lo, dtype=float, ndmin=1)
     b = np.array(hi, dtype=float, ndmin=1)
@@ -340,9 +376,23 @@ def golden_max(f, lo, hi, xtol: float = 1e-6):
     a, b = a[lanes], b[lanes]
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
-    f12 = f(np.concatenate([x1, x2]), np.concatenate([lanes, lanes]))
-    f1, f2 = f12[: lanes.size], f12[lanes.size :]
+    n = lanes.size
     live = np.flatnonzero((b - a) > xtol)
+    ends = [a[live], a[live] + xtol, b[live], b[live] - xtol]
+    fall = f(
+        np.concatenate([x1, x2, *ends]), np.concatenate([lanes, lanes] + [lanes[live]] * 4)
+    )
+    f1, f2 = fall[:n], fall[n : 2 * n]
+    fa, fa_in, fb, fb_in = fall[2 * n :].reshape(4, live.size)
+    probes = np.maximum(f1[live], f2[live])
+    at_a = (fa >= fa_in) & (fa >= fb) & (fa >= probes)
+    at_b = ~at_a & (fb >= fb_in) & (fb >= fa) & (fb >= probes)
+    done = at_a | at_b
+    xbest[lanes[live[done]]] = np.where(at_a, a[live], b[live])[done]
+    fbest[lanes[live[done]]] = np.where(at_a, fa, fb)[done]
+    inner = np.ones(n, dtype=bool)
+    inner[live[done]] = False
+    live = live[~done]
     while live.size:
         up = f1[live] < f2[live]
         i, j = live[up], live[~up]
@@ -354,8 +404,8 @@ def golden_max(f, lo, hi, xtol: float = 1e-6):
         f2[i], f1[j] = fnew[: i.size], fnew[i.size :]
         live = live[(b[live] - a[live]) > xtol]
     first = f1 >= f2
-    xbest[lanes] = np.where(first, x1, x2)
-    fbest[lanes] = np.where(first, f1, f2)
+    xbest[lanes[inner]] = np.where(first, x1, x2)[inner]
+    fbest[lanes[inner]] = np.where(first, f1, f2)[inner]
     return xbest, fbest
 
 
@@ -491,6 +541,43 @@ def top_k_rows(score, n_rows: int, n_cols: int, k: int):
     vals = np.concatenate([p[1] for p in parts])
     best = top_k_flat(vals, k)
     return idx[best], vals[best], len(parts)
+
+
+def top_k_bounded(score, bound: np.ndarray, n_cols: int, k: int):
+    """:func:`top_k_rows` that skips the rows unable to reach the top k.
+
+    ``score(rows)`` returns the rows ``rows`` (an ascending index array)
+    of an (len(bound), n_cols) matrix, and ``bound[r]`` is an upper bound
+    on the maximum of row r, up to rounding.  One :func:`row_blocks`
+    block of the rows with the highest distinct bounds is scored first;
+    the k-th best distinct value found there, tau, is at most the k-th
+    best of the whole matrix.  A row whose bound plus a relative slack of
+    1e-9 stays below tau holds none of the top k, so only the remaining
+    rows go through :func:`top_k_rows`, in row order.  Both parts keep
+    each value at its lowest index, and the merged top k is exactly that
+    of the whole matrix.  Returns (flat indices, their values, blocks,
+    rows scored).
+    """
+    bound = np.asarray(bound, dtype=float)
+
+    def top(rows):
+        idx, vals, blocks = top_k_rows(lambda lo, hi: score(rows[lo:hi]), rows.size, n_cols, k)
+        return rows[idx // n_cols] * n_cols + idx % n_cols, vals, blocks
+
+    probe = np.sort(top_k_flat(bound, row_blocks(len(bound), n_cols)[0][1]))
+    parts = [top(probe)]
+    tau = parts[0][1][-1] if len(parts[0][1]) == k else -np.inf
+    # NaN bounds are kept: they bound nothing
+    keep = ~(bound + 1e-9 * (1.0 + np.abs(bound)) < tau)
+    keep[probe] = False
+    rest = np.flatnonzero(keep)
+    if rest.size:
+        parts.append(top(rest))
+    idx = np.concatenate([p[0] for p in parts])
+    vals = np.concatenate([p[1] for p in parts])
+    order = np.argsort(idx, kind="stable")
+    pick = order[top_k_flat(vals[order], k)]
+    return idx[pick], vals[pick], sum(p[2] for p in parts), probe.size + rest.size
 
 
 def chain_factor(b0: np.ndarray, params: np.ndarray, t: int, levels: int) -> np.ndarray:

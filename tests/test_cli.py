@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from secbc import GridSpec, frontier_fixed_cov, make_channel, r1_hat, r2_hat
-from secbc.cli import emit_csv, emit_svg, main, parse_matrix
+import secbc
+from secbc import GridSpec, cli, frontier_fixed_cov, make_channel, r1_hat, r2_hat, regions
+from secbc.cli import RunConfig, emit_csv, emit_svg, main, parse_matrix
 from secbc.regions import Frontier, RatePoint, RateTriple
 
 from conftest import EXAMPLE_G1, EXAMPLE_G2, large_singular_covariance
@@ -223,6 +228,100 @@ class TestWtcAndEnvelope:
         )
         assert code == 0
         assert "v_hat" in capsys.readouterr().out
+
+
+class TestGridFlags:
+    """--grid-theta/-d/-trace set the resolution each command really sweeps."""
+
+    @staticmethod
+    def record(monkeypatch, module, name, seen):
+        fn = getattr(module, name)
+
+        def wrapped(*args):
+            seen.append(fn(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    @pytest.mark.parametrize(
+        "name, extra, levels",
+        [
+            ("v_eta", ["--eta", "1.2"], 1),
+            ("v_hat", ["--lambda1", "1", "--lambda2", "0.8", "--eta", "1.2"], 2),
+            ("v_tilde", ["--lambda0", "2", "--lambda1", "1", "--lambda2", "0.8"], 3),
+        ],
+    )
+    def test_envelope_levels(self, monkeypatch, capsys, name, extra, levels):
+        seen = []
+        self.record(monkeypatch, cli, name, seen)
+        for theta, d in ((2, 2), (3, 3)):
+            argv = ["envelope", "--covariance", "3,0;0,2", "--g1", G1_ARG, "--g2", G2_ARG]
+            argv += extra + ["--grid-theta", str(theta), "--grid-d", str(d), "--grid-trace", "2"]
+            assert main(argv) == 0
+            meta = seen[-1].grid_meta
+            assert meta["resolution"] == {"theta_steps": theta, "diag_steps": d, "levels": levels}
+            assert meta["grid_nodes"] == (theta * d * d) ** levels
+        assert name in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "constraint, name",
+        [(["--covariance", "6,0;0,6"], "region_common_fixed"), (["--power", "4"], "region_common_power")],
+    )
+    def test_common_region(self, monkeypatch, constraint, name):
+        seen = []
+        self.record(monkeypatch, regions, name, seen)
+        for theta, d, trace in ((2, 2, 2), (3, 3, 3)):
+            flags = ["--grid-theta", str(theta), "--grid-d", str(d), "--grid-trace", str(trace)]
+            argv = ["region", "--mode", "common", "--g1", G1_ARG, "--g2", G2_ARG]
+            assert main(argv + constraint + flags) == 0
+            fr = seen[-1]
+            per_k = (theta * d * d) ** 2  # two chained levels of one angle, two scalings
+            if name == "region_common_fixed":
+                grid = (fr.meta["grid"].chain_theta_steps, fr.meta["grid"].chain_diag_steps)
+                assert grid == (theta, d)
+                assert fr.meta["candidates"] == per_k
+            else:
+                g = fr.meta["grid"]
+                assert (g.deep_theta_steps, g.deep_diag_steps, g.deep_trace_steps) == (theta, d, trace)
+                assert fr.meta["candidates"] == theta * trace * per_k  # manifold nodes x grid
+
+    def test_sweep_chosen_per_mode(self):
+        base = dict(g1=np.eye(2), g2=np.eye(2), grid_theta=5, grid_d=4, grid_trace=3)
+        cases = [
+            (dict(mode="no-common", power=2.0), ("theta_steps", "diag_steps", "trace_steps")),
+            (dict(mode="common", power=2.0), ("deep_theta_steps", "deep_diag_steps", "deep_trace_steps")),
+            (dict(mode="common", covariance=np.eye(2)), ("chain_theta_steps", "chain_diag_steps")),
+            # at t = 1 the power-constrained common region is the fixed one at K = P
+            (dict(mode="common", power=2.0, g1=np.eye(1), g2=np.eye(1)),
+             ("chain_theta_steps", "chain_diag_steps")),
+            (dict(mode="envelope", covariance=np.eye(2), lambda1=1.0),
+             ("chain_theta_steps", "chain_diag_steps")),
+        ]
+        for fields, names in cases:
+            grid = RunConfig(**{**base, **fields}).grid()
+            assert [getattr(grid, n) for n in names] == [5, 4, 3][: len(names)]
+
+
+class TestBrokenPipe:
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_closed_stdout_still_writes_files_and_exits_0(self, tmp_path, unbuffered):
+        src = str(Path(secbc.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        out, svg = tmp_path / "f.csv", tmp_path / "f.svg"
+        cmd = ["region", "--covariance", "6,0;0,6", "--g1", G1_ARG, "--g2", G2_ARG]
+        cmd += ["--grid-theta", "8", "--grid-d", "5"]
+        argv = [sys.executable] + (["-u"] if unbuffered else []) + ["-m", "secbc.cli"]
+        argv += cmd + ["--out", str(out), "--svg", str(svg)]
+        proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()  # the reader goes away before the first line
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0
+        assert "Traceback" not in err and "Broken" not in err
+        direct = tmp_path / "direct.csv"
+        assert main(cmd + ["--out", str(direct)]) == 0
+        assert out.read_bytes() == direct.read_bytes()
+        assert "</svg>" in svg.read_text()
 
 
 class TestCompare:

@@ -1,4 +1,5 @@
-"""Property tests of the closed-form wiretap optimum and the power paths.
+"""Property tests of the closed-form wiretap optimum, the power paths and
+the bound that prunes the innermost envelope level.
 
 Instances are random and ill-conditioned channels with t in {1, 2, 3},
 covariance constraints of every rank (so singular K is covered) and
@@ -15,11 +16,14 @@ size, so every bound below is 1e-9 plus a rounding term proportional to
 eps * tr K * max ||G_j||^2.
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secbc import (
+    EnvelopeWeights,
     GridSpec,
     SubCovParams,
     both_confidential_frontier,
@@ -28,10 +32,14 @@ from secbc import (
     make_channel,
     r1_hat,
     r2_hat,
+    v_hat,
+    v_tilde,
     wtc_capacity,
     wtc_capacity_power,
 )
+from secbc import envelopes
 from secbc.regions import _wtc_gevd
+from secbc.sweeps import top_k_bounded
 
 from oracles import mi_gauss, wtc_oracle_fixed
 
@@ -167,3 +175,50 @@ def test_wtc_power_value_is_closed_form_of_its_constraint(inst):
     value, k, kstar = wtc_capacity_power(ch, power, grid)
     _assert_power_generators(k, kstar, power)
     assert abs(value - wtc_capacity(ch, k)[0]) <= tol
+
+
+@st.composite
+def envelope_instances(draw):
+    """(channel, constraint, weights, grid) of one v_hat / v_tilde problem."""
+    t = draw(st.sampled_from([1, 2, 3]))
+    spread = draw(st.sampled_from([0.0, 2.0]))
+    trace = 10.0 ** draw(st.floats(-2.0, 3.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g1, g2 = _gain(rng, t, spread), _gain(rng, t, spread)
+    a = rng.normal(size=(t, t))
+    k = a @ a.T + 0.05 * np.eye(t)
+    lam2 = draw(st.floats(0.05, 3.0))
+    w = EnvelopeWeights(
+        lambda0=lam2 + draw(st.floats(0.05, 3.0)),
+        lambda1=draw(st.floats(0.05, 3.0)),
+        lambda2=lam2,
+        eta=draw(st.floats(0.05, 1.95)),
+        alpha=draw(st.floats(0.0, 1.0)),
+    )
+    small = t == 3
+    grid = GridSpec(
+        chain_theta_steps=draw(st.integers(1, 2 if small else 5)),
+        chain_diag_steps=draw(st.integers(2, 3 if small else 6)),
+        deep_theta_steps=draw(st.integers(1, 2 if small else 4)),
+        deep_diag_steps=draw(st.integers(2, 2 if small else 4)),
+        refine_iters=0,
+    )
+    return make_channel(g1, g2), k * (trace * t / np.trace(k)), w, grid
+
+
+@settings(max_examples=30, deadline=None)
+@given(envelope_instances())
+def test_innermost_rows_stay_below_their_bound(inst):
+    ch, k, w, grid = inst
+    checked = []
+
+    def spy(score, bound, n_cols, top):
+        rmax = score(np.arange(len(bound))).max(axis=1)
+        assert np.all(rmax <= bound + 1e-9 * (1.0 + np.abs(bound)))
+        checked.append(len(bound))
+        return top_k_bounded(score, bound, n_cols, top)
+
+    with mock.patch.object(envelopes, "top_k_bounded", spy):
+        v_hat(ch, k, w, grid)
+        v_tilde(ch, k, w, grid)
+    assert len(checked) == 2

@@ -1,20 +1,26 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from secbc import EnvelopeWeights, GridSpec, make_channel, v_eta, v_hat, v_tilde
-from secbc import sweeps
+from secbc import envelopes, sweeps
 from secbc.sweeps import (
     chain_factor,
     coordinate_refine,
     golden_max,
+    grid_tables,
     half_log2_det_gram,
+    pair_dets,
+    pair_dets_rows,
+    top_k_bounded,
     top_k_flat,
     top_k_rows,
 )
 
 from conftest import EXAMPLE_G1, EXAMPLE_G2
+from oracles import golden_section_oracle
 
 
 def sorted_top_k(values, k):
@@ -74,6 +80,74 @@ class TestTopKRows:
             idx, vals, _ = top_k_rows(lambda lo, hi: values[lo:hi], 40, 6, 5)
             out.append((idx.tolist(), vals.tolist()))
         assert out[0] == out[1]
+
+
+class TestTopKBounded:
+    @pytest.mark.parametrize("rows_per_block", [1, 7, None])
+    @pytest.mark.parametrize("k", [1, 4, 30])
+    def test_equals_top_k_flat(self, rng, monkeypatch, rows_per_block, k):
+        for n_rows, n_cols in [(1, 5), (23, 9), (64, 3), (200, 4)]:
+            values = rng.integers(0, 5, size=(n_rows, n_cols)).astype(float)
+            values[rng.random(n_rows) < 0.3] = 0.0  # degenerate rows tie
+            per_block = n_rows if rows_per_block is None else rows_per_block
+            monkeypatch.setattr(sweeps, "GRID_BLOCK_NODES", per_block * n_cols)
+            # exact row maxima, or loose bounds above them
+            for slack in (np.zeros(n_rows), rng.uniform(0.0, 3.0, n_rows)):
+                bound = values.max(axis=1) + slack
+                scored = []
+
+                def score(rows):
+                    assert np.all(np.diff(rows) > 0)
+                    scored.extend(rows.tolist())
+                    return values[rows]
+
+                idx, vals, blocks, n_scored = top_k_bounded(score, bound, n_cols, k)
+                expected = top_k_flat(values, k)
+                assert idx.tolist() == expected.tolist()
+                assert vals.tolist() == values.ravel()[expected].tolist()
+                assert n_scored == len(scored) == len(set(scored)) <= n_rows
+                assert blocks >= 1
+
+    def test_rows_below_the_probe_are_skipped(self, monkeypatch):
+        values = np.zeros((100, 3))
+        values[:, 0] = np.arange(100.0)
+        monkeypatch.setattr(sweeps, "GRID_BLOCK_NODES", 4 * 3)
+        scored = []
+
+        def score(rows):
+            scored.extend(rows.tolist())
+            return values[rows]
+
+        idx, vals, _, n_scored = top_k_bounded(score, values.max(axis=1), 3, 2)
+        assert vals.tolist() == [99.0, 98.0] and idx.tolist() == [297, 294]
+        assert sorted(scored) == [96, 97, 98, 99] and n_scored == 4
+
+    def test_a_tie_bounded_low_by_rounding_keeps_the_lowest_index(self, monkeypatch):
+        # the probe (row 1) finds 3.0; row 0 holds 3.0 too, at a lower
+        # index, but its bound sits 1e-13 below it
+        values = np.array([[3.0], [3.0], [1.0]])
+        monkeypatch.setattr(sweeps, "GRID_BLOCK_NODES", 1)
+        bound = np.array([3.0 - 1e-13, 3.0, 1.0])
+        idx, vals, _, _ = top_k_bounded(lambda rows: values[rows], bound, 1, 1)
+        assert idx.tolist() == [0] and vals.tolist() == [3.0]
+
+    def test_nan_bound_is_scored(self):
+        values = np.array([[1.0, 0.0], [5.0, 2.0], [0.0, 0.0]])
+        bound = np.array([1.0, np.nan, 0.0])
+        idx, vals, _, _ = top_k_bounded(lambda rows: values[rows], bound, 2, 1)
+        assert idx.tolist() == [2] and vals.tolist() == [5.0]
+
+
+class TestPairDetsRows:
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_any_batch_gives_the_same_bits(self, rng, t):
+        tab = grid_tables(t, 3, np.linspace(0.0, 1.0, 3) ** 2)
+        parents = rng.normal(size=(9, t, t))
+        g = rng.normal(size=(t, t))
+        full = pair_dets(g, parents, tab.rots, tab.dgrids)
+        for rows in ([0], [4], [8], [2, 5], [1, 3, 8]):
+            part = pair_dets_rows(g, parents, np.array(rows), tab.rots, tab.dgrids)
+            assert part.tobytes() == full[rows].tobytes()
 
 
 def level3_objective(b0, gains):
@@ -144,10 +218,86 @@ class TestBatchedRefine:
         assert x[:2] == pytest.approx(peaks[:2], abs=1e-6)
         assert x[2] == pytest.approx(2.0, abs=1e-6)  # narrower than xtol
         assert x[3] == 0.0 and fx[3] == 0.0  # empty interval: the end point
-        # the empty lane alone, then both first probes of the other three
-        # lanes in one call, then one new probe per live lane and step
-        assert calls[:2] == [1, 6]
+        # the empty lane alone, then one call with six probes for each of
+        # the two lanes wider than xtol (interior pair, ends, end
+        # neighbours) and the interior pair of the narrow lane, then one
+        # new probe per live lane and step
+        assert calls[:2] == [1, 6 * 2 + 2]
         assert max(calls[2:]) == 2
+
+
+class TestGoldenEndTest:
+    XTOL = 1e-6
+
+    def run(self, fns, lo, hi):
+        calls = []
+
+        def f(x, lanes):
+            calls.append(len(lanes))
+            return np.array([fns[j](v) for v, j in zip(x, lanes)])
+
+        x, fx = golden_max(f, np.array(lo, float), np.array(hi, float), self.XTOL)
+        return x, fx, calls
+
+    def test_end_peaked_lanes_return_the_end_after_one_call(self):
+        fns = [lambda v: v, lambda v: -v, lambda v: -((v - 3.0) ** 2), lambda v: 1.0]
+        lo, hi = [0.0, -1.0, 0.0, 0.0], [1.0, 2.0, 1.5, 1.0]
+        x, fx, calls = self.run(fns, lo, hi)
+        assert x.tolist() == [1.0, -1.0, 1.5, 0.0]  # exact ends; a flat line keeps lo
+        assert fx.tolist() == [fns[j](x[j]) for j in range(4)]
+        assert calls == [6 * 4]
+
+    def test_interior_lanes_match_the_scalar_oracle_bitwise(self, rng):
+        peaks = rng.uniform(0.1, 0.9, 8)
+        widths = rng.uniform(0.5, 4.0, 8)
+
+        def line(j):
+            return lambda v: float(-widths[j] * (v - peaks[j]) ** 2 + np.sin(3.0 * v))
+
+        fns = [line(j) for j in range(8)] + [lambda v: v]  # plus one end lane
+        lo, hi = [0.0] * 8 + [0.0], [1.0] * 8 + [2.0]
+        x, fx, calls = self.run(fns, lo, hi)
+        assert x[8] == 2.0
+        for j in range(8):
+            ox, of = golden_section_oracle(fns[j], lo[j], hi[j], self.XTOL)
+            assert 0.0 < x[j] < 1.0
+            assert np.float64(ox).tobytes() == x[j].tobytes()
+            assert np.float64(of).tobytes() == fx[j].tobytes()
+        assert calls[0] == 6 * 9 and all(c <= 8 for c in calls[1:])
+
+    def test_bimodal_line_with_a_locally_best_end_runs_golden_section(self):
+        # f falls away from x = 0 and beats the other end there, but a
+        # higher peak sits at 0.6
+        def bimodal(v):
+            return -v if v < 0.1 else (2.0 - 10.0 * (v - 0.6) ** 2 if v < 0.9 else -1.0)
+
+        x, fx, calls = self.run([bimodal], [0.0], [1.0])
+        ox, of = golden_section_oracle(bimodal, 0.0, 1.0, self.XTOL)
+        assert x[0] == ox and fx[0] == of
+        assert x[0] == pytest.approx(0.6, abs=1e-6)
+        assert len(calls) > 20
+
+    def test_end_below_its_neighbour_runs_golden_section(self):
+        # the peak sits 1e-4 inside the upper end: the end beats both
+        # interior probes and the other end, but not its neighbour
+        def near_end(v):
+            return -((v - 0.9999) ** 2)
+
+        x, fx, calls = self.run([near_end], [0.0], [1.0])
+        ox, of = golden_section_oracle(near_end, 0.0, 1.0, self.XTOL)
+        assert x[0] == ox and fx[0] == of
+        assert x[0] == pytest.approx(0.9999, abs=1e-6)
+
+    def test_refine_reaches_a_box_end_exactly(self):
+        # the maximum sits on the box boundary: the refined point lands on it
+        def tilt(x):
+            return x[:, 0] - (x[:, 1] - 0.3) ** 2
+
+        x, fx, used = coordinate_refine(
+            tilt, [[0.5, 0.5]], [(0.0, 1.0)] * 2, np.array([1.0, 1.0]), 1e-9, 50
+        )
+        assert x[0, 0] == 1.0
+        assert x[0, 1] == pytest.approx(0.3, abs=1e-8)
 
 
 class TestEnvelopeSweeps:
@@ -188,7 +338,7 @@ class TestEnvelopeSweeps:
             assert len(used) > meta["starts"]  # grid seeds plus spectral seeds
             assert all(0 < u <= meta["refine_budget"] for u in used)
 
-    def test_budget_caps_line_searches(self):
+    def test_budget_caps_line_searches(self, fast_grid):
         grid = GridSpec(
             theta_steps=8, diag_steps=5, chain_theta_steps=4, chain_diag_steps=3,
             deep_theta_steps=4, deep_diag_steps=3, refine_iters=3,
@@ -196,6 +346,10 @@ class TestEnvelopeSweeps:
         for res in self.run_all(grid):
             used = res.grid_meta["line_searches"]
             assert max(used) == 3 and all(u <= 3 for u in used)
+            capped = res.grid_meta["capped"]
+            assert capped and capped == [i for i, u in enumerate(used) if u == 3]
+        for res in self.run_all(fast_grid):
+            assert res.grid_meta["capped"] == []
 
     def test_unrefined_value_is_the_grid_maximum(self):
         grid = GridSpec(theta_steps=8, diag_steps=5, refine_iters=0)
@@ -215,3 +369,60 @@ class TestEnvelopeSweeps:
                          for g in (np.array(EXAMPLE_G1), np.array(EXAMPLE_G2))]
                     best = max(best, c[1] - self.W.eta * c[0])
         assert res.value == pytest.approx(best, abs=1e-12)
+
+
+def unpruned(score, bound, n_cols, k):
+    """top_k_bounded's contract, met by scoring every row."""
+    idx, vals, blocks = top_k_rows(lambda lo, hi: score(np.arange(lo, hi)), len(bound), n_cols, k)
+    return idx, vals, blocks, len(bound)
+
+
+class TestInnermostPruning:
+    """The bound-pruned innermost level gives the unpruned reduction's bits."""
+
+    GRIDS = {
+        1: GridSpec(chain_theta_steps=2, chain_diag_steps=7, deep_theta_steps=2,
+                    deep_diag_steps=6, refine_iters=0),
+        2: GridSpec(chain_theta_steps=4, chain_diag_steps=3, deep_theta_steps=3,
+                    deep_diag_steps=3, refine_iters=0),
+        3: GridSpec(chain_theta_steps=2, chain_diag_steps=2, deep_theta_steps=1,
+                    deep_diag_steps=2, refine_iters=0),
+    }
+
+    def results(self, ch, k, grid):
+        out = []
+        for eta in (0.8, 1.3):
+            w = EnvelopeWeights(lambda0=2.0, lambda1=1.0, lambda2=0.7, eta=eta)
+            out.append(v_hat(ch, k, w, grid))
+            for alpha in (0.0, 0.4, 1.0):
+                out.append(v_tilde(ch, k, replace(w, alpha=alpha), grid))
+        return out
+
+    @pytest.mark.parametrize("nodes", [7, 500])
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_equals_the_unpruned_reduction_bitwise(self, rng, monkeypatch, t, nodes):
+        monkeypatch.setattr(sweeps, "GRID_BLOCK_NODES", nodes)
+        ch = make_channel(rng.normal(size=(t, t)) * 1.5, rng.normal(size=(t, t)) * 1.5)
+        k = rng.normal(size=(t, t))
+        k = k @ k.T + 0.5 * np.eye(t)
+        grids = [self.GRIDS[t]] + ([replace(self.GRIDS[t], refine_iters=4)] if t < 3 else [])
+        for grid in grids:
+            pruned = self.results(ch, k, grid)
+            with monkeypatch.context() as m:
+                m.setattr(envelopes, "top_k_bounded", unpruned)
+                full = self.results(ch, k, grid)
+            for a, b in zip(pruned, full):
+                assert np.float64(a.value).tobytes() == np.float64(b.value).tobytes()
+                for sa, sb in zip(a.argmax_splits, b.argmax_splits):
+                    assert sa.tobytes() == sb.tobytes()
+                assert a.grid_meta["line_searches"] == b.grid_meta["line_searches"]
+                assert a.grid_meta["nodes_scored"] <= b.grid_meta["nodes_scored"]
+            # a one-row probe may set too low a threshold to skip anything
+            if nodes == 500:
+                assert any(r.grid_meta["nodes_scored"] < r.grid_meta["grid_nodes"] for r in pruned)
+
+    def test_default_v_tilde_scores_few_rows(self):
+        ch = make_channel(EXAMPLE_G1, EXAMPLE_G2)
+        w = EnvelopeWeights(lambda0=2.0, lambda1=1.0, lambda2=0.7, eta=1.2, alpha=0.4)
+        meta = v_tilde(ch, np.diag([3.0, 2.0]), w, GridSpec(refine_iters=0)).grid_meta
+        assert meta["nodes_scored"] < meta["grid_nodes"] / 4
