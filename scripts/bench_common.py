@@ -1,9 +1,12 @@
-"""Time the common-message sweeps, their triple Pareto filter and the envelopes.
+"""Time the common-message sweeps, their triple Pareto filter, the envelopes and
+the power pair regions.
 
     python scripts/bench_common.py --tree change=. --tree parent=../parent \
         --out BENCH_common.json
     python scripts/bench_common.py --cases envelope --tree change=. \
         --tree parent=../parent --out BENCH_envelope.json
+    python scripts/bench_common.py --cases power --tree change=. \
+        --tree parent=../parent --out BENCH_power.json
 
 Each ``--tree LABEL=PATH`` names a secbc checkout (its ``src`` is put on
 the import path; default: this checkout as ``change``).  For every tree,
@@ -21,7 +24,10 @@ case runs in a fresh child process:
 the example channel with K = diag(3, 2), lambda = (2, 1, 0.8), eta = 1.2
 and alpha = 0.5 at the default grid; each record adds the value and the
 grid nodes scored (``grid_meta["nodes_scored"]`` where the tree reports
-it).
+it).  ``--cases power`` runs the power-constrained pair regions and the
+wiretap capacity: ``frontier_power``, ``both_confidential_frontier`` and
+``wtc_capacity_power`` on the example channel at P = 12 and the default
+grid (records add the output rows, or the capacity).
 
 A child runs its call ``--repeats`` times and reports every wall time
 (``time.perf_counter``) and its ``ru_maxrss`` before and after the calls,
@@ -47,6 +53,7 @@ EXAMPLE_G2 = [[1.3, 1.2], [1.5, 3.9]]
 CASE_SETS = {
     "common": ("region_common_power", "region_common_fixed", "pareto_filter"),
     "envelope": ("v_eta", "v_hat", "v_tilde"),
+    "power": ("frontier_power", "both_confidential_frontier", "wtc_capacity_power"),
 }
 SINGLE_THREAD_ENV = {
     "SECBC_THREADS": "1",
@@ -104,6 +111,11 @@ def _case_call(case: str):
             return lambda: _envelope_output(secbc.v_eta(example, k, w.eta)), "K = diag(3, 2)"
         fn = getattr(secbc, case)
         return lambda: _envelope_output(fn(example, k, w)), "K = diag(3, 2)"
+    if case in CASE_SETS["power"]:
+        fn = getattr(regions, case)
+        if case == "wtc_capacity_power":
+            return lambda: {"value": fn(example, 12.0)[0]}, "P = 12"
+        return lambda: _rows(fn(example, 12.0)), "P = 12"
     if case == "region_common_power":
         return lambda: _rows(regions.region_common_power(example, 12.0)), "P = 12"
     if case == "region_common_fixed":

@@ -32,9 +32,11 @@ The cases (``P`` is the power, ``K`` the covariance constraint):
   (t = 1-3, s = 1-4) with K = A A^T + 0.1 I.  Default grid, except
   ``theta_steps=8, diag_steps=9`` and chain grid (4, 3) at t = 3, where
   the default two-level grid holds about 10^13 nodes.  All bitwise.
-- ``frontier_power`` on the example channel at P = 12 and on
-  ``default_rng(s)`` t = 2 channels (s = 1-5, drawn as above): same
-  point count, every rate within 1e-12.
+- ``frontier_power`` on the example channel at P = 12, on
+  ``default_rng(s)`` t = 2 channels (s = 1-5, drawn as above) and on the
+  t = 1 and t = 3 power channels above with s = 1-3 (t = 3 at its small
+  grid), so that every spectrum branch of the K* scoring is compared:
+  same point count, every rate within 1e-12.
 - the CLI files ``region --mode common --power 12``, ``wtc --power 12``
   and the ``_both_confidential.csv`` of ``compare --power 12`` on the
   example channel: byte-identical.
@@ -110,13 +112,15 @@ def _cases(secbc):
         for fn in ("frontier_fixed_cov", "region_common_fixed"):
             out.append((f"{fn}[{tag}]", BITWISE, partial(getattr(secbc, fn), ch, k, grid)))
 
-    pair_sets = [("example", example, 12.0)]
+    pair_sets = [("example", example, 12.0, None)]
     for s in range(1, 6):
         rng = np.random.default_rng(s)
         ch = secbc.make_channel(_gain(rng, 2), _gain(rng, 2))
-        pair_sets.append((f"t2s{s}", ch, float(rng.uniform(2.0, 20.0))))
-    for tag, ch, p in pair_sets:
-        call = partial(secbc.frontier_power, ch, p)
+        pair_sets.append((f"t2s{s}", ch, float(rng.uniform(2.0, 20.0)), None))
+    other_t = {f"t{t}s{s}" for t in (1, 3) for s in (1, 2, 3)}
+    pair_sets += [case for case in power_sets if case[0] in other_t]
+    for tag, ch, p, grid in pair_sets:
+        call = partial(secbc.frontier_power, ch, p, grid)
         out.append((f"frontier_power[{tag}]", ("within", RATE_TOL_POWER), call))
 
     chan = ["--g1", "0.3,2.5;2.2,1.8", "--g2", "1.3,1.2;1.5,3.9", "--power", "12"]

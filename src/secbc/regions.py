@@ -20,7 +20,11 @@ cross the angle tuples with a table of eigenvalue rows
 simplex (``simplex_grid``) for the constraint matrices of the wiretap,
 both-confidential and common-message sweeps, and the u-ball e = P u^2
 with sum u^2 <= 1 for the K* of the pair region, whose coarse grid is
-then zoomed around its Pareto nodes.
+then zoomed around its Pareto nodes.  For t <= 2 those K* nodes are
+scored from their parameters alone (:func:`_kstar_rates`): determinants
+by the principal-minor expansion of :func:`secbc.sweeps.det_i_plus_diag`
+and the water-filling spectrum as the roots of a quadratic, with no
+per-node covariance; K* matrices are built for the kept nodes only.
 
 Frontiers carry the generating covariances on every point so any output
 row can be re-verified by plugging the matrices back into the rate
@@ -42,6 +46,7 @@ depend on the worker count or the block size.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +58,7 @@ from .sweeps import (
     chain_factor,
     children_factors,
     coordinate_refine,
+    det_i_plus_diag,
     det_i_plus_gram,
     diag_combos,
     diag_values,
@@ -424,29 +430,55 @@ def _water_fill(nu, power):
     return rate, mu
 
 
-def _kstar_nodes(x, p: float, t: int):
-    """K* = V(angles) diag(p u^2) V^T and its trace, rows x = (angles, u)."""
-    m = t * (t - 1) // 2
-    e = p * x[:, m:] ** 2
-    return gram(_trace_factors(np.column_stack([x[:, :m], e]), t)), e.sum(axis=1)
-
-
 def _noise2(ch: GaussianBc) -> np.ndarray:
     """(G2^T G2)^-1, so that I + G2 K G2^T = G2 (N + K) G2^T."""
     return gram(np.linalg.inv(ch.g2))
 
 
+def _kstar_matrices(x, p: float, t: int) -> np.ndarray:
+    """K* = V(angles) diag(p u^2) V^T of parameter rows x = (angles, u)."""
+    m = t * (t - 1) // 2
+    return gram(_trace_factors(np.column_stack([x[:, :m], p * x[:, m:] ** 2]), t))
+
+
 def _kstar_rates(ch: GaussianBc, p: float, x) -> np.ndarray:
-    """Rows (r1(K*), W(K*)) for parameter rows ``x`` of :func:`_kstar_nodes`.
+    """Rows (r1(K*), W(K*)) of K* = V diag(e) V^T, e = p u^2, for rows x = (angles, u).
 
     W(K*) is the best private rate over K = K* + Q with Q PSD and
-    tr Q <= p - tr K*: water-filling over the eigenvalues of
-    (G2^T G2)^-1 + K*.
+    tr Q <= p - tr K*: water-filling over the spectrum of N + K* with
+    N = (G2^T G2)^-1.  For t <= 2 no matrix that depends on K* is built.
+    With M_j = V^T G_j^T G_j V, det(I + G_j K* G_j^T) = det(I + diag(e) M_j),
+    a principal-minor expansion, so r1 = max(0.5 log2(d1 / d2), 0).  The
+    spectrum of N + K* is the single value T = tr N + sum e for t = 1 and
+    for t = 2 the roots of nu^2 - T nu + D with D = det(N + K*) =
+    det N * d2; the small root is taken as D / nu_+, free of cancellation.
+    For t >= 3 the nodes are scored from K* itself: its angle grids hold
+    many rows with the same K*, the Pareto mask keeps whichever of them
+    rounds highest and the zoom refines around that one, so other
+    arithmetic would move the frontier.
     """
-    ks, tr = _kstar_nodes(x, p, ch.t)
-    r1 = np.maximum(_half_log2_det(ch.g1, ks) - _half_log2_det(ch.g2, ks), 0.0)
-    w, _ = _water_fill(np.linalg.eigvalsh(_noise2(ch) + ks), p - tr)
-    return np.column_stack([r1, w])
+    t = ch.t
+    m = t * (t - 1) // 2
+    e = p * x[:, m:] ** 2
+    noise = _noise2(ch)
+    if t >= 3:
+        ks = _kstar_matrices(x, p, t)
+        r1 = _half_log2_det(ch.g1, ks) - _half_log2_det(ch.g2, ks)
+        nu = np.linalg.eigvalsh(noise + ks)
+    else:
+        v = rotation_batch(x[:, :m], t)
+        vt = np.swapaxes(v, -1, -2)
+        d1, d2 = (det_i_plus_diag(vt @ (g.T @ g) @ v, list(e.T)) for g in (ch.g1, ch.g2))
+        r1 = 0.5 * np.log2(d1 / d2)
+        tr = np.trace(noise) + e.sum(axis=1)
+        if t == 1:
+            nu = tr[:, None]
+        else:
+            det = np.linalg.det(noise) * d2
+            hi = 0.5 * (tr + np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0)))
+            nu = np.column_stack([det / hi, hi])
+    w, _ = _water_fill(nu, p - e.sum(axis=1))
+    return np.column_stack([np.maximum(r1, 0.0), w])
 
 
 def _water_filled(ch: GaussianBc, p: float, kstars) -> np.ndarray:
@@ -517,7 +549,10 @@ def frontier_power(ch: GaussianBc, p: float, grid: GridSpec | None = None) -> Fr
     :func:`_zoom_sweep` finds the Pareto K*; each kept point gets the
     constraint that attains W(K*), so tr K = p and K* <= K exactly.  The
     max-R1 corner re-water-fills the K* of :func:`wtc_capacity_power`;
-    the max-R2 corner is K* = 0.
+    the max-R2 corner is K* = 0.  ``meta`` records the K* nodes scored
+    per zoom level (``nodes_per_level``) and the ``perf_counter`` seconds
+    of the K* sweep, the wiretap corner and the point construction
+    (``phase_s``).
     """
     grid = grid or GridSpec()
     _check_power(p)
@@ -527,11 +562,14 @@ def frontier_power(ch: GaussianBc, p: float, grid: GridSpec | None = None) -> Fr
         zero = np.zeros((t, t))
         return Frontier([RatePoint(0.0, 0.0, {"k": zero, "kstar": zero})], meta)
 
+    start = time.perf_counter()
     x, counts = _zoom_sweep(ch, p, grid)
+    swept = time.perf_counter()
     meta["nodes_per_level"] = counts
     _, _, kstar_wtc = wtc_capacity_power(ch, p, grid)
+    cornered = time.perf_counter()
     kstars = np.concatenate(
-        [_kstar_nodes(x, p, t)[0], kstar_wtc[None], np.zeros((1, t, t))]
+        [_kstar_matrices(x, p, t), kstar_wtc[None], np.zeros((1, t, t))]
     )
     kmats = _water_filled(ch, p, kstars)
     r1 = _half_log2_det(ch.g1, kstars) - _half_log2_det(ch.g2, kstars)
@@ -540,7 +578,13 @@ def frontier_power(ch: GaussianBc, p: float, grid: GridSpec | None = None) -> Fr
         RatePoint(a, b, {"k": k, "kstar": ks})
         for a, b, k, ks in zip(r1, r2, kmats, kstars)
     ]
-    return Frontier(pareto_filter_pairs(points), meta)
+    front = pareto_filter_pairs(points)
+    meta["phase_s"] = {
+        "kstar_sweep": swept - start,
+        "wtc_corner": cornered - swept,
+        "points": time.perf_counter() - cornered,
+    }
+    return Frontier(front, meta)
 
 
 def both_confidential_frontier(

@@ -13,8 +13,8 @@ the same :class:`GridTables` (angle tuples, their rotations, scaling
 tuples), and :func:`grid_params` turns a flat index of a chained grid
 back into its parameter vector.  Determinants of
 ``I + G K* G^T`` over a whole diagonal grid come from the principal-minor
-expansion of ``det(I + D M)``, which costs 2^t coefficient arrays instead
-of one determinant per grid node.
+expansion of ``det(I + D M)`` (:func:`det_i_plus_diag`), which costs 2^t
+coefficient arrays instead of one determinant per grid node.
 
 Grids are reduced in row blocks (:func:`row_blocks`), so no sweep holds
 more than about ``GRID_BLOCK_NODES`` nodes at once.  In
@@ -70,6 +70,7 @@ __all__ = [
     "grid_params",
     "children_factors",
     "det_i_plus_gram",
+    "det_i_plus_diag",
     "pair_dets",
     "pair_dets_rows",
     "simplex_grid",
@@ -286,24 +287,39 @@ def pair_dets(
         )
         for i, d in enumerate(dgrids)
     ]
+    # Each (parent, rotation) matrix faces the whole diagonal grid, whose
+    # t axes trail the matrix axes.
+    return det_i_plus_diag(m.reshape((n, nv) + (1,) * t + (t, t)), dres)
+
+
+def det_i_plus_diag(m: np.ndarray, d: list[np.ndarray]) -> np.ndarray:
+    """det(I + diag(d) M) by the principal-minor expansion.
+
+    ``m`` (..., t, t) is symmetric and ``d`` holds one array per diagonal
+    entry, each broadcasting against the leading shape of ``m``; the
+    result has their broadcast shape.  det(I + D M) is the sum over
+    index subsets S of det(M[S, S]) times the product of d_i over S, so
+    a whole grid of diagonals costs 2^t coefficient arrays instead of one
+    determinant per grid node.
+    """
+    t = m.shape[-1]
     # Terms are summed in subset order; the sum stays at the broadcast
     # shape of the terms so far and is updated in place once it is full.
-    out = np.ones((n, nv) + (1,) * t)
-    lead = (slice(None), slice(None)) + (None,) * t
+    out = np.ones(m.shape[:-2])
     for r in range(1, t + 1):
         for subset in itertools.combinations(range(t), r):
             idx = list(subset)
             if r == 1:
-                minors = m[:, :, idx[0], idx[0]]
+                minors = m[..., idx[0], idx[0]]
             elif r == 2:
                 i, j = idx
-                minors = m[:, :, i, i] * m[:, :, j, j] - m[:, :, i, j] * m[:, :, j, i]
+                minors = m[..., i, i] * m[..., j, j] - m[..., i, j] * m[..., j, i]
             else:
-                minors = np.linalg.det(m[:, :, idx][:, :, :, idx])
-            dfact = dres[idx[0]]
+                minors = np.linalg.det(m[..., idx, :][..., idx])
+            dfact = d[idx[0]]
             for i in idx[1:]:
-                dfact = dfact * dres[i]
-            term = minors[lead] * dfact[None, None]
+                dfact = dfact * d[i]
+            term = minors * dfact
             if np.broadcast_shapes(out.shape, term.shape) == out.shape:
                 out += term
             else:
@@ -361,7 +377,13 @@ def golden_max(f, lo, hi, xtol: float = 1e-6):
     only creep up to it.  Every other lane continues from the same probes,
     each call passing only lanes whose interval is still wider than
     ``xtol``, so it performs exactly the evaluations of a scalar
-    golden-section search.  Returns (x, f(x)) arrays over the lanes.
+    golden-section search.  A lane also ends once its bracket cannot
+    shrink in floating point, i.e. its probes no longer lie strictly
+    between its ends and apart: near |x| = 1e10 one ulp (1.9e-6) exceeds
+    the default ``xtol`` of 1e-6, so width alone would never stop.  That
+    test only runs when some bracket reaches |x| with ulps above
+    xtol / 64, so smaller brackets take exactly the steps they always did.
+    Returns (x, f(x)) arrays over the lanes.
     """
     a = np.array(lo, dtype=float, ndmin=1)
     b = np.array(hi, dtype=float, ndmin=1)
@@ -393,6 +415,10 @@ def golden_max(f, lo, hi, xtol: float = 1e-6):
     inner = np.ones(n, dtype=bool)
     inner[live[done]] = False
     live = live[~done]
+    # A bracket a few ulps wide stays wider than xtol when ulps near its
+    # ends approach xtol; its probes then meet an end or each other.  Where
+    # ulps stay below xtol / 64 the probes keep apart while it is wider.
+    stall = bool(np.any(np.spacing(np.maximum(np.abs(a), np.abs(b))) > xtol / 64.0))
     while live.size:
         up = f1[live] < f2[live]
         i, j = live[up], live[~up]
@@ -402,7 +428,10 @@ def golden_max(f, lo, hi, xtol: float = 1e-6):
         x1[j] = b[j] - _INVPHI * (b[j] - a[j])
         fnew = f(np.concatenate([x2[i], x1[j]]), lanes[np.concatenate([i, j])])
         f2[i], f1[j] = fnew[: i.size], fnew[i.size :]
-        live = live[(b[live] - a[live]) > xtol]
+        ok = b - a > xtol
+        if stall:
+            ok &= (a < x1) & (x1 < x2) & (x2 < b)
+        live = live[ok[live]]
     first = f1 >= f2
     xbest[lanes[inner]] = np.where(first, x1, x2)[inner]
     fbest[lanes[inner]] = np.where(first, f1, f2)[inner]

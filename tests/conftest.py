@@ -1,3 +1,4 @@
+import math
 import sys
 from pathlib import Path
 
@@ -7,6 +8,10 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
 
 from secbc import GridSpec, make_channel
+from secbc.matops import rotation
+from secbc.regions import _kstar_rates
+
+from oracles import kstar_rates_oracle
 
 EXAMPLE_G1 = [[0.3, 2.5], [2.2, 1.8]]
 EXAMPLE_G2 = [[1.3, 1.2], [1.5, 3.9]]
@@ -53,3 +58,29 @@ def large_singular_covariance():
     q, _ = np.linalg.qr(np.random.default_rng(46).normal(size=(3, 3)))
     m = (q * [-3e-9, 4e6, 8e6]) @ q.T
     return 0.5 * (m + m.T)
+
+
+def kstar_rows(ch, rng, count):
+    """Parameter rows (angles, u) of the K* sweep, one of each kind per round:
+    u = 0, u on the ball surface (tr K* = p) and u inside the ball."""
+    t = ch.t
+    m = t * (t - 1) // 2
+    rows = []
+    for _ in range(count):
+        for radius in (0.0, 1.0, rng.uniform(0.05, 0.95)):
+            u = rng.normal(size=t)
+            angles = rng.uniform(0.0, 2.0 * math.pi, m)
+            rows.append(np.concatenate([angles, radius * u / np.linalg.norm(u)]))
+    return np.array(rows)
+
+
+def assert_kstar_rates(ch, p, x, tol):
+    """_kstar_rates of rows ``x`` match the rate formulas row by row."""
+    t = ch.t
+    m = t * (t - 1) // 2
+    got = _kstar_rates(ch, p, x)
+    for row, (r1, w) in zip(x, got):
+        ref = kstar_rates_oracle(ch.g1, ch.g2, p, rotation(row[:m], t), p * row[m:] ** 2)
+        assert abs(r1 - ref[0]) <= tol
+        assert abs(w - ref[1]) <= tol
+    return got

@@ -201,3 +201,18 @@ def golden_section_oracle(f, lo, hi, xtol):
             x1 = b - invphi * (b - a)
             f1 = f(x1)
     return (x1, f1) if f1 >= f2 else (x2, f2)
+
+
+def kstar_rates_oracle(g1, g2, p, v, e):
+    """(r1, W) of K* = V diag(e) V^T under total power p, from the rate formulas.
+
+    r1 = max(I(G1; K*) - I(G2; K*), 0) from two determinants, and W
+    water-fills the power left, p - sum(e), over the effective gain
+    (I + G2 K* G2^T)^(-1/2) G2 that receiver 2 sees once K* is noise.
+    """
+    g1, g2 = np.asarray(g1, float), np.asarray(g2, float)
+    ks = np.asarray(v, float) @ np.diag(e) @ np.asarray(v, float).T
+    r1 = max(mi_gauss(g1, ks) - mi_gauss(g2, ks), 0.0)
+    root = eig_sqrt(np.eye(g2.shape[0]) + g2 @ ks @ g2.T)
+    w = water_fill_oracle(np.linalg.solve(root, g2), max(p - float(np.sum(e)), 0.0))
+    return r1, w

@@ -23,6 +23,12 @@ FAST = [
 ]
 
 
+def _package_env():
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = str(Path(secbc.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+
+
 def _matrix_arg(m):
     return ";".join(",".join(repr(float(x)) for x in row) for row in m)
 
@@ -305,14 +311,14 @@ class TestGridFlags:
 class TestBrokenPipe:
     @pytest.mark.parametrize("unbuffered", [False, True])
     def test_closed_stdout_still_writes_files_and_exits_0(self, tmp_path, unbuffered):
-        src = str(Path(secbc.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
         out, svg = tmp_path / "f.csv", tmp_path / "f.svg"
         cmd = ["region", "--covariance", "6,0;0,6", "--g1", G1_ARG, "--g2", G2_ARG]
         cmd += ["--grid-theta", "8", "--grid-d", "5"]
         argv = [sys.executable] + (["-u"] if unbuffered else []) + ["-m", "secbc.cli"]
         argv += cmd + ["--out", str(out), "--svg", str(svg)]
-        proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc = subprocess.Popen(
+            argv, env=_package_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        )
         proc.stdout.close()  # the reader goes away before the first line
         err = proc.stderr.read().decode()
         proc.stderr.close()
@@ -322,6 +328,20 @@ class TestBrokenPipe:
         assert main(cmd + ["--out", str(direct)]) == 0
         assert out.read_bytes() == direct.read_bytes()
         assert "</svg>" in svg.read_text()
+
+
+class TestHugePower:
+    """Golden section ends at powers where one ulp exceeds its tolerance."""
+
+    @pytest.mark.parametrize("command", ["wtc", "compare"])
+    def test_exits_0_in_time(self, command, tmp_path):
+        argv = [sys.executable, "-m", "secbc.cli", command, "--power", "1e10"]
+        argv += ["--g1", G1_ARG, "--g2", G2_ARG, *FAST, "--out", str(tmp_path / "f.csv")]
+        proc = subprocess.run(
+            argv, env=_package_env(), capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "f.csv").exists()
 
 
 class TestCompare:

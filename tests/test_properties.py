@@ -41,6 +41,7 @@ from secbc import envelopes
 from secbc.regions import _wtc_gevd
 from secbc.sweeps import top_k_bounded
 
+from conftest import assert_kstar_rates, kstar_rows
 from oracles import mi_gauss, wtc_oracle_fixed
 
 EPS = np.finfo(float).eps
@@ -166,6 +167,13 @@ def test_power_frontiers_reverify_from_generators(inst):
         # receiver 2's rate is kept secret from receiver 1 as well
         r2 = r2_hat(ch, k, ks) - r2_hat(swapped, k, ks)
         assert abs(p.r2 - max(0.0, r2)) <= 2.0 * tol
+
+
+@settings(max_examples=25, deadline=None)
+@given(power_instances(), st.integers(0, 2**32 - 1))
+def test_kstar_scores_match_the_rate_formulas(inst, seed):
+    ch, _, power, _, tol = inst
+    assert_kstar_rates(ch, power, kstar_rows(ch, np.random.default_rng(seed), 3), tol)
 
 
 @settings(max_examples=25, deadline=None)

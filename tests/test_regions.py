@@ -29,9 +29,10 @@ from secbc import (
     wtc_capacity_power,
 )
 from secbc import regions, sweeps
+from secbc.matops import rotation_angles
 from secbc.sweeps import diag_combos, diag_values, theta_tuple_grid
 
-from conftest import random_spd
+from conftest import assert_kstar_rates, kstar_rows, random_spd
 from oracles import fig2_oracle, water_fill_oracle
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -218,6 +219,13 @@ class TestFrontierPower:
         fr = frontier_power(ch, 6.0, GridSpec(theta_steps=3, trace_steps=steps))
         _assert_power_points_reverify(ch, fr, 6.0)
 
+    def test_meta_reports_nodes_and_phase_times(self, example_channel):
+        fr = frontier_power(example_channel, 6.0, GridSpec(theta_steps=4, trace_steps=3))
+        assert len(fr.meta["nodes_per_level"]) == regions.ZOOM_LEVELS + 1
+        phases = fr.meta["phase_s"]
+        assert set(phases) == {"kstar_sweep", "wtc_corner", "points"}
+        assert all(math.isfinite(v) and v >= 0.0 for v in phases.values())
+
     def test_pins_verified_point(self, example_channel):
         # (0.91573, 2.91756) re-verifies from its covariances, tr K = 12
         fr = frontier_power(example_channel, 12.0)
@@ -245,6 +253,35 @@ class TestFrontierPower:
         oracle = fig2_oracle(*gains, power, n_phi=12, n_q=13, n_theta=12, n_d=9, bins=128)
         for r1_edge, r2_best in zip(oracle["stair_r1"], oracle["stair_r2"]):
             assert fr.r2_available(r1_edge, slack=5e-3) >= r2_best - 5e-3
+
+
+class TestKstarRates:
+    """Node scores of the K* sweep against independent evaluations."""
+
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_match_the_rate_formulas(self, t):
+        rng = np.random.default_rng(300 + t)
+        ch = make_channel(rng.normal(size=(t, t)), rng.normal(size=(t, t)))
+        x = kstar_rows(ch, rng, 5)
+        got = assert_kstar_rates(ch, 7.0, x, 1e-9)
+        # u = 0: K* = 0 leaves r1 = 0 and all the power to water-fill
+        assert np.all(got[::3, 0] == 0.0)
+        assert got[0, 1] == pytest.approx(water_fill_oracle(ch.g2, 7.0), abs=1e-9)
+        # u on the surface: no power is left over
+        assert np.abs(got[1::3, 1]).max() <= 1e-9
+
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_repeated_spectrum(self, t):
+        # N + K* = c I: the two roots at t = 2 coincide (zero discriminant)
+        rng = np.random.default_rng(310 + t)
+        ch = make_channel(rng.normal(size=(t, t)), rng.normal(size=(t, t)))
+        n, q = np.linalg.eigh(regions._noise2(ch))
+        if np.linalg.det(q) < 0:
+            q[:, 0] = -q[:, 0]
+        e = 1.5 * n.max() - n
+        for p in (e.sum(), 4.0 * e.sum()):
+            row = np.concatenate([rotation_angles(q) if t > 1 else [], np.sqrt(e / p)])
+            assert_kstar_rates(ch, p, row[None], 1e-9)
 
 
 class TestWaterFill:

@@ -9,6 +9,7 @@ from secbc import envelopes, sweeps
 from secbc.sweeps import (
     chain_factor,
     coordinate_refine,
+    det_i_plus_diag,
     golden_max,
     grid_tables,
     half_log2_det_gram,
@@ -164,6 +165,20 @@ def level3_objective(b0, gains):
     return objective
 
 
+class TestDetIPlusDiag:
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_matches_the_determinant(self, rng, t):
+        a = rng.normal(size=(4, t, t))
+        m = np.swapaxes(a, -1, -2) @ a
+        d = rng.uniform(0.0, 3.0, size=(t, 5, 1))  # a grid of diagonals per matrix
+        got = det_i_plus_diag(m, list(d))
+        assert got.shape == (5, 4)
+        for i in range(5):
+            for j in range(4):
+                ref = np.linalg.det(np.eye(t) + np.diag(d[:, i, 0]) @ m[j])
+                assert got[i, j] == pytest.approx(ref, rel=1e-12)
+
+
 class TestBatchedRefine:
     def test_lanes_match_single_runs_bitwise(self, rng):
         b0 = np.linalg.cholesky(np.diag([3.0, 2.0]))
@@ -287,6 +302,23 @@ class TestGoldenEndTest:
         ox, of = golden_section_oracle(near_end, 0.0, 1.0, self.XTOL)
         assert x[0] == ox and fx[0] == of
         assert x[0] == pytest.approx(0.9999, abs=1e-6)
+
+    def test_bracket_far_from_zero_ends(self):
+        # ulp(1e10) = 1.9e-6 > xtol / 2: the bracket stops shrinking a few
+        # ulps wide, wider than xtol, and the lane must end there
+        peak = 1e10 + 3.3
+        probes = []
+
+        def line(v):
+            probes.append(v)
+            if len(probes) > 1000:
+                raise AssertionError("golden section does not end")
+            return -((v - peak) ** 2)
+
+        x, fx, calls = self.run([line], [1e9], [1e10 + 10.0])
+        assert abs(x[0] - peak) <= 8.0 * np.spacing(peak)
+        assert fx[0] == -((x[0] - peak) ** 2)
+        assert len(calls) < 100
 
     def test_refine_reaches_a_box_end_exactly(self):
         # the maximum sits on the box boundary: the refined point lands on it
