@@ -17,8 +17,8 @@ case runs in a fresh child process:
 - ``region_common_fixed``: a seeded t = 3 channel at chain grid (4, 3);
 - ``pareto_filter``: ``regions._pareto_rows_triples`` alone, on the
   largest input it receives during the ``region_common_power`` case
-  (3822 rows on the example channel); that call also sets its
-  ``peak_rss_mb``.
+  (its one call there: 3906 cell winners plus 136 max-R1 corners, 4042
+  rows on the example channel); that call also sets its ``peak_rss_mb``.
 
 ``--cases envelope`` runs ``v_eta``, ``v_hat`` and ``v_tilde`` instead, on
 the example channel with K = diag(3, 2), lambda = (2, 1, 0.8), eta = 1.2

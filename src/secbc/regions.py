@@ -30,17 +30,21 @@ Frontiers carry the generating covariances on every point so any output
 row can be re-verified by plugging the matrices back into the rate
 formulas.  Sweeps follow the grid resolutions in :class:`GridSpec`.  The
 max-confidential-rate corner of every region is the closed-form wiretap
-optimum of its constraint matrix (:func:`wtc_capacity`); under a power
-constraint that optimum is polished by golden section over the angles
-and leading eigenvalues of the trace-P constraint.
+optimum of its constraint matrix (:func:`wtc_capacity`).  Under a power
+constraint the pair regions polish that optimum by golden section over
+the angles and leading eigenvalues of the trace-P constraint; the
+common-message region takes the best of its manifold nodes.
 
 Every grid is streamed in the row blocks of :func:`secbc.sweeps.row_blocks`
 (at most about ``GRID_BLOCK_NODES`` nodes each) through
 :func:`secbc.sweeps.map_ordered`, which may run them in parallel (see
-SECBC_THREADS).  The common-message sweeps cut each block to one winner
-per (r0, r1) cell before the output-sensitive triple Pareto filter runs.
-Blocks and manifold nodes are always merged in order, so output does not
-depend on the worker count or the block size.
+SECBC_THREADS).  Both common-message regions run one kernel
+(:func:`_common_triples`) over a batch of constraints: one K, or every
+trace-P manifold node.  Its (r0, r1) cell scales are known before any
+inner node is scored, so each block is cut at once to one winner per
+cell, and the output-sensitive triple Pareto filter runs once.  Blocks
+are always merged in order, so output does not depend on the worker
+count or the block size.
 """
 
 from __future__ import annotations
@@ -644,110 +648,107 @@ def wtc_capacity_power(ch: GaussianBc, p: float, grid: GridSpec | None = None):
     return float(value), kmat, kstar
 
 
-# (r0, r1) cells per axis of the triple thinning: one constraint's grid,
-# and in region_common_power each manifold node before the union.
+# (r0, r1) cells per axis of the triple thinning.
 _CELLS = 96
-_NODE_CELLS = 64
 
 
-def _cell_index(r: np.ndarray, scale: float, bins: int) -> np.ndarray:
-    return np.minimum((r / scale * bins).astype(np.int64), bins - 1)
+def _cell_index(r: np.ndarray, scale: float) -> np.ndarray:
+    idx = (r / scale * _CELLS).astype(np.int64)
+    return np.minimum(idx, _CELLS - 1, out=idx)
 
 
-def _cell_winners(comb: np.ndarray, r2: np.ndarray, n_cells: int) -> np.ndarray:
+def _cell_winners(comb: np.ndarray, r2: np.ndarray) -> np.ndarray:
     """Row of the highest r2 in each occupied cell, the lowest on ties, in cell order."""
-    best = np.full(n_cells, -np.inf)
+    best = np.full(_CELLS * _CELLS, -np.inf)
     np.maximum.at(best, comb, r2)
     sel = np.flatnonzero(r2 >= best[comb])
     _, firsts = np.unique(comb[sel], return_index=True)
     return sel[firsts]
 
 
-def _reduce_triples(cand: np.ndarray, bins: int = _CELLS) -> np.ndarray:
-    """Thin rows (r0, r1, r2, ...): max r2 per (r0, r1) cell, in cell order."""
-    if cand.shape[0] == 0:
-        return cand
-    r0, r1 = cand[:, 0], cand[:, 1]
-    comb = _cell_index(r0, r0.max() + 1e-12, bins) * bins + _cell_index(
-        r1, r1.max() + 1e-12, bins
-    )
-    return cand[_cell_winners(comb, cand[:, 2], bins * bins)]
+def _half_log2(dets: np.ndarray) -> np.ndarray:
+    """0.5 * log2 of grid determinants, which must come out positive and finite."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.log2(dets)
+    out *= 0.5
+    if not np.isfinite(out).all():
+        raise FloatingPointError("a grid determinant is not positive and finite")
+    return out
 
 
-def _common_cells(ch, b0, kmat, tab, bins: int):
-    """Thinned candidate rows (r0, r1, r2, flat) of one constraint.
+def _common_triples(ch: GaussianBc, factors, kmats, tab, meta: dict) -> list:
+    """Pareto triples of the union of the common-message regions of ``kmats``.
 
-    The two-level grid pairs each outer sub-covariance K1+K2 of ``kmat``
-    (factor ``b0``) with each inner split K2 below it; ``flat`` indexes
-    it as in :func:`grid_params`.  The rows are those of
-    :func:`_reduce_triples` on the whole grid, without building it: the
-    inner level is streamed in the outer-row blocks of :func:`row_blocks`,
-    keeping only r1 and r2 until max r1 fixes the cells.  Then each block
-    is cut to its own cell winners, and the blocks are merged in order, a
-    later block taking a cell only with a strictly higher r2, so the
-    lowest flat index wins ties.  Returns (rows, grid rows, blocks).
+    Each constraint K = B B^T (``factors`` B) is swept on the two-level
+    grid of ``tab``: an outer sub-covariance K1+K2 (what is left carries
+    the common message) and an inner split K2 below it, the confidential
+    layer.  The cell scales are fixed before any inner node is scored:
+    r0 by the outer rows of all constraints, r1 by the largest
+    closed-form wiretap optimum (:func:`_wtc_gevd`), which bounds every
+    grid r1.  The outer rows are streamed in :func:`row_blocks`, each
+    block cut at once to the highest r2 per (r0, r1) cell, and the blocks
+    merged in order, so the lowest grid index wins ties.  Each
+    constraint's max-R1 triple (r0 = 0, K2 = K*, K1 = K - K*) joins the
+    winners in one triple Pareto filter.  ``meta`` gets the grid rows
+    (``candidates``), the rows entering that filter (``thinned``) and the
+    ``blocks``.
     """
     t = ch.t
     gains = (ch.g1, ch.g2)
-    c1k, c2k = mi_xy(ch, kmat, 1), mi_xy(ch, kmat, 2)
-    outer = children_factors(b0[None], tab.rots, tab.combos).reshape(-1, t, t)
-    n = len(outer)  # outer nodes, and inner nodes per outer node
-    l1o, l2o = (0.5 * np.log2(det_i_plus_gram(g, outer)) for g in gains)
-    r0 = np.maximum(np.minimum(c1k - l1o, c2k - l2o), 0.0)
-    spans = row_blocks(n, n)
+    outer = children_factors(factors, tab.rots, tab.combos).reshape(-1, t, t)
+    n = len(tab.rots) * len(tab.combos)  # outer rows per constraint, inner nodes per row
+    c1k, c2k = (_half_log2_det(g, kmats) for g in gains)
+    l1o, l2o = (_half_log2(det_i_plus_gram(g, outer)) for g in gains)
+    r0 = np.maximum(np.minimum(np.repeat(c1k, n) - l1o, np.repeat(c2k, n) - l2o), 0.0)
+    wtc, kstar = _wtc_gevd(ch, kmats)
+    c0 = _cell_index(r0, r0.max() + 1e-12) * _CELLS
+    s1 = wtc.max() + 1e-12
+    spans = row_blocks(len(outer), n)
 
-    def rates(span):
+    def winners(span):
         lo, hi = span
         rows = np.arange(lo, hi)
         l1i, l2i = (
-            0.5 * np.log2(pair_dets_rows(g, outer, rows, tab.rots, tab.dgrids)).reshape(-1, n)
+            _half_log2(pair_dets_rows(g, outer, rows, tab.rots, tab.dgrids)).reshape(-1, n)
             for g in gains
         )
-        return np.maximum(l1i - l2i, 0.0), np.maximum(l2o[lo:hi, None] - l2i, 0.0)
-
-    parts = map_ordered(rates, spans)
-    c0 = _cell_index(r0, r0.max() + 1e-12, bins)
-    s1 = np.max([r1.max() for r1, _ in parts]) + 1e-12
-
-    def winners(item):
-        (lo, hi), (r1, r2) = item
-        comb = (c0[lo:hi, None] * bins + _cell_index(r1, s1, bins)).ravel()
-        r1, r2 = r1.ravel(), r2.ravel()
-        sel = _cell_winners(comb, r2, bins * bins)
+        # In place: fresh block-sized arrays each cost page faults, since
+        # the heap shrinks again once a block's arrays are freed.
+        r1 = np.maximum(np.subtract(l1i, l2i, out=l1i), 0.0, out=l1i).ravel()
+        r2 = np.maximum(np.subtract(l2o[lo:hi, None], l2i, out=l2i), 0.0, out=l2i).ravel()
+        comb = _cell_index(r1, s1)
+        comb += np.repeat(c0[lo:hi], n)
+        sel = _cell_winners(comb, r2)
         return comb[sel], r1[sel], r2[sel], sel + lo * n
 
-    best = np.full((bins * bins, 2), -np.inf)  # r1, r2 of each cell's row
-    flat = np.full(bins * bins, -1)
-    for cells, r1, r2, idx in map_ordered(winners, list(zip(spans, parts))):
-        up = r2 > best[cells, 1]
-        cells = cells[up]
-        best[cells] = np.column_stack([r1[up], r2[up]])
-        flat[cells] = idx[up]
-    cells = np.flatnonzero(flat >= 0)
-    rows = np.column_stack([r0[flat[cells] // n], best[cells], flat[cells]])
-    return rows, n * n, len(spans)
+    comb, r1, r2, flat = (np.concatenate(c) for c in zip(*map_ordered(winners, spans)))
+    sel = _cell_winners(comb, r2)
+    flat = flat[sel]
+    corners = np.column_stack([np.zeros(len(kmats)), wtc, c2k - _half_log2_det(ch.g2, kstar)])
+    rates = np.vstack([np.column_stack([r0[flat // n], r1[sel], r2[sel]]), corners])
+    meta.update(candidates=len(outer) * n, thinned=len(rates), blocks=len(spans))
 
-
-def _triples_from_candidates(ch, b0, kmat, cand, tables) -> list:
+    keep = np.sort(_pareto_rows_triples(rates))  # grid winners first, then corners
+    node, idx = np.divmod(flat[keep[keep < len(flat)]], n * n)
+    corner = keep[keep >= len(flat)] - len(flat)
     # The inner split was swept from the chained outer factor, so the
     # same chain (not a fresh Cholesky root) must rebuild it.
-    factors = chain_factor(b0, grid_params(tables, cand[:, 3], 2), ch.t, 2)
-    ks = gram(factors)
-    return [
-        RateTriple(row[0], row[1], row[2], {"k": kmat, "k1": ksum - k2, "k2": k2})
-        for row, (ksum, k2) in zip(cand, ks)
+    ks = gram(chain_factor(factors[node], grid_params(tab, idx, 2), t, 2))
+    ksum = np.concatenate([ks[:, 0], kmats[corner]])
+    k2 = np.concatenate([ks[:, 1], kstar[corner]])
+    points = [
+        RateTriple(*rates[i], {"k": kmats[j], "k1": s - b, "k2": b})
+        for i, j, s, b in zip(keep, np.concatenate([node, corner]), ksum, k2)
     ]
+    points.sort(key=lambda p: (p.r1, p.r2, p.r0))
+    return points
 
 
 def region_common_fixed(ch: GaussianBc, k, grid: GridSpec | None = None) -> Frontier:
     """Pareto surface of (R0, R1, R2) under covariance constraint ``k``.
 
-    Sweeps the chained parameterization: an outer sub-covariance K1+K2 of
-    ``k`` (what is left carries the common message) and an inner split of
-    it into the confidential layer K2 and receiver 2's private layer K1.
-    The grid is streamed and thinned by :func:`_common_cells`; ``meta``
-    counts its rows (``candidates``), the rows left after thinning
-    (``thinned``) and the blocks.
+    The ``chain_*`` grid of :func:`_common_triples` over the single
+    constraint ``k``; its max-R1 corner is :func:`wtc_capacity`.
     """
     grid = grid or GridSpec()
     k = validate_psd(k, name="k")
@@ -758,23 +759,18 @@ def region_common_fixed(ch: GaussianBc, k, grid: GridSpec | None = None) -> Fron
     zero = np.zeros((t, t))
     if np.abs(k).max() < 1e-15:
         return Frontier([RateTriple(0, 0, 0, {"k": k, "k1": zero, "k2": zero})], meta)
-    b0 = sqrt_factor(k)
     tab = grid_tables(t, grid.chain_theta_steps, diag_values(grid.chain_diag_steps))
-    cand, meta["candidates"], meta["blocks"] = _common_cells(ch, b0, k, tab, _CELLS)
-    meta["thinned"] = len(cand)
-    cand = cand[_pareto_rows_triples(cand[:, :3])]
-    points = _triples_from_candidates(ch, b0, k, cand, tab)
-    return Frontier(pareto_filter_triples(points), meta)
+    return Frontier(_common_triples(ch, sqrt_factor(k)[None], k[None], tab, meta), meta)
 
 
 def region_common_power(ch: GaussianBc, p: float, grid: GridSpec | None = None) -> Frontier:
     """Union of the common-message surfaces over the trace-p manifold.
 
     The manifold nodes are the :func:`_trace_grid` of ``deep_theta_steps``
-    angles and the ``deep_trace_steps`` simplex.  Each node runs the kernel
-    of :func:`region_common_fixed` on the ``deep_*`` grid with coarser
-    cells; the union of the survivors is thinned again and
-    Pareto-filtered, and ``meta`` sums the counts.
+    angles and the ``deep_trace_steps`` simplex; :func:`_common_triples`
+    sweeps all of them at once on the ``deep_*`` grid.  At t = 1 the only
+    node is K = p, swept as :func:`region_common_fixed` on the ``chain_*``
+    grid.
     """
     grid = grid or GridSpec()
     _check_power(p)
@@ -789,25 +785,8 @@ def region_common_power(ch: GaussianBc, p: float, grid: GridSpec | None = None) 
         return Frontier(fr.points, meta)
     x = _trace_grid(t, grid.deep_theta_steps, simplex_grid(t, p, grid.deep_trace_steps))
     factors = _trace_factors(x, t)
-    kmats = gram(factors)
     tab = grid_tables(t, grid.deep_theta_steps, diag_values(grid.deep_diag_steps))
-
-    def work(i):
-        cand, evaluated, blocks = _common_cells(ch, factors[i], kmats[i], tab, _NODE_CELLS)
-        return np.column_stack([cand, np.full(len(cand), i)]), evaluated, blocks
-
-    parts = map_ordered(work, list(range(len(x))))
-    cand = _reduce_triples(np.vstack([c for c, _, _ in parts]))
-    meta["candidates"] = sum(evaluated for _, evaluated, _ in parts)
-    meta["blocks"] = sum(blocks for _, _, blocks in parts)
-    meta["thinned"] = len(cand)
-    cand = cand[_pareto_rows_triples(cand[:, :3])]
-    points = []
-    node_of = cand[:, 4].astype(int)
-    for i in np.unique(node_of):
-        rows = cand[node_of == i, :4]
-        points.extend(_triples_from_candidates(ch, factors[i], kmats[i], rows, tab))
-    return Frontier(pareto_filter_triples(points), meta)
+    return Frontier(_common_triples(ch, factors, gram(factors), tab, meta), meta)
 
 
 def check_k1_zero(ch: GaussianBc, k, samples: int = 100, seed: int = 0) -> bool:

@@ -344,6 +344,22 @@ class TestHugePower:
         assert (tmp_path / "f.csv").exists()
 
 
+class TestHugeCommonRegion:
+    """Grid determinants that round to <= 0 at huge powers are a numerical failure."""
+
+    @pytest.mark.parametrize(
+        "constraint", [["--power", "1e15"], ["--covariance", "1e15,0;0,1e15"]]
+    )
+    def test_exits_0_or_3_without_traceback(self, constraint, tmp_path):
+        argv = [sys.executable, "-m", "secbc.cli", "region", "--mode", "common", *constraint]
+        argv += ["--g1", G1_ARG, "--g2", G2_ARG, "--out", str(tmp_path / "f.csv")]
+        proc = subprocess.run(
+            argv, env=_package_env(), capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode in (0, 3), proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 class TestCompare:
     def test_compare_writes_both_csvs_and_svg(self, tmp_path, capsys):
         out = tmp_path / "fig.csv"

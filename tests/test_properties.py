@@ -1,5 +1,6 @@
-"""Property tests of the closed-form wiretap optimum, the power paths and
-the bound that prunes the innermost envelope level.
+"""Property tests of the closed-form wiretap optimum, the power paths, the
+common-message regions and the bound that prunes the innermost envelope
+level.
 
 Instances are random and ill-conditioned channels with t in {1, 2, 3},
 covariance constraints of every rank (so singular K is covered) and
@@ -31,7 +32,10 @@ from secbc import (
     frontier_power,
     make_channel,
     r1_hat,
+    r_common,
     r2_hat,
+    region_common_fixed,
+    region_common_power,
     v_hat,
     v_tilde,
     wtc_capacity,
@@ -183,6 +187,50 @@ def test_wtc_power_value_is_closed_form_of_its_constraint(inst):
     value, k, kstar = wtc_capacity_power(ch, power, grid)
     _assert_power_generators(k, kstar, power)
     assert abs(value - wtc_capacity(ch, k)[0]) <= tol
+
+
+@st.composite
+def common_instances(draw):
+    """(channel, constraint, grid, tolerance) of one common-message problem."""
+    t = draw(st.sampled_from([1, 2, 3]))
+    rank = draw(st.integers(1, t))
+    spread = draw(st.sampled_from([0.0, 2.0]))  # gain condition up to 1e3
+    power = 10.0 ** draw(st.floats(-2.0, 3.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g1, g2 = _gain(rng, t, spread), _gain(rng, t, spread)
+    a = rng.normal(size=(t, rank))
+    k = a @ a.T
+    k = k * (power / np.trace(k))
+    grid = GridSpec(
+        chain_theta_steps=draw(st.integers(1, 2)),
+        chain_diag_steps=draw(st.integers(2, 3)),
+        deep_theta_steps=draw(st.integers(1, 2)),
+        deep_diag_steps=draw(st.integers(2, 3)),
+        deep_trace_steps=draw(st.integers(2, 5)),
+    )
+    gain = max(np.linalg.norm(g1, 2), np.linalg.norm(g2, 2)) ** 2
+    tol = 1e-9 + 64.0 * EPS * (1.0 + power * gain)
+    return make_channel(g1, g2), 0.5 * (k + k.T), grid, tol
+
+
+@settings(max_examples=60, deadline=None)
+@given(common_instances())
+def test_common_triples_reverify_from_generators(inst):
+    ch, k, grid, tol = inst
+    power = float(np.trace(k))
+    fronts = [region_common_fixed(ch, k, grid)]
+    if ch.t < 3:
+        fronts.append(region_common_power(ch, power, grid))
+    for fr in fronts:
+        for p in fr.points:
+            kmat, k1, k2 = p.gen["k"], p.gen["k1"], p.gen["k2"]
+            for got, want in zip((p.r0, p.r1, p.r2), r_common(ch, kmat, k1, k2)):
+                assert abs(got - max(want, 0.0)) <= tol
+            # K2 <= K1 + K2 <= K up to the rounding of a matrix of K's size
+            floor = -64.0 * EPS * (1.0 + np.linalg.norm(kmat, 2))
+            for low, high in ((0.0, k2), (k2, k1 + k2), (k1 + k2, kmat)):
+                assert np.linalg.eigvalsh(high - low).min() >= floor
+            assert abs(np.trace(kmat) - power) <= 1e-9 * power
 
 
 @st.composite

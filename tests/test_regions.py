@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -389,6 +390,19 @@ class TestRegionCommon:
             power = float(np.trace(k))
             _assert_triples_reverify(ch, region_common_power(ch, power, fast_grid), power=power)
 
+    @pytest.mark.parametrize("case", ["6I", "4I", 0, 1, 2])
+    def test_max_r1_is_wtc_capacity(self, case, example_channel, fast_grid):
+        if isinstance(case, str):
+            ch, k, grid = example_channel, float(case[0]) * np.eye(2), GridSpec()
+        else:
+            t = 1 + case % 3
+            rng = np.random.default_rng(case)
+            ch = make_channel(rng.normal(size=(t, t)), rng.normal(size=(t, t)))
+            k = random_spd(rng, t, scale=3.0)
+            grid = GridSpec(chain_theta_steps=4, chain_diag_steps=3) if t == 3 else fast_grid
+        fr = region_common_fixed(ch, k, grid)
+        assert fr.max_r1() == pytest.approx(wtc_capacity(ch, k)[0], abs=1e-9)
+
 
 def _assert_triples_reverify(ch, fr, k=None, power=None):
     """Every triple re-verifies, with K2 <= K1 + K2 <= K and K = k or tr K = power."""
@@ -438,6 +452,20 @@ class TestCommonStreaming:
                 assert [self.fingerprint(fr) for fr in runs] == reference
                 assert all(fr.meta["blocks"] > 1 for fr in runs)
 
+    def test_single_pass_memory(self, monkeypatch):
+        # a t = 3 grid of 1728^2 inner nodes: no call may keep its r1/r2 columns
+        monkeypatch.setenv("SECBC_THREADS", "1")
+        rng = np.random.default_rng(3)
+        g1, g2, a = (rng.normal(size=(3, 3)) for _ in range(3))
+        ch, k = make_channel(g1, g2), a @ a.T / 3.0 + 0.5 * np.eye(3)
+        tracemalloc.start()
+        try:
+            region_common_fixed(ch, k, GridSpec(chain_theta_steps=4, chain_diag_steps=3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
     def test_meta_counts_grid_rows_thinned_rows_and_blocks(
         self, example_channel, scalar_channel, fast_grid
     ):
@@ -448,7 +476,8 @@ class TestCommonStreaming:
         nodes = 6 * 7  # deep_theta_steps angles times deep_trace_steps splits
         n_deep = 6 * 4**2
         assert power.meta["candidates"] == nodes * n_deep * n_deep
-        assert power.meta["blocks"] == nodes
+        # one stream of outer rows over all manifold nodes
+        assert power.meta["blocks"] == len(sweeps.row_blocks(nodes * n_deep, n_deep))
         for fr in (fixed, power):
             assert len(fr.points) <= fr.meta["thinned"] <= 96**2
         scalar = region_common_power(scalar_channel, 3.0, fast_grid)
