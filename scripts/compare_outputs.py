@@ -37,7 +37,9 @@ The cases (``P`` is the power, ``K`` the covariance constraint):
   channel with K = 6I and 4I, and on ``default_rng(100 t + s)`` channels
   (t = 1-3, s = 1-4) with K = A A^T + 0.1 I.  Default grid, except
   ``theta_steps=8, diag_steps=9`` and chain grid (4, 3) at t = 3, where
-  the default two-level grid holds about 10^13 nodes.  Bitwise, except
+  the default two-level grid holds about 10^13 nodes.
+  ``frontier_fixed_cov``: same point count, every rate within 1e-12
+  (its R2 column carries the last bits of the C2(K) log-determinant);
   ``region_common_fixed``: covered within 0.05 bit.
 - ``frontier_power`` on the example channel at P = 12, on
   ``default_rng(s)`` t = 2 channels (s = 1-5, drawn as above) and on the
@@ -74,10 +76,11 @@ import numpy as np
 
 EXAMPLE_G1 = [[0.3, 2.5], [2.2, 1.8]]
 EXAMPLE_G2 = [[1.3, 1.2], [1.5, 3.9]]
-RATE_TOL_POWER = 1e-12
+RATE_TOL = 1e-12
 ENVELOPE_SLACK = 1e-12
 BITWISE = ("bitwise", 0.0)
 COVERS = ("covers", 0.05)
+WITHIN = ("within", RATE_TOL)
 
 
 def _gain(rng, t: int) -> np.ndarray:
@@ -121,7 +124,7 @@ def _cases(secbc):
             k = a @ a.T + 0.1 * np.eye(t)
             fixed_sets.append((f"t{t}s{s}", ch, k, fixed_t3 if t == 3 else None))
     for tag, ch, k, grid in fixed_sets:
-        for fn, gate in (("frontier_fixed_cov", BITWISE), ("region_common_fixed", COVERS)):
+        for fn, gate in (("frontier_fixed_cov", WITHIN), ("region_common_fixed", COVERS)):
             out.append((f"{fn}[{tag}]", gate, partial(getattr(secbc, fn), ch, k, grid)))
 
     pair_sets = [("example", example, 12.0, None)]
@@ -133,7 +136,7 @@ def _cases(secbc):
     pair_sets += [case for case in power_sets if case[0] in other_t]
     for tag, ch, p, grid in pair_sets:
         call = partial(secbc.frontier_power, ch, p, grid)
-        out.append((f"frontier_power[{tag}]", ("within", RATE_TOL_POWER), call))
+        out.append((f"frontier_power[{tag}]", WITHIN, call))
 
     chan = ["--g1", "0.3,2.5;2.2,1.8", "--g2", "1.3,1.2;1.5,3.9", "--power", "12"]
     call = partial(_cli_outputs, ["region", "--mode", "common"] + chan, _csv_triples)

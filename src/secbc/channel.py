@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateChannelError, SingularMatrixError
-from .matops import ORDER_TOL, logdet2, psd_leq, validate_psd
+from .matops import ORDER_TOL, half_log2_det, logdet2, psd_leq, validate_psd
 
 __all__ = [
     "GaussianBc",
@@ -109,8 +109,7 @@ def mi_xy(ch: GaussianBc, kx, receiver: int) -> float:
     kx = validate_psd(kx, name="kx")
     if kx.shape[0] != ch.t:
         raise ValueError(f"kx has dim {kx.shape[0]}, channel has t={ch.t}")
-    g = ch.gain(receiver)
-    return 0.5 * logdet2(np.eye(ch.t) + g @ kx @ g.T)
+    return float(half_log2_det(ch.gain(receiver), kx))
 
 
 @dataclass(frozen=True)
@@ -190,18 +189,6 @@ def joint_mi(j: JointGaussian, a, b, c=()) -> float:
     return 0.5 * val
 
 
-def _half_logdet_gap(g: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> float:
-    eye = np.eye(g.shape[0])
-
-    def logdet(k):
-        # G K G^T is symmetric only up to rounding, which outgrows the
-        # symmetry check of logdet2 for large or ill-conditioned gains.
-        m = g @ k @ g.T
-        return logdet2(eye + 0.5 * (m + m.T))
-
-    return 0.5 * (logdet(hi) - logdet(lo))
-
-
 def r1_hat(ch: GaussianBc, k, kstar) -> float:
     """Confidential rate of the sub-covariance ``kstar``.
 
@@ -213,8 +200,8 @@ def r1_hat(ch: GaussianBc, k, kstar) -> float:
     kstar = validate_psd(kstar, name="kstar")
     if not psd_leq(kstar, k, ORDER_TOL):
         raise ValueError("precondition violated: kstar is not below k")
-    zero = np.zeros_like(kstar)
-    return _half_logdet_gap(ch.g1, kstar, zero) - _half_logdet_gap(ch.g2, kstar, zero)
+    h1, h2 = half_log2_det(np.stack([ch.g1, ch.g2]), kstar)
+    return float(h1 - h2)
 
 
 def r2_hat(ch: GaussianBc, k, kstar) -> float:
@@ -227,7 +214,8 @@ def r2_hat(ch: GaussianBc, k, kstar) -> float:
     kstar = validate_psd(kstar, name="kstar")
     if not psd_leq(kstar, k, ORDER_TOL):
         raise ValueError("precondition violated: kstar is not below k")
-    return _half_logdet_gap(ch.g2, k, kstar)
+    hk, hstar = half_log2_det(ch.g2, np.stack([k, kstar]))
+    return float(hk - hstar)
 
 
 def r_common(ch: GaussianBc, k, k1, k2) -> tuple[float, float, float]:
@@ -247,11 +235,6 @@ def r_common(ch: GaussianBc, k, k1, k2) -> tuple[float, float, float]:
     ksum = k1 + k2
     if not psd_leq(ksum, k, ORDER_TOL):
         raise ValueError("precondition violated: k1 + k2 is not below k")
-    r0 = min(
-        _half_logdet_gap(ch.g1, k, ksum),
-        _half_logdet_gap(ch.g2, k, ksum),
-    )
-    zero = np.zeros_like(k)
-    r1 = _half_logdet_gap(ch.g1, k2, zero) - _half_logdet_gap(ch.g2, k2, zero)
-    r2 = _half_logdet_gap(ch.g2, ksum, k2)
-    return r0, r1, r2
+    h1, h2 = (half_log2_det(g, np.stack([k, ksum, k2])) for g in (ch.g1, ch.g2))
+    r0 = min(h1[0] - h1[1], h2[0] - h2[1])
+    return float(r0), float(h1[2] - h2[2]), float(h2[1] - h2[2])

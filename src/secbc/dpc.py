@@ -20,7 +20,7 @@ import numpy as np
 
 from .channel import GaussianBc, JointGaussian, joint_mi, make_channel
 from .errors import DegenerateInstanceError
-from .matops import ORDER_TOL, logdet2, psd_leq, validate_psd
+from .matops import ORDER_TOL, half_log2_det, psd_leq, validate_psd
 
 __all__ = [
     "DpcInstance",
@@ -206,12 +206,8 @@ def wtc_point_check(ch: GaussianBc, kstar, k=None) -> tuple[float, float]:
             - joint_mi(joint, "u", "vstar")
             - joint_mi(joint, "u", "y2", "vstar")
         )
-    eye = np.eye(t)
-    target = 0.5 * (
-        logdet2(eye + ch.g1 @ kstar @ ch.g1.T)
-        - logdet2(eye + ch.g2 @ kstar @ ch.g2.T)
-    )
-    return achieved, target
+    h1, h2 = half_log2_det(np.stack([ch.g1, ch.g2]), kstar)
+    return achieved, float(h1 - h2)
 
 
 def random_psd(t: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:

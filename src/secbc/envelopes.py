@@ -54,7 +54,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import GaussianBc, make_channel, mi_xy
-from .matops import gram, logdet2, rotation_angles, sqrt_factor, validate_psd
+from .matops import gram, half_log2, half_log2_det, logdet2, rotation_angles
+from .matops import sqrt_factor, validate_psd
 from .sweeps import (
     GridSpec,
     chain_factor,
@@ -64,7 +65,6 @@ from .sweeps import (
     diag_values_sqrt,
     grid_params,
     grid_tables,
-    half_log2_det_gram,
     pair_dets,
     pair_dets_rows,
     top_k_bounded,
@@ -241,7 +241,7 @@ def _layered_max(ch: GaussianBc, k, outer, inner: float, eta: float, grid):
     parents, terms = b0[None], None
     for a, b in outer:
         parents = children_factors(parents, tab.rots, tab.combos).reshape(-1, t, t)
-        h1, h2 = (0.5 * np.log2(det_i_plus_gram(g, parents)) for g in gains)
+        h1, h2 = (half_log2(det_i_plus_gram(g, parents)) for g in gains)
         term = a * h1 + b * h2
         terms = term if terms is None else np.repeat(terms, nv * nd) + term
 
@@ -250,7 +250,7 @@ def _layered_max(ch: GaussianBc, k, outer, inner: float, eta: float, grid):
             dets = (pair_dets_rows(g, parents, rows, tab.rots, tab.dgrids) for g in gains)
         else:
             dets = (pair_dets(g, parents, tab.rots[rows], tab.dgrids) for g in gains)
-        h1, h2 = (0.5 * np.log2(d).reshape(len(rows), -1) for d in dets)
+        h1, h2 = (half_log2(d).reshape(len(rows), -1) for d in dets)
         last = inner * (h2 - eta * h1)
         return last if terms is None else terms[rows, None] + last
 
@@ -266,11 +266,10 @@ def _layered_max(ch: GaussianBc, k, outer, inner: float, eta: float, grid):
         )
         scored = n_rows
     seeds = grid_params(tab, flat, levels)
+    stacked = np.stack(gains)
 
     def objective(params):
-        h = half_log2_det_gram(
-            np.stack(gains), chain_factor(b0, params, t, levels)[:, :, None]
-        )
+        h = half_log2_det(stacked, factors=chain_factor(b0, params, t, levels)[:, :, None])
         val = None
         for lev, weights in enumerate(outer):
             for j, w in enumerate(weights):

@@ -2,15 +2,20 @@
 
 Every covariance that enters a rate formula is a real symmetric positive
 semidefinite (PSD) matrix.  This module provides the ordering test, the
-base-2 log-determinant, square-root factors, Givens rotation products and
-the (angles, diagonal scalings) parameterization of all sub-covariances
-``K* ⪯ K``:
+base-2 log-determinant, the checked rate kernel, square-root factors,
+Givens rotation products and the (angles, diagonal scalings)
+parameterization of all sub-covariances ``K* ⪯ K``:
 
     K* = K^{1/2} V D V^T (K^{1/2})^T,   V = rotation(angles),  D = diag(d),
 
 with every diagonal scaling in [0, 1].  The parameterization turns the
 matrix-ordered feasible set into a box, which is what makes grid sweeps of
 rate regions tractable.
+
+Every rate term 0.5 log2 det(I + G K G^T) comes from :func:`half_log2_det`
+or :func:`half_log2` of grid determinants; both raise ``FloatingPointError``
+on a determinant that is not positive and finite.  :func:`logdet2` is the
+validated log-determinant of the mutual-information oracle.
 
 Tolerance conventions (kept apart on purpose): input validation accepts
 eigenvalues down to -1e-9 * max(1, ||a||) (spectral norm, so rounding of
@@ -35,6 +40,8 @@ __all__ = [
     "SubCovParams",
     "givens_pairs",
     "gram",
+    "half_log2",
+    "half_log2_det",
     "psd_leq",
     "logdet2",
     "sqrt_factor",
@@ -111,6 +118,38 @@ def logdet2(a) -> float:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
         raise SingularMatrixError("Cholesky factorization failed") from exc
     return float(2.0 * np.sum(np.log2(np.diag(chol))))
+
+
+def half_log2(dets):
+    """0.5 * log2 of determinants; FloatingPointError unless all are positive and finite."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.log2(dets)
+    out *= 0.5
+    if not np.isfinite(out).all():
+        raise FloatingPointError("a determinant is not positive and finite")
+    return out
+
+
+def half_log2_det(g, k=None, *, factors=None):
+    """0.5 * log2 det(I + G K G^T) for one covariance or a batch (..., t, t).
+
+    ``g`` is one gain (r, t) or a stack (..., r, t) broadcasting against
+    the leading axes of ``k``.  Square-root ``factors`` B of K = B B^T
+    give det(I + (G B)^T (G B)) instead, without forming K.  Raises
+    ``FloatingPointError`` unless every determinant is positive and finite.
+    """
+    if factors is None:
+        m = np.eye(g.shape[-2]) + g @ k @ np.swapaxes(g, -1, -2)
+    else:
+        a = g @ factors
+        m = np.swapaxes(a, -1, -2) @ a
+        m += np.eye(a.shape[-1])
+    sign, ld = np.linalg.slogdet(m)
+    # Two cheap reductions: the refine objectives call this thousands of
+    # times on small batches.  A NaN or inf log makes the sum non-finite.
+    if not (sign.min() > 0 and abs(ld.sum()) < math.inf):
+        raise FloatingPointError("det(I + G K G^T) is not positive and finite")
+    return 0.5 * ld / _LOG2
 
 
 def sqrt_factor(k) -> np.ndarray:

@@ -28,7 +28,10 @@ per-node covariance; K* matrices are built for the kept nodes only.
 
 Frontiers carry the generating covariances on every point so any output
 row can be re-verified by plugging the matrices back into the rate
-formulas.  Sweeps follow the grid resolutions in :class:`GridSpec`.  The
+formulas.  Every rate term comes from the checked kernel of
+:mod:`secbc.matops`, so a determinant that overflows raises
+``FloatingPointError`` instead of giving a NaN rate.  Sweeps follow the
+grid resolutions in :class:`GridSpec`.  The
 max-confidential-rate corner of every region is the closed-form wiretap
 optimum of its constraint matrix (:func:`wtc_capacity`).  Under a power
 constraint the pair regions polish that optimum by golden section over
@@ -55,8 +58,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import GaussianBc, mi_xy
-from .matops import gram, sqrt_factor, validate_psd
+from .channel import GaussianBc
+from .matops import gram, half_log2, half_log2_det, sqrt_factor, validate_psd
 from .sweeps import (
     GridSpec,
     chain_factor,
@@ -227,12 +230,35 @@ def _pareto_rows_triples(arr: np.ndarray, slack: float = PARETO_SLACK) -> np.nda
     return first[keep[::-1]]
 
 
+def _triple_front(arr: np.ndarray, slack: float = PARETO_SLACK) -> np.ndarray:
+    """:func:`_pareto_rows_triples` less near-duplicates, in the same order.
+
+    Rows that differ by rounding in opposite columns dominate neither
+    each other, so the kept rows are walked in descending lexicographic
+    order and a row within ``slack`` of an earlier kept row in every
+    column is dropped (rare, so resolved one by one).  A block is compared
+    only with earlier rows whose r0 (descending) is within ``slack``.
+    """
+    rows = _pareto_rows_triples(arr, slack)[::-1]
+    cols = arr[rows].T
+    start = np.searchsorted(-cols[0], -(cols[0] + slack))
+    keep = np.ones(len(rows), dtype=bool)
+    for s in range(0, len(rows), 64):
+        e, lo = min(s + 64, len(rows)), start[s]
+        near = np.tri(e - s, e - lo, s - lo - 1, dtype=bool)  # earlier rows only
+        for col in cols[:, lo:e]:
+            near &= np.abs(col - col[s - lo :, None]) <= slack
+        for i in np.flatnonzero(near.any(axis=1)):
+            keep[s + i] = not (near[i] & keep[lo:e]).any()
+    return rows[keep][::-1]
+
+
 def pareto_filter_triples(points: list, slack: float = PARETO_SLACK) -> list:
-    """Drop dominated triples (componentwise, slack-tolerant dominance)."""
+    """Drop dominated and near-duplicate triples (:func:`_triple_front`)."""
     if not points:
         return []
     arr = np.array([[p.r0, p.r1, p.r2] for p in points])
-    kept = [points[i] for i in _pareto_rows_triples(arr, slack)]
+    kept = [points[i] for i in _triple_front(arr, slack)]
     kept.sort(key=lambda p: (p.r1, p.r2, p.r0))
     return kept
 
@@ -247,12 +273,6 @@ def _check_power(p) -> None:
     """Reject a negative, nan or infinite power budget before any compute."""
     if not (math.isfinite(p) and p >= 0):
         raise ValueError("power must be finite and nonnegative")
-
-
-def _half_log2_det(g, k):
-    """0.5 * log2 det(I + G K G^T) for one covariance or a batch (..., t, t)."""
-    _, ld = np.linalg.slogdet(np.eye(g.shape[0]) + g @ k @ g.T)
-    return 0.5 * ld / math.log(2.0)
 
 
 def _wtc_gevd(ch: GaussianBc, k):
@@ -316,7 +336,7 @@ def frontier_fixed_cov(ch: GaussianBc, k, grid: GridSpec | None = None) -> Front
     meta = _meta(ch, grid, "one_confidential", k=k)
     if np.abs(k).max() < 1e-15:
         return Frontier([RatePoint(0.0, 0.0, {"k": k, "kstar": np.zeros_like(k)})], meta)
-    c2k = mi_xy(ch, k, 2)
+    c2k = half_log2_det(ch.g2, k)
     b0 = sqrt_factor(k)
     tab = grid_tables(t, grid.theta_steps, diag_values(grid.diag_steps))
     nd = tab.combos.shape[0]
@@ -324,7 +344,7 @@ def frontier_fixed_cov(ch: GaussianBc, k, grid: GridSpec | None = None) -> Front
     def front(span):
         lo, hi = span
         l1, l2 = (
-            0.5 * np.log2(pair_dets(g, b0[None], tab.rots[lo:hi], tab.dgrids))[0].ravel()
+            half_log2(pair_dets(g, b0[None], tab.rots[lo:hi], tab.dgrids))[0].ravel()
             for g in (ch.g1, ch.g2)
         )
         r1 = np.maximum(l1 - l2, 0.0)
@@ -342,7 +362,7 @@ def frontier_fixed_cov(ch: GaussianBc, k, grid: GridSpec | None = None) -> Front
         points.append(RatePoint(r1[i], r2[i], {"k": k, "kstar": gram(b)}))
 
     rmax, kstar = _wtc_gevd(ch, k)
-    r2_at = c2k - _half_log2_det(ch.g2, kstar)
+    r2_at = c2k - half_log2_det(ch.g2, kstar)
     points.append(RatePoint(rmax, r2_at, {"k": k, "kstar": kstar}))
     return Frontier(pareto_filter_pairs(points), meta)
 
@@ -467,13 +487,13 @@ def _kstar_rates(ch: GaussianBc, p: float, x) -> np.ndarray:
     noise = _noise2(ch)
     if t >= 3:
         ks = _kstar_matrices(x, p, t)
-        r1 = _half_log2_det(ch.g1, ks) - _half_log2_det(ch.g2, ks)
+        r1 = half_log2_det(ch.g1, ks) - half_log2_det(ch.g2, ks)
         nu = np.linalg.eigvalsh(noise + ks)
     else:
         v = rotation_batch(x[:, :m], t)
         vt = np.swapaxes(v, -1, -2)
         d1, d2 = (det_i_plus_diag(vt @ (g.T @ g) @ v, list(e.T)) for g in (ch.g1, ch.g2))
-        r1 = 0.5 * np.log2(d1 / d2)
+        r1 = half_log2(d1 / d2)
         tr = np.trace(noise) + e.sum(axis=1)
         if t == 1:
             nu = tr[:, None]
@@ -576,8 +596,8 @@ def frontier_power(ch: GaussianBc, p: float, grid: GridSpec | None = None) -> Fr
         [_kstar_matrices(x, p, t), kstar_wtc[None], np.zeros((1, t, t))]
     )
     kmats = _water_filled(ch, p, kstars)
-    r1 = _half_log2_det(ch.g1, kstars) - _half_log2_det(ch.g2, kstars)
-    r2 = _half_log2_det(ch.g2, kmats) - _half_log2_det(ch.g2, kstars)
+    r1 = half_log2_det(ch.g1, kstars) - half_log2_det(ch.g2, kstars)
+    r2 = half_log2_det(ch.g2, kmats) - half_log2_det(ch.g2, kstars)
     points = [
         RatePoint(a, b, {"k": k, "kstar": ks})
         for a, b, k, ks in zip(r1, r2, kmats, kstars)
@@ -613,7 +633,7 @@ def both_confidential_frontier(
 
     def rates(kmat):
         r1, ks = _wtc_gevd(ch, kmat)
-        excess = _half_log2_det(ch.g2, kmat) - _half_log2_det(ch.g1, kmat)
+        excess = half_log2_det(ch.g2, kmat) - half_log2_det(ch.g1, kmat)
         return r1, r1 + excess, ks
 
     scan = _manifold_scan(t, p, grid)
@@ -666,16 +686,6 @@ def _cell_winners(comb: np.ndarray, r2: np.ndarray) -> np.ndarray:
     return sel[firsts]
 
 
-def _half_log2(dets: np.ndarray) -> np.ndarray:
-    """0.5 * log2 of grid determinants, which must come out positive and finite."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log2(dets)
-    out *= 0.5
-    if not np.isfinite(out).all():
-        raise FloatingPointError("a grid determinant is not positive and finite")
-    return out
-
-
 def _common_triples(ch: GaussianBc, factors, kmats, tab, meta: dict) -> list:
     """Pareto triples of the union of the common-message regions of ``kmats``.
 
@@ -697,8 +707,8 @@ def _common_triples(ch: GaussianBc, factors, kmats, tab, meta: dict) -> list:
     gains = (ch.g1, ch.g2)
     outer = children_factors(factors, tab.rots, tab.combos).reshape(-1, t, t)
     n = len(tab.rots) * len(tab.combos)  # outer rows per constraint, inner nodes per row
-    c1k, c2k = (_half_log2_det(g, kmats) for g in gains)
-    l1o, l2o = (_half_log2(det_i_plus_gram(g, outer)) for g in gains)
+    c1k, c2k = (half_log2_det(g, kmats) for g in gains)
+    l1o, l2o = (half_log2(det_i_plus_gram(g, outer)) for g in gains)
     r0 = np.maximum(np.minimum(np.repeat(c1k, n) - l1o, np.repeat(c2k, n) - l2o), 0.0)
     wtc, kstar = _wtc_gevd(ch, kmats)
     c0 = _cell_index(r0, r0.max() + 1e-12) * _CELLS
@@ -709,7 +719,7 @@ def _common_triples(ch: GaussianBc, factors, kmats, tab, meta: dict) -> list:
         lo, hi = span
         rows = np.arange(lo, hi)
         l1i, l2i = (
-            _half_log2(pair_dets_rows(g, outer, rows, tab.rots, tab.dgrids)).reshape(-1, n)
+            half_log2(pair_dets_rows(g, outer, rows, tab.rots, tab.dgrids)).reshape(-1, n)
             for g in gains
         )
         # In place: fresh block-sized arrays each cost page faults, since
@@ -724,11 +734,11 @@ def _common_triples(ch: GaussianBc, factors, kmats, tab, meta: dict) -> list:
     comb, r1, r2, flat = (np.concatenate(c) for c in zip(*map_ordered(winners, spans)))
     sel = _cell_winners(comb, r2)
     flat = flat[sel]
-    corners = np.column_stack([np.zeros(len(kmats)), wtc, c2k - _half_log2_det(ch.g2, kstar)])
+    corners = np.column_stack([np.zeros(len(kmats)), wtc, c2k - half_log2_det(ch.g2, kstar)])
     rates = np.vstack([np.column_stack([r0[flat // n], r1[sel], r2[sel]]), corners])
     meta.update(candidates=len(outer) * n, thinned=len(rates), blocks=len(spans))
 
-    keep = np.sort(_pareto_rows_triples(rates))  # grid winners first, then corners
+    keep = np.sort(_triple_front(rates))  # grid winners first, then corners
     node, idx = np.divmod(flat[keep[keep < len(flat)]], n * n)
     corner = keep[keep >= len(flat)] - len(flat)
     # The inner split was swept from the chained outer factor, so the
@@ -800,33 +810,18 @@ def check_k1_zero(ch: GaussianBc, k, samples: int = 100, seed: int = 0) -> bool:
     """
     k = validate_psd(k, name="k")
     t = ch.t
-    rng = np.random.default_rng(seed)
     m = t * (t - 1) // 2
-    b0 = sqrt_factor(k)
-    c2k = _half_log2_det(ch.g2, k)
-    for _ in range(samples):
-        p_out = np.concatenate(
-            [rng.uniform(0, 2 * math.pi, m), rng.uniform(0, 1, t)]
-        )
-        p_in = np.concatenate(
-            [rng.uniform(0, 2 * math.pi, m), rng.uniform(0, 1, t)]
-        )
-        bsum = chain_factor(b0, p_out, t, 1)[0, 0]
-        ksum = bsum @ bsum.T
-        b2 = chain_factor(bsum, p_in, t, 1)[0, 0]
-        k2 = b2 @ b2.T
-        k1 = ksum - k2
-        r1_split = (
-            _half_log2_det(ch.g1, ksum)
-            - _half_log2_det(ch.g1, k1)
-            - _half_log2_det(ch.g2, ksum)
-            + _half_log2_det(ch.g2, k1)
-        )
-        r2_split = c2k - _half_log2_det(ch.g2, ksum)
-        w, kstar = _wtc_gevd(ch, ksum)
-        r2_at = c2k - _half_log2_det(ch.g2, kstar)
-        if w + 1e-6 < max(0.0, r1_split):
-            return False
-        if r2_at + 1e-6 < r2_split:
-            return False
-    return True
+    # Rows (outer angles, scalings, inner angles, scalings); scaled U(0, 1)
+    # angles are the draws of rng.uniform(0, 2 pi).
+    draws = np.random.default_rng(seed).random((samples, 2 * (m + t)))
+    draws[:, np.r_[:m, m + t : 2 * m + t]] *= 2 * math.pi
+    bsum = chain_factor(sqrt_factor(k), draws[:, : m + t], t, 1)[:, 0]
+    b2 = chain_factor(bsum, draws[:, m + t :], t, 1)[:, 0]
+    ksum = bsum @ np.swapaxes(bsum, -1, -2)
+    k2 = b2 @ np.swapaxes(b2, -1, -2)
+    w, kstar = _wtc_gevd(ch, ksum)
+    h1, h2 = (half_log2_det(g, np.stack([ksum, ksum - k2, kstar])) for g in (ch.g1, ch.g2))
+    r1_split = h1[0] - h1[1] - h2[0] + h2[1]
+    # r2 is C2(K) - h2, at K1 + K2 for the split and at K* for the optimum
+    shrinks = (w + 1e-6 < np.maximum(0.0, r1_split)) | (h2[0] + 1e-6 < h2[2])
+    return not shrinks.any()

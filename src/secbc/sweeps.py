@@ -38,8 +38,7 @@ line search whose maximum sits at an end of its bracket returns that
 end after the first call, which also scores both ends and their
 neighbours; the others run plain golden section.
 Objectives therefore map a batch of parameter vectors (S, n) to (S,)
-values; :func:`chain_factor` and :func:`half_log2_det_gram` are batched
-to match.
+values; :func:`chain_factor` is batched to match.
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ from .matops import rotation_batch
 __all__ = [
     "GridSpec",
     "chain_factor",
-    "half_log2_det_gram",
     "theta_values",
     "diag_values",
     "theta_tuple_grid",
@@ -632,15 +630,3 @@ def chain_factor(b0: np.ndarray, params: np.ndarray, t: int, levels: int) -> np.
         out[:, lev] = b
     return out
 
-
-def half_log2_det_gram(g: np.ndarray, factors: np.ndarray) -> np.ndarray:
-    """0.5 * log2 det(I + G B B^T G^T) over a batch of factors B (..., t, t).
-
-    ``g`` is one gain (r, t) or a stack (..., r, t) broadcasting against
-    the factors' leading axes, so several gains share one ``slogdet``.
-    """
-    a = g @ factors
-    m = np.swapaxes(a, -1, -2) @ a
-    m += np.eye(a.shape[-1])
-    _, ld = np.linalg.slogdet(m)
-    return 0.5 * ld / math.log(2.0)

@@ -360,6 +360,27 @@ class TestHugeCommonRegion:
         assert "Traceback" not in proc.stderr
 
 
+class TestOverflowingCovariance:
+    """Rates that overflow at huge covariances are a numerical failure."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["envelope", "--covariance", "1e300,0;0,1e300", "--eta", "1.2"],
+            ["envelope", "--covariance", "1e15,0;0,1e15", "--lambda1", "1",
+             "--lambda2", "0.8", "--eta", "1.2"],
+            ["envelope", "--covariance", "1e15,0;0,1e15", "--lambda0", "2", "--lambda1", "1",
+             "--lambda2", "0.8", "--eta", "1.2"],
+            ["region", "--mode", "no-common", "--covariance", "1e300,0;0,1e300"],
+        ],
+    )
+    def test_exits_3_without_traceback(self, argv, tmp_path, capsys):
+        out = ["--out", str(tmp_path / "f.csv")] if argv[0] == "region" else []
+        assert main(argv + ["--g1", G1_ARG, "--g2", G2_ARG, *out]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "Traceback" not in err
+
+
 class TestCompare:
     def test_compare_writes_both_csvs_and_svg(self, tmp_path, capsys):
         out = tmp_path / "fig.csv"

@@ -5,9 +5,10 @@ import pytest
 
 from secbc import SubCovParams, compose_sub_cov, decompose_sub_cov, logdet2, psd_leq, rotation, sqrt_factor
 from secbc.errors import SingularMatrixError
-from secbc.matops import rotation_angles, validate_psd
+from secbc.matops import half_log2, half_log2_det, rotation_angles, validate_psd
 
 from conftest import large_singular_covariance, random_spd
+from oracles import mi_gauss
 
 
 class TestPsdLeq:
@@ -82,6 +83,52 @@ class TestLogdet2:
     def test_asymmetric_raises(self):
         with pytest.raises(ValueError):
             logdet2(np.array([[1.0, 0.5], [0.1, 1.0]]))
+
+
+class TestHalfLog2Det:
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_matches_the_oracle_in_both_forms(self, rng, t):
+        gains = rng.normal(size=(2, t, t))
+        factors = rng.normal(size=(5, t, t))
+        ks = factors @ np.swapaxes(factors, -1, -2)
+        want = np.array([[mi_gauss(g, k) for k in ks] for g in gains])
+        for j, g in enumerate(gains):
+            assert half_log2_det(g, ks) == pytest.approx(want[j], abs=1e-12)
+            assert half_log2_det(g, factors=factors) == pytest.approx(want[j], abs=1e-12)
+            assert half_log2_det(g, ks[0]) == pytest.approx(want[j, 0], abs=1e-12)
+        stacked = gains[:, None]
+        assert half_log2_det(stacked, ks) == pytest.approx(want, abs=1e-12)
+        assert half_log2_det(stacked, factors=factors) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_raise(self, bad):
+        k = np.eye(2)
+        k[0, 1] = k[1, 0] = bad
+        with pytest.raises(FloatingPointError):
+            half_log2_det(np.eye(2), k)
+        with pytest.raises(FloatingPointError):
+            half_log2_det(np.eye(2), factors=k)
+        with pytest.raises(FloatingPointError):
+            half_log2_det(np.eye(2), np.stack([np.eye(2), k]))
+
+    def test_nonpositive_determinant_raises(self):
+        for k in ([[-2.0]], [[-1.0]]):
+            with pytest.raises(FloatingPointError):
+                half_log2_det(np.eye(1), np.array(k))
+
+    def test_overflow_raises(self):
+        with pytest.raises(FloatingPointError):
+            half_log2_det(np.eye(1), factors=np.array([[1e300]]))
+
+
+class TestHalfLog2:
+    def test_half_log2_of_determinants(self):
+        assert half_log2(np.array([1.0, 4.0, 0.25])).tolist() == [0.0, 1.0, -1.0]
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_determinant_raises(self, bad):
+        with pytest.raises(FloatingPointError):
+            half_log2(np.array([2.0, bad]))
 
 
 class TestSqrtFactor:

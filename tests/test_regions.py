@@ -70,6 +70,21 @@ class TestParetoFilters:
             (p.r0, p.r1, p.r2) for p in twice
         ]
 
+    def test_triple_front_drops_rows_near_an_earlier_kept_row(self, rng):
+        # rows of a simplex with tied r0, plus copies moved by up to
+        # slack / 2 per column, which dominate neither their originals
+        slack = regions.PARETO_SLACK
+        base = rng.dirichlet(np.ones(3), 300)
+        base[:, 0] = np.round(base[:, 0], 1)
+        arr = np.vstack([base, base + rng.choice([-0.5, 0.0, 0.5], size=base.shape) * slack])
+        kept = []
+        for r in regions._pareto_rows_triples(arr, slack)[::-1]:
+            if not any(np.all(np.abs(arr[r] - arr[q]) <= slack) for q in kept):
+                kept.append(r)
+        got = regions._triple_front(arr, slack)
+        assert got.tolist() == kept[::-1]
+        assert 64 < len(got) < len(regions._pareto_rows_triples(arr, slack))
+
 
 class TestFrontierFixedCov:
     def test_zero_constraint(self, example_channel):
@@ -314,6 +329,15 @@ class TestRegionCommon:
     def test_zero_constraint(self, example_channel):
         fr = region_common_fixed(example_channel, np.zeros((2, 2)))
         assert len(fr.points) == 1
+
+    def test_near_duplicate_of_the_corner_is_dropped(self, fast_grid):
+        # the grid row (0, corner r1 - 1 ulp, 1.1e-16) dominates neither
+        # way but lies within the slack of the spliced wiretap corner
+        ch = make_channel([[2.0]], [[1.0]])
+        fr = region_common_power(ch, 3.0, fast_grid)
+        value, _ = wtc_capacity(ch, [[3.0]])
+        top = [(p.r0, p.r1, p.r2) for p in fr.points if p.r1 > value - 1e-9]
+        assert top == [(0.0, value, 0.0)]
 
     def test_slice_matches_pair_region(self, example_channel):
         # with all power in K1 + K2 = K the triple collapses onto the

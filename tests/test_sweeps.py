@@ -6,13 +6,13 @@ import pytest
 
 from secbc import EnvelopeWeights, GridSpec, make_channel, v_eta, v_hat, v_tilde
 from secbc import envelopes, sweeps
+from secbc.matops import half_log2_det
 from secbc.sweeps import (
     chain_factor,
     coordinate_refine,
     det_i_plus_diag,
     golden_max,
     grid_tables,
-    half_log2_det_gram,
     pair_dets,
     pair_dets_rows,
     top_k_bounded,
@@ -153,7 +153,7 @@ class TestPairDetsRows:
 
 def level3_objective(b0, gains):
     def objective(params):
-        h = half_log2_det_gram(gains, chain_factor(b0, params, 2, 3)[:, :, None])
+        h = half_log2_det(gains, factors=chain_factor(b0, params, 2, 3)[:, :, None])
         return (
             0.3 * h[:, 0, 1]
             - 0.8 * h[:, 0, 0]
