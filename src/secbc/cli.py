@@ -86,21 +86,15 @@ class RunConfig:
     svg: str | None = None
 
     def grid(self) -> GridSpec:
-        """GridSpec with --grid-theta/-d/-trace set on the grid the mode sweeps.
+        """GridSpec with --grid-theta/-d/-trace set on every sweep depth.
 
-        Single-level sweeps use theta/diag/trace steps; ``v_hat`` and the
-        common region under a covariance sweep the two-level ``chain_*``
-        grid (which has no trace steps); ``v_tilde`` and the common region
-        under power the ``deep_*`` grid.  At t = 1 the power-constrained
-        common region is the fixed-covariance one at K = P.
+        Each command sweeps one depth (single-level, ``chain_*`` or
+        ``deep_*``), so it reads each flag exactly once.
         """
-        sweep = "single"
-        if self.mode == "common":
-            sweep = "deep" if self.power is not None and self.channel().t > 1 else "chain"
-        elif self.mode == "envelope":
-            sweep = {"v_hat": "chain", "v_tilde": "deep"}.get(self.envelope()[0], "single")
         flags = (self.grid_theta, self.grid_d, self.grid_trace)
-        return GridSpec(**{n: v for n, v in zip(_GRID_FIELDS[sweep], flags) if v is not None})
+        return GridSpec(
+            **{n: v for names, v in zip(_GRID_FIELDS, flags) if v is not None for n in names}
+        )
 
     def channel(self):
         if self.g1 is None or self.g2 is None:
@@ -138,13 +132,13 @@ class RunConfig:
 
 
 _MATRIX_FIELDS = {"g1", "g2", "covariance"}
-# GridSpec fields set by --grid-theta, --grid-d and --grid-trace, by the
-# grid a command sweeps; the chained grid has no trace steps of its own.
-_GRID_FIELDS = {
-    "single": ("theta_steps", "diag_steps", "trace_steps"),
-    "chain": ("chain_theta_steps", "chain_diag_steps", "trace_steps"),
-    "deep": ("deep_theta_steps", "deep_diag_steps", "deep_trace_steps"),
-}
+# GridSpec fields set by --grid-theta, --grid-d and --grid-trace: the
+# steps of every depth (the chained grid has no trace steps).
+_GRID_FIELDS = (
+    ("theta_steps", "chain_theta_steps", "deep_theta_steps"),
+    ("diag_steps", "chain_diag_steps", "deep_diag_steps"),
+    ("trace_steps", "deep_trace_steps"),
+)
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -490,7 +484,10 @@ def run(cfg: RunConfig) -> int:
         print(f"invalid configuration: unknown mode {cfg.mode!r}", file=sys.stderr)
         return 2
     try:
-        return handler(cfg)
+        # Every rate is checked, so numpy's overflow warnings would only
+        # repeat the numerical-failure line.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return handler(cfg)
     except (SecbcError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -27,16 +27,16 @@ block whatever the grid size.  Since K_L <= K_{L-1} and c > 0, no
 child of a parent scores above terms + c*h2(parent), with the outer
 terms and h2(parent) already known from the outer level, so
 :func:`secbc.sweeps.top_k_bounded` scores only the parents whose bound
-can reach the top k, with the same result.  The seeds are the ``GridSpec.starts``
-best distinct grid values, each at its lowest flat index (the
-lexicographically smallest parameter vector); exactly tied nodes are
-almost always one split reached through a degenerate parameterization
-(a zero scaling makes the angles below it irrelevant), so they would
-refine to the same point.  Results are deterministic under any parallel
-evaluation order.  Grid seeds and the best spectral rank-one seeds are
-then refined together, in lockstep, by one batched
-:func:`secbc.sweeps.coordinate_refine`; the objective therefore takes a
-batch of parameter vectors.  ``EnvelopeResult.grid_meta`` records the
+can reach the top k, with the same result.  The seeds are the
+``sweeps.STARTS`` best distinct grid values, each at its lowest flat
+index (the lexicographically smallest parameter vector); exactly tied
+nodes are almost always one split reached through a degenerate
+parameterization (a zero scaling makes the angles below it irrelevant),
+so they would refine to the same point.  Results are deterministic
+under any parallel evaluation order.  Grid seeds and the best spectral
+rank-one seeds are then refined together, in lockstep, by one batched
+:func:`secbc.sweeps.coordinate_refine`; the objective therefore takes
+a batch of parameter vectors.  ``EnvelopeResult.grid_meta`` records the
 grid nodes, the nodes scored, the blocks, the line searches each start
 used and the starts that hit the ``refine_iters`` cap (``capped``).
 
@@ -57,6 +57,8 @@ from .channel import GaussianBc, make_channel, mi_xy
 from .matops import gram, half_log2, half_log2_det, logdet2, rotation_angles
 from .matops import sqrt_factor, validate_psd
 from .sweeps import (
+    REFINE_TOL,
+    STARTS,
     GridSpec,
     chain_factor,
     children_factors,
@@ -221,7 +223,7 @@ def _layered_max(ch: GaussianBc, k, outer, inner: float, eta: float, grid):
     are enumerated on the grid and summed per level, then across levels;
     the innermost level is streamed by :func:`top_k_rows`, its rows being
     the innermost parents (or the rotations when ``k`` is the only
-    parent).  With outer levels and c > 0, :func:`top_k_bounded` scores
+    parent).  With outer levels, :func:`top_k_bounded` scores
     only the parents whose bound terms + c*h2(parent) can reach the top
     k, with the same result.  argmax_splits holds K_L, K_{L-1} - K_L,
     ..., K_1 - K_2.
@@ -255,14 +257,14 @@ def _layered_max(ch: GaussianBc, k, outer, inner: float, eta: float, grid):
         return last if terms is None else terms[rows, None] + last
 
     n_rows, n_cols = (len(parents), nv * nd) if outer else (nv, nd)
-    if outer and inner > 0 and eta >= 0:
+    if outer:
         # K_L <= K_{L-1} gives h2(K_L) <= h2(K_{L-1}) and h1(K_L) >= 0, so
-        # a parent's row stays below terms + c*h2(parent).
+        # with c, eta > 0 a parent's row stays below terms + c*h2(parent).
         bound = terms + inner * h2
-        flat, top, blocks, scored = top_k_bounded(score, bound, n_cols, grid.starts)
+        flat, top, blocks, scored = top_k_bounded(score, bound, n_cols, STARTS)
     else:
         flat, top, blocks = top_k_rows(
-            lambda lo, hi: score(np.arange(lo, hi)), n_rows, n_cols, grid.starts
+            lambda lo, hi: score(np.arange(lo, hi)), n_rows, n_cols, STARTS
         )
         scored = n_rows
     seeds = grid_params(tab, flat, levels)
@@ -290,7 +292,7 @@ def _layered_max(ch: GaussianBc, k, outer, inner: float, eta: float, grid):
             starts += [extra[i] for i in np.argsort(-scores, kind="stable")[:keep]]
         bounds, spans = _bounds_spans(t, theta_steps, diag_steps, levels)
         xs, fx, used = coordinate_refine(
-            objective, np.array(starts), bounds, spans, grid.refine_tol, grid.refine_iters
+            objective, np.array(starts), bounds, spans, REFINE_TOL, grid.refine_iters
         )
         best = int(np.argmax(fx))
         x, value, used = xs[best], float(fx[best]), used.tolist()

@@ -78,7 +78,9 @@ def validate_psd(a, tol: float = PSD_TOL, name: str = "matrix") -> np.ndarray:
     a = _as_square(a, name)
     if not np.all(np.abs(a - a.T) <= 1e-12 * (1.0 + np.abs(a))):
         raise ValueError(f"{name} is not symmetric")
-    sym = 0.5 * (a + a.T)
+    # Halving first keeps a finite matrix finite; it is exact, so the
+    # bits equal 0.5 * (a + a.T) wherever that sum does not overflow.
+    sym = 0.5 * a + 0.5 * a.T
     if sym.shape[0]:
         eig = np.linalg.eigvalsh(sym)
         if eig[0] < -tol * max(1.0, -eig[0], eig[-1]):

@@ -61,6 +61,8 @@ import numpy as np
 from .channel import GaussianBc
 from .matops import gram, half_log2, half_log2_det, sqrt_factor, validate_psd
 from .sweeps import (
+    REFINE_TOL,
+    STARTS,
     GridSpec,
     chain_factor,
     children_factors,
@@ -77,7 +79,7 @@ from .sweeps import (
     rotation_batch,
     row_blocks,
     simplex_grid,
-    theta_tuple_grid,
+    theta_values,
 )
 
 __all__ = [
@@ -301,6 +303,8 @@ def _wtc_gevd(ch: GaussianBc, k):
     keep = mu > 0.0
     q, _ = np.linalg.qr(linv_t @ u)
     value = np.sum(np.log1p(np.maximum(mu, 0.0)), axis=-1) / (2.0 * math.log(2.0))
+    if not (np.isfinite(a2).all() and np.isfinite(mu).all() and np.isfinite(value).all()):
+        raise FloatingPointError("the wiretap pencil is not finite")
     return value, gram(s @ (q * keep[..., None, :]))
 
 
@@ -384,7 +388,7 @@ def _trace_grid(t: int, theta_steps: int, tails) -> np.ndarray:
     ``theta_steps`` angles per Givens angle span :func:`_angle_span`; the
     rows run angle-major, so row i holds angle tuple i // len(tails).
     """
-    angles = theta_tuple_grid(t * (t - 1) // 2, theta_steps, full=_angle_span(t))
+    angles = diag_combos(theta_values(theta_steps, _angle_span(t)), t * (t - 1) // 2)
     return np.column_stack(
         [np.repeat(angles, len(tails), axis=0), np.tile(tails, (len(angles), 1))]
     )
@@ -405,7 +409,7 @@ def _power_corner_refine(ch, p, grid, scan, objective):
     """Maximize ``objective(K)`` over the trace-p manifold.
 
     ``objective`` maps a batch of constraint matrices to their values.
-    The ``grid.starts`` best nodes of ``scan`` seed coordinate-wise golden
+    The ``STARTS`` best nodes of ``scan`` seed coordinate-wise golden
     section over the manifold parameters, refined together as one batch;
     returns the best constraint matrix.  An infeasible trace tail scores
     -inf, which golden section simply avoids.
@@ -428,9 +432,9 @@ def _power_corner_refine(ch, p, grid, scan, objective):
         return np.where(feasible, objective(kmat), -np.inf)
 
     kmats, params = scan
-    nodes = np.argsort(-objective(kmats), kind="stable")[: grid.starts]
+    nodes = np.argsort(-objective(kmats), kind="stable")[:STARTS]
     x, fx, _ = coordinate_refine(
-        f, params[nodes], bounds, spans, grid.refine_tol, grid.refine_iters
+        f, params[nodes], bounds, spans, REFINE_TOL, grid.refine_iters
     )
     kbest, _ = constraint(x[[int(np.argmax(fx))]])
     return kbest[0]

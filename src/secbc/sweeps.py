@@ -48,7 +48,7 @@ import math
 import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -59,7 +59,6 @@ __all__ = [
     "chain_factor",
     "theta_values",
     "diag_values",
-    "theta_tuple_grid",
     "diag_combos",
     "diag_values_sqrt",
     "rotation_batch",
@@ -85,6 +84,9 @@ __all__ = [
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Grid nodes per row block of row_blocks (and per worker task).
 GRID_BLOCK_NODES = 1 << 16
+# Golden-section polish: line-search tolerance and grid nodes refined per sweep.
+REFINE_TOL = 1e-6
+STARTS = 4
 
 
 @dataclass(frozen=True)
@@ -98,10 +100,9 @@ class GridSpec:
     of its coarse K* grid; its zoom schedule is fixed in
     :mod:`secbc.regions`).  Chained two-level sweeps use the ``chain_*``
     steps per level and three-level sweeps the ``deep_*`` steps; the full
-    defaults would be astronomically large there.  ``starts``,
-    ``refine_iters`` and ``refine_tol`` budget the golden-section polish;
-    ``refine_iters`` only caps the line searches per start, which stop
-    on their own once a sweep no longer moves them.
+    defaults would be astronomically large there.  ``refine_iters``
+    caps the line searches per start of the golden-section polish, which
+    stop on their own once a sweep no longer moves them.
     """
 
     theta_steps: int = 64
@@ -113,22 +114,9 @@ class GridSpec:
     deep_diag_steps: int = 5
     deep_trace_steps: int = 17
     refine_iters: int = 1000
-    refine_tol: float = 1e-6
-    starts: int = 4
 
     def __post_init__(self):
-        for name in (
-            "theta_steps",
-            "diag_steps",
-            "trace_steps",
-            "chain_theta_steps",
-            "chain_diag_steps",
-            "deep_theta_steps",
-            "deep_diag_steps",
-            "deep_trace_steps",
-            "refine_iters",
-            "starts",
-        ):
+        for name in (f.name for f in fields(self)):
             val, least = getattr(self, name), 0 if name == "refine_iters" else 1
             if isinstance(val, bool) or not isinstance(val, numbers.Integral) or val < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {val!r}")
@@ -153,8 +141,14 @@ def map_ordered(fn, items):
     w = worker_count()
     if w <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
+    err = np.geterr()  # numpy's error state is per thread
+
+    def task(x):
+        with np.errstate(**err):
+            return fn(x)
+
     with ThreadPoolExecutor(max_workers=w) as ex:
-        return list(ex.map(fn, items))
+        return list(ex.map(task, items))
 
 
 def theta_values(steps: int, full: float = 2.0 * math.pi) -> np.ndarray:
@@ -178,18 +172,12 @@ def diag_values_sqrt(steps: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, steps) ** 2
 
 
-def theta_tuple_grid(m: int, steps: int, full: float = 2.0 * math.pi) -> np.ndarray:
-    """All angle tuples, shape (steps**m, m); a single empty tuple for m=0."""
-    if m == 0:
+def diag_combos(values: np.ndarray, n: int) -> np.ndarray:
+    """All n-tuples of ``values`` in C (lexicographic) order, shape
+    (len(values)**n, n); the single empty tuple for n = 0."""
+    if n == 0:
         return np.zeros((1, 0))
-    vals = theta_values(steps, full)
-    grids = np.meshgrid(*([vals] * m), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
-
-
-def diag_combos(dvalues: np.ndarray, t: int) -> np.ndarray:
-    """All diagonal tuples in C (lexicographic) order, shape (steps**t, t)."""
-    grids = np.meshgrid(*([dvalues] * t), indexing="ij")
+    grids = np.meshgrid(*([values] * n), indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=-1)
 
 
@@ -211,7 +199,7 @@ class GridTables:
 
 def grid_tables(t: int, theta_steps: int, dvals: np.ndarray) -> GridTables:
     """Tables of ``theta_steps`` angles per Givens angle times ``dvals``."""
-    tuples = theta_tuple_grid(t * (t - 1) // 2, theta_steps)
+    tuples = diag_combos(theta_values(theta_steps), t * (t - 1) // 2)
     return GridTables(tuples, rotation_batch(tuples, t), dvals, diag_combos(dvals, t))
 
 
@@ -352,11 +340,7 @@ def simplex_grid(t: int, total: float, steps: int) -> np.ndarray:
     and the last takes the remainder; tuples with a negative remainder
     are dropped.  For t = 1 the single tuple (total,) is returned.
     """
-    if t == 1:
-        return np.array([[total]])
-    vals = np.linspace(0.0, total, steps)
-    grids = np.meshgrid(*([vals] * (t - 1)), indexing="ij")
-    head = np.stack([g.ravel() for g in grids], axis=-1)
+    head = diag_combos(np.linspace(0.0, total, steps), t - 1)
     rest = total - head.sum(axis=1)
     keep = rest >= -1e-12
     return np.column_stack([head[keep], np.maximum(rest[keep], 0.0)])

@@ -234,11 +234,10 @@ def test_criterion_10_common_message_reduction(example_channel):
     with _Timer(10, "common-message slice reduction", 30.0):
         k = np.diag([6.0, 6.0])
         grid = GridSpec()
-        from secbc.sweeps import diag_combos, diag_values, theta_tuple_grid
+        from secbc.sweeps import diag_combos, diag_values, theta_values
 
-        thetas = theta_tuple_grid(1, grid.chain_theta_steps)
         dvals = diag_values(grid.chain_diag_steps)
-        for ang in thetas[:, 0]:
+        for ang in theta_values(grid.chain_theta_steps):
             for dc in diag_combos(dvals, 2):
                 k2 = compose_sub_cov(k, SubCovParams([ang], dc))
                 k1 = k - k2

@@ -237,7 +237,8 @@ class TestWtcAndEnvelope:
 
 
 class TestGridFlags:
-    """--grid-theta/-d/-trace set the resolution each command really sweeps."""
+    """--grid-theta/-d/-trace set the steps of every depth, so each command
+    sweeps the resolution the flags give."""
 
     @staticmethod
     def record(monkeypatch, module, name, seen):
@@ -293,19 +294,27 @@ class TestGridFlags:
 
     def test_sweep_chosen_per_mode(self):
         base = dict(g1=np.eye(2), g2=np.eye(2), grid_theta=5, grid_d=4, grid_trace=3)
+        steps = {
+            "theta_steps": 5, "chain_theta_steps": 5, "deep_theta_steps": 5,
+            "diag_steps": 4, "chain_diag_steps": 4, "deep_diag_steps": 4,
+            "trace_steps": 3, "deep_trace_steps": 3,
+        }
         cases = [
-            (dict(mode="no-common", power=2.0), ("theta_steps", "diag_steps", "trace_steps")),
-            (dict(mode="common", power=2.0), ("deep_theta_steps", "deep_diag_steps", "deep_trace_steps")),
-            (dict(mode="common", covariance=np.eye(2)), ("chain_theta_steps", "chain_diag_steps")),
-            # at t = 1 the power-constrained common region is the fixed one at K = P
-            (dict(mode="common", power=2.0, g1=np.eye(1), g2=np.eye(1)),
-             ("chain_theta_steps", "chain_diag_steps")),
-            (dict(mode="envelope", covariance=np.eye(2), lambda1=1.0),
-             ("chain_theta_steps", "chain_diag_steps")),
+            dict(mode="no-common", power=2.0),
+            dict(mode="no-common", covariance=np.eye(2)),
+            dict(mode="common", power=2.0),
+            dict(mode="common", covariance=np.eye(2)),
+            dict(mode="common", power=2.0, g1=np.eye(1), g2=np.eye(1)),
+            dict(mode="both-confidential", power=2.0),
+            dict(mode="wtc", power=2.0),
+            dict(mode="compare", power=2.0),
+            dict(mode="envelope", covariance=np.eye(2), eta=1.2),
+            dict(mode="envelope", covariance=np.eye(2), lambda1=1.0),
+            dict(mode="envelope", covariance=np.eye(2), lambda0=2.0),
         ]
-        for fields, names in cases:
+        for fields in cases:
             grid = RunConfig(**{**base, **fields}).grid()
-            assert [getattr(grid, n) for n in names] == [5, 4, 3][: len(names)]
+            assert {n: getattr(grid, n) for n in steps} == steps, fields
 
 
 class TestBrokenPipe:
@@ -372,13 +381,44 @@ class TestOverflowingCovariance:
             ["envelope", "--covariance", "1e15,0;0,1e15", "--lambda0", "2", "--lambda1", "1",
              "--lambda2", "0.8", "--eta", "1.2"],
             ["region", "--mode", "no-common", "--covariance", "1e300,0;0,1e300"],
+            # symmetrizing these must not overflow to inf
+            ["wtc", "--covariance", "9e307,0;0,1"],
+            ["wtc", "--covariance", "1e308,0;0,1"],
+            ["region", "--covariance", "9e307,0;0,1"],
+            ["envelope", "--covariance", "1e308,0;0,1", "--eta", "1.2"],
+            # a wiretap pencil that overflows
+            ["wtc", "--covariance", "1,0;0,1", "--g1", "1e200,0;0,1e200"],
         ],
     )
     def test_exits_3_without_traceback(self, argv, tmp_path, capsys):
         out = ["--out", str(tmp_path / "f.csv")] if argv[0] == "region" else []
-        assert main(argv + ["--g1", G1_ARG, "--g2", G2_ARG, *out]) == 3
+        gains = ["--g1", G1_ARG, "--g2", G2_ARG]  # a later --g1 in argv wins
+        assert main(argv[:1] + gains + argv[1:] + out) == 3
         err = capsys.readouterr().err
         assert "numerical failure" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("threads", [None, "1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["region", "--covariance", "1e300,0;0,1e300"],
+            ["region", "--mode", "common", "--covariance", "1e300,0;0,1e300"],
+            ["envelope", "--eta", "1.2", "--covariance", "1e300,0;0,1e300"],
+            ["wtc", "--covariance", "1e308,0;0,1"],
+        ],
+    )
+    def test_stderr_is_one_line(self, argv, threads):
+        # numpy's overflow warnings would only repeat the failure line; with
+        # SECBC_THREADS unset the sweeps may run blocks on worker threads.
+        env = _package_env()
+        env.pop("SECBC_THREADS", None)
+        if threads:
+            env["SECBC_THREADS"] = threads
+        argv = [sys.executable, "-m", "secbc.cli", *argv, "--g1", G1_ARG, "--g2", G2_ARG]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical failure: "), proc.stderr
 
 
 class TestCompare:

@@ -31,7 +31,7 @@ from secbc import (
 )
 from secbc import regions, sweeps
 from secbc.matops import rotation_angles
-from secbc.sweeps import diag_combos, diag_values, theta_tuple_grid
+from secbc.sweeps import diag_combos, diag_values, theta_values
 
 from conftest import assert_kstar_rates, kstar_rows, random_spd
 from oracles import fig2_oracle, water_fill_oracle
@@ -343,9 +343,8 @@ class TestRegionCommon:
         # with all power in K1 + K2 = K the triple collapses onto the
         # pair-rate forms with K* = K2, node by node
         k = np.diag([6.0, 6.0])
-        tuples = theta_tuple_grid(1, 8)
         dvals = diag_values(5)
-        for ang in tuples[:, 0]:
+        for ang in theta_values(8):
             for dc in diag_combos(dvals, 2):
                 k2 = compose_sub_cov(k, SubCovParams([ang], dc))
                 k1 = k - k2

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -11,10 +12,12 @@ from secbc.sweeps import (
     chain_factor,
     coordinate_refine,
     det_i_plus_diag,
+    diag_combos,
     golden_max,
     grid_tables,
     pair_dets,
     pair_dets_rows,
+    simplex_grid,
     top_k_bounded,
     top_k_flat,
     top_k_rows,
@@ -137,6 +140,18 @@ class TestTopKBounded:
         bound = np.array([1.0, np.nan, 0.0])
         idx, vals, _, _ = top_k_bounded(lambda rows: values[rows], bound, 2, 1)
         assert idx.tolist() == [2] and vals.tolist() == [5.0]
+
+
+class TestTupleTables:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_diag_combos_is_the_lexicographic_product(self, n):
+        values = np.array([0.0, 0.25, 1.0])
+        got = diag_combos(values, n)
+        assert got.shape == (3**n, n)
+        assert got.tolist() == [list(p) for p in itertools.product(values, repeat=n)]
+
+    def test_scalar_simplex_is_the_total(self):
+        assert simplex_grid(1, 2.5, 7).tolist() == [[2.5]]
 
 
 class TestPairDetsRows:
