@@ -17,7 +17,7 @@ case runs in a fresh child process:
 - ``region_common_fixed``: a seeded t = 3 channel at chain grid (4, 3);
 - ``pareto_filter``: ``regions._pareto_rows_triples`` alone, on the
   largest input it receives during the ``region_common_power`` case
-  (its one call there: 3906 cell winners plus 136 max-R1 corners, 4042
+  (its one call there: 3906 cell winners plus 68 max-R1 corners, 3974
   rows on the example channel); that call also sets its ``peak_rss_mb``.
 
 ``--cases envelope`` runs ``v_eta``, ``v_hat`` and ``v_tilde`` instead, on

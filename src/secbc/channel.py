@@ -18,6 +18,7 @@ identity in the test suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +58,9 @@ class GaussianBc:
         for name, g in (("g1", g1), ("g2", g2)):
             if not np.all(np.isfinite(g)):
                 raise ValueError(f"{name} has non-finite entries")
-            if abs(np.linalg.det(g)) <= _GAIN_DET_TOL:
+            # slogdet: det itself overflows (with a warning) for huge gains
+            sign, logdet = np.linalg.slogdet(g)
+            if sign == 0 or logdet <= math.log(_GAIN_DET_TOL):
                 raise ValueError(f"{name} is singular; gains must be invertible")
         g1.setflags(write=False)
         g2.setflags(write=False)

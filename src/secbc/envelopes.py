@@ -32,9 +32,13 @@ can reach the top k, with the same result.  The seeds are the
 index (the lexicographically smallest parameter vector); exactly tied
 nodes are almost always one split reached through a degenerate
 parameterization (a zero scaling makes the angles below it irrelevant),
-so they would refine to the same point.  Results are deterministic
-under any parallel evaluation order.  Grid seeds and the best spectral
-rank-one seeds are then refined together, in lockstep, by one batched
+so they would refine to the same point.  At t = 2 the grid keeps one
+angle per matrix (:func:`secbc.sweeps.canonical_angles`), and the best
+node also starts from its 2^L - 1 mirrored parameterizations
+(:func:`_mirrored_starts`), which golden section follows differently.
+Results are deterministic under any parallel evaluation order.  Grid
+seeds, their mirrors and the best spectral rank-one seeds are then
+refined together, in lockstep, by one batched
 :func:`secbc.sweeps.coordinate_refine`; the objective therefore takes
 a batch of parameter vectors.  ``EnvelopeResult.grid_meta`` records the
 grid nodes, the nodes scored, the blocks, the line searches each start
@@ -206,6 +210,25 @@ def _spectral_seeds(ch: GaussianBc, b0: np.ndarray, eta: float, levels: int):
     return seeds
 
 
+def _mirrored_starts(x: np.ndarray, levels: int) -> np.ndarray:
+    """The other 2^levels - 1 parameterizations of one t = 2 chain ``x``.
+
+    Turning level l by pi/2 and swapping its two scalings turns its factor
+    F_l into F_l R(pi/2); turning level l + 1 back by pi/2 then restores
+    its child.  So each nonempty subset of turned levels rebuilds the same
+    chain of Grams.  Golden section is not invariant under that change of
+    coordinates, so these are starts of their own.  Angles are taken mod
+    2*pi, inside the refinement box.
+    """
+    bits = (np.arange(1, 1 << levels)[:, None] >> np.arange(levels)) & 1
+    y = np.tile(np.reshape(x, (levels, 3)), (len(bits), 1, 1))
+    turn = np.diff(bits, axis=1, prepend=0) * (0.5 * math.pi)
+    y[:, :, 0] = np.mod(y[:, :, 0] + turn, 2.0 * math.pi)
+    swap = bits.astype(bool)
+    y[swap] = y[swap][:, [0, 2, 1]]
+    return y.reshape(len(bits), 3 * levels)
+
+
 # Grid resolution (angle steps, scaling steps) and the number of spectral
 # seeds kept, by the number of chained levels.
 _LEVEL_GRID = {
@@ -283,10 +306,13 @@ def _layered_max(ch: GaussianBc, k, outer, inner: float, eta: float, grid):
     if grid.refine_iters == 0:
         x, value, used = seeds[0], float(top[0]), []
     else:
-        # Grid seeds plus the ``keep`` best spectral seeds (scored in one
-        # batch, ties to the earlier seed); the best start wins, ties to
-        # the earlier.
+        # Grid seeds, at t = 2 the mirrored parameterizations of the best
+        # one, and the ``keep`` best spectral seeds (scored in one batch,
+        # ties to the earlier seed); the best start wins, ties to the
+        # earlier.
         starts = list(seeds)
+        if t == 2:
+            starts += list(_mirrored_starts(seeds[0], levels))
         if extra:
             scores = objective(np.array(extra))
             starts += [extra[i] for i in np.argsort(-scores, kind="stable")[:keep]]

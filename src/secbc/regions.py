@@ -64,6 +64,7 @@ from .sweeps import (
     REFINE_TOL,
     STARTS,
     GridSpec,
+    canonical_angles,
     chain_factor,
     children_factors,
     coordinate_refine,
@@ -79,7 +80,6 @@ from .sweeps import (
     rotation_batch,
     row_blocks,
     simplex_grid,
-    theta_values,
 )
 
 __all__ = [
@@ -372,7 +372,10 @@ def frontier_fixed_cov(ch: GaussianBc, k, grid: GridSpec | None = None) -> Front
 
 
 def _angle_span(t: int) -> float:
-    """Range of each rotation angle: pi covers every 2x2 eigenbasis."""
+    """Period of each rotation angle of K = V diag(e) V^T (at t = 2,
+    V(theta + pi) = -V(theta)).  The refinement box spans it; the grids
+    keep its :func:`secbc.sweeps.canonical_angles`, since the eigenvalue
+    tables also hold both orders."""
     return math.pi if t == 2 else 2.0 * math.pi
 
 
@@ -385,10 +388,14 @@ def _trace_factors(x, t: int) -> np.ndarray:
 def _trace_grid(t: int, theta_steps: int, tails) -> np.ndarray:
     """Rows (angles, tail): each angle tuple crossed with each row of ``tails``.
 
-    ``theta_steps`` angles per Givens angle span :func:`_angle_span`; the
+    The angles are the :func:`secbc.sweeps.canonical_angles` of
+    ``theta_steps`` steps over :func:`_angle_span`, which at t = 2 keep
+    one row per matrix of the full span: every ``tails`` table here (the
+    simplex, the u-ball) holds each eigenvalue pair in both orders.  The
     rows run angle-major, so row i holds angle tuple i // len(tails).
     """
-    angles = diag_combos(theta_values(theta_steps, _angle_span(t)), t * (t - 1) // 2)
+    angles = canonical_angles(t, theta_steps, _angle_span(t))
+    angles = diag_combos(angles, t * (t - 1) // 2)
     return np.column_stack(
         [np.repeat(angles, len(tails), axis=0), np.tile(tails, (len(angles), 1))]
     )

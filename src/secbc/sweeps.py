@@ -2,9 +2,16 @@
 
 The optimization problems in this package all have the same shape: a
 smooth objective over one or more chained sub-covariance parameterizations
-(angles in [0, 2*pi), diagonal scalings in [0, 1]).  They are attacked by
-a coarse tensor grid evaluated with vectorized numpy, followed by
+(Givens angles, diagonal scalings in [0, 1]).  They are attacked by a
+coarse tensor grid evaluated with vectorized numpy, followed by
 coordinate-wise golden-section polish of the best grid nodes.
+
+Grid angles come from :func:`canonical_angles`.  At t = 2 a rotation by
+theta + pi/2 with the two scalings swapped gives the same sub-covariance
+as theta, and every scaling table is closed under that swap, so the
+grids keep only the angles in [0, pi/2) and score each matrix once; the
+refinement boxes still span the whole period.  At any other t the grid
+angles span it too.
 
 The grid half works on square-root factors: a child of the factor ``B``
 under parameters (theta, d) is ``B @ V(theta) @ diag(sqrt(d))``, whose
@@ -25,10 +32,11 @@ is taken at its lowest flat index, i.e. the lexicographically smallest
 parameter vector.  The merged top k is therefore exactly the top k of
 the whole grid, and blocks may run on any number of workers
 (:func:`map_ordered`) without changing the result.  Given an upper bound
-per row, :func:`top_k_bounded` scores one block of the best-bounded rows
-first and then only the rows whose bound reaches the k-th value found
-there; its top k is still exact.  :func:`pair_dets_rows` scores any
-subset of parents with the bits of the full batch.
+per row, :func:`top_k_bounded` scores a sixteenth of the rows, the
+best-bounded ones, first and then only the rows whose bound reaches the
+k-th value found there; its top k is still exact.
+:func:`pair_dets_rows` scores any subset of parents with the bits of the
+full batch.
 
 Refinement runs a batch of starts in lockstep (:func:`coordinate_refine`,
 :func:`golden_max`): every objective call evaluates the live lanes at
@@ -58,6 +66,7 @@ __all__ = [
     "GridSpec",
     "chain_factor",
     "theta_values",
+    "canonical_angles",
     "diag_values",
     "diag_combos",
     "diag_values_sqrt",
@@ -156,6 +165,23 @@ def theta_values(steps: int, full: float = 2.0 * math.pi) -> np.ndarray:
     return np.linspace(0.0, full, steps, endpoint=False)
 
 
+def canonical_angles(t: int, steps: int, full: float) -> np.ndarray:
+    """The angles of ``theta_values(steps, full)`` that give distinct matrices.
+
+    At t = 2, V(theta + pi/2) diag(b, a) V^T = V(theta) diag(a, b) V^T, so
+    for any scaling table closed under swapping its two entries, the
+    angles mod pi/2 already hold every matrix of the [0, full) grid.  With
+    c = full / (pi/2) quarter turns, those are the steps / gcd(c, steps)
+    angles of [0, pi/2) on the grid's own lattice (bitwise its first
+    steps / c angles when c divides ``steps``).  Any other t gets the
+    plain table.
+    """
+    if t != 2:
+        return theta_values(steps, full)
+    quarters = round(full / (0.5 * math.pi))
+    return theta_values(steps // math.gcd(quarters, steps), 0.5 * math.pi)
+
+
 def diag_values(steps: int) -> np.ndarray:
     """Scaling grid on [0, 1] inclusive, so K* = 0 and K* = K are nodes."""
     return np.linspace(0.0, 1.0, steps)
@@ -198,8 +224,10 @@ class GridTables:
 
 
 def grid_tables(t: int, theta_steps: int, dvals: np.ndarray) -> GridTables:
-    """Tables of ``theta_steps`` angles per Givens angle times ``dvals``."""
-    tuples = diag_combos(theta_values(theta_steps), t * (t - 1) // 2)
+    """Tables of the :func:`canonical_angles` of ``theta_steps`` angles on
+    [0, 2*pi) per Givens angle times ``dvals``."""
+    angles = canonical_angles(t, theta_steps, 2.0 * math.pi)
+    tuples = diag_combos(angles, t * (t - 1) // 2)
     return GridTables(tuples, rotation_batch(tuples, t), dvals, diag_combos(dvals, t))
 
 
@@ -559,10 +587,10 @@ def top_k_bounded(score, bound: np.ndarray, n_cols: int, k: int):
 
     ``score(rows)`` returns the rows ``rows`` (an ascending index array)
     of an (len(bound), n_cols) matrix, and ``bound[r]`` is an upper bound
-    on the maximum of row r, up to rounding.  One :func:`row_blocks`
-    block of the rows with the highest distinct bounds is scored first;
-    the k-th best distinct value found there, tau, is at most the k-th
-    best of the whole matrix.  A row whose bound plus a relative slack of
+    on the maximum of row r, up to rounding.  The rows with the highest
+    distinct bounds are scored first, max(k, n_rows / 16) of them (rounded
+    up) but at most one :func:`row_blocks` block; the k-th best distinct
+    value found there, tau, is at most the k-th best of the whole matrix.  A row whose bound plus a relative slack of
     1e-9 stays below tau holds none of the top k, so only the remaining
     rows go through :func:`top_k_rows`, in row order.  Both parts keep
     each value at its lowest index, and the merged top k is exactly that
@@ -575,7 +603,9 @@ def top_k_bounded(score, bound: np.ndarray, n_cols: int, k: int):
         idx, vals, blocks = top_k_rows(lambda lo, hi: score(rows[lo:hi]), rows.size, n_cols, k)
         return rows[idx // n_cols] * n_cols + idx % n_cols, vals, blocks
 
-    probe = np.sort(top_k_flat(bound, row_blocks(len(bound), n_cols)[0][1]))
+    n_rows = len(bound)
+    size = min(max(k, -(-n_rows // 16)), row_blocks(n_rows, n_cols)[0][1])
+    probe = np.sort(top_k_flat(bound, size))
     parts = [top(probe)]
     tau = parts[0][1][-1] if len(parts[0][1]) == k else -np.inf
     # NaN bounds are kept: they bound nothing

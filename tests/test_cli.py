@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -267,7 +268,8 @@ class TestGridFlags:
             assert main(argv) == 0
             meta = seen[-1].grid_meta
             assert meta["resolution"] == {"theta_steps": theta, "diag_steps": d, "levels": levels}
-            assert meta["grid_nodes"] == (theta * d * d) ** levels
+            # t = 2 keeps one angle per quarter turn: theta / gcd(4, theta) of them
+            assert meta["grid_nodes"] == (theta // math.gcd(4, theta) * d * d) ** levels
         assert name in capsys.readouterr().out
 
     @pytest.mark.parametrize(
@@ -282,7 +284,9 @@ class TestGridFlags:
             argv = ["region", "--mode", "common", "--g1", G1_ARG, "--g2", G2_ARG]
             assert main(argv + constraint + flags) == 0
             fr = seen[-1]
-            per_k = (theta * d * d) ** 2  # two chained levels of one angle, two scalings
+            # two chained levels of one canonical angle (theta / gcd(4, theta)
+            # of them at t = 2) and two scalings
+            per_k = (theta // math.gcd(4, theta) * d * d) ** 2
             if name == "region_common_fixed":
                 grid = (fr.meta["grid"].chain_theta_steps, fr.meta["grid"].chain_diag_steps)
                 assert grid == (theta, d)
@@ -290,7 +294,9 @@ class TestGridFlags:
             else:
                 g = fr.meta["grid"]
                 assert (g.deep_theta_steps, g.deep_diag_steps, g.deep_trace_steps) == (theta, d, trace)
-                assert fr.meta["candidates"] == theta * trace * per_k  # manifold nodes x grid
+                # manifold nodes (canonical angles of the pi span x trace splits) x grid
+                nodes = theta // math.gcd(2, theta) * trace
+                assert fr.meta["candidates"] == nodes * per_k
 
     def test_sweep_chosen_per_mode(self):
         base = dict(g1=np.eye(2), g2=np.eye(2), grid_theta=5, grid_d=4, grid_trace=3)
@@ -376,7 +382,7 @@ class TestOverflowingCovariance:
         "argv",
         [
             ["envelope", "--covariance", "1e300,0;0,1e300", "--eta", "1.2"],
-            ["envelope", "--covariance", "1e15,0;0,1e15", "--lambda1", "1",
+            ["envelope", "--covariance", "1e300,0;0,1e300", "--lambda1", "1",
              "--lambda2", "0.8", "--eta", "1.2"],
             ["envelope", "--covariance", "1e15,0;0,1e15", "--lambda0", "2", "--lambda1", "1",
              "--lambda2", "0.8", "--eta", "1.2"],
@@ -416,6 +422,15 @@ class TestOverflowingCovariance:
             env["SECBC_THREADS"] = threads
         argv = [sys.executable, "-m", "secbc.cli", *argv, "--g1", G1_ARG, "--g2", G2_ARG]
         proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical failure: "), proc.stderr
+
+    def test_huge_gain_warns_nothing(self):
+        # the gain's singularity test must not overflow its determinant
+        argv = [sys.executable, "-m", "secbc.cli", "wtc", "--covariance", "1,0;0,1"]
+        argv += ["--g1", "1e200,0;0,1e200", "--g2", G2_ARG]
+        proc = subprocess.run(argv, env=_package_env(), capture_output=True, text=True, timeout=60)
         assert proc.returncode == 3
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("numerical failure: "), proc.stderr

@@ -18,7 +18,9 @@ from secbc import (
     v_tilde,
 )
 
-from secbc.matops import psd_leq
+from secbc.envelopes import _mirrored_starts
+from secbc.matops import gram, psd_leq
+from secbc.sweeps import chain_factor
 
 from conftest import EXAMPLE_G1, EXAMPLE_G2, random_spd
 
@@ -180,6 +182,17 @@ class TestVHat:
                 >= v_hat(example_channel, k, w, fast_grid).value - 1e-6
             )
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="large-constraint defect: at 1e9 I the optimum is lost and v_hat "
+        "reads 0 (about 0.2848 at 1e3 I)",
+    )
+    def test_large_constraint_keeps_the_value(self, example_channel):
+        w = EnvelopeWeights(lambda1=1.0, lambda2=0.8, eta=1.2)
+        small = v_hat(example_channel, 1e3 * np.eye(2), w).value
+        large = v_hat(example_channel, 1e9 * np.eye(2), w).value
+        assert large == pytest.approx(small, abs=1e-3)
+
     def test_eta_midpoint_convexity_small(self, example_channel, fast_grid):
         w = lambda e: EnvelopeWeights(lambda1=1.0, lambda2=0.7, eta=e)
         k = np.diag([2.0, 1.5])
@@ -319,6 +332,24 @@ def layered_objective(level, ch, splits, w):
         abar = 1.0 - w.alpha
         val += (w.lambda2 - abar * w.lambda0) * o2 - w.alpha * w.lambda0 * o1
     return val
+
+
+class TestMirroredStarts:
+    @pytest.mark.parametrize("levels", [1, 2, 3])
+    def test_rebuild_the_same_gram_chain(self, rng, levels):
+        b0 = np.linalg.cholesky(random_spd(rng, 2, scale=3.0))
+        x = np.concatenate(
+            [np.concatenate([[rng.uniform(0.0, 2 * math.pi)], rng.uniform(0.0, 1.0, 2)])
+             for _ in range(levels)]
+        )
+        mirrors = _mirrored_starts(x, levels)
+        assert mirrors.shape == (2**levels - 1, 3 * levels)
+        assert len({row.tobytes() for row in np.vstack([x, mirrors])}) == 2**levels
+        angles = mirrors[:, ::3]
+        assert np.all((angles >= 0.0) & (angles < 2 * math.pi))
+        want = gram(chain_factor(b0, x, 2, levels))
+        got = gram(chain_factor(b0, mirrors, 2, levels))
+        assert np.abs(got - want).max() <= 1e-12
 
 
 class TestArgmaxReevaluation:

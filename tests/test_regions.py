@@ -493,11 +493,14 @@ class TestCommonStreaming:
         self, example_channel, scalar_channel, fast_grid
     ):
         fixed, power = self.run_both(example_channel, fast_grid)
-        n_chain = 8 * 5**2  # t = 2: one angle and two scalings per level
+        # t = 2: one angle and two scalings per level; 8 steps keep 2 angles
+        n_chain = 2 * 5**2
         assert fixed.meta["candidates"] == n_chain * n_chain
         assert fixed.meta["blocks"] == 1
-        nodes = 6 * 7  # deep_theta_steps angles times deep_trace_steps splits
-        n_deep = 6 * 4**2
+        # canonical angles of deep_theta_steps = 6 (3 on both spans) times
+        # deep_trace_steps splits
+        nodes = 3 * 7
+        n_deep = 3 * 4**2
         assert power.meta["candidates"] == nodes * n_deep * n_deep
         # one stream of outer rows over all manifold nodes
         assert power.meta["blocks"] == len(sweeps.row_blocks(nodes * n_deep, n_deep))

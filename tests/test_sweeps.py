@@ -9,6 +9,7 @@ from secbc import EnvelopeWeights, GridSpec, make_channel, v_eta, v_hat, v_tilde
 from secbc import envelopes, sweeps
 from secbc.matops import half_log2_det
 from secbc.sweeps import (
+    canonical_angles,
     chain_factor,
     coordinate_refine,
     det_i_plus_diag,
@@ -17,7 +18,9 @@ from secbc.sweeps import (
     grid_tables,
     pair_dets,
     pair_dets_rows,
+    rotation_batch,
     simplex_grid,
+    theta_values,
     top_k_bounded,
     top_k_flat,
     top_k_rows,
@@ -152,6 +155,35 @@ class TestTupleTables:
 
     def test_scalar_simplex_is_the_total(self):
         assert simplex_grid(1, 2.5, 7).tolist() == [[2.5]]
+
+
+def gram_set(angles, tails):
+    """Every V(theta) diag(e) V^T of ``angles`` x ``tails``, rounded to 1e-9."""
+    v = rotation_batch(angles[:, None], 2)
+    grams = np.einsum("aij,nj,akj->anik", v, tails, v)
+    return {tuple(g) for g in np.round(grams.reshape(-1, 4), 9) + 0.0}
+
+
+class TestCanonicalAngles:
+    TAILS = [diag_combos(np.array([0.0, 0.3, 1.0]), 2), simplex_grid(2, 3.0, 5)]
+
+    @pytest.mark.parametrize("tails", range(len(TAILS)))
+    @pytest.mark.parametrize("quarters", [4, 2])
+    @pytest.mark.parametrize("steps", [*range(1, 9), 12, 16, 64])
+    def test_t2_keeps_every_matrix_once(self, steps, quarters, tails):
+        full = quarters * math.pi / 2
+        angles = canonical_angles(2, steps, full)
+        assert len(angles) == steps // math.gcd(quarters, steps)
+        assert np.all((angles >= 0.0) & (angles < math.pi / 2))
+        table = self.TAILS[tails]
+        assert gram_set(angles, table) == gram_set(theta_values(steps, full), table)
+        if steps % quarters == 0:
+            assert angles.tobytes() == theta_values(steps, full)[: steps // quarters].tobytes()
+
+    @pytest.mark.parametrize("t", [1, 3])
+    def test_other_dimensions_keep_the_full_table(self, t):
+        for full in (math.pi, 2 * math.pi):
+            assert canonical_angles(t, 8, full).tobytes() == theta_values(8, full).tobytes()
 
 
 class TestPairDetsRows:
@@ -360,7 +392,7 @@ class TestEnvelopeSweeps:
         ]
 
     def test_byte_identical_across_thread_counts(self, fast_grid, monkeypatch):
-        monkeypatch.setattr(sweeps, "GRID_BLOCK_NODES", 500)
+        monkeypatch.setattr(sweeps, "GRID_BLOCK_NODES", 100)
         runs = []
         for threads in ("1", "2"):
             monkeypatch.setenv("SECBC_THREADS", threads)
@@ -375,9 +407,10 @@ class TestEnvelopeSweeps:
     def test_grid_meta_reports_nodes_blocks_and_budget(self, fast_grid):
         res_eta, res_hat, res_tilde = self.run_all(fast_grid)
         nd = lambda steps: steps**2  # t = 2: one angle, two scalings
-        assert res_eta.grid_meta["grid_nodes"] == 16 * nd(9)
-        assert res_hat.grid_meta["grid_nodes"] == (8 * nd(5)) ** 2
-        assert res_tilde.grid_meta["grid_nodes"] == (6 * nd(4)) ** 3
+        # canonical angles of 16, 8 and 6 steps on [0, 2 pi): 4, 2 and 3
+        assert res_eta.grid_meta["grid_nodes"] == 4 * nd(9)
+        assert res_hat.grid_meta["grid_nodes"] == (2 * nd(5)) ** 2
+        assert res_tilde.grid_meta["grid_nodes"] == (3 * nd(4)) ** 3
         for res in (res_eta, res_hat, res_tilde):
             meta = res.grid_meta
             assert meta["grid_blocks"] >= 1
