@@ -22,6 +22,7 @@ Every configuration check runs before any computation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -514,7 +515,10 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", help="JSON config file (flags override)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    :func:`main` call (parsing leaves it unchanged; do not modify it)."""
     parser = argparse.ArgumentParser(
         prog="secbc",
         description="Secrecy-capacity regions of two-user MIMO Gaussian BCs",

@@ -69,25 +69,27 @@ def _as_square(a, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def validate_psd(a, tol: float = PSD_TOL, name: str = "matrix") -> np.ndarray:
-    """Check symmetry and PSD-ness of ``a``; return a symmetrized copy.
-
-    Symmetry must hold entrywise to 1e-12 relative accuracy and all
-    eigenvalues must be >= -tol * max(1, ||a||), ||a|| the spectral norm.
-    """
+def _checked_spectrum(a, tol: float, name: str):
+    """:func:`validate_psd` that also returns the eigenvalues it checked."""
     a = _as_square(a, name)
     if not np.all(np.abs(a - a.T) <= 1e-12 * (1.0 + np.abs(a))):
         raise ValueError(f"{name} is not symmetric")
     # Halving first keeps a finite matrix finite; it is exact, so the
     # bits equal 0.5 * (a + a.T) wherever that sum does not overflow.
     sym = 0.5 * a + 0.5 * a.T
-    if sym.shape[0]:
-        eig = np.linalg.eigvalsh(sym)
-        if eig[0] < -tol * max(1.0, -eig[0], eig[-1]):
-            raise ValueError(
-                f"{name} is not positive semidefinite within {tol} of its norm"
-            )
-    return sym
+    eig = np.linalg.eigvalsh(sym)
+    if eig.size and eig[0] < -tol * max(1.0, -eig[0], eig[-1]):
+        raise ValueError(f"{name} is not positive semidefinite within {tol} of its norm")
+    return sym, eig
+
+
+def validate_psd(a, tol: float = PSD_TOL, name: str = "matrix") -> np.ndarray:
+    """Check symmetry and PSD-ness of ``a``; return a symmetrized copy.
+
+    Symmetry must hold entrywise to 1e-12 relative accuracy and all
+    eigenvalues must be >= -tol * max(1, ||a||), ||a|| the spectral norm.
+    """
+    return _checked_spectrum(a, tol, name)[0]
 
 
 def psd_leq(a, b, tol: float = PSD_TOL) -> bool:
@@ -110,10 +112,11 @@ def logdet2(a) -> float:
     """Base-2 log-determinant of a strictly positive definite matrix.
 
     Computed from a Cholesky factor for stability.  Raises
-    ``SingularMatrixError`` when the smallest eigenvalue is <= 1e-12.
+    ``SingularMatrixError`` when the smallest eigenvalue is <= 1e-12; the
+    validation's eigenvalues serve that test too.
     """
-    a = validate_psd(a, name="logdet2 input")
-    if np.linalg.eigvalsh(a).min() <= 1e-12:
+    a, eig = _checked_spectrum(a, PSD_TOL, "logdet2 input")
+    if eig.min() <= 1e-12:
         raise SingularMatrixError("matrix is singular within tolerance 1e-12")
     try:
         chol = np.linalg.cholesky(a)

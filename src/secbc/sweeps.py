@@ -11,7 +11,12 @@ theta + pi/2 with the two scalings swapped gives the same sub-covariance
 as theta, and every scaling table is closed under that swap, so the
 grids keep only the angles in [0, pi/2) and score each matrix once; the
 refinement boxes still span the whole period.  At any other t the grid
-angles span it too.
+angles span it too.  :func:`grid_tables` then keeps one rotation per
+class V ~ V P S (P a permutation, S a diagonal sign matrix): the members
+of a class span the same matrices V diag(d) V^T over the scaling tuples,
+which hold every ordering of their values.  At t = 3 the [0, 2*pi)^3
+lattice is mostly signed permutations, so this drops most rotations
+(all but one of the 64 at 4 steps); at t <= 2 nothing is left to drop.
 
 The grid half works on square-root factors: a child of the factor ``B``
 under parameters (theta, d) is ``B @ V(theta) @ diag(sqrt(d))``, whose
@@ -210,8 +215,9 @@ def diag_combos(values: np.ndarray, n: int) -> np.ndarray:
 @dataclass(frozen=True)
 class GridTables:
     """One level of a sub-covariance grid: angle tuples (nv, m), their
-    rotations (nv, t, t), the per-axis scaling values and the scaling
-    tuples (nd, t).  Chained grids repeat the same level."""
+    rotations (nv, t, t), one per rotation class, the per-axis scaling
+    values and the scaling tuples (nd, t).  Chained grids repeat the same
+    level."""
 
     tuples: np.ndarray
     rots: np.ndarray
@@ -223,12 +229,59 @@ class GridTables:
         return [self.dvals] * self.combos.shape[1]
 
 
+def _row_ids(keys: np.ndarray) -> np.ndarray:
+    """Dense ids of the rows of an integer array (n, w): equal rows, equal ids."""
+    order = np.lexsort(keys.T[::-1])
+    ranked = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    ids = np.empty(len(keys), dtype=np.intp)
+    ids[order] = np.cumsum(new) - 1
+    return ids
+
+
+def _rotation_classes(rots: np.ndarray) -> np.ndarray:
+    """Lowest index of each class V ~ V P S of rotations (n, t, t), ascending.
+
+    P is a permutation and S a diagonal sign matrix, so a class is the
+    unordered set of its column projectors v_k v_k^T.  Each projector is
+    keyed by its upper triangle rounded to multiples of 2^-30: rounding
+    may split a class (a duplicate is kept) but merges two rotations only
+    if all their projector entries agree to about 1e-9.
+    """
+    n, t = rots.shape[:2]
+    i, j = np.triu_indices(t)
+    proj = np.swapaxes(rots[:, i, :] * rots[:, j, :], 1, 2)  # (n, t, t(t+1)/2)
+    pid = _row_ids(np.rint(proj * 2.0**30).astype(np.int64).reshape(n * t, -1))
+    cls = _row_ids(np.sort(pid.reshape(n, t), axis=1))
+    _, first = np.unique(cls, return_index=True)
+    return np.sort(first)
+
+
 def grid_tables(t: int, theta_steps: int, dvals: np.ndarray) -> GridTables:
-    """Tables of the :func:`canonical_angles` of ``theta_steps`` angles on
-    [0, 2*pi) per Givens angle times ``dvals``."""
+    """Tables of ``theta_steps`` angles on [0, 2*pi) per Givens angle times
+    ``dvals``, one rotation per class.
+
+    The angles are the :func:`canonical_angles`.  A rotation V and V P S
+    (P a permutation, S a diagonal sign matrix) span the same matrices
+    V diag(d) V^T over the scaling tuples, which are closed under
+    permutation, so only the lowest-index rotation of each class is kept
+    (:func:`_rotation_classes`), in table order, which is the one that
+    won exact ties when all were scored.  At t <= 2 the canonical angles
+    already hold one rotation per class and nothing is dropped; at t = 3
+    the [0, 2*pi)^3 lattice is mostly signed permutations (one class of
+    64 rotations at 4 steps, 14 of 512 at 8).  In a chained grid the
+    factor of a dropped member is the kept one times P S, and its children
+    are the level's matrices turned by P S.  The lattice need not hold
+    those (at 8 steps it does not), so below each parent matrix a chained
+    grid sweeps the children of one parameterization, not the union of
+    its duplicates' children.
+    """
     angles = canonical_angles(t, theta_steps, 2.0 * math.pi)
     tuples = diag_combos(angles, t * (t - 1) // 2)
-    return GridTables(tuples, rotation_batch(tuples, t), dvals, diag_combos(dvals, t))
+    rots = rotation_batch(tuples, t)
+    keep = _rotation_classes(rots)
+    return GridTables(tuples[keep], rots[keep], dvals, diag_combos(dvals, t))
 
 
 def grid_params(tables: GridTables, flat, levels: int) -> np.ndarray:

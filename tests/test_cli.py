@@ -145,6 +145,16 @@ class TestExitCodes:
             main(["region", "--bogus", "1"])
         assert exc.value.code == 2
 
+    def test_one_parser_per_process(self):
+        # every call shares one parser, and no parse leaks into the next
+        parser = cli.build_parser()
+        assert parser.parse_args(["region", "--mode", "common"]).mode == "common"
+        with pytest.raises(SystemExit):
+            main(["region", "--mode", "bogus"])
+        assert cli.build_parser() is parser
+        args = parser.parse_args(["region", "--power", "2"])
+        assert (args.mode, args.covariance, args.power) == ("no-common", None, 2.0)
+
     def test_dpc_check_passes(self, capsys):
         assert main(["dpc-check", "--seed", "7", "--trials", "25", "--dim", "2"]) == 0
         out = capsys.readouterr().out

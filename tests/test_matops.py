@@ -84,6 +84,23 @@ class TestLogdet2:
         with pytest.raises(ValueError):
             logdet2(np.array([[1.0, 0.5], [0.1, 1.0]]))
 
+    def test_one_eigen_solve(self, rng, monkeypatch):
+        # the PSD validation and the singularity test share one eigvalsh
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a):
+            calls.append(1)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        logdet2(random_spd(rng, 3))
+        assert len(calls) == 1
+        with pytest.raises(SingularMatrixError):
+            logdet2(np.diag([1.0, 1e-13]))
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            logdet2(np.diag([1.0, -1.0]))
+
 
 class TestHalfLog2Det:
     @pytest.mark.parametrize("t", [1, 2, 3])

@@ -476,17 +476,21 @@ class TestCommonStreaming:
                 assert all(fr.meta["blocks"] > 1 for fr in runs)
 
     def test_single_pass_memory(self, monkeypatch):
-        # a t = 3 grid of 1728^2 inner nodes: no call may keep its r1/r2 columns
+        # a t = 3 grid of 729^2 nodes (27 rotation classes of 6 steps times
+        # 27 scalings per level), streamed in several blocks: no call may
+        # keep its r1/r2 columns
         monkeypatch.setenv("SECBC_THREADS", "1")
         rng = np.random.default_rng(3)
         g1, g2, a = (rng.normal(size=(3, 3)) for _ in range(3))
         ch, k = make_channel(g1, g2), a @ a.T / 3.0 + 0.5 * np.eye(3)
         tracemalloc.start()
         try:
-            region_common_fixed(ch, k, GridSpec(chain_theta_steps=4, chain_diag_steps=3))
+            fr = region_common_fixed(ch, k, GridSpec(chain_theta_steps=6, chain_diag_steps=3))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert fr.meta["candidates"] == 729**2
+        assert fr.meta["blocks"] > 1
         assert peak < 16 * 2**20
 
     def test_meta_counts_grid_rows_thinned_rows_and_blocks(

@@ -2,18 +2,23 @@ import itertools
 import math
 from dataclasses import replace
 
+import time
+
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from secbc import EnvelopeWeights, GridSpec, make_channel, v_eta, v_hat, v_tilde
-from secbc import envelopes, sweeps
-from secbc.matops import half_log2_det
+from secbc import envelopes, regions, sweeps
+from secbc.matops import gram, half_log2_det
 from secbc.sweeps import (
     canonical_angles,
     chain_factor,
+    children_factors,
     coordinate_refine,
     det_i_plus_diag,
     diag_combos,
+    diag_values,
     golden_max,
     grid_tables,
     pair_dets,
@@ -184,6 +189,97 @@ class TestCanonicalAngles:
     def test_other_dimensions_keep_the_full_table(self, t):
         for full in (math.pi, 2 * math.pi):
             assert canonical_angles(t, 8, full).tobytes() == theta_values(8, full).tobytes()
+
+
+def full_table(t, steps):
+    """Every angle tuple of the canonical angles on [0, 2 pi) and its
+    rotation: the grid table before rotation classes."""
+    tuples = diag_combos(canonical_angles(t, steps, 2 * math.pi), t * (t - 1) // 2)
+    return tuples, rotation_batch(tuples, t)
+
+
+def gram_rows(factors):
+    """Upper triangles of the Grams of square-root factors (..., t, t)."""
+    t = factors.shape[-1]
+    i, j = np.triu_indices(t)
+    return gram(factors.reshape(-1, t, t))[:, i, j]
+
+
+def nodes_per_matrix(factors):
+    """Grid nodes per distinct Gram, the Grams rounded to 1e-9."""
+    rows = np.round(gram_rows(factors), 9) + 0.0
+    return len(rows) / len(np.unique(rows, axis=0))
+
+
+def distinct_tuples(dvals, t):
+    """Every ordering of t distinct values of ``dvals`` (its first, middle
+    and last): nodes whose matrix has one parameterization per rotation
+    of a class, since a repeated scaling leaves its eigenvectors free."""
+    pick = dvals[[0, len(dvals) - 1, len(dvals) // 2][:t]]
+    return np.array(list(itertools.permutations(pick)))
+
+
+class TestRotationClasses:
+    @pytest.mark.parametrize("t", [2, 3])
+    @pytest.mark.parametrize("steps", [3, 4, 6, 8, 16])
+    def test_kept_rows_hold_every_matrix(self, t, steps):
+        tab = grid_tables(t, steps, np.array([0.0, 0.3, 1.0]))
+        tuples, rots = full_table(t, steps)
+        index = {row.tobytes(): i for i, row in enumerate(tuples)}
+        kept = np.array([index[row.tobytes()] for row in tab.tuples])
+        assert np.all(np.diff(kept) > 0)
+        assert tab.rots.tobytes() == rots[kept].tobytes()
+        eye = np.eye(t)[None]
+        full = gram_rows(children_factors(eye, rots, tab.combos))
+        dist, _ = cKDTree(gram_rows(children_factors(eye, tab.rots, tab.combos))).query(full)
+        assert dist.max() <= 1e-9
+
+    @pytest.mark.parametrize("t", [1, 2])
+    @pytest.mark.parametrize("steps", [*range(1, 9), 12, 16, 64])
+    def test_low_dimensions_keep_the_canonical_table(self, t, steps):
+        tab = grid_tables(t, steps, diag_values(3))
+        tuples, rots = full_table(t, steps)
+        assert tab.tuples.tobytes() == tuples.tobytes()
+        assert tab.rots.tobytes() == rots.tobytes()
+
+    # (t, theta steps, diag steps): GridSpec's single, chain and deep
+    # levels, and the t = 3 grids of the compare cases and the benchmark
+    DEFAULT_TABLES = [
+        (t, *lev) for t in (1, 2, 3) for lev in ((64, 33), (16, 9), (8, 5))
+    ] + [(3, 8, 9), (3, 4, 3)]
+
+    @pytest.mark.parametrize("t,theta,diag", DEFAULT_TABLES)
+    def test_every_default_table_scores_each_matrix_once(self, t, theta, diag):
+        tab = grid_tables(t, theta, diag_values(diag))
+        combos = distinct_tuples(tab.dvals, t)
+        assert nodes_per_matrix(children_factors(np.eye(t)[None], tab.rots, combos)) == 1.0
+
+    def test_chain_4_3_table_was_one_class_of_64(self):
+        rots = full_table(3, 4)[1]
+        combos = distinct_tuples(diag_values(3), 3)
+        assert nodes_per_matrix(children_factors(np.eye(3)[None], rots, combos)) == 64.0
+
+    @pytest.mark.parametrize("steps,count", [(4, 1), (6, 27), (8, 14), (16, 172)])
+    def test_t3_class_counts(self, steps, count):
+        assert len(grid_tables(3, steps, diag_values(3)).rots) == count
+
+    @pytest.mark.parametrize("t", [2, 3])
+    def test_trace_grids(self, t):
+        # the u-ball grid of frontier_power at the t = 3 compare grid
+        # (theta_steps = 8): one row per matrix at t = 2, but at t = 3
+        # every rotation of the lattice is kept, 512 rows for 14 classes
+        tails = distinct_tuples(np.array([0.0, 0.5, 1.0]), t)
+        x = regions._trace_grid(t, 8, tails)
+        ratio = nodes_per_matrix(regions._trace_factors(x, t))
+        assert ratio == (1.0 if t == 2 else 512 / 14)
+
+    def test_t3_table_builds_fast(self):
+        best = math.inf
+        for _ in range(5):
+            start = time.perf_counter()
+            grid_tables(3, 16, diag_values(9))
+            best = min(best, time.perf_counter() - start)
+        assert best < 0.05
 
 
 class TestPairDetsRows:
