@@ -45,6 +45,12 @@ The cases (``P`` is the power, ``K`` the covariance constraint):
   ``frontier_fixed_cov``: same point count, every rate within 1e-12
   (its R2 column carries the last bits of the C2(K) log-determinant);
   ``region_common_fixed``: covered within 0.05 bit.
+- t = 3 chained grids (covered within 0.05 bit): ``region_common_fixed``
+  on the t = 3 channels s = 1, 2 above at chain grids (6, 3) and (8, 2),
+  and ``region_common_power`` on the t = 3 power channels s = 1, 2 at
+  ``deep_theta_steps=4, deep_diag_steps=2, deep_trace_steps=3``.  The
+  6- and 4-step lattices are closed under signed permutations, the
+  8-step one is not, so both kinds of outer level are compared.
 - ``frontier_power`` on the example channel at P = 12, on
   ``default_rng(s)`` t = 2 channels (s = 1-5, drawn as above) and on the
   t = 1 and t = 3 power channels above with s = 1-3 (t = 3 at its small
@@ -62,6 +68,11 @@ The cases (``P`` is the power, ``K`` the covariance constraint):
   dominates, within 1e-12) and with ``refine_iters=0`` (the grid
   maximum: value and splits within 1e-12, since a grid node may be a
   rounding variant of the parent's matrix).
+- t = 3 envelopes for seeds 1-3 (channel, K = A A^T + 0.1 I and weights
+  from ``default_rng([3, seed])``): ``v_eta`` at eta = 1 and at the
+  seeded eta on (8, 5), ``v_eta`` on (16, 5), ``v_hat`` at chain grids
+  (6, 3) and (8, 2) and ``v_tilde`` at deep grid (4, 2), refined and at
+  ``refine_iters=0``, with the gates above.
 """
 
 from __future__ import annotations
@@ -73,6 +84,7 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -137,6 +149,20 @@ def _cases(secbc):
         for fn, gate in (("frontier_fixed_cov", WITHIN), ("region_common_fixed", COVERS)):
             out.append((f"{fn}[{tag}]", gate, partial(getattr(secbc, fn), ch, k, grid)))
 
+    # t = 3 chained grids: chain (6, 3) and deep (4, 2) on lattices closed
+    # under signed permutations, chain (8, 2) on one that is not.
+    for tag, ch, k, _ in fixed_sets:
+        if tag in ("t3s1", "t3s2"):
+            for steps, d in ((6, 3), (8, 2)):
+                grid = secbc.GridSpec(chain_theta_steps=steps, chain_diag_steps=d)
+                call = partial(secbc.region_common_fixed, ch, k, grid)
+                out.append((f"region_common_fixed[{tag}@chain{steps}x{d}]", COVERS, call))
+    deep_t3 = secbc.GridSpec(deep_theta_steps=4, deep_diag_steps=2, deep_trace_steps=3)
+    for tag, ch, p, _ in power_sets:
+        if tag in ("t3s1", "t3s2"):
+            call = partial(secbc.region_common_power, ch, p, deep_t3)
+            out.append((f"region_common_power[{tag}@deep4x2]", COVERS, call))
+
     pair_sets = [("example", example, 12.0, None)]
     for s in range(1, 6):
         rng = np.random.default_rng(s)
@@ -165,6 +191,11 @@ def _cases(secbc):
                 tag = f"{name}[s{seed}p{p}]"
                 out.append((tag, DOMINATES, partial(call, None)))
                 out.append((f"{tag}@grid", CLOSE, partial(call, unrefined)))
+    for seed in range(1, 4):
+        for name, grid, call in _envelope_calls_t3(secbc, seed):
+            tag = f"{name}[t3s{seed}]"
+            out.append((tag, DOMINATES, partial(call, grid)))
+            out.append((f"{tag}@grid", CLOSE, partial(call, replace(grid, refine_iters=0))))
     return out
 
 
@@ -206,6 +237,32 @@ def _envelope_calls(secbc, seed: int, p: int):
         call = partial(envelopes.factorization_gap, ga, gb, ka, kb, wts, mode=mode)
         calls.append((f"factorization_gap:{mode}", call))
     return calls
+
+
+def _envelope_calls_t3(secbc, seed: int):
+    """(name, grid, call(grid)) of the t = 3 envelope cases of one seed."""
+    from secbc import envelopes
+
+    rng = np.random.default_rng([3, seed])
+    ch = secbc.make_channel(_gain(rng, 3), _gain(rng, 3))
+    a = rng.normal(size=(3, 3))
+    k = a @ a.T + 0.1 * np.eye(3)
+    w = secbc.EnvelopeWeights(**_envelope_weights(rng))
+    grid = secbc.GridSpec
+    return [
+        ("v_eta@1@8x5", grid(theta_steps=8, diag_steps=5),
+         lambda g: envelopes.v_eta(ch, k, 1.0, g)),
+        ("v_eta@8x5", grid(theta_steps=8, diag_steps=5),
+         lambda g: envelopes.v_eta(ch, k, w.eta, g)),
+        ("v_eta@16x5", grid(theta_steps=16, diag_steps=5),
+         lambda g: envelopes.v_eta(ch, k, w.eta, g)),
+        ("v_hat@chain6x3", grid(chain_theta_steps=6, chain_diag_steps=3),
+         lambda g: envelopes.v_hat(ch, k, w, g)),
+        ("v_hat@chain8x2", grid(chain_theta_steps=8, chain_diag_steps=2),
+         lambda g: envelopes.v_hat(ch, k, w, g)),
+        ("v_tilde@deep4x2", grid(deep_theta_steps=4, deep_diag_steps=2),
+         lambda g: envelopes.v_tilde(ch, k, w, g)),
+    ]
 
 
 def _csv_rates(name, cols, tmp) -> dict:

@@ -33,9 +33,12 @@ index (the lexicographically smallest parameter vector); exactly tied
 nodes are almost always one split reached through a degenerate
 parameterization (a zero scaling makes the angles below it irrelevant),
 so they would refine to the same point.  At t = 2 the grid keeps one
-angle per matrix (:func:`secbc.sweeps.canonical_angles`), and the best
-node also starts from its 2^L - 1 mirrored parameterizations
-(:func:`_mirrored_starts`), which golden section follows differently.
+rotation per class (:func:`secbc.sweeps.grid_tables`, the angles in
+[0, pi/2)), and the best node also starts from its 2^L - 1 mirrored
+parameterizations (:func:`_mirrored_starts`), which golden section
+follows differently.  t = 3 has no such start set, so a refined t = 3
+grid keeps every rotation of its lattice; without refinement it keeps
+one per class.
 Results are deterministic under any parallel evaluation order.  Grid
 seeds, their mirrors and the best spectral rank-one seeds are then
 refined together, in lockstep, by one batched
@@ -260,15 +263,21 @@ def _layered_max(ch: GaussianBc, k, outer, inner: float, eta: float, grid):
     theta_steps, diag_steps = getattr(grid, theta_name), getattr(grid, diag_name)
     gains = (ch.g1, ch.g2)
     b0 = sqrt_factor(k)
-    tab = grid_tables(t, theta_steps, diag_values_sqrt(diag_steps))
+    # Refinement starts from grid parameterizations, and golden section is
+    # not invariant under V -> V P S.  At t = 2 the best node's dropped
+    # duplicates come back as _mirrored_starts; t = 3 has no such set, so
+    # a refined t = 3 grid keeps every rotation of its lattice.
+    classes = t <= 2 or grid.refine_iters == 0
+    dvals = diag_values_sqrt(diag_steps)
+    tab = grid_tables(t, theta_steps, dvals, chained=bool(outer), classes=classes)
     nv, nd = len(tab.rots), len(tab.combos)
 
     parents, terms = b0[None], None
     for a, b in outer:
-        parents = children_factors(parents, tab.rots, tab.combos).reshape(-1, t, t)
+        parents = children_factors(parents, tab.outer_rots, tab.combos).reshape(-1, t, t)
         h1, h2 = (half_log2(det_i_plus_gram(g, parents)) for g in gains)
         term = a * h1 + b * h2
-        terms = term if terms is None else np.repeat(terms, nv * nd) + term
+        terms = term if terms is None else np.repeat(terms, len(tab.outer_rots) * nd) + term
 
     def score(rows):
         if outer:

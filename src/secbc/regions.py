@@ -716,11 +716,12 @@ def _common_triples(ch: GaussianBc, factors, kmats, tab, meta: dict) -> list:
     """
     t = ch.t
     gains = (ch.g1, ch.g2)
-    outer = children_factors(factors, tab.rots, tab.combos).reshape(-1, t, t)
-    n = len(tab.rots) * len(tab.combos)  # outer rows per constraint, inner nodes per row
+    outer = children_factors(factors, tab.outer_rots, tab.combos).reshape(-1, t, t)
+    m = len(tab.outer_rots) * len(tab.combos)  # outer rows per constraint
+    n = len(tab.rots) * len(tab.combos)  # inner nodes per row
     c1k, c2k = (half_log2_det(g, kmats) for g in gains)
     l1o, l2o = (half_log2(det_i_plus_gram(g, outer)) for g in gains)
-    r0 = np.maximum(np.minimum(np.repeat(c1k, n) - l1o, np.repeat(c2k, n) - l2o), 0.0)
+    r0 = np.maximum(np.minimum(np.repeat(c1k, m) - l1o, np.repeat(c2k, m) - l2o), 0.0)
     wtc, kstar = _wtc_gevd(ch, kmats)
     c0 = _cell_index(r0, r0.max() + 1e-12) * _CELLS
     s1 = wtc.max() + 1e-12
@@ -750,7 +751,7 @@ def _common_triples(ch: GaussianBc, factors, kmats, tab, meta: dict) -> list:
     meta.update(candidates=len(outer) * n, thinned=len(rates), blocks=len(spans))
 
     keep = np.sort(_triple_front(rates))  # grid winners first, then corners
-    node, idx = np.divmod(flat[keep[keep < len(flat)]], n * n)
+    node, idx = np.divmod(flat[keep[keep < len(flat)]], m * n)
     corner = keep[keep >= len(flat)] - len(flat)
     # The inner split was swept from the chained outer factor, so the
     # same chain (not a fresh Cholesky root) must rebuild it.
@@ -780,7 +781,8 @@ def region_common_fixed(ch: GaussianBc, k, grid: GridSpec | None = None) -> Fron
     zero = np.zeros((t, t))
     if np.abs(k).max() < 1e-15:
         return Frontier([RateTriple(0, 0, 0, {"k": k, "k1": zero, "k2": zero})], meta)
-    tab = grid_tables(t, grid.chain_theta_steps, diag_values(grid.chain_diag_steps))
+    dvals = diag_values(grid.chain_diag_steps)
+    tab = grid_tables(t, grid.chain_theta_steps, dvals, chained=True)
     return Frontier(_common_triples(ch, sqrt_factor(k)[None], k[None], tab, meta), meta)
 
 
@@ -806,7 +808,8 @@ def region_common_power(ch: GaussianBc, p: float, grid: GridSpec | None = None) 
         return Frontier(fr.points, meta)
     x = _trace_grid(t, grid.deep_theta_steps, simplex_grid(t, p, grid.deep_trace_steps))
     factors = _trace_factors(x, t)
-    tab = grid_tables(t, grid.deep_theta_steps, diag_values(grid.deep_diag_steps))
+    dvals = diag_values(grid.deep_diag_steps)
+    tab = grid_tables(t, grid.deep_theta_steps, dvals, chained=True)
     return Frontier(_common_triples(ch, factors, gram(factors), tab, meta), meta)
 
 

@@ -6,24 +6,31 @@ smooth objective over one or more chained sub-covariance parameterizations
 coarse tensor grid evaluated with vectorized numpy, followed by
 coordinate-wise golden-section polish of the best grid nodes.
 
-Grid angles come from :func:`canonical_angles`.  At t = 2 a rotation by
-theta + pi/2 with the two scalings swapped gives the same sub-covariance
-as theta, and every scaling table is closed under that swap, so the
-grids keep only the angles in [0, pi/2) and score each matrix once; the
-refinement boxes still span the whole period.  At any other t the grid
-angles span it too.  :func:`grid_tables` then keeps one rotation per
-class V ~ V P S (P a permutation, S a diagonal sign matrix): the members
-of a class span the same matrices V diag(d) V^T over the scaling tuples,
-which hold every ordering of their values.  At t = 3 the [0, 2*pi)^3
-lattice is mostly signed permutations, so this drops most rotations
-(all but one of the 64 at 4 steps); at t <= 2 nothing is left to drop.
+Every matrix V diag(d) V^T of a sub-covariance grid is reached through
+several rotations of the [0, 2*pi) angle lattice: V and V P S (P a
+permutation, S a diagonal sign matrix) span the same matrices over the
+scaling tuples, which hold every ordering of their values.
+:func:`grid_tables` keeps one rotation per such class: at t = 2 the
+angles in [0, pi/2), at t = 3 mostly one of the many signed
+permutations of a rotation (1 of 64 at 4 steps, 14 of 512 at 8).  The
+innermost level of a grid sweeps the classes; the outer levels of a
+chained grid do so only when the lattice is closed under the dropped
+P S (every t <= 2; at t = 3 the 4-, 6- and 10-step lattices, not the
+8-, 12- or 16-step ones), since a dropped outer member's children are
+turned by its P S; otherwise they keep the whole lattice.  Either way a
+grid holds every matrix, and every chain of matrices, of the full
+lattice.  A caller that refines from grid parameterizations at t = 3
+asks for the whole lattice instead (golden section is not invariant
+under V -> V P S).  The trace-p grids of :mod:`secbc.regions` use
+:func:`canonical_angles`, the t = 2 half of the same rule; refinement
+boxes span the whole period.
 
 The grid half works on square-root factors: a child of the factor ``B``
 under parameters (theta, d) is ``B @ V(theta) @ diag(sqrt(d))``, whose
-Gram matrix is exactly the sub-covariance.  Every level of a grid uses
-the same :class:`GridTables` (angle tuples, their rotations, scaling
-tuples), and :func:`grid_params` turns a flat index of a chained grid
-back into its parameter vector.  Determinants of
+Gram matrix is exactly the sub-covariance.  One :class:`GridTables`
+holds the angle tuples and rotations of the innermost and of the outer
+levels and the scaling tuples, and :func:`grid_params` turns a flat
+index of a chained grid back into its parameter vector.  Determinants of
 ``I + G K* G^T`` over a whole diagonal grid come from the principal-minor
 expansion of ``det(I + D M)`` (:func:`det_i_plus_diag`), which costs 2^t
 coefficient arrays instead of one determinant per grid node.
@@ -214,13 +221,16 @@ def diag_combos(values: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GridTables:
-    """One level of a sub-covariance grid: angle tuples (nv, m), their
-    rotations (nv, t, t), one per rotation class, the per-axis scaling
-    values and the scaling tuples (nd, t).  Chained grids repeat the same
-    level."""
+    """The levels of a sub-covariance grid: angle tuples (nv, m) and their
+    rotations (nv, t, t) for the innermost (or only) level, one per
+    rotation class (see :func:`grid_tables`); ``outer_tuples`` and
+    ``outer_rots`` for every outer level of a chained grid; the per-axis
+    scaling values and the scaling tuples (nd, t), shared by all levels."""
 
     tuples: np.ndarray
     rots: np.ndarray
+    outer_tuples: np.ndarray
+    outer_rots: np.ndarray
     dvals: np.ndarray
     combos: np.ndarray
 
@@ -240,8 +250,8 @@ def _row_ids(keys: np.ndarray) -> np.ndarray:
     return ids
 
 
-def _rotation_classes(rots: np.ndarray) -> np.ndarray:
-    """Lowest index of each class V ~ V P S of rotations (n, t, t), ascending.
+def _class_ids(rots: np.ndarray) -> np.ndarray:
+    """Ids of the classes V ~ V P S of rotations (n, t, t): equal class, equal id.
 
     P is a permutation and S a diagonal sign matrix, so a class is the
     unordered set of its column projectors v_k v_k^T.  Each projector is
@@ -253,51 +263,81 @@ def _rotation_classes(rots: np.ndarray) -> np.ndarray:
     i, j = np.triu_indices(t)
     proj = np.swapaxes(rots[:, i, :] * rots[:, j, :], 1, 2)  # (n, t, t(t+1)/2)
     pid = _row_ids(np.rint(proj * 2.0**30).astype(np.int64).reshape(n * t, -1))
-    cls = _row_ids(np.sort(pid.reshape(n, t), axis=1))
-    _, first = np.unique(cls, return_index=True)
-    return np.sort(first)
+    return _row_ids(np.sort(pid.reshape(n, t), axis=1))
 
 
-def grid_tables(t: int, theta_steps: int, dvals: np.ndarray) -> GridTables:
+def _closed(rots: np.ndarray, cls: np.ndarray, first: np.ndarray) -> bool:
+    """Whether the classes of ``rots`` are closed under left multiplication
+    by every P S that turns a kept rotation (``first`` of its class
+    ``cls``) into a dropped member of its class.
+
+    The child factors of a dropped member are its kept one's times P S,
+    so its children are the kept one's turned by P S; a chained grid may
+    drop it only if turning every class by P S gives a class of the
+    table.  Rounding errs towards "not closed".
+    """
+    t = rots.shape[1]
+    ps = np.rint(np.einsum("nji,njk->nik", rots[first[cls]], rots)).astype(np.int64)
+    _, moves = np.unique(_row_ids(ps.reshape(len(ps), -1)), return_index=True)
+    kept = rots[first]
+    turned = np.einsum("uij,kjl->ukil", ps[moves].astype(float), kept).reshape(-1, t, t)
+    ids = _class_ids(np.concatenate([kept, turned]))
+    return bool(np.isin(ids[len(kept):], ids[: len(kept)]).all())
+
+
+def grid_tables(
+    t: int, theta_steps: int, dvals: np.ndarray, chained: bool = False, classes: bool = True
+) -> GridTables:
     """Tables of ``theta_steps`` angles on [0, 2*pi) per Givens angle times
     ``dvals``, one rotation per class.
 
-    The angles are the :func:`canonical_angles`.  A rotation V and V P S
-    (P a permutation, S a diagonal sign matrix) span the same matrices
-    V diag(d) V^T over the scaling tuples, which are closed under
-    permutation, so only the lowest-index rotation of each class is kept
-    (:func:`_rotation_classes`), in table order, which is the one that
-    won exact ties when all were scored.  At t <= 2 the canonical angles
-    already hold one rotation per class and nothing is dropped; at t = 3
-    the [0, 2*pi)^3 lattice is mostly signed permutations (one class of
-    64 rotations at 4 steps, 14 of 512 at 8).  In a chained grid the
-    factor of a dropped member is the kept one times P S, and its children
-    are the level's matrices turned by P S.  The lattice need not hold
-    those (at 8 steps it does not), so below each parent matrix a chained
-    grid sweeps the children of one parameterization, not the union of
-    its duplicates' children.
+    A rotation V and V P S (P a permutation, S a diagonal sign matrix)
+    span the same matrices V diag(d) V^T over the scaling tuples, which
+    are closed under permutation, so the innermost level keeps only the
+    lowest-index rotation of each class, in table order, which is the one
+    that won exact ties when all were scored.  At t = 2 these are the
+    angles in [0, pi/2) (bitwise the first ``theta_steps / 4`` when 4
+    divides it); at t = 3 the [0, 2*pi)^3 lattice is mostly signed
+    permutations (1 class of 64 rotations at 4 steps, 14 of 512 at 8).
+
+    The outer levels of a ``chained`` grid keep the same rotations only
+    if the lattice is closed under the dropped P S (:func:`_closed`):
+    a dropped member's children are its kept one's turned by P S, which
+    the lattice need not hold.  That holds at every t <= 2 and at t = 3
+    with 4 steps; otherwise the outer levels keep the whole lattice, so
+    every chained grid holds the (outer, inner) pairs of the full one.
+    With ``classes`` false every level keeps the whole lattice.
     """
-    angles = canonical_angles(t, theta_steps, 2.0 * math.pi)
-    tuples = diag_combos(angles, t * (t - 1) // 2)
+    tuples = diag_combos(theta_values(theta_steps), t * (t - 1) // 2)
     rots = rotation_batch(tuples, t)
-    keep = _rotation_classes(rots)
-    return GridTables(tuples[keep], rots[keep], dvals, diag_combos(dvals, t))
+    keep = outer = np.arange(len(rots))
+    if classes:
+        cls = _class_ids(rots)
+        _, first = np.unique(cls, return_index=True)
+        keep = np.sort(first)
+        if not chained or _closed(rots, cls, first):
+            outer = keep
+    return GridTables(
+        tuples[keep], rots[keep], tuples[outer], rots[outer], dvals, diag_combos(dvals, t)
+    )
 
 
 def grid_params(tables: GridTables, flat, levels: int) -> np.ndarray:
     """Chained parameter vectors of flat indices into a ``levels``-level grid.
 
     The grid tensor has axes (rotation, scaling) per level in C order,
-    outermost level first; returns one row of (angles, scalings) per
+    outermost level first, the outer levels over ``outer_tuples`` and the
+    last over ``tuples``; returns one row of (angles, scalings) per
     level, concatenated, for each index in ``flat``.
     """
-    shape = (len(tables.tuples), len(tables.combos)) * levels
+    angles = [tables.outer_tuples] * (levels - 1) + [tables.tuples]
+    shape = [n for a in angles for n in (len(a), len(tables.combos))]
     idx = np.unravel_index(np.atleast_1d(flat).astype(np.intp), shape)
     return np.hstack(
         [
             part
-            for lev in range(levels)
-            for part in (tables.tuples[idx[2 * lev]], tables.combos[idx[2 * lev + 1]])
+            for lev, a in enumerate(angles)
+            for part in (a[idx[2 * lev]], tables.combos[idx[2 * lev + 1]])
         ]
     )
 

@@ -19,8 +19,15 @@ from secbc import (
 )
 
 from secbc.envelopes import _mirrored_starts
-from secbc.matops import gram, psd_leq
-from secbc.sweeps import chain_factor
+from secbc.matops import gram, half_log2_det, psd_leq, sqrt_factor
+from secbc.sweeps import (
+    chain_factor,
+    children_factors,
+    diag_combos,
+    diag_values_sqrt,
+    rotation_batch,
+    theta_values,
+)
 
 from conftest import EXAMPLE_G1, EXAMPLE_G2, random_spd
 
@@ -350,6 +357,36 @@ class TestMirroredStarts:
         want = gram(chain_factor(b0, x, 2, levels))
         got = gram(chain_factor(b0, mirrors, 2, levels))
         assert np.abs(got - want).max() <= 1e-12
+
+
+class TestT3Grids:
+    """A refined t = 3 envelope sweeps every rotation of its lattice, since
+    golden section from a dropped duplicate may end elsewhere; its grid
+    maximum, on one rotation per class, is the full lattice's."""
+
+    W = EnvelopeWeights(lambda0=2.0, lambda1=1.0, lambda2=0.8, eta=1.2, alpha=0.5)
+
+    @pytest.mark.parametrize("refine,eta_nodes,hat_nodes", [(5, 512, 64), (0, 14, 1)])
+    def test_refined_grids_keep_the_lattice(self, rng, refine, eta_nodes, hat_nodes):
+        ch = make_channel(rng.normal(size=(3, 3)), rng.normal(size=(3, 3)))
+        k = random_spd(rng, 3, scale=3.0)
+        grid = GridSpec(theta_steps=8, diag_steps=3, chain_theta_steps=4, chain_diag_steps=2,
+                        refine_iters=refine)
+        assert v_eta(ch, k, 1.2, grid).grid_meta["grid_nodes"] == eta_nodes * 27
+        assert v_hat(ch, k, self.W, grid).grid_meta["grid_nodes"] == (hat_nodes * 8) ** 2
+
+    @pytest.mark.parametrize("steps", [4, 6, 8])
+    def test_grid_maximum_is_the_lattice_maximum(self, rng, steps):
+        ch = make_channel(rng.normal(size=(3, 3)), rng.normal(size=(3, 3)))
+        k = random_spd(rng, 3, scale=3.0)
+        tuples = diag_combos(theta_values(steps), 3)
+        combos = diag_combos(diag_values_sqrt(3), 3)
+        factors = children_factors(sqrt_factor(k)[None], rotation_batch(tuples, 3), combos)
+        h1, h2 = (half_log2_det(g, factors=factors) for g in (ch.g1, ch.g2))
+        grid = GridSpec(theta_steps=steps, diag_steps=3, refine_iters=0)
+        res = v_eta(ch, k, 1.2, grid)
+        assert res.grid_meta["grid_nodes"] < len(tuples) * len(combos)
+        assert res.value == pytest.approx((h2 - 1.2 * h1).max(), abs=1e-12)
 
 
 class TestArgmaxReevaluation:

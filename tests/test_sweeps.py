@@ -192,9 +192,9 @@ class TestCanonicalAngles:
 
 
 def full_table(t, steps):
-    """Every angle tuple of the canonical angles on [0, 2 pi) and its
-    rotation: the grid table before rotation classes."""
-    tuples = diag_combos(canonical_angles(t, steps, 2 * math.pi), t * (t - 1) // 2)
+    """Every angle tuple of the [0, 2 pi) lattice and its rotation: the
+    grid table before rotation classes."""
+    tuples = diag_combos(theta_values(steps), t * (t - 1) // 2)
     return tuples, rotation_batch(tuples, t)
 
 
@@ -219,6 +219,26 @@ def distinct_tuples(dvals, t):
     return np.array(list(itertools.permutations(pick)))
 
 
+def rounded_set(rows):
+    """Distinct rows of an array, rounded to 1e-9 (a sorted array)."""
+    return np.unique(np.round(rows, 9) + 0.0, axis=0)
+
+
+def children_by_outer(outer_rots, inner_rots, combos, stride):
+    """Children Grams of a two-level grid below I, grouped by the rounded
+    Gram of their outer node: every stride-th distinct outer Gram."""
+    t = combos.shape[1]
+    outer = children_factors(np.eye(t)[None], outer_rots, combos).reshape(-1, t, t)
+    keys = [row.tobytes() for row in np.round(gram_rows(outer), 9) + 0.0]
+    wanted = set(sorted(set(keys))[::stride])
+    groups = {}
+    for f, key in zip(outer, keys):
+        if key in wanted:
+            children = children_factors(f[None], inner_rots, combos)
+            groups.setdefault(key, []).append(gram_rows(children))
+    return {key: np.concatenate(rows) for key, rows in groups.items()}
+
+
 class TestRotationClasses:
     @pytest.mark.parametrize("t", [2, 3])
     @pytest.mark.parametrize("steps", [3, 4, 6, 8, 16])
@@ -235,12 +255,51 @@ class TestRotationClasses:
         assert dist.max() <= 1e-9
 
     @pytest.mark.parametrize("t", [1, 2])
-    @pytest.mark.parametrize("steps", [*range(1, 9), 12, 16, 64])
+    @pytest.mark.parametrize("steps", [4, 8, 12, 16, 64, 128])
     def test_low_dimensions_keep_the_canonical_table(self, t, steps):
-        tab = grid_tables(t, steps, diag_values(3))
-        tuples, rots = full_table(t, steps)
-        assert tab.tuples.tobytes() == tuples.tobytes()
-        assert tab.rots.tobytes() == rots.tobytes()
+        # at t = 2 the kept angles are bitwise those of [0, pi/2) when 4
+        # divides the steps (every default grid), in every level
+        angles = canonical_angles(t, steps, 2 * math.pi)
+        tuples = diag_combos(angles, t * (t - 1) // 2)
+        tab = grid_tables(t, steps, diag_values(3), chained=True)
+        for got in (tab.tuples, tab.outer_tuples):
+            assert got.tobytes() == tuples.tobytes()
+        assert tab.rots.tobytes() == tab.outer_rots.tobytes() == rotation_batch(tuples, t).tobytes()
+
+    @pytest.mark.parametrize(
+        "t,steps,closed", [(2, 3, True), (2, 6, True), (3, 3, True), (3, 4, True), (3, 6, True),
+                           (3, 8, False), (3, 12, False), (3, 16, False)]
+    )
+    def test_outer_levels_drop_rotations_only_in_closed_lattices(self, t, steps, closed):
+        tab = grid_tables(t, steps, diag_values(3), chained=True)
+        assert tab.tuples.tobytes() == grid_tables(t, steps, diag_values(3)).tuples.tobytes()
+        outer = tab.tuples if closed else full_table(t, steps)[0]
+        assert tab.outer_tuples.tobytes() == outer.tobytes()
+
+    @pytest.mark.parametrize("t", [2, 3])
+    def test_without_classes_every_level_keeps_the_lattice(self, t):
+        tab = grid_tables(t, 8, diag_values(3), chained=True, classes=False)
+        tuples, rots = full_table(t, 8)
+        assert tab.tuples.tobytes() == tab.outer_tuples.tobytes() == tuples.tobytes()
+        assert tab.rots.tobytes() == tab.outer_rots.tobytes() == rots.tobytes()
+
+    @pytest.mark.parametrize(
+        "t,steps,stride", [(2, 6, 1), (2, 8, 1), (3, 4, 1), (3, 6, 1), (3, 8, 20)]
+    )
+    def test_chained_grid_holds_every_pair(self, t, steps, stride):
+        # below every outer matrix of the full two-level lattice grid, the
+        # table's grid reaches the same children matrices (every stride-th
+        # outer matrix is checked); the scalings are distinct, so every
+        # member of a rotation class gives its own parameterization
+        tab = grid_tables(t, steps, np.array([0.0]), chained=True)
+        combos = distinct_tuples(np.array([0.2, 0.5, 1.0]), t)
+        full = full_table(t, steps)[1]
+        want = children_by_outer(full, full, combos, stride)
+        got = children_by_outer(tab.outer_rots, tab.rots, combos, 1)
+        assert len(tab.rots) < len(full)
+        for key, rows in want.items():
+            for a, b in ((rows, got[key]), (got[key], rows)):
+                assert cKDTree(b).query(a)[0].max() <= 1e-9
 
     # (t, theta steps, diag steps): GridSpec's single, chain and deep
     # levels, and the t = 3 grids of the compare cases and the benchmark
