@@ -1,5 +1,5 @@
-"""Time the common-message sweeps, their triple Pareto filter, the envelopes and
-the power pair regions.
+"""Time the common-message sweeps, their triple Pareto filter, the envelopes,
+the power pair regions and the identity checks.
 
     python scripts/bench_common.py --tree change=. --tree parent=../parent \
         --out BENCH_common.json
@@ -7,6 +7,8 @@ the power pair regions.
         --tree parent=../parent --out BENCH_envelope.json
     python scripts/bench_common.py --cases power --tree change=. \
         --tree parent=../parent --out BENCH_power.json
+    python scripts/bench_common.py --cases checks --tree change=. \
+        --tree parent=../parent --out BENCH_checks.json
 
 Each ``--tree LABEL=PATH`` names a secbc checkout (its ``src`` is put on
 the import path; default: this checkout as ``change``).  For every tree,
@@ -27,7 +29,11 @@ grid nodes scored (``grid_meta["nodes_scored"]`` where the tree reports
 it).  ``--cases power`` runs the power-constrained pair regions and the
 wiretap capacity: ``frontier_power``, ``both_confidential_frontier`` and
 ``wtc_capacity_power`` on the example channel at P = 12 and the default
-grid (records add the output rows, or the capacity).
+grid (records add the output rows, or the capacity).  ``--cases checks``
+runs the identity checks as the CLI does: ``dpc-check`` (the dirty-paper
+identity, ``dpc_identity_check``) and ``decomp-check`` (the
+decomposition round trip) at dims 2 and 3, 50 trials, seed 7; records
+add the exit status and the printed max gap or residual.
 
 A child runs its call ``--repeats`` times and reports every wall time
 (``time.perf_counter``) and its ``ru_maxrss`` before and after the calls,
@@ -39,6 +45,8 @@ thread setting and case.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
@@ -47,6 +55,7 @@ import statistics
 import subprocess
 import sys
 import time
+from functools import partial
 
 EXAMPLE_G1 = [[0.3, 2.5], [2.2, 1.8]]
 EXAMPLE_G2 = [[1.3, 1.2], [1.5, 3.9]]
@@ -54,6 +63,7 @@ CASE_SETS = {
     "common": ("region_common_power", "region_common_fixed", "pareto_filter"),
     "envelope": ("v_eta", "v_hat", "v_tilde"),
     "power": ("frontier_power", "both_confidential_frontier", "wtc_capacity_power"),
+    "checks": ("dpc_check_d2", "dpc_check_d3", "decomp_check_d2", "decomp_check_d3"),
 }
 SINGLE_THREAD_ENV = {
     "SECBC_THREADS": "1",
@@ -95,6 +105,17 @@ def _envelope_output(res) -> dict:
     return {"value": res.value, "nodes_scored": res.grid_meta.get("nodes_scored")}
 
 
+def _check_output(argv) -> dict:
+    """Run one check command; its exit status and the figure it prints."""
+    from secbc import cli
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = cli.main(argv)
+    printed = out.getvalue().rsplit("=", 1)[1].split("(")[0].strip()
+    return {"exit": status, "printed": printed}
+
+
 def _case_call(case: str):
     """(call, size) for one case; ``call`` returns a dict of outputs and
     ``size`` describes its input."""
@@ -104,6 +125,10 @@ def _case_call(case: str):
     from secbc import regions
 
     example = secbc.make_channel(EXAMPLE_G1, EXAMPLE_G2)
+    if case in CASE_SETS["checks"]:
+        command, dim = case.rsplit("_d", 1)
+        argv = [command.replace("_", "-"), "--seed", "7", "--trials", "50", "--dim", dim]
+        return partial(_check_output, argv), f"dim {dim}, 50 trials"
     if case in CASE_SETS["envelope"]:
         k = np.diag([3.0, 2.0])
         w = secbc.EnvelopeWeights(lambda0=2.0, lambda1=1.0, lambda2=0.8, eta=1.2, alpha=0.5)

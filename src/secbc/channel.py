@@ -13,18 +13,27 @@ to zero where a rate region is being assembled.
 :class:`JointGaussian` plus :func:`joint_mi` implement a brute-force
 mutual-information oracle on explicit joint covariances; it is the
 independent cross-check used against every closed form and every precoder
-identity in the test suite.
+identity in the test suite.  A :class:`JointGaussian` may hold a stack of
+joint covariances with one block layout, which :func:`joint_mi` scores
+in one pass.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateChannelError, SingularMatrixError
-from .matops import ORDER_TOL, half_log2_det, logdet2, psd_leq, validate_psd
+from .matops import (
+    ORDER_TOL,
+    half_log2_det,
+    logdet2,
+    psd_leq,
+    validate_psd,
+    validate_psd_stack,
+)
 
 __all__ = [
     "GaussianBc",
@@ -117,38 +126,41 @@ def mi_xy(ch: GaussianBc, kx, receiver: int) -> float:
 
 @dataclass(frozen=True)
 class JointGaussian:
-    """A zero-mean jointly Gaussian vector split into named blocks."""
+    """A zero-mean jointly Gaussian vector split into named blocks.
+
+    ``sigma`` is one joint covariance (n, n) or a stack (..., n, n) of
+    them that share the block layout; every oracle then works per member.
+    """
 
     names: tuple[str, ...]
     sizes: tuple[int, ...]
     sigma: np.ndarray
+    _rows: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        sigma = validate_psd(self.sigma, tol=1e-6, name="joint covariance")
-        if sum(self.sizes) != sigma.shape[0]:
+        sigma = validate_psd_stack(self.sigma, tol=1e-6, name="joint covariance")
+        if sum(self.sizes) != sigma.shape[-1]:
             raise ValueError("block sizes do not partition the joint dimension")
         if len(self.names) != len(self.sizes):
             raise ValueError("names and sizes differ in length")
         if len(set(self.names)) != len(self.names):
             raise ValueError("block names must be unique")
         sigma.setflags(write=False)
+        starts = np.cumsum((0,) + tuple(self.sizes))
+        rows = {n: np.arange(starts[i], starts[i + 1]) for i, n in enumerate(self.names)}
         object.__setattr__(self, "names", tuple(self.names))
         object.__setattr__(self, "sizes", tuple(self.sizes))
         object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "_rows", rows)
 
     def indices(self, blocks) -> np.ndarray:
         """Row indices of the given blocks, in block order."""
         if isinstance(blocks, str):
             blocks = (blocks,)
-        starts = np.concatenate(([0], np.cumsum(self.sizes)))
-        out: list[int] = []
-        for b in blocks:
-            try:
-                i = self.names.index(b)
-            except ValueError:
-                raise ValueError(f"unknown block {b!r}") from None
-            out.extend(range(starts[i], starts[i + 1]))
-        return np.asarray(out, dtype=int)
+        try:
+            return np.concatenate([self._rows[b] for b in blocks] or [np.zeros(0, int)])
+        except KeyError as exc:
+            raise ValueError(f"unknown block {exc.args[0]!r}") from None
 
     def apply(self, block: str, m) -> "JointGaussian":
         """New joint vector with ``block`` replaced by ``m @ block``."""
@@ -156,14 +168,14 @@ class JointGaussian:
         idx = self.indices(block)
         if m.shape != (idx.size, idx.size):
             raise ValueError("transform shape does not match the block")
-        full = np.eye(self.sigma.shape[0])
-        full[np.ix_(idx, idx)] = m
+        full = np.eye(self.sigma.shape[-1])
+        full[idx[:, None], idx] = m
         return JointGaussian(self.names, self.sizes, full @ self.sigma @ full.T)
 
 
-def _block_logdet(j: JointGaussian, blocks) -> float:
+def _block_logdet(j: JointGaussian, blocks):
     idx = j.indices(blocks)
-    sub = j.sigma[np.ix_(idx, idx)]
+    sub = j.sigma[..., idx[:, None], idx]
     try:
         return logdet2(sub)
     except (SingularMatrixError, ValueError) as exc:
@@ -173,13 +185,15 @@ def _block_logdet(j: JointGaussian, blocks) -> float:
         ) from exc
 
 
-def joint_mi(j: JointGaussian, a, b, c=()) -> float:
+def joint_mi(j: JointGaussian, a, b, c=()):
     """I(A; B | C) in bits from the joint covariance.
 
     ``a``, ``b``, ``c`` are disjoint tuples of block names; ``c`` may be
     empty.  Every required sub-covariance must be strictly positive
     definite, otherwise the mutual information is infinite and
-    ``SingularMatrixError`` is raised.
+    ``SingularMatrixError`` is raised.  A float for one joint covariance;
+    for a stacked ``j.sigma`` an array with one value per member, each
+    bitwise its own call's, and one singular member raises.
     """
     a = (a,) if isinstance(a, str) else tuple(a)
     b = (b,) if isinstance(b, str) else tuple(b)

@@ -45,6 +45,10 @@ __all__ = ["RunConfig", "main", "run", "emit_csv", "emit_svg", "parse_matrix"]
 
 DPC_GAP_TOL = 1e-9
 DECOMP_TOL = 1e-7
+# dpc-check and decomp-check draw their trials one by one, in seed order,
+# and score them in stacked batches of this size, so memory stays flat
+# in --trials.
+CHECK_CHUNK = 128
 
 
 def parse_matrix(text: str) -> np.ndarray:
@@ -340,14 +344,18 @@ def _cmd_wtc(cfg: RunConfig) -> int:
     return 0
 
 
+def _chunk_sizes(total: int):
+    """Sizes of the CHECK_CHUNK-trial batches that make up ``total`` trials."""
+    return [min(CHECK_CHUNK, total - start) for start in range(0, total, CHECK_CHUNK)]
+
+
 def _cmd_dpc_check(cfg: RunConfig) -> int:
     rng = np.random.default_rng(cfg.seed)
     worst = 0.0
     start = time.perf_counter()
-    for _ in range(cfg.trials):
-        inst = random_instance(cfg.dim, rng)
-        lhs, _, gap = dpc_identity_check(inst)
-        worst = max(worst, gap / (1.0 + abs(lhs)))
+    for n in _chunk_sizes(cfg.trials):
+        lhs, _, gap = dpc_identity_check([random_instance(cfg.dim, rng) for _ in range(n)])
+        worst = max(worst, float(np.max(gap / (1.0 + np.abs(lhs)))))
     elapsed = time.perf_counter() - start
     _echo(
         f"dpc-check: {cfg.trials} instances (dim {cfg.dim}, seed {cfg.seed}), "
@@ -364,14 +372,17 @@ def _cmd_decomp_check(cfg: RunConfig) -> int:
     worst = 0.0
     start = time.perf_counter()
     t = cfg.dim
-    for _ in range(cfg.trials):
-        a = rng.normal(size=(t, t))
-        k = a @ a.T + 0.1 * np.eye(t)
-        angles = rng.uniform(0.0, 2.0 * np.pi, t * (t - 1) // 2)
-        diag = rng.uniform(0.0, 1.0, t)
-        kstar = compose_sub_cov(k, SubCovParams(angles, diag))
+    for n in _chunk_sizes(cfg.trials):
+        ks, angles, diags = [], [], []
+        for _ in range(n):
+            a = rng.normal(size=(t, t))
+            ks.append(a @ a.T + 0.1 * np.eye(t))
+            angles.append(rng.uniform(0.0, 2.0 * np.pi, t * (t - 1) // 2))
+            diags.append(rng.uniform(0.0, 1.0, t))
+        k = np.stack(ks)
+        kstar = compose_sub_cov(k, SubCovParams(np.stack(angles), np.stack(diags)))
         back = compose_sub_cov(k, decompose_sub_cov(k, kstar))
-        worst = max(worst, float(np.linalg.norm(back - kstar)))
+        worst = max(worst, float(np.linalg.norm(back - kstar, axis=(-2, -1)).max()))
     elapsed = time.perf_counter() - start
     _echo(
         f"decomp-check: {cfg.trials} round trips (dim {t}, seed {cfg.seed}), "

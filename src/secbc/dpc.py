@@ -10,6 +10,12 @@ numerically on explicit joint Gaussian covariances via
 
 Block order in every joint covariance assembled here is fixed to
 ``(vstar, x1, x2, u, x, y1, y2)`` so indexing is reproducible.
+
+:func:`effective_gain`, :func:`precoder` and the joint assembly take one
+matrix (t, t) or a stack (..., t, t) of them, so
+:func:`dpc_identity_check` scores a sequence of instances in one stacked
+pass through the oracle; every check still runs per member, and each
+member's values are bitwise those of its own call.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import numpy as np
 
 from .channel import GaussianBc, JointGaussian, joint_mi, make_channel
 from .errors import DegenerateInstanceError
-from .matops import ORDER_TOL, half_log2_det, psd_leq, validate_psd
+from .matops import ORDER_TOL, half_log2_det, psd_leq, validate_psd, validate_psd_stack
 
 __all__ = [
     "DpcInstance",
@@ -64,13 +70,14 @@ def effective_gain(g1, k1) -> np.ndarray:
     """Gain seen after absorbing the ``k1`` layer into the noise floor.
 
     ``(I + G1 K1 G1^T)^{-1/2} G1`` with the symmetric inverse square root
-    taken through the eigendecomposition Q diag(1/sqrt(lam)) Q^T.
+    taken through the eigendecomposition Q diag(1/sqrt(lam)) Q^T.  Both
+    arguments may be stacks (..., t, t).
     """
     g1 = np.asarray(g1, dtype=float)
-    k1 = validate_psd(k1, name="k1")
-    sigma = np.eye(g1.shape[0]) + g1 @ k1 @ g1.T
+    k1 = validate_psd_stack(k1, name="k1")
+    sigma = np.eye(g1.shape[-2]) + g1 @ k1 @ np.swapaxes(g1, -1, -2)
     evals, vecs = np.linalg.eigh(sigma)
-    inv_sqrt = (vecs / np.sqrt(evals)) @ vecs.T
+    inv_sqrt = (vecs / np.sqrt(evals)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
     return inv_sqrt @ g1
 
 
@@ -80,14 +87,16 @@ def precoder(k2, gtilde) -> np.ndarray:
     This is the MMSE estimator of the signal from the whitened channel
     output; the coefficient applied to the interference vector itself is
     ``A @ gtilde`` (the interference reaches the receiver through the
-    effective gain), which is what the identity checks use.
+    effective gain), which is what the identity checks use.  Both
+    arguments may be stacks (..., t, t) of the same shape.
     """
-    k2 = validate_psd(k2, name="k2")
+    k2 = validate_psd_stack(k2, name="k2")
     gtilde = np.asarray(gtilde, dtype=float)
     if gtilde.shape != k2.shape:
         raise ValueError("gtilde and k2 must share the same square shape")
-    m = np.eye(k2.shape[0]) + gtilde @ k2 @ gtilde.T
-    return k2 @ gtilde.T @ np.linalg.inv(m)
+    gt_t = np.swapaxes(gtilde, -1, -2)
+    m = np.eye(k2.shape[-1]) + gtilde @ k2 @ gt_t
+    return k2 @ gt_t @ np.linalg.inv(m)
 
 
 def precoder_wtc(kstar, g1) -> np.ndarray:
@@ -95,28 +104,35 @@ def precoder_wtc(kstar, g1) -> np.ndarray:
     return precoder(kstar, np.asarray(g1, dtype=float))
 
 
-def _assemble_joint(ch: GaussianBc, kv, k1, k2, a) -> JointGaussian:
-    # Base independent variables: (vstar, x1, x2, z1, z2).
-    t = ch.t
+_BLOCKS = ("vstar", "x1", "x2", "u", "x", "y1", "y2")
+
+
+def _assemble_joint(g1, g2, kv, k1, k2, a) -> JointGaussian:
+    # Base independent variables: (vstar, x1, x2, z1, z2); every argument
+    # is one matrix (t, t) or a stack with the same leading axes.
+    t = kv.shape[-1]
     eye = np.eye(t)
-    zero = np.zeros((t, t))
-    base = np.zeros((5 * t, 5 * t))
+    lead = np.broadcast_shapes(*(m.shape[:-2] for m in (g1, g2, kv, k1, k2, a)))
+    base = np.zeros(lead + (5 * t, 5 * t))
     for i, cov in enumerate((kv, k1, k2, eye, eye)):
-        base[i * t : (i + 1) * t, i * t : (i + 1) * t] = cov
-    rows = {
-        "vstar": [eye, zero, zero, zero, zero],
-        "x1": [zero, eye, zero, zero, zero],
-        "x2": [zero, zero, eye, zero, zero],
-        "u": [a, zero, eye, zero, zero],
-        "x": [eye, eye, eye, zero, zero],
-        "y1": [ch.g1, ch.g1, ch.g1, eye, zero],
-        "y2": [ch.g2, ch.g2, ch.g2, zero, eye],
-    }
-    lmap = np.vstack([np.hstack(rows[name]) for name in rows])
-    sigma = lmap @ base @ lmap.T
-    sigma = 0.5 * (sigma + sigma.T)
-    names = tuple(rows)
-    return JointGaussian(names, (t,) * len(names), sigma)
+        base[..., i * t : (i + 1) * t, i * t : (i + 1) * t] = cov
+    # Nonzero (base index: coefficient) blocks of each row of _BLOCKS.
+    rows = (
+        {0: eye},
+        {1: eye},
+        {2: eye},
+        {0: a, 2: eye},
+        {0: eye, 1: eye, 2: eye},
+        {0: g1, 1: g1, 2: g1, 3: eye},
+        {0: g2, 1: g2, 2: g2, 4: eye},
+    )
+    lmap = np.zeros(lead + (7 * t, 5 * t))
+    for r, row in enumerate(rows):
+        for c, coeff in row.items():
+            lmap[..., r * t : (r + 1) * t, c * t : (c + 1) * t] = coeff
+    sigma = lmap @ base @ np.swapaxes(lmap, -1, -2)
+    sigma = 0.5 * (sigma + np.swapaxes(sigma, -1, -2))
+    return JointGaussian(_BLOCKS, (t,) * len(_BLOCKS), sigma)
 
 
 def dpc_joint(inst: DpcInstance) -> JointGaussian:
@@ -127,44 +143,67 @@ def dpc_joint(inst: DpcInstance) -> JointGaussian:
     """
     gtilde = effective_gain(inst.ch.g1, inst.k1)
     a = precoder(inst.k2, gtilde) @ gtilde
-    return _assemble_joint(inst.ch, inst.kv, inst.k1, inst.k2, a)
+    return _assemble_joint(inst.ch.g1, inst.ch.g2, inst.kv, inst.k1, inst.k2, a)
 
 
-def dpc_identity_check(inst: DpcInstance) -> tuple[float, float, float]:
+def _identity_sides(insts, constant: bool):
+    """(lhs, rhs) arrays of the precoding identity over a list of instances."""
+    g1 = np.stack([i.ch.g1 for i in insts])
+    g2 = np.stack([i.ch.g2 for i in insts])
+    k1, k2, kv = (np.stack([getattr(i, n) for i in insts]) for n in ("k1", "k2", "kv"))
+    if np.any(np.linalg.eigvalsh(k2).min(axis=-1) <= 1e-12):
+        raise DegenerateInstanceError(
+            "k2 is singular: U would carry a deterministic component and "
+            "I(U; V) would be infinite"
+        )
+    gtilde = effective_gain(g1, k1)
+    a = precoder(k2, gtilde) @ gtilde
+    ku = k2 + a @ kv @ np.swapaxes(a, -1, -2)
+    if np.any(np.linalg.eigvalsh(0.5 * (ku + np.swapaxes(ku, -1, -2))).min(axis=-1) <= 1e-12):
+        raise DegenerateInstanceError("U = X2 + A V is degenerate")
+    joint = _assemble_joint(g1, g2, kv, k1, k2, a)
+    if constant:
+        # Constant interference: conditioning on V is vacuous and
+        # I(U; V) = 0, but the log-det oracle cannot divide by |K_V|.
+        lhs = joint_mi(joint, "x2", "y1") - joint_mi(joint, "x2", "y2")
+        rhs = joint_mi(joint, "u", "y1") - joint_mi(joint, "u", "y2")
+    else:
+        lhs = joint_mi(joint, "x2", "y1", "vstar") - joint_mi(joint, "x2", "y2", "vstar")
+        rhs = (
+            joint_mi(joint, "u", "y1")
+            - joint_mi(joint, "u", "vstar")
+            - joint_mi(joint, "u", "y2", "vstar")
+        )
+    return lhs, rhs
+
+
+def dpc_identity_check(inst):
     """Evaluate both sides of the precoding identity on the instance.
 
     lhs = I(X2; Y1 | V) - I(X2; Y2 | V) and
     rhs = I(U; Y1) - I(U; V) - I(U; Y2 | V) with U = X2 + A V; both sides
     are computed through the joint-covariance oracle and the absolute gap
     is returned alongside.
+
+    ``inst`` is one :class:`DpcInstance` (three floats back) or a sequence
+    of them (three arrays, in sequence order).  A sequence is split into
+    its constant-interference members (``kv`` ≈ 0) and the rest, and each
+    part is scored in one stacked pass; every member's values are
+    bitwise those of its own call.  One degenerate member raises
+    ``DegenerateInstanceError`` for the whole sequence.
     """
-    t = inst.ch.t
-    if np.linalg.eigvalsh(inst.k2).min() <= 1e-12:
-        raise DegenerateInstanceError(
-            "k2 is singular: U would carry a deterministic component and "
-            "I(U; V) would be infinite"
-        )
-    gtilde = effective_gain(inst.ch.g1, inst.k1)
-    a = precoder(inst.k2, gtilde) @ gtilde
-    ku = inst.k2 + a @ inst.kv @ a.T
-    if np.linalg.eigvalsh(0.5 * (ku + ku.T)).min() <= 1e-12:
-        raise DegenerateInstanceError("U = X2 + A V is degenerate")
-    joint = _assemble_joint(inst.ch, inst.kv, inst.k1, inst.k2, a)
-    if np.abs(inst.kv).max() < 1e-15:
-        # Constant interference: conditioning on V is vacuous and
-        # I(U; V) = 0, but the log-det oracle cannot divide by |K_V|.
-        lhs = joint_mi(joint, "x2", "y1") - joint_mi(joint, "x2", "y2")
-        rhs = joint_mi(joint, "u", "y1") - joint_mi(joint, "u", "y2")
-    else:
-        lhs = joint_mi(joint, "x2", "y1", "vstar") - joint_mi(
-            joint, "x2", "y2", "vstar"
-        )
-        rhs = (
-            joint_mi(joint, "u", "y1")
-            - joint_mi(joint, "u", "vstar")
-            - joint_mi(joint, "u", "y2", "vstar")
-        )
-    return lhs, rhs, abs(lhs - rhs)
+    single = isinstance(inst, DpcInstance)
+    insts = [inst] if single else list(inst)
+    constant = np.array([np.abs(i.kv).max() < 1e-15 for i in insts], dtype=bool)
+    lhs, rhs = np.empty(len(insts)), np.empty(len(insts))
+    for branch in (True, False):
+        idx = np.flatnonzero(constant == branch)
+        if idx.size:
+            lhs[idx], rhs[idx] = _identity_sides([insts[i] for i in idx], branch)
+    gap = np.abs(lhs - rhs)
+    if single:
+        return float(lhs[0]), float(rhs[0]), float(gap[0])
+    return lhs, rhs, gap
 
 
 def wtc_point_check(ch: GaussianBc, kstar, k=None) -> tuple[float, float]:
@@ -194,7 +233,7 @@ def wtc_point_check(ch: GaussianBc, kstar, k=None) -> tuple[float, float]:
     a = precoder_wtc(kstar, ch.g1) @ ch.g1
     # Reuse the generic assembler with relabeled roles: the known
     # interference layer is X2 (cov kdiff) and there is no noise layer.
-    joint = _assemble_joint(ch, kdiff, np.zeros((t, t)), kstar, a)
+    joint = _assemble_joint(ch.g1, ch.g2, kdiff, np.zeros((t, t)), kstar, a)
     # Blocks now read: vstar = X2, x2 = X1, u = X1 + A X2.
     if np.abs(kdiff).max() < 1e-14 or np.linalg.eigvalsh(kdiff).min() <= 1e-12:
         if np.abs(kdiff).max() >= 1e-14:

@@ -17,6 +17,12 @@ or :func:`half_log2` of grid determinants; both raise ``FloatingPointError``
 on a determinant that is not positive and finite.  :func:`logdet2` is the
 validated log-determinant of the mutual-information oracle.
 
+:func:`logdet2`, :func:`psd_leq`, :func:`sqrt_factor`, the rotations and
+the sub-covariance parameterization also take stacks (..., n, n): every
+check runs per member, and one bad member raises the error its own call
+would raise.  :func:`validate_psd` takes one matrix, and
+:func:`validate_psd_stack` its stacked form.
+
 Tolerance conventions (kept apart on purpose): input validation accepts
 eigenvalues down to -1e-9 * max(1, ||a||) (spectral norm, so rounding of
 large matrices passes), round trips through the parameterization are
@@ -31,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpstrf
 
 from .errors import SingularMatrixError
@@ -51,6 +56,7 @@ __all__ = [
     "compose_sub_cov",
     "decompose_sub_cov",
     "validate_psd",
+    "validate_psd_stack",
 ]
 
 _LOG2 = math.log(2.0)
@@ -69,17 +75,28 @@ def _as_square(a, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def _as_stack(a, name: str = "matrix") -> np.ndarray:
+    a = np.asarray(a, dtype=float)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"{name} must be square or a stack of squares, got shape {a.shape}")
+    return a
+
+
 def _checked_spectrum(a, tol: float, name: str):
-    """:func:`validate_psd` that also returns the eigenvalues it checked."""
-    a = _as_square(a, name)
-    if not np.all(np.abs(a - a.T) <= 1e-12 * (1.0 + np.abs(a))):
+    """:func:`validate_psd_stack` that also returns the eigenvalues it checked."""
+    a = _as_stack(a, name)
+    at = np.swapaxes(a, -1, -2)
+    if not np.all(np.abs(a - at) <= 1e-12 * (1.0 + np.abs(a))):
         raise ValueError(f"{name} is not symmetric")
     # Halving first keeps a finite matrix finite; it is exact, so the
     # bits equal 0.5 * (a + a.T) wherever that sum does not overflow.
-    sym = 0.5 * a + 0.5 * a.T
+    sym = 0.5 * a + 0.5 * at
     eig = np.linalg.eigvalsh(sym)
-    if eig.size and eig[0] < -tol * max(1.0, -eig[0], eig[-1]):
-        raise ValueError(f"{name} is not positive semidefinite within {tol} of its norm")
+    lo = eig[..., :1]
+    # Only a negative eigenvalue can fail; most inputs skip the scaled test.
+    if lo.size and lo.min() < 0.0:
+        if np.any(lo < -tol * np.maximum(np.maximum(1.0, -lo), eig[..., -1:])):
+            raise ValueError(f"{name} is not positive semidefinite within {tol} of its norm")
     return sym, eig
 
 
@@ -89,40 +106,56 @@ def validate_psd(a, tol: float = PSD_TOL, name: str = "matrix") -> np.ndarray:
     Symmetry must hold entrywise to 1e-12 relative accuracy and all
     eigenvalues must be >= -tol * max(1, ||a||), ||a|| the spectral norm.
     """
+    return _checked_spectrum(_as_square(a, name), tol, name)[0]
+
+
+def validate_psd_stack(a, tol: float = PSD_TOL, name: str = "matrix") -> np.ndarray:
+    """:func:`validate_psd` of one matrix or of every member of a stack (..., n, n).
+
+    One bad member fails the whole stack, with the error it raises alone.
+    """
     return _checked_spectrum(a, tol, name)[0]
 
 
-def psd_leq(a, b, tol: float = PSD_TOL) -> bool:
+def psd_leq(a, b, tol: float = PSD_TOL):
     """True iff ``a ⪯ b`` in the PSD ordering.
 
     That is min eig(b - a) >= -tol * max(1, ||a||, ||b||) with spectral
-    norms, so the test is invariant to scaling both matrices.
+    norms, so the test is invariant to scaling both matrices.  Stacks
+    (..., n, n) broadcast against each other and give one bool per member.
     """
-    a = _as_square(a, "a")
-    b = _as_square(b, "b")
-    if a.shape != b.shape:
+    a = _as_stack(a, "a")
+    b = _as_stack(b, "b")
+    if a.shape[-1] != b.shape[-1]:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     diff = b - a
-    diff = 0.5 * (diff + diff.T)
-    scale = max(1.0, np.linalg.norm(a, 2), np.linalg.norm(b, 2))
-    return float(np.linalg.eigvalsh(diff).min()) >= -tol * scale
+    diff = 0.5 * (diff + np.swapaxes(diff, -1, -2))
+    norm_a, norm_b = (np.linalg.norm(m, 2, axis=(-2, -1)) for m in (a, b))
+    scale = np.maximum(np.maximum(1.0, norm_a), norm_b)
+    ok = np.linalg.eigvalsh(diff).min(axis=-1) >= -tol * scale
+    return bool(ok) if ok.ndim == 0 else ok
 
 
-def logdet2(a) -> float:
+def logdet2(a):
     """Base-2 log-determinant of a strictly positive definite matrix.
 
     Computed from a Cholesky factor for stability.  Raises
     ``SingularMatrixError`` when the smallest eigenvalue is <= 1e-12; the
-    validation's eigenvalues serve that test too.
+    validation's eigenvalues serve that test too.  A stack (..., n, n)
+    gives an array of log-determinants, checked member by member: one
+    singular member raises ``SingularMatrixError``, one asymmetric or
+    indefinite member ``ValueError``.  Each member's bits equal those of
+    its own call.
     """
     a, eig = _checked_spectrum(a, PSD_TOL, "logdet2 input")
-    if eig.min() <= 1e-12:
+    if eig.size and eig.min() <= 1e-12:
         raise SingularMatrixError("matrix is singular within tolerance 1e-12")
     try:
         chol = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
         raise SingularMatrixError("Cholesky factorization failed") from exc
-    return float(2.0 * np.sum(np.log2(np.diag(chol))))
+    out = 2.0 * np.sum(np.log2(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 def half_log2(dets):
@@ -158,20 +191,23 @@ def half_log2_det(g, k=None, *, factors=None):
 
 
 def sqrt_factor(k) -> np.ndarray:
-    """A matrix B with ``B @ B.T == k`` for PSD ``k``.
+    """A matrix B with ``B @ B.T == k`` for PSD ``k``, or one per member of a stack.
 
     Uses the Cholesky factor when ``k`` is positive definite and a
     rank-revealing pivoted Cholesky (LAPACK dpstrf) when it is singular,
-    so the result is deterministic in both cases.
+    so the result is deterministic in both cases.  A stack holding a
+    singular member is factored member by member.
     """
-    k = validate_psd(k, name="sqrt_factor input")
-    t = k.shape[0]
+    k = validate_psd_stack(k, name="sqrt_factor input")
+    t = k.shape[-1]
     if t == 0:
         return k.copy()
     try:
         return np.linalg.cholesky(k)
     except np.linalg.LinAlgError:
         pass
+    if k.ndim > 2:
+        return np.stack([sqrt_factor(m) for m in k.reshape(-1, t, t)]).reshape(k.shape)
     c, piv, rank, info = dpstrf(k, lower=1)
     if info < 0:  # pragma: no cover - bad call, not a data condition
         raise ValueError(f"pivoted Cholesky failed with info={info}")
@@ -220,45 +256,51 @@ def rotation_batch(theta_cols, t: int) -> np.ndarray:
 
 
 def rotation(angles, t: int) -> np.ndarray:
-    """One Givens product: :func:`rotation_batch` of a single angle tuple.
+    """Givens product of one angle tuple (t, t), or of a stack (..., t, t).
 
-    ``angles`` must contain t(t-1)/2 values, one per pair (i, j) with
-    i < j.  For t = 2 this is the plane rotation by ``angles[0]``.
+    ``angles`` must end in an axis of t(t-1)/2 values, one per pair
+    (i, j) with i < j; see :func:`rotation_batch`.  For t = 2 this is the
+    plane rotation by ``angles[..., 0]``.
     """
-    angles = np.atleast_1d(np.asarray(angles, dtype=float))
+    angles = np.asarray(angles, dtype=float)
+    if angles.ndim == 0:
+        angles = angles.reshape(1)
     m = t * (t - 1) // 2
-    if angles.size != m:
-        raise ValueError(f"expected {m} angles for t={t}, got {angles.size}")
-    return rotation_batch(angles, t)[0]
+    if angles.shape[-1] != m:
+        raise ValueError(f"expected {m} angles for t={t}, got {angles.shape[-1]}")
+    lead = angles.shape[:-1]
+    return rotation_batch(angles.reshape(math.prod(lead), m), t).reshape(lead + (t, t))
 
 
 def rotation_angles(v: np.ndarray) -> np.ndarray:
     """Inverse of :func:`rotation`: angles (lex pair order) for ``v`` in SO(t).
 
-    Peels one column per recursion level using spherical coordinates; the
-    reconstruction ``rotation(rotation_angles(v), t)`` reproduces ``v``
-    exactly up to floating point.  Each level is undone by the transpose
-    of the rotation of its own angles (all other angles zero, whose
-    factors are exact identities).
+    ``v`` is one rotation (t, t) or a stack (..., t, t); the angles come
+    back with shape (..., t(t-1)/2).  Peels one column per recursion
+    level using spherical coordinates; the reconstruction
+    ``rotation(rotation_angles(v), t)`` reproduces ``v`` exactly up to
+    floating point.  Each level is undone by the transpose of the
+    rotation of its own angles (all other angles zero, whose factors are
+    exact identities).
     """
-    v = _as_square(v, "rotation matrix")
-    t = v.shape[0]
-    w = v.copy()
-    angles: list[float] = []
+    w = _as_stack(v, "rotation matrix")
+    t = w.shape[-1]
+    angles = np.zeros(w.shape[:-2] + (t * (t - 1) // 2,))
+    done = 0
     for i in range(t - 1):
-        col = w[i:, i]
+        col = w[..., i:, i]
         # col = (c1..cm, s1 c2..cm, s2 c3..cm, ..., sm); the first angle
         # gets the full circle, the rest live in [-pi/2, pi/2].
-        level = [math.atan2(col[1], col[0])]
-        run = math.hypot(col[0], col[1])
-        for k in range(2, col.size):
-            level.append(math.atan2(col[k], run))
-            run = math.hypot(run, col[k])
-        padded = np.zeros(t * (t - 1) // 2)
-        padded[len(angles) : len(angles) + len(level)] = level
-        angles.extend(level)
-        w = rotation(padded, t).T @ w
-    return np.mod(np.asarray(angles, dtype=float), 2.0 * math.pi)
+        padded = np.zeros_like(angles)
+        padded[..., done] = np.arctan2(col[..., 1], col[..., 0])
+        run = np.hypot(col[..., 0], col[..., 1])
+        for k in range(2, t - i):
+            padded[..., done + k - 1] = np.arctan2(col[..., k], run)
+            run = np.hypot(run, col[..., k])
+        angles += padded
+        done += t - 1 - i
+        w = np.swapaxes(rotation(padded, t), -1, -2) @ w
+    return np.mod(angles, 2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -267,7 +309,8 @@ class SubCovParams:
 
     ``angles`` has t(t-1)/2 entries in [0, 2*pi) and ``diag`` has t
     entries in [0, 1].  ``diag`` all ones reproduces K itself, all zeros
-    the zero matrix.
+    the zero matrix.  Stacked parameters carry leading axes: angles
+    (..., t(t-1)/2) and diag (..., t).
     """
 
     angles: np.ndarray
@@ -276,11 +319,11 @@ class SubCovParams:
     def __init__(self, angles, diag):
         angles = np.atleast_1d(np.asarray(angles, dtype=float)).copy()
         diag = np.atleast_1d(np.asarray(diag, dtype=float)).copy()
-        t = diag.size
+        t = diag.shape[-1]
         expected = t * (t - 1) // 2
-        if angles.size != expected:
+        if angles.shape[-1] != expected or angles.shape[:-1] != diag.shape[:-1]:
             raise ValueError(
-                f"need {expected} angles for dimension {t}, got {angles.size}"
+                f"need {expected} angles for dimension {t}, got shape {angles.shape}"
             )
         if np.any(diag < 0.0) or np.any(diag > 1.0):
             raise ValueError("diagonal scalings must lie in [0, 1]")
@@ -291,18 +334,23 @@ class SubCovParams:
 
     @property
     def dim(self) -> int:
-        return self.diag.size
+        return self.diag.shape[-1]
 
 
 def compose_sub_cov(k, p: SubCovParams) -> np.ndarray:
-    """Evaluate the parameterization: ``K^{1/2} V D V^T (K^{1/2})^T``."""
-    k = validate_psd(k, name="k")
-    if p.dim != k.shape[0]:
-        raise ValueError(f"params are for t={p.dim}, matrix is {k.shape[0]}")
+    """Evaluate the parameterization: ``K^{1/2} V D V^T (K^{1/2})^T``.
+
+    ``k`` is one constraint (t, t) or a stack (..., t, t), and ``p`` one
+    parameter set or a stack; their leading axes broadcast.  Every
+    member is validated as its own call would be.
+    """
+    k = validate_psd_stack(k, name="k")
+    if p.dim != k.shape[-1]:
+        raise ValueError(f"params are for t={p.dim}, matrix is {k.shape[-1]}")
     b = sqrt_factor(k)
     w = b @ rotation(p.angles, p.dim)
-    out = (w * p.diag) @ w.T
-    return 0.5 * (out + out.T)
+    out = (w * p.diag[..., None, :]) @ np.swapaxes(w, -1, -2)
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
 def decompose_sub_cov(k, kstar) -> SubCovParams:
@@ -311,22 +359,22 @@ def decompose_sub_cov(k, kstar) -> SubCovParams:
     Works through the eigendecomposition of ``K^{-1/2} K* K^{-T/2}``; the
     eigenvalues are the diagonal scalings (clamped into [0, 1] against
     rounding) and the eigenvector basis supplies the angles.  Requires
-    ``kstar ⪯ k`` and strictly positive definite ``k``.
+    ``kstar ⪯ k`` and strictly positive definite ``k``.  Stacks
+    (..., t, t) give stacked parameters; one member that breaks a
+    requirement fails the whole stack.
     """
-    k = validate_psd(k, name="k")
-    kstar = validate_psd(kstar, name="kstar")
-    if not psd_leq(kstar, k, ORDER_TOL):
+    k = validate_psd_stack(k, name="k")
+    kstar = validate_psd_stack(kstar, name="kstar")
+    if not np.all(psd_leq(kstar, k, ORDER_TOL)):
         raise ValueError("precondition violated: kstar is not below k")
-    if np.linalg.eigvalsh(k).min() <= 1e-12:
+    if np.any(np.linalg.eigvalsh(k).min(axis=-1) <= 1e-12):
         raise SingularMatrixError("k is singular; decomposition undefined")
-    b = np.linalg.cholesky(k)
-    x = solve_triangular(b, kstar, lower=True)
-    m = solve_triangular(b, x.T, lower=True)
-    m = 0.5 * (m + m.T)
+    binv = np.linalg.inv(np.linalg.cholesky(k))
+    m = binv @ kstar @ np.swapaxes(binv, -1, -2)
+    m = 0.5 * (m + np.swapaxes(m, -1, -2))
     evals, vecs = np.linalg.eigh(m)
     if np.any(evals < -PSD_TOL) or np.any(evals > 1.0 + PSD_TOL):
         raise ValueError("recovered scalings leave [0, 1] beyond tolerance")
-    if np.linalg.det(vecs) < 0.0:
-        vecs = vecs.copy()
-        vecs[:, 0] = -vecs[:, 0]
+    # A reflection becomes a rotation by flipping its first eigenvector.
+    vecs[..., :, 0] *= np.where(np.linalg.det(vecs) < 0.0, -1.0, 1.0)[..., None]
     return SubCovParams(rotation_angles(vecs), np.clip(evals, 0.0, 1.0))

@@ -653,8 +653,10 @@ def both_confidential_frontier(
         RatePoint(r1[i], r2[i], {"k": scan[0][i], "kstar": ks[i]})
         for i in np.flatnonzero(_pareto_mask(r1, np.maximum(r2, 0.0)))
     ]
-    for corner in (0, 1):
-        kmat = _power_corner_refine(ch, p, grid, scan, lambda k: rates(k)[corner])
+    # The max-R1 objective is the wiretap value alone; rates() would add
+    # two determinants it never reads.
+    for objective in (lambda k: _wtc_gevd(ch, k)[0], lambda k: rates(k)[1]):
+        kmat = _power_corner_refine(ch, p, grid, scan, objective)
         r1v, r2v, ksv = rates(kmat)
         points.append(RatePoint(r1v, r2v, {"k": kmat, "kstar": ksv}))
     return Frontier(pareto_filter_pairs(points), meta)

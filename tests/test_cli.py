@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 import secbc
 from secbc import GridSpec, cli, frontier_fixed_cov, make_channel, r1_hat, r2_hat, regions
 from secbc.cli import RunConfig, emit_csv, emit_svg, main, parse_matrix
+from secbc.dpc import dpc_identity_check, random_instance
 from secbc.regions import Frontier, RatePoint, RateTriple
 
 from conftest import EXAMPLE_G1, EXAMPLE_G2, large_singular_covariance
@@ -162,6 +164,47 @@ class TestExitCodes:
 
     def test_decomp_check_passes(self, capsys):
         assert main(["decomp-check", "--seed", "5", "--trials", "25", "--dim", "3"]) == 0
+
+
+def _printed_value(out: str) -> str:
+    """The figure a check command prints after '=', without its elapsed time."""
+    return out.rsplit("=", 1)[1].split("(")[0].strip()
+
+
+class TestCheckCommands:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_dpc_gap_is_the_per_instance_maximum(self, capsys, monkeypatch, dim):
+        # a small chunk puts several chunk boundaries inside the run
+        monkeypatch.setattr(cli, "CHECK_CHUNK", 16)
+        for seed in range(5):
+            assert main(["dpc-check", "--seed", str(seed), "--trials", "60", "--dim", str(dim)]) == 0
+            printed = _printed_value(capsys.readouterr().out)
+            rng = np.random.default_rng(seed)
+            worst = 0.0
+            for _ in range(60):
+                lhs, _, gap = dpc_identity_check(random_instance(dim, rng))
+                worst = max(worst, gap / (1.0 + abs(lhs)))
+            assert printed == f"{worst:.3e}"
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_decomp_residual(self, capsys, monkeypatch, dim):
+        monkeypatch.setattr(cli, "CHECK_CHUNK", 16)
+        for seed in range(5):
+            assert main(["decomp-check", "--seed", str(seed), "--trials", "60", "--dim", str(dim)]) == 0
+            assert float(_printed_value(capsys.readouterr().out)) <= 1e-13
+
+    def test_memory_does_not_grow_with_trials(self, capsys):
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                assert main(["dpc-check", "--trials", str(trials), "--dim", "3"]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        main(["dpc-check", "--trials", "2", "--dim", "3"])  # one-time set-up
+        small, large = peak(400), peak(4000)
+        assert large <= 1.5 * small
 
 
 class TestRegionCommand:

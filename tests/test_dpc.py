@@ -97,6 +97,43 @@ class TestDpcIdentity:
             dpc_identity_check(inst)
 
 
+class TestDpcBatch:
+    @staticmethod
+    def _mixed(t, n, rng):
+        """n instances cycling ordinary, constant-interference and rank-1 k1 draws."""
+        out = []
+        for i in range(n):
+            inst = random_instance(t, rng)
+            if i % 3 == 1:
+                inst = DpcInstance(inst.ch, inst.k1, inst.k2, np.zeros((t, t)))
+            elif i % 3 == 2:
+                u = rng.normal(size=(t, 1))
+                inst = DpcInstance(inst.ch, u @ u.T, inst.k2, inst.kv)
+            out.append(inst)
+        return out
+
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 7, 50])
+    def test_sequence_equals_per_instance_calls_bitwise(self, t, n):
+        insts = self._mixed(t, n, np.random.default_rng(10 * t + n))
+        lhs, rhs, gap = dpc_identity_check(insts)
+        assert lhs.shape == rhs.shape == gap.shape == (n,)
+        one = np.array([dpc_identity_check(inst) for inst in insts])
+        assert np.array_equal(np.stack([lhs, rhs, gap], axis=1), one)
+        assert gap.max() <= 1e-9 * (1.0 + np.abs(lhs).max())
+
+    def test_single_instance_gives_floats(self, rng):
+        out = dpc_identity_check(random_instance(2, rng))
+        assert all(type(v) is float for v in out)
+
+    def test_one_degenerate_member_raises(self, rng):
+        insts = self._mixed(2, 7, rng)
+        ch = insts[4].ch
+        insts[4] = DpcInstance(ch, np.eye(2), np.zeros((2, 2)), np.eye(2))
+        with pytest.raises(DegenerateInstanceError):
+            dpc_identity_check(insts)
+
+
 def test_whitening_invariance(rng):
     # Transforming Y1 by the inverse noise square root inside the oracle
     # must not move any mutual information.

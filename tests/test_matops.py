@@ -102,6 +102,24 @@ class TestLogdet2:
             logdet2(np.diag([1.0, -1.0]))
 
 
+class TestStackedLogdet2:
+    def test_members_match_their_own_calls_bitwise(self, rng):
+        stack = np.stack([random_spd(rng, 3) for _ in range(9)])
+        assert np.array_equal(logdet2(stack), [logdet2(m) for m in stack])
+
+    def test_one_singular_member_raises(self, rng):
+        stack = np.stack([random_spd(rng, 2) for _ in range(5)])
+        stack[3] = np.diag([1.0, 0.0])
+        with pytest.raises(SingularMatrixError):
+            logdet2(stack)
+
+    def test_one_asymmetric_member_raises(self, rng):
+        stack = np.stack([random_spd(rng, 2) for _ in range(5)])
+        stack[1] = [[1.0, 0.5], [0.1, 1.0]]
+        with pytest.raises(ValueError, match="not symmetric"):
+            logdet2(stack)
+
+
 class TestHalfLog2Det:
     @pytest.mark.parametrize("t", [1, 2, 3])
     def test_matches_the_oracle_in_both_forms(self, rng, t):
@@ -241,6 +259,42 @@ class TestSubCov:
             kstar = compose_sub_cov(k, p)
             back = compose_sub_cov(k, decompose_sub_cov(k, kstar))
             assert np.linalg.norm(back - kstar) <= 1e-7
+
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_stacked_roundtrip_matches_per_matrix_calls(self, rng, t):
+        m = t * (t - 1) // 2
+        k = np.stack([random_spd(rng, t, scale=4.0) for _ in range(20)])
+        p = SubCovParams(rng.uniform(0, 2 * math.pi, (20, m)), rng.uniform(0, 1, (20, t)))
+        kstar = compose_sub_cov(k, p)
+        back = compose_sub_cov(k, decompose_sub_cov(k, kstar))
+        assert kstar.shape == back.shape == (20, t, t)
+        for i in range(20):
+            ks_i = compose_sub_cov(k[i], SubCovParams(p.angles[i], p.diag[i]))
+            back_i = compose_sub_cov(k[i], decompose_sub_cov(k[i], ks_i))
+            assert np.abs(kstar[i] - ks_i).max() <= 1e-12
+            assert np.abs(back[i] - back_i).max() <= 1e-12
+            assert np.linalg.norm(back[i] - kstar[i]) <= 1e-13 * max(1.0, np.linalg.norm(k[i]))
+
+    def test_stacked_compose_with_a_singular_member(self, rng):
+        # the stacked Cholesky fails, so every member takes its own factor
+        k = np.stack([random_spd(rng, 3, scale=4.0) for _ in range(4)])
+        k[1] = np.diag([2.0, 1.0, 0.0])
+        p = SubCovParams(rng.uniform(0, 2 * math.pi, (4, 3)), rng.uniform(0, 1, (4, 3)))
+        kstar = compose_sub_cov(k, p)
+        for i in range(4):
+            one = compose_sub_cov(k[i], SubCovParams(p.angles[i], p.diag[i]))
+            assert np.array_equal(kstar[i], one)
+
+    def test_stacked_angles_match_per_matrix_calls(self, rng):
+        v = rotation(rng.uniform(0, 2 * math.pi, (30, 3)), 3)
+        assert np.abs(rotation_angles(v) - [rotation_angles(m) for m in v]).max() <= 1e-12
+
+    def test_stack_with_one_kstar_above_k_rejected(self, rng):
+        k = np.stack([random_spd(rng, 2, scale=4.0) for _ in range(6)])
+        kstar = 0.5 * k
+        kstar[2] = 2.0 * k[2]
+        with pytest.raises(ValueError, match="not below"):
+            decompose_sub_cov(k, kstar)
 
     def test_precondition_violation(self, rng):
         k = np.eye(2)
