@@ -11,9 +11,10 @@ the power pair regions and the identity checks.
         --tree parent=../parent --out BENCH_checks.json
 
 Each ``--tree LABEL=PATH`` names a secbc checkout (its ``src`` is put on
-the import path; default: this checkout as ``change``).  For every tree,
-with SECBC_THREADS=1 (BLAS single-threaded too) and with all cores, each
-case runs in a fresh child process:
+the import path; default: this checkout as ``change``).  With
+SECBC_THREADS=1 (BLAS single-threaded too) and with all cores, each case
+runs in a fresh child process for every tree, the trees taking turns
+case by case:
 
 - ``region_common_power``: the example channel at P = 12, default grid;
 - ``region_common_fixed``: a seeded t = 3 channel at chain grid (4, 3);
@@ -29,7 +30,10 @@ grid nodes scored (``grid_meta["nodes_scored"]`` where the tree reports
 it).  ``--cases power`` runs the power-constrained pair regions and the
 wiretap capacity: ``frontier_power``, ``both_confidential_frontier`` and
 ``wtc_capacity_power`` on the example channel at P = 12 and the default
-grid (records add the output rows, or the capacity).  ``--cases checks``
+grid (records add the output rows, or the capacity), and ``compare``,
+the CLI command of the ``power-fig2`` benchmark workload (P = 12, CSVs
+and SVG written into a temporary directory; records add the exit status
+and the rows of both CSVs).  ``--cases checks``
 runs the identity checks as the CLI does: ``dpc-check`` (the dirty-paper
 identity, ``dpc_identity_check``) and ``decomp-check`` (the
 decomposition round trip) at dims 2 and 3, 50 trials, seed 7; records
@@ -54,6 +58,7 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from functools import partial
 
@@ -62,7 +67,7 @@ EXAMPLE_G2 = [[1.3, 1.2], [1.5, 3.9]]
 CASE_SETS = {
     "common": ("region_common_power", "region_common_fixed", "pareto_filter"),
     "envelope": ("v_eta", "v_hat", "v_tilde"),
-    "power": ("frontier_power", "both_confidential_frontier", "wtc_capacity_power"),
+    "power": ("frontier_power", "both_confidential_frontier", "wtc_capacity_power", "compare"),
     "checks": ("dpc_check_d2", "dpc_check_d3", "decomp_check_d2", "decomp_check_d3"),
 }
 SINGLE_THREAD_ENV = {
@@ -116,6 +121,22 @@ def _check_output(argv) -> dict:
     return {"exit": status, "printed": printed}
 
 
+def _compare_output(argv) -> dict:
+    """Run ``compare`` writing its CSVs and SVG into a temporary directory;
+    its exit status and the data rows of both CSVs."""
+    from secbc import cli
+
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "fig2.csv")
+        with contextlib.redirect_stdout(io.StringIO()):
+            status = cli.main(argv + ["--out", out, "--svg", os.path.join(tmp, "fig2.svg")])
+        rows = []
+        for path in (out, os.path.join(tmp, "fig2_both_confidential.csv")):
+            with open(path, encoding="utf-8") as fh:
+                rows.append(sum(1 for _ in fh) - 1)
+    return {"exit": status, "output_rows": rows}
+
+
 def _case_call(case: str):
     """(call, size) for one case; ``call`` returns a dict of outputs and
     ``size`` describes its input."""
@@ -136,6 +157,11 @@ def _case_call(case: str):
             return lambda: _envelope_output(secbc.v_eta(example, k, w.eta)), "K = diag(3, 2)"
         fn = getattr(secbc, case)
         return lambda: _envelope_output(fn(example, k, w)), "K = diag(3, 2)"
+    if case == "compare":
+        argv = ["compare", "--power", "12.0"]
+        for flag, g in (("--g1", EXAMPLE_G1), ("--g2", EXAMPLE_G2)):
+            argv += [flag, ";".join(",".join(map(repr, row)) for row in g)]
+        return partial(_compare_output, argv), "P = 12, CSV + SVG"
     if case in CASE_SETS["power"]:
         fn = getattr(regions, case)
         if case == "wtc_capacity_power":
@@ -183,28 +209,29 @@ def child(case: str, repeats: int) -> dict:
     }
 
 
-def run_tree(label: str, path: str, repeats: int, cases) -> list[dict]:
+def tree_src(path: str) -> str:
     src = os.path.join(os.path.abspath(path), "src")
     if not os.path.isdir(os.path.join(src, "secbc")):
         raise SystemExit(f"no secbc sources under {src}")
-    records = []
-    for threads in ("1", "all"):
-        env = {k: v for k, v in os.environ.items() if k not in SINGLE_THREAD_ENV}
-        if threads == "1":
-            env.update(SINGLE_THREAD_ENV)
-        env["PYTHONPATH"] = src
-        for case in cases:
-            cmd = [sys.executable, os.path.abspath(__file__), "--child", case]
-            cmd += ["--repeats", str(repeats)]
-            proc = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
-            result = json.loads(proc.stdout.strip().splitlines()[-1])
-            records.append({"tree": label, "threads": threads, "case": case, **result})
-            print(
-                f"{label:>8} threads={threads:>3} {case:20s} "
-                f"{result['wall_s_median']:8.3f} s {result['peak_rss_mb']:7.1f} MB",
-                file=sys.stderr,
-            )
-    return records
+    return src
+
+
+def run_case(label: str, src: str, threads: str, case: str, repeats: int) -> dict:
+    """One child run of ``case`` on the tree whose sources are ``src``."""
+    env = {k: v for k, v in os.environ.items() if k not in SINGLE_THREAD_ENV}
+    if threads == "1":
+        env.update(SINGLE_THREAD_ENV)
+    env["PYTHONPATH"] = src
+    cmd = [sys.executable, os.path.abspath(__file__), "--child", case]
+    cmd += ["--repeats", str(repeats)]
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    print(
+        f"{label:>8} threads={threads:>3} {case:20s} "
+        f"{result['wall_s_median']:8.3f} s {result['peak_rss_mb']:7.1f} MB",
+        file=sys.stderr,
+    )
+    return {"tree": label, "threads": threads, "case": case, **result}
 
 
 def main(argv=None) -> int:
@@ -222,12 +249,20 @@ def main(argv=None) -> int:
         return 0
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     trees = args.tree or ["change=" + here]
-    records = []
+    srcs = []
     for spec in trees:
         label, sep, path = spec.partition("=")
         if not sep or not label:
             ap.error(f"--tree wants LABEL=PATH, got {spec!r}")
-        records += run_tree(label, path, args.repeats, CASE_SETS[args.cases])
+        srcs.append((label, tree_src(path)))
+    # The trees take turns case by case, so a drifting machine speed
+    # reaches every tree alike.
+    records = [
+        run_case(label, src, threads, case, args.repeats)
+        for threads in ("1", "all")
+        for case in CASE_SETS[args.cases]
+        for label, src in srcs
+    ]
     import numpy as np
 
     report = {

@@ -49,6 +49,13 @@ DECOMP_TOL = 1e-7
 # and score them in stacked batches of this size, so memory stays flat
 # in --trials.
 CHECK_CHUNK = 128
+# Most grid rows a power-constrained command may build (see
+# regions._power_grid_rows).  The largest grid of the tests, the output
+# comparison script and the benchmark is the t = 3 K* grid at
+# theta_steps = 8, trace_steps = 9 (373 248 rows); a t = 3 manifold scan
+# of this many rows takes about 0.4 GB.  The t = 3 default grids hold
+# 562 million rows and more.
+MAX_GRID_ROWS = 1 << 19
 
 
 def parse_matrix(text: str) -> np.ndarray:
@@ -168,9 +175,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _gen_columns(gen: dict) -> list[tuple[str, np.ndarray]]:
-    label = {"k": "k", "kstar": "ks", "k1": "k1", "k2": "k2"}
-    return [(label[name], np.asarray(gen[name])) for name in gen]
+# CSV column stems of the generator matrices, and the points emit_csv
+# formats at once (its memory stays flat in the frontier size).
+_GEN_LABELS = {"k": "k", "kstar": "ks", "k1": "k1", "k2": "k2"}
+CSV_CHUNK = 1024
 
 
 def emit_csv(frontier: Frontier, path: str) -> None:
@@ -181,25 +189,28 @@ def emit_csv(frontier: Frontier, path: str) -> None:
     be re-verified exactly.  Output bytes depend only on the frontier
     contents.
     """
-    if not frontier.points:
+    points = frontier.points
+    if not points:
         raise ValueError("refusing to write an empty frontier")
-    first = frontier.points[0]
     triple = frontier.is_triple
     header = ["R1", "R2"] + (["R0"] if triple else [])
-    for name, mat in _gen_columns(first.gen):
-        t = mat.shape[0]
-        header += [f"{name}_{i}{j}" for i in range(t) for j in range(t)]
-    lines = [",".join(header)]
-    for p in frontier.points:
-        row = [f"{p.r1:.6f}", f"{p.r2:.6f}"]
-        if triple:
-            row.append(f"{p.r0:.6f}")
-        for _, mat in _gen_columns(p.gen):
-            row += [repr(float(v)) for v in np.asarray(mat).ravel()]
-        lines.append(",".join(row))
+    for name, mat in points[0].gen.items():
+        t = np.shape(mat)[0]
+        header += [f"{_GEN_LABELS[name]}_{i}{j}" for i in range(t) for j in range(t)]
+    rates = "{0.r1:.6f},{0.r2:.6f}" + (",{0.r0:.6f}" if triple else "")
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(",".join(header) + "\n")
+            # CSV_CHUNK points at a time, one tolist() per generator: the
+            # repr of each Python float it yields is that of the entry.
+            for lo in range(0, len(points), CSV_CHUNK):
+                chunk = points[lo : lo + CSV_CHUNK]
+                cols = [[rates.format(p) for p in chunk]]
+                for name in points[0].gen:
+                    mats = np.stack([np.asarray(p.gen[name], dtype=float) for p in chunk])
+                    rows = mats.reshape(len(chunk), -1).tolist()
+                    cols.append([",".join(map(repr, row)) for row in rows])
+                fh.writelines(",".join(row) + "\n" for row in zip(*cols))
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
 
@@ -416,10 +427,12 @@ def _cmd_compare(cfg: RunConfig) -> int:
     power, _ = cfg.constraint()
     grid = cfg.grid()
     start = time.perf_counter()
-    fr = regions.frontier_power(ch, power, grid)
+    # Both regions share their max-R1 corner, the wiretap optimum.
+    corner = regions.wtc_capacity_power(ch, power, grid)
+    fr = regions.frontier_power(ch, power, grid, _corner=corner)
     _summarize("one confidential message", fr, time.perf_counter() - start)
     start = time.perf_counter()
-    cmp_fr = regions.both_confidential_frontier(ch, power, grid)
+    cmp_fr = regions.both_confidential_frontier(ch, power, grid, _corner=corner)
     _summarize("both confidential", cmp_fr, time.perf_counter() - start)
     _echo(f"  max R1 difference = {abs(fr.max_r1() - cmp_fr.max_r1()):.2e}")
     if cfg.out:
@@ -455,6 +468,15 @@ _MODES.update((name, fn) for name, fn in _COMMANDS.items() if name != "region")
 _NEEDS = {"both-confidential": "power", "compare": "power", "envelope": "covariance"}
 _WRITES = dict.fromkeys(_REGION_MODES, ("out", "svg"))
 _WRITES.update({"common": ("out",), "wtc": ("out",), "compare": ("out", "svg")})
+# The region whose grid bounds each mode's memory under --power (compare
+# also runs the both-confidential region, whose grid is no larger).
+_POWER_REGIONS = {
+    "no-common": "frontier_power",
+    "common": "region_common_power",
+    "both-confidential": "both_confidential_frontier",
+    "wtc": "wtc_capacity_power",
+    "compare": "frontier_power",
+}
 
 
 def _writable(path: str) -> None:
@@ -478,13 +500,20 @@ def _validate(cfg: RunConfig) -> None:
                 raise ValueError(f"{name} must be an integer >= {least}, got {val!r}")
         return
     ch = cfg.channel()
-    _, cov = cfg.constraint()
+    power, cov = cfg.constraint()
     if cov is not None and cov.shape[0] != ch.t:
         raise ValueError(f"covariance is {cov.shape[0]}x{cov.shape[0]}, gains are {ch.t}x{ch.t}")
     need = _NEEDS.get(cfg.mode)
     if need is not None and getattr(cfg, need) is None:
         raise ValueError(f"{cfg.mode} needs --{need}")
-    cfg.grid()
+    grid = cfg.grid()
+    if power and cfg.mode in _POWER_REGIONS:
+        rows = regions._power_grid_rows(ch.t, grid)[_POWER_REGIONS[cfg.mode]]
+        if rows > MAX_GRID_ROWS:
+            raise ValueError(
+                f"the {cfg.mode} grid at t = {ch.t} has {rows} rows, more than "
+                f"{MAX_GRID_ROWS}; lower the --grid-* steps"
+            )
     if cfg.mode == "envelope":
         cfg.envelope()
 

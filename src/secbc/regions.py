@@ -21,10 +21,11 @@ simplex (``simplex_grid``) for the constraint matrices of the wiretap,
 both-confidential and common-message sweeps, and the u-ball e = P u^2
 with sum u^2 <= 1 for the K* of the pair region, whose coarse grid is
 then zoomed around its Pareto nodes.  For t <= 2 those K* nodes are
-scored from their parameters alone (:func:`_kstar_rates`): determinants
-by the principal-minor expansion of :func:`secbc.sweeps.det_i_plus_diag`
-and the water-filling spectrum as the roots of a quadratic, with no
-per-node covariance; K* matrices are built for the kept nodes only.
+scored in closed form from their parameters alone (:func:`_kstar_rates`):
+each determinant from cos 2 theta, sin 2 theta, the eigenvalues and
+three scalars of the gain's Gram matrix, and the water-filling spectrum
+as the roots of a quadratic, with no per-node matrix; K* matrices are
+built for the kept nodes only.
 
 Frontiers carry the generating covariances on every point so any output
 row can be re-verified by plugging the matrices back into the rate
@@ -35,8 +36,11 @@ grid resolutions in :class:`GridSpec`.  The
 max-confidential-rate corner of every region is the closed-form wiretap
 optimum of its constraint matrix (:func:`wtc_capacity`).  Under a power
 constraint the pair regions polish that optimum by golden section over
-the angles and leading eigenvalues of the trace-P constraint; the
-common-message region takes the best of its manifold nodes.
+the angles and leading eigenvalues of the trace-P constraint, with an
+objective that computes the value alone (:func:`_wtc_value`); the
+``compare`` command runs that polish once and hands it to both of its
+regions.  The common-message region takes the best of its manifold
+nodes.
 
 Every grid is streamed in the row blocks of :func:`secbc.sweeps.row_blocks`
 (at most about ``GRID_BLOCK_NODES`` nodes each) through
@@ -68,7 +72,6 @@ from .sweeps import (
     chain_factor,
     children_factors,
     coordinate_refine,
-    det_i_plus_diag,
     det_i_plus_gram,
     diag_combos,
     diag_values,
@@ -277,18 +280,19 @@ def _check_power(p) -> None:
         raise ValueError("power must be finite and nonnegative")
 
 
-def _wtc_gevd(ch: GaussianBc, k):
-    """Closed-form wiretap optimum over K* below ``k``: (value, argmax).
+def _wtc_pencil(ch: GaussianBc, k):
+    """The wiretap pencil of ``k`` (one (t, t) or a batch (..., t, t)).
 
-    ``k`` is one covariance (t, t) or a batch (..., t, t); both outputs
-    keep its leading shape.  With S = K^(1/2) and A_j = I + S G_j^T G_j S,
-    the optimum is 1/2 sum log2 max(lambda_i, 1) over the generalized
-    eigenvalues of the pencil (A_1, A_2), attained at K* = S P S where P
-    is the orthogonal projector onto the eigenvectors with lambda_i > 1
-    (Liu & Shamai, IEEE T-IT 2009).  The pencil is solved as
-    lambda_i - 1 = eig(L^-1 (A_1 - A_2) L^-T) with A_2 = L L^T, forming
-    A_1 - A_2 = S (G_1^T G_1 - G_2^T G_2) S directly, so equal gains give
-    K* = 0 exactly.  S comes from ``eigh``, so singular K is fine.
+    With S = K^(1/2) and A_j = I + S G_j^T G_j S, the optimum over K*
+    below K is 1/2 sum log2 max(lambda_i, 1) over the generalized
+    eigenvalues of the pencil (A_1, A_2) (Liu & Shamai, IEEE T-IT 2009).
+    The pencil is solved as lambda_i - 1 = eig(L^-1 (A_1 - A_2) L^-T)
+    with A_2 = L L^T, forming A_1 - A_2 = S (G_1^T G_1 - G_2^T G_2) S
+    directly, so equal gains give mu = lambda - 1 = 0 exactly.  S comes
+    from ``eigh``, so singular K is fine.  Returns (value, S, L^-T, mu, U)
+    with mu and its eigenvectors U in descending order.  The eigenvectors
+    come from ``eigh`` even where only the value is read: ``eigvalsh``
+    rounds the eigenvalues differently in the last bit.
     """
     w, v = np.linalg.eigh(k)
     s = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ np.swapaxes(v, -1, -2)
@@ -297,15 +301,31 @@ def _wtc_gevd(ch: GaussianBc, k):
     linv_t = np.swapaxes(linv, -1, -2)
     gap = ch.g1.T @ ch.g1 - ch.g2.T @ ch.g2
     mu, u = np.linalg.eigh(linv @ s @ gap @ s @ linv_t)
-    # Descending order puts the kept eigenvectors first, so the leading
-    # columns of their QR factor Q span them.
     mu, u = mu[..., ::-1], u[..., ::-1]
-    keep = mu > 0.0
-    q, _ = np.linalg.qr(linv_t @ u)
     value = np.sum(np.log1p(np.maximum(mu, 0.0)), axis=-1) / (2.0 * math.log(2.0))
     if not (np.isfinite(a2).all() and np.isfinite(mu).all() and np.isfinite(value).all()):
         raise FloatingPointError("the wiretap pencil is not finite")
-    return value, gram(s @ (q * keep[..., None, :]))
+    return value, s, linv_t, mu, u
+
+
+def _wtc_value(ch: GaussianBc, k):
+    """The closed-form wiretap optimum over K* below ``k``, value only."""
+    return _wtc_pencil(ch, k)[0]
+
+
+def _wtc_gevd(ch: GaussianBc, k):
+    """Closed-form wiretap optimum over K* below ``k``: (value, argmax).
+
+    ``k`` is one covariance (t, t) or a batch (..., t, t); both outputs
+    keep its leading shape.  The optimum is attained at K* = S P S, where
+    P is the orthogonal projector onto the pencil's eigenvectors with
+    lambda_i > 1 (see :func:`_wtc_pencil`); equal gains give K* = 0.
+    """
+    value, s, linv_t, mu, u = _wtc_pencil(ch, k)
+    # Descending order puts the kept eigenvectors first, so the leading
+    # columns of their QR factor Q span them.
+    q, _ = np.linalg.qr(linv_t @ u)
+    return value, gram(s @ (q * (mu > 0.0)[..., None, :]))
 
 
 def wtc_capacity(ch: GaussianBc, k):
@@ -412,14 +432,51 @@ def _manifold_scan(t: int, p: float, grid: GridSpec):
     return gram(_trace_factors(x, t)), x[:, :-1]
 
 
-def _power_corner_refine(ch, p, grid, scan, objective):
+def _power_grid_rows(t: int, grid: GridSpec) -> dict:
+    """Rows of the largest grid each power-constrained region builds, by name.
+
+    Counted from the table sizes alone, so nothing is allocated: a
+    :func:`_trace_grid` has one row per angle tuple and eigenvalue row.
+    ``wtc_capacity_power`` and ``both_confidential_frontier`` hold the
+    trace-p simplex manifold; ``frontier_power`` also holds the coarse K*
+    grid, counted before its cut to the u-ball (``trace_steps``^t rows);
+    ``region_common_power`` holds the outer rows of its chained grid,
+    counted over the whole rotation lattice (manifold nodes x
+    ``deep_theta_steps``^m x ``deep_diag_steps``^t), or at t = 1 the
+    ``chain_diag_steps`` outer rows of its one constraint.  The counts
+    are exact or, where noted, upper bounds.
+    """
+    m = t * (t - 1) // 2
+
+    def angles(steps):  # len of the angle tuples, as canonical_angles gives them
+        return steps // math.gcd(2, steps) if t == 2 else steps**m
+
+    manifold = angles(grid.theta_steps) * math.comb(grid.trace_steps + t - 2, t - 1)
+    kstar = angles(grid.theta_steps) * grid.trace_steps**t
+    if t == 1:
+        common = grid.chain_diag_steps
+    else:
+        nodes = angles(grid.deep_theta_steps) * math.comb(grid.deep_trace_steps + t - 2, t - 1)
+        common = nodes * grid.deep_theta_steps**m * grid.deep_diag_steps**t
+    return {
+        "wtc_capacity_power": manifold,
+        "both_confidential_frontier": manifold,
+        "frontier_power": max(manifold, kstar),
+        "region_common_power": common,
+    }
+
+
+def _power_corner_refine(ch, p, grid, params, scores, objective):
     """Maximize ``objective(K)`` over the trace-p manifold.
 
-    ``objective`` maps a batch of constraint matrices to their values.
-    The ``STARTS`` best nodes of ``scan`` seed coordinate-wise golden
-    section over the manifold parameters, refined together as one batch;
-    returns the best constraint matrix.  An infeasible trace tail scores
-    -inf, which golden section simply avoids.
+    ``objective`` maps a batch of constraint matrices to their values;
+    the callers pass a value-only one (no argmax, no QR).  ``params``
+    are the parameters of the :func:`_manifold_scan` nodes and
+    ``scores`` the objective already evaluated on them.  The ``STARTS``
+    best nodes seed coordinate-wise golden section over the manifold
+    parameters, refined together as one batch; returns the best
+    constraint matrix.  An infeasible trace tail scores -inf, which
+    golden section simply avoids.
     """
     t = ch.t
     m = t * (t - 1) // 2
@@ -438,13 +495,20 @@ def _power_corner_refine(ch, p, grid, scan, objective):
         kmat, feasible = constraint(x)
         return np.where(feasible, objective(kmat), -np.inf)
 
-    kmats, params = scan
-    nodes = np.argsort(-objective(kmats), kind="stable")[:STARTS]
+    nodes = np.argsort(-scores, kind="stable")[:STARTS]
     x, fx, _ = coordinate_refine(
         f, params[nodes], bounds, spans, REFINE_TOL, grid.refine_iters
     )
     kbest, _ = constraint(x[[int(np.argmax(fx))]])
     return kbest[0]
+
+
+def _wtc_corner(ch, p, grid, params, scores):
+    """(value, K, K*) of the wiretap optimum over the trace-p manifold,
+    polished from the scan ``scores`` (:func:`_wtc_value` of its nodes)."""
+    kmat = _power_corner_refine(ch, p, grid, params, scores, lambda k: _wtc_value(ch, k))
+    value, kstar = _wtc_gevd(ch, kmat)
+    return float(value), kmat, kstar
 
 
 def _water_fill(nu, power):
@@ -457,10 +521,13 @@ def _water_fill(nu, power):
     the active set and rises after it, so mu is the smallest L_j, and zero
     power gives mu = nu_1 and rate 0 (Telatar 1999).
     """
-    t = nu.shape[-1]
     power = np.maximum(np.asarray(power, dtype=float), 0.0)
-    levels = (power[..., None] + np.cumsum(nu, axis=-1)) / np.arange(1, t + 1)
-    mu = levels.min(axis=-1)
+    # Column by column, adding in the order of a cumulative sum.
+    head = nu[..., 0]
+    mu = power + head
+    for j in range(1, nu.shape[-1]):
+        head = head + nu[..., j]
+        mu = np.minimum(mu, (power + head) / (j + 1))
     rate = np.sum(np.log2(np.maximum(mu[..., None], nu) / nu), axis=-1) / 2.0
     return rate, mu
 
@@ -476,16 +543,34 @@ def _kstar_matrices(x, p: float, t: int) -> np.ndarray:
     return gram(_trace_factors(np.column_stack([x[:, :m], p * x[:, m:] ** 2]), t))
 
 
+def _det_i_plus_kstar(a, e, turn) -> np.ndarray:
+    """det(I + G K* G^T) of K* = V(theta) diag(e) V^T for t <= 2, from A = G^T G.
+
+    ``turn`` holds (cos 2 theta, sin 2 theta) per row at t = 2 and is
+    None at t = 1 (see :func:`_kstar_rates`).
+    """
+    if turn is None:
+        return 1.0 + e[:, 0] * a[0, 0]
+    cos2, sin2 = turn
+    along = 0.5 * (a[0, 0] + a[1, 1]) + 0.5 * (a[0, 0] - a[1, 1]) * cos2 + a[0, 1] * sin2
+    e1, e2 = e[:, 0], e[:, 1]
+    return 1.0 + e1 * along + e2 * (np.trace(a) - along) + e1 * e2 * np.linalg.det(a)
+
+
 def _kstar_rates(ch: GaussianBc, p: float, x) -> np.ndarray:
     """Rows (r1(K*), W(K*)) of K* = V diag(e) V^T, e = p u^2, for rows x = (angles, u).
 
     W(K*) is the best private rate over K = K* + Q with Q PSD and
     tr Q <= p - tr K*: water-filling over the spectrum of N + K* with
-    N = (G2^T G2)^-1.  For t <= 2 no matrix that depends on K* is built.
-    With M_j = V^T G_j^T G_j V, det(I + G_j K* G_j^T) = det(I + diag(e) M_j),
-    a principal-minor expansion, so r1 = max(0.5 log2(d1 / d2), 0).  The
-    spectrum of N + K* is the single value T = tr N + sum e for t = 1 and
-    for t = 2 the roots of nu^2 - T nu + D with D = det(N + K*) =
+    N = (G2^T G2)^-1.  For t <= 2 each node is scored in closed form from
+    its parameters, with no per-node matrix.  With A_j = G_j^T G_j,
+    d_j = det(I + G_j K* G_j^T) is 1 + e g_j^2 at t = 1 and at t = 2
+    d_j = 1 + e_1 m_j + e_2 (tr A_j - m_j) + e_1 e_2 det A_j, where
+    m_j = v^T A_j v = h_j + c_j cos 2 theta + A_j[0, 1] sin 2 theta is A_j
+    along the first column v of V(theta), with h_j and c_j the half sum
+    and half difference of its diagonal; r1 = max(0.5 log2(d1 / d2), 0).
+    The spectrum of N + K* is the single value T = tr N + sum e for t = 1
+    and for t = 2 the roots of nu^2 - T nu + D with D = det(N + K*) =
     det N * d2; the small root is taken as D / nu_+, free of cancellation.
     For t >= 3 the nodes are scored from K* itself: its angle grids hold
     many rows with the same K*, the Pareto mask keeps whichever of them
@@ -495,24 +580,24 @@ def _kstar_rates(ch: GaussianBc, p: float, x) -> np.ndarray:
     t = ch.t
     m = t * (t - 1) // 2
     e = p * x[:, m:] ** 2
+    total = e.sum(axis=1)
     noise = _noise2(ch)
     if t >= 3:
         ks = _kstar_matrices(x, p, t)
         r1 = half_log2_det(ch.g1, ks) - half_log2_det(ch.g2, ks)
         nu = np.linalg.eigvalsh(noise + ks)
     else:
-        v = rotation_batch(x[:, :m], t)
-        vt = np.swapaxes(v, -1, -2)
-        d1, d2 = (det_i_plus_diag(vt @ (g.T @ g) @ v, list(e.T)) for g in (ch.g1, ch.g2))
+        turn = (np.cos(2.0 * x[:, 0]), np.sin(2.0 * x[:, 0])) if t == 2 else None
+        d1, d2 = (_det_i_plus_kstar(g.T @ g, e, turn) for g in (ch.g1, ch.g2))
         r1 = half_log2(d1 / d2)
-        tr = np.trace(noise) + e.sum(axis=1)
+        tr = np.trace(noise) + total
         if t == 1:
             nu = tr[:, None]
         else:
             det = np.linalg.det(noise) * d2
             hi = 0.5 * (tr + np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0)))
             nu = np.column_stack([det / hi, hi])
-    w, _ = _water_fill(nu, p - e.sum(axis=1))
+    w, _ = _water_fill(nu, p - total)
     return np.column_stack([np.maximum(r1, 0.0), w])
 
 
@@ -574,7 +659,9 @@ def _zoom_sweep(ch: GaussianBc, p: float, grid: GridSpec):
     return x[_pareto_mask(rates[:, 0], rates[:, 1])], counts
 
 
-def frontier_power(ch: GaussianBc, p: float, grid: GridSpec | None = None) -> Frontier:
+def frontier_power(
+    ch: GaussianBc, p: float, grid: GridSpec | None = None, *, _corner=None
+) -> Frontier:
     """Pareto frontier of the pair region under total power ``p``.
 
     R2 depends on the constraint K only through C2(K), so the union over
@@ -584,10 +671,13 @@ def frontier_power(ch: GaussianBc, p: float, grid: GridSpec | None = None) -> Fr
     :func:`_zoom_sweep` finds the Pareto K*; each kept point gets the
     constraint that attains W(K*), so tr K = p and K* <= K exactly.  The
     max-R1 corner re-water-fills the K* of :func:`wtc_capacity_power`;
-    the max-R2 corner is K* = 0.  ``meta`` records the K* nodes scored
+    the max-R2 corner is K* = 0.  ``_corner`` is that call's result
+    when the caller already holds it (the ``compare`` command runs it
+    once for both of its regions).  ``meta`` records the K* nodes scored
     per zoom level (``nodes_per_level``) and the ``perf_counter`` seconds
     of the K* sweep, the wiretap corner and the point construction
-    (``phase_s``).
+    (``phase_s``); ``wtc_corner`` reads about zero when the corner was
+    passed in.
     """
     grid = grid or GridSpec()
     _check_power(p)
@@ -601,7 +691,7 @@ def frontier_power(ch: GaussianBc, p: float, grid: GridSpec | None = None) -> Fr
     x, counts = _zoom_sweep(ch, p, grid)
     swept = time.perf_counter()
     meta["nodes_per_level"] = counts
-    _, _, kstar_wtc = wtc_capacity_power(ch, p, grid)
+    _, _, kstar_wtc = _corner or wtc_capacity_power(ch, p, grid)
     cornered = time.perf_counter()
     kstars = np.concatenate(
         [_kstar_matrices(x, p, t), kstar_wtc[None], np.zeros((1, t, t))]
@@ -623,7 +713,7 @@ def frontier_power(ch: GaussianBc, p: float, grid: GridSpec | None = None) -> Fr
 
 
 def both_confidential_frontier(
-    ch: GaussianBc, p: float, grid: GridSpec | None = None
+    ch: GaussianBc, p: float, grid: GridSpec | None = None, *, _corner=None
 ) -> Frontier:
     """Comparison region with both private messages confidential.
 
@@ -632,7 +722,13 @@ def both_confidential_frontier(
     contributes one rectangle whose corner is the closed-form wiretap
     optimum of K (Liu, Liu, Poor & Shamai, IEEE T-IT 2010).  The frontier
     is the Pareto filter of those corners over the trace-p manifold,
-    plus the max-R1 and max-R2 corners polished over its parameters.
+    plus the max-R1 and max-R2 corners polished over its parameters,
+    each seeded from the scan's own rates.  The max-R1 corner is the
+    (value, K, K*) of :func:`wtc_capacity_power`; ``_corner`` is that
+    result when the caller already holds it.  ``meta["phase_s"]`` holds
+    the ``perf_counter`` seconds of the manifold ``scan`` and of the
+    ``max_r1_corner`` and ``max_r2_corner``; when the corner was passed
+    in, ``max_r1_corner`` reads only the two determinants of its R2.
     """
     grid = grid or GridSpec()
     _check_power(p)
@@ -642,23 +738,31 @@ def both_confidential_frontier(
         zero = np.zeros((t, t))
         return Frontier([RatePoint(0.0, 0.0, {"k": zero, "kstar": zero})], meta)
 
-    def rates(kmat):
-        r1, ks = _wtc_gevd(ch, kmat)
-        excess = half_log2_det(ch.g2, kmat) - half_log2_det(ch.g1, kmat)
-        return r1, r1 + excess, ks
+    def excess(kmat):
+        return half_log2_det(ch.g2, kmat) - half_log2_det(ch.g1, kmat)
 
-    scan = _manifold_scan(t, p, grid)
-    r1, r2, ks = rates(scan[0])
+    start = time.perf_counter()
+    kmats, params = _manifold_scan(t, p, grid)
+    r1, ks = _wtc_gevd(ch, kmats)
+    r2 = r1 + excess(kmats)
     points = [
-        RatePoint(r1[i], r2[i], {"k": scan[0][i], "kstar": ks[i]})
+        RatePoint(r1[i], r2[i], {"k": kmats[i], "kstar": ks[i]})
         for i in np.flatnonzero(_pareto_mask(r1, np.maximum(r2, 0.0)))
     ]
-    # The max-R1 objective is the wiretap value alone; rates() would add
-    # two determinants it never reads.
-    for objective in (lambda k: _wtc_gevd(ch, k)[0], lambda k: rates(k)[1]):
-        kmat = _power_corner_refine(ch, p, grid, scan, objective)
-        r1v, r2v, ksv = rates(kmat)
-        points.append(RatePoint(r1v, r2v, {"k": kmat, "kstar": ksv}))
+    scanned = time.perf_counter()
+    value, kmat, kstar = _corner or _wtc_corner(ch, p, grid, params, r1)
+    points.append(RatePoint(value, value + excess(kmat), {"k": kmat, "kstar": kstar}))
+    cornered = time.perf_counter()
+    kmat = _power_corner_refine(
+        ch, p, grid, params, r2, lambda k: _wtc_value(ch, k) + excess(k)
+    )
+    r1v, ksv = _wtc_gevd(ch, kmat)
+    points.append(RatePoint(r1v, r1v + excess(kmat), {"k": kmat, "kstar": ksv}))
+    meta["phase_s"] = {
+        "scan": scanned - start,
+        "max_r1_corner": cornered - scanned,
+        "max_r2_corner": time.perf_counter() - cornered,
+    }
     return Frontier(pareto_filter_pairs(points), meta)
 
 
@@ -666,8 +770,10 @@ def wtc_capacity_power(ch: GaussianBc, p: float, grid: GridSpec | None = None):
     """Wiretap secrecy capacity under a total power constraint.
 
     Maximizes the closed-form fixed-constraint optimum over the trace-p
-    manifold (node scan, then golden-section polish of its parameters);
-    returns (value, constraint, argmax).
+    manifold: a node scan, then golden-section polish of its parameters
+    whose objective is the value alone (:func:`_wtc_value`, no argmax);
+    the argmax is formed once, at the polished constraint.  Returns
+    (value, constraint, argmax).
     """
     grid = grid or GridSpec()
     _check_power(p)
@@ -675,10 +781,8 @@ def wtc_capacity_power(ch: GaussianBc, p: float, grid: GridSpec | None = None):
     if p == 0:
         zero = np.zeros((t, t))
         return 0.0, zero, zero
-    scan = _manifold_scan(t, p, grid)
-    kmat = _power_corner_refine(ch, p, grid, scan, lambda k: _wtc_gevd(ch, k)[0])
-    value, kstar = _wtc_gevd(ch, kmat)
-    return float(value), kmat, kstar
+    kmats, params = _manifold_scan(t, p, grid)
+    return _wtc_corner(ch, p, grid, params, _wtc_value(ch, kmats))
 
 
 # (r0, r1) cells per axis of the triple thinning.

@@ -14,6 +14,7 @@ from secbc import GridSpec, cli, frontier_fixed_cov, make_channel, r1_hat, r2_ha
 from secbc.cli import RunConfig, emit_csv, emit_svg, main, parse_matrix
 from secbc.dpc import dpc_identity_check, random_instance
 from secbc.regions import Frontier, RatePoint, RateTriple
+from secbc.sweeps import diag_values, grid_tables
 
 from conftest import EXAMPLE_G1, EXAMPLE_G2, large_singular_covariance
 
@@ -24,6 +25,7 @@ FAST = [
     "--grid-d", "7",
     "--grid-trace", "7",
 ]
+GAINS_T3 = ["--g1", "2,0,0;0,1,0;0,0,1", "--g2", "1,0,0;0,2,0;0,0,1"]
 
 
 def _package_env():
@@ -111,11 +113,17 @@ class TestExitCodes:
             ["dpc-check", "--trials", "-1"],
             ["dpc-check", "--trials", "0"],
             ["decomp-check", "--seed", "-1"],
+            # t = 3 default power grids: 562 million rows and more
+            ["wtc", "--power", "4", *GAINS_T3],
+            ["compare", "--power", "4", *GAINS_T3],
+            ["region", "--power", "4", *GAINS_T3],
+            ["region", "--mode", "common", "--power", "4", *GAINS_T3],
+            ["region", "--mode", "both-confidential", "--power", "4", *GAINS_T3],
         ],
     )
     def test_bad_configuration_exits_2(self, argv, tmp_path, capsys):
         argv = [a.replace("{dir}", str(tmp_path)) for a in argv]
-        if argv[0] not in ("dpc-check", "decomp-check"):
+        if argv[0] not in ("dpc-check", "decomp-check") and "--g1" not in argv:
             argv += ["--g1", G1_ARG, "--g2", G2_ARG]
         assert main(argv) == 2
         assert "invalid configuration" in capsys.readouterr().err
@@ -376,6 +384,50 @@ class TestGridFlags:
             assert {n: getattr(grid, n) for n in steps} == steps, fields
 
 
+class TestGridLimit:
+    """Power grids are counted from their tables before anything is built
+    (``regions._power_grid_rows``), and the CLI refuses counts above
+    ``MAX_GRID_ROWS``."""
+
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_counts_bound_the_grids_built(self, t):
+        grid = GridSpec(
+            theta_steps=5, trace_steps=4, chain_diag_steps=3,
+            deep_theta_steps=2, deep_diag_steps=2, deep_trace_steps=3,
+        )
+        ch = make_channel(*np.random.default_rng(t).normal(size=(2, t, t)))
+        rows = regions._power_grid_rows(t, grid)
+        kmats, _ = regions._manifold_scan(t, 2.0, grid)
+        assert rows["wtc_capacity_power"] == rows["both_confidential_frontier"] == len(kmats)
+        coarse = regions.frontier_power(ch, 2.0, grid).meta["nodes_per_level"][0]
+        assert max(len(kmats), coarse) <= rows["frontier_power"]
+        theta, d = (
+            (grid.chain_theta_steps, grid.chain_diag_steps) if t == 1
+            else (grid.deep_theta_steps, grid.deep_diag_steps)
+        )
+        tab = grid_tables(t, theta, diag_values(d), chained=True)
+        common = regions.region_common_power(ch, 2.0, grid).meta["candidates"]
+        assert common // (len(tab.rots) * len(tab.combos)) <= rows["region_common_power"]
+
+    def test_limit_admits_the_grids_in_use(self):
+        # the default grids at t <= 2, the --grid-* flags of these tests, and
+        # the t = 3 grids of scripts/compare_outputs.py
+        grids = [(t, GridSpec()) for t in (1, 2)]
+        grids += [(t, RunConfig(grid_theta=10, grid_d=7, grid_trace=7).grid()) for t in (1, 2)]
+        for t, grid in grids:
+            assert max(regions._power_grid_rows(t, grid).values()) <= cli.MAX_GRID_ROWS
+        pair_t3 = regions._power_grid_rows(3, GridSpec(theta_steps=8, trace_steps=9))
+        pair_t3.pop("region_common_power")
+        assert max(pair_t3.values()) <= cli.MAX_GRID_ROWS
+        deep_t3 = GridSpec(deep_theta_steps=4, deep_diag_steps=2, deep_trace_steps=3)
+        assert regions._power_grid_rows(3, deep_t3)["region_common_power"] <= cli.MAX_GRID_ROWS
+        assert min(regions._power_grid_rows(3, GridSpec()).values()) > cli.MAX_GRID_ROWS
+
+    def test_zero_power_builds_no_grid(self):
+        # p = 0 returns before any grid, so the t = 3 default grid is fine
+        assert main(["wtc", "--power", "0", *GAINS_T3]) == 0
+
+
 class TestBrokenPipe:
     @pytest.mark.parametrize("unbuffered", [False, True])
     def test_closed_stdout_still_writes_files_and_exits_0(self, tmp_path, unbuffered):
@@ -447,6 +499,10 @@ class TestOverflowingCovariance:
             ["envelope", "--covariance", "1e308,0;0,1", "--eta", "1.2"],
             # a wiretap pencil that overflows
             ["wtc", "--covariance", "1,0;0,1", "--g1", "1e200,0;0,1e200"],
+            # power budgets whose rates overflow
+            ["compare", "--power", "1e300"],
+            ["wtc", "--power", "1e300"],
+            ["region", "--power", "1e300"],
         ],
     )
     def test_exits_3_without_traceback(self, argv, tmp_path, capsys):
@@ -464,6 +520,9 @@ class TestOverflowingCovariance:
             ["region", "--mode", "common", "--covariance", "1e300,0;0,1e300"],
             ["envelope", "--eta", "1.2", "--covariance", "1e300,0;0,1e300"],
             ["wtc", "--covariance", "1e308,0;0,1"],
+            ["compare", "--power", "1e300"],
+            ["wtc", "--power", "1e300"],
+            ["region", "--power", "1e300"],
         ],
     )
     def test_stderr_is_one_line(self, argv, threads):
@@ -504,8 +563,80 @@ class TestCompare:
         assert "stroke-dasharray" in body
         assert "R2 [bits/use]" in body
 
+    def test_runs_the_wiretap_corner_once(self, monkeypatch, capsys):
+        # two polishes: the wiretap corner, shared by both regions, and the
+        # both-confidential max-R2 corner
+        calls = []
+        refine = regions._power_corner_refine
+
+        def counted(*args):
+            calls.append(args)
+            return refine(*args)
+
+        monkeypatch.setattr(regions, "_power_corner_refine", counted)
+        argv = ["compare", "--power", "4", "--g1", G1_ARG, "--g2", G2_ARG, *FAST]
+        for _ in range(2):  # a second identical call does the same work
+            calls.clear()
+            assert main(argv) == 0
+            assert len(calls) == 2
+
+    def test_max_r1_rows_are_the_wiretap_corner(self, monkeypatch, capsys):
+        built = {}
+        for name in ("frontier_power", "both_confidential_frontier"):
+            fn = getattr(regions, name)
+
+            def spy(*args, fn=fn, name=name, **kwargs):
+                built[name] = fn(*args, **kwargs)
+                return built[name]
+
+            monkeypatch.setattr(regions, name, spy)
+        assert main(["compare", "--power", "4", "--g1", G1_ARG, "--g2", G2_ARG, *FAST]) == 0
+        grid = RunConfig(grid_theta=10, grid_d=7, grid_trace=7).grid()
+        ch = make_channel(EXAMPLE_G1, EXAMPLE_G2)
+        value, k, kstar = regions.wtc_capacity_power(ch, 4.0, grid)
+        one = built["frontier_power"].points[-1]
+        both = built["both_confidential_frontier"].points[-1]
+        assert both.r1 == value
+        assert both.gen["k"].tobytes() == k.tobytes()
+        assert both.gen["kstar"].tobytes() == kstar.tobytes()
+        # the one-confidential corner keeps K* and water-fills its own K
+        assert one.gen["kstar"].tobytes() == kstar.tobytes()
+
+
+def _reference_csv(frontier) -> str:
+    """CSV text of ``frontier`` formatted entry by entry: repr(float(v))
+    of every generator entry, one point at a time."""
+    first = frontier.points[0]
+    labels = {"k": "k", "kstar": "ks", "k1": "k1", "k2": "k2"}
+    header = ["R1", "R2"] + (["R0"] if frontier.is_triple else [])
+    for name, mat in first.gen.items():
+        t = np.asarray(mat).shape[0]
+        header += [f"{labels[name]}_{i}{j}" for i in range(t) for j in range(t)]
+    lines = [",".join(header)]
+    for p in frontier.points:
+        row = [f"{p.r1:.6f}", f"{p.r2:.6f}"] + ([f"{p.r0:.6f}"] if frontier.is_triple else [])
+        for mat in p.gen.values():
+            row += [repr(float(v)) for v in np.asarray(mat).ravel()]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
 
 class TestEmitters:
+    def test_bytes_match_the_entrywise_formatter(self, tmp_path, fast_grid):
+        ch = make_channel(EXAMPLE_G1, EXAMPLE_G2)
+        odd = np.array([[-0.0, 5e-324], [1e300, 1.0 / 3.0]])
+        frontiers = [
+            regions.frontier_power(ch, 4.0, fast_grid),
+            regions.both_confidential_frontier(ch, 4.0, fast_grid),
+            regions.region_common_power(ch, 4.0, fast_grid),
+            Frontier([RatePoint(0.5, 0.25, {"k": odd, "kstar": np.eye(2, dtype=int)})]),
+            Frontier([RateTriple(0.1, 0.2, 0.3, {"k": odd, "k1": odd.T, "k2": np.zeros((2, 2))})]),
+        ]
+        for i, fr in enumerate(frontiers):
+            path = tmp_path / f"f{i}.csv"
+            emit_csv(fr, path)
+            assert path.read_bytes() == _reference_csv(fr).encode("utf-8")
+
     def _tiny_frontier(self):
         k = np.diag([2.0, 1.0])
         ks = np.diag([1.0, 0.5])

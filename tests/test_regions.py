@@ -311,6 +311,22 @@ class TestWaterFill:
                 rate, _ = _water_fill(nu, power)
                 assert rate == pytest.approx(water_fill_oracle(ch.g2, power), abs=1e-9)
 
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_bitwise_the_cumulative_sum_levels(self, t):
+        # the column loop adds in the order of np.cumsum, so the levels of
+        # the vectorized form are reproduced to the bit
+        from secbc.regions import _water_fill
+
+        rng = np.random.default_rng(320 + t)
+        nu = np.sort(np.exp(3.0 * rng.normal(size=(500, t))), axis=1)
+        power = np.exp(3.0 * rng.normal(size=500)) - 1.0
+        levels = (np.maximum(power, 0.0)[:, None] + np.cumsum(nu, axis=1)) / np.arange(1, t + 1)
+        mu = levels.min(axis=1)
+        rate = np.sum(np.log2(np.maximum(mu[:, None], nu) / nu), axis=1) / 2.0
+        got_rate, got_mu = _water_fill(nu, power)
+        assert got_mu.tobytes() == mu.tobytes()
+        assert got_rate.tobytes() == rate.tobytes()
+
     def test_zero_remaining_power(self, example_channel):
         from secbc.regions import _noise2, _water_fill, _water_filled
 
@@ -536,6 +552,26 @@ class TestBothConfidential:
         for p in fr.points:
             value, _ = wtc_capacity(example_channel, p.gen["k"])
             assert p.r1 == pytest.approx(value, abs=1e-9)
+
+    def test_meta_reports_phase_times(self, example_channel, fast_grid):
+        fr = both_confidential_frontier(example_channel, 6.0, fast_grid)
+        phases = fr.meta["phase_s"]
+        assert set(phases) == {"scan", "max_r1_corner", "max_r2_corner"}
+        assert all(math.isfinite(v) and v >= 0.0 for v in phases.values())
+
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_passed_corner_gives_the_same_frontiers(self, t):
+        # compare hands both regions the wtc_capacity_power result; each
+        # region computes the same corner when it is not passed in
+        rng = np.random.default_rng(50 + t)
+        ch = make_channel(2.0 * rng.normal(size=(t, t)), rng.normal(size=(t, t)))
+        grid = GridSpec(theta_steps=4, trace_steps=5)
+        corner = wtc_capacity_power(ch, 5.0, grid)
+        for fn in (frontier_power, both_confidential_frontier):
+            own, passed = fn(ch, 5.0, grid), fn(ch, 5.0, grid, _corner=corner)
+            assert own.rates().tobytes() == passed.rates().tobytes()
+            for a, b in zip(own.points, passed.points):
+                assert all(a.gen[n].tobytes() == b.gen[n].tobytes() for n in a.gen)
 
 
 class TestCheckK1Zero:
