@@ -19,8 +19,8 @@ and each level is one weight table:
 
 One maximizer serves all three: a coarse tensor-grid sweep over the
 chained sub-covariance parameters (``GridSpec`` theta/diag steps for one
-level, ``chain_*`` for two, ``deep_*`` for three) followed by
-multi-start coordinate golden-section refinement.  The outer levels are
+level, ``chain_*`` for two, ``deep_*`` for three) followed by one
+batched spectral projected-gradient polish.  The outer levels are
 enumerated; the innermost level is streamed, scored in row blocks of
 its parents (:func:`secbc.sweeps.top_k_rows`), so memory stays at one
 block whatever the grid size.  Since K_L <= K_{L-1} and c > 0, no
@@ -32,20 +32,27 @@ can reach the top k, with the same result.  The seeds are the
 index (the lexicographically smallest parameter vector); exactly tied
 nodes are almost always one split reached through a degenerate
 parameterization (a zero scaling makes the angles below it irrelevant),
-so they would refine to the same point.  At t = 2 the grid keeps one
-rotation per class (:func:`secbc.sweeps.grid_tables`, the angles in
-[0, pi/2)), and the best node also starts from its 2^L - 1 mirrored
-parameterizations (:func:`_mirrored_starts`), which golden section
-follows differently.  t = 3 has no such start set, so a refined t = 3
-grid keeps every rotation of its lattice; without refinement it keeps
-one per class.
-Results are deterministic under any parallel evaluation order.  Grid
-seeds, their mirrors and the best spectral rank-one seeds are then
-refined together, in lockstep, by one batched
-:func:`secbc.sweeps.coordinate_refine`; the objective therefore takes
-a batch of parameter vectors.  ``EnvelopeResult.grid_meta`` records the
-grid nodes, the nodes scored, the blocks, the line searches each start
-used and the starts that hit the ``refine_iters`` cap (``capped``).
+so they would refine to the same point.  Every grid keeps one rotation
+per class V ~ V P S (:func:`secbc.sweeps.grid_tables`).
+
+The polish works on chained contractions: level l's factor is
+B_l = B_{l-1} C_l with B_0 = sqrt_factor(k) and spectral norm
+||C_l|| <= 1, so K_L <= ... <= K_1 <= k holds by construction, singular
+k included.  A grid node (angles, d) is C = V(angles) diag(sqrt(d)), a
+spectral seed the rank-one sqrt(delta) x e_1^T (:func:`_spectral_seeds`).
+The objective's gradient is closed form (:func:`_layered_value_grad`)
+and the projection clips each C_l's singular values at 1
+(:func:`_contract`), so :func:`secbc.sweeps.spg_max` polishes the grid
+seeds, a full-rank copy of the best one and the best spectral seeds
+together, in lockstep; the objective therefore takes a batch of chains.
+The polish is equivariant under (C_l R, R^T C_{l+1}) for orthogonal R,
+which maps V to V P S, so a dropped duplicate of a grid rotation would
+follow the same path in K.  Results are deterministic under any
+parallel evaluation order.  ``EnvelopeResult.grid_meta`` records the
+grid nodes, the nodes scored, the blocks, the iterations each start
+used, the starts that hit the ``refine_iters`` cap (``capped``) and the
+projected-gradient residual ||P(C + grad f) - C|| at the returned chain
+(``kkt_residual``), its distance from first-order stationarity.
 
 ``bound_b`` is the closed-form eigenvalue bound certifying that the
 level-2 objective stays bounded over all inputs, and
@@ -61,21 +68,19 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import GaussianBc, make_channel, mi_xy
-from .matops import gram, half_log2, half_log2_det, logdet2, rotation_angles
+from .matops import gram, half_log2, half_log2_det, logdet2, rotation_batch
 from .matops import sqrt_factor, validate_psd
 from .sweeps import (
-    REFINE_TOL,
     STARTS,
     GridSpec,
-    chain_factor,
     children_factors,
-    coordinate_refine,
     det_i_plus_gram,
     diag_values_sqrt,
     grid_params,
     grid_tables,
     pair_dets,
     pair_dets_rows,
+    spg_max,
     top_k_bounded,
     top_k_rows,
 )
@@ -133,50 +138,25 @@ def s_eta(ch: GaussianBc, kx, eta: float) -> float:
     return mi_xy(ch, kx, 2) - eta * mi_xy(ch, kx, 1)
 
 
-def _bounds_spans(t: int, theta_steps: int, diag_steps: int, levels: int):
-    """Refinement box and bracket half-widths of a chained parameter vector."""
-    m = t * (t - 1) // 2
-    bounds = [(0.0, 2.0 * math.pi)] * m + [(0.0, 1.0)] * t
-    spans = [2.0 * math.pi / theta_steps] * m
-    # widest gap of the sqrt-spaced scaling grid sits at the top end
-    spans += [2.0 / max(diag_steps - 1, 1)] * t
-    return bounds * levels, np.tile(spans, levels)
-
-
-def _rank1_angles(b0: np.ndarray, u: np.ndarray, t: int):
-    """Angles aligning the first scaled column of B V with direction u."""
-    x, *_ = np.linalg.lstsq(b0, u, rcond=None)
-    nrm = np.linalg.norm(x)
-    if nrm < 1e-12:
-        return None
-    x = x / nrm
-    basis = np.eye(t)
-    basis[:, 0] = x
-    q, _ = np.linalg.qr(basis)
-    if q[:, 0] @ x < 0:
-        q[:, 0] = -q[:, 0]
-    if np.linalg.det(q) < 0:
-        q[:, -1] = -q[:, -1]
-    return rotation_angles(q)
-
-
-def _spectral_seeds(ch: GaussianBc, b0: np.ndarray, eta: float, levels: int):
-    """Rank-one starting points for the chained envelope optimizations.
+def _spectral_seeds(ch: GaussianBc, b0: np.ndarray, eta: float, levels: int) -> np.ndarray:
+    """Rank-one contraction chains (n, levels, t, t) to start the polish from.
 
     Optima with tiny splits live inside narrow direction cones that a
     coarse angle grid can step over entirely, and (for any t, scalar
     channels included) below the first nonzero scaling node; the extreme
-    directions of the linearized objectives (generalized eigenvectors of
+    directions u of the linearized objectives (generalized eigenvectors of
     the two gain Grams, top eigenvector of W2 - eta*W1) seed those basins
-    directly with small splits delta.  For t = 1 the only direction is
-    the scalar one, which needs no angles.
+    directly with small splits delta*B x x^T B^T, B = ``b0`` and x the
+    normalized least-squares solution of B x = u: the contraction
+    sqrt(delta)*x*e_1^T at one level, the identity at the levels above it
+    and the identity or zero below.  For t = 1 the only direction is the
+    scalar one.
     """
     from scipy.linalg import eigh as generalized_eigh
 
     t = ch.t
-    m = t * (t - 1) // 2
     if t == 1:
-        angles = [np.zeros(0)]
+        dirs = [np.ones(1)]
     else:
         w1 = ch.g1.T @ ch.g1
         w2 = ch.g2.T @ ch.g2
@@ -188,50 +168,93 @@ def _spectral_seeds(ch: GaussianBc, b0: np.ndarray, eta: float, levels: int):
             pass
         _, vecs = np.linalg.eigh(w2 - eta * w1)
         dirs.append(vecs[:, -1])
-        angles = [_rank1_angles(b0, u / np.linalg.norm(u), t) for u in dirs]
-
-    zeros_level = np.zeros(m + t)
-    ones_level = np.concatenate([np.zeros(m), np.ones(t)])
+    eye, zero = np.eye(t), np.zeros((t, t))
+    layouts = {
+        1: [[None]],
+        2: [[None, zero], [None, eye], [eye, None]],
+        3: [[None, eye, zero], [None, eye, eye], [None, zero, zero], [eye, None, zero],
+            [eye, eye, None]],
+    }[levels]
     seeds = []
-    for ang in angles:
-        if ang is None:
+    for u in dirs:
+        x, *_ = np.linalg.lstsq(b0, u / np.linalg.norm(u), rcond=None)
+        if np.linalg.norm(b0 @ x) < 1e-12:  # u is orthogonal to the range of K
             continue
+        lead = np.outer(x / np.linalg.norm(x), eye[0])
         for delta in (1e-3, 1e-2, 1e-1):
-            lead = np.concatenate([ang, [delta], np.zeros(t - 1)])
-            if levels == 1:
-                seeds.append(lead)
-            elif levels == 2:
-                seeds.append(np.concatenate([lead, zeros_level]))
-                seeds.append(np.concatenate([lead, ones_level]))
-                seeds.append(np.concatenate([ones_level, lead]))
-            else:
-                seeds.append(np.concatenate([lead, ones_level, zeros_level]))
-                seeds.append(np.concatenate([lead, ones_level, ones_level]))
-                seeds.append(np.concatenate([lead, zeros_level, zeros_level]))
-                seeds.append(np.concatenate([ones_level, lead, zeros_level]))
-                seeds.append(np.concatenate([ones_level, ones_level, lead]))
-    return seeds
+            scaled = math.sqrt(delta) * lead
+            seeds += [[scaled if c is None else c for c in row] for row in layouts]
+    return np.array(seeds).reshape(-1, levels, t, t)
 
 
-def _mirrored_starts(x: np.ndarray, levels: int) -> np.ndarray:
-    """The other 2^levels - 1 parameterizations of one t = 2 chain ``x``.
+def _contract(cs: np.ndarray) -> np.ndarray:
+    """Nearest chain of contractions: singular values above 1 clipped to 1.
 
-    Turning level l by pi/2 and swapping its two scalings turns its factor
-    F_l into F_l R(pi/2); turning level l + 1 back by pi/2 then restores
-    its child.  So each nonempty subset of turned levels rebuilds the same
-    chain of Grams.  Golden section is not invariant under that change of
-    coordinates, so these are starts of their own.  Angles are taken mod
-    2*pi, inside the refinement box.
+    ``cs`` (..., t, t) holds one matrix per level; the Frobenius-nearest
+    matrix of spectral norm at most 1 keeps the singular vectors and
+    clips the singular values.  Matrices already inside are returned
+    as they are.
     """
-    bits = (np.arange(1, 1 << levels)[:, None] >> np.arange(levels)) & 1
-    y = np.tile(np.reshape(x, (levels, 3)), (len(bits), 1, 1))
-    turn = np.diff(bits, axis=1, prepend=0) * (0.5 * math.pi)
-    y[:, :, 0] = np.mod(y[:, :, 0] + turn, 2.0 * math.pi)
-    swap = bits.astype(bool)
-    y[swap] = y[swap][:, [0, 2, 1]]
-    return y.reshape(len(bits), 3 * levels)
+    u, s, vh = np.linalg.svd(cs)
+    over = s[..., 0] > 1.0
+    if not over.any():
+        return cs
+    out = cs.copy()
+    out[over] = (u[over] * np.minimum(s[over], 1.0)[:, None, :]) @ vh[over]
+    return out
 
 
+def _contractions(params: np.ndarray, t: int) -> np.ndarray:
+    """The contraction V(angles) diag(sqrt(d)) of each row (angles, d) of a grid level."""
+    m = t * (t - 1) // 2
+    return rotation_batch(params[:, :m], t) * np.sqrt(params[:, None, m:])
+
+
+def _chain_factors(b0: np.ndarray, cs: np.ndarray) -> np.ndarray:
+    """B_l = B_{l-1} C_l from B_0 = ``b0`` for contraction chains (S, L, t, t)."""
+    out = np.empty(cs.shape)
+    b = b0
+    for lev in range(cs.shape[1]):
+        b = b @ cs[:, lev]
+        out[:, lev] = b
+    return out
+
+
+def _layered_value_grad(gains: np.ndarray, b0: np.ndarray, weights: np.ndarray):
+    """Value and gradient of the layered objective over contraction chains.
+
+    ``gains`` stacks (G_1, G_2) and ``weights`` (L, 2) holds each level's
+    weights of (h_1, h_2); the chain C (S, L, t, t) gives K_l = B_l B_l^T
+    with B_l = B_{l-1} C_l, B_0 = ``b0``.  The values come from
+    :func:`half_log2_det`.  With A = G_j B_l, dh_j/dB_l =
+    G_j^T A (I + A^T A)^-1 / ln 2, and one reverse pass over the levels
+    turns the sums D_l = df/dB_l into df/dC_l = B_{l-1}^T D_l, with
+    D_{l-1} gaining D_l C_l^T.
+    """
+    levels, t = len(weights), b0.shape[0]
+    scaled = weights[:, :, None, None] * np.swapaxes(gains, -1, -2) / math.log(2.0)
+
+    def value_grad(cs):
+        bs = _chain_factors(b0, cs)
+        h = half_log2_det(gains, factors=bs[:, :, None])
+        a = gains @ bs[:, :, None]
+        m = np.swapaxes(a, -1, -2) @ a
+        m += np.eye(t)
+        direct = (scaled @ a @ np.linalg.inv(m)).sum(axis=2)
+        grad = np.empty(cs.shape)
+        d = direct[:, -1]
+        for lev in range(levels - 1, -1, -1):
+            parent = bs[:, lev - 1] if lev else b0
+            grad[:, lev] = np.swapaxes(parent, -1, -2) @ d
+            if lev:
+                d = direct[:, lev - 1] + d @ np.swapaxes(cs[:, lev], -1, -2)
+        return (h * weights).sum(axis=(1, 2)), grad
+
+    return value_grad
+
+
+# Least scaling of the full-rank copy of the best grid node (see _layered_max).
+_LIFT = 1e-6
 # Grid resolution (angle steps, scaling steps) and the number of spectral
 # seeds kept, by the number of chained levels.
 _LEVEL_GRID = {
@@ -263,13 +286,8 @@ def _layered_max(ch: GaussianBc, k, outer, inner: float, eta: float, grid):
     theta_steps, diag_steps = getattr(grid, theta_name), getattr(grid, diag_name)
     gains = (ch.g1, ch.g2)
     b0 = sqrt_factor(k)
-    # Refinement starts from grid parameterizations, and golden section is
-    # not invariant under V -> V P S.  At t = 2 the best node's dropped
-    # duplicates come back as _mirrored_starts; t = 3 has no such set, so
-    # a refined t = 3 grid keeps every rotation of its lattice.
-    classes = t <= 2 or grid.refine_iters == 0
     dvals = diag_values_sqrt(diag_steps)
-    tab = grid_tables(t, theta_steps, dvals, chained=bool(outer), classes=classes)
+    tab = grid_tables(t, theta_steps, dvals, chained=bool(outer))
     nv, nd = len(tab.rots), len(tab.combos)
 
     parents, terms = b0[None], None
@@ -299,39 +317,35 @@ def _layered_max(ch: GaussianBc, k, outer, inner: float, eta: float, grid):
             lambda lo, hi: score(np.arange(lo, hi)), n_rows, n_cols, STARTS
         )
         scored = n_rows
-    seeds = grid_params(tab, flat, levels)
-    stacked = np.stack(gains)
+    m = t * (t - 1) // 2
+    params = grid_params(tab, flat, levels).reshape(-1, m + t)
+    seeds = _contractions(params, t).reshape(-1, levels, t, t)
+    weights = np.array([*outer, (-inner * eta, inner)], dtype=float)
+    value_grad = _layered_value_grad(np.stack(gains), b0, weights)
 
-    def objective(params):
-        h = half_log2_det(stacked, factors=chain_factor(b0, params, t, levels)[:, :, None])
-        val = None
-        for lev, weights in enumerate(outer):
-            for j, w in enumerate(weights):
-                val = w * h[:, lev, j] if val is None else val + w * h[:, lev, j]
-        last = inner * (h[:, -1, 1] - eta * h[:, -1, 0])
-        return last if val is None else val + last
-
-    extra = _spectral_seeds(ch, b0, eta, levels)
     if grid.refine_iters == 0:
-        x, value, used = seeds[0], float(top[0]), []
+        cs, value, used = seeds[0], float(top[0]), []
+        grad = value_grad(seeds[:1])[1][0]
     else:
-        # Grid seeds, at t = 2 the mirrored parameterizations of the best
-        # one, and the ``keep`` best spectral seeds (scored in one batch,
-        # ties to the earlier seed); the best start wins, ties to the
-        # earlier.
-        starts = list(seeds)
-        if t == 2:
-            starts += list(_mirrored_starts(seeds[0], levels))
-        if extra:
-            scores = objective(np.array(extra))
-            starts += [extra[i] for i in np.argsort(-scores, kind="stable")[:keep]]
-        bounds, spans = _bounds_spans(t, theta_steps, diag_steps, levels)
-        xs, fx, used = coordinate_refine(
-            objective, np.array(starts), bounds, spans, REFINE_TOL, grid.refine_iters
-        )
+        # Grid seeds, a copy of the best one with every scaling raised to
+        # at least _LIFT, and the ``keep`` best spectral seeds (scored in
+        # one batch, ties to the earlier seed); the best start wins, ties
+        # to the earlier.  The polish keeps the null space of a level whose
+        # gradient vanishes there (the innermost level always), so only the
+        # copy can reach an optimum of higher rank than the node.
+        starts = seeds
+        lifted = params[:levels].copy()
+        lifted[:, m:] = np.maximum(lifted[:, m:], _LIFT)
+        if (lifted != params[:levels]).any():
+            starts = np.concatenate([starts, _contractions(lifted, t)[None]])
+        extra = _spectral_seeds(ch, b0, eta, levels)
+        if len(extra):
+            scores = value_grad(extra)[0]
+            starts = np.concatenate([starts, extra[np.argsort(-scores, kind="stable")[:keep]]])
+        xs, fx, gx, used = spg_max(value_grad, _contract, starts, grid.refine_iters)
         best = int(np.argmax(fx))
-        x, value, used = xs[best], float(fx[best]), used.tolist()
-    grams = gram(chain_factor(b0, x, t, levels)[0])
+        cs, value, grad, used = xs[best], float(fx[best]), gx[best], used.tolist()
+    grams = gram(_chain_factors(b0, cs[None])[0])
     splits = [grams[-1]] + [grams[lev - 1] - grams[lev] for lev in range(levels - 1, 0, -1)]
     meta = {
         "resolution": {
@@ -344,8 +358,9 @@ def _layered_max(ch: GaussianBc, k, outer, inner: float, eta: float, grid):
         "grid_nodes": n_rows * n_cols,
         "nodes_scored": scored * n_cols,
         "grid_blocks": blocks,
-        "line_searches": used,
+        "iterations": used,
         "capped": [i for i, u in enumerate(used) if u >= grid.refine_iters],
+        "kkt_residual": float(np.linalg.norm(_contract(cs + grad) - cs)),
     }
     return EnvelopeResult(value, splits, meta)
 

@@ -1,10 +1,11 @@
-"""Batched grid sweeps over sub-covariances plus derivative-free refinement.
+"""Batched grid sweeps over sub-covariances plus local refinement.
 
 The optimization problems in this package all have the same shape: a
 smooth objective over one or more chained sub-covariance parameterizations
 (Givens angles, diagonal scalings in [0, 1]).  They are attacked by a
-coarse tensor grid evaluated with vectorized numpy, followed by
-coordinate-wise golden-section polish of the best grid nodes.
+coarse tensor grid evaluated with vectorized numpy, followed by a polish
+of the best grid nodes: spectral projected gradient for the envelopes,
+coordinate-wise golden section for the power corners.
 
 Every matrix V diag(d) V^T of a sub-covariance grid is reached through
 several rotations of the [0, 2*pi) angle lattice: V and V P S (P a
@@ -19,9 +20,7 @@ P S (every t <= 2; at t = 3 the 4-, 6- and 10-step lattices, not the
 8-, 12- or 16-step ones), since a dropped outer member's children are
 turned by its P S; otherwise they keep the whole lattice.  Either way a
 grid holds every matrix, and every chain of matrices, of the full
-lattice.  A caller that refines from grid parameterizations at t = 3
-asks for the whole lattice instead (golden section is not invariant
-under V -> V P S).  The trace-p grids of :mod:`secbc.regions` use
+lattice.  The trace-p grids of :mod:`secbc.regions` use
 :func:`canonical_angles`, the t = 2 half of the same rule; refinement
 boxes span the whole period.
 
@@ -50,15 +49,17 @@ k-th value found there; its top k is still exact.
 :func:`pair_dets_rows` scores any subset of parents with the bits of the
 full batch.
 
-Refinement runs a batch of starts in lockstep (:func:`coordinate_refine`,
-:func:`golden_max`): every objective call evaluates the live lanes at
-once, and a lane that has finished is masked out, so each lane performs
-exactly the line searches and evaluations it would perform alone.  A
+Refinement runs a batch of starts in lockstep (:func:`spg_max`,
+:func:`coordinate_refine`, :func:`golden_max`): every objective call
+evaluates the live lanes at once, and a lane that has finished is masked
+out, so each lane performs exactly the steps and evaluations it would
+perform alone.  :func:`spg_max` takes the objective's gradient and a
+projection onto a convex feasible set.  In the golden-section polish, a
 line search whose maximum sits at an end of its bracket returns that
 end after the first call, which also scores both ends and their
 neighbours; the others run plain golden section.
-Objectives therefore map a batch of parameter vectors (S, n) to (S,)
-values; :func:`chain_factor` is batched to match.
+Objectives therefore map a batch of points (S, ...) to (S,) values;
+:func:`chain_factor` is batched to match.
 """
 
 from __future__ import annotations
@@ -94,6 +95,7 @@ __all__ = [
     "simplex_grid",
     "golden_max",
     "coordinate_refine",
+    "spg_max",
     "top_k_flat",
     "top_k_rows",
     "top_k_bounded",
@@ -108,6 +110,13 @@ GRID_BLOCK_NODES = 1 << 16
 # Golden-section polish: line-search tolerance and grid nodes refined per sweep.
 REFINE_TOL = 1e-6
 STARTS = 4
+# Projected-gradient polish: Armijo fraction, the values its nonmonotone
+# reference spans, the Barzilai-Borwein step range and the relative change
+# below which a start stops.
+SPG_ARMIJO = 1e-4
+SPG_MEMORY = 10
+SPG_STEPS = (1e-30, 1e30)
+SPG_RTOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -122,8 +131,10 @@ class GridSpec:
     :mod:`secbc.regions`).  Chained two-level sweeps use the ``chain_*``
     steps per level and three-level sweeps the ``deep_*`` steps; the full
     defaults would be astronomically large there.  ``refine_iters``
-    caps the line searches per start of the golden-section polish, which
-    stop on their own once a sweep no longer moves them.
+    caps the iterations per start of the envelopes' projected-gradient
+    polish and the line searches per start of the power corners'
+    golden-section polish; both stop on their own once they no longer
+    gain.
     """
 
     theta_steps: int = 64
@@ -285,9 +296,7 @@ def _closed(rots: np.ndarray, cls: np.ndarray, first: np.ndarray) -> bool:
     return bool(np.isin(ids[len(kept):], ids[: len(kept)]).all())
 
 
-def grid_tables(
-    t: int, theta_steps: int, dvals: np.ndarray, chained: bool = False, classes: bool = True
-) -> GridTables:
+def grid_tables(t: int, theta_steps: int, dvals: np.ndarray, chained: bool = False) -> GridTables:
     """Tables of ``theta_steps`` angles on [0, 2*pi) per Givens angle times
     ``dvals``, one rotation per class.
 
@@ -306,17 +315,14 @@ def grid_tables(
     the lattice need not hold.  That holds at every t <= 2 and at t = 3
     with 4 steps; otherwise the outer levels keep the whole lattice, so
     every chained grid holds the (outer, inner) pairs of the full one.
-    With ``classes`` false every level keeps the whole lattice.
     """
     tuples = diag_combos(theta_values(theta_steps), t * (t - 1) // 2)
     rots = rotation_batch(tuples, t)
-    keep = outer = np.arange(len(rots))
-    if classes:
-        cls = _class_ids(rots)
-        _, first = np.unique(cls, return_index=True)
-        keep = np.sort(first)
-        if not chained or _closed(rots, cls, first):
-            outer = keep
+    cls = _class_ids(rots)
+    _, first = np.unique(cls, return_index=True)
+    keep = outer = np.sort(first)
+    if chained and not _closed(rots, cls, first):
+        outer = np.arange(len(rots))
     return GridTables(
         tuples[keep], rots[keep], tuples[outer], rots[outer], dvals, diag_combos(dvals, t)
     )
@@ -621,6 +627,87 @@ def coordinate_refine(
             fx[won] = fi[better]
         live &= ~(moved < xtol) & (used < budget)
     return x, fx, used
+
+
+def spg_max(fg, project, x0: np.ndarray, budget: int):
+    """Spectral projected-gradient ascent of a batch of starts, in lockstep.
+
+    ``x0`` holds one start per row (S, ...); ``fg`` maps points (S', ...)
+    to their values (S',) and gradients (S', ...), and ``project`` maps
+    points to their Euclidean projections onto a closed convex set.  Each
+    iteration steps from x along the projected direction
+    p = project(x + alpha*g) - x, alpha the Barzilai-Borwein step
+    <s, s> / -<s, y> of the last move s and gradient change y (clipped to
+    ``SPG_STEPS``; the first is 1 / max|project(x + g) - x|), and backtracks
+    by safeguarded quadratic interpolation until the nonmonotone Armijo
+    test f(x + lam*p) >= min(last ``SPG_MEMORY`` values) +
+    ``SPG_ARMIJO``*lam*<g, p> holds (Birgin, Martinez & Raydan 2000;
+    Grippo, Lampariello & Lucidi 1986).  A start stops when an iteration
+    changes its value by no more than ``SPG_RTOL``*(1 + |f|), when the
+    gain a step could still promise, lam*<g, p>, falls to that floor, or
+    when it has used ``budget`` iterations.
+
+    Every objective call evaluates the live starts at once, so each start
+    takes exactly the steps it would take alone.  Returns (x, fx, gx,
+    used): the best point each start reached, its value (>= f(project(x0))
+    row-wise) and gradient, and the iterations each start used.
+    """
+    x = project(np.array(x0, dtype=float))
+    n = len(x)
+    axes = tuple(range(1, x.ndim))
+    pad = (slice(None),) + (None,) * (x.ndim - 1)
+    fx, gx = fg(x)
+    best, fbest, gbest = x.copy(), fx.copy(), gx.copy()
+    used = np.zeros(n, dtype=int)
+    if budget < 1:
+        return best, fbest, gbest, used
+    recent = np.repeat(fx[:, None], SPG_MEMORY, axis=1)
+    p = np.zeros_like(x)
+    slope = np.zeros(n)
+    lam = np.ones(n)
+    lo, hi = SPG_STEPS
+    unit = np.abs(project(x + gx) - x).max(axis=axes)
+    alpha = np.clip(1.0 / np.maximum(unit, lo), lo, hi)
+
+    def floor(f):
+        return SPG_RTOL * (1.0 + np.abs(f))
+
+    def direction(lanes):
+        """Set the projected step of ``lanes``; return those that can still gain."""
+        p[lanes] = project(x[lanes] + alpha[lanes][pad] * gx[lanes]) - x[lanes]
+        slope[lanes] = (gx[lanes] * p[lanes]).sum(axis=axes)
+        lam[lanes] = 1.0
+        return lanes[slope[lanes] > floor(fx[lanes])]
+
+    live = direction(np.arange(n))
+    while live.size:
+        y = x[live] + lam[live][pad] * p[live]
+        fy, gy = fg(y)
+        ok = fy >= recent[live].min(axis=1) + SPG_ARMIJO * lam[live] * slope[live]
+        acc, rej = live[ok], live[~ok]
+        s = y[ok] - x[acc]
+        sy = -(s * (gy[ok] - gx[acc])).sum(axis=axes)
+        ss = (s * s).sum(axis=axes)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            alpha[acc] = np.where(sy > 0.0, np.clip(ss / sy, lo, hi), hi)
+        change = np.abs(fy[ok] - fx[acc])
+        x[acc], fx[acc], gx[acc] = y[ok], fy[ok], gy[ok]
+        recent[acc, used[acc] % SPG_MEMORY] = fy[ok]
+        used[acc] += 1
+        up = acc[fy[ok] > fbest[acc]]
+        best[up], fbest[up], gbest[up] = x[up], fx[up], gx[up]
+        more = direction(acc[(used[acc] < budget) & (change > floor(fx[acc]))])
+        # Backtrack to the peak of the quadratic through f(x), its slope
+        # along p and the rejected value, kept within [0.1, 0.5] of the step.
+        step = lam[rej]
+        drop = fx[rej] + step * slope[rej] - fy[~ok]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            quad = step * step * slope[rej] / (2.0 * drop)
+        lam[rej] = np.clip(np.nan_to_num(quad, nan=0.0), 0.1 * step, 0.5 * step)
+        back = lam[rej] * slope[rej] > floor(fx[rej])
+        used[rej[~back]] += 1
+        live = np.sort(np.concatenate([more, rej[back]]))
+    return best, fbest, gbest, used
 
 
 def top_k_flat(values: np.ndarray, k: int) -> np.ndarray:

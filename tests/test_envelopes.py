@@ -18,14 +18,14 @@ from secbc import (
     v_tilde,
 )
 
-from secbc.envelopes import _mirrored_starts
-from secbc.matops import gram, half_log2_det, psd_leq, sqrt_factor
+from secbc import envelopes
+from secbc.matops import half_log2_det, psd_leq, rotation, sqrt_factor
 from secbc.sweeps import (
-    chain_factor,
     children_factors,
     diag_combos,
     diag_values_sqrt,
     rotation_batch,
+    spg_max,
     theta_values,
 )
 
@@ -87,6 +87,14 @@ class TestVEta:
             small = v_eta(example_channel, k, 1.2, fast_grid).value
             big = v_eta(example_channel, kbig, 1.2, fast_grid).value
             assert big >= small - 1e-6
+
+    @pytest.mark.parametrize("scale", [3e6, 1e9])
+    def test_large_constraint_keeps_the_value(self, example_channel, scale):
+        # the optimum has trace about 0.21, far below every nonzero grid node
+        small = v_eta(example_channel, 1e3 * np.eye(2), 1.2).value
+        large = v_eta(example_channel, scale * np.eye(2), 1.2).value
+        assert small == pytest.approx(0.143179, abs=1e-6)
+        assert large == pytest.approx(small, abs=1e-9)
 
     def test_eta_below_one_rejected(self, example_channel, fast_grid):
         with pytest.raises(ValueError):
@@ -189,11 +197,6 @@ class TestVHat:
                 >= v_hat(example_channel, k, w, fast_grid).value - 1e-6
             )
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="large-constraint defect: at 1e9 I the optimum is lost and v_hat "
-        "reads 0 (about 0.2848 at 1e3 I)",
-    )
     def test_large_constraint_keeps_the_value(self, example_channel):
         w = EnvelopeWeights(lambda1=1.0, lambda2=0.8, eta=1.2)
         small = v_hat(example_channel, 1e3 * np.eye(2), w).value
@@ -341,33 +344,16 @@ def layered_objective(level, ch, splits, w):
     return val
 
 
-class TestMirroredStarts:
-    @pytest.mark.parametrize("levels", [1, 2, 3])
-    def test_rebuild_the_same_gram_chain(self, rng, levels):
-        b0 = np.linalg.cholesky(random_spd(rng, 2, scale=3.0))
-        x = np.concatenate(
-            [np.concatenate([[rng.uniform(0.0, 2 * math.pi)], rng.uniform(0.0, 1.0, 2)])
-             for _ in range(levels)]
-        )
-        mirrors = _mirrored_starts(x, levels)
-        assert mirrors.shape == (2**levels - 1, 3 * levels)
-        assert len({row.tobytes() for row in np.vstack([x, mirrors])}) == 2**levels
-        angles = mirrors[:, ::3]
-        assert np.all((angles >= 0.0) & (angles < 2 * math.pi))
-        want = gram(chain_factor(b0, x, 2, levels))
-        got = gram(chain_factor(b0, mirrors, 2, levels))
-        assert np.abs(got - want).max() <= 1e-12
-
-
 class TestT3Grids:
-    """A refined t = 3 envelope sweeps every rotation of its lattice, since
-    golden section from a dropped duplicate may end elsewhere; its grid
-    maximum, on one rotation per class, is the full lattice's."""
+    """A t = 3 envelope sweeps one rotation per class, refined or not: the
+    polish is equivariant under V -> V P S, so a dropped duplicate would
+    follow the same path in K; its grid maximum is the full lattice's."""
 
     W = EnvelopeWeights(lambda0=2.0, lambda1=1.0, lambda2=0.8, eta=1.2, alpha=0.5)
 
-    @pytest.mark.parametrize("refine,eta_nodes,hat_nodes", [(5, 512, 64), (0, 14, 1)])
+    @pytest.mark.parametrize("refine,eta_nodes,hat_nodes", [(5, 14, 1), (0, 14, 1)])
     def test_refined_grids_keep_the_lattice(self, rng, refine, eta_nodes, hat_nodes):
+        # the 8-step lattice keeps 14 of 512 rotations, the 4-step one 1 of 64
         ch = make_channel(rng.normal(size=(3, 3)), rng.normal(size=(3, 3)))
         k = random_spd(rng, 3, scale=3.0)
         grid = GridSpec(theta_steps=8, diag_steps=3, chain_theta_steps=4, chain_diag_steps=2,
@@ -424,6 +410,98 @@ class TestArgmaxReevaluation:
         assert psd_leq(sum(splits), k)
         again = layered_objective(level, ch, splits, self.W)
         assert res.value == pytest.approx(again, abs=1e-9)
+
+
+def random_chain(rng, count, levels, t, scale=0.8):
+    """``count`` chains of ``levels`` random contractions (t, t)."""
+    cs = rng.normal(size=(count, levels, t, t))
+    return scale * cs / np.linalg.norm(cs, 2, axis=(-2, -1))[..., None, None]
+
+
+def singular_spd(rng, t):
+    """A PSD matrix of rank t - 1 (zero at t = 1)."""
+    a = rng.normal(size=(t, t - 1))
+    return a @ a.T
+
+
+class TestProjectedGradient:
+    """The polish of the layered objective over contraction chains."""
+
+    def problem(self, rng, t, levels, k=None):
+        ch = make_channel(rng.normal(size=(t, t)), rng.normal(size=(t, t)))
+        k = random_spd(rng, t, scale=2.0) if k is None else k
+        weights = rng.uniform(-1.5, 1.5, size=(levels, 2))
+        gains = np.stack([ch.g1, ch.g2])
+        return envelopes._layered_value_grad(gains, sqrt_factor(k), weights)
+
+    @pytest.mark.parametrize("levels", [1, 2, 3])
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_gradient_matches_central_differences(self, rng, t, levels):
+        for k in (None, singular_spd(rng, t)):
+            value_grad = self.problem(rng, t, levels, k)
+            cs = random_chain(rng, 2, levels, t)
+            _, grad = value_grad(cs)
+            step = 1e-6
+            numeric = np.empty(cs.shape)
+            for idx in np.ndindex(cs.shape[1:]):
+                probe = np.zeros(cs.shape[1:])
+                probe[idx] = step
+                up, down = value_grad(cs + probe)[0], value_grad(cs - probe)[0]
+                numeric[(slice(None),) + idx] = (up - down) / (2 * step)
+            assert np.abs(grad - numeric).max() <= 1e-7 * (1.0 + np.abs(grad).max())
+
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_projection_is_a_contraction_and_idempotent(self, rng, t):
+        cs = rng.normal(size=(6, 3, t, t)) * rng.uniform(0.1, 5.0, size=(6, 3, 1, 1))
+        once = envelopes._contract(cs)
+        assert np.linalg.norm(once, 2, axis=(-2, -1)).max() <= 1.0 + 1e-12
+        inside = np.linalg.norm(cs, 2, axis=(-2, -1)) <= 1.0
+        assert once[inside].tobytes() == cs[inside].tobytes()
+        assert np.abs(envelopes._contract(once) - once).max() <= 1e-14
+
+    def polish(self, value_grad, starts):
+        return spg_max(value_grad, envelopes._contract, starts, 1000)
+
+    @pytest.mark.parametrize("t", [2, 3])
+    def test_rotation_class_duplicates_reach_the_same_value(self, rng, t):
+        # V -> V P S on the innermost level is C_L -> C_L P S, and any
+        # orthogonal R gives the same chain of Grams as (C_l R, R^T C_{l+1})
+        levels = 3
+        value_grad = self.problem(rng, t, levels)
+        starts = random_chain(rng, 4, levels, t)
+        ps = np.eye(t)[rng.permutation(t)] * rng.choice([-1.0, 1.0], size=t)
+        turned = starts.copy()
+        turned[:, -1] = turned[:, -1] @ ps
+        r = rotation(rng.uniform(0.0, 2 * math.pi, t * (t - 1) // 2), t)
+        mixed = starts.copy()
+        mixed[:, 0] = mixed[:, 0] @ r
+        mixed[:, 1] = r.T @ mixed[:, 1]
+        _, want, _, _ = self.polish(value_grad, starts)
+        for other in (turned, mixed):
+            _, got, _, _ = self.polish(value_grad, other)
+            assert np.abs(got - want).max() <= 1e-12
+
+    def test_each_start_takes_the_steps_it_takes_alone(self, rng):
+        value_grad = self.problem(rng, 3, 3)
+        starts = random_chain(rng, 5, 3, 3)
+        x, _, _, used = self.polish(value_grad, starts)
+        for i in range(len(starts)):
+            alone, _, _, steps = self.polish(value_grad, starts[i : i + 1])
+            assert alone.tobytes() == x[i : i + 1].tobytes() and steps[0] == used[i]
+
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_every_returned_chain_is_ordered(self, rng, t):
+        w = EnvelopeWeights(lambda0=2.0, lambda1=1.0, lambda2=0.8, eta=1.2, alpha=0.5)
+        grid = GridSpec(theta_steps=8, diag_steps=5, chain_theta_steps=4,
+                        chain_diag_steps=3, deep_theta_steps=4, deep_diag_steps=2)
+        ch = make_channel(rng.normal(size=(t, t)), rng.normal(size=(t, t)))
+        for k in (random_spd(rng, t, scale=2.0), 1e6 * random_spd(rng, t), singular_spd(rng, t)):
+            for res in (v_eta(ch, k, w.eta, grid), v_hat(ch, k, w, grid),
+                        v_tilde(ch, k, w, grid)):
+                chain = np.cumsum(res.argmax_splits, axis=0)  # K_L, K_{L-1}, ..., K_1
+                below = np.concatenate([np.zeros((1, t, t)), chain])
+                above = np.concatenate([chain, k[None]])
+                assert np.all(psd_leq(below, above))
 
 
 def brute_v_tilde_scalar(g1, g2, k, w, n=200001):

@@ -276,12 +276,13 @@ class TestRotationClasses:
         outer = tab.tuples if closed else full_table(t, steps)[0]
         assert tab.outer_tuples.tobytes() == outer.tobytes()
 
+    @pytest.mark.parametrize("chained", [False, True])
     @pytest.mark.parametrize("t", [2, 3])
-    def test_without_classes_every_level_keeps_the_lattice(self, t):
-        tab = grid_tables(t, 8, diag_values(3), chained=True, classes=False)
-        tuples, rots = full_table(t, 8)
-        assert tab.tuples.tobytes() == tab.outer_tuples.tobytes() == tuples.tobytes()
-        assert tab.rots.tobytes() == tab.outer_rots.tobytes() == rots.tobytes()
+    def test_innermost_level_keeps_one_rotation_per_class(self, t, chained):
+        tab = grid_tables(t, 8, diag_values(3), chained=chained)
+        classes = sweeps._class_ids(full_table(t, 8)[1])
+        assert len(tab.rots) == classes.max() + 1
+        assert len(np.unique(sweeps._class_ids(tab.rots))) == len(tab.rots)
 
     @pytest.mark.parametrize(
         "t,steps,stride", [(2, 6, 1), (2, 8, 1), (3, 4, 1), (3, 6, 1), (3, 8, 20)]
@@ -569,17 +570,20 @@ class TestEnvelopeSweeps:
         for res in (res_eta, res_hat, res_tilde):
             meta = res.grid_meta
             assert meta["grid_blocks"] >= 1
-            used = meta["line_searches"]
+            used = meta["iterations"]
             assert len(used) > meta["starts"]  # grid seeds plus spectral seeds
-            assert all(0 < u <= meta["refine_budget"] for u in used)
+            # a start at a stationary point takes no step
+            assert all(0 <= u <= meta["refine_budget"] for u in used) and max(used) > 0
+            assert 0.0 <= meta["kkt_residual"] <= 1e-6
 
     def test_budget_caps_line_searches(self, fast_grid):
+        # each SPG iteration is one line search
         grid = GridSpec(
             theta_steps=8, diag_steps=5, chain_theta_steps=4, chain_diag_steps=3,
             deep_theta_steps=4, deep_diag_steps=3, refine_iters=3,
         )
         for res in self.run_all(grid):
-            used = res.grid_meta["line_searches"]
+            used = res.grid_meta["iterations"]
             assert max(used) == 3 and all(u <= 3 for u in used)
             capped = res.grid_meta["capped"]
             assert capped and capped == [i for i, u in enumerate(used) if u == 3]
@@ -591,7 +595,8 @@ class TestEnvelopeSweeps:
         ch = make_channel(EXAMPLE_G1, EXAMPLE_G2)
         k = np.diag([3.0, 2.0])
         res = v_eta(ch, k, self.W.eta, grid)
-        assert res.grid_meta["line_searches"] == []
+        assert res.grid_meta["iterations"] == []
+        assert res.grid_meta["kkt_residual"] > 0.0  # the grid node is not stationary
         # brute force over the same (angle, sqrt-spaced scaling) nodes
         best = -np.inf
         for th in np.linspace(0, 2 * math.pi, 8, endpoint=False):
@@ -650,7 +655,8 @@ class TestInnermostPruning:
                 assert np.float64(a.value).tobytes() == np.float64(b.value).tobytes()
                 for sa, sb in zip(a.argmax_splits, b.argmax_splits):
                     assert sa.tobytes() == sb.tobytes()
-                assert a.grid_meta["line_searches"] == b.grid_meta["line_searches"]
+                assert a.grid_meta["iterations"] == b.grid_meta["iterations"]
+                assert a.grid_meta["kkt_residual"] == b.grid_meta["kkt_residual"]
                 assert a.grid_meta["nodes_scored"] <= b.grid_meta["nodes_scored"]
             # a one-row probe may set too low a threshold to skip anything
             if nodes == 500:
