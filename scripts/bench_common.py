@@ -30,11 +30,12 @@ grid nodes scored (``grid_meta["nodes_scored"]`` where the tree reports
 it).  ``--cases power`` runs the power-constrained pair regions and the
 wiretap capacity: ``frontier_power``, ``both_confidential_frontier`` and
 ``wtc_capacity_power`` on the example channel at P = 12 and the default
-grid (records add the output rows, or the capacity), and ``compare``,
-the CLI command of the ``power-fig2`` benchmark workload (P = 12, CSVs
-and SVG written into a temporary directory; records add the exit status
-and the rows of both CSVs).  ``--cases checks``
-runs the identity checks as the CLI does: ``dpc-check`` (the dirty-paper
+grid (records add the output rows, or the capacity, and the median
+seconds of each ``meta["phase_s"]`` phase of the two regions), and
+``compare``, the CLI command of the ``power-fig2`` benchmark workload
+(P = 12, CSVs and SVG written into a temporary directory; records add
+the exit status and the rows of both CSVs).  ``--cases checks`` runs
+the identity checks as the CLI does: ``dpc-check`` (the dirty-paper
 identity, ``dpc_identity_check``) and ``decomp-check`` (the
 decomposition round trip) at dims 2 and 3, 50 trials, seed 7; records
 add the exit status and the printed max gap or residual.
@@ -103,7 +104,10 @@ def _seeded_t3():
 
 
 def _rows(frontier) -> dict:
-    return {"output_rows": len(frontier.points)}
+    out = {"output_rows": len(frontier.points)}
+    if "phase_s" in frontier.meta:
+        out["phase_s"] = frontier.meta["phase_s"]
+    return out
 
 
 def _envelope_output(res) -> dict:
@@ -194,11 +198,14 @@ def child(case: str, repeats: int) -> dict:
     """Run one case ``repeats`` times in this process and report it."""
     call, size = _case_call(case)
     rss_before = _rss_mb()
-    times, out = [], None
+    times, out, phases = [], None, []
     for _ in range(repeats):
         start = time.perf_counter()
         out = call()
         times.append(time.perf_counter() - start)
+        phases.append(out.pop("phase_s", None))
+    if phases[-1] is not None:
+        out["phase_s_median"] = {k: statistics.median(p[k] for p in phases) for k in phases[-1]}
     return {
         "input": size,
         **out,

@@ -37,6 +37,9 @@ The cases (``P`` is the power, ``K`` the covariance constraint):
   (angle, eigenvalue) row, so the polish may start from rounding
   variants of the parent's nodes.  ``region_common_power``: covered
   within 0.05 bit, about one r0 cell (max R0 / 96) of its thinning.
+- ``wtc_capacity_power`` and ``both_confidential_frontier`` on the
+  example channel at P = 0.1 and P = 1e3, the two ends of the power
+  range, with the gates above.
 - ``frontier_fixed_cov`` and ``region_common_fixed`` on the example
   channel with K = 6I and 4I, and on ``default_rng(100 t + s)`` channels
   (t = 1-3, s = 1-4) with K = A A^T + 0.1 I.  Default grid, except
@@ -117,6 +120,7 @@ def _cases(secbc):
     out = []
 
     power_sets = [("example", example, 12.0, None)]
+    ends = [(f"example,P={p:g}", example, p, None) for p in (0.1, 1e3)]
     power_gates = {
         "wtc_capacity_power": DOMINATES,
         "both_confidential_frontier": COVERS_TIGHT,
@@ -133,6 +137,10 @@ def _cases(secbc):
         if grid is None:
             fns.append("region_common_power")
         for fn in fns:
+            call = partial(getattr(secbc, fn), ch, p, grid)
+            out.append((f"{fn}[{tag}]", power_gates[fn], call))
+    for tag, ch, p, grid in ends:
+        for fn in ("wtc_capacity_power", "both_confidential_frontier"):
             call = partial(getattr(secbc, fn), ch, p, grid)
             out.append((f"{fn}[{tag}]", power_gates[fn], call))
 

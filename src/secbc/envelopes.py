@@ -40,9 +40,10 @@ B_l = B_{l-1} C_l with B_0 = sqrt_factor(k) and spectral norm
 ||C_l|| <= 1, so K_L <= ... <= K_1 <= k holds by construction, singular
 k included.  A grid node (angles, d) is C = V(angles) diag(sqrt(d)), a
 spectral seed the rank-one sqrt(delta) x e_1^T (:func:`_spectral_seeds`).
-The objective's gradient is closed form (:func:`_layered_value_grad`)
-and the projection clips each C_l's singular values at 1
-(:func:`_contract`), so :func:`secbc.sweeps.spg_max` polishes the grid
+The objective's gradient is closed form
+(:func:`secbc.sweeps.layered_value_grad`) and the projection clips each
+C_l's singular values at 1 (:func:`_contract`), so
+:func:`secbc.sweeps.spg_max` polishes the grid
 seeds, a full-rank copy of the best one and the best spectral seeds
 together, in lockstep; the objective therefore takes a batch of chains.
 The polish is equivariant under (C_l R, R^T C_{l+1}) for orthogonal R,
@@ -68,16 +69,20 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import GaussianBc, make_channel, mi_xy
-from .matops import gram, half_log2, half_log2_det, logdet2, rotation_batch
+from .matops import gram, half_log2, logdet2
 from .matops import sqrt_factor, validate_psd
 from .sweeps import (
+    LIFT,
     STARTS,
     GridSpec,
+    chained_factors,
     children_factors,
+    contractions,
     det_i_plus_gram,
     diag_values_sqrt,
     grid_params,
     grid_tables,
+    layered_value_grad,
     pair_dets,
     pair_dets_rows,
     spg_max,
@@ -204,57 +209,6 @@ def _contract(cs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _contractions(params: np.ndarray, t: int) -> np.ndarray:
-    """The contraction V(angles) diag(sqrt(d)) of each row (angles, d) of a grid level."""
-    m = t * (t - 1) // 2
-    return rotation_batch(params[:, :m], t) * np.sqrt(params[:, None, m:])
-
-
-def _chain_factors(b0: np.ndarray, cs: np.ndarray) -> np.ndarray:
-    """B_l = B_{l-1} C_l from B_0 = ``b0`` for contraction chains (S, L, t, t)."""
-    out = np.empty(cs.shape)
-    b = b0
-    for lev in range(cs.shape[1]):
-        b = b @ cs[:, lev]
-        out[:, lev] = b
-    return out
-
-
-def _layered_value_grad(gains: np.ndarray, b0: np.ndarray, weights: np.ndarray):
-    """Value and gradient of the layered objective over contraction chains.
-
-    ``gains`` stacks (G_1, G_2) and ``weights`` (L, 2) holds each level's
-    weights of (h_1, h_2); the chain C (S, L, t, t) gives K_l = B_l B_l^T
-    with B_l = B_{l-1} C_l, B_0 = ``b0``.  The values come from
-    :func:`half_log2_det`.  With A = G_j B_l, dh_j/dB_l =
-    G_j^T A (I + A^T A)^-1 / ln 2, and one reverse pass over the levels
-    turns the sums D_l = df/dB_l into df/dC_l = B_{l-1}^T D_l, with
-    D_{l-1} gaining D_l C_l^T.
-    """
-    levels, t = len(weights), b0.shape[0]
-    scaled = weights[:, :, None, None] * np.swapaxes(gains, -1, -2) / math.log(2.0)
-
-    def value_grad(cs):
-        bs = _chain_factors(b0, cs)
-        h = half_log2_det(gains, factors=bs[:, :, None])
-        a = gains @ bs[:, :, None]
-        m = np.swapaxes(a, -1, -2) @ a
-        m += np.eye(t)
-        direct = (scaled @ a @ np.linalg.inv(m)).sum(axis=2)
-        grad = np.empty(cs.shape)
-        d = direct[:, -1]
-        for lev in range(levels - 1, -1, -1):
-            parent = bs[:, lev - 1] if lev else b0
-            grad[:, lev] = np.swapaxes(parent, -1, -2) @ d
-            if lev:
-                d = direct[:, lev - 1] + d @ np.swapaxes(cs[:, lev], -1, -2)
-        return (h * weights).sum(axis=(1, 2)), grad
-
-    return value_grad
-
-
-# Least scaling of the full-rank copy of the best grid node (see _layered_max).
-_LIFT = 1e-6
 # Grid resolution (angle steps, scaling steps) and the number of spectral
 # seeds kept, by the number of chained levels.
 _LEVEL_GRID = {
@@ -319,25 +273,25 @@ def _layered_max(ch: GaussianBc, k, outer, inner: float, eta: float, grid):
         scored = n_rows
     m = t * (t - 1) // 2
     params = grid_params(tab, flat, levels).reshape(-1, m + t)
-    seeds = _contractions(params, t).reshape(-1, levels, t, t)
+    seeds = contractions(params, t).reshape(-1, levels, t, t)
     weights = np.array([*outer, (-inner * eta, inner)], dtype=float)
-    value_grad = _layered_value_grad(np.stack(gains), b0, weights)
+    value_grad = layered_value_grad(np.stack(gains), b0, weights)
 
     if grid.refine_iters == 0:
         cs, value, used = seeds[0], float(top[0]), []
         grad = value_grad(seeds[:1])[1][0]
     else:
         # Grid seeds, a copy of the best one with every scaling raised to
-        # at least _LIFT, and the ``keep`` best spectral seeds (scored in
+        # at least LIFT, and the ``keep`` best spectral seeds (scored in
         # one batch, ties to the earlier seed); the best start wins, ties
         # to the earlier.  The polish keeps the null space of a level whose
         # gradient vanishes there (the innermost level always), so only the
         # copy can reach an optimum of higher rank than the node.
         starts = seeds
         lifted = params[:levels].copy()
-        lifted[:, m:] = np.maximum(lifted[:, m:], _LIFT)
+        lifted[:, m:] = np.maximum(lifted[:, m:], LIFT)
         if (lifted != params[:levels]).any():
-            starts = np.concatenate([starts, _contractions(lifted, t)[None]])
+            starts = np.concatenate([starts, contractions(lifted, t)[None]])
         extra = _spectral_seeds(ch, b0, eta, levels)
         if len(extra):
             scores = value_grad(extra)[0]
@@ -345,7 +299,7 @@ def _layered_max(ch: GaussianBc, k, outer, inner: float, eta: float, grid):
         xs, fx, gx, used = spg_max(value_grad, _contract, starts, grid.refine_iters)
         best = int(np.argmax(fx))
         cs, value, grad, used = xs[best], float(fx[best]), gx[best], used.tolist()
-    grams = gram(_chain_factors(b0, cs[None])[0])
+    grams = gram(chained_factors(b0, cs[None])[0])
     splits = [grams[-1]] + [grams[lev - 1] - grams[lev] for lev in range(levels - 1, 0, -1)]
     meta = {
         "resolution": {

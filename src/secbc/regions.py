@@ -35,10 +35,13 @@ formulas.  Every rate term comes from the checked kernel of
 grid resolutions in :class:`GridSpec`.  The
 max-confidential-rate corner of every region is the closed-form wiretap
 optimum of its constraint matrix (:func:`wtc_capacity`).  Under a power
-constraint the pair regions polish that optimum by golden section over
-the angles and leading eigenvalues of the trace-P constraint, with an
-objective that computes the value alone (:func:`_wtc_value`); the
-``compare`` command runs that polish once and hands it to both of its
+constraint the pair regions solve the power corner max h_1(K*) - h_2(K*)
+over tr K* <= P as one smooth problem (:func:`_power_corner`): the
+closed-form argmax at the best trace-P manifold nodes seeds the
+projected-gradient polish of :mod:`secbc.sweeps` over K* = P C C^T on
+the ball ||C||_F <= 1.  The max-R2 corner of the both-confidential
+region is the same problem with the users swapped.  The ``compare``
+command runs the wiretap corner once and hands it to both of its
 regions.  The common-message region takes the best of its manifold
 nodes.
 
@@ -65,24 +68,26 @@ import numpy as np
 from .channel import GaussianBc
 from .matops import gram, half_log2, half_log2_det, sqrt_factor, validate_psd
 from .sweeps import (
-    REFINE_TOL,
+    LIFT,
     STARTS,
     GridSpec,
     canonical_angles,
-    chain_factor,
+    chained_factors,
     children_factors,
-    coordinate_refine,
+    contractions,
     det_i_plus_gram,
     diag_combos,
     diag_values,
     grid_params,
     grid_tables,
+    layered_value_grad,
     map_ordered,
     pair_dets,
     pair_dets_rows,
     rotation_batch,
     row_blocks,
     simplex_grid,
+    spg_max,
 )
 
 __all__ = [
@@ -313,8 +318,8 @@ def _wtc_value(ch: GaussianBc, k):
     return _wtc_pencil(ch, k)[0]
 
 
-def _wtc_gevd(ch: GaussianBc, k):
-    """Closed-form wiretap optimum over K* below ``k``: (value, argmax).
+def _wtc_root(ch: GaussianBc, k):
+    """Closed-form wiretap optimum over K* below ``k``: (value, B), K* = B B^T.
 
     ``k`` is one covariance (t, t) or a batch (..., t, t); both outputs
     keep its leading shape.  The optimum is attained at K* = S P S, where
@@ -325,7 +330,14 @@ def _wtc_gevd(ch: GaussianBc, k):
     # Descending order puts the kept eigenvectors first, so the leading
     # columns of their QR factor Q span them.
     q, _ = np.linalg.qr(linv_t @ u)
-    return value, gram(s @ (q * (mu > 0.0)[..., None, :]))
+    return value, s @ (q * (mu > 0.0)[..., None, :])
+
+
+def _wtc_gevd(ch: GaussianBc, k):
+    """Closed-form wiretap optimum over K* below ``k``: (value, argmax)
+    (:func:`_wtc_root`)."""
+    value, root = _wtc_root(ch, k)
+    return value, gram(root)
 
 
 def wtc_capacity(ch: GaussianBc, k):
@@ -380,10 +392,12 @@ def frontier_fixed_cov(ch: GaussianBc, k, grid: GridSpec | None = None) -> Front
         np.concatenate(col)
         for col in zip(*map_ordered(front, row_blocks(len(tab.rots), nd)))
     )
-    points = []
-    for i in np.flatnonzero(_pareto_mask(r1, r2)):
-        b = chain_factor(b0, grid_params(tab, flat[i], 1), t, 1)[0, 0]
-        points.append(RatePoint(r1[i], r2[i], {"k": k, "kstar": gram(b)}))
+    keep = np.flatnonzero(_pareto_mask(r1, r2))
+    cs = contractions(grid_params(tab, flat[keep], 1), t)
+    kstars = gram(chained_factors(b0, cs[:, None])[:, 0])
+    points = [
+        RatePoint(r1[i], r2[i], {"k": k, "kstar": ks}) for i, ks in zip(keep, kstars)
+    ]
 
     rmax, kstar = _wtc_gevd(ch, k)
     r2_at = c2k - half_log2_det(ch.g2, kstar)
@@ -393,9 +407,9 @@ def frontier_fixed_cov(ch: GaussianBc, k, grid: GridSpec | None = None) -> Front
 
 def _angle_span(t: int) -> float:
     """Period of each rotation angle of K = V diag(e) V^T (at t = 2,
-    V(theta + pi) = -V(theta)).  The refinement box spans it; the grids
-    keep its :func:`secbc.sweeps.canonical_angles`, since the eigenvalue
-    tables also hold both orders."""
+    V(theta + pi) = -V(theta)).  The grids keep its
+    :func:`secbc.sweeps.canonical_angles`, since the eigenvalue tables
+    also hold both orders."""
     return math.pi if t == 2 else 2.0 * math.pi
 
 
@@ -421,15 +435,10 @@ def _trace_grid(t: int, theta_steps: int, tails) -> np.ndarray:
     )
 
 
-def _manifold_scan(t: int, p: float, grid: GridSpec):
-    """Constraint matrices of trace p on the simplex grid, in node order.
-
-    Returns (kmats, params); each params row holds the node's rotation
-    angles and its first t-1 eigenvalues, the coordinates that
-    :func:`_power_corner_refine` polishes.
-    """
+def _manifold_scan(t: int, p: float, grid: GridSpec) -> np.ndarray:
+    """Constraint matrices of trace p on the simplex grid, in node order."""
     x = _trace_grid(t, grid.theta_steps, simplex_grid(t, p, grid.trace_steps))
-    return gram(_trace_factors(x, t)), x[:, :-1]
+    return gram(_trace_factors(x, t))
 
 
 def _power_grid_rows(t: int, grid: GridSpec) -> dict:
@@ -466,47 +475,49 @@ def _power_grid_rows(t: int, grid: GridSpec) -> dict:
     }
 
 
-def _power_corner_refine(ch, p, grid, params, scores, objective):
-    """Maximize ``objective(K)`` over the trace-p manifold.
+def _trace_ball(cs: np.ndarray) -> np.ndarray:
+    """Nearest points of the ball ||C||_F <= 1 to the matrices ``cs`` (..., t, t).
 
-    ``objective`` maps a batch of constraint matrices to their values;
-    the callers pass a value-only one (no argmax, no QR).  ``params``
-    are the parameters of the :func:`_manifold_scan` nodes and
-    ``scores`` the objective already evaluated on them.  The ``STARTS``
-    best nodes seed coordinate-wise golden section over the manifold
-    parameters, refined together as one batch; returns the best
-    constraint matrix.  An infeasible trace tail scores -inf, which
-    golden section simply avoids.
+    K = p C C^T has tr K = p ||C||_F^2, so the ball is exactly the power
+    constraint; points inside are returned as they are.
+    """
+    norm = np.linalg.norm(cs, axis=(-2, -1))
+    return cs / np.maximum(norm, 1.0)[..., None, None]
+
+
+def _power_corner(ch: GaussianBc, p: float, grid: GridSpec, kmats, scores) -> np.ndarray:
+    """A trace-p constraint K whose wiretap optimum is max h_1 - h_2 over tr K* <= p.
+
+    h_j(K*) = 0.5*log2 det(I + G_j K* G_j^T) is maximized as one smooth
+    problem over K* = p C C^T with C in the :func:`_trace_ball`, by
+    :func:`secbc.sweeps.spg_max` on :func:`secbc.sweeps.layered_value_grad`
+    (root sqrt(p) I, one level, weights (1, -1)).  The starts are the
+    closed-form argmax K* = B B^T (:func:`_wtc_root`) of the ``STARTS``
+    best of the manifold nodes ``kmats`` by ``scores``, as C = B/sqrt(p),
+    plus a copy of the best with its singular values raised to at least
+    sqrt(``LIFT``): a step never raises the rank of C.  The best polished
+    K* is spread to K = K* + (p - tr K*) I / t, so K* <= K and the
+    closed-form optimum of K is at least the polished value, which is at
+    least the best node's.
     """
     t = ch.t
-    m = t * (t - 1) // 2
-    full = _angle_span(t)
-    bounds = [(0.0, full)] * m + [(0.0, p)] * (t - 1)
-    spans = np.array(
-        [full / grid.theta_steps] * m + [p / max(grid.trace_steps - 1, 1)] * (t - 1)
-    )
-
-    def constraint(x):
-        e = np.column_stack([x[:, m:], p - x[:, m:].sum(axis=1)])
-        kmat = gram(_trace_factors(np.column_stack([x[:, :m], np.maximum(e, 0.0)]), t))
-        return kmat, e[:, -1] >= 0.0
-
-    def f(x):
-        kmat, feasible = constraint(x)
-        return np.where(feasible, objective(kmat), -np.inf)
-
     nodes = np.argsort(-scores, kind="stable")[:STARTS]
-    x, fx, _ = coordinate_refine(
-        f, params[nodes], bounds, spans, REFINE_TOL, grid.refine_iters
+    roots = _wtc_root(ch, kmats[nodes])[1] / math.sqrt(p)
+    u, sv, vh = np.linalg.svd(roots[0])
+    lifted = (u * np.maximum(sv, math.sqrt(LIFT))) @ vh
+    starts = np.concatenate([roots, lifted[None]])[:, None]
+    value_grad = layered_value_grad(
+        np.stack([ch.g1, ch.g2]), math.sqrt(p) * np.eye(t), np.array([[1.0, -1.0]])
     )
-    kbest, _ = constraint(x[[int(np.argmax(fx))]])
-    return kbest[0]
+    cs, fx, _, _ = spg_max(value_grad, _trace_ball, starts, grid.refine_iters)
+    kstar = gram(math.sqrt(p) * cs[int(np.argmax(fx)), 0])
+    return kstar + max(p - np.trace(kstar), 0.0) / t * np.eye(t)
 
 
-def _wtc_corner(ch, p, grid, params, scores):
-    """(value, K, K*) of the wiretap optimum over the trace-p manifold,
-    polished from the scan ``scores`` (:func:`_wtc_value` of its nodes)."""
-    kmat = _power_corner_refine(ch, p, grid, params, scores, lambda k: _wtc_value(ch, k))
+def _wtc_corner(ch, p, grid, kmats, scores):
+    """(value, K, K*) of the wiretap optimum under power ``p``, polished
+    from the manifold nodes ``kmats`` and their :func:`_wtc_value` ``scores``."""
+    kmat = _power_corner(ch, p, grid, kmats, scores)
     value, kstar = _wtc_gevd(ch, kmat)
     return float(value), kmat, kstar
 
@@ -722,13 +733,16 @@ def both_confidential_frontier(
     contributes one rectangle whose corner is the closed-form wiretap
     optimum of K (Liu, Liu, Poor & Shamai, IEEE T-IT 2010).  The frontier
     is the Pareto filter of those corners over the trace-p manifold,
-    plus the max-R1 and max-R2 corners polished over its parameters,
-    each seeded from the scan's own rates.  The max-R1 corner is the
+    plus the max-R1 and max-R2 corners (:func:`_power_corner`), each
+    seeded from the scan's own rates.  The max-R1 corner is the
     (value, K, K*) of :func:`wtc_capacity_power`; ``_corner`` is that
-    result when the caller already holds it.  ``meta["phase_s"]`` holds
-    the ``perf_counter`` seconds of the manifold ``scan`` and of the
-    ``max_r1_corner`` and ``max_r2_corner``; when the corner was passed
-    in, ``max_r1_corner`` reads only the two determinants of its R2.
+    result when the caller already holds it.  R2 of a constraint is the
+    wiretap optimum with the users swapped (the GEVD complement), so the
+    max-R2 corner is the power corner of the swapped channel.
+    ``meta["phase_s"]`` holds the ``perf_counter`` seconds of the
+    manifold ``scan`` and of the ``max_r1_corner`` and
+    ``max_r2_corner``; when the corner was passed in, ``max_r1_corner``
+    reads only the two determinants of its R2.
     """
     grid = grid or GridSpec()
     _check_power(p)
@@ -742,7 +756,7 @@ def both_confidential_frontier(
         return half_log2_det(ch.g2, kmat) - half_log2_det(ch.g1, kmat)
 
     start = time.perf_counter()
-    kmats, params = _manifold_scan(t, p, grid)
+    kmats = _manifold_scan(t, p, grid)
     r1, ks = _wtc_gevd(ch, kmats)
     r2 = r1 + excess(kmats)
     points = [
@@ -750,12 +764,10 @@ def both_confidential_frontier(
         for i in np.flatnonzero(_pareto_mask(r1, np.maximum(r2, 0.0)))
     ]
     scanned = time.perf_counter()
-    value, kmat, kstar = _corner or _wtc_corner(ch, p, grid, params, r1)
+    value, kmat, kstar = _corner or _wtc_corner(ch, p, grid, kmats, r1)
     points.append(RatePoint(value, value + excess(kmat), {"k": kmat, "kstar": kstar}))
     cornered = time.perf_counter()
-    kmat = _power_corner_refine(
-        ch, p, grid, params, r2, lambda k: _wtc_value(ch, k) + excess(k)
-    )
+    kmat = _power_corner(GaussianBc(ch.g2, ch.g1), p, grid, kmats, r2)
     r1v, ksv = _wtc_gevd(ch, kmat)
     points.append(RatePoint(r1v, r1v + excess(kmat), {"k": kmat, "kstar": ksv}))
     meta["phase_s"] = {
@@ -769,11 +781,11 @@ def both_confidential_frontier(
 def wtc_capacity_power(ch: GaussianBc, p: float, grid: GridSpec | None = None):
     """Wiretap secrecy capacity under a total power constraint.
 
-    Maximizes the closed-form fixed-constraint optimum over the trace-p
-    manifold: a node scan, then golden-section polish of its parameters
-    whose objective is the value alone (:func:`_wtc_value`, no argmax);
-    the argmax is formed once, at the polished constraint.  Returns
-    (value, constraint, argmax).
+    Scores the closed-form fixed-constraint optimum, value alone
+    (:func:`_wtc_value`, no argmax), on the trace-p manifold nodes and
+    polishes the best of them (:func:`_power_corner`); the argmax is
+    formed once, at the polished constraint.  Returns (value, constraint,
+    argmax).
     """
     grid = grid or GridSpec()
     _check_power(p)
@@ -781,8 +793,8 @@ def wtc_capacity_power(ch: GaussianBc, p: float, grid: GridSpec | None = None):
     if p == 0:
         zero = np.zeros((t, t))
         return 0.0, zero, zero
-    kmats, params = _manifold_scan(t, p, grid)
-    return _wtc_corner(ch, p, grid, params, _wtc_value(ch, kmats))
+    kmats = _manifold_scan(t, p, grid)
+    return _wtc_corner(ch, p, grid, kmats, _wtc_value(ch, kmats))
 
 
 # (r0, r1) cells per axis of the triple thinning.
@@ -861,7 +873,8 @@ def _common_triples(ch: GaussianBc, factors, kmats, tab, meta: dict) -> list:
     corner = keep[keep >= len(flat)] - len(flat)
     # The inner split was swept from the chained outer factor, so the
     # same chain (not a fresh Cholesky root) must rebuild it.
-    ks = gram(chain_factor(factors[node], grid_params(tab, idx, 2), t, 2))
+    cs = contractions(grid_params(tab, idx, 2).reshape(2 * len(idx), -1), t)
+    ks = gram(chained_factors(factors[node], cs.reshape(-1, 2, t, t)))
     ksum = np.concatenate([ks[:, 0], kmats[corner]])
     k2 = np.concatenate([ks[:, 1], kstar[corner]])
     points = [
@@ -935,10 +948,9 @@ def check_k1_zero(ch: GaussianBc, k, samples: int = 100, seed: int = 0) -> bool:
     # angles are the draws of rng.uniform(0, 2 pi).
     draws = np.random.default_rng(seed).random((samples, 2 * (m + t)))
     draws[:, np.r_[:m, m + t : 2 * m + t]] *= 2 * math.pi
-    bsum = chain_factor(sqrt_factor(k), draws[:, : m + t], t, 1)[:, 0]
-    b2 = chain_factor(bsum, draws[:, m + t :], t, 1)[:, 0]
-    ksum = bsum @ np.swapaxes(bsum, -1, -2)
-    k2 = b2 @ np.swapaxes(b2, -1, -2)
+    cs = contractions(draws.reshape(2 * samples, m + t), t).reshape(samples, 2, t, t)
+    bs = chained_factors(sqrt_factor(k), cs)
+    ksum, k2 = (b @ np.swapaxes(b, -1, -2) for b in (bs[:, 0], bs[:, 1]))
     w, kstar = _wtc_gevd(ch, ksum)
     h1, h2 = (half_log2_det(g, np.stack([ksum, ksum - k2, kstar])) for g in (ch.g1, ch.g2))
     r1_split = h1[0] - h1[1] - h2[0] + h2[1]

@@ -1,11 +1,12 @@
-"""Batched grid sweeps over sub-covariances plus local refinement.
+"""Batched grid sweeps over sub-covariances plus a projected-gradient polish.
 
 The optimization problems in this package all have the same shape: a
-smooth objective over one or more chained sub-covariance parameterizations
-(Givens angles, diagonal scalings in [0, 1]).  They are attacked by a
-coarse tensor grid evaluated with vectorized numpy, followed by a polish
-of the best grid nodes: spectral projected gradient for the envelopes,
-coordinate-wise golden section for the power corners.
+smooth objective over one or more chained sub-covariances.  They are
+attacked by a coarse tensor grid over their parameterizations (Givens
+angles, diagonal scalings in [0, 1]) evaluated with vectorized numpy,
+followed by one polish of the best grid nodes: spectral projected
+gradient over contraction factors (:func:`spg_max`), for the envelopes
+and for the power corners alike.
 
 Every matrix V diag(d) V^T of a sub-covariance grid is reached through
 several rotations of the [0, 2*pi) angle lattice: V and V P S (P a
@@ -21,8 +22,7 @@ P S (every t <= 2; at t = 3 the 4-, 6- and 10-step lattices, not the
 turned by its P S; otherwise they keep the whole lattice.  Either way a
 grid holds every matrix, and every chain of matrices, of the full
 lattice.  The trace-p grids of :mod:`secbc.regions` use
-:func:`canonical_angles`, the t = 2 half of the same rule; refinement
-boxes span the whole period.
+:func:`canonical_angles`, the t = 2 half of the same rule.
 
 The grid half works on square-root factors: a child of the factor ``B``
 under parameters (theta, d) is ``B @ V(theta) @ diag(sqrt(d))``, whose
@@ -49,17 +49,19 @@ k-th value found there; its top k is still exact.
 :func:`pair_dets_rows` scores any subset of parents with the bits of the
 full batch.
 
-Refinement runs a batch of starts in lockstep (:func:`spg_max`,
-:func:`coordinate_refine`, :func:`golden_max`): every objective call
-evaluates the live lanes at once, and a lane that has finished is masked
-out, so each lane performs exactly the steps and evaluations it would
-perform alone.  :func:`spg_max` takes the objective's gradient and a
-projection onto a convex feasible set.  In the golden-section polish, a
-line search whose maximum sits at an end of its bracket returns that
-end after the first call, which also scores both ends and their
-neighbours; the others run plain golden section.
-Objectives therefore map a batch of points (S, ...) to (S,) values;
-:func:`chain_factor` is batched to match.
+The polish half works on chains of contractions C_1, ..., C_L: level l's
+factor is B_l = B_{l-1} C_l from a root B_0 (:func:`chained_factors`),
+and a grid node (angles, d) is the contraction V(angles) diag(sqrt(d))
+(:func:`contractions`), so a grid node and its chain give the same
+matrices.  :func:`layered_value_grad` gives the value and closed-form
+gradient of any weighted sum of the h_j(B_l B_l^T) =
+0.5*log2 det(I + G_j B_l B_l^T G_j^T), and :func:`spg_max` ascends it
+with a projection onto the callers' convex set of chains.  It runs a
+batch of starts in lockstep: every objective call evaluates the live
+starts at once, and a start that has finished is masked out, so each
+performs exactly the steps and evaluations it would perform alone.
+Objectives therefore map a batch of points (S, ...) to (S,) values and
+their gradients.
 """
 
 from __future__ import annotations
@@ -73,11 +75,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .matops import rotation_batch
+from .matops import half_log2_det, rotation_batch
 
 __all__ = [
     "GridSpec",
-    "chain_factor",
     "theta_values",
     "canonical_angles",
     "diag_values",
@@ -93,8 +94,9 @@ __all__ = [
     "pair_dets",
     "pair_dets_rows",
     "simplex_grid",
-    "golden_max",
-    "coordinate_refine",
+    "contractions",
+    "chained_factors",
+    "layered_value_grad",
     "spg_max",
     "top_k_flat",
     "top_k_rows",
@@ -104,12 +106,13 @@ __all__ = [
     "map_ordered",
 ]
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Grid nodes per row block of row_blocks (and per worker task).
 GRID_BLOCK_NODES = 1 << 16
-# Golden-section polish: line-search tolerance and grid nodes refined per sweep.
-REFINE_TOL = 1e-6
+# Grid nodes that seed the polish.
 STARTS = 4
+# Least eigenvalue of C C^T in the full-rank copy of the polish's best
+# start: a projected-gradient step never raises the rank of a contraction.
+LIFT = 1e-6
 # Projected-gradient polish: Armijo fraction, the values its nonmonotone
 # reference spans, the Barzilai-Borwein step range and the relative change
 # below which a start stops.
@@ -131,10 +134,9 @@ class GridSpec:
     :mod:`secbc.regions`).  Chained two-level sweeps use the ``chain_*``
     steps per level and three-level sweeps the ``deep_*`` steps; the full
     defaults would be astronomically large there.  ``refine_iters``
-    caps the iterations per start of the envelopes' projected-gradient
-    polish and the line searches per start of the power corners'
-    golden-section polish; both stop on their own once they no longer
-    gain.
+    caps the iterations per start of the projected-gradient polish
+    (:func:`spg_max`) of the envelopes and of the power corners, which
+    stops on its own once it no longer gains; 0 keeps the best start.
     """
 
     theta_steps: int = 64
@@ -473,160 +475,57 @@ def simplex_grid(t: int, total: float, steps: int) -> np.ndarray:
     return np.column_stack([head[keep], np.maximum(rest[keep], 0.0)])
 
 
-def golden_max(f, lo, hi, xtol: float = 1e-6):
-    """Golden-section maximization of a batch of 1-D functions, in lockstep.
+def contractions(params: np.ndarray, t: int) -> np.ndarray:
+    """The contraction V(angles) diag(sqrt(d)) of each row (angles, d) of a grid level."""
+    m = t * (t - 1) // 2
+    return rotation_batch(params[:, :m], t) * np.sqrt(params[:, None, m:])
 
-    Lane j maximizes ``x -> f(x, [j])`` on [lo[j], hi[j]]; ``f(x, lanes)``
-    evaluates the lanes ``lanes`` (indices into ``lo``) at the points
-    ``x`` and returns their values.  The first call evaluates both
-    interior probes of every lane and, for a lane wider than ``xtol``, also
-    its two ends and each end's neighbour at distance ``xtol``.  An end
-    that scores at least its neighbour, the other end and both interior
-    probes is returned at once (the lower end first): golden section would
-    only creep up to it.  Every other lane continues from the same probes,
-    each call passing only lanes whose interval is still wider than
-    ``xtol``, so it performs exactly the evaluations of a scalar
-    golden-section search.  A lane also ends once its bracket cannot
-    shrink in floating point, i.e. its probes no longer lie strictly
-    between its ends and apart: near |x| = 1e10 one ulp (1.9e-6) exceeds
-    the default ``xtol`` of 1e-6, so width alone would never stop.  That
-    test only runs when some bracket reaches |x| with ulps above
-    xtol / 64, so smaller brackets take exactly the steps they always did.
-    Returns (x, f(x)) arrays over the lanes.
+
+def chained_factors(b0: np.ndarray, cs: np.ndarray) -> np.ndarray:
+    """B_l = B_{l-1} C_l for contraction chains ``cs`` (S, L, t, t).
+
+    ``b0`` is one root B_0 (t, t) or one per chain (S, t, t); returns
+    (S, L, t, t), level 0 the outermost.
     """
-    a = np.array(lo, dtype=float, ndmin=1)
-    b = np.array(hi, dtype=float, ndmin=1)
-    xbest = a.copy()
-    fbest = np.empty(a.size)
-    flat = np.flatnonzero(b <= a)
-    if flat.size:
-        fbest[flat] = f(a[flat], flat)
-    lanes = np.flatnonzero(~(b <= a))
-    if lanes.size == 0:
-        return xbest, fbest
-    a, b = a[lanes], b[lanes]
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    n = lanes.size
-    live = np.flatnonzero((b - a) > xtol)
-    ends = [a[live], a[live] + xtol, b[live], b[live] - xtol]
-    fall = f(
-        np.concatenate([x1, x2, *ends]), np.concatenate([lanes, lanes] + [lanes[live]] * 4)
-    )
-    f1, f2 = fall[:n], fall[n : 2 * n]
-    fa, fa_in, fb, fb_in = fall[2 * n :].reshape(4, live.size)
-    probes = np.maximum(f1[live], f2[live])
-    at_a = (fa >= fa_in) & (fa >= fb) & (fa >= probes)
-    at_b = ~at_a & (fb >= fb_in) & (fb >= fa) & (fb >= probes)
-    done = at_a | at_b
-    xbest[lanes[live[done]]] = np.where(at_a, a[live], b[live])[done]
-    fbest[lanes[live[done]]] = np.where(at_a, fa, fb)[done]
-    inner = np.ones(n, dtype=bool)
-    inner[live[done]] = False
-    live = live[~done]
-    # A bracket a few ulps wide stays wider than xtol when ulps near its
-    # ends approach xtol; its probes then meet an end or each other.  Where
-    # ulps stay below xtol / 64 the probes keep apart while it is wider.
-    stall = bool(np.any(np.spacing(np.maximum(np.abs(a), np.abs(b))) > xtol / 64.0))
-    while live.size:
-        up = f1[live] < f2[live]
-        i, j = live[up], live[~up]
-        a[i], x1[i], f1[i] = x1[i], x2[i], f2[i]
-        x2[i] = a[i] + _INVPHI * (b[i] - a[i])
-        b[j], x2[j], f2[j] = x2[j], x1[j], f1[j]
-        x1[j] = b[j] - _INVPHI * (b[j] - a[j])
-        fnew = f(np.concatenate([x2[i], x1[j]]), lanes[np.concatenate([i, j])])
-        f2[i], f1[j] = fnew[: i.size], fnew[i.size :]
-        ok = b - a > xtol
-        if stall:
-            ok &= (a < x1) & (x1 < x2) & (x2 < b)
-        live = live[ok[live]]
-    first = f1 >= f2
-    xbest[lanes[inner]] = np.where(first, x1, x2)[inner]
-    fbest[lanes[inner]] = np.where(first, f1, f2)[inner]
-    return xbest, fbest
+    out = np.empty(cs.shape)
+    b = b0
+    for lev in range(cs.shape[1]):
+        b = b @ cs[:, lev]
+        out[:, lev] = b
+    return out
 
 
-def coordinate_refine(
-    f,
-    x0: np.ndarray,
-    bounds: list[tuple[float, float]],
-    spans: np.ndarray,
-    xtol: float = 1e-6,
-    budget: int = 200,
-):
-    """Coordinate-wise golden-section polish of a batch of grid optima.
+def layered_value_grad(gains: np.ndarray, b0: np.ndarray, weights: np.ndarray):
+    """Value and gradient of a layered objective over contraction chains.
 
-    ``x0`` holds one start per row (S, n) and ``f`` maps (S', n) points
-    to (S',) values.  Each line search brackets one coordinate within
-    +-span of the current point (the grid already localized the basin)
-    and runs golden section to ``xtol``.  A sweep that moved the point is
-    followed by a pattern step: one more golden-section search along the
-    sweep's displacement, out to the box boundary, which follows ridges
-    that coordinate steps alone would crawl along.  ``budget`` caps the
-    line searches (pattern steps included) per start.
-
-    All starts sweep in lockstep, one batched objective call per
-    golden-section step; a start drops out when a sweep moves it less
-    than ``xtol`` or its budget is spent, so each row ends exactly where
-    it would if refined alone.  Returns (x, fx, used): the polished
-    points, their values (each >= f(x0) row-wise) and the line searches
-    each start used.
+    ``gains`` stacks (G_1, G_2) and ``weights`` (L, 2) holds each level's
+    weights of (h_1, h_2); the chain C (S, L, t, t) gives K_l = B_l B_l^T
+    with B_l = B_{l-1} C_l, B_0 = ``b0``.  The values come from
+    :func:`half_log2_det`.  With A = G_j B_l, dh_j/dB_l =
+    G_j^T A (I + A^T A)^-1 / ln 2, and one reverse pass over the levels
+    turns the sums D_l = df/dB_l into df/dC_l = B_{l-1}^T D_l, with
+    D_{l-1} gaining D_l C_l^T.
     """
-    x = np.array(x0, dtype=float, ndmin=2)
-    fx = f(x)
-    used = np.zeros(x.shape[0], dtype=int)
-    lower = np.array([bd[0] for bd in bounds], dtype=float)
-    upper = np.array([bd[1] for bd in bounds], dtype=float)
-    live = used < budget
-    while live.any():
-        moved = np.zeros(x.shape[0])
-        start = x.copy()
-        for i in range(x.shape[1]):
-            lanes = np.flatnonzero(live & (used < budget))
-            lo = np.maximum(lower[i], x[lanes, i] - spans[i])
-            hi = np.minimum(upper[i], x[lanes, i] + spans[i])
-            wide = ~(hi - lo < xtol)
-            lanes, lo, hi = lanes[wide], lo[wide], hi[wide]
-            if lanes.size == 0:
-                continue
+    levels, t = len(weights), b0.shape[0]
+    scaled = weights[:, :, None, None] * np.swapaxes(gains, -1, -2) / math.log(2.0)
 
-            def line(v, sub, i=i, lanes=lanes):
-                y = x[lanes[sub]]
-                y[:, i] = v
-                return f(y)
+    def value_grad(cs):
+        bs = chained_factors(b0, cs)
+        h = half_log2_det(gains, factors=bs[:, :, None])
+        a = gains @ bs[:, :, None]
+        m = np.swapaxes(a, -1, -2) @ a
+        m += np.eye(t)
+        direct = (scaled @ a @ np.linalg.inv(m)).sum(axis=2)
+        grad = np.empty(cs.shape)
+        d = direct[:, -1]
+        for lev in range(levels - 1, -1, -1):
+            parent = bs[:, lev - 1] if lev else b0
+            grad[:, lev] = np.swapaxes(parent, -1, -2) @ d
+            if lev:
+                d = direct[:, lev - 1] + d @ np.swapaxes(cs[:, lev], -1, -2)
+        return (h * weights).sum(axis=(1, 2)), grad
 
-            xi, fi = golden_max(line, lo, hi, xtol)
-            used[lanes] += 1
-            better = fi > fx[lanes]
-            won = lanes[better]
-            moved[won] = np.maximum(moved[won], np.abs(xi[better] - x[won, i]))
-            x[won, i] = xi[better]
-            fx[won] = fi[better]
-        lanes = np.flatnonzero(live & ~(moved < xtol) & (used < budget))
-        if lanes.size:
-            step = x[lanes] - start[lanes]
-            norm = np.abs(step).max(axis=1)
-            unit = step / norm[:, None]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                room = np.where(
-                    unit > 0,
-                    (upper - x[lanes]) / unit,
-                    np.where(unit < 0, (lower - x[lanes]) / unit, np.inf),
-                )
-            reach = np.maximum(room.min(axis=1), 0.0)
-
-            def ray(v, sub, lanes=lanes, unit=unit):
-                return f(x[lanes[sub]] + v[:, None] * unit[sub])
-
-            si, fi = golden_max(ray, np.zeros(lanes.size), reach, xtol)
-            used[lanes] += 1
-            better = fi > fx[lanes]
-            won = lanes[better]
-            x[won] += si[better, None] * unit[better]
-            fx[won] = fi[better]
-        live &= ~(moved < xtol) & (used < budget)
-    return x, fx, used
+    return value_grad
 
 
 def spg_max(fg, project, x0: np.ndarray, budget: int):
@@ -799,28 +698,3 @@ def top_k_bounded(score, bound: np.ndarray, n_cols: int, k: int):
     order = np.argsort(idx, kind="stable")
     pick = order[top_k_flat(vals[order], k)]
     return idx[pick], vals[pick], sum(p[2] for p in parts), probe.size + rest.size
-
-
-def chain_factor(b0: np.ndarray, params: np.ndarray, t: int, levels: int) -> np.ndarray:
-    """Chained square-root factors of a batch of parameter vectors.
-
-    ``params`` (S, levels * (m + t)) concatenates (angles, diag) per
-    level; each level's factor is parent @ V(angles) @ diag(sqrt(diag)),
-    starting from ``b0``.  Returns (S, levels, t, t) with level 0 the
-    outermost.  Angles are taken mod 2*pi and scalings clipped to [0, 1]
-    so refinement may wander slightly out of the box without breaking
-    the parameterization.
-    """
-    m = t * (t - 1) // 2
-    params = np.asarray(params, dtype=float).reshape(-1, levels, m + t)
-    ang = np.mod(params[:, :, :m], 2.0 * math.pi)
-    scale = np.sqrt(np.clip(params[:, :, m:], 0.0, 1.0))
-    rots = rotation_batch(ang.reshape(len(params) * levels, m), t)
-    rots = rots.reshape(-1, levels, t, t)
-    out = np.empty(rots.shape)
-    b = b0
-    for lev in range(levels):
-        b = (b @ rots[:, lev]) * scale[:, lev, None, :]
-        out[:, lev] = b
-    return out
-

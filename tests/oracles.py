@@ -6,8 +6,6 @@ and deliberately shares no code with the package's sweep machinery, so
 agreement between the two is a genuine cross-check.
 """
 
-import math
-
 import numpy as np
 
 
@@ -176,31 +174,6 @@ def pareto_rows_oracle(arr, slack):
     geq = (uniq[None, :, :] >= uniq[:, None, :]).all(axis=-1)
     strict = (uniq[None, :, :] > uniq[:, None, :] + slack).any(axis=-1)
     return first[~(geq & strict).any(axis=1)]
-
-
-def golden_section_oracle(f, lo, hi, xtol):
-    """Scalar golden-section maximization of ``f`` on [lo, hi], as a plain loop.
-
-    Both interior probes first, then one new probe per step while the
-    interval is wider than ``xtol``; an empty interval is its end point.
-    Returns (x, f(x)) of the better final probe, the first on ties.
-    """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = float(lo), float(hi)
-    if b <= a:
-        return a, f(a)
-    x1, x2 = b - invphi * (b - a), a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > xtol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-    return (x1, f1) if f1 >= f2 else (x2, f2)
 
 
 def kstar_rates_oracle(g1, g2, p, v, e):

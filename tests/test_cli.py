@@ -397,7 +397,7 @@ class TestGridLimit:
         )
         ch = make_channel(*np.random.default_rng(t).normal(size=(2, t, t)))
         rows = regions._power_grid_rows(t, grid)
-        kmats, _ = regions._manifold_scan(t, 2.0, grid)
+        kmats = regions._manifold_scan(t, 2.0, grid)
         assert rows["wtc_capacity_power"] == rows["both_confidential_frontier"] == len(kmats)
         coarse = regions.frontier_power(ch, 2.0, grid).meta["nodes_per_level"][0]
         assert max(len(kmats), coarse) <= rows["frontier_power"]
@@ -451,7 +451,8 @@ class TestBrokenPipe:
 
 
 class TestHugePower:
-    """Golden section ends at powers where one ulp exceeds its tolerance."""
+    """The power corners end in time at huge powers, where the polish's
+    starts may use up their ``refine_iters`` budget."""
 
     @pytest.mark.parametrize("command", ["wtc", "compare"])
     def test_exits_0_in_time(self, command, tmp_path):
@@ -567,13 +568,13 @@ class TestCompare:
         # two polishes: the wiretap corner, shared by both regions, and the
         # both-confidential max-R2 corner
         calls = []
-        refine = regions._power_corner_refine
+        polish = regions._power_corner
 
         def counted(*args):
             calls.append(args)
-            return refine(*args)
+            return polish(*args)
 
-        monkeypatch.setattr(regions, "_power_corner_refine", counted)
+        monkeypatch.setattr(regions, "_power_corner", counted)
         argv = ["compare", "--power", "4", "--g1", G1_ARG, "--g2", G2_ARG, *FAST]
         for _ in range(2):  # a second identical call does the same work
             calls.clear()

@@ -24,6 +24,7 @@ from secbc.sweeps import (
     children_factors,
     diag_combos,
     diag_values_sqrt,
+    layered_value_grad,
     rotation_batch,
     spg_max,
     theta_values,
@@ -432,7 +433,7 @@ class TestProjectedGradient:
         k = random_spd(rng, t, scale=2.0) if k is None else k
         weights = rng.uniform(-1.5, 1.5, size=(levels, 2))
         gains = np.stack([ch.g1, ch.g2])
-        return envelopes._layered_value_grad(gains, sqrt_factor(k), weights)
+        return layered_value_grad(gains, sqrt_factor(k), weights)
 
     @pytest.mark.parametrize("levels", [1, 2, 3])
     @pytest.mark.parametrize("t", [1, 2, 3])

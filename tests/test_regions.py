@@ -574,6 +574,59 @@ class TestBothConfidential:
                 assert all(a.gen[n].tobytes() == b.gen[n].tobytes() for n in a.gen)
 
 
+class TestPowerCorner:
+    """Both power corners are one polish over K* = p C C^T, ||C||_F <= 1."""
+
+    GRID = GridSpec(theta_steps=8, trace_steps=9)
+
+    @staticmethod
+    def channel(t, seed):
+        rng = np.random.default_rng(seed)
+        return make_channel(rng.normal(size=(t, t)), rng.normal(size=(t, t)))
+
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_max_r2_is_the_swapped_wiretap_capacity(self, t):
+        # by the GEVD complement, max R2 is user 2's own wiretap problem
+        ch = self.channel(t, 60 + t)
+        fr = both_confidential_frontier(ch, 3.0, self.GRID)
+        value, _, _ = wtc_capacity_power(make_channel(ch.g2, ch.g1), 3.0, self.GRID)
+        assert abs(fr.max_r2() - value) <= 1e-9
+
+    @pytest.mark.parametrize("iters", [0, 1000])
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_corners_reach_the_best_manifold_node(self, t, iters):
+        ch = self.channel(t, 70 + t)
+        grid = GridSpec(theta_steps=8, trace_steps=9, refine_iters=iters)
+        kmats = regions._manifold_scan(t, 3.0, grid)
+        for c in (ch, make_channel(ch.g2, ch.g1)):
+            scores = regions._wtc_value(c, kmats)
+            kmat = regions._power_corner(c, 3.0, grid, kmats, scores)
+            assert np.trace(kmat) == pytest.approx(3.0, rel=1e-12)
+            assert regions._wtc_value(c, kmat) >= scores.max() - 1e-12
+
+    def test_full_rank_copy_reaches_a_fuller_optimum(self):
+        # a step keeps the rank of C: every start here is rank 2 and the
+        # optimum rank 3, which only the full-rank copy of the best reaches
+        g1, g2 = np.random.default_rng(801).normal(size=(2, 3, 3))
+        ch = make_channel(g2, g1)
+        kmats = regions._manifold_scan(3, 10.5, self.GRID)
+        scores = regions._wtc_value(ch, kmats)
+        for node in np.argsort(-scores)[: sweeps.STARTS]:
+            assert np.linalg.eigvalsh(regions._wtc_gevd(ch, kmats[node])[1])[0] < 1e-9
+        kmat = regions._power_corner(ch, 10.5, self.GRID, kmats, scores)
+        assert np.linalg.eigvalsh(regions._wtc_gevd(ch, kmat)[1])[0] > 1e-3
+
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_trace_ball_projection(self, rng, t):
+        cs = rng.normal(size=(40, 1, t, t)) * rng.uniform(0.05, 2.0, size=(40, 1, 1, 1))
+        inside = np.linalg.norm(cs, axis=(-2, -1)) <= 1.0
+        assert inside.any() and not inside.all()
+        once = regions._trace_ball(cs)
+        assert once[inside].tobytes() == cs[inside].tobytes()
+        assert np.linalg.norm(once[~inside], axis=(-2, -1)) == pytest.approx(1.0, abs=1e-15)
+        assert np.abs(regions._trace_ball(once) - once).max() <= 1e-15
+
+
 class TestCheckK1Zero:
     def test_trivial_k1_zero_split(self, example_channel):
         # splits drawn with the zero matrix as K1 are dominated trivially

@@ -10,16 +10,13 @@ from scipy.spatial import cKDTree
 
 from secbc import EnvelopeWeights, GridSpec, make_channel, v_eta, v_hat, v_tilde
 from secbc import envelopes, regions, sweeps
-from secbc.matops import gram, half_log2_det
+from secbc.matops import gram
 from secbc.sweeps import (
     canonical_angles,
-    chain_factor,
     children_factors,
-    coordinate_refine,
     det_i_plus_diag,
     diag_combos,
     diag_values,
-    golden_max,
     grid_tables,
     pair_dets,
     pair_dets_rows,
@@ -32,7 +29,6 @@ from secbc.sweeps import (
 )
 
 from conftest import EXAMPLE_G1, EXAMPLE_G2
-from oracles import golden_section_oracle
 
 
 def sorted_top_k(values, k):
@@ -354,20 +350,6 @@ class TestPairDetsRows:
             assert part.tobytes() == full[rows].tobytes()
 
 
-def level3_objective(b0, gains):
-    def objective(params):
-        h = half_log2_det(gains, factors=chain_factor(b0, params, 2, 3)[:, :, None])
-        return (
-            0.3 * h[:, 0, 1]
-            - 0.8 * h[:, 0, 0]
-            + h[:, 1, 0]
-            - 1.7 * h[:, 1, 1]
-            + (h[:, 2, 1] - 1.2 * h[:, 2, 0])
-        )
-
-    return objective
-
-
 class TestDetIPlusDiag:
     @pytest.mark.parametrize("t", [1, 2, 3])
     def test_matches_the_determinant(self, rng, t):
@@ -380,159 +362,6 @@ class TestDetIPlusDiag:
             for j in range(4):
                 ref = np.linalg.det(np.eye(t) + np.diag(d[:, i, 0]) @ m[j])
                 assert got[i, j] == pytest.approx(ref, rel=1e-12)
-
-
-class TestBatchedRefine:
-    def test_lanes_match_single_runs_bitwise(self, rng):
-        b0 = np.linalg.cholesky(np.diag([3.0, 2.0]))
-        objective = level3_objective(b0, np.stack([EXAMPLE_G1, EXAMPLE_G2]))
-        level = [(0.0, 2.0 * math.pi), (0.0, 1.0), (0.0, 1.0)]
-        bounds, spans = level * 3, np.array([0.8, 0.5, 0.5] * 3)
-        starts = np.column_stack(
-            [rng.uniform(0, 2 * math.pi, 6)]
-            + [rng.uniform(0, 1, 6), rng.uniform(0, 1, 6)]
-            + [rng.uniform(0, 2 * math.pi, 6)]
-            + [rng.uniform(0, 1, 6), rng.uniform(0, 1, 6)]
-            + [rng.uniform(0, 2 * math.pi, 6)]
-            + [rng.uniform(0, 1, 6), rng.uniform(0, 1, 6)]
-        )
-        for budget in (0, 5, 200):
-            x, fx, used = coordinate_refine(
-                objective, starts, bounds, spans, 1e-6, budget
-            )
-            for s in range(len(starts)):
-                xs, fs, us = coordinate_refine(
-                    objective, starts[s : s + 1], bounds, spans, 1e-6, budget
-                )
-                assert xs[0].tobytes() == x[s].tobytes()
-                assert fs[0].tobytes() == fx[s].tobytes()
-                assert us[0] == used[s] <= budget
-            assert np.all(fx >= objective(starts))
-        assert len(set(used.tolist())) > 1  # lanes really finished at different times
-
-    def test_pattern_step_follows_a_ridge(self):
-        # a narrow valley along x0 = x1: coordinate steps alone crawl
-        def ridge(x):
-            return -(1e4 * (x[:, 0] - x[:, 1]) ** 2 + (x[:, 0] + x[:, 1] - 1.2) ** 2)
-
-        x, fx, used = coordinate_refine(
-            ridge, [[0.1, 0.1]], [(0.0, 1.0)] * 2, np.array([0.5, 0.5]), 1e-9, 200
-        )
-        assert x[0] == pytest.approx([0.6, 0.6], abs=1e-6)
-        assert fx[0] > -1e-10
-        assert used[0] < 200
-
-    def test_golden_max_lanes(self):
-        peaks = np.array([0.3, -1.0, 2.5, 0.0])
-        calls = []
-
-        def f(x, lanes):
-            calls.append(len(lanes))
-            return -((x - peaks[lanes]) ** 2)
-
-        lo = np.array([0.0, -2.0, 2.0, 0.0])
-        hi = np.array([1.0, 0.0, 2.0 + 1e-7, 0.0])
-        x, fx = golden_max(f, lo, hi, 1e-6)
-        assert x[:2] == pytest.approx(peaks[:2], abs=1e-6)
-        assert x[2] == pytest.approx(2.0, abs=1e-6)  # narrower than xtol
-        assert x[3] == 0.0 and fx[3] == 0.0  # empty interval: the end point
-        # the empty lane alone, then one call with six probes for each of
-        # the two lanes wider than xtol (interior pair, ends, end
-        # neighbours) and the interior pair of the narrow lane, then one
-        # new probe per live lane and step
-        assert calls[:2] == [1, 6 * 2 + 2]
-        assert max(calls[2:]) == 2
-
-
-class TestGoldenEndTest:
-    XTOL = 1e-6
-
-    def run(self, fns, lo, hi):
-        calls = []
-
-        def f(x, lanes):
-            calls.append(len(lanes))
-            return np.array([fns[j](v) for v, j in zip(x, lanes)])
-
-        x, fx = golden_max(f, np.array(lo, float), np.array(hi, float), self.XTOL)
-        return x, fx, calls
-
-    def test_end_peaked_lanes_return_the_end_after_one_call(self):
-        fns = [lambda v: v, lambda v: -v, lambda v: -((v - 3.0) ** 2), lambda v: 1.0]
-        lo, hi = [0.0, -1.0, 0.0, 0.0], [1.0, 2.0, 1.5, 1.0]
-        x, fx, calls = self.run(fns, lo, hi)
-        assert x.tolist() == [1.0, -1.0, 1.5, 0.0]  # exact ends; a flat line keeps lo
-        assert fx.tolist() == [fns[j](x[j]) for j in range(4)]
-        assert calls == [6 * 4]
-
-    def test_interior_lanes_match_the_scalar_oracle_bitwise(self, rng):
-        peaks = rng.uniform(0.1, 0.9, 8)
-        widths = rng.uniform(0.5, 4.0, 8)
-
-        def line(j):
-            return lambda v: float(-widths[j] * (v - peaks[j]) ** 2 + np.sin(3.0 * v))
-
-        fns = [line(j) for j in range(8)] + [lambda v: v]  # plus one end lane
-        lo, hi = [0.0] * 8 + [0.0], [1.0] * 8 + [2.0]
-        x, fx, calls = self.run(fns, lo, hi)
-        assert x[8] == 2.0
-        for j in range(8):
-            ox, of = golden_section_oracle(fns[j], lo[j], hi[j], self.XTOL)
-            assert 0.0 < x[j] < 1.0
-            assert np.float64(ox).tobytes() == x[j].tobytes()
-            assert np.float64(of).tobytes() == fx[j].tobytes()
-        assert calls[0] == 6 * 9 and all(c <= 8 for c in calls[1:])
-
-    def test_bimodal_line_with_a_locally_best_end_runs_golden_section(self):
-        # f falls away from x = 0 and beats the other end there, but a
-        # higher peak sits at 0.6
-        def bimodal(v):
-            return -v if v < 0.1 else (2.0 - 10.0 * (v - 0.6) ** 2 if v < 0.9 else -1.0)
-
-        x, fx, calls = self.run([bimodal], [0.0], [1.0])
-        ox, of = golden_section_oracle(bimodal, 0.0, 1.0, self.XTOL)
-        assert x[0] == ox and fx[0] == of
-        assert x[0] == pytest.approx(0.6, abs=1e-6)
-        assert len(calls) > 20
-
-    def test_end_below_its_neighbour_runs_golden_section(self):
-        # the peak sits 1e-4 inside the upper end: the end beats both
-        # interior probes and the other end, but not its neighbour
-        def near_end(v):
-            return -((v - 0.9999) ** 2)
-
-        x, fx, calls = self.run([near_end], [0.0], [1.0])
-        ox, of = golden_section_oracle(near_end, 0.0, 1.0, self.XTOL)
-        assert x[0] == ox and fx[0] == of
-        assert x[0] == pytest.approx(0.9999, abs=1e-6)
-
-    def test_bracket_far_from_zero_ends(self):
-        # ulp(1e10) = 1.9e-6 > xtol / 2: the bracket stops shrinking a few
-        # ulps wide, wider than xtol, and the lane must end there
-        peak = 1e10 + 3.3
-        probes = []
-
-        def line(v):
-            probes.append(v)
-            if len(probes) > 1000:
-                raise AssertionError("golden section does not end")
-            return -((v - peak) ** 2)
-
-        x, fx, calls = self.run([line], [1e9], [1e10 + 10.0])
-        assert abs(x[0] - peak) <= 8.0 * np.spacing(peak)
-        assert fx[0] == -((x[0] - peak) ** 2)
-        assert len(calls) < 100
-
-    def test_refine_reaches_a_box_end_exactly(self):
-        # the maximum sits on the box boundary: the refined point lands on it
-        def tilt(x):
-            return x[:, 0] - (x[:, 1] - 0.3) ** 2
-
-        x, fx, used = coordinate_refine(
-            tilt, [[0.5, 0.5]], [(0.0, 1.0)] * 2, np.array([1.0, 1.0]), 1e-9, 50
-        )
-        assert x[0, 0] == 1.0
-        assert x[0, 1] == pytest.approx(0.3, abs=1e-8)
 
 
 class TestEnvelopeSweeps:
