@@ -104,7 +104,10 @@ def _seeded_t3():
 
 
 def _rows(frontier) -> dict:
-    out = {"output_rows": len(frontier.points)}
+    # Counted without building a per-point list: trees whose Frontier
+    # holds a rate array count its rows, older trees their point list.
+    rates = frontier.rates
+    out = {"output_rows": len(frontier.points) if callable(rates) else len(rates)}
     if "phase_s" in frontier.meta:
         out["phase_s"] = frontier.meta["phase_s"]
     return out

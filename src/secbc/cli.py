@@ -175,7 +175,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-# CSV column stems of the generator matrices, and the points emit_csv
+# CSV column stems of the generator matrices, and the rows emit_csv
 # formats at once (its memory stays flat in the frontier size).
 _GEN_LABELS = {"k": "k", "kstar": "ks", "k1": "k1", "k2": "k2"}
 CSV_CHUNK = 1024
@@ -189,37 +189,36 @@ def emit_csv(frontier: Frontier, path: str) -> None:
     be re-verified exactly.  Output bytes depend only on the frontier
     contents.
     """
-    points = frontier.points
-    if not points:
+    rates, gens = frontier.rates, frontier.gens
+    if not len(rates):
         raise ValueError("refusing to write an empty frontier")
-    triple = frontier.is_triple
-    header = ["R1", "R2"] + (["R0"] if triple else [])
-    for name, mat in points[0].gen.items():
-        t = np.shape(mat)[0]
+    header = ["R1", "R2"] + (["R0"] if frontier.is_triple else [])
+    for name, mats in gens.items():
+        t = mats.shape[1]
         header += [f"{_GEN_LABELS[name]}_{i}{j}" for i in range(t) for j in range(t)]
-    rates = "{0.r1:.6f},{0.r2:.6f}" + (",{0.r0:.6f}" if triple else "")
+    fmt = ",".join(["%.6f"] * rates.shape[1])
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
-            # CSV_CHUNK points at a time, one tolist() per generator: the
-            # repr of each Python float it yields is that of the entry.
-            for lo in range(0, len(points), CSV_CHUNK):
-                chunk = points[lo : lo + CSV_CHUNK]
-                cols = [[rates.format(p) for p in chunk]]
-                for name in points[0].gen:
-                    mats = np.stack([np.asarray(p.gen[name], dtype=float) for p in chunk])
-                    rows = mats.reshape(len(chunk), -1).tolist()
-                    cols.append([",".join(map(repr, row)) for row in rows])
-                fh.writelines(",".join(row) + "\n" for row in zip(*cols))
+            # CSV_CHUNK rows at a time, one tolist() over all generator
+            # entries: the repr of each Python float it yields is that of
+            # the entry.
+            for lo in range(0, len(rates), CSV_CHUNK):
+                hi = lo + CSV_CHUNK
+                lines = [fmt % tuple(row) for row in rates[lo:hi].tolist()]
+                if gens:
+                    cols = [np.asarray(g[lo:hi], dtype=float) for g in gens.values()]
+                    mats = np.concatenate([c.reshape(len(lines), -1) for c in cols], axis=1)
+                    lines = [f"{a},{','.join(map(repr, b))}" for a, b in zip(lines, mats.tolist())]
+                fh.writelines(line + "\n" for line in lines)
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
 
 
-def _svg_path(points, sx, sy, height, margin) -> str:
-    coords = [
-        f"{margin + p.r1 * sx:.2f},{height - margin - p.r2 * sy:.2f}" for p in points
-    ]
-    return " ".join(coords)
+def _svg_path(rates, sx, sy, height, margin) -> str:
+    xs = (margin + rates[:, 0] * sx).tolist()
+    ys = (height - margin - rates[:, 1] * sy).tolist()
+    return " ".join(map("%.2f,%.2f".__mod__, zip(xs, ys)))
 
 
 def emit_svg(frontier: Frontier, path: str, comparison: Frontier | None = None) -> None:
@@ -233,8 +232,9 @@ def emit_svg(frontier: Frontier, path: str, comparison: Frontier | None = None) 
         if comparison.is_triple:
             raise ValueError("comparison frontier must be 2-D")
         curves.append((comparison, "#d62728", "8,6"))
-    xmax = 1.05 * max(max((p.r1 for f, _, _ in curves for p in f.points)), 1e-9)
-    ymax = 1.05 * max(max((p.r2 for f, _, _ in curves for p in f.points)), 1e-9)
+    rates = np.concatenate([f.rates for f, _, _ in curves])
+    xmax = 1.05 * max(float(rates[:, 0].max()), 1e-9)
+    ymax = 1.05 * max(float(rates[:, 1].max()), 1e-9)
     sx = (width - 2 * margin) / xmax
     sy = (height - 2 * margin) / ymax
     parts = [
@@ -268,7 +268,7 @@ def emit_svg(frontier: Frontier, path: str, comparison: Frontier | None = None) 
     for f, color, dash in curves:
         dash_attr = f' stroke-dasharray="{dash}"' if dash != "none" else ""
         parts.append(
-            f'<polyline points="{_svg_path(f.points, sx, sy, height, margin)}" '
+            f'<polyline points="{_svg_path(f.rates, sx, sy, height, margin)}" '
             f'fill="none" stroke="{color}" stroke-width="2"{dash_attr}/>'
         )
     try:
@@ -295,12 +295,11 @@ def _echo(line: str) -> None:
 
 
 def _summarize(name: str, frontier: Frontier, elapsed: float) -> None:
-    _echo(f"{name}: {len(frontier.points)} frontier points in {elapsed:.2f} s")
+    _echo(f"{name}: {len(frontier.rates)} frontier points in {elapsed:.2f} s")
     _echo(f"  max R1 = {frontier.max_r1():.6f} bits/use")
     _echo(f"  max R2 = {frontier.max_r2():.6f} bits/use")
     if frontier.is_triple:
-        r0 = max(p.r0 for p in frontier.points)
-        _echo(f"  max R0 = {r0:.6f} bits/use")
+        _echo(f"  max R0 = {float(frontier.rates[:, 2].max()):.6f} bits/use")
 
 
 def _cmd_region(cfg: RunConfig) -> int:
@@ -346,10 +345,8 @@ def _cmd_wtc(cfg: RunConfig) -> int:
     _echo(f"wtc secrecy capacity = {value:.6f} bits/use ({elapsed:.2f} s)")
     _echo(f"  argmax K* = {np.array2string(kstar, precision=6)}")
     if cfg.out:
-        fr = Frontier(
-            [regions.RatePoint(value, 0.0, {"k": kmat, "kstar": kstar})],
-            {"kind": "wtc"},
-        )
+        gens = {"k": kmat[None], "kstar": kstar[None]}
+        fr = Frontier(np.array([[max(0.0, value), 0.0]]), gens, {"kind": "wtc"})
         emit_csv(fr, cfg.out)
         _echo(f"  wrote {cfg.out}")
     return 0

@@ -27,9 +27,10 @@ three scalars of the gain's Gram matrix, and the water-filling spectrum
 as the roots of a quadratic, with no per-node matrix; K* matrices are
 built for the kept nodes only.
 
-Frontiers carry the generating covariances on every point so any output
-row can be re-verified by plugging the matrices back into the rate
-formulas.  Every rate term comes from the checked kernel of
+Frontiers hold their rates as one array and the generating covariances
+of every point as (n, t, t) stacks beside it (:class:`Frontier`), so any
+output row can be re-verified by plugging the matrices back into the
+rate formulas.  Every rate term comes from the checked kernel of
 :mod:`secbc.matops`, so a determinant that overflows raises
 ``FloatingPointError`` instead of giving a NaN rate.  Sweeps follow the
 grid resolutions in :class:`GridSpec`.  The
@@ -59,6 +60,7 @@ count or the block size.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -145,33 +147,61 @@ class RateTriple:
 
 @dataclass
 class Frontier:
-    """Pareto-maximal points sorted by R1 ascending, plus sweep metadata."""
+    """Pareto-maximal points as columns, plus sweep metadata.
 
-    points: list
+    ``rates`` holds rows (R1, R2) or (R1, R2, R0), clamped at zero and
+    sorted by those columns; ``gens`` maps each generator name ("k",
+    "kstar"; or "k", "k1", "k2") to the (n, t, t) stack of its matrices.
+    :attr:`points` is a per-point view; :meth:`from_points` the inverse.
+    """
+
+    rates: np.ndarray
+    gens: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
+
+    @classmethod
+    def from_points(cls, points: list, meta: dict | None = None) -> Frontier:
+        """The frontier of a list of :class:`RatePoint` or :class:`RateTriple`,
+        in list order."""
+        triple = bool(points) and isinstance(points[0], RateTriple)
+        rows = [(p.r1, p.r2, p.r0) if triple else (p.r1, p.r2) for p in points]
+        rates = np.array(rows, dtype=float).reshape(len(points), 3 if triple else 2)
+        gens = {
+            name: np.array([np.asarray(p.gen[name], dtype=float) for p in points])
+            for name in (points[0].gen if points else ())
+        }
+        return cls(rates, gens, {} if meta is None else meta)
+
+    @functools.cached_property
+    def points(self) -> list:
+        """The rows as :class:`RatePoint` or :class:`RateTriple` objects,
+        built on first access."""
+        rows = self.rates.tolist()
+        mats = [dict(zip(self.gens, row)) for row in zip(*self.gens.values())]
+        mats = mats or [{} for _ in rows]
+        if self.is_triple:
+            return [RateTriple(r0, r1, r2, g) for (r1, r2, r0), g in zip(rows, mats)]
+        return [RatePoint(r1, r2, g) for (r1, r2), g in zip(rows, mats)]
 
     @property
     def is_triple(self) -> bool:
-        return bool(self.points) and isinstance(self.points[0], RateTriple)
-
-    def rates(self) -> np.ndarray:
-        if self.is_triple:
-            return np.array([[p.r1, p.r2, p.r0] for p in self.points])
-        return np.array([[p.r1, p.r2] for p in self.points])
+        return self.rates.shape[1] == 3
 
     def max_r1(self) -> float:
-        return max((p.r1 for p in self.points), default=0.0)
+        return float(self.rates[:, 0].max()) if len(self.rates) else 0.0
 
     def max_r2(self) -> float:
-        return max((p.r2 for p in self.points), default=0.0)
+        return float(self.rates[:, 1].max()) if len(self.rates) else 0.0
 
     def r2_available(self, r1: float, slack: float = 0.0) -> float:
         """Largest R2 on the frontier among points with R1 >= r1 - slack."""
-        best = -np.inf
-        for p in self.points:
-            if p.r1 >= r1 - slack:
-                best = max(best, p.r2)
-        return best
+        r2 = self.rates[self.rates[:, 0] >= r1 - slack, 1]
+        return float(r2.max()) if len(r2) else -np.inf
+
+
+def _clamp(rates: np.ndarray) -> np.ndarray:
+    """max(0, r) entrywise, as ``max(0.0, r)`` gives it: -0.0 becomes 0.0."""
+    return np.where(rates > 0.0, rates, 0.0)
 
 
 def _pareto_mask(r1: np.ndarray, r2: np.ndarray, slack: float = PARETO_SLACK):
@@ -190,20 +220,57 @@ def _pareto_mask(r1: np.ndarray, r2: np.ndarray, slack: float = PARETO_SLACK):
     return mask
 
 
+# r1 bins of the exact prefilter of _binned_pareto_mask.
+_PREFILTER_BINS = 1024
+
+
+def _binned_pareto_mask(r1: np.ndarray, r2: np.ndarray, slack: float = PARETO_SLACK):
+    """:func:`_pareto_mask` of rows with r1 >= 0, first dropping each row
+    whose r2 is at most the largest r2 of a higher bin floor(r1 B / max r1).
+
+    Such a row follows one of larger r1 and no smaller r2 in the mask's
+    order, so it is never kept, and every later running maximum stays as
+    it was (``slack`` >= 0).  This pays where most rows are dominated.
+    """
+    top = r1.max(initial=0.0)
+    if not (np.isfinite(top) and top > 0.0):
+        return _pareto_mask(r1, r2, slack)
+    bins = (r1 * (_PREFILTER_BINS / top)).astype(np.intp)
+    best = np.full(_PREFILTER_BINS + 2, -np.inf)
+    np.maximum.at(best, bins, r2)
+    above = np.maximum.accumulate(best[::-1])[::-1]  # best over bins >= b
+    rows = np.flatnonzero(r2 > above[bins + 1])
+    mask = np.zeros(r1.size, dtype=bool)
+    mask[rows[_pareto_mask(r1[rows], r2[rows], slack)]] = True
+    return mask
+
+
+def _pair_rows(rates: np.ndarray, slack: float = PARETO_SLACK) -> np.ndarray:
+    """Rows of the Pareto-maximal pairs of ``rates``, stably sorted by (r1, r2)."""
+    rows = np.flatnonzero(_pareto_mask(rates[:, 0], rates[:, 1], slack))
+    return rows[np.lexsort(rates[rows].T[::-1])]
+
+
+def _pair_front(r1, r2, gens: dict, meta: dict) -> Frontier:
+    """The :class:`Frontier` of the Pareto-maximal clamped (r1, r2) rows."""
+    rates = _clamp(np.column_stack([r1, r2]))
+    rows = _pair_rows(rates)
+    return Frontier(rates[rows], {name: g[rows] for name, g in gens.items()}, meta)
+
+
+def _zero_frontier(t: int, names: tuple, meta: dict) -> Frontier:
+    """The one-point frontier of a zero power budget."""
+    return Frontier(np.zeros((1, len(names))), {n: np.zeros((1, t, t)) for n in names}, meta)
+
+
 def pareto_filter_pairs(points: list, slack: float = PARETO_SLACK) -> list:
     """Drop dominated pairs; result is sorted by R1 ascending.
 
     Filtering is idempotent: applying it to its own output changes
     nothing.
     """
-    if not points:
-        return []
-    r1 = np.array([p.r1 for p in points])
-    r2 = np.array([p.r2 for p in points])
-    mask = _pareto_mask(r1, r2, slack)
-    kept = [p for p, m in zip(points, mask) if m]
-    kept.sort(key=lambda p: (p.r1, p.r2))
-    return kept
+    rates = np.array([(p.r1, p.r2) for p in points], dtype=float).reshape(-1, 2)
+    return [points[i] for i in _pair_rows(rates, slack)]
 
 
 def _pareto_rows_triples(arr: np.ndarray, slack: float = PARETO_SLACK) -> np.ndarray:
@@ -264,13 +331,12 @@ def _triple_front(arr: np.ndarray, slack: float = PARETO_SLACK) -> np.ndarray:
 
 
 def pareto_filter_triples(points: list, slack: float = PARETO_SLACK) -> list:
-    """Drop dominated and near-duplicate triples (:func:`_triple_front`)."""
-    if not points:
-        return []
-    arr = np.array([[p.r0, p.r1, p.r2] for p in points])
-    kept = [points[i] for i in _triple_front(arr, slack)]
-    kept.sort(key=lambda p: (p.r1, p.r2, p.r0))
-    return kept
+    """Drop dominated and near-duplicate triples (:func:`_triple_front`);
+    result is sorted by (R1, R2, R0)."""
+    arr = np.array([(p.r0, p.r1, p.r2) for p in points], dtype=float).reshape(-1, 3)
+    rows = _triple_front(arr, slack)
+    order = np.lexsort(arr[rows][:, [0, 2, 1]].T)  # by (r1, r2, r0), stably
+    return [points[i] for i in rows[order]]
 
 
 def _meta(ch: GaussianBc, grid: GridSpec, mode: str, k=None, p=None) -> dict:
@@ -371,7 +437,7 @@ def frontier_fixed_cov(ch: GaussianBc, k, grid: GridSpec | None = None) -> Front
         raise ValueError("constraint dimension does not match the channel")
     meta = _meta(ch, grid, "one_confidential", k=k)
     if np.abs(k).max() < 1e-15:
-        return Frontier([RatePoint(0.0, 0.0, {"k": k, "kstar": np.zeros_like(k)})], meta)
+        return Frontier(np.zeros((1, 2)), {"k": k[None], "kstar": np.zeros((1, t, t))}, meta)
     c2k = half_log2_det(ch.g2, k)
     b0 = sqrt_factor(k)
     tab = grid_tables(t, grid.theta_steps, diag_values(grid.diag_steps))
@@ -395,14 +461,14 @@ def frontier_fixed_cov(ch: GaussianBc, k, grid: GridSpec | None = None) -> Front
     keep = np.flatnonzero(_pareto_mask(r1, r2))
     cs = contractions(grid_params(tab, flat[keep], 1), t)
     kstars = gram(chained_factors(b0, cs[:, None])[:, 0])
-    points = [
-        RatePoint(r1[i], r2[i], {"k": k, "kstar": ks}) for i, ks in zip(keep, kstars)
-    ]
 
     rmax, kstar = _wtc_gevd(ch, k)
     r2_at = c2k - half_log2_det(ch.g2, kstar)
-    points.append(RatePoint(rmax, r2_at, {"k": k, "kstar": kstar}))
-    return Frontier(pareto_filter_pairs(points), meta)
+    gens = {
+        "k": np.broadcast_to(k, (len(keep) + 1, t, t)),
+        "kstar": np.concatenate([kstars, kstar[None]]),
+    }
+    return _pair_front(np.append(r1[keep], rmax), np.append(r2[keep], r2_at), gens, meta)
 
 
 def _angle_span(t: int) -> float:
@@ -657,8 +723,8 @@ def _zoom_sweep(ch: GaussianBc, p: float, grid: GridSpec):
 
     rates = evaluate(x)
     counts = [len(x)]
+    front = _binned_pareto_mask(rates[:, 0], rates[:, 1])
     for _ in range(ZOOM_LEVELS):
-        front = _pareto_mask(rates[:, 0], rates[:, 1])
         x, rates = x[front], rates[front]
         new = (x[:, None, :] + offsets * cell).reshape(-1, m + t)
         norm = np.sqrt(np.sum(new[:, m:] ** 2, axis=1))
@@ -667,7 +733,8 @@ def _zoom_sweep(ch: GaussianBc, p: float, grid: GridSpec):
         rates = np.vstack([rates, evaluate(new)])
         counts.append(len(new))
         cell = cell / 2.0
-    return x[_pareto_mask(rates[:, 0], rates[:, 1])], counts
+        front = _pareto_mask(rates[:, 0], rates[:, 1])
+    return x[front], counts
 
 
 def frontier_power(
@@ -695,8 +762,7 @@ def frontier_power(
     t = ch.t
     meta = _meta(ch, grid, "one_confidential", p=p)
     if p == 0:
-        zero = np.zeros((t, t))
-        return Frontier([RatePoint(0.0, 0.0, {"k": zero, "kstar": zero})], meta)
+        return _zero_frontier(t, ("k", "kstar"), meta)
 
     start = time.perf_counter()
     x, counts = _zoom_sweep(ch, p, grid)
@@ -708,19 +774,16 @@ def frontier_power(
         [_kstar_matrices(x, p, t), kstar_wtc[None], np.zeros((1, t, t))]
     )
     kmats = _water_filled(ch, p, kstars)
-    r1 = half_log2_det(ch.g1, kstars) - half_log2_det(ch.g2, kstars)
-    r2 = half_log2_det(ch.g2, kmats) - half_log2_det(ch.g2, kstars)
-    points = [
-        RatePoint(a, b, {"k": k, "kstar": ks})
-        for a, b, k, ks in zip(r1, r2, kmats, kstars)
-    ]
-    front = pareto_filter_pairs(points)
+    h2 = half_log2_det(ch.g2, kstars)
+    r1 = half_log2_det(ch.g1, kstars) - h2
+    r2 = half_log2_det(ch.g2, kmats) - h2
+    front = _pair_front(r1, r2, {"k": kmats, "kstar": kstars}, meta)
     meta["phase_s"] = {
         "kstar_sweep": swept - start,
         "wtc_corner": cornered - swept,
         "points": time.perf_counter() - cornered,
     }
-    return Frontier(front, meta)
+    return front
 
 
 def both_confidential_frontier(
@@ -749,8 +812,7 @@ def both_confidential_frontier(
     t = ch.t
     meta = _meta(ch, grid, "both_confidential", p=p)
     if p == 0:
-        zero = np.zeros((t, t))
-        return Frontier([RatePoint(0.0, 0.0, {"k": zero, "kstar": zero})], meta)
+        return _zero_frontier(t, ("k", "kstar"), meta)
 
     def excess(kmat):
         return half_log2_det(ch.g2, kmat) - half_log2_det(ch.g1, kmat)
@@ -759,23 +821,25 @@ def both_confidential_frontier(
     kmats = _manifold_scan(t, p, grid)
     r1, ks = _wtc_gevd(ch, kmats)
     r2 = r1 + excess(kmats)
-    points = [
-        RatePoint(r1[i], r2[i], {"k": kmats[i], "kstar": ks[i]})
-        for i in np.flatnonzero(_pareto_mask(r1, np.maximum(r2, 0.0)))
-    ]
+    rows = np.flatnonzero(_pareto_mask(r1, np.maximum(r2, 0.0)))
     scanned = time.perf_counter()
     value, kmat, kstar = _corner or _wtc_corner(ch, p, grid, kmats, r1)
-    points.append(RatePoint(value, value + excess(kmat), {"k": kmat, "kstar": kstar}))
+    r2_at = value + excess(kmat)
     cornered = time.perf_counter()
-    kmat = _power_corner(GaussianBc(ch.g2, ch.g1), p, grid, kmats, r2)
-    r1v, ksv = _wtc_gevd(ch, kmat)
-    points.append(RatePoint(r1v, r1v + excess(kmat), {"k": kmat, "kstar": ksv}))
+    kmat_v = _power_corner(GaussianBc(ch.g2, ch.g1), p, grid, kmats, r2)
+    r1v, ksv = _wtc_gevd(ch, kmat_v)
+    r2v = r1v + excess(kmat_v)
     meta["phase_s"] = {
         "scan": scanned - start,
         "max_r1_corner": cornered - scanned,
         "max_r2_corner": time.perf_counter() - cornered,
     }
-    return Frontier(pareto_filter_pairs(points), meta)
+    gens = {
+        "k": np.concatenate([kmats[rows], kmat[None], kmat_v[None]]),
+        "kstar": np.concatenate([ks[rows], kstar[None], ksv[None]]),
+    }
+    r1s = np.concatenate([r1[rows], [value, r1v]])
+    return _pair_front(r1s, np.concatenate([r2[rows], [r2_at, r2v]]), gens, meta)
 
 
 def wtc_capacity_power(ch: GaussianBc, p: float, grid: GridSpec | None = None):
@@ -815,7 +879,7 @@ def _cell_winners(comb: np.ndarray, r2: np.ndarray) -> np.ndarray:
     return sel[firsts]
 
 
-def _common_triples(ch: GaussianBc, factors, kmats, tab, meta: dict) -> list:
+def _common_triples(ch: GaussianBc, factors, kmats, tab, meta: dict) -> Frontier:
     """Pareto triples of the union of the common-message regions of ``kmats``.
 
     Each constraint K = B B^T (``factors`` B) is swept on the two-level
@@ -877,12 +941,10 @@ def _common_triples(ch: GaussianBc, factors, kmats, tab, meta: dict) -> list:
     ks = gram(chained_factors(factors[node], cs.reshape(-1, 2, t, t)))
     ksum = np.concatenate([ks[:, 0], kmats[corner]])
     k2 = np.concatenate([ks[:, 1], kstar[corner]])
-    points = [
-        RateTriple(*rates[i], {"k": kmats[j], "k1": s - b, "k2": b})
-        for i, j, s, b in zip(keep, np.concatenate([node, corner]), ksum, k2)
-    ]
-    points.sort(key=lambda p: (p.r1, p.r2, p.r0))
-    return points
+    gens = {"k": kmats[np.concatenate([node, corner])], "k1": ksum - k2, "k2": k2}
+    kept = _clamp(rates[keep][:, [1, 2, 0]])  # rows (r1, r2, r0)
+    order = np.lexsort(kept.T[::-1])
+    return Frontier(kept[order], {name: g[order] for name, g in gens.items()}, meta)
 
 
 def region_common_fixed(ch: GaussianBc, k, grid: GridSpec | None = None) -> Frontier:
@@ -897,12 +959,12 @@ def region_common_fixed(ch: GaussianBc, k, grid: GridSpec | None = None) -> Fron
     if k.shape[0] != t:
         raise ValueError("constraint dimension does not match the channel")
     meta = _meta(ch, grid, "common", k=k)
-    zero = np.zeros((t, t))
     if np.abs(k).max() < 1e-15:
-        return Frontier([RateTriple(0, 0, 0, {"k": k, "k1": zero, "k2": zero})], meta)
+        zero = np.zeros((1, t, t))
+        return Frontier(np.zeros((1, 3)), {"k": k[None], "k1": zero, "k2": zero}, meta)
     dvals = diag_values(grid.chain_diag_steps)
     tab = grid_tables(t, grid.chain_theta_steps, dvals, chained=True)
-    return Frontier(_common_triples(ch, sqrt_factor(k)[None], k[None], tab, meta), meta)
+    return _common_triples(ch, sqrt_factor(k)[None], k[None], tab, meta)
 
 
 def region_common_power(ch: GaussianBc, p: float, grid: GridSpec | None = None) -> Frontier:
@@ -918,18 +980,17 @@ def region_common_power(ch: GaussianBc, p: float, grid: GridSpec | None = None) 
     _check_power(p)
     t = ch.t
     meta = _meta(ch, grid, "common", p=p)
-    zero = np.zeros((t, t))
     if p == 0:
-        return Frontier([RateTriple(0, 0, 0, {"k": zero, "k1": zero, "k2": zero})], meta)
+        return _zero_frontier(t, ("k", "k1", "k2"), meta)
     if t == 1:
         fr = region_common_fixed(ch, np.array([[float(p)]]), grid)
         meta.update({key: fr.meta[key] for key in ("candidates", "thinned", "blocks")})
-        return Frontier(fr.points, meta)
+        return Frontier(fr.rates, fr.gens, meta)
     x = _trace_grid(t, grid.deep_theta_steps, simplex_grid(t, p, grid.deep_trace_steps))
     factors = _trace_factors(x, t)
     dvals = diag_values(grid.deep_diag_steps)
     tab = grid_tables(t, grid.deep_theta_steps, dvals, chained=True)
-    return Frontier(_common_triples(ch, factors, gram(factors), tab, meta), meta)
+    return _common_triples(ch, factors, gram(factors), tab, meta)
 
 
 def check_k1_zero(ch: GaussianBc, k, samples: int = 100, seed: int = 0) -> bool:

@@ -625,23 +625,72 @@ def _reference_csv(frontier) -> str:
 class TestEmitters:
     def test_bytes_match_the_entrywise_formatter(self, tmp_path, fast_grid):
         ch = make_channel(EXAMPLE_G1, EXAMPLE_G2)
+        ch1 = make_channel([[1.5]], [[0.8]])
+        rng = np.random.default_rng(3)
+        g1, g2, a = (rng.normal(size=(3, 3)) for _ in range(3))
+        ch3, k3 = make_channel(g1, g2), a @ a.T / 3.0 + 0.5 * np.eye(3)
+        chain3 = GridSpec(chain_theta_steps=4, chain_diag_steps=3)
         odd = np.array([[-0.0, 5e-324], [1e300, 1.0 / 3.0]])
+        power = (
+            regions.frontier_power,
+            regions.both_confidential_frontier,
+            regions.region_common_power,
+        )
+        fixed = (frontier_fixed_cov, regions.region_common_fixed)
         frontiers = [
-            regions.frontier_power(ch, 4.0, fast_grid),
-            regions.both_confidential_frontier(ch, 4.0, fast_grid),
-            regions.region_common_power(ch, 4.0, fast_grid),
-            Frontier([RatePoint(0.5, 0.25, {"k": odd, "kstar": np.eye(2, dtype=int)})]),
-            Frontier([RateTriple(0.1, 0.2, 0.3, {"k": odd, "k1": odd.T, "k2": np.zeros((2, 2))})]),
+            *(fn(ch, p, fast_grid) for fn in power for p in (4.0, 0.0)),
+            *(fn(ch, k, fast_grid) for fn in fixed for k in (np.diag([3.0, 2.0]), np.zeros((2, 2)))),
+            regions.region_common_fixed(ch1, np.array([[3.0]]), fast_grid),
+            regions.region_common_fixed(ch3, k3, chain3),
+            Frontier.from_points(
+                [RatePoint(0.5, 0.25, {"k": odd, "kstar": np.eye(2, dtype=int)})]
+            ),
+            Frontier.from_points(
+                [RateTriple(0.1, 0.2, 0.3, {"k": odd, "k1": odd.T, "k2": np.zeros((2, 2))})]
+            ),
         ]
         for i, fr in enumerate(frontiers):
             path = tmp_path / f"f{i}.csv"
             emit_csv(fr, path)
             assert path.read_bytes() == _reference_csv(fr).encode("utf-8")
 
+    @pytest.mark.parametrize("constraint", [["--power", "4"], ["--covariance", "3,0.5;0.5,2"]])
+    def test_wtc_row_matches_the_entrywise_formatter(self, tmp_path, constraint, capsys):
+        path = tmp_path / "wtc.csv"
+        argv = ["wtc", *constraint, "--g1", G1_ARG, "--g2", G2_ARG, *FAST, "--out", str(path)]
+        assert main(argv) == 0
+        ch = make_channel(EXAMPLE_G1, EXAMPLE_G2)
+        if constraint[0] == "--power":
+            grid = RunConfig(grid_theta=10, grid_d=7, grid_trace=7).grid()
+            value, k, kstar = regions.wtc_capacity_power(ch, 4.0, grid)
+        else:
+            k = parse_matrix(constraint[1])
+            value, kstar = regions.wtc_capacity(ch, k)
+        row = Frontier.from_points([RatePoint(value, 0.0, {"k": k, "kstar": kstar})])
+        assert path.read_bytes() == _reference_csv(row).encode("utf-8")
+
+    def test_cli_never_builds_the_point_view(self, tmp_path, monkeypatch, capsys):
+        def refuse(self):
+            raise AssertionError("a CLI path built Frontier.points")
+
+        monkeypatch.setattr(Frontier, "points", property(refuse))
+        out, svg = str(tmp_path / "f.csv"), str(tmp_path / "f.svg")
+        gains = ["--g1", G1_ARG, "--g2", G2_ARG, *FAST]
+        for argv in (
+            ["compare", "--power", "4", "--out", out, "--svg", svg],
+            ["region", "--mode", "no-common", "--power", "4", "--out", out, "--svg", svg],
+            ["region", "--mode", "both-confidential", "--power", "4", "--out", out, "--svg", svg],
+            ["region", "--mode", "common", "--power", "4", "--out", out],
+            ["region", "--mode", "no-common", "--covariance", "3,0;0,2", "--out", out],
+            ["region", "--mode", "common", "--covariance", "3,0;0,2", "--out", out],
+            ["wtc", "--power", "4", "--out", out],
+        ):
+            assert main(argv + gains) == 0
+
     def _tiny_frontier(self):
         k = np.diag([2.0, 1.0])
         ks = np.diag([1.0, 0.5])
-        return Frontier(
+        return Frontier.from_points(
             [
                 RatePoint(0.0, 1.0, {"k": k, "kstar": np.zeros((2, 2))}),
                 RatePoint(0.5, 0.25, {"k": k, "kstar": ks}),
@@ -650,7 +699,7 @@ class TestEmitters:
         )
 
     def test_single_point_file_shape(self, tmp_path):
-        fr = Frontier(
+        fr = Frontier.from_points(
             [RatePoint(0.0, 0.0, {"k": np.zeros((2, 2)), "kstar": np.zeros((2, 2))})]
         )
         path = tmp_path / "one.csv"
@@ -670,7 +719,7 @@ class TestEmitters:
 
     def test_empty_frontier_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            emit_csv(Frontier([]), tmp_path / "x.csv")
+            emit_csv(Frontier.from_points([]), tmp_path / "x.csv")
 
     def test_rows_reverify_within_print_precision(self, tmp_path):
         ch = make_channel(EXAMPLE_G1, EXAMPLE_G2)
@@ -722,7 +771,7 @@ class TestEmitters:
             assert abs(max(e2, 0.0) - r2) <= 5e-7
 
     def test_svg_refuses_triples(self, tmp_path):
-        fr = Frontier([RateTriple(0.1, 0.2, 0.3, {"k": np.eye(2)})])
+        fr = Frontier.from_points([RateTriple(0.1, 0.2, 0.3, {"k": np.eye(2)})])
         with pytest.raises(ValueError):
             emit_svg(fr, tmp_path / "x.svg")
 

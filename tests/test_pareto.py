@@ -2,10 +2,12 @@
 
 The triple filter walks the rows in descending lexicographic order and
 tests each block only against the rows kept so far; the reference is the
-quadratic definition in ``tests/oracles.py``.  Inputs are tie-heavy: a
-few integer levels per column, each entry shifted by 0, slack/2, slack
-or 2 * slack, so that many comparisons land exactly on the slack
-boundary and many rows repeat.
+quadratic definition in ``tests/oracles.py``.  The region builders'
+pair filter must agree with the list filter, and the coarse-grid mask
+of the K* sweep with the plain mask.  Inputs are tie-heavy: a few
+integer levels per column, each entry shifted by 0, slack/2, slack or
+2 * slack, so that many comparisons land exactly on the slack boundary
+and many rows repeat.
 """
 
 import numpy as np
@@ -14,7 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secbc import RatePoint, RateTriple, pareto_filter_pairs, pareto_filter_triples
-from secbc.regions import PARETO_SLACK, _pareto_rows_triples
+from secbc.regions import (
+    PARETO_SLACK,
+    _binned_pareto_mask,
+    _pair_front,
+    _pareto_mask,
+    _pareto_rows_triples,
+)
 
 from oracles import pareto_rows_oracle
 
@@ -57,6 +65,39 @@ def test_pair_filter_is_idempotent(case):
     once = pareto_filter_pairs([RatePoint(*row) for row in arr], slack)
     twice = pareto_filter_pairs(once, slack)
     assert [(p.r1, p.r2) for p in twice] == [(p.r1, p.r2) for p in once]
+
+
+@settings(max_examples=100, deadline=None)
+@given(tie_heavy(cols=2, max_rows=300), st.integers(0, 2**32 - 1))
+def test_pair_front_matches_the_point_filter(case, seed):
+    # negated entries, -0.0 among them, exercise the clamp at zero
+    arr, _ = case
+    arr = arr * np.random.default_rng(seed).choice([1.0, -1.0], size=arr.shape)
+    tags = np.arange(len(arr), dtype=float)[:, None, None]
+    fr = _pair_front(arr[:, 0], arr[:, 1], {"k": tags}, {})
+    pts = pareto_filter_pairs([RatePoint(a, b, {"k": k}) for (a, b), k in zip(arr, tags)])
+    assert fr.rates.tobytes() == np.array([(p.r1, p.r2) for p in pts]).reshape(-1, 2).tobytes()
+    assert fr.gens["k"].ravel().tolist() == [p.gen["k"].item() for p in pts]
+
+
+@settings(max_examples=200, deadline=None)
+@given(tie_heavy(cols=2), st.sampled_from([0.0, 0.25, 0.75]))
+def test_binned_mask_is_the_plain_mask(case, zeros):
+    arr, slack = case
+    r1, r2 = arr[:, 0].copy(), arr[:, 1]
+    r1[: int(zeros * len(r1))] = 0.0
+    assert _binned_pareto_mask(r1, r2, slack).tolist() == _pareto_mask(r1, r2, slack).tolist()
+
+
+@pytest.mark.parametrize("slack", SLACKS)
+def test_binned_mask_is_the_plain_mask_on_many_bins(slack):
+    # thousands of distinct r1 values over a decreasing staircase, a
+    # quarter of them at r1 = 0, r2 rounded so that many rows tie
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        r1 = rng.uniform(0.0, 3.0, 5000) * (rng.random(5000) > 0.25)
+        r2 = np.round(np.sqrt(9.0 - r1**2) * rng.uniform(0.8, 1.0, 5000), 3)
+        assert _binned_pareto_mask(r1, r2, slack).tolist() == _pareto_mask(r1, r2, slack).tolist()
 
 
 def test_negative_slack_raises():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from secbc import (
+    Frontier,
     GridSpec,
     RatePoint,
     RateTriple,
@@ -84,6 +85,33 @@ class TestParetoFilters:
         got = regions._triple_front(arr, slack)
         assert got.tolist() == kept[::-1]
         assert 64 < len(got) < len(regions._pareto_rows_triples(arr, slack))
+
+
+class TestFrontierColumns:
+    def test_points_match_the_columns_bitwise(self, example_channel, fast_grid):
+        # the per-point view holds the rows in order, generators included,
+        # and goes back into the same arrays
+        k = np.diag([3.0, 2.0])
+        for fr in (
+            frontier_power(example_channel, 4.0, fast_grid),
+            both_confidential_frontier(example_channel, 4.0, fast_grid),
+            region_common_power(example_channel, 4.0, fast_grid),
+            frontier_fixed_cov(example_channel, k, fast_grid),
+            region_common_fixed(example_channel, k, fast_grid),
+            frontier_power(example_channel, 0.0, fast_grid),
+        ):
+            pts = fr.points
+            assert pts is fr.points
+            names = ("r1", "r2", "r0")[: fr.rates.shape[1]]
+            rows = np.array([[getattr(p, n) for n in names] for p in pts])
+            assert rows.tobytes() == fr.rates.tobytes()
+            for name, mats in fr.gens.items():
+                assert np.array([p.gen[name] for p in pts]).tobytes() == mats.tobytes()
+            assert not np.signbit(fr.rates).any()  # clamped as max(0, r)
+            assert rows.tolist() == sorted(rows.tolist())
+            back = Frontier.from_points(pts, fr.meta)
+            assert back.rates.tobytes() == fr.rates.tobytes()
+            assert all(back.gens[n].tobytes() == fr.gens[n].tobytes() for n in fr.gens)
 
 
 class TestFrontierFixedCov:
@@ -569,9 +597,8 @@ class TestBothConfidential:
         corner = wtc_capacity_power(ch, 5.0, grid)
         for fn in (frontier_power, both_confidential_frontier):
             own, passed = fn(ch, 5.0, grid), fn(ch, 5.0, grid, _corner=corner)
-            assert own.rates().tobytes() == passed.rates().tobytes()
-            for a, b in zip(own.points, passed.points):
-                assert all(a.gen[n].tobytes() == b.gen[n].tobytes() for n in a.gen)
+            assert own.rates.tobytes() == passed.rates.tobytes()
+            assert all(own.gens[n].tobytes() == passed.gens[n].tobytes() for n in own.gens)
 
 
 class TestPowerCorner:
