@@ -23,22 +23,25 @@ case by case:
   (its one call there: 3906 cell winners plus 68 max-R1 corners, 3974
   rows on the example channel); that call also sets its ``peak_rss_mb``.
 
-``--cases envelope`` runs ``v_eta``, ``v_hat`` and ``v_tilde`` instead, on
-the example channel with K = diag(3, 2), lambda = (2, 1, 0.8), eta = 1.2
-and alpha = 0.5 at the default grid; each record adds the value and the
-grid nodes scored (``grid_meta["nodes_scored"]`` where the tree reports
-it).  ``--cases power`` runs the power-constrained pair regions and the
-wiretap capacity: ``frontier_power``, ``both_confidential_frontier`` and
-``wtc_capacity_power`` on the example channel at P = 12 and the default
-grid (records add the output rows, or the capacity, and the median
-seconds of each ``meta["phase_s"]`` phase of the two regions), and
-``compare``, the CLI command of the ``power-fig2`` benchmark workload
-(P = 12, CSVs and SVG written into a temporary directory; records add
-the exit status and the rows of both CSVs).  ``--cases checks`` runs
-the identity checks as the CLI does: ``dpc-check`` (the dirty-paper
-identity, ``dpc_identity_check``) and ``decomp-check`` (the
-decomposition round trip) at dims 2 and 3, 50 trials, seed 7; records
-add the exit status and the printed max gap or residual.
+``--cases envelope`` runs ``v_eta``, ``v_hat`` and ``v_tilde`` instead,
+on the example channel with K = diag(3, 2), lambda = (2, 1, 0.8),
+eta = 1.2 and alpha = 0.5 at the default grid; each record adds the
+value and the grid nodes scored (``grid_meta["nodes_scored"]``), and the objective
+calls of the polish and the median seconds of each
+``grid_meta["phase_s"]`` phase (``grid``, ``polish``), where the tree
+reports them.  ``--cases power`` runs the power-constrained pair regions
+and the wiretap capacity: ``frontier_power``,
+``both_confidential_frontier`` and ``wtc_capacity_power`` on the example
+channel at P = 12 and the default grid (records add the output rows, or
+the capacity, and the median seconds of each ``meta["phase_s"]`` phase
+of the two regions), and ``compare``, the CLI command of the
+``power-fig2`` benchmark workload (P = 12, CSVs and SVG written into a
+temporary directory; records add the exit status and the rows of both
+CSVs).  ``--cases checks`` runs the identity checks as the CLI does:
+``dpc-check`` (the dirty-paper identity, ``dpc_identity_check``) and
+``decomp-check`` (the decomposition round trip) at dims 2 and 3, 50
+trials, seed 7; records add the exit status and the printed max gap or
+residual.
 
 A child runs its call ``--repeats`` times and reports every wall time
 (``time.perf_counter``) and its ``ru_maxrss`` before and after the calls,
@@ -114,7 +117,11 @@ def _rows(frontier) -> dict:
 
 
 def _envelope_output(res) -> dict:
-    return {"value": res.value, "nodes_scored": res.grid_meta.get("nodes_scored")}
+    out = {"value": res.value, "nodes_scored": res.grid_meta.get("nodes_scored")}
+    for key in ("evaluations", "phase_s"):
+        if key in res.grid_meta:
+            out[key] = res.grid_meta[key]
+    return out
 
 
 def _check_output(argv) -> dict:

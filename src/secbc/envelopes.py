@@ -51,9 +51,14 @@ which maps V to V P S, so a dropped duplicate of a grid rotation would
 follow the same path in K.  Results are deterministic under any
 parallel evaluation order.  ``EnvelopeResult.grid_meta`` records the
 grid nodes, the nodes scored, the blocks, the iterations each start
-used, the starts that hit the ``refine_iters`` cap (``capped``) and the
-projected-gradient residual ||P(C + grad f) - C|| at the returned chain
-(``kkt_residual``), its distance from first-order stationarity.
+used, the starts that hit the ``refine_iters`` cap (``capped``), the
+objective calls of the polish (``evaluations``; each evaluates the live
+starts at once), the projected-gradient residual ||P(C + grad f) - C||
+at the returned chain (``kkt_residual``), its distance from first-order
+stationarity, and the ``perf_counter`` seconds of the two phases
+(``phase_s``): ``grid`` (tables, outer levels, streamed sweep and
+seeds) and ``polish`` (spectral seeds, :func:`secbc.sweeps.spg_max`,
+splits and residual).  Only ``phase_s`` varies from run to run.
 
 ``bound_b`` is the closed-form eigenvalue bound certifying that the
 level-2 objective stays bounded over all inputs, and
@@ -64,6 +69,7 @@ product channels.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -173,23 +179,22 @@ def _spectral_seeds(ch: GaussianBc, b0: np.ndarray, eta: float, levels: int) -> 
             pass
         _, vecs = np.linalg.eigh(w2 - eta * w1)
         dirs.append(vecs[:, -1])
-    eye, zero = np.eye(t), np.zeros((t, t))
-    layouts = {
-        1: [[None]],
-        2: [[None, zero], [None, eye], [eye, None]],
-        3: [[None, eye, zero], [None, eye, eye], [None, zero, zero], [eye, None, zero],
-            [eye, eye, None]],
-    }[levels]
-    seeds = []
+    eye = np.eye(t)
+    # Each layout gives every level the seed (s), the identity (1) or zero (0).
+    layouts = {1: ["s"], 2: ["s0", "s1", "1s"], 3: ["s10", "s11", "s00", "1s0", "11s"]}[levels]
+    leads = []
     for u in dirs:
         x, *_ = np.linalg.lstsq(b0, u / np.linalg.norm(u), rcond=None)
         if np.linalg.norm(b0 @ x) < 1e-12:  # u is orthogonal to the range of K
             continue
-        lead = np.outer(x / np.linalg.norm(x), eye[0])
-        for delta in (1e-3, 1e-2, 1e-1):
-            scaled = math.sqrt(delta) * lead
-            seeds += [[scaled if c is None else c for c in row] for row in layouts]
-    return np.array(seeds).reshape(-1, levels, t, t)
+        leads.append(np.outer(x / np.linalg.norm(x), eye[0]))
+    # (direction, delta, layout, level) in C order
+    seeds = np.empty((len(leads), 3, len(layouts), levels, t, t))
+    scaled = np.sqrt([1e-3, 1e-2, 1e-1])[:, None, None] * np.reshape(leads, (-1, 1, t, t))
+    for r, row in enumerate(layouts):
+        for lev, c in enumerate(row):
+            seeds[:, :, r, lev] = scaled if c == "s" else eye if c == "1" else 0.0
+    return seeds.reshape(-1, levels, t, t)
 
 
 def _contract(cs: np.ndarray) -> np.ndarray:
@@ -198,14 +203,23 @@ def _contract(cs: np.ndarray) -> np.ndarray:
     ``cs`` (..., t, t) holds one matrix per level; the Frobenius-nearest
     matrix of spectral norm at most 1 keeps the singular vectors and
     clips the singular values.  Matrices already inside are returned
-    as they are.
+    as they are.  The largest singular value is at most the Frobenius
+    norm, so only the matrices with ||C||_F^2 > 1 - 1e-9 (or not finite)
+    go through the SVD, each with the bits it gets in any batch; the
+    margin dwarfs the rounding of both norms.
     """
-    u, s, vh = np.linalg.svd(cs)
-    over = s[..., 0] > 1.0
+    near = ~(np.square(cs).sum(axis=(-2, -1)) <= 1.0 - 1e-9)
+    if not near.any():
+        return cs
+    u, s, vh = np.linalg.svd(cs[near])
+    over = s[:, 0] > 1.0
     if not over.any():
         return cs
+    if not over.all():
+        near[near] = over  # now marks the members to clip
+        u, s, vh = u[over], s[over], vh[over]
     out = cs.copy()
-    out[over] = (u[over] * np.minimum(s[over], 1.0)[:, None, :]) @ vh[over]
+    out[near] = (u * np.minimum(s, 1.0)[:, None, :]) @ vh
     return out
 
 
@@ -231,6 +245,7 @@ def _layered_max(ch: GaussianBc, k, outer, inner: float, eta: float, grid):
     k, with the same result.  argmax_splits holds K_L, K_{L-1} - K_L,
     ..., K_1 - K_2.
     """
+    start = time.perf_counter()
     k = validate_psd(k, name="k")
     t = ch.t
     if k.shape[0] != t:
@@ -276,6 +291,13 @@ def _layered_max(ch: GaussianBc, k, outer, inner: float, eta: float, grid):
     seeds = contractions(params, t).reshape(-1, levels, t, t)
     weights = np.array([*outer, (-inner * eta, inner)], dtype=float)
     value_grad = layered_value_grad(np.stack(gains), b0, weights)
+    gridded = time.perf_counter()
+    evaluations = 0
+
+    def counted(cs):
+        nonlocal evaluations
+        evaluations += 1
+        return value_grad(cs)
 
     if grid.refine_iters == 0:
         cs, value, used = seeds[0], float(top[0]), []
@@ -296,7 +318,7 @@ def _layered_max(ch: GaussianBc, k, outer, inner: float, eta: float, grid):
         if len(extra):
             scores = value_grad(extra)[0]
             starts = np.concatenate([starts, extra[np.argsort(-scores, kind="stable")[:keep]]])
-        xs, fx, gx, used = spg_max(value_grad, _contract, starts, grid.refine_iters)
+        xs, fx, gx, used = spg_max(counted, _contract, starts, grid.refine_iters)
         best = int(np.argmax(fx))
         cs, value, grad, used = xs[best], float(fx[best]), gx[best], used.tolist()
     grams = gram(chained_factors(b0, cs[None])[0])
@@ -314,8 +336,10 @@ def _layered_max(ch: GaussianBc, k, outer, inner: float, eta: float, grid):
         "grid_blocks": blocks,
         "iterations": used,
         "capped": [i for i, u in enumerate(used) if u >= grid.refine_iters],
+        "evaluations": evaluations,
         "kkt_residual": float(np.linalg.norm(_contract(cs + grad) - cs)),
     }
+    meta["phase_s"] = {"grid": gridded - start, "polish": time.perf_counter() - gridded}
     return EnvelopeResult(value, splits, meta)
 
 

@@ -13,9 +13,11 @@ matrix-ordered feasible set into a box, which is what makes grid sweeps of
 rate regions tractable.
 
 Every rate term 0.5 log2 det(I + G K G^T) comes from :func:`half_log2_det`
-or :func:`half_log2` of grid determinants; both raise ``FloatingPointError``
-on a determinant that is not positive and finite.  :func:`logdet2` is the
-validated log-determinant of the mutual-information oracle.
+(whose log-determinant and check :func:`secbc.sweeps.layered_value_grad`
+shares) or :func:`half_log2` of grid determinants; both raise
+``FloatingPointError`` on a determinant that is not positive and finite.
+:func:`logdet2` is the validated log-determinant of the
+mutual-information oracle.
 
 :func:`logdet2`, :func:`psd_leq`, :func:`sqrt_factor`, the rotations and
 the sub-covariance parameterization also take stacks (..., n, n): every
@@ -182,9 +184,15 @@ def half_log2_det(g, k=None, *, factors=None):
         a = g @ factors
         m = np.swapaxes(a, -1, -2) @ a
         m += np.eye(a.shape[-1])
+    return _half_log2_det_of(m)
+
+
+def _half_log2_det_of(m: np.ndarray) -> np.ndarray:
+    """0.5 * log2 det(m) of matrices ``m`` (..., n, n) of the form I + A^T A;
+    ``FloatingPointError`` unless every determinant is positive and finite."""
     sign, ld = np.linalg.slogdet(m)
-    # Two cheap reductions: the refine objectives call this thousands of
-    # times on small batches.  A NaN or inf log makes the sum non-finite.
+    # Two cheap reductions: the polish calls this thousands of times on
+    # small batches.  A NaN or inf log makes the sum non-finite.
     if not (sign.min() > 0 and abs(ld.sum()) < math.inf):
         raise FloatingPointError("det(I + G K G^T) is not positive and finite")
     return 0.5 * ld / _LOG2

@@ -28,7 +28,8 @@ The grid half works on square-root factors: a child of the factor ``B``
 under parameters (theta, d) is ``B @ V(theta) @ diag(sqrt(d))``, whose
 Gram matrix is exactly the sub-covariance.  One :class:`GridTables`
 holds the angle tuples and rotations of the innermost and of the outer
-levels and the scaling tuples, and :func:`grid_params` turns a flat
+levels and the scaling tuples, built once per resolution and shared
+read-only by every later sweep, and :func:`grid_params` turns a flat
 index of a chained grid back into its parameter vector.  Determinants of
 ``I + G K* G^T`` over a whole diagonal grid come from the principal-minor
 expansion of ``det(I + D M)`` (:func:`det_i_plus_diag`), which costs 2^t
@@ -66,6 +67,7 @@ their gradients.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -75,7 +77,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .matops import half_log2_det, rotation_batch
+from .matops import _half_log2_det_of, rotation_batch
 
 __all__ = [
     "GridSpec",
@@ -302,6 +304,10 @@ def grid_tables(t: int, theta_steps: int, dvals: np.ndarray, chained: bool = Fal
     """Tables of ``theta_steps`` angles on [0, 2*pi) per Givens angle times
     ``dvals``, one rotation per class.
 
+    Tables are built once per (t, theta_steps, bits of ``dvals``,
+    chained) and shared by every later call, so their arrays are
+    read-only; a list and an array of the same values share one entry.
+
     A rotation V and V P S (P a permutation, S a diagonal sign matrix)
     span the same matrices V diag(d) V^T over the scaling tuples, which
     are closed under permutation, so the innermost level keeps only the
@@ -318,6 +324,14 @@ def grid_tables(t: int, theta_steps: int, dvals: np.ndarray, chained: bool = Fal
     with 4 steps; otherwise the outer levels keep the whole lattice, so
     every chained grid holds the (outer, inner) pairs of the full one.
     """
+    dvals = np.asarray(dvals, dtype=float)
+    return _cached_tables(int(t), int(theta_steps), dvals.tobytes(), bool(chained))
+
+
+@functools.lru_cache(maxsize=32)
+def _cached_tables(t: int, theta_steps: int, dbytes: bytes, chained: bool) -> GridTables:
+    """The :func:`grid_tables` of the scaling values held in ``dbytes``."""
+    dvals = np.frombuffer(dbytes)
     tuples = diag_combos(theta_values(theta_steps), t * (t - 1) // 2)
     rots = rotation_batch(tuples, t)
     cls = _class_ids(rots)
@@ -325,9 +339,12 @@ def grid_tables(t: int, theta_steps: int, dvals: np.ndarray, chained: bool = Fal
     keep = outer = np.sort(first)
     if chained and not _closed(rots, cls, first):
         outer = np.arange(len(rots))
-    return GridTables(
+    tables = GridTables(
         tuples[keep], rots[keep], tuples[outer], rots[outer], dvals, diag_combos(dvals, t)
     )
+    for f in fields(tables):
+        getattr(tables, f.name).flags.writeable = False
+    return tables
 
 
 def grid_params(tables: GridTables, flat, levels: int) -> np.ndarray:
@@ -487,11 +504,17 @@ def chained_factors(b0: np.ndarray, cs: np.ndarray) -> np.ndarray:
     ``b0`` is one root B_0 (t, t) or one per chain (S, t, t); returns
     (S, L, t, t), level 0 the outermost.
     """
-    out = np.empty(cs.shape)
-    b = b0
-    for lev in range(cs.shape[1]):
+    return _chain(b0, cs)[:, 1:]
+
+
+def _chain(b0: np.ndarray, cs: np.ndarray) -> np.ndarray:
+    """B_0, B_1, ..., B_L of :func:`chained_factors` as one (S, L + 1, t, t) array."""
+    n, levels = cs.shape[:2]
+    out = np.empty((n, levels + 1) + cs.shape[2:])
+    out[:, 0] = b = b0
+    for lev in range(levels):
         b = b @ cs[:, lev]
-        out[:, lev] = b
+        out[:, lev + 1] = b
     return out
 
 
@@ -500,30 +523,29 @@ def layered_value_grad(gains: np.ndarray, b0: np.ndarray, weights: np.ndarray):
 
     ``gains`` stacks (G_1, G_2) and ``weights`` (L, 2) holds each level's
     weights of (h_1, h_2); the chain C (S, L, t, t) gives K_l = B_l B_l^T
-    with B_l = B_{l-1} C_l, B_0 = ``b0``.  The values come from
-    :func:`half_log2_det`.  With A = G_j B_l, dh_j/dB_l =
-    G_j^T A (I + A^T A)^-1 / ln 2, and one reverse pass over the levels
+    with B_l = B_{l-1} C_l, B_0 = ``b0``.  One pass builds A = G_j B_l
+    and M = I + A^T A for every level and gain: h_j is 0.5*log2 det M
+    from its log-determinant, checked as :func:`secbc.matops.half_log2_det`
+    checks it (``FloatingPointError`` unless positive and finite), and
+    dh_j/dB_l = G_j^T A M^-1 / ln 2.  One reverse pass over the levels
     turns the sums D_l = df/dB_l into df/dC_l = B_{l-1}^T D_l, with
-    D_{l-1} gaining D_l C_l^T.
+    D_{l-1} gaining D_l C_l^T; the D_l overwrite the direct terms, and
+    one product gives every level's gradient.
     """
     levels, t = len(weights), b0.shape[0]
     scaled = weights[:, :, None, None] * np.swapaxes(gains, -1, -2) / math.log(2.0)
+    eye = np.eye(t)
 
     def value_grad(cs):
-        bs = chained_factors(b0, cs)
-        h = half_log2_det(gains, factors=bs[:, :, None])
-        a = gains @ bs[:, :, None]
-        m = np.swapaxes(a, -1, -2) @ a
-        m += np.eye(t)
-        direct = (scaled @ a @ np.linalg.inv(m)).sum(axis=2)
-        grad = np.empty(cs.shape)
-        d = direct[:, -1]
-        for lev in range(levels - 1, -1, -1):
-            parent = bs[:, lev - 1] if lev else b0
-            grad[:, lev] = np.swapaxes(parent, -1, -2) @ d
-            if lev:
-                d = direct[:, lev - 1] + d @ np.swapaxes(cs[:, lev], -1, -2)
-        return (h * weights).sum(axis=(1, 2)), grad
+        chain = _chain(b0, cs)
+        a = gains @ chain[:, 1:, None]
+        m = a.swapaxes(-1, -2) @ a
+        m += eye
+        h = _half_log2_det_of(m)
+        d = (scaled @ a @ np.linalg.inv(m)).sum(axis=2)
+        for lev in range(levels - 1, 0, -1):
+            d[:, lev - 1] += d[:, lev] @ cs[:, lev].swapaxes(-1, -2)
+        return (h * weights).sum(axis=(1, 2)), chain[:, :-1].swapaxes(-1, -2) @ d
 
     return value_grad
 
@@ -547,66 +569,127 @@ def spg_max(fg, project, x0: np.ndarray, budget: int):
     when it has used ``budget`` iterations.
 
     Every objective call evaluates the live starts at once, so each start
-    takes exactly the steps it would take alone.  Returns (x, fx, gx,
-    used): the best point each start reached, its value (>= f(project(x0))
+    takes exactly the steps it would take alone.  Only the points, their
+    gradients and steps are arrays; each start's scalars (value, memory,
+    lam, slope, alpha, iterations, best value) are Python floats, since a
+    batch rarely holds more than a few live starts and a numpy call on
+    so few costs more than its arithmetic.  Returns (x, fx, gx, used):
+    the best point each start reached, its value (>= f(project(x0))
     row-wise) and gradient, and the iterations each start used.
     """
     x = project(np.array(x0, dtype=float))
     n = len(x)
     axes = tuple(range(1, x.ndim))
     pad = (slice(None),) + (None,) * (x.ndim - 1)
-    fx, gx = fg(x)
-    best, fbest, gbest = x.copy(), fx.copy(), gx.copy()
-    used = np.zeros(n, dtype=int)
+    f0, g = fg(x)
+    best, gbest = x.copy(), g.copy()
     if budget < 1:
-        return best, fbest, gbest, used
-    recent = np.repeat(fx[:, None], SPG_MEMORY, axis=1)
-    p = np.zeros_like(x)
-    slope = np.zeros(n)
-    lam = np.ones(n)
+        return best, f0.copy(), gbest, np.zeros(n, dtype=int)
     lo, hi = SPG_STEPS
-    unit = np.abs(project(x + gx) - x).max(axis=axes)
-    alpha = np.clip(1.0 / np.maximum(unit, lo), lo, hi)
+    unit = np.abs(project(x + g) - x).max(axis=axes)
+    alpha = np.clip(1.0 / np.maximum(unit, lo), lo, hi).tolist()
+    fx = f0.tolist()
+    fbest = list(fx)
+    recent = [[f] * SPG_MEMORY for f in fx]
+    used = [0] * n
+    lam, slope = [1.0] * n, [0.0] * n
 
     def floor(f):
-        return SPG_RTOL * (1.0 + np.abs(f))
+        return SPG_RTOL * (1.0 + abs(f))
 
-    def direction(lanes):
-        """Set the projected step of ``lanes``; return those that can still gain."""
-        p[lanes] = project(x[lanes] + alpha[lanes][pad] * gx[lanes]) - x[lanes]
-        slope[lanes] = (gx[lanes] * p[lanes]).sum(axis=axes)
-        lam[lanes] = 1.0
-        return lanes[slope[lanes] > floor(fx[lanes])]
+    def direction(lanes, xr, gr):
+        """Projected steps of ``lanes`` at points ``xr`` with gradients ``gr``;
+        sets their slopes and lam = 1 and flags those that can still gain."""
+        pr = project(xr + np.array([alpha[i] for i in lanes])[pad] * gr) - xr
+        gain = []
+        for i, sl in zip(lanes, (gr * pr).sum(axis=axes).tolist()):
+            slope[i], lam[i] = sl, 1.0
+            gain.append(sl > floor(fx[i]))
+        return pr, gain
 
-    live = direction(np.arange(n))
-    while live.size:
-        y = x[live] + lam[live][pad] * p[live]
+    # The live starts in ascending order and, row for row, their points,
+    # gradients and steps; a start that stops leaves them for good.
+    live = list(range(n))
+    xs, gs = x, g
+    ps, keep = direction(live, xs, gs)
+    while True:
+        if not all(keep):
+            live = [i for i, k in zip(live, keep) if k]
+            xs, gs, ps = xs[keep], gs[keep], ps[keep]
+        if not live:
+            break
+        y = xs + np.array([lam[i] for i in live])[pad] * ps
         fy, gy = fg(y)
-        ok = fy >= recent[live].min(axis=1) + SPG_ARMIJO * lam[live] * slope[live]
-        acc, rej = live[ok], live[~ok]
-        s = y[ok] - x[acc]
-        sy = -(s * (gy[ok] - gx[acc])).sum(axis=axes)
-        ss = (s * s).sum(axis=axes)
+        fy = fy.tolist()
+        ok = [f >= min(recent[i]) + SPG_ARMIJO * lam[i] * slope[i] for i, f in zip(live, fy)]
+        rows = [j for j, k in enumerate(ok) if k]
+        keep = [False] * len(live)
+        if rows:
+            whole = len(rows) == len(live)
+            ya, ga = (y, gy) if whole else (y[rows], gy[rows])
+            s = ya - (xs if whole else xs[rows])
+            sy = (s * (ga - (gs if whole else gs[rows]))).sum(axis=axes).tolist()
+            ss = (s * s).sum(axis=axes).tolist()
+            if whole:
+                xs, gs = y, gy
+            else:
+                xs[rows], gs[rows] = ya, ga
+            up, go = [], []  # accepted rows that gained; live rows that go on
+            # r counts the accepted rows, j is a row of the batch, i its start
+            for r, (j, sy_j, ss_j) in enumerate(zip(rows, sy, ss)):
+                i, f = live[j], fy[j]
+                sy_j = -sy_j
+                alpha[i] = min(max(ss_j / sy_j, lo), hi) if sy_j > 0.0 else hi
+                change = abs(f - fx[i])
+                fx[i] = f
+                recent[i][used[i] % SPG_MEMORY] = f
+                used[i] += 1
+                if f > fbest[i]:
+                    fbest[i] = f
+                    up.append(r)
+                if used[i] < budget and change > floor(f):
+                    go.append(j)
+            if up:
+                lanes = [live[rows[r]] for r in up]
+                if len(up) < len(rows):
+                    ya, ga = ya[up], ga[up]
+                best[lanes], gbest[lanes] = ya, ga
+            if go:
+                every = len(go) == len(live)
+                lanes = [live[j] for j in go]
+                pr, gain = direction(lanes, *((xs, gs) if every else (xs[go], gs[go])))
+                if every:
+                    ps = pr
+                else:
+                    ps[go] = pr
+                for j, k in zip(go, gain):
+                    keep[j] = k
+        for j, (i, f, k) in enumerate(zip(live, fy, ok)):
+            if k:
+                continue
+            step = lam[i]
+            lam[i] = _backtrack(step, slope[i], fx[i] + step * slope[i] - f)
+            if lam[i] * slope[i] > floor(fx[i]):
+                keep[j] = True
+            else:
+                used[i] += 1
+    return best, np.array(fbest), gbest, np.array(used, dtype=int)
+
+
+def _backtrack(step: float, slope: float, drop: float) -> float:
+    """The peak of the quadratic through f(x), its slope along p and a
+    rejected value ``drop`` below the linear model at ``step``, kept
+    within [0.1, 0.5] of the step.  A zero ``drop`` divides as numpy
+    does: an infinite peak goes to its bound, an undefined one to 0.1."""
+    num, den = step * step * slope, 2.0 * drop
+    if den:
+        quad = num / den
+    else:
         with np.errstate(divide="ignore", invalid="ignore"):
-            alpha[acc] = np.where(sy > 0.0, np.clip(ss / sy, lo, hi), hi)
-        change = np.abs(fy[ok] - fx[acc])
-        x[acc], fx[acc], gx[acc] = y[ok], fy[ok], gy[ok]
-        recent[acc, used[acc] % SPG_MEMORY] = fy[ok]
-        used[acc] += 1
-        up = acc[fy[ok] > fbest[acc]]
-        best[up], fbest[up], gbest[up] = x[up], fx[up], gx[up]
-        more = direction(acc[(used[acc] < budget) & (change > floor(fx[acc]))])
-        # Backtrack to the peak of the quadratic through f(x), its slope
-        # along p and the rejected value, kept within [0.1, 0.5] of the step.
-        step = lam[rej]
-        drop = fx[rej] + step * slope[rej] - fy[~ok]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            quad = step * step * slope[rej] / (2.0 * drop)
-        lam[rej] = np.clip(np.nan_to_num(quad, nan=0.0), 0.1 * step, 0.5 * step)
-        back = lam[rej] * slope[rej] > floor(fx[rej])
-        used[rej[~back]] += 1
-        live = np.sort(np.concatenate([more, rej[back]]))
-    return best, fbest, gbest, used
+            quad = float(np.divide(num, den))
+    if quad != quad:
+        quad = 0.0
+    return min(max(quad, 0.1 * step), 0.5 * step)
 
 
 def top_k_flat(values: np.ndarray, k: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from secbc import (
     v_tilde,
 )
 
-from secbc import envelopes
+from secbc import envelopes, sweeps
 from secbc.matops import half_log2_det, psd_leq, rotation, sqrt_factor
 from secbc.sweeps import (
     children_factors,
@@ -450,6 +450,65 @@ class TestProjectedGradient:
                 up, down = value_grad(cs + probe)[0], value_grad(cs - probe)[0]
                 numeric[(slice(None),) + idx] = (up - down) / (2 * step)
             assert np.abs(grad - numeric).max() <= 1e-7 * (1.0 + np.abs(grad).max())
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_chain_raises(self, rng, bad):
+        # the values share half_log2_det's positive-and-finite check
+        value_grad = self.problem(rng, 2, 2)
+        cs = random_chain(rng, 3, 2, 2)
+        cs[1, 0, 0, 1] = bad
+        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(FloatingPointError):
+            value_grad(cs)
+
+    @staticmethod
+    def full_svd_clip(cs):
+        """The projection with an SVD of every matrix."""
+        u, s, vh = np.linalg.svd(cs)
+        over = s[..., 0] > 1.0
+        if not over.any():
+            return cs
+        out = cs.copy()
+        out[over] = (u[over] * np.minimum(s[over], 1.0)[:, None, :]) @ vh[over]
+        return out
+
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_projection_equals_the_full_svd_clip(self, rng, t):
+        # rank-one matrices at sigma = 1 and one ulp either side, matrices
+        # with ||C||_F^2 within 1e-9 of 1, and random stacks around the ball
+        edge = []
+        for sigma in (1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)):
+            u, v = rng.normal(size=(2, t))
+            edge.append(sigma * np.outer(u / np.linalg.norm(u), v / np.linalg.norm(v)))
+        for delta in (-2e-9, -1e-9, -5e-10, 0.0, 5e-10, 1e-9, 2e-9):
+            c = rng.normal(size=(t, t))
+            edge.append(c * math.sqrt((1.0 + delta) / (c * c).sum()))
+        edge = np.array(edge)
+        mixed = edge[rng.permutation(len(edge))][:9].reshape(3, 3, t, t)
+        stacks = [edge, edge.reshape(-1, 1, t, t), mixed]
+        for scale in (0.3, 0.9, 1.1, 3.0):
+            stacks.append(rng.normal(size=(6, 3, t, t)) * rng.uniform(0.1, scale, size=(6, 3, 1, 1)))
+            stacks.append(np.concatenate([stacks[-1].reshape(-1, t, t), edge]))
+        for cs in stacks:
+            got = envelopes._contract(cs)
+            assert got.shape == cs.shape and got.tobytes() == self.full_svd_clip(cs).tobytes()
+        # a NaN entry reaches the SVD, which refuses it
+        edge[0, 0, 0] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            envelopes._contract(edge)
+
+    def test_backtrack_divides_as_numpy(self):
+        # the quadratic backtrack on Python floats against the clipped numpy
+        # quotient it replaced, zero and non-finite drops included
+        cases = [(1.0, 2.0, 0.5), (0.5, 1e-3, 3.0), (1.0, 2.0, 0.0), (1.0, 2.0, -0.0),
+                 (0.25, 0.0, 0.0), (1.0, math.nan, 1.0), (1.0, 2.0, math.nan),
+                 (1.0, 2.0, math.inf), (1.0, 2.0, -1.0), (1e-300, 1e300, 1e-300),
+                 (1.0, 1e308, 1e-308), (1.0, math.inf, 0.0)]
+        for step, slope, drop in cases:
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                quad = np.float64(step) * step * slope / (2.0 * np.float64(drop))
+                want = np.clip(np.nan_to_num(quad, nan=0.0), 0.1 * step, 0.5 * step)
+            got = sweeps._backtrack(step, slope, drop)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (step, slope, drop)
 
     @pytest.mark.parametrize("t", [1, 2, 3])
     def test_projection_is_a_contraction_and_idempotent(self, rng, t):

@@ -332,10 +332,42 @@ class TestRotationClasses:
     def test_t3_table_builds_fast(self):
         best = math.inf
         for _ in range(5):
+            sweeps._cached_tables.cache_clear()  # time a build, not a cache hit
             start = time.perf_counter()
             grid_tables(3, 16, diag_values(9))
             best = min(best, time.perf_counter() - start)
         assert best < 0.05
+
+
+class TestGridTablesCache:
+    @pytest.mark.parametrize(
+        "t,steps,chained", [(1, 4, False), (2, 16, True), (3, 8, True), (3, 6, False)]
+    )
+    def test_cached_tables_are_read_only_cold_builds(self, t, steps, chained):
+        dvals = diag_values(5)
+        tab = grid_tables(t, steps, dvals, chained)
+        cold = sweeps._cached_tables.__wrapped__(t, steps, dvals.tobytes(), chained)
+        for name in ("tuples", "rots", "outer_tuples", "outer_rots", "dvals", "combos"):
+            arr, want = getattr(tab, name), getattr(cold, name)
+            assert arr.shape == want.shape and arr.tobytes() == want.tobytes()
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
+
+    def test_equal_values_share_one_entry(self):
+        dvals = [0.0, 0.25, 1.0]
+        tab = grid_tables(2, 12, np.array(dvals))
+        assert grid_tables(2, 12, dvals) is tab
+        assert grid_tables(2, 12, tuple(dvals)) is tab
+        assert grid_tables(2, 12, dvals, chained=True) is not tab
+        assert grid_tables(2, 12, [0.0, 0.25, 0.5]) is not tab
+
+    def test_table_does_not_alias_the_callers_values(self):
+        dvals = np.array([0.0, 0.5, 1.0])
+        tab = grid_tables(2, 8, dvals)
+        dvals[1] = 0.75
+        assert tab.dvals.tolist() == [0.0, 0.5, 1.0]
+        assert grid_tables(2, 8, dvals).dvals.tolist() == [0.0, 0.75, 1.0]
 
 
 class TestPairDetsRows:
@@ -386,7 +418,9 @@ class TestEnvelopeSweeps:
             assert np.float64(one.value).tobytes() == np.float64(two.value).tobytes()
             for a, b in zip(one.argmax_splits, two.argmax_splits):
                 assert a.tobytes() == b.tobytes()
-            assert one.grid_meta == two.grid_meta
+            # phase_s holds timings, the only entries that vary from run to run
+            timeless = [{k: v for k, v in r.grid_meta.items() if k != "phase_s"} for r in (one, two)]
+            assert timeless[0] == timeless[1]
             assert one.grid_meta["grid_blocks"] > 2
 
     def test_grid_meta_reports_nodes_blocks_and_budget(self, fast_grid):
@@ -404,6 +438,16 @@ class TestEnvelopeSweeps:
             # a start at a stationary point takes no step
             assert all(0 <= u <= meta["refine_budget"] for u in used) and max(used) > 0
             assert 0.0 <= meta["kkt_residual"] <= 1e-6
+
+    def test_grid_meta_reports_phases_and_evaluations(self, fast_grid):
+        for grid in (fast_grid, replace(fast_grid, refine_iters=0)):
+            for res in self.run_all(grid):
+                meta = res.grid_meta
+                assert set(meta["phase_s"]) == {"grid", "polish"}
+                assert all(s >= 0.0 for s in meta["phase_s"].values())
+                # every objective call advances each live start by at most one iteration
+                assert meta["evaluations"] >= max(meta["iterations"], default=0)
+                assert (meta["evaluations"] > 0) == (grid.refine_iters > 0)
 
     def test_budget_caps_line_searches(self, fast_grid):
         # each SPG iteration is one line search
