@@ -33,13 +33,13 @@ The cases (``P`` is the power, ``K`` the covariance constraint):
   default grid; t = 3 with s = 1-3 (first two functions only) at
   ``theta_steps=8, trace_steps=9``.  ``wtc_capacity_power``: the value
   dominates within 1e-12; ``both_confidential_frontier``: covered within
-  1e-12.  Their manifold grids may reach one matrix through a different
-  (angle, eigenvalue) row, so the polish may start from rounding
-  variants of the parent's nodes.  ``region_common_power``: covered
+  1e-12, so a change to the corner's start or polish passes only if it
+  reaches at least the parent's corner.  ``region_common_power``: covered
   within 0.05 bit, about one r0 cell (max R0 / 96) of its thinning.
 - ``wtc_capacity_power`` and ``both_confidential_frontier`` on the
-  example channel at P = 0.1 and P = 1e3, the two ends of the power
-  range, with the gates above.
+  example channel at P = 0.1, 1e3, 1e4 and 1e6, the ends of the power
+  range, with the gates above (the large powers are where a polish that
+  stalls in its iteration cap would fall short).
 - ``frontier_fixed_cov`` and ``region_common_fixed`` on the example
   channel with K = 6I and 4I, and on ``default_rng(100 t + s)`` channels
   (t = 1-3, s = 1-4) with K = A A^T + 0.1 I.  Default grid, except
@@ -120,7 +120,7 @@ def _cases(secbc):
     out = []
 
     power_sets = [("example", example, 12.0, None)]
-    ends = [(f"example,P={p:g}", example, p, None) for p in (0.1, 1e3)]
+    ends = [(f"example,P={p:g}", example, p, None) for p in (0.1, 1e3, 1e4, 1e6)]
     power_gates = {
         "wtc_capacity_power": DOMINATES,
         "both_confidential_frontier": COVERS_TIGHT,

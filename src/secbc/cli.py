@@ -49,12 +49,12 @@ DECOMP_TOL = 1e-7
 # and score them in stacked batches of this size, so memory stays flat
 # in --trials.
 CHECK_CHUNK = 128
-# Most grid rows a power-constrained command may build (see
-# regions._power_grid_rows).  The largest grid of the tests, the output
-# comparison script and the benchmark is the t = 3 K* grid at
-# theta_steps = 8, trace_steps = 9 (373 248 rows); a t = 3 manifold scan
-# of this many rows takes about 0.4 GB.  The t = 3 default grids hold
-# 562 million rows and more.
+# Most grid rows a power-constrained region may build (see
+# regions._power_grid_rows; wtc --power builds none).  The largest grid of
+# the tests, the output comparison script and the benchmark is the t = 3
+# K* grid at theta_steps = 8, trace_steps = 9 (373 248 rows); a t = 3
+# manifold scan of this many rows takes about 0.4 GB.  The t = 3 default
+# grids hold 562 million rows and more.
 MAX_GRID_ROWS = 1 << 19
 
 
@@ -424,12 +424,10 @@ def _cmd_compare(cfg: RunConfig) -> int:
     power, _ = cfg.constraint()
     grid = cfg.grid()
     start = time.perf_counter()
-    # Both regions share their max-R1 corner, the wiretap optimum.
-    corner = regions.wtc_capacity_power(ch, power, grid)
-    fr = regions.frontier_power(ch, power, grid, _corner=corner)
+    fr = regions.frontier_power(ch, power, grid)
     _summarize("one confidential message", fr, time.perf_counter() - start)
     start = time.perf_counter()
-    cmp_fr = regions.both_confidential_frontier(ch, power, grid, _corner=corner)
+    cmp_fr = regions.both_confidential_frontier(ch, power, grid)
     _summarize("both confidential", cmp_fr, time.perf_counter() - start)
     _echo(f"  max R1 difference = {abs(fr.max_r1() - cmp_fr.max_r1()):.2e}")
     if cfg.out:
@@ -466,12 +464,12 @@ _NEEDS = {"both-confidential": "power", "compare": "power", "envelope": "covaria
 _WRITES = dict.fromkeys(_REGION_MODES, ("out", "svg"))
 _WRITES.update({"common": ("out",), "wtc": ("out",), "compare": ("out", "svg")})
 # The region whose grid bounds each mode's memory under --power (compare
-# also runs the both-confidential region, whose grid is no larger).
+# also runs the both-confidential region, whose grid is no larger; wtc
+# builds no grid).
 _POWER_REGIONS = {
     "no-common": "frontier_power",
     "common": "region_common_power",
     "both-confidential": "both_confidential_frontier",
-    "wtc": "wtc_capacity_power",
     "compare": "frontier_power",
 }
 

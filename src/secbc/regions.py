@@ -17,7 +17,7 @@ Givens product V of angles and eigenvalues e >= 0, built from rows
 (angles, e) by one factor builder (:func:`_trace_factors`).  Its grids
 cross the angle tuples with a table of eigenvalue rows
 (:func:`_trace_grid`), and there are two such tables: the trace-P
-simplex (``simplex_grid``) for the constraint matrices of the wiretap,
+simplex (``simplex_grid``) for the constraint matrices of the
 both-confidential and common-message sweeps, and the u-ball e = P u^2
 with sum u^2 <= 1 for the K* of the pair region, whose coarse grid is
 then zoomed around its Pareto nodes.  For t <= 2 those K* nodes are
@@ -36,15 +36,14 @@ rate formulas.  Every rate term comes from the checked kernel of
 grid resolutions in :class:`GridSpec`.  The
 max-confidential-rate corner of every region is the closed-form wiretap
 optimum of its constraint matrix (:func:`wtc_capacity`).  Under a power
-constraint the pair regions solve the power corner max h_1(K*) - h_2(K*)
-over tr K* <= P as one smooth problem (:func:`_power_corner`): the
-closed-form argmax at the best trace-P manifold nodes seeds the
-projected-gradient polish of :mod:`secbc.sweeps` over K* = P C C^T on
-the ball ||C||_F <= 1.  The max-R2 corner of the both-confidential
-region is the same problem with the users swapped.  The ``compare``
-command runs the wiretap corner once and hands it to both of its
-regions.  The common-message region takes the best of its manifold
-nodes.
+constraint the pair regions take the power corner max h_1(K*) - h_2(K*)
+over tr K* <= P from :func:`wtc_capacity_power`, one smooth problem: the
+closed-form argmax under the isotropic constraint (P/t) I is the one
+start of the projected-gradient polish of :mod:`secbc.sweeps` over
+K* = P C C^T on the ball ||C||_F <= 1, and no grid is built.  The
+max-R2 corner of the both-confidential region is the same problem with
+the users swapped.  The common-message region takes the best of its
+manifold nodes.
 
 Every grid is streamed in the row blocks of :func:`secbc.sweeps.row_blocks`
 (at most about ``GRID_BLOCK_NODES`` nodes each) through
@@ -70,8 +69,6 @@ import numpy as np
 from .channel import GaussianBc
 from .matops import gram, half_log2, half_log2_det, sqrt_factor, validate_psd
 from .sweeps import (
-    LIFT,
-    STARTS,
     GridSpec,
     canonical_angles,
     chained_factors,
@@ -379,11 +376,6 @@ def _wtc_pencil(ch: GaussianBc, k):
     return value, s, linv_t, mu, u
 
 
-def _wtc_value(ch: GaussianBc, k):
-    """The closed-form wiretap optimum over K* below ``k``, value only."""
-    return _wtc_pencil(ch, k)[0]
-
-
 def _wtc_root(ch: GaussianBc, k):
     """Closed-form wiretap optimum over K* below ``k``: (value, B), K* = B B^T.
 
@@ -512,14 +504,15 @@ def _power_grid_rows(t: int, grid: GridSpec) -> dict:
 
     Counted from the table sizes alone, so nothing is allocated: a
     :func:`_trace_grid` has one row per angle tuple and eigenvalue row.
-    ``wtc_capacity_power`` and ``both_confidential_frontier`` hold the
-    trace-p simplex manifold; ``frontier_power`` also holds the coarse K*
-    grid, counted before its cut to the u-ball (``trace_steps``^t rows);
+    ``both_confidential_frontier`` holds the trace-p simplex manifold;
+    ``frontier_power`` the coarse K* grid, counted before its cut to the
+    u-ball (``trace_steps``^t rows, never fewer than the manifold's);
     ``region_common_power`` holds the outer rows of its chained grid,
     counted over the whole rotation lattice (manifold nodes x
     ``deep_theta_steps``^m x ``deep_diag_steps``^t), or at t = 1 the
     ``chain_diag_steps`` outer rows of its one constraint.  The counts
-    are exact or, where noted, upper bounds.
+    are exact or, where noted, upper bounds.  ``wtc_capacity_power``
+    builds no grid.
     """
     m = t * (t - 1) // 2
 
@@ -534,9 +527,8 @@ def _power_grid_rows(t: int, grid: GridSpec) -> dict:
         nodes = angles(grid.deep_theta_steps) * math.comb(grid.deep_trace_steps + t - 2, t - 1)
         common = nodes * grid.deep_theta_steps**m * grid.deep_diag_steps**t
     return {
-        "wtc_capacity_power": manifold,
         "both_confidential_frontier": manifold,
-        "frontier_power": max(manifold, kstar),
+        "frontier_power": kstar,
         "region_common_power": common,
     }
 
@@ -549,43 +541,6 @@ def _trace_ball(cs: np.ndarray) -> np.ndarray:
     """
     norm = np.linalg.norm(cs, axis=(-2, -1))
     return cs / np.maximum(norm, 1.0)[..., None, None]
-
-
-def _power_corner(ch: GaussianBc, p: float, grid: GridSpec, kmats, scores) -> np.ndarray:
-    """A trace-p constraint K whose wiretap optimum is max h_1 - h_2 over tr K* <= p.
-
-    h_j(K*) = 0.5*log2 det(I + G_j K* G_j^T) is maximized as one smooth
-    problem over K* = p C C^T with C in the :func:`_trace_ball`, by
-    :func:`secbc.sweeps.spg_max` on :func:`secbc.sweeps.layered_value_grad`
-    (root sqrt(p) I, one level, weights (1, -1)).  The starts are the
-    closed-form argmax K* = B B^T (:func:`_wtc_root`) of the ``STARTS``
-    best of the manifold nodes ``kmats`` by ``scores``, as C = B/sqrt(p),
-    plus a copy of the best with its singular values raised to at least
-    sqrt(``LIFT``): a step never raises the rank of C.  The best polished
-    K* is spread to K = K* + (p - tr K*) I / t, so K* <= K and the
-    closed-form optimum of K is at least the polished value, which is at
-    least the best node's.
-    """
-    t = ch.t
-    nodes = np.argsort(-scores, kind="stable")[:STARTS]
-    roots = _wtc_root(ch, kmats[nodes])[1] / math.sqrt(p)
-    u, sv, vh = np.linalg.svd(roots[0])
-    lifted = (u * np.maximum(sv, math.sqrt(LIFT))) @ vh
-    starts = np.concatenate([roots, lifted[None]])[:, None]
-    value_grad = layered_value_grad(
-        np.stack([ch.g1, ch.g2]), math.sqrt(p) * np.eye(t), np.array([[1.0, -1.0]])
-    )
-    cs, fx, _, _ = spg_max(value_grad, _trace_ball, starts, grid.refine_iters)
-    kstar = gram(math.sqrt(p) * cs[int(np.argmax(fx)), 0])
-    return kstar + max(p - np.trace(kstar), 0.0) / t * np.eye(t)
-
-
-def _wtc_corner(ch, p, grid, kmats, scores):
-    """(value, K, K*) of the wiretap optimum under power ``p``, polished
-    from the manifold nodes ``kmats`` and their :func:`_wtc_value` ``scores``."""
-    kmat = _power_corner(ch, p, grid, kmats, scores)
-    value, kstar = _wtc_gevd(ch, kmat)
-    return float(value), kmat, kstar
 
 
 def _water_fill(nu, power):
@@ -737,9 +692,7 @@ def _zoom_sweep(ch: GaussianBc, p: float, grid: GridSpec):
     return x[front], counts
 
 
-def frontier_power(
-    ch: GaussianBc, p: float, grid: GridSpec | None = None, *, _corner=None
-) -> Frontier:
+def frontier_power(ch: GaussianBc, p: float, grid: GridSpec | None = None) -> Frontier:
     """Pareto frontier of the pair region under total power ``p``.
 
     R2 depends on the constraint K only through C2(K), so the union over
@@ -749,13 +702,10 @@ def frontier_power(
     :func:`_zoom_sweep` finds the Pareto K*; each kept point gets the
     constraint that attains W(K*), so tr K = p and K* <= K exactly.  The
     max-R1 corner re-water-fills the K* of :func:`wtc_capacity_power`;
-    the max-R2 corner is K* = 0.  ``_corner`` is that call's result
-    when the caller already holds it (the ``compare`` command runs it
-    once for both of its regions).  ``meta`` records the K* nodes scored
+    the max-R2 corner is K* = 0.  ``meta`` records the K* nodes scored
     per zoom level (``nodes_per_level``) and the ``perf_counter`` seconds
     of the K* sweep, the wiretap corner and the point construction
-    (``phase_s``); ``wtc_corner`` reads about zero when the corner was
-    passed in.
+    (``phase_s``).
     """
     grid = grid or GridSpec()
     _check_power(p)
@@ -768,7 +718,7 @@ def frontier_power(
     x, counts = _zoom_sweep(ch, p, grid)
     swept = time.perf_counter()
     meta["nodes_per_level"] = counts
-    _, _, kstar_wtc = _corner or wtc_capacity_power(ch, p, grid)
+    _, _, kstar_wtc = wtc_capacity_power(ch, p, grid)
     cornered = time.perf_counter()
     kstars = np.concatenate(
         [_kstar_matrices(x, p, t), kstar_wtc[None], np.zeros((1, t, t))]
@@ -787,7 +737,7 @@ def frontier_power(
 
 
 def both_confidential_frontier(
-    ch: GaussianBc, p: float, grid: GridSpec | None = None, *, _corner=None
+    ch: GaussianBc, p: float, grid: GridSpec | None = None
 ) -> Frontier:
     """Comparison region with both private messages confidential.
 
@@ -796,16 +746,15 @@ def both_confidential_frontier(
     contributes one rectangle whose corner is the closed-form wiretap
     optimum of K (Liu, Liu, Poor & Shamai, IEEE T-IT 2010).  The frontier
     is the Pareto filter of those corners over the trace-p manifold,
-    plus the max-R1 and max-R2 corners (:func:`_power_corner`), each
-    seeded from the scan's own rates.  The max-R1 corner is the
-    (value, K, K*) of :func:`wtc_capacity_power`; ``_corner`` is that
-    result when the caller already holds it.  R2 of a constraint is the
+    plus the max-R1 and max-R2 corners.  R2 of a constraint is the
     wiretap optimum with the users swapped (the GEVD complement), so the
-    max-R2 corner is the power corner of the swapped channel.
-    ``meta["phase_s"]`` holds the ``perf_counter`` seconds of the
-    manifold ``scan`` and of the ``max_r1_corner`` and
-    ``max_r2_corner``; when the corner was passed in, ``max_r1_corner``
-    reads only the two determinants of its R2.
+    max-R1 corner is the (value, K, K*) of :func:`wtc_capacity_power` and
+    the max-R2 corner the K of :func:`wtc_capacity_power` on the swapped
+    channel.  Both corner rows take each rate from the closed form of
+    their K, since at large p the sum r1 + C2(K) - C1(K) of the manifold
+    rows loses about 1e-12 bit to cancellation.  ``meta["phase_s"]``
+    holds the ``perf_counter`` seconds of the manifold ``scan`` and of
+    the ``max_r1_corner`` and ``max_r2_corner``.
     """
     grid = grid or GridSpec()
     _check_power(p)
@@ -814,21 +763,18 @@ def both_confidential_frontier(
     if p == 0:
         return _zero_frontier(t, ("k", "kstar"), meta)
 
-    def excess(kmat):
-        return half_log2_det(ch.g2, kmat) - half_log2_det(ch.g1, kmat)
-
     start = time.perf_counter()
     kmats = _manifold_scan(t, p, grid)
     r1, ks = _wtc_gevd(ch, kmats)
-    r2 = r1 + excess(kmats)
+    r2 = r1 + half_log2_det(ch.g2, kmats) - half_log2_det(ch.g1, kmats)
     rows = np.flatnonzero(_pareto_mask(r1, np.maximum(r2, 0.0)))
     scanned = time.perf_counter()
-    value, kmat, kstar = _corner or _wtc_corner(ch, p, grid, kmats, r1)
-    r2_at = value + excess(kmat)
+    swapped = GaussianBc(ch.g2, ch.g1)
+    value, kmat, kstar = wtc_capacity_power(ch, p, grid)
+    r2_at = _wtc_gevd(swapped, kmat)[0]
     cornered = time.perf_counter()
-    kmat_v = _power_corner(GaussianBc(ch.g2, ch.g1), p, grid, kmats, r2)
+    r2v, kmat_v, _ = wtc_capacity_power(swapped, p, grid)
     r1v, ksv = _wtc_gevd(ch, kmat_v)
-    r2v = r1v + excess(kmat_v)
     meta["phase_s"] = {
         "scan": scanned - start,
         "max_r1_corner": cornered - scanned,
@@ -845,11 +791,20 @@ def both_confidential_frontier(
 def wtc_capacity_power(ch: GaussianBc, p: float, grid: GridSpec | None = None):
     """Wiretap secrecy capacity under a total power constraint.
 
-    Scores the closed-form fixed-constraint optimum, value alone
-    (:func:`_wtc_value`, no argmax), on the trace-p manifold nodes and
-    polishes the best of them (:func:`_power_corner`); the argmax is
-    formed once, at the polished constraint.  Returns (value, constraint,
-    argmax).
+    The optimum max h_1(K*) - h_2(K*) over tr K* <= p, with
+    h_j(K*) = 0.5*log2 det(I + G_j K* G_j^T), is one smooth problem over
+    K* = p C C^T with C in the :func:`_trace_ball`, polished by
+    :func:`secbc.sweeps.spg_max` on :func:`secbc.sweeps.layered_value_grad`
+    (root sqrt(p) I, one level, weights (1, -1)) from one start: C = B /
+    sqrt(p), where K* = B B^T is the closed-form argmax under the isotropic
+    constraint (p/t) I (:func:`_wtc_root`).  By Sylvester's inertia its
+    pencil has as many eigenvalues above 1 as G_1^T G_1 - G_2^T G_2 has
+    positive eigenvalues, so the start already has the largest rank an
+    optimum can have (a step never raises the rank of C).  The polished
+    K* is spread to K = K* + (p - tr K*) I / t, so K* <= K and the
+    closed-form optimum of K, formed once, is at least the polished
+    value, which is at least that of (p/t) I; ``refine_iters=0`` gives
+    the isotropic closed form.  Returns (value, constraint, argmax).
     """
     grid = grid or GridSpec()
     _check_power(p)
@@ -857,8 +812,15 @@ def wtc_capacity_power(ch: GaussianBc, p: float, grid: GridSpec | None = None):
     if p == 0:
         zero = np.zeros((t, t))
         return 0.0, zero, zero
-    kmats = _manifold_scan(t, p, grid)
-    return _wtc_corner(ch, p, grid, kmats, _wtc_value(ch, kmats))
+    start = _wtc_root(ch, p / t * np.eye(t))[1] / math.sqrt(p)
+    value_grad = layered_value_grad(
+        np.stack([ch.g1, ch.g2]), math.sqrt(p) * np.eye(t), np.array([[1.0, -1.0]])
+    )
+    cs, _, _, _ = spg_max(value_grad, _trace_ball, start[None, None], grid.refine_iters)
+    kstar = gram(math.sqrt(p) * cs[0, 0])
+    kmat = kstar + max(p - np.trace(kstar), 0.0) / t * np.eye(t)
+    value, kstar = _wtc_gevd(ch, kmat)
+    return float(value), kmat, kstar
 
 
 # (r0, r1) cells per axis of the triple thinning.

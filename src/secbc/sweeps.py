@@ -138,7 +138,9 @@ class GridSpec:
     defaults would be astronomically large there.  ``refine_iters``
     caps the iterations per start of the projected-gradient polish
     (:func:`spg_max`) of the envelopes and of the power corners, which
-    stops on its own once it no longer gains; 0 keeps the best start.
+    stops on its own once it no longer gains; 0 keeps the best start,
+    which for a power corner is the closed form of the isotropic
+    constraint (P/t) I.
     """
 
     theta_steps: int = 64

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -113,8 +114,9 @@ class TestExitCodes:
             ["dpc-check", "--trials", "-1"],
             ["dpc-check", "--trials", "0"],
             ["decomp-check", "--seed", "-1"],
+            # wtc --power builds no grid at t = 3, but still checks its flags
+            ["wtc", "--power", "4", *GAINS_T3, "--grid-trace", "0"],
             # t = 3 default power grids: 562 million rows and more
-            ["wtc", "--power", "4", *GAINS_T3],
             ["compare", "--power", "4", *GAINS_T3],
             ["region", "--power", "4", *GAINS_T3],
             ["region", "--mode", "common", "--power", "4", *GAINS_T3],
@@ -397,8 +399,9 @@ class TestGridLimit:
         )
         ch = make_channel(*np.random.default_rng(t).normal(size=(2, t, t)))
         rows = regions._power_grid_rows(t, grid)
+        assert set(rows) == set(cli._POWER_REGIONS.values())
         kmats = regions._manifold_scan(t, 2.0, grid)
-        assert rows["wtc_capacity_power"] == rows["both_confidential_frontier"] == len(kmats)
+        assert rows["both_confidential_frontier"] == len(kmats)
         coarse = regions.frontier_power(ch, 2.0, grid).meta["nodes_per_level"][0]
         assert max(len(kmats), coarse) <= rows["frontier_power"]
         theta, d = (
@@ -427,6 +430,22 @@ class TestGridLimit:
         # p = 0 returns before any grid, so the t = 3 default grid is fine
         assert main(["wtc", "--power", "0", *GAINS_T3]) == 0
 
+    def test_wtc_power_runs_at_t3_defaults(self, tmp_path, capsys):
+        # wtc --power polishes one closed-form start and builds no grid; the
+        # optimum puts all power on the first axis: 1/2 log2(17/5)
+        out = tmp_path / "wtc.csv"
+        assert main(["wtc", "--power", "4", *GAINS_T3, "--out", str(out)]) == 0
+        with out.open() as fh:
+            row = next(csv.DictReader(fh))
+        best = 0.5 * math.log2(17.0 / 5.0)
+        assert abs(float(row["R1"]) - best) <= 5e-7  # the %.6f column
+        k, kstar = (
+            np.array([[float(row[f"{name}_{i}{j}"]) for j in range(3)] for i in range(3)])
+            for name in ("k", "ks")
+        )
+        gains = [parse_matrix(GAINS_T3[1]), parse_matrix(GAINS_T3[3])]
+        assert abs(r1_hat(make_channel(*gains), k, kstar) - best) <= 1e-9
+
 
 class TestBrokenPipe:
     @pytest.mark.parametrize("unbuffered", [False, True])
@@ -451,8 +470,7 @@ class TestBrokenPipe:
 
 
 class TestHugePower:
-    """The power corners end in time at huge powers, where the polish's
-    starts may use up their ``refine_iters`` budget."""
+    """The power corners end in time at huge powers."""
 
     @pytest.mark.parametrize("command", ["wtc", "compare"])
     def test_exits_0_in_time(self, command, tmp_path):
@@ -500,9 +518,10 @@ class TestOverflowingCovariance:
             ["envelope", "--covariance", "1e308,0;0,1", "--eta", "1.2"],
             # a wiretap pencil that overflows
             ["wtc", "--covariance", "1,0;0,1", "--g1", "1e200,0;0,1e200"],
-            # power budgets whose rates overflow
+            # power budgets whose rates overflow (the wiretap corner alone
+            # stays finite up to 1e307; see test_wtc_power_reaches_the_high_snr_limit)
             ["compare", "--power", "1e300"],
-            ["wtc", "--power", "1e300"],
+            ["wtc", "--power", "1e308"],
             ["region", "--power", "1e300"],
         ],
     )
@@ -522,7 +541,7 @@ class TestOverflowingCovariance:
             ["envelope", "--eta", "1.2", "--covariance", "1e300,0;0,1e300"],
             ["wtc", "--covariance", "1e308,0;0,1"],
             ["compare", "--power", "1e300"],
-            ["wtc", "--power", "1e300"],
+            ["wtc", "--power", "1e308"],
             ["region", "--power", "1e300"],
         ],
     )
@@ -538,6 +557,19 @@ class TestOverflowingCovariance:
         assert proc.returncode == 3
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("numerical failure: "), proc.stderr
+
+    def test_wtc_power_reaches_the_high_snr_limit(self, tmp_path, capsys):
+        # the polish never forms a determinant, so at 1e300 the corner is the
+        # rank-one high-SNR limit 1/2 log2 of the top eigenvalue of the pencil
+        # (G1^T G1, G2^T G2)
+        out = tmp_path / "wtc.csv"
+        argv = ["wtc", "--power", "1e300", "--g1", G1_ARG, "--g2", G2_ARG, "--out", str(out)]
+        assert main(argv) == 0
+        with out.open() as fh:
+            r1 = float(next(csv.DictReader(fh))["R1"])
+        a1, a2 = (np.asarray(g, dtype=float) for g in (EXAMPLE_G1, EXAMPLE_G2))
+        top = np.linalg.eigvals(np.linalg.solve(a2.T @ a2, a1.T @ a1)).real.max()
+        assert abs(r1 - 0.5 * math.log2(top)) <= 5e-7  # the %.6f column
 
     def test_huge_gain_warns_nothing(self):
         # the gain's singularity test must not overflow its determinant
@@ -563,23 +595,6 @@ class TestCompare:
         body = svg.read_text()
         assert "stroke-dasharray" in body
         assert "R2 [bits/use]" in body
-
-    def test_runs_the_wiretap_corner_once(self, monkeypatch, capsys):
-        # two polishes: the wiretap corner, shared by both regions, and the
-        # both-confidential max-R2 corner
-        calls = []
-        polish = regions._power_corner
-
-        def counted(*args):
-            calls.append(args)
-            return polish(*args)
-
-        monkeypatch.setattr(regions, "_power_corner", counted)
-        argv = ["compare", "--power", "4", "--g1", G1_ARG, "--g2", G2_ARG, *FAST]
-        for _ in range(2):  # a second identical call does the same work
-            calls.clear()
-            assert main(argv) == 0
-            assert len(calls) == 2
 
     def test_max_r1_rows_are_the_wiretap_corner(self, monkeypatch, capsys):
         built = {}

@@ -189,6 +189,22 @@ def test_wtc_power_value_is_closed_form_of_its_constraint(inst):
     assert abs(value - wtc_capacity(ch, k)[0]) <= tol
 
 
+@settings(max_examples=60, deadline=None)
+@given(power_instances(), st.integers(0, 2**32 - 1))
+def test_no_trace_p_constraint_beats_the_power_corner(inst, seed):
+    # the corner is polished from one closed-form start, not taken from a
+    # grid, so any constraint of trace p checks it from above
+    ch, _, power, _, tol = inst
+    rng = np.random.default_rng(seed)
+    t = ch.t
+    value = wtc_capacity_power(ch, power)[0]
+    for rank in range(1, t + 1):
+        a = rng.normal(size=(t, rank))
+        k = a @ a.T
+        k = k * (power / np.trace(k))
+        assert wtc_capacity(ch, 0.5 * (k + k.T))[0] <= value + tol
+
+
 @st.composite
 def common_instances(draw):
     """(channel, constraint, grid, tolerance) of one common-message problem."""

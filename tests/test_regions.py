@@ -587,19 +587,6 @@ class TestBothConfidential:
         assert set(phases) == {"scan", "max_r1_corner", "max_r2_corner"}
         assert all(math.isfinite(v) and v >= 0.0 for v in phases.values())
 
-    @pytest.mark.parametrize("t", [1, 2, 3])
-    def test_passed_corner_gives_the_same_frontiers(self, t):
-        # compare hands both regions the wtc_capacity_power result; each
-        # region computes the same corner when it is not passed in
-        rng = np.random.default_rng(50 + t)
-        ch = make_channel(2.0 * rng.normal(size=(t, t)), rng.normal(size=(t, t)))
-        grid = GridSpec(theta_steps=4, trace_steps=5)
-        corner = wtc_capacity_power(ch, 5.0, grid)
-        for fn in (frontier_power, both_confidential_frontier):
-            own, passed = fn(ch, 5.0, grid), fn(ch, 5.0, grid, _corner=corner)
-            assert own.rates.tobytes() == passed.rates.tobytes()
-            assert all(own.gens[n].tobytes() == passed.gens[n].tobytes() for n in own.gens)
-
 
 class TestPowerCorner:
     """Both power corners are one polish over K* = p C C^T, ||C||_F <= 1."""
@@ -619,29 +606,58 @@ class TestPowerCorner:
         value, _, _ = wtc_capacity_power(make_channel(ch.g2, ch.g1), 3.0, self.GRID)
         assert abs(fr.max_r2() - value) <= 1e-9
 
-    @pytest.mark.parametrize("iters", [0, 1000])
+    @pytest.mark.parametrize("iters", [100, 1000])
     @pytest.mark.parametrize("t", [1, 2, 3])
     def test_corners_reach_the_best_manifold_node(self, t, iters):
+        # the one closed-form start is polished at least as high as every
+        # node of the trace-p manifold the grid paths scan
         ch = self.channel(t, 70 + t)
         grid = GridSpec(theta_steps=8, trace_steps=9, refine_iters=iters)
         kmats = regions._manifold_scan(t, 3.0, grid)
         for c in (ch, make_channel(ch.g2, ch.g1)):
-            scores = regions._wtc_value(c, kmats)
-            kmat = regions._power_corner(c, 3.0, grid, kmats, scores)
+            value, kmat, _ = wtc_capacity_power(c, 3.0, grid)
             assert np.trace(kmat) == pytest.approx(3.0, rel=1e-12)
-            assert regions._wtc_value(c, kmat) >= scores.max() - 1e-12
+            assert value >= regions._wtc_gevd(c, kmats)[0].max() - 1e-12
 
-    def test_full_rank_copy_reaches_a_fuller_optimum(self):
-        # a step keeps the rank of C: every start here is rank 2 and the
-        # optimum rank 3, which only the full-rank copy of the best reaches
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_unpolished_corners_are_the_isotropic_closed_form(self, t):
+        ch = self.channel(t, 70 + t)
+        grid = GridSpec(refine_iters=0)
+        for c in (ch, make_channel(ch.g2, ch.g1)):
+            value, kmat, _ = wtc_capacity_power(c, 3.0, grid)
+            assert np.trace(kmat) == pytest.approx(3.0, rel=1e-12)
+            assert value >= wtc_capacity(c, 3.0 / t * np.eye(t))[0] - 1e-12
+
+    def test_single_start_reaches_the_rank_3_optimum(self):
+        # a step keeps the rank of C; the isotropic start has as many
+        # directions as G1^T G1 - G2^T G2 has positive eigenvalues, so it
+        # reaches the rank-3 optimum that the best manifold nodes miss
         g1, g2 = np.random.default_rng(801).normal(size=(2, 3, 3))
         ch = make_channel(g2, g1)
+        gap = ch.g1.T @ ch.g1 - ch.g2.T @ ch.g2
+        assert np.linalg.eigvalsh(gap)[0] > 0.0
         kmats = regions._manifold_scan(3, 10.5, self.GRID)
-        scores = regions._wtc_value(ch, kmats)
-        for node in np.argsort(-scores)[: sweeps.STARTS]:
-            assert np.linalg.eigvalsh(regions._wtc_gevd(ch, kmats[node])[1])[0] < 1e-9
-        kmat = regions._power_corner(ch, 10.5, self.GRID, kmats, scores)
-        assert np.linalg.eigvalsh(regions._wtc_gevd(ch, kmat)[1])[0] > 1e-3
+        scores, kstars = regions._wtc_gevd(ch, kmats)
+        for node in np.argsort(-scores)[:4]:
+            assert np.linalg.eigvalsh(kstars[node])[0] < 1e-9
+        value, _, kstar = wtc_capacity_power(ch, 10.5, self.GRID)
+        assert np.linalg.eigvalsh(kstar)[0] > 1e-3
+        assert value >= scores.max() - 1e-12
+
+    @pytest.mark.parametrize("p", [1e3, 1e4, 1e6])
+    def test_no_corner_start_runs_out_of_iterations(self, example_channel, monkeypatch, p):
+        used = []
+        polish = regions.spg_max
+
+        def spy(fg, project, x0, budget):
+            out = polish(fg, project, x0, budget)
+            used.append((out[3], budget))
+            return out
+
+        monkeypatch.setattr(regions, "spg_max", spy)
+        both_confidential_frontier(example_channel, p, GridSpec(theta_steps=8, trace_steps=9))
+        assert len(used) == 2  # the max-R1 and max-R2 corners
+        assert all(len(its) == 1 and its[0] < budget for its, budget in used), used
 
     @pytest.mark.parametrize("t", [1, 2, 3])
     def test_trace_ball_projection(self, rng, t):
