@@ -9,6 +9,8 @@ the power pair regions and the identity checks.
         --tree parent=../parent --out BENCH_power.json
     python scripts/bench_common.py --cases checks --tree change=. \
         --tree parent=../parent --out BENCH_checks.json
+    python scripts/bench_common.py --cases fixed --tree change=. \
+        --tree parent=../parent --out BENCH_fixed.json
 
 Each ``--tree LABEL=PATH`` names a secbc checkout (its ``src`` is put on
 the import path; default: this checkout as ``change``).  With
@@ -41,7 +43,12 @@ CSVs).  ``--cases checks`` runs the identity checks as the CLI does:
 ``dpc-check`` (the dirty-paper identity, ``dpc_identity_check``) and
 ``decomp-check`` (the decomposition round trip) at dims 2 and 3, 50
 trials, seed 7; records add the exit status and the printed max gap or
-residual.
+residual.  ``--cases fixed`` runs the fixed-covariance pair region:
+``frontier_fixed_cov`` on a seeded t = 2 channel and constraint at the
+default grid (records add the output rows), and ``region_no_common``,
+``region --mode no-common --out`` on the same channel and constraint as
+the ``fixed-cov`` benchmark workload runs it (records add the exit status
+and the CSV rows).
 
 A child runs its call ``--repeats`` times and reports every wall time
 (``time.perf_counter``) and its ``ru_maxrss`` before and after the calls,
@@ -73,6 +80,7 @@ CASE_SETS = {
     "envelope": ("v_eta", "v_hat", "v_tilde"),
     "power": ("frontier_power", "both_confidential_frontier", "wtc_capacity_power", "compare"),
     "checks": ("dpc_check_d2", "dpc_check_d3", "decomp_check_d2", "decomp_check_d3"),
+    "fixed": ("frontier_fixed_cov", "region_no_common"),
 }
 SINGLE_THREAD_ENV = {
     "SECBC_THREADS": "1",
@@ -97,13 +105,20 @@ def _rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def _seeded_t3():
-    """The t = 3 channel and constraint of the fixed-covariance case."""
+def _seeded(t: int):
+    """The seeded channel and constraint of the fixed-covariance cases."""
     import numpy as np
 
-    rng = np.random.default_rng(3)
-    g1, g2, a = (rng.normal(size=(3, 3)) for _ in range(3))
-    return g1, g2, a @ a.T / 3.0 + 0.5 * np.eye(3)
+    rng = np.random.default_rng(t)
+    g1, g2, a = (rng.normal(size=(t, t)) for _ in range(3))
+    return g1, g2, a @ a.T / t + 0.5 * np.eye(t)
+
+
+def _matrix_arg(m) -> str:
+    """A matrix as the CLI reads it, every entry at ``repr`` precision."""
+    import numpy as np
+
+    return ";".join(",".join(map(repr, row)) for row in np.asarray(m, dtype=float).tolist())
 
 
 def _rows(frontier) -> dict:
@@ -135,18 +150,18 @@ def _check_output(argv) -> dict:
     return {"exit": status, "printed": printed}
 
 
-def _compare_output(argv) -> dict:
-    """Run ``compare`` writing its CSVs and SVG into a temporary directory;
-    its exit status and the data rows of both CSVs."""
+def _cli_output(argv, csvs) -> dict:
+    """Run a CLI command whose ``{tmp}`` arguments name files in a
+    temporary directory; its exit status and the data rows of the CSVs
+    ``csvs`` that it writes there."""
     from secbc import cli
 
     with tempfile.TemporaryDirectory() as tmp:
-        out = os.path.join(tmp, "fig2.csv")
         with contextlib.redirect_stdout(io.StringIO()):
-            status = cli.main(argv + ["--out", out, "--svg", os.path.join(tmp, "fig2.svg")])
+            status = cli.main([a.format(tmp=tmp) for a in argv])
         rows = []
-        for path in (out, os.path.join(tmp, "fig2_both_confidential.csv")):
-            with open(path, encoding="utf-8") as fh:
+        for name in csvs:
+            with open(os.path.join(tmp, name), encoding="utf-8") as fh:
                 rows.append(sum(1 for _ in fh) - 1)
     return {"exit": status, "output_rows": rows}
 
@@ -172,10 +187,22 @@ def _case_call(case: str):
         fn = getattr(secbc, case)
         return lambda: _envelope_output(fn(example, k, w)), "K = diag(3, 2)"
     if case == "compare":
-        argv = ["compare", "--power", "12.0"]
-        for flag, g in (("--g1", EXAMPLE_G1), ("--g2", EXAMPLE_G2)):
-            argv += [flag, ";".join(",".join(map(repr, row)) for row in g)]
-        return partial(_compare_output, argv), "P = 12, CSV + SVG"
+        argv = ["compare", "--power", "12.0", "--g1", _matrix_arg(EXAMPLE_G1)]
+        argv += ["--g2", _matrix_arg(EXAMPLE_G2)]
+        argv += ["--out", "{tmp}/fig2.csv", "--svg", "{tmp}/fig2.svg"]
+        csvs = ("fig2.csv", "fig2_both_confidential.csv")
+        return partial(_cli_output, argv, csvs), "P = 12, CSV + SVG"
+    if case == "frontier_fixed_cov":
+        g1, g2, k = _seeded(2)
+        ch = secbc.make_channel(g1, g2)
+        return lambda: _rows(regions.frontier_fixed_cov(ch, k)), "t = 2"
+    if case == "region_no_common":
+        g1, g2, k = _seeded(2)
+        # "=" keeps an argument that starts with a minus sign from reading as a flag
+        argv = ["region", "--mode", "no-common", f"--g1={_matrix_arg(g1)}"]
+        argv += [f"--g2={_matrix_arg(g2)}", f"--covariance={_matrix_arg(k)}"]
+        argv += ["--out", "{tmp}/nc.csv"]
+        return partial(_cli_output, argv, ("nc.csv",)), "t = 2, CSV"
     if case in CASE_SETS["power"]:
         fn = getattr(regions, case)
         if case == "wtc_capacity_power":
@@ -184,7 +211,7 @@ def _case_call(case: str):
     if case == "region_common_power":
         return lambda: _rows(regions.region_common_power(example, 12.0)), "P = 12"
     if case == "region_common_fixed":
-        g1, g2, k = _seeded_t3()
+        g1, g2, k = _seeded(3)
         ch = secbc.make_channel(g1, g2)
         grid = secbc.GridSpec(chain_theta_steps=4, chain_diag_steps=3)
         return lambda: _rows(regions.region_common_fixed(ch, k, grid)), "t = 3"
@@ -254,7 +281,7 @@ def run_case(label: str, src: str, threads: str, case: str, repeats: int) -> dic
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--tree", action="append", default=[], metavar="LABEL=PATH")
-    ap.add_argument("--repeats", type=int, default=5)
+    ap.add_argument("--repeats", type=int, default=9)
     ap.add_argument("--out", default="BENCH_common.json")
     ap.add_argument("--cases", choices=sorted(CASE_SETS), default="common")
     ap.add_argument("--child", choices=sum(CASE_SETS.values(), ()), help=argparse.SUPPRESS)

@@ -64,13 +64,7 @@ class GaussianBc:
             raise ValueError(f"g1 must be square, got shape {g1.shape}")
         if g2.shape != g1.shape:
             raise ValueError(f"gain shapes differ: {g1.shape} vs {g2.shape}")
-        for name, g in (("g1", g1), ("g2", g2)):
-            if not np.all(np.isfinite(g)):
-                raise ValueError(f"{name} has non-finite entries")
-            # slogdet: det itself overflows (with a warning) for huge gains
-            sign, logdet = np.linalg.slogdet(g)
-            if sign == 0 or logdet <= math.log(_GAIN_DET_TOL):
-                raise ValueError(f"{name} is singular; gains must be invertible")
+        check_gains(g1, g2)
         g1.setflags(write=False)
         g2.setflags(write=False)
         object.__setattr__(self, "g1", g1)
@@ -86,6 +80,18 @@ class GaussianBc:
         if receiver == 2:
             return self.g2
         raise ValueError(f"receiver must be 1 or 2, got {receiver}")
+
+
+def check_gains(g1: np.ndarray, g2: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every gain of the (..., t, t) stacks is
+    finite and invertible; one bad member raises the error it raises alone."""
+    for name, g in (("g1", g1), ("g2", g2)):
+        if not np.all(np.isfinite(g)):
+            raise ValueError(f"{name} has non-finite entries")
+        # slogdet: det itself overflows (with a warning) for huge gains
+        sign, logdet = np.linalg.slogdet(g)
+        if np.any((sign == 0) | (logdet <= math.log(_GAIN_DET_TOL))):
+            raise ValueError(f"{name} is singular; gains must be invertible")
 
 
 def make_channel(g1, g2) -> GaussianBc:

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import regions
 from .channel import make_channel
-from .dpc import dpc_identity_check, random_instance
+from .dpc import dpc_identity_check, random_instances
 from .envelopes import EnvelopeWeights, v_eta, v_hat, v_tilde
 from .errors import SecbcError
 from .matops import SubCovParams, compose_sub_cov, decompose_sub_cov, validate_psd
@@ -200,16 +200,20 @@ def emit_csv(frontier: Frontier, path: str) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
-            # CSV_CHUNK rows at a time, one tolist() over all generator
-            # entries: the repr of each Python float it yields is that of
-            # the entry.
+            # CSV_CHUNK rows at a time.  Generators are symmetric and often
+            # repeat across rows, so each distinct bit pattern among a
+            # chunk's generator entries (-0.0 apart from 0.0) is formatted
+            # once, as the repr of the Python float tolist() yields for it.
             for lo in range(0, len(rates), CSV_CHUNK):
                 hi = lo + CSV_CHUNK
                 lines = [fmt % tuple(row) for row in rates[lo:hi].tolist()]
                 if gens:
                     cols = [np.asarray(g[lo:hi], dtype=float) for g in gens.values()]
                     mats = np.concatenate([c.reshape(len(lines), -1) for c in cols], axis=1)
-                    lines = [f"{a},{','.join(map(repr, b))}" for a, b in zip(lines, mats.tolist())]
+                    bits, inv = np.unique(mats.view(np.int64).ravel(), return_inverse=True)
+                    text = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
+                    cells = text[inv.reshape(mats.shape)].tolist()
+                    lines = [f"{a},{','.join(b)}" for a, b in zip(lines, cells)]
                 fh.writelines(line + "\n" for line in lines)
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
@@ -362,7 +366,7 @@ def _cmd_dpc_check(cfg: RunConfig) -> int:
     worst = 0.0
     start = time.perf_counter()
     for n in _chunk_sizes(cfg.trials):
-        lhs, _, gap = dpc_identity_check([random_instance(cfg.dim, rng) for _ in range(n)])
+        lhs, _, gap = dpc_identity_check(random_instances(cfg.dim, rng, n))
         worst = max(worst, float(np.max(gap / (1.0 + np.abs(lhs)))))
     elapsed = time.perf_counter() - start
     _echo(

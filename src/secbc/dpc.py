@@ -15,7 +15,9 @@ Block order in every joint covariance assembled here is fixed to
 matrix (t, t) or a stack (..., t, t) of them, so
 :func:`dpc_identity_check` scores a sequence of instances in one stacked
 pass through the oracle; every check still runs per member, and each
-member's values are bitwise those of its own call.
+member's values are bitwise those of its own call.  Random instances are
+drawn the same way (:func:`random_instances`): member by member from the
+generator, then validated as stacks.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import GaussianBc, JointGaussian, joint_mi, make_channel
+from .channel import GaussianBc, JointGaussian, check_gains, joint_mi, make_channel
 from .errors import DegenerateInstanceError
 from .matops import ORDER_TOL, half_log2_det, psd_leq, validate_psd, validate_psd_stack
 
@@ -39,6 +41,7 @@ __all__ = [
     "random_psd",
     "random_channel",
     "random_instance",
+    "random_instances",
 ]
 
 
@@ -48,7 +51,11 @@ class DpcInstance:
 
     ``k1`` is the pre-subtracted layer (artificial noise at receiver 1),
     ``k2`` the confidential signal and ``kv`` the known interference that
-    the precoder cancels.
+    the precoder cancels.  Each layer is checked with
+    :func:`secbc.matops.validate_psd` and stored symmetrized and
+    read-only.  :func:`random_instances` builds its members from layers
+    it has checked as stacks, with the same errors, and skips these
+    per-member checks.
     """
 
     ch: GaussianBc
@@ -256,28 +263,63 @@ def random_psd(t: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarr
     return 0.5 * (out + out.T)
 
 
-def random_channel(t: int, rng: np.random.Generator) -> GaussianBc:
-    """Random invertible gain pair; redraws nearly singular gains."""
+def _random_gains(t: int, rng: np.random.Generator) -> list:
+    """Two random gains; redraws nearly singular ones."""
     gains = []
     while len(gains) < 2:
         g = rng.normal(size=(t, t))
         if abs(np.linalg.det(g)) > 1e-3:
             gains.append(g)
-    return make_channel(*gains)
+    return gains
+
+
+def random_channel(t: int, rng: np.random.Generator) -> GaussianBc:
+    """Random invertible gain pair; redraws nearly singular gains."""
+    return make_channel(*_random_gains(t, rng))
+
+
+def _checked(cls, **fields):
+    # An instance of the frozen dataclass ``cls`` whose fields are members
+    # of stacks already checked as its __post_init__ checks one member.
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def random_instances(t: int, rng: np.random.Generator, n: int) -> list[DpcInstance]:
+    """``n`` random nondegenerate instances for identity checking.
+
+    Each member is drawn as :func:`random_instance` draws it, in the same
+    order from ``rng``, so the list holds the bits of ``n`` such calls.
+    ``k2`` and ``kv`` are kept strictly definite (a ridge is added);
+    ``k1`` is rank deficient for every third draw on average, to exercise
+    the singular-layer path.  The members are then checked as stacks, the
+    gains with one finite and ``slogdet`` test and each layer with one
+    :func:`secbc.matops.validate_psd_stack`, which raise on one bad member
+    the error that the :class:`DpcInstance` of that member raises alone.
+    """
+    g1, g2, k1, k2, kv = (np.empty((n, t, t)) for _ in range(5))
+    for i in range(n):
+        g1[i], g2[i] = _random_gains(t, rng)
+        k1[i] = random_psd(t, rng)
+        if rng.integers(3) == 0 and t > 1:
+            u = rng.normal(size=(t, 1))
+            k1[i] = u @ u.T  # rank-1 artificial noise layer
+        k2[i] = random_psd(t, rng) + 0.1 * np.eye(t)
+        kv[i] = random_psd(t, rng) + 0.1 * np.eye(t)
+    check_gains(g1, g2)
+    k1, k2, kv = (
+        validate_psd_stack(m, name=name) for m, name in ((k1, "k1"), (k2, "k2"), (kv, "kv"))
+    )
+    for stack in (g1, g2, k1, k2, kv):
+        stack.setflags(write=False)
+    return [
+        _checked(DpcInstance, ch=_checked(GaussianBc, g1=a, g2=b), k1=c, k2=d, kv=e)
+        for a, b, c, d, e in zip(g1, g2, k1, k2, kv)
+    ]
 
 
 def random_instance(t: int, rng: np.random.Generator) -> DpcInstance:
-    """Random nondegenerate instance for identity checking.
-
-    ``k2`` and ``kv`` are kept strictly definite (a ridge is added);
-    ``k1`` is rank deficient for every third draw to exercise the
-    singular-layer path.
-    """
-    ch = random_channel(t, rng)
-    k1 = random_psd(t, rng)
-    if rng.integers(3) == 0 and t > 1:
-        u = rng.normal(size=(t, 1))
-        k1 = u @ u.T  # rank-1 artificial noise layer
-    k2 = random_psd(t, rng) + 0.1 * np.eye(t)
-    kv = random_psd(t, rng) + 0.1 * np.eye(t)
-    return DpcInstance(ch, k1, k2, kv)
+    """One random instance: :func:`random_instances` with ``n`` = 1."""
+    return random_instances(t, rng, 1)[0]

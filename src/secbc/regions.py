@@ -201,44 +201,47 @@ def _clamp(rates: np.ndarray) -> np.ndarray:
     return np.where(rates > 0.0, rates, 0.0)
 
 
-def _pareto_mask(r1: np.ndarray, r2: np.ndarray, slack: float = PARETO_SLACK):
-    """Boolean mask of Pareto-maximal (r1, r2) pairs, slack-tolerant."""
-    n = r1.size
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    order = np.lexsort((-r2, -r1))  # r1 desc, r2 desc within ties
-    r2s = r2[order]
-    cummax = np.maximum.accumulate(r2s)
-    keep_sorted = np.empty(n, dtype=bool)
-    keep_sorted[0] = True
-    keep_sorted[1:] = r2s[1:] > cummax[:-1] + slack
-    mask = np.zeros(n, dtype=bool)
-    mask[order[keep_sorted]] = True
-    return mask
-
-
-# r1 bins of the exact prefilter of _binned_pareto_mask.
+# r1 bins of the exact prefilter of _pareto_mask, which runs on more rows.
 _PREFILTER_BINS = 1024
 
 
-def _binned_pareto_mask(r1: np.ndarray, r2: np.ndarray, slack: float = PARETO_SLACK):
-    """:func:`_pareto_mask` of rows with r1 >= 0, first dropping each row
-    whose r2 is at most the largest r2 of a higher bin floor(r1 B / max r1).
+def _pareto_mask(r1: np.ndarray, r2: np.ndarray, slack: float = PARETO_SLACK):
+    """Boolean mask of Pareto-maximal (r1, r2) pairs, slack-tolerant.
 
-    Such a row follows one of larger r1 and no smaller r2 in the mask's
-    order, so it is never kept, and every later running maximum stays as
-    it was (``slack`` >= 0).  This pays where most rows are dominated.
+    In the order (r1 desc, r2 desc, index asc) a row is kept unless an
+    earlier row has r2 >= its r2 - slack (the running maximum plus
+    ``slack`` is not below it); the first row is always kept.
+
+    On more than ``_PREFILTER_BINS`` finite rows whose r1 is not constant,
+    each row whose r2 is at most the largest r2 of a higher bin
+    floor(B (r1 - min r1) / (max r1 - min r1)) is dropped before the sort.
+    The bin is nondecreasing in r1, so such a row follows one of larger r1
+    and no smaller r2 in that order and is never kept, and every running
+    maximum at a kept row stays as it was (``slack`` >= 0).  Most rows of
+    a grid are dominated, so this skips most of the sort; other inputs
+    sort every row.
     """
-    top = r1.max(initial=0.0)
-    if not (np.isfinite(top) and top > 0.0):
-        return _pareto_mask(r1, r2, slack)
-    bins = (r1 * (_PREFILTER_BINS / top)).astype(np.intp)
-    best = np.full(_PREFILTER_BINS + 2, -np.inf)
-    np.maximum.at(best, bins, r2)
-    above = np.maximum.accumulate(best[::-1])[::-1]  # best over bins >= b
-    rows = np.flatnonzero(r2 > above[bins + 1])
-    mask = np.zeros(r1.size, dtype=bool)
-    mask[rows[_pareto_mask(r1[rows], r2[rows], slack)]] = True
+    n = r1.size
+    rows = np.arange(n)
+    if n > _PREFILTER_BINS and slack >= 0:
+        lo = r1.min()
+        span = r1.max() - lo
+        if np.isfinite(span) and span > 0.0 and np.isfinite(r2).all():
+            bins = ((r1 - lo) / span * _PREFILTER_BINS).astype(np.intp)
+            best = np.full(_PREFILTER_BINS + 2, -np.inf)
+            np.maximum.at(best, bins, r2)
+            above = np.maximum.accumulate(best[::-1])[::-1]  # best over bins >= b
+            rows = np.flatnonzero(r2 > above[bins + 1])
+    mask = np.zeros(n, dtype=bool)
+    if not rows.size:
+        return mask
+    order = rows[np.lexsort((-r2[rows], -r1[rows]))]  # r1 desc, r2 desc within ties
+    r2s = r2[order]
+    cummax = np.maximum.accumulate(r2s)
+    keep_sorted = np.empty(len(order), dtype=bool)
+    keep_sorted[0] = True
+    keep_sorted[1:] = r2s[1:] > cummax[:-1] + slack
+    mask[order[keep_sorted]] = True
     return mask
 
 
@@ -421,6 +424,8 @@ def frontier_fixed_cov(ch: GaussianBc, k, grid: GridSpec | None = None) -> Front
     streamed in :func:`row_blocks`; each block keeps its exactly
     nondominated nodes, which hold every node the slack-tolerant filter
     of the whole grid keeps, so the result does not depend on the blocks.
+    Both filters are :func:`_pareto_mask`, whose r1-bin prefilter sorts
+    only the few nodes of a block that no higher bin dominates.
     """
     grid = grid or GridSpec()
     k = validate_psd(k, name="k")
@@ -657,8 +662,10 @@ def _zoom_sweep(ch: GaussianBc, p: float, grid: GridSpec):
     ``ZOOM_AXES`` parameters (the full tensor grid grows as
     3^(t(t+1)/2)), then halves the cell; points outside the ball
     sum u^2 <= 1 are pulled onto its surface (tr K* = p).  Nodes are
-    evaluated in :func:`row_blocks`.  Returns (Pareto params, nodes
-    evaluated per level).
+    evaluated in :func:`row_blocks`, and every level's Pareto nodes come
+    from :func:`_pareto_mask`, whose prefilter leaves the dominated bulk
+    of the coarse grid unsorted.  Returns (Pareto params, nodes evaluated
+    per level).
     """
     t = ch.t
     m = t * (t - 1) // 2
@@ -678,7 +685,7 @@ def _zoom_sweep(ch: GaussianBc, p: float, grid: GridSpec):
 
     rates = evaluate(x)
     counts = [len(x)]
-    front = _binned_pareto_mask(rates[:, 0], rates[:, 1])
+    front = _pareto_mask(rates[:, 0], rates[:, 1])
     for _ in range(ZOOM_LEVELS):
         x, rates = x[front], rates[front]
         new = (x[:, None, :] + offsets * cell).reshape(-1, m + t)

@@ -176,6 +176,22 @@ def pareto_rows_oracle(arr, slack):
     return first[~(geq & strict).any(axis=1)]
 
 
+def pair_mask_oracle(r1, r2, slack):
+    """Mask of Pareto-maximal (r1, r2) rows by the quadratic definition.
+
+    Row j comes before row i when (r1, r2, -index) of j is larger in
+    lexicographic order; row i is kept unless some row before it has
+    r2_j >= r2_i - slack, tested as r2_j + slack >= r2_i.
+    """
+    r1, r2 = np.asarray(r1, float), np.asarray(r2, float)
+    idx = np.arange(r1.size)
+    a1, b1 = r1[:, None], r1[None, :]
+    a2, b2 = r2[:, None], r2[None, :]
+    ties = (b1 == a1) & ((b2 > a2) | ((b2 == a2) & (idx[None, :] < idx[:, None])))
+    before = (b1 > a1) | ties
+    return ~(before & (b2 + slack >= a2)).any(axis=1)
+
+
 def kstar_rates_oracle(g1, g2, p, v, e):
     """(r1, W) of K* = V diag(e) V^T under total power p, from the rate formulas.
 

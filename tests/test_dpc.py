@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from secbc import joint_mi, make_channel, precoder, precoder_wtc, psd_leq, wtc_point_check
+from secbc import cli, dpc
 from secbc.dpc import (
     DpcInstance,
     dpc_identity_check,
     dpc_joint,
     effective_gain,
+    random_channel,
     random_instance,
+    random_instances,
+    random_psd,
 )
 from secbc.errors import DegenerateInstanceError
 
@@ -132,6 +136,98 @@ class TestDpcBatch:
         insts[4] = DpcInstance(ch, np.eye(2), np.zeros((2, 2)), np.eye(2))
         with pytest.raises(DegenerateInstanceError):
             dpc_identity_check(insts)
+
+
+def one_by_one(t, rng):
+    """One instance drawn and validated member by member (the reference)."""
+    ch = random_channel(t, rng)
+    k1 = random_psd(t, rng)
+    if rng.integers(3) == 0 and t > 1:
+        u = rng.normal(size=(t, 1))
+        k1 = u @ u.T
+    k2 = random_psd(t, rng) + 0.1 * np.eye(t)
+    kv = random_psd(t, rng) + 0.1 * np.eye(t)
+    return DpcInstance(ch, k1, k2, kv)
+
+
+def _fields(inst):
+    return [inst.ch.g1, inst.ch.g2, inst.k1, inst.k2, inst.kv]
+
+
+class TestChunkDraw:
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_chunk_is_the_bits_of_separate_draws(self, t):
+        n = 60
+        chunk = random_instances(t, np.random.default_rng(t), n)
+        rng = np.random.default_rng(t)
+        singles = [random_instance(t, rng) for _ in range(n)]
+        rng = np.random.default_rng(t)
+        reference = [one_by_one(t, rng) for _ in range(n)]
+        for got, one, ref in zip(chunk, singles, reference):
+            for a, b, c in zip(_fields(got), _fields(one), _fields(ref)):
+                assert a.tobytes() == b.tobytes() == c.tobytes()
+                assert not a.flags.writeable
+        ranks = [np.linalg.matrix_rank(inst.k1) for inst in chunk]
+        assert (ranks.count(1) > 5) if t > 1 else ranks == [1] * n  # rank-one k1 draws
+        out = np.stack(dpc_identity_check(chunk), axis=1)
+        assert out.tobytes() == np.array([dpc_identity_check(i) for i in singles]).tobytes()
+        assert out.tobytes() == np.stack(dpc_identity_check(reference), axis=1).tobytes()
+
+    BAD = {
+        "nonfinite gain": ("gains", [np.eye(2), np.array([[1.0, np.inf], [0.0, 1.0]])]),
+        "singular gain": ("gains", [np.zeros((2, 2)), np.eye(2)]),
+        "asymmetric k1": ("k1", np.array([[1.0, 0.5], [0.0, 1.0]])),
+        "indefinite k2": ("k2", -np.eye(2)),
+        "nonfinite kv": ("kv", np.full((2, 2), np.nan)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_one_bad_member_raises_its_own_error(self, case, monkeypatch):
+        field, bad = self.BAD[case]
+        # a member past the first whose k1 is not replaced by a rank-one draw
+        plain = random_instances(2, np.random.default_rng(0), 7)
+        ranks = [np.linalg.matrix_rank(i.k1) for i in plain]
+        member, draws = ranks.index(2, 1), {"gains": 0, "psd": 0}
+        gains, psd = dpc._random_gains, dpc.random_psd
+
+        def bad_gains(t, rng):
+            draws["gains"] += 1
+            out = gains(t, rng)
+            return bad if field == "gains" and draws["gains"] == member + 1 else out
+
+        def bad_psd(t, rng):
+            # three draws per member (k1, k2, kv); the ridge is added after
+            draws["psd"] += 1
+            out = psd(t, rng)
+            which = ("k1", "k2", "kv")[(draws["psd"] - 1) % 3]
+            hit = which == field and (draws["psd"] - 1) // 3 == member
+            return bad - (0.1 * np.eye(2) if which != "k1" else 0.0) if hit else out
+
+        monkeypatch.setattr(dpc, "_random_gains", bad_gains)
+        monkeypatch.setattr(dpc, "random_psd", bad_psd)
+        with pytest.raises(ValueError) as chunked:
+            random_instances(2, np.random.default_rng(0), 7)
+        layers = {"k1": np.eye(2), "k2": np.eye(2), "kv": np.eye(2)}
+        with pytest.raises(ValueError) as alone:
+            if field == "gains":
+                DpcInstance(make_channel(*bad), **layers)
+            else:
+                DpcInstance(make_channel(np.eye(2), np.eye(2)), **{**layers, field: bad})
+        assert type(chunked.value) is type(alone.value)
+        assert str(chunked.value) == str(alone.value)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_dpc_check_prints_the_line_of_separate_draws(self, dim, capsys):
+        assert cli.main(["dpc-check", "--seed", "5", "--trials", "1000", "--dim", str(dim)]) == 0
+        line = capsys.readouterr().out.strip().rsplit(" (", 1)[0]
+        rng = np.random.default_rng(5)
+        worst = 0.0
+        for start in range(0, 1000, cli.CHECK_CHUNK):
+            size = min(cli.CHECK_CHUNK, 1000 - start)
+            lhs, _, gap = dpc_identity_check([one_by_one(dim, rng) for _ in range(size)])
+            worst = max(worst, float(np.max(gap / (1.0 + np.abs(lhs)))))
+        expected = f"dpc-check: 1000 instances (dim {dim}, seed 5), max relative gap = {worst:.3e}"
+        assert line == expected
 
 
 def test_whitening_invariance(rng):

@@ -2,9 +2,10 @@
 
 The triple filter walks the rows in descending lexicographic order and
 tests each block only against the rows kept so far; the reference is the
-quadratic definition in ``tests/oracles.py``.  The region builders'
-pair filter must agree with the list filter, and the coarse-grid mask
-of the K* sweep with the plain mask.  Inputs are tie-heavy: a few
+quadratic definition in ``tests/oracles.py``.  The pair mask, which
+drops rows of a dominated r1 bin before its sort, must agree with its
+own quadratic definition there, and the region builders' pair filter
+with the list filter.  Inputs are tie-heavy: a few
 integer levels per column, each entry shifted by 0, slack/2, slack or
 2 * slack, so that many comparisons land exactly on the slack boundary
 and many rows repeat.
@@ -17,14 +18,14 @@ from hypothesis import strategies as st
 
 from secbc import RatePoint, RateTriple, pareto_filter_pairs, pareto_filter_triples
 from secbc.regions import (
+    _PREFILTER_BINS,
     PARETO_SLACK,
-    _binned_pareto_mask,
     _pair_front,
     _pareto_mask,
     _pareto_rows_triples,
 )
 
-from oracles import pareto_rows_oracle
+from oracles import pair_mask_oracle, pareto_rows_oracle
 
 SLACKS = [0.0, PARETO_SLACK]
 
@@ -80,24 +81,89 @@ def test_pair_front_matches_the_point_filter(case, seed):
     assert fr.gens["k"].ravel().tolist() == [p.gen["k"].item() for p in pts]
 
 
-@settings(max_examples=200, deadline=None)
-@given(tie_heavy(cols=2), st.sampled_from([0.0, 0.25, 0.75]))
-def test_binned_mask_is_the_plain_mask(case, zeros):
-    arr, slack = case
-    r1, r2 = arr[:, 0].copy(), arr[:, 1]
-    r1[: int(zeros * len(r1))] = 0.0
-    assert _binned_pareto_mask(r1, r2, slack).tolist() == _pareto_mask(r1, r2, slack).tolist()
+SIZES = [0, 1, 2, _PREFILTER_BINS - 1, _PREFILTER_BINS, _PREFILTER_BINS + 1, 3 * _PREFILTER_BINS]
+
+
+@st.composite
+def tie_heavy_pairs(draw):
+    """(r1, r2, slack): tie-heavy pairs on both sides of the prefilter's
+    size limit, with negated entries (-0.0 among them) and, in some
+    cases, constant r1."""
+    slack = draw(st.sampled_from(SLACKS))
+    n = draw(st.sampled_from(SIZES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.sampled_from([1, 3, 40, 1000]))
+    base = rng.integers(0, levels, size=(n, 2)) * draw(st.sampled_from([1.0, 0.25, 1e-9]))
+    arr = base + rng.choice([0.0, 0.5, 1.0, 2.0], size=(n, 2)) * PARETO_SLACK
+    if draw(st.booleans()):
+        arr *= rng.choice([1.0, -1.0], size=arr.shape)
+    r1, r2 = arr[:, 0].copy(), arr[:, 1].copy()
+    if draw(st.booleans()):
+        r1[: int(draw(st.sampled_from([0.25, 1.0])) * n)] = draw(st.sampled_from([0.0, -0.0, 0.5]))
+    return r1, r2, slack
+
+
+def plain_mask(r1, r2, slack):
+    """The mask of one stable sort of every row, with no prefilter."""
+    order = np.lexsort((-r2, -r1))
+    r2s = r2[order]
+    keep = np.ones(len(order), dtype=bool)
+    keep[1:] = r2s[1:] > np.maximum.accumulate(r2s)[:-1] + slack
+    mask = np.zeros(len(order), dtype=bool)
+    mask[order[keep]] = True
+    return mask
+
+
+@pytest.fixture
+def sorted_rows(monkeypatch):
+    """Row counts of the sorts of the pair mask (it sorts with np.lexsort)."""
+    sizes, inner = [], np.lexsort
+
+    def spy(keys):
+        sizes.append(len(keys[0]))
+        return inner(keys)
+
+    monkeypatch.setattr(np, "lexsort", spy)
+    return sizes
+
+
+@settings(max_examples=150, deadline=None)
+@given(tie_heavy_pairs())
+def test_pair_mask_matches_quadratic_definition(case):
+    r1, r2, slack = case
+    assert _pareto_mask(r1, r2, slack).tolist() == pair_mask_oracle(r1, r2, slack).tolist()
 
 
 @pytest.mark.parametrize("slack", SLACKS)
-def test_binned_mask_is_the_plain_mask_on_many_bins(slack):
-    # thousands of distinct r1 values over a decreasing staircase, a
-    # quarter of them at r1 = 0, r2 rounded so that many rows tie
+@pytest.mark.parametrize("n", [_PREFILTER_BINS - 1, _PREFILTER_BINS + 1, 5000])
+def test_pair_mask_matches_quadratic_definition_on_many_bins(slack, n, sorted_rows):
+    # thousands of distinct r1 values over a decreasing staircase, shifted
+    # to straddle zero, a quarter at its lowest value; r2 rounded so that
+    # many rows tie
     rng = np.random.default_rng(5)
-    for _ in range(20):
-        r1 = rng.uniform(0.0, 3.0, 5000) * (rng.random(5000) > 0.25)
-        r2 = np.round(np.sqrt(9.0 - r1**2) * rng.uniform(0.8, 1.0, 5000), 3)
-        assert _binned_pareto_mask(r1, r2, slack).tolist() == _pareto_mask(r1, r2, slack).tolist()
+    for _ in range(5):
+        r1 = rng.uniform(0.0, 3.0, n) * (rng.random(n) > 0.25)
+        r2 = np.round(np.sqrt(9.0 - r1**2) * rng.uniform(0.8, 1.0, n), 3)
+        r1 -= 1.5
+        assert _pareto_mask(r1, r2, slack).tolist() == pair_mask_oracle(r1, r2, slack).tolist()
+    # the prefilter runs above its size limit only, and there sorts few rows
+    if n < _PREFILTER_BINS:
+        assert sorted_rows == [n] * 5
+    else:
+        assert max(sorted_rows) < n / 4
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("column", [0, 1])
+def test_nonfinite_rows_sort_every_row(bad, column, sorted_rows):
+    rng = np.random.default_rng(6)
+    n = 3 * _PREFILTER_BINS
+    arr = np.round(rng.uniform(0.0, 3.0, (n, 2)), 2)
+    arr[n // 2, column] = bad
+    for slack in SLACKS:
+        got = _pareto_mask(arr[:, 0], arr[:, 1], slack)
+        assert got.tolist() == plain_mask(arr[:, 0], arr[:, 1], slack).tolist()
+    assert sorted_rows == [n, n] * 2  # the mask's sort, then the reference's
 
 
 def test_negative_slack_raises():
