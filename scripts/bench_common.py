@@ -11,6 +11,8 @@ the power pair regions and the identity checks.
         --tree parent=../parent --out BENCH_checks.json
     python scripts/bench_common.py --cases fixed --tree change=. \
         --tree parent=../parent --out BENCH_fixed.json
+    python scripts/bench_common.py --cases startup --tree change=. \
+        --tree parent=../parent --out BENCH_startup.json
 
 Each ``--tree LABEL=PATH`` names a secbc checkout (its ``src`` is put on
 the import path; default: this checkout as ``change``).  With
@@ -48,7 +50,14 @@ residual.  ``--cases fixed`` runs the fixed-covariance pair region:
 default grid (records add the output rows), and ``region_no_common``,
 ``region --mode no-common --out`` on the same channel and constraint as
 the ``fixed-cov`` benchmark workload runs it (records add the exit status
-and the CSV rows).
+and the CSV rows).  ``--cases startup`` times whole fresh interpreters, as
+a shell runs the CLI: ``import_cli`` (``python -c "import secbc.cli"``),
+``compare_cli`` (``python -m secbc.cli compare`` on the example channel
+at P = 12, CSVs and SVG written into a temporary directory) and
+``region_cli`` (``python -m secbc.cli region --covariance 6,0;0,6`` on
+the example channel, CSV written); records add the exit status, and
+their ``peak_rss_mb`` is the largest ``ru_maxrss`` of those processes
+(``RUSAGE_CHILDREN``), not of the process that starts them.
 
 A child runs its call ``--repeats`` times and reports every wall time
 (``time.perf_counter``) and its ``ru_maxrss`` before and after the calls,
@@ -81,6 +90,7 @@ CASE_SETS = {
     "power": ("frontier_power", "both_confidential_frontier", "wtc_capacity_power", "compare"),
     "checks": ("dpc_check_d2", "dpc_check_d3", "decomp_check_d2", "decomp_check_d3"),
     "fixed": ("frontier_fixed_cov", "region_no_common"),
+    "startup": ("import_cli", "compare_cli", "region_cli"),
 }
 SINGLE_THREAD_ENV = {
     "SECBC_THREADS": "1",
@@ -101,8 +111,8 @@ def _cpu_model() -> str:
     return platform.processor()
 
 
-def _rss_mb() -> float:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+def _rss_mb(who=resource.RUSAGE_SELF) -> float:
+    return resource.getrusage(who).ru_maxrss / 1024.0
 
 
 def _seeded(t: int):
@@ -166,9 +176,27 @@ def _cli_output(argv, csvs) -> dict:
     return {"exit": status, "output_rows": rows}
 
 
+def _process_output(args) -> dict:
+    """Run a fresh interpreter on ``args``, whose ``{tmp}`` arguments name
+    files in a temporary directory; its exit status."""
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [sys.executable] + [a.format(tmp=tmp) for a in args]
+        return {"exit": subprocess.run(argv, capture_output=True, check=False).returncode}
+
+
 def _case_call(case: str):
     """(call, size) for one case; ``call`` returns a dict of outputs and
     ``size`` describes its input."""
+    if case in CASE_SETS["startup"]:
+        gains = ["--g1", _matrix_arg(EXAMPLE_G1), "--g2", _matrix_arg(EXAMPLE_G2)]
+        args = {
+            "import_cli": ["-c", "import secbc.cli"],
+            "compare_cli": ["-m", "secbc.cli", "compare", "--power", "12.0", *gains]
+            + ["--out", "{tmp}/fig2.csv", "--svg", "{tmp}/fig2.svg"],
+            "region_cli": ["-m", "secbc.cli", "region", "--covariance", "6,0;0,6", *gains]
+            + ["--out", "{tmp}/nc.csv"],
+        }[case]
+        return partial(_process_output, args), "fresh process"
     import numpy as np
 
     import secbc
@@ -234,7 +262,9 @@ def _case_call(case: str):
 def child(case: str, repeats: int) -> dict:
     """Run one case ``repeats`` times in this process and report it."""
     call, size = _case_call(case)
-    rss_before = _rss_mb()
+    # A startup case's memory is that of the processes it starts.
+    who = resource.RUSAGE_CHILDREN if case in CASE_SETS["startup"] else resource.RUSAGE_SELF
+    rss_before = _rss_mb(who)
     times, out, phases = [], None, []
     for _ in range(repeats):
         start = time.perf_counter()
@@ -249,7 +279,7 @@ def child(case: str, repeats: int) -> dict:
         "wall_s": times,
         "wall_s_median": statistics.median(times),
         "rss_before_mb": rss_before,
-        "peak_rss_mb": _rss_mb(),
+        "peak_rss_mb": _rss_mb(who),
     }
 
 

@@ -29,11 +29,12 @@ import os
 import sys
 import time
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
 from . import regions
-from .channel import make_channel
+from .channel import GaussianBc, make_channel
 from .dpc import dpc_identity_check, random_instances
 from .envelopes import EnvelopeWeights, v_eta, v_hat, v_tilde
 from .errors import SecbcError
@@ -41,7 +42,7 @@ from .matops import SubCovParams, compose_sub_cov, decompose_sub_cov, validate_p
 from .regions import Frontier
 from .sweeps import GridSpec, worker_count
 
-__all__ = ["RunConfig", "main", "run", "emit_csv", "emit_svg", "parse_matrix"]
+__all__ = ["Inputs", "RunConfig", "main", "run", "emit_csv", "emit_svg", "parse_matrix"]
 
 DPC_GAP_TOL = 1e-9
 DECOMP_TOL = 1e-7
@@ -141,6 +142,18 @@ class RunConfig:
         if w.eta < 1.0:
             raise ValueError("v_eta needs eta >= 1")
         return "v_eta", w
+
+
+class Inputs(NamedTuple):
+    """The parsed inputs of a compute command, built once by :func:`_validate`:
+    the channel, the constraint (one of ``power`` and ``cov`` is None),
+    the grid and, for ``envelope``, its (level, weights)."""
+
+    ch: GaussianBc
+    power: float | None
+    cov: np.ndarray | None
+    grid: GridSpec
+    envelope: tuple[str, EnvelopeWeights] | None
 
 
 _MATRIX_FIELDS = {"g1", "g2", "covariance"}
@@ -306,10 +319,8 @@ def _summarize(name: str, frontier: Frontier, elapsed: float) -> None:
         _echo(f"  max R0 = {float(frontier.rates[:, 2].max()):.6f} bits/use")
 
 
-def _cmd_region(cfg: RunConfig) -> int:
-    ch = cfg.channel()
-    power, cov = cfg.constraint()
-    grid = cfg.grid()
+def _cmd_region(cfg: RunConfig, inp: Inputs) -> int:
+    ch, power, cov, grid, _ = inp
     mode = cfg.mode
     start = time.perf_counter()
     if mode == "no-common":
@@ -336,12 +347,11 @@ def _cmd_region(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_wtc(cfg: RunConfig) -> int:
-    ch = cfg.channel()
-    power, cov = cfg.constraint()
+def _cmd_wtc(cfg: RunConfig, inp: Inputs) -> int:
+    ch, power, cov, grid, _ = inp
     start = time.perf_counter()
     if power is not None:
-        value, kmat, kstar = regions.wtc_capacity_power(ch, power, cfg.grid())
+        value, kmat, kstar = regions.wtc_capacity_power(ch, power, grid)
     else:
         kmat = cov
         value, kstar = regions.wtc_capacity(ch, cov)
@@ -361,7 +371,7 @@ def _chunk_sizes(total: int):
     return [min(CHECK_CHUNK, total - start) for start in range(0, total, CHECK_CHUNK)]
 
 
-def _cmd_dpc_check(cfg: RunConfig) -> int:
+def _cmd_dpc_check(cfg: RunConfig, inp: None) -> int:
     rng = np.random.default_rng(cfg.seed)
     worst = 0.0
     start = time.perf_counter()
@@ -379,7 +389,7 @@ def _cmd_dpc_check(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_decomp_check(cfg: RunConfig) -> int:
+def _cmd_decomp_check(cfg: RunConfig, inp: None) -> int:
     rng = np.random.default_rng(cfg.seed)
     worst = 0.0
     start = time.perf_counter()
@@ -406,11 +416,8 @@ def _cmd_decomp_check(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_envelope(cfg: RunConfig) -> int:
-    ch = cfg.channel()
-    _, cov = cfg.constraint()
-    grid = cfg.grid()
-    level, w = cfg.envelope()
+def _cmd_envelope(cfg: RunConfig, inp: Inputs) -> int:
+    ch, _, cov, grid, (level, w) = inp
     start = time.perf_counter()
     if level == "v_eta":
         res = v_eta(ch, cov, w.eta, grid)
@@ -423,10 +430,8 @@ def _cmd_envelope(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_compare(cfg: RunConfig) -> int:
-    ch = cfg.channel()
-    power, _ = cfg.constraint()
-    grid = cfg.grid()
+def _cmd_compare(cfg: RunConfig, inp: Inputs) -> int:
+    ch, power, _, grid, _ = inp
     start = time.perf_counter()
     fr = regions.frontier_power(ch, power, grid)
     _summarize("one confidential message", fr, time.perf_counter() - start)
@@ -484,8 +489,12 @@ def _writable(path: str) -> None:
         raise ValueError(f"cannot write {path}: not a file in a writable directory")
 
 
-def _validate(cfg: RunConfig) -> None:
-    """Raise ValueError for any mistake in ``cfg``; runs no computation."""
+def _validate(cfg: RunConfig) -> Inputs | None:
+    """Raise ValueError for any mistake in ``cfg``; runs no computation.
+
+    Returns the parsed :class:`Inputs` of a compute command, or None for
+    the identity checks, which read ``cfg`` alone.
+    """
     for flag in ("out", "svg"):
         path = getattr(cfg, flag)
         if path and flag not in _WRITES.get(cfg.mode, ()):
@@ -497,7 +506,7 @@ def _validate(cfg: RunConfig) -> None:
             val, least = getattr(cfg, name), 0 if name == "seed" else 1
             if not isinstance(val, int) or val < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {val!r}")
-        return
+        return None
     ch = cfg.channel()
     power, cov = cfg.constraint()
     if cov is not None and cov.shape[0] != ch.t:
@@ -513,12 +522,13 @@ def _validate(cfg: RunConfig) -> None:
                 f"the {cfg.mode} grid at t = {ch.t} has {rows} rows, more than "
                 f"{MAX_GRID_ROWS}; lower the --grid-* steps"
             )
-    if cfg.mode == "envelope":
-        cfg.envelope()
+    envelope = cfg.envelope() if cfg.mode == "envelope" else None
+    return Inputs(ch, power, cov, grid, envelope)
 
 
-def run(cfg: RunConfig) -> int:
-    """Execute one validated configuration; returns the exit status."""
+def run(cfg: RunConfig, inputs: Inputs | None) -> int:
+    """Execute one configuration with the ``inputs`` that :func:`_validate`
+    parsed from it; returns the exit status."""
     handler = _MODES.get(cfg.mode)
     if handler is None:
         print(f"invalid configuration: unknown mode {cfg.mode!r}", file=sys.stderr)
@@ -527,7 +537,7 @@ def run(cfg: RunConfig) -> int:
         # Every rate is checked, so numpy's overflow warnings would only
         # repeat the numerical-failure line.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return handler(cfg)
+            return handler(cfg, inputs)
     except (SecbcError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
@@ -581,12 +591,12 @@ def main(argv=None) -> int:
             cfg.mode = _REGION_MODES[0]
         # Configuration and SECBC_THREADS are validated before any
         # compute, so configuration mistakes exit with status 2.
-        _validate(cfg)
+        inputs = _validate(cfg)
         worker_count()
     except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
-    status = run(cfg)
+    status = run(cfg, inputs)
     try:
         sys.stdout.flush()
     except BrokenPipeError:

@@ -161,22 +161,19 @@ def _spectral_seeds(ch: GaussianBc, b0: np.ndarray, eta: float, levels: int) -> 
     normalized least-squares solution of B x = u: the contraction
     sqrt(delta)*x*e_1^T at one level, the identity at the levels above it
     and the identity or zero below.  For t = 1 the only direction is the
-    scalar one.
+    scalar one.  The generalized eigenvectors of (W1, W2) come from
+    whitening: with W2 = L L^T (positive definite, since the gains are
+    invertible) they are L^-T y for the eigenvectors y of L^-1 W1 L^-T.
     """
-    from scipy.linalg import eigh as generalized_eigh
-
     t = ch.t
     if t == 1:
         dirs = [np.ones(1)]
     else:
         w1 = ch.g1.T @ ch.g1
         w2 = ch.g2.T @ ch.g2
-        dirs = []
-        try:
-            _, vecs = generalized_eigh(w1, w2)
-            dirs += [vecs[:, 0], vecs[:, -1]]
-        except np.linalg.LinAlgError:  # pragma: no cover - defensive
-            pass
+        linv = np.linalg.inv(np.linalg.cholesky(w2))
+        vecs = linv.T @ np.linalg.eigh(linv @ w1 @ linv.T)[1]
+        dirs = [vecs[:, 0], vecs[:, -1]]
         _, vecs = np.linalg.eigh(w2 - eta * w1)
         dirs.append(vecs[:, -1])
     eye = np.eye(t)

@@ -2,7 +2,8 @@
 
 Every covariance that enters a rate formula is a real symmetric positive
 semidefinite (PSD) matrix.  This module provides the ordering test, the
-base-2 log-determinant, the checked rate kernel, square-root factors,
+base-2 log-determinant, the checked rate kernel, square-root factors
+(Cholesky, or the symmetric eigen square root of a singular matrix),
 Givens rotation products and the (angles, diagonal scalings)
 parameterization of all sub-covariances ``K* ⪯ K``:
 
@@ -39,7 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpstrf
 
 from .errors import SingularMatrixError
 
@@ -52,6 +52,7 @@ __all__ = [
     "psd_leq",
     "logdet2",
     "sqrt_factor",
+    "sym_sqrt",
     "rotation",
     "rotation_batch",
     "rotation_angles",
@@ -170,21 +171,14 @@ def half_log2(dets):
     return out
 
 
-def half_log2_det(g, k=None, *, factors=None):
+def half_log2_det(g, k):
     """0.5 * log2 det(I + G K G^T) for one covariance or a batch (..., t, t).
 
     ``g`` is one gain (r, t) or a stack (..., r, t) broadcasting against
-    the leading axes of ``k``.  Square-root ``factors`` B of K = B B^T
-    give det(I + (G B)^T (G B)) instead, without forming K.  Raises
-    ``FloatingPointError`` unless every determinant is positive and finite.
+    the leading axes of ``k``.  Raises ``FloatingPointError`` unless every
+    determinant is positive and finite.
     """
-    if factors is None:
-        m = np.eye(g.shape[-2]) + g @ k @ np.swapaxes(g, -1, -2)
-    else:
-        a = g @ factors
-        m = np.swapaxes(a, -1, -2) @ a
-        m += np.eye(a.shape[-1])
-    return _half_log2_det_of(m)
+    return _half_log2_det_of(np.eye(g.shape[-2]) + g @ k @ np.swapaxes(g, -1, -2))
 
 
 def _half_log2_det_of(m: np.ndarray) -> np.ndarray:
@@ -201,10 +195,11 @@ def _half_log2_det_of(m: np.ndarray) -> np.ndarray:
 def sqrt_factor(k) -> np.ndarray:
     """A matrix B with ``B @ B.T == k`` for PSD ``k``, or one per member of a stack.
 
-    Uses the Cholesky factor when ``k`` is positive definite and a
-    rank-revealing pivoted Cholesky (LAPACK dpstrf) when it is singular,
-    so the result is deterministic in both cases.  A stack holding a
-    singular member is factored member by member.
+    Uses the Cholesky factor when ``k`` is positive definite and the
+    symmetric eigen square root V sqrt(max(w, 0)) V^T when it is
+    singular, so the result is deterministic in both cases.  A stack
+    holding a singular member is factored member by member, so every
+    member keeps the bits of its own call.
     """
     k = validate_psd_stack(k, name="sqrt_factor input")
     t = k.shape[-1]
@@ -216,14 +211,14 @@ def sqrt_factor(k) -> np.ndarray:
         pass
     if k.ndim > 2:
         return np.stack([sqrt_factor(m) for m in k.reshape(-1, t, t)]).reshape(k.shape)
-    c, piv, rank, info = dpstrf(k, lower=1)
-    if info < 0:  # pragma: no cover - bad call, not a data condition
-        raise ValueError(f"pivoted Cholesky failed with info={info}")
-    factor = np.tril(c)
-    factor[:, rank:] = 0.0
-    b = np.zeros_like(factor)
-    b[piv - 1, :] = factor  # undo the symmetric permutation
-    return b
+    return sym_sqrt(k)
+
+
+def sym_sqrt(k) -> np.ndarray:
+    """Symmetric square root V sqrt(max(w, 0)) V^T of PSD ``k`` (..., t, t)
+    from its eigendecomposition; defined for singular ``k`` too."""
+    w, v = np.linalg.eigh(k)
+    return (v * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ np.swapaxes(v, -1, -2)
 
 
 def gram(b: np.ndarray) -> np.ndarray:

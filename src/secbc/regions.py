@@ -14,7 +14,7 @@ generating covariances:
 
 Every covariance under the power constraint is K = V diag(e) V^T, a
 Givens product V of angles and eigenvalues e >= 0, built from rows
-(angles, e) by one factor builder (:func:`_trace_factors`).  Its grids
+(angles, e) by one factor builder (:func:`secbc.sweeps.contractions`).  Its grids
 cross the angle tuples with a table of eigenvalue rows
 (:func:`_trace_grid`), and there are two such tables: the trace-P
 simplex (``simplex_grid``) for the constraint matrices of the
@@ -67,7 +67,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import GaussianBc
-from .matops import gram, half_log2, half_log2_det, sqrt_factor, validate_psd
+from .matops import gram, half_log2, half_log2_det, sqrt_factor, sym_sqrt, validate_psd
 from .sweeps import (
     GridSpec,
     canonical_angles,
@@ -83,7 +83,6 @@ from .sweeps import (
     map_ordered,
     pair_dets,
     pair_dets_rows,
-    rotation_batch,
     row_blocks,
     simplex_grid,
     spg_max,
@@ -359,14 +358,14 @@ def _wtc_pencil(ch: GaussianBc, k):
     eigenvalues of the pencil (A_1, A_2) (Liu & Shamai, IEEE T-IT 2009).
     The pencil is solved as lambda_i - 1 = eig(L^-1 (A_1 - A_2) L^-T)
     with A_2 = L L^T, forming A_1 - A_2 = S (G_1^T G_1 - G_2^T G_2) S
-    directly, so equal gains give mu = lambda - 1 = 0 exactly.  S comes
-    from ``eigh``, so singular K is fine.  Returns (value, S, L^-T, mu, U)
-    with mu and its eigenvectors U in descending order.  The eigenvectors
+    directly, so equal gains give mu = lambda - 1 = 0 exactly.  S is
+    :func:`secbc.matops.sym_sqrt`, so singular K is fine.  Returns
+    (value, S, L^-T, mu, U) with mu and its eigenvectors U in descending
+    order.  The eigenvectors
     come from ``eigh`` even where only the value is read: ``eigvalsh``
     rounds the eigenvalues differently in the last bit.
     """
-    w, v = np.linalg.eigh(k)
-    s = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ np.swapaxes(v, -1, -2)
+    s = sym_sqrt(k)
     a2 = np.eye(ch.t) + s @ (ch.g2.T @ ch.g2) @ s
     linv = np.linalg.inv(np.linalg.cholesky(a2))
     linv_t = np.swapaxes(linv, -1, -2)
@@ -476,12 +475,6 @@ def _angle_span(t: int) -> float:
     return math.pi if t == 2 else 2.0 * math.pi
 
 
-def _trace_factors(x, t: int) -> np.ndarray:
-    """Factors V(angles) diag(sqrt(e)) of K = V diag(e) V^T, rows x = (angles, e)."""
-    m = t * (t - 1) // 2
-    return rotation_batch(x[:, :m], t) * np.sqrt(x[:, m:])[:, None, :]
-
-
 def _trace_grid(t: int, theta_steps: int, tails) -> np.ndarray:
     """Rows (angles, tail): each angle tuple crossed with each row of ``tails``.
 
@@ -501,7 +494,7 @@ def _trace_grid(t: int, theta_steps: int, tails) -> np.ndarray:
 def _manifold_scan(t: int, p: float, grid: GridSpec) -> np.ndarray:
     """Constraint matrices of trace p on the simplex grid, in node order."""
     x = _trace_grid(t, grid.theta_steps, simplex_grid(t, p, grid.trace_steps))
-    return gram(_trace_factors(x, t))
+    return gram(contractions(x, t))
 
 
 def _power_grid_rows(t: int, grid: GridSpec) -> dict:
@@ -577,7 +570,7 @@ def _noise2(ch: GaussianBc) -> np.ndarray:
 def _kstar_matrices(x, p: float, t: int) -> np.ndarray:
     """K* = V(angles) diag(p u^2) V^T of parameter rows x = (angles, u)."""
     m = t * (t - 1) // 2
-    return gram(_trace_factors(np.column_stack([x[:, :m], p * x[:, m:] ** 2]), t))
+    return gram(contractions(np.column_stack([x[:, :m], p * x[:, m:] ** 2]), t))
 
 
 def _det_i_plus_kstar(a, e, turn) -> np.ndarray:
@@ -956,7 +949,7 @@ def region_common_power(ch: GaussianBc, p: float, grid: GridSpec | None = None) 
         meta.update({key: fr.meta[key] for key in ("candidates", "thinned", "blocks")})
         return Frontier(fr.rates, fr.gens, meta)
     x = _trace_grid(t, grid.deep_theta_steps, simplex_grid(t, p, grid.deep_trace_steps))
-    factors = _trace_factors(x, t)
+    factors = contractions(x, t)
     dvals = diag_values(grid.deep_diag_steps)
     tab = grid_tables(t, grid.deep_theta_steps, dvals, chained=True)
     return _common_triples(ch, factors, gram(factors), tab, meta)

@@ -176,6 +176,58 @@ class TestExitCodes:
         assert main(["decomp-check", "--seed", "5", "--trials", "25", "--dim", "3"]) == 0
 
 
+class TestInputsBuiltOnce:
+    """One main call parses the channel, constraint, grid and weights once."""
+
+    SMALL = ["--grid-theta", "3", "--grid-d", "3", "--grid-trace", "3"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["region", "--covariance", "6,0;0,6"],
+            ["region", "--mode", "common", "--power", "4"],
+            ["wtc", "--covariance", "6,0;0,6"],
+            ["wtc", "--power", "4"],
+            ["compare", "--power", "4"],
+            ["envelope", "--covariance", "3,0;0,2", "--eta", "1.2"],
+        ],
+    )
+    def test_each_input_is_built_once(self, argv, monkeypatch, capsys):
+        calls = {}
+
+        def count(owner, name):
+            fn = getattr(owner, name)
+
+            def wrapped(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapped)
+
+        for name in ("make_channel", "validate_psd"):
+            count(cli, name)
+        for name in ("channel", "constraint", "grid", "envelope"):
+            count(RunConfig, name)
+        assert main(argv + ["--g1", G1_ARG, "--g2", G2_ARG] + self.SMALL) == 0
+        want = dict.fromkeys(("make_channel", "channel", "constraint", "grid"), 1)
+        want["validate_psd"] = int("--covariance" in argv)
+        want["envelope"] = int(argv[0] == "envelope")
+        assert {name: calls.get(name, 0) for name in want} == want
+
+
+class TestImports:
+    def test_package_and_cli_load_no_scipy(self):
+        code = (
+            "import sys, secbc, secbc.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=_package_env(), capture_output=True,
+            text=True, timeout=60, check=True,
+        )
+        assert proc.stdout.strip() == "[]"
+
+
 def _printed_value(out: str) -> str:
     """The figure a check command prints after '=', without its elapsed time."""
     return out.rsplit("=", 1)[1].split("(")[0].strip()

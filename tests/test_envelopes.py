@@ -19,7 +19,7 @@ from secbc import (
 )
 
 from secbc import envelopes, sweeps
-from secbc.matops import half_log2_det, psd_leq, rotation, sqrt_factor
+from secbc.matops import gram, half_log2_det, psd_leq, rotation, sqrt_factor
 from secbc.sweeps import (
     children_factors,
     diag_combos,
@@ -369,7 +369,7 @@ class TestT3Grids:
         tuples = diag_combos(theta_values(steps), 3)
         combos = diag_combos(diag_values_sqrt(3), 3)
         factors = children_factors(sqrt_factor(k)[None], rotation_batch(tuples, 3), combos)
-        h1, h2 = (half_log2_det(g, factors=factors) for g in (ch.g1, ch.g2))
+        h1, h2 = (half_log2_det(g, gram(factors)) for g in (ch.g1, ch.g2))
         grid = GridSpec(theta_steps=steps, diag_steps=3, refine_iters=0)
         res = v_eta(ch, k, 1.2, grid)
         assert res.grid_meta["grid_nodes"] < len(tuples) * len(combos)
@@ -410,6 +410,18 @@ class TestArgmaxReevaluation:
             assert psd_leq(zero, split)
         assert psd_leq(sum(splits), k)
         again = layered_objective(level, ch, splits, self.W)
+        assert res.value == pytest.approx(again, abs=1e-9)
+
+
+    def test_rank_deficient_constraint(self):
+        # t = 2, rank one: the root of K is its eigen square root
+        ch = make_channel(EXAMPLE_G1, EXAMPLE_G2)
+        k = np.array([[9.0, -3.0], [-3.0, 1.0]])
+        res = v_hat(ch, k, self.W, self.GRID)
+        for split in res.argmax_splits:
+            assert psd_leq(np.zeros((2, 2)), split)
+        assert psd_leq(sum(res.argmax_splits), k)
+        again = layered_objective("v_hat", ch, res.argmax_splits, self.W)
         assert res.value == pytest.approx(again, abs=1e-9)
 
 

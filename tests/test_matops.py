@@ -5,7 +5,7 @@ import pytest
 
 from secbc import SubCovParams, compose_sub_cov, decompose_sub_cov, logdet2, psd_leq, rotation, sqrt_factor
 from secbc.errors import SingularMatrixError
-from secbc.matops import half_log2, half_log2_det, rotation_angles, validate_psd
+from secbc.matops import gram, half_log2, half_log2_det, rotation_angles, validate_psd
 
 from conftest import large_singular_covariance, random_spd
 from oracles import mi_gauss
@@ -129,11 +129,9 @@ class TestHalfLog2Det:
         want = np.array([[mi_gauss(g, k) for k in ks] for g in gains])
         for j, g in enumerate(gains):
             assert half_log2_det(g, ks) == pytest.approx(want[j], abs=1e-12)
-            assert half_log2_det(g, factors=factors) == pytest.approx(want[j], abs=1e-12)
             assert half_log2_det(g, ks[0]) == pytest.approx(want[j, 0], abs=1e-12)
         stacked = gains[:, None]
         assert half_log2_det(stacked, ks) == pytest.approx(want, abs=1e-12)
-        assert half_log2_det(stacked, factors=factors) == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entries_raise(self, bad):
@@ -141,8 +139,6 @@ class TestHalfLog2Det:
         k[0, 1] = k[1, 0] = bad
         with pytest.raises(FloatingPointError):
             half_log2_det(np.eye(2), k)
-        with pytest.raises(FloatingPointError):
-            half_log2_det(np.eye(2), factors=k)
         with pytest.raises(FloatingPointError):
             half_log2_det(np.eye(2), np.stack([np.eye(2), k]))
 
@@ -153,7 +149,7 @@ class TestHalfLog2Det:
 
     def test_overflow_raises(self):
         with pytest.raises(FloatingPointError):
-            half_log2_det(np.eye(1), factors=np.array([[1e300]]))
+            half_log2_det(np.eye(1), gram(np.array([[1e300]])))
 
 
 class TestHalfLog2:
@@ -182,12 +178,40 @@ class TestSqrtFactor:
             b = sqrt_factor(k)
             assert np.abs(b @ b.T - k).max() <= 1e-10
 
-    def test_singular_input_uses_pivoted_factorization(self):
+    def test_singular_input_uses_eigen_square_root(self):
         k = np.array([[4.0, 2.0], [2.0, 1.0]])  # rank one
         b = sqrt_factor(k)
         assert np.abs(b @ b.T - k).max() <= 1e-10
+        assert np.abs(b - b.T).max() <= 1e-12  # V sqrt(w) V^T is symmetric
         b0 = sqrt_factor(np.zeros((2, 2)))
         assert np.allclose(b0, 0.0)
+
+    @pytest.mark.parametrize("t", [2, 3])
+    @pytest.mark.parametrize("rank", [0, 1, 2])
+    def test_singular_inputs_multiply_back(self, rng, t, rank):
+        for scale in (1e-3, 1.0, 1e6):
+            a = scale * rng.normal(size=(t, rank))
+            k = gram(a)
+            b = sqrt_factor(k)
+            tol = 1e-10 * max(1.0, np.linalg.norm(k, 2))
+            assert np.abs(b @ b.T - k).max() <= tol
+
+    def test_large_singular_input_multiplies_back(self):
+        k = large_singular_covariance()
+        b = sqrt_factor(k)
+        assert np.abs(b @ b.T - k).max() <= 1e-10 * np.linalg.norm(k, 2)
+
+    def test_mixed_stack_members_match_their_own_calls_bitwise(self, rng):
+        stack = np.stack([random_spd(rng, 3) for _ in range(6)])
+        stack[1] = gram(rng.normal(size=(3, 1)))
+        stack[4] = gram(rng.normal(size=(3, 2)))
+        stack[5] = 0.0
+        got = sqrt_factor(stack.reshape(2, 3, 3, 3))
+        assert got.shape == (2, 3, 3, 3)
+        want = np.stack([sqrt_factor(m) for m in stack])
+        assert np.array_equal(got.reshape(6, 3, 3), want)
+        # the positive-definite members keep their Cholesky factor
+        assert np.array_equal(want[0], np.linalg.cholesky(stack[0]))
 
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError):

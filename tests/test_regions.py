@@ -151,6 +151,18 @@ class TestFrontierFixedCov:
             assert p.r1 == pytest.approx(r1, abs=1e-9)
             assert p.r2 == pytest.approx(r2, abs=1e-9)
 
+    @pytest.mark.parametrize("rank", [0, 1])
+    def test_rank_deficient_constraint_reverifies(self, example_channel, rank, fast_grid):
+        # a singular K takes the eigen square root, not the Cholesky factor
+        a = np.array([[1.5], [-0.7]]) if rank else np.zeros((2, 1))
+        k = a @ a.T * 4.0
+        fr = frontier_fixed_cov(example_channel, k, fast_grid)
+        assert len(fr.rates)
+        for (r1, r2), km, ks in zip(fr.rates, fr.gens["k"], fr.gens["kstar"]):
+            assert psd_leq(ks, k)
+            assert r1 == pytest.approx(max(0.0, r1_hat(example_channel, km, ks)), abs=1e-9)
+            assert r2 == pytest.approx(r2_hat(example_channel, km, ks), abs=1e-9)
+
     def test_grows_with_the_constraint(self, example_channel, rng, fast_grid):
         kprime = random_spd(rng, 2, scale=2.0)
         a = rng.normal(size=(2, 2))

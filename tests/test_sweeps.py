@@ -326,7 +326,7 @@ class TestRotationClasses:
         # every rotation of the lattice is kept, 512 rows for 14 classes
         tails = distinct_tuples(np.array([0.0, 0.5, 1.0]), t)
         x = regions._trace_grid(t, 8, tails)
-        ratio = nodes_per_matrix(regions._trace_factors(x, t))
+        ratio = nodes_per_matrix(sweeps.contractions(x, t))
         assert ratio == (1.0 if t == 2 else 512 / 14)
 
     def test_t3_table_builds_fast(self):
