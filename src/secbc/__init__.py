@@ -60,8 +60,6 @@ from .regions import (
     check_k1_zero,
     frontier_fixed_cov,
     frontier_power,
-    pareto_filter_pairs,
-    pareto_filter_triples,
     region_common_fixed,
     region_common_power,
     wtc_capacity,
@@ -101,8 +99,6 @@ __all__ = [
     "logdet2",
     "make_channel",
     "mi_xy",
-    "pareto_filter_pairs",
-    "pareto_filter_triples",
     "precoder",
     "precoder_wtc",
     "psd_leq",

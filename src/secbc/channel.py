@@ -122,11 +122,18 @@ def whiten(g1, g2, n1, n2) -> GaussianBc:
     return make_channel(_inv_sqrt_psd(n1) @ g1, _inv_sqrt_psd(n2) @ g2)
 
 
+def check_cov(ch: GaussianBc, k, name: str = "k") -> np.ndarray:
+    """``k`` after :func:`secbc.matops.validate_psd` and one size check
+    against the channel: the one check of every covariance argument."""
+    k = validate_psd(k, name=name)
+    if k.shape[0] != ch.t:
+        raise ValueError(f"{name} is {k.shape[0]}x{k.shape[0]}, the channel has t = {ch.t}")
+    return k
+
+
 def mi_xy(ch: GaussianBc, kx, receiver: int) -> float:
     """I(X; Y_receiver) in bits for Gaussian X with covariance ``kx``."""
-    kx = validate_psd(kx, name="kx")
-    if kx.shape[0] != ch.t:
-        raise ValueError(f"kx has dim {kx.shape[0]}, channel has t={ch.t}")
+    kx = check_cov(ch, kx, "kx")
     return float(half_log2_det(ch.gain(receiver), kx))
 
 
@@ -219,8 +226,8 @@ def r1_hat(ch: GaussianBc, k, kstar) -> float:
     the wiretap secrecy rate of input covariance K* with receiver 2 as
     the eavesdropper.  May be negative.
     """
-    k = validate_psd(k, name="k")
-    kstar = validate_psd(kstar, name="kstar")
+    k = check_cov(ch, k)
+    kstar = check_cov(ch, kstar, "kstar")
     if not psd_leq(kstar, k, ORDER_TOL):
         raise ValueError("precondition violated: kstar is not below k")
     h1, h2 = half_log2_det(np.stack([ch.g1, ch.g2]), kstar)
@@ -233,8 +240,8 @@ def r2_hat(ch: GaussianBc, k, kstar) -> float:
     ``(1/2) log2 |I + G2 K G2^T| - (1/2) log2 |I + G2 K* G2^T|``;
     nonnegative whenever ``kstar ⪯ k``.
     """
-    k = validate_psd(k, name="k")
-    kstar = validate_psd(kstar, name="kstar")
+    k = check_cov(ch, k)
+    kstar = check_cov(ch, kstar, "kstar")
     if not psd_leq(kstar, k, ORDER_TOL):
         raise ValueError("precondition violated: kstar is not below k")
     hk, hstar = half_log2_det(ch.g2, np.stack([k, kstar]))
@@ -252,9 +259,7 @@ def r_common(ch: GaussianBc, k, k1, k2) -> tuple[float, float, float]:
     - r1 = (1/2) log2 |I + G1 K2 G1^T| / |I + G2 K2 G2^T|
     - r2 = (1/2) log2 |I + G2 (K1+K2) G2^T| / |I + G2 K2 G2^T|
     """
-    k = validate_psd(k, name="k")
-    k1 = validate_psd(k1, name="k1")
-    k2 = validate_psd(k2, name="k2")
+    k, k1, k2 = (check_cov(ch, m, name) for m, name in ((k, "k"), (k1, "k1"), (k2, "k2")))
     ksum = k1 + k2
     if not psd_leq(ksum, k, ORDER_TOL):
         raise ValueError("precondition violated: k1 + k2 is not below k")

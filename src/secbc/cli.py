@@ -13,7 +13,8 @@ compare       no-common region vs both-confidential comparison region
 Matrices on the command line use commas between row entries and
 semicolons between rows ("0.3,2.5;2.2,1.8"); larger configurations can
 be given as a JSON file via --config with the same field names in
-lower_snake_case.  Explicit flags override config-file values.
+lower_snake_case.  Explicit flags override config-file values, --mode
+included.
 
 Exit codes: 0 success, 2 invalid configuration, 3 numerical failure.
 Every configuration check runs before any computation.
@@ -29,16 +30,16 @@ import os
 import sys
 import time
 from dataclasses import dataclass, fields
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import regions
-from .channel import GaussianBc, make_channel
+from .channel import GaussianBc, check_cov, make_channel
 from .dpc import dpc_identity_check, random_instances
 from .envelopes import EnvelopeWeights, v_eta, v_hat, v_tilde
 from .errors import SecbcError
-from .matops import SubCovParams, compose_sub_cov, decompose_sub_cov, validate_psd
+from .matops import SubCovParams, compose_sub_cov, decompose_sub_cov
 from .regions import Frontier
 from .sweeps import GridSpec, worker_count
 
@@ -79,7 +80,7 @@ def parse_matrix(text: str) -> np.ndarray:
 class RunConfig:
     """Everything one invocation needs; mirrors the JSON config schema."""
 
-    mode: str = ""
+    mode: str = "no-common"
     g1: np.ndarray | None = None
     g2: np.ndarray | None = None
     power: float | None = None
@@ -114,14 +115,15 @@ class RunConfig:
             raise ValueError("this command needs --g1 and --g2")
         return make_channel(self.g1, self.g2)
 
-    def constraint(self):
+    def constraint(self, ch: GaussianBc):
+        """(power, None) or (None, covariance), checked against ``ch``."""
         if (self.power is None) == (self.covariance is None):
             raise ValueError("give exactly one of --power / --covariance")
         if self.power is not None:
             if not math.isfinite(self.power) or self.power < 0:
                 raise ValueError("power must be finite and nonnegative")
             return float(self.power), None
-        return None, validate_psd(self.covariance, name="covariance")
+        return None, check_cov(ch, self.covariance, "covariance")
 
     def envelope(self) -> tuple[str, EnvelopeWeights]:
         """(level, weights) of the ``envelope`` command.
@@ -180,12 +182,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         arg = getattr(args, f.name.replace("-", "_"), None)
         if arg is not None:
             values[f.name] = parse_matrix(arg) if f.name in _MATRIX_FIELDS else arg
-    if getattr(args, "mode", None):
-        values["mode"] = args.mode
-    cfg = RunConfig(**values)
-    if cfg.covariance is not None:
-        cfg.covariance = np.asarray(cfg.covariance, dtype=float)
-    return cfg
+    return RunConfig(**values)
 
 
 # CSV column stems of the generator matrices, and the rows emit_csv
@@ -321,23 +318,13 @@ def _summarize(name: str, frontier: Frontier, elapsed: float) -> None:
 
 def _cmd_region(cfg: RunConfig, inp: Inputs) -> int:
     ch, power, cov, grid, _ = inp
-    mode = cfg.mode
+    mode = _MODES[cfg.mode]
     start = time.perf_counter()
-    if mode == "no-common":
-        fr = (
-            regions.frontier_power(ch, power, grid)
-            if power is not None
-            else regions.frontier_fixed_cov(ch, cov, grid)
-        )
-    elif mode == "common":
-        fr = (
-            regions.region_common_power(ch, power, grid)
-            if power is not None
-            else regions.region_common_fixed(ch, cov, grid)
-        )
+    if power is not None:
+        fr = getattr(regions, mode.power)(ch, power, grid)
     else:
-        fr = regions.both_confidential_frontier(ch, power, grid)
-    _summarize(f"region --mode {mode}", fr, time.perf_counter() - start)
+        fr = getattr(regions, mode.covariance)(ch, cov, grid)
+    _summarize(f"region --mode {cfg.mode}", fr, time.perf_counter() - start)
     if cfg.out:
         emit_csv(fr, cfg.out)
         _echo(f"  wrote {cfg.out}")
@@ -452,35 +439,41 @@ def _cmd_compare(cfg: RunConfig, inp: Inputs) -> int:
     return 0
 
 
-_COMMANDS = {
-    "region": _cmd_region,
-    "wtc": _cmd_wtc,
-    "dpc-check": _cmd_dpc_check,
-    "decomp-check": _cmd_decomp_check,
-    "envelope": _cmd_envelope,
-    "compare": _cmd_compare,
-}
-# The modes of the region command; every other command is its own mode.
-_REGION_MODES = ("no-common", "common", "both-confidential")
-# run() dispatches on the mode field; region modes share one handler.
-_MODES = dict.fromkeys(_REGION_MODES, _cmd_region)
-_MODES.update((name, fn) for name, fn in _COMMANDS.items() if name != "region")
+class _Mode(NamedTuple):
+    """What one mode runs: its handler, the one constraint it accepts
+    (None: either), the files it writes (SVG plots 2-D frontiers only) and
+    the names of its :mod:`secbc.regions` builders under --power and
+    --covariance, looked up at call time.  The --power builder's grid is
+    checked against MAX_GRID_ROWS."""
+
+    handler: Callable[[RunConfig, Inputs | None], int]
+    needs: str | None = None
+    writes: tuple = ()
+    power: str | None = None
+    covariance: str | None = None
 
 
-# The one constraint a mode accepts, where it accepts only one, and the
-# files each mode writes (SVG plots 2-D frontiers only).
-_NEEDS = {"both-confidential": "power", "compare": "power", "envelope": "covariance"}
-_WRITES = dict.fromkeys(_REGION_MODES, ("out", "svg"))
-_WRITES.update({"common": ("out",), "wtc": ("out",), "compare": ("out", "svg")})
-# The region whose grid bounds each mode's memory under --power (compare
-# also runs the both-confidential region, whose grid is no larger; wtc
-# builds no grid).
-_POWER_REGIONS = {
-    "no-common": "frontier_power",
-    "common": "region_common_power",
-    "both-confidential": "both_confidential_frontier",
-    "compare": "frontier_power",
+# Every mode.  The modes of _cmd_region are the --mode choices of the
+# region command; every other mode is its own command.  compare also
+# runs the both-confidential region, whose grid is no larger than that of
+# frontier_power; wtc --power builds no grid.
+_MODES = {
+    "no-common": _Mode(_cmd_region, None, ("out", "svg"), "frontier_power", "frontier_fixed_cov"),
+    "common": _Mode(_cmd_region, None, ("out",), "region_common_power", "region_common_fixed"),
+    "both-confidential": _Mode(
+        _cmd_region, "power", ("out", "svg"), "both_confidential_frontier"
+    ),
+    "wtc": _Mode(_cmd_wtc, writes=("out",)),
+    "dpc-check": _Mode(_cmd_dpc_check),
+    "decomp-check": _Mode(_cmd_decomp_check),
+    "envelope": _Mode(_cmd_envelope, "covariance"),
+    "compare": _Mode(_cmd_compare, "power", ("out", "svg"), "frontier_power"),
 }
+
+
+def _command(mode: str) -> str:
+    """The subcommand that runs ``mode``."""
+    return "region" if _MODES[mode].handler is _cmd_region else mode
 
 
 def _writable(path: str) -> None:
@@ -495,9 +488,12 @@ def _validate(cfg: RunConfig) -> Inputs | None:
     Returns the parsed :class:`Inputs` of a compute command, or None for
     the identity checks, which read ``cfg`` alone.
     """
+    mode = _MODES.get(cfg.mode)
+    if mode is None:
+        raise ValueError(f"unknown mode {cfg.mode!r}")
     for flag in ("out", "svg"):
         path = getattr(cfg, flag)
-        if path and flag not in _WRITES.get(cfg.mode, ()):
+        if path and flag not in mode.writes:
             raise ValueError(f"{cfg.mode} writes no --{flag} file")
         if path:
             _writable(path)
@@ -508,15 +504,12 @@ def _validate(cfg: RunConfig) -> Inputs | None:
                 raise ValueError(f"{name} must be an integer >= {least}, got {val!r}")
         return None
     ch = cfg.channel()
-    power, cov = cfg.constraint()
-    if cov is not None and cov.shape[0] != ch.t:
-        raise ValueError(f"covariance is {cov.shape[0]}x{cov.shape[0]}, gains are {ch.t}x{ch.t}")
-    need = _NEEDS.get(cfg.mode)
-    if need is not None and getattr(cfg, need) is None:
-        raise ValueError(f"{cfg.mode} needs --{need}")
+    power, cov = cfg.constraint(ch)
+    if mode.needs is not None and getattr(cfg, mode.needs) is None:
+        raise ValueError(f"{cfg.mode} needs --{mode.needs}")
     grid = cfg.grid()
-    if power and cfg.mode in _POWER_REGIONS:
-        rows = regions._power_grid_rows(ch.t, grid)[_POWER_REGIONS[cfg.mode]]
+    if power and mode.power:
+        rows = regions._power_grid_rows(ch.t, grid)[mode.power]
         if rows > MAX_GRID_ROWS:
             raise ValueError(
                 f"the {cfg.mode} grid at t = {ch.t} has {rows} rows, more than "
@@ -528,16 +521,13 @@ def _validate(cfg: RunConfig) -> Inputs | None:
 
 def run(cfg: RunConfig, inputs: Inputs | None) -> int:
     """Execute one configuration with the ``inputs`` that :func:`_validate`
-    parsed from it; returns the exit status."""
-    handler = _MODES.get(cfg.mode)
-    if handler is None:
-        print(f"invalid configuration: unknown mode {cfg.mode!r}", file=sys.stderr)
-        return 2
+    parsed from it (which also rejects an unknown mode); returns the exit
+    status."""
     try:
         # Every rate is checked, so numpy's overflow warnings would only
         # repeat the numerical-failure line.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return handler(cfg, inputs)
+            return _MODES[cfg.mode].handler(cfg, inputs)
     except (SecbcError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
@@ -573,10 +563,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Secrecy-capacity regions of two-user MIMO Gaussian BCs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name in dict.fromkeys(map(_command, _MODES)):
         sp = sub.add_parser(name)
         if name == "region":
-            sp.add_argument("--mode", choices=_REGION_MODES, default=_REGION_MODES[0])
+            # No default: a --config file's mode holds unless --mode is given.
+            sp.add_argument("--mode", choices=[m for m in _MODES if _command(m) == name])
         _add_common(sp)
     return parser
 
@@ -587,8 +578,8 @@ def main(argv=None) -> int:
         cfg = _config_from_args(args)
         if args.command != "region":
             cfg.mode = args.command
-        elif not cfg.mode:
-            cfg.mode = _REGION_MODES[0]
+        elif cfg.mode in _MODES and _command(cfg.mode) != "region":
+            raise ValueError(f"{cfg.mode} is a command, not a region mode")
         # Configuration and SECBC_THREADS are validated before any
         # compute, so configuration mistakes exit with status 2.
         inputs = _validate(cfg)

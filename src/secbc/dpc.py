@@ -26,9 +26,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import GaussianBc, JointGaussian, check_gains, joint_mi, make_channel
+from .channel import (
+    GaussianBc,
+    JointGaussian,
+    check_cov,
+    check_gains,
+    joint_mi,
+    make_channel,
+)
 from .errors import DegenerateInstanceError
-from .matops import ORDER_TOL, half_log2_det, psd_leq, validate_psd, validate_psd_stack
+from .matops import ORDER_TOL, half_log2_det, psd_leq, validate_psd_stack
 
 __all__ = [
     "DpcInstance",
@@ -52,7 +59,7 @@ class DpcInstance:
     ``k1`` is the pre-subtracted layer (artificial noise at receiver 1),
     ``k2`` the confidential signal and ``kv`` the known interference that
     the precoder cancels.  Each layer is checked with
-    :func:`secbc.matops.validate_psd` and stored symmetrized and
+    :func:`secbc.channel.check_cov` and stored symmetrized and
     read-only.  :func:`random_instances` builds its members from layers
     it has checked as stacks, with the same errors, and skips these
     per-member checks.
@@ -64,11 +71,8 @@ class DpcInstance:
     kv: np.ndarray
 
     def __post_init__(self):
-        t = self.ch.t
         for name in ("k1", "k2", "kv"):
-            mat = validate_psd(getattr(self, name), name=name)
-            if mat.shape[0] != t:
-                raise ValueError(f"{name} has dim {mat.shape[0]}, expected {t}")
+            mat = check_cov(self.ch, getattr(self, name), name)
             mat.setflags(write=False)
             object.__setattr__(self, name, mat)
 
@@ -223,17 +227,13 @@ def wtc_point_check(ch: GaussianBc, kstar, k=None) -> tuple[float, float]:
     is omitted the enclosing constraint defaults to ``kstar + I`` so the
     interference layer is nontrivial.
     """
-    kstar = validate_psd(kstar, name="kstar")
+    kstar = check_cov(ch, kstar, "kstar")
     t = ch.t
-    if kstar.shape[0] != t:
-        raise ValueError(f"kstar has dim {kstar.shape[0]}, channel has {t}")
     if np.abs(kstar).max() < 1e-15:
         return 0.0, 0.0
     if np.linalg.eigvalsh(kstar).min() <= 1e-12:
         raise DegenerateInstanceError("kstar must be zero or strictly definite")
-    if k is None:
-        k = kstar + np.eye(t)
-    k = validate_psd(k, name="k")
+    k = check_cov(ch, kstar + np.eye(t) if k is None else k)
     if not psd_leq(kstar, k, ORDER_TOL):
         raise ValueError("precondition violated: kstar is not below k")
     kdiff = 0.5 * ((k - kstar) + (k - kstar).T)

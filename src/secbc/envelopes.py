@@ -74,9 +74,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import GaussianBc, make_channel, mi_xy
-from .matops import gram, half_log2, logdet2
-from .matops import sqrt_factor, validate_psd
+from .channel import GaussianBc, check_cov, make_channel, mi_xy
+from .matops import gram, half_log2, logdet2, sqrt_factor
 from .sweeps import (
     LIFT,
     STARTS,
@@ -243,10 +242,8 @@ def _layered_max(ch: GaussianBc, k, outer, inner: float, eta: float, grid):
     ..., K_1 - K_2.
     """
     start = time.perf_counter()
-    k = validate_psd(k, name="k")
+    k = check_cov(ch, k)
     t = ch.t
-    if k.shape[0] != t:
-        raise ValueError("constraint dimension does not match the channel")
     levels = len(outer) + 1
     theta_name, diag_name, keep = _LEVEL_GRID[levels]
     theta_steps, diag_steps = getattr(grid, theta_name), getattr(grid, diag_name)
@@ -486,8 +483,8 @@ def factorization_gap(
     if mode not in ops:
         raise ValueError(f"mode must be one of {sorted(ops)}, got {mode!r}")
     op = ops[mode]
-    res_a = op(ch_a, validate_psd(k_a, name="k_a"), grid)
-    res_b = op(ch_b, validate_psd(k_b, name="k_b"), grid)
+    res_a = op(ch_a, check_cov(ch_a, k_a, "k_a"), grid)
+    res_b = op(ch_b, check_cov(ch_b, k_b, "k_b"), grid)
     sum_value = res_a.value + res_b.value
 
     ch_p = make_channel(

@@ -66,8 +66,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import GaussianBc
-from .matops import gram, half_log2, half_log2_det, sqrt_factor, sym_sqrt, validate_psd
+from .channel import GaussianBc, check_cov
+from .matops import gram, half_log2, half_log2_det, sqrt_factor, sym_sqrt
 from .sweeps import (
     GridSpec,
     canonical_angles,
@@ -92,8 +92,6 @@ __all__ = [
     "RatePoint",
     "RateTriple",
     "Frontier",
-    "pareto_filter_pairs",
-    "pareto_filter_triples",
     "frontier_fixed_cov",
     "wtc_capacity",
     "wtc_capacity_power",
@@ -148,25 +146,13 @@ class Frontier:
     ``rates`` holds rows (R1, R2) or (R1, R2, R0), clamped at zero and
     sorted by those columns; ``gens`` maps each generator name ("k",
     "kstar"; or "k", "k1", "k2") to the (n, t, t) stack of its matrices.
-    :attr:`points` is a per-point view; :meth:`from_points` the inverse.
+    Every builder and emitter works on these columns; :attr:`points` is a
+    read-only per-point view of them.
     """
 
     rates: np.ndarray
     gens: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_points(cls, points: list, meta: dict | None = None) -> Frontier:
-        """The frontier of a list of :class:`RatePoint` or :class:`RateTriple`,
-        in list order."""
-        triple = bool(points) and isinstance(points[0], RateTriple)
-        rows = [(p.r1, p.r2, p.r0) if triple else (p.r1, p.r2) for p in points]
-        rates = np.array(rows, dtype=float).reshape(len(points), 3 if triple else 2)
-        gens = {
-            name: np.array([np.asarray(p.gen[name], dtype=float) for p in points])
-            for name in (points[0].gen if points else ())
-        }
-        return cls(rates, gens, {} if meta is None else meta)
 
     @functools.cached_property
     def points(self) -> list:
@@ -257,19 +243,11 @@ def _pair_front(r1, r2, gens: dict, meta: dict) -> Frontier:
     return Frontier(rates[rows], {name: g[rows] for name, g in gens.items()}, meta)
 
 
-def _zero_frontier(t: int, names: tuple, meta: dict) -> Frontier:
-    """The one-point frontier of a zero power budget."""
-    return Frontier(np.zeros((1, len(names))), {n: np.zeros((1, t, t)) for n in names}, meta)
-
-
-def pareto_filter_pairs(points: list, slack: float = PARETO_SLACK) -> list:
-    """Drop dominated pairs; result is sorted by R1 ascending.
-
-    Filtering is idempotent: applying it to its own output changes
-    nothing.
-    """
-    rates = np.array([(p.r1, p.r2) for p in points], dtype=float).reshape(-1, 2)
-    return [points[i] for i in _pair_rows(rates, slack)]
+def _zero_frontier(k: np.ndarray, names: tuple, meta: dict) -> Frontier:
+    """The one-point frontier of a zero constraint ``k`` (t, t): generator
+    "k" is ``k`` itself and every other one is zero."""
+    gens = {n: k[None] if n == "k" else np.zeros((1,) + k.shape) for n in names}
+    return Frontier(np.zeros((1, len(names))), gens, meta)
 
 
 def _pareto_rows_triples(arr: np.ndarray, slack: float = PARETO_SLACK) -> np.ndarray:
@@ -329,15 +307,6 @@ def _triple_front(arr: np.ndarray, slack: float = PARETO_SLACK) -> np.ndarray:
     return rows[keep][::-1]
 
 
-def pareto_filter_triples(points: list, slack: float = PARETO_SLACK) -> list:
-    """Drop dominated and near-duplicate triples (:func:`_triple_front`);
-    result is sorted by (R1, R2, R0)."""
-    arr = np.array([(p.r0, p.r1, p.r2) for p in points], dtype=float).reshape(-1, 3)
-    rows = _triple_front(arr, slack)
-    order = np.lexsort(arr[rows][:, [0, 2, 1]].T)  # by (r1, r2, r0), stably
-    return [points[i] for i in rows[order]]
-
-
 def _meta(ch: GaussianBc, grid: GridSpec, mode: str, k=None, p=None) -> dict:
     """Frontier metadata of a fixed-covariance (``k``) or power (``p``) region."""
     kind, key, val = ("fixed_cov", "constraint", k) if p is None else ("power", "power", p)
@@ -356,41 +325,48 @@ def _wtc_pencil(ch: GaussianBc, k):
     With S = K^(1/2) and A_j = I + S G_j^T G_j S, the optimum over K*
     below K is 1/2 sum log2 max(lambda_i, 1) over the generalized
     eigenvalues of the pencil (A_1, A_2) (Liu & Shamai, IEEE T-IT 2009).
+    The users swapped give the pencil (A_2, A_1) with eigenvalues
+    1/lambda_i, so the same solve also holds the swapped optimum
+    -1/2 sum log2 min(lambda_i, 1) (:func:`_wtc_rectangle`).
     The pencil is solved as lambda_i - 1 = eig(L^-1 (A_1 - A_2) L^-T)
     with A_2 = L L^T, forming A_1 - A_2 = S (G_1^T G_1 - G_2^T G_2) S
     directly, so equal gains give mu = lambda - 1 = 0 exactly.  S is
     :func:`secbc.matops.sym_sqrt`, so singular K is fine.  Returns
-    (value, S, L^-T, mu, U) with mu and its eigenvectors U in descending
-    order.  The eigenvectors
-    come from ``eigh`` even where only the value is read: ``eigvalsh``
-    rounds the eigenvalues differently in the last bit.
+    (value, S, W, mu) with mu in descending order and W = L^-T U the
+    generalized eigenvectors (W^T A_2 W = I), U those of ``eigh``.  The
+    eigenvectors come from ``eigh`` even where only the value is read:
+    ``eigvalsh`` rounds the eigenvalues differently in the last bit.
     """
     s = sym_sqrt(k)
     a2 = np.eye(ch.t) + s @ (ch.g2.T @ ch.g2) @ s
     linv = np.linalg.inv(np.linalg.cholesky(a2))
-    linv_t = np.swapaxes(linv, -1, -2)
     gap = ch.g1.T @ ch.g1 - ch.g2.T @ ch.g2
-    mu, u = np.linalg.eigh(linv @ s @ gap @ s @ linv_t)
+    mu, u = np.linalg.eigh(linv @ s @ gap @ s @ np.swapaxes(linv, -1, -2))
     mu, u = mu[..., ::-1], u[..., ::-1]
     value = np.sum(np.log1p(np.maximum(mu, 0.0)), axis=-1) / (2.0 * math.log(2.0))
     if not (np.isfinite(a2).all() and np.isfinite(mu).all() and np.isfinite(value).all()):
         raise FloatingPointError("the wiretap pencil is not finite")
-    return value, s, linv_t, mu, u
+    return value, s, np.swapaxes(linv, -1, -2) @ u, mu
+
+
+def _kept_root(s, w, mu):
+    """B with B B^T = S P S, P the orthogonal projector onto the
+    eigenvectors W of the pencil with mu > 0 (:func:`_wtc_pencil`)."""
+    # Descending order puts the kept eigenvectors first, so the leading
+    # columns of their QR factor Q span them.
+    q, _ = np.linalg.qr(w)
+    return s @ (q * (mu > 0.0)[..., None, :])
 
 
 def _wtc_root(ch: GaussianBc, k):
     """Closed-form wiretap optimum over K* below ``k``: (value, B), K* = B B^T.
 
     ``k`` is one covariance (t, t) or a batch (..., t, t); both outputs
-    keep its leading shape.  The optimum is attained at K* = S P S, where
-    P is the orthogonal projector onto the pencil's eigenvectors with
-    lambda_i > 1 (see :func:`_wtc_pencil`); equal gains give K* = 0.
+    keep its leading shape.  The optimum is attained at K* = S P S
+    (:func:`_kept_root`); equal gains give K* = 0.
     """
-    value, s, linv_t, mu, u = _wtc_pencil(ch, k)
-    # Descending order puts the kept eigenvectors first, so the leading
-    # columns of their QR factor Q span them.
-    q, _ = np.linalg.qr(linv_t @ u)
-    return value, s @ (q * (mu > 0.0)[..., None, :])
+    value, s, w, mu = _wtc_pencil(ch, k)
+    return value, _kept_root(s, w, mu)
 
 
 def _wtc_gevd(ch: GaussianBc, k):
@@ -400,16 +376,32 @@ def _wtc_gevd(ch: GaussianBc, k):
     return value, gram(root)
 
 
+def _wtc_rectangle(ch: GaussianBc, k):
+    """(r1, r2, K*) of the both-confidential rectangle of ``k`` from one
+    pencil solve: r1 and its argmax K* as :func:`_wtc_gevd` gives them,
+    and r2 the wiretap optimum with the users swapped,
+    -1/2 sum log2 min(lambda_i, 1) (:func:`_wtc_pencil`).
+
+    Each log2 lambda_i is log1p(mu_i) while lambda_i >= 1/2.  Below, 1 + mu
+    cancels: mu is only good to about eps max|mu|, which at large powers
+    or unequal gains is more than a small lambda_i itself.  There lambda_i
+    is read as the quadratic form w_i^T A_1 w_i = |w_i|^2 + |G_1 S w_i|^2
+    of its eigenvector, a sum of squares with no cancellation.
+    """
+    r1, s, w, mu = _wtc_pencil(ch, k)
+    quad = np.sum(w * w, axis=-2) + np.sum((ch.g1 @ s @ w) ** 2, axis=-2)
+    logs = np.where(mu > -0.5, np.log1p(np.clip(mu, -0.5, 0.0)), np.log(np.minimum(quad, 1.0)))
+    r2 = np.sum(logs, axis=-1) / (-2.0 * math.log(2.0))
+    return r1, r2, gram(_kept_root(s, w, mu))
+
+
 def wtc_capacity(ch: GaussianBc, k):
     """Wiretap secrecy capacity under the covariance constraint ``k``.
 
     Returns (value, argmax) of the closed-form maximum of the
     confidential rate over all K* below k; the value is nonnegative.
     """
-    k = validate_psd(k, name="k")
-    if k.shape[0] != ch.t:
-        raise ValueError("constraint dimension does not match the channel")
-    value, kstar = _wtc_gevd(ch, k)
+    value, kstar = _wtc_gevd(ch, check_cov(ch, k))
     return float(value), kstar
 
 
@@ -427,13 +419,11 @@ def frontier_fixed_cov(ch: GaussianBc, k, grid: GridSpec | None = None) -> Front
     only the few nodes of a block that no higher bin dominates.
     """
     grid = grid or GridSpec()
-    k = validate_psd(k, name="k")
+    k = check_cov(ch, k)
     t = ch.t
-    if k.shape[0] != t:
-        raise ValueError("constraint dimension does not match the channel")
     meta = _meta(ch, grid, "one_confidential", k=k)
     if np.abs(k).max() < 1e-15:
-        return Frontier(np.zeros((1, 2)), {"k": k[None], "kstar": np.zeros((1, t, t))}, meta)
+        return _zero_frontier(k, ("k", "kstar"), meta)
     c2k = half_log2_det(ch.g2, k)
     b0 = sqrt_factor(k)
     tab = grid_tables(t, grid.theta_steps, diag_values(grid.diag_steps))
@@ -712,7 +702,7 @@ def frontier_power(ch: GaussianBc, p: float, grid: GridSpec | None = None) -> Fr
     t = ch.t
     meta = _meta(ch, grid, "one_confidential", p=p)
     if p == 0:
-        return _zero_frontier(t, ("k", "kstar"), meta)
+        return _zero_frontier(np.zeros((t, t)), ("k", "kstar"), meta)
 
     start = time.perf_counter()
     x, counts = _zoom_sweep(ch, p, grid)
@@ -741,51 +731,40 @@ def both_confidential_frontier(
 ) -> Frontier:
     """Comparison region with both private messages confidential.
 
-    For a constraint K and sub-covariance K* the two bounds are coupled:
-    R2 equals the raw R1 plus C2(K) - C1(K), so each constraint
-    contributes one rectangle whose corner is the closed-form wiretap
-    optimum of K (Liu, Liu, Poor & Shamai, IEEE T-IT 2010).  The frontier
-    is the Pareto filter of those corners over the trace-p manifold,
-    plus the max-R1 and max-R2 corners.  R2 of a constraint is the
-    wiretap optimum with the users swapped (the GEVD complement), so the
-    max-R1 corner is the (value, K, K*) of :func:`wtc_capacity_power` and
-    the max-R2 corner the K of :func:`wtc_capacity_power` on the swapped
-    channel.  Both corner rows take each rate from the closed form of
-    their K, since at large p the sum r1 + C2(K) - C1(K) of the manifold
-    rows loses about 1e-12 bit to cancellation.  ``meta["phase_s"]``
-    holds the ``perf_counter`` seconds of the manifold ``scan`` and of
-    the ``max_r1_corner`` and ``max_r2_corner``.
+    Each constraint K contributes one rectangle [0, r1] x [0, r2]: r1 is
+    the closed-form wiretap optimum of K, and r2 that of K with the users
+    swapped (Liu, Liu, Poor & Shamai, IEEE T-IT 2010).  Both sides and the
+    argmax K* of r1 come from one pencil solve per constraint
+    (:func:`_wtc_rectangle`).  The frontier is the Pareto filter of the
+    rectangle corners over the trace-p manifold, plus two corner rows: the
+    rectangles of the K of :func:`wtc_capacity_power` (max R1) and of the
+    K of :func:`wtc_capacity_power` on the swapped channel (max R2).
+    ``meta["phase_s"]`` holds the ``perf_counter`` seconds of the manifold
+    ``scan`` and of the ``max_r1_corner`` and ``max_r2_corner``.
     """
     grid = grid or GridSpec()
     _check_power(p)
     t = ch.t
     meta = _meta(ch, grid, "both_confidential", p=p)
     if p == 0:
-        return _zero_frontier(t, ("k", "kstar"), meta)
+        return _zero_frontier(np.zeros((t, t)), ("k", "kstar"), meta)
 
-    start = time.perf_counter()
+    marks = [time.perf_counter()]
     kmats = _manifold_scan(t, p, grid)
-    r1, ks = _wtc_gevd(ch, kmats)
-    r2 = r1 + half_log2_det(ch.g2, kmats) - half_log2_det(ch.g1, kmats)
-    rows = np.flatnonzero(_pareto_mask(r1, np.maximum(r2, 0.0)))
-    scanned = time.perf_counter()
-    swapped = GaussianBc(ch.g2, ch.g1)
-    value, kmat, kstar = wtc_capacity_power(ch, p, grid)
-    r2_at = _wtc_gevd(swapped, kmat)[0]
-    cornered = time.perf_counter()
-    r2v, kmat_v, _ = wtc_capacity_power(swapped, p, grid)
-    r1v, ksv = _wtc_gevd(ch, kmat_v)
-    meta["phase_s"] = {
-        "scan": scanned - start,
-        "max_r1_corner": cornered - scanned,
-        "max_r2_corner": time.perf_counter() - cornered,
-    }
-    gens = {
-        "k": np.concatenate([kmats[rows], kmat[None], kmat_v[None]]),
-        "kstar": np.concatenate([ks[rows], kstar[None], ksv[None]]),
-    }
-    r1s = np.concatenate([r1[rows], [value, r1v]])
-    return _pair_front(r1s, np.concatenate([r2[rows], [r2_at, r2v]]), gens, meta)
+    r1, r2, ks = _wtc_rectangle(ch, kmats)
+    rows = np.flatnonzero(_pareto_mask(r1, r2))
+    parts = [(kmats[rows], r1[rows], r2[rows], ks[rows])]
+    marks.append(time.perf_counter())
+    for corner in (ch, GaussianBc(ch.g2, ch.g1)):
+        kmat = wtc_capacity_power(corner, p, grid)[1]
+        r1, r2, kstar = _wtc_rectangle(ch, kmat)
+        parts.append((kmat[None], r1[None], r2[None], kstar[None]))
+        marks.append(time.perf_counter())
+    meta["phase_s"] = dict(
+        zip(("scan", "max_r1_corner", "max_r2_corner"), np.diff(marks).tolist())
+    )
+    kmats, r1, r2, ks = (np.concatenate(col) for col in zip(*parts))
+    return _pair_front(r1, r2, {"k": kmats, "kstar": ks}, meta)
 
 
 def wtc_capacity_power(ch: GaussianBc, p: float, grid: GridSpec | None = None):
@@ -916,16 +895,12 @@ def region_common_fixed(ch: GaussianBc, k, grid: GridSpec | None = None) -> Fron
     constraint ``k``; its max-R1 corner is :func:`wtc_capacity`.
     """
     grid = grid or GridSpec()
-    k = validate_psd(k, name="k")
-    t = ch.t
-    if k.shape[0] != t:
-        raise ValueError("constraint dimension does not match the channel")
+    k = check_cov(ch, k)
     meta = _meta(ch, grid, "common", k=k)
     if np.abs(k).max() < 1e-15:
-        zero = np.zeros((1, t, t))
-        return Frontier(np.zeros((1, 3)), {"k": k[None], "k1": zero, "k2": zero}, meta)
+        return _zero_frontier(k, ("k", "k1", "k2"), meta)
     dvals = diag_values(grid.chain_diag_steps)
-    tab = grid_tables(t, grid.chain_theta_steps, dvals, chained=True)
+    tab = grid_tables(ch.t, grid.chain_theta_steps, dvals, chained=True)
     return _common_triples(ch, sqrt_factor(k)[None], k[None], tab, meta)
 
 
@@ -943,7 +918,7 @@ def region_common_power(ch: GaussianBc, p: float, grid: GridSpec | None = None) 
     t = ch.t
     meta = _meta(ch, grid, "common", p=p)
     if p == 0:
-        return _zero_frontier(t, ("k", "k1", "k2"), meta)
+        return _zero_frontier(np.zeros((t, t)), ("k", "k1", "k2"), meta)
     if t == 1:
         fr = region_common_fixed(ch, np.array([[float(p)]]), grid)
         meta.update({key: fr.meta[key] for key in ("candidates", "thinned", "blocks")})
@@ -964,7 +939,7 @@ def check_k1_zero(ch: GaussianBc, k, samples: int = 100, seed: int = 0) -> bool:
     optimum over K* below K1 + K2 (whose private rate is automatically
     at least the split's).  Comparisons carry a 1e-6 slack.
     """
-    k = validate_psd(k, name="k")
+    k = check_cov(ch, k)
     t = ch.t
     m = t * (t - 1) // 2
     # Rows (outer angles, scalings, inner angles, scalings); scaled U(0, 1)

@@ -13,6 +13,7 @@ from secbc import (
     r_common,
     whiten,
 )
+from secbc import dpc, envelopes, regions
 from secbc.errors import DegenerateChannelError, SingularMatrixError
 
 from conftest import EXAMPLE_G1, EXAMPLE_G2, random_spd
@@ -222,3 +223,36 @@ class TestRateFormulas:
             assert r2 == pytest.approx(
                 r2_hat(example_channel, k2, k2), abs=1e-12
             )
+
+
+_EYE2, _EYE3 = np.eye(2), 3.0 * np.eye(3)
+_WEIGHTS = dict(lambda0=2.0, lambda1=1.0, lambda2=0.8, eta=1.2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda ch: mi_xy(ch, _EYE3, 1),
+        lambda ch: r1_hat(ch, _EYE3, _EYE2),
+        lambda ch: r2_hat(ch, _EYE2, _EYE3),
+        lambda ch: r_common(ch, _EYE2, _EYE2, _EYE3),
+        lambda ch: regions.wtc_capacity(ch, _EYE3),
+        lambda ch: regions.frontier_fixed_cov(ch, _EYE3),
+        lambda ch: regions.region_common_fixed(ch, _EYE3),
+        lambda ch: regions.check_k1_zero(ch, _EYE3),
+        lambda ch: envelopes.v_eta(ch, _EYE3, 1.2),
+        lambda ch: envelopes.v_hat(ch, _EYE3, envelopes.EnvelopeWeights(**_WEIGHTS)),
+        lambda ch: envelopes.v_tilde(ch, _EYE3, envelopes.EnvelopeWeights(**_WEIGHTS)),
+        lambda ch: envelopes.factorization_gap(
+            ch, ch, _EYE3, _EYE2, envelopes.EnvelopeWeights(eta=1.2)
+        ),
+        lambda ch: dpc.wtc_point_check(ch, _EYE3),
+        lambda ch: dpc.wtc_point_check(ch, _EYE2, _EYE3),
+        lambda ch: dpc.DpcInstance(ch, _EYE2, _EYE2, _EYE3),
+    ],
+)
+def test_every_covariance_gets_the_one_size_check(call):
+    # a 3x3 covariance on the 2x2 example channel is refused by
+    # channel.check_cov with its one message, before any compute
+    with pytest.raises(ValueError, match=r"^\w+ is 3x3, the channel has t = 2$"):
+        call(make_channel(EXAMPLE_G1, EXAMPLE_G2))

@@ -14,7 +14,7 @@ import secbc
 from secbc import GridSpec, cli, frontier_fixed_cov, make_channel, r1_hat, r2_hat, regions
 from secbc.cli import RunConfig, emit_csv, emit_svg, main, parse_matrix
 from secbc.dpc import dpc_identity_check, random_instance
-from secbc.regions import Frontier, RatePoint, RateTriple
+from secbc.regions import Frontier
 from secbc.sweeps import diag_values, grid_tables
 
 from conftest import EXAMPLE_G1, EXAMPLE_G2, large_singular_covariance
@@ -164,8 +164,9 @@ class TestExitCodes:
         with pytest.raises(SystemExit):
             main(["region", "--mode", "bogus"])
         assert cli.build_parser() is parser
+        # --mode has no default, so a config file's mode holds without it
         args = parser.parse_args(["region", "--power", "2"])
-        assert (args.mode, args.covariance, args.power) == ("no-common", None, 2.0)
+        assert (args.mode, args.covariance, args.power) == (None, None, 2.0)
 
     def test_dpc_check_passes(self, capsys):
         assert main(["dpc-check", "--seed", "7", "--trials", "25", "--dim", "2"]) == 0
@@ -204,13 +205,13 @@ class TestInputsBuiltOnce:
 
             monkeypatch.setattr(owner, name, wrapped)
 
-        for name in ("make_channel", "validate_psd"):
+        for name in ("make_channel", "check_cov"):
             count(cli, name)
         for name in ("channel", "constraint", "grid", "envelope"):
             count(RunConfig, name)
         assert main(argv + ["--g1", G1_ARG, "--g2", G2_ARG] + self.SMALL) == 0
         want = dict.fromkeys(("make_channel", "channel", "constraint", "grid"), 1)
-        want["validate_psd"] = int("--covariance" in argv)
+        want["check_cov"] = int("--covariance" in argv)
         want["envelope"] = int(argv[0] == "envelope")
         assert {name: calls.get(name, 0) for name in want} == want
 
@@ -310,6 +311,33 @@ class TestRegionCommand:
         path.write_text(json.dumps(cfg))
         assert main(["region", "--config", str(path)]) == 0
         assert (tmp_path / "cfg.csv").exists()
+
+    @pytest.mark.parametrize(
+        "mode, flags, header",
+        [
+            ("common", [], ["R1", "R2", "R0"]),
+            ("common", ["--mode", "no-common"], ["R1", "R2", "k_00"]),
+            ("no-common", ["--mode", "common"], ["R1", "R2", "R0"]),
+            (None, [], ["R1", "R2", "k_00"]),
+        ],
+    )
+    def test_config_mode_unless_flag_given(self, mode, flags, header, tmp_path):
+        cfg = {"g1": EXAMPLE_G1, "g2": EXAMPLE_G2, "covariance": [[3.0, 0.0], [0.0, 2.0]]}
+        if mode is not None:
+            cfg["mode"] = mode
+        path, out = tmp_path / "run.json", tmp_path / "f.csv"
+        path.write_text(json.dumps(cfg))
+        argv = ["region", "--config", str(path), *flags, *FAST, "--out", str(out)]
+        assert main(argv) == 0
+        assert out.read_text().splitlines()[0].split(",")[:3] == header
+
+    @pytest.mark.parametrize("mode", ["bogus", "wtc", "region", 3])
+    def test_config_mode_outside_the_region_modes_exits_2(self, mode, tmp_path, capsys):
+        cfg = {"g1": EXAMPLE_G1, "g2": EXAMPLE_G2, "power": 4.0, "mode": mode}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["region", "--config", str(path), *FAST]) == 2
+        assert "invalid configuration" in capsys.readouterr().err
 
     def test_determinism_byte_identical(self, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
@@ -451,7 +479,7 @@ class TestGridLimit:
         )
         ch = make_channel(*np.random.default_rng(t).normal(size=(2, t, t)))
         rows = regions._power_grid_rows(t, grid)
-        assert set(rows) == set(cli._POWER_REGIONS.values())
+        assert set(rows) == {mode.power for mode in cli._MODES.values()} - {None}
         kmats = regions._manifold_scan(t, 2.0, grid)
         assert rows["both_confidential_frontier"] == len(kmats)
         coarse = regions.frontier_power(ch, 2.0, grid).meta["nodes_per_level"][0]
@@ -709,11 +737,10 @@ class TestEmitters:
             *(fn(ch, k, fast_grid) for fn in fixed for k in (np.diag([3.0, 2.0]), np.zeros((2, 2)))),
             regions.region_common_fixed(ch1, np.array([[3.0]]), fast_grid),
             regions.region_common_fixed(ch3, k3, chain3),
-            Frontier.from_points(
-                [RatePoint(0.5, 0.25, {"k": odd, "kstar": np.eye(2, dtype=int)})]
-            ),
-            Frontier.from_points(
-                [RateTriple(0.1, 0.2, 0.3, {"k": odd, "k1": odd.T, "k2": np.zeros((2, 2))})]
+            Frontier(np.array([[0.5, 0.25]]), {"k": odd[None], "kstar": np.eye(2)[None]}),
+            Frontier(
+                np.array([[0.2, 0.3, 0.1]]),
+                {"k": odd[None], "k1": odd.T[None], "k2": np.zeros((1, 2, 2))},
             ),
         ]
         for i, fr in enumerate(frontiers):
@@ -733,7 +760,7 @@ class TestEmitters:
         else:
             k = parse_matrix(constraint[1])
             value, kstar = regions.wtc_capacity(ch, k)
-        row = Frontier.from_points([RatePoint(value, 0.0, {"k": k, "kstar": kstar})])
+        row = Frontier(np.array([[value, 0.0]]), {"k": k[None], "kstar": kstar[None]})
         assert path.read_bytes() == _reference_csv(row).encode("utf-8")
 
     def test_cli_never_builds_the_point_view(self, tmp_path, monkeypatch, capsys):
@@ -757,18 +784,15 @@ class TestEmitters:
     def _tiny_frontier(self):
         k = np.diag([2.0, 1.0])
         ks = np.diag([1.0, 0.5])
-        return Frontier.from_points(
-            [
-                RatePoint(0.0, 1.0, {"k": k, "kstar": np.zeros((2, 2))}),
-                RatePoint(0.5, 0.25, {"k": k, "kstar": ks}),
-            ],
+        return Frontier(
+            np.array([[0.0, 1.0], [0.5, 0.25]]),
+            {"k": np.stack([k, k]), "kstar": np.stack([np.zeros((2, 2)), ks])},
             {"kind": "fixed_cov"},
         )
 
     def test_single_point_file_shape(self, tmp_path):
-        fr = Frontier.from_points(
-            [RatePoint(0.0, 0.0, {"k": np.zeros((2, 2)), "kstar": np.zeros((2, 2))})]
-        )
+        zero = np.zeros((1, 2, 2))
+        fr = Frontier(np.zeros((1, 2)), {"k": zero, "kstar": zero})
         path = tmp_path / "one.csv"
         emit_csv(fr, path)
         lines = path.read_text().splitlines()
@@ -786,7 +810,7 @@ class TestEmitters:
 
     def test_empty_frontier_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            emit_csv(Frontier.from_points([]), tmp_path / "x.csv")
+            emit_csv(Frontier(np.zeros((0, 2))), tmp_path / "x.csv")
 
     def test_rows_reverify_within_print_precision(self, tmp_path):
         ch = make_channel(EXAMPLE_G1, EXAMPLE_G2)
@@ -838,7 +862,7 @@ class TestEmitters:
             assert abs(max(e2, 0.0) - r2) <= 5e-7
 
     def test_svg_refuses_triples(self, tmp_path):
-        fr = Frontier.from_points([RateTriple(0.1, 0.2, 0.3, {"k": np.eye(2)})])
+        fr = Frontier(np.array([[0.2, 0.3, 0.1]]), {"k": np.eye(2)[None]})
         with pytest.raises(ValueError):
             emit_svg(fr, tmp_path / "x.svg")
 

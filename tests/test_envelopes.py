@@ -690,6 +690,25 @@ class TestFactorization:
         spliced = s_eta(chp, ks, w.eta)
         assert spliced == pytest.approx(ra.value + rb.value, abs=1e-10)
 
+    def test_product_above_t2_sweeps_at_the_chain_resolution(self, monkeypatch):
+        # a t = 2 by t = 1 product is a t = 3 channel: its single-level v_eta
+        # sweep runs at the chain_* steps, each factor at the grid's own
+        grid = GridSpec(theta_steps=6, diag_steps=5, chain_theta_steps=4, chain_diag_steps=3)
+        seen, inner = [], envelopes.v_eta
+
+        def spy(ch, k, eta, g):
+            seen.append((ch.t, g.theta_steps, g.diag_steps))
+            return inner(ch, k, eta, g)
+
+        monkeypatch.setattr(envelopes, "v_eta", spy)
+        w = EnvelopeWeights(eta=1.2)
+        product, total = factorization_gap(
+            make_channel(EXAMPLE_G1, EXAMPLE_G2), scalar_ch(1.6, 0.9),
+            np.diag([3.0, 2.0]), [[1.5]], w, grid, mode="v",
+        )
+        assert seen == [(2, 6, 5), (1, 6, 5), (3, 4, 3)]
+        assert product <= total + 1e-6
+
     def test_invalid_mode(self, fast_grid):
         ch = scalar_ch(1.0, 1.5)
         w = EnvelopeWeights()

@@ -4,8 +4,8 @@ The triple filter walks the rows in descending lexicographic order and
 tests each block only against the rows kept so far; the reference is the
 quadratic definition in ``tests/oracles.py``.  The pair mask, which
 drops rows of a dominated r1 bin before its sort, must agree with its
-own quadratic definition there, and the region builders' pair filter
-with the list filter.  Inputs are tie-heavy: a few
+own quadratic definition there, and the region builders' pair frontier
+with the row filter of the clamped rates.  Inputs are tie-heavy: a few
 integer levels per column, each entry shifted by 0, slack/2, slack or
 2 * slack, so that many comparisons land exactly on the slack boundary
 and many rows repeat.
@@ -16,13 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secbc import RatePoint, RateTriple, pareto_filter_pairs, pareto_filter_triples
 from secbc.regions import (
     _PREFILTER_BINS,
     PARETO_SLACK,
     _pair_front,
+    _pair_rows,
     _pareto_mask,
     _pareto_rows_triples,
+    _triple_front,
 )
 
 from oracles import pair_mask_oracle, pareto_rows_oracle
@@ -54,31 +55,31 @@ def test_triple_filter_matches_quadratic_definition(case):
 @given(tie_heavy(max_rows=300))
 def test_triple_filter_is_idempotent(case):
     arr, slack = case
-    once = pareto_filter_triples([RateTriple(*row) for row in arr], slack)
-    twice = pareto_filter_triples(once, slack)
-    assert [(p.r0, p.r1, p.r2) for p in twice] == [(p.r0, p.r1, p.r2) for p in once]
+    once = arr[_triple_front(arr, slack)]
+    assert once[_triple_front(once, slack)].tobytes() == once.tobytes()
 
 
 @settings(max_examples=100, deadline=None)
 @given(tie_heavy(cols=2, max_rows=300))
 def test_pair_filter_is_idempotent(case):
     arr, slack = case
-    once = pareto_filter_pairs([RatePoint(*row) for row in arr], slack)
-    twice = pareto_filter_pairs(once, slack)
-    assert [(p.r1, p.r2) for p in twice] == [(p.r1, p.r2) for p in once]
+    once = arr[_pair_rows(arr, slack)]
+    assert once[_pair_rows(once, slack)].tobytes() == once.tobytes()
 
 
 @settings(max_examples=100, deadline=None)
 @given(tie_heavy(cols=2, max_rows=300), st.integers(0, 2**32 - 1))
-def test_pair_front_matches_the_point_filter(case, seed):
-    # negated entries, -0.0 among them, exercise the clamp at zero
+def test_pair_front_matches_the_row_filter(case, seed):
+    # negated entries, -0.0 among them, exercise the clamp at zero, which
+    # gives max(0.0, r) bitwise (so -0.0 becomes 0.0)
     arr, _ = case
     arr = arr * np.random.default_rng(seed).choice([1.0, -1.0], size=arr.shape)
     tags = np.arange(len(arr), dtype=float)[:, None, None]
     fr = _pair_front(arr[:, 0], arr[:, 1], {"k": tags}, {})
-    pts = pareto_filter_pairs([RatePoint(a, b, {"k": k}) for (a, b), k in zip(arr, tags)])
-    assert fr.rates.tobytes() == np.array([(p.r1, p.r2) for p in pts]).reshape(-1, 2).tobytes()
-    assert fr.gens["k"].ravel().tolist() == [p.gen["k"].item() for p in pts]
+    clamped = np.array([max(0.0, float(r)) for r in arr.ravel()]).reshape(-1, 2)
+    rows = _pair_rows(clamped)
+    assert fr.rates.tobytes() == clamped[rows].tobytes()
+    assert fr.gens["k"].ravel().tolist() == rows.tolist()
 
 
 SIZES = [0, 1, 2, _PREFILTER_BINS - 1, _PREFILTER_BINS, _PREFILTER_BINS + 1, 3 * _PREFILTER_BINS]
@@ -171,4 +172,4 @@ def test_negative_slack_raises():
     with pytest.raises(ValueError, match="slack"):
         _pareto_rows_triples(rows, -1e-12)
     with pytest.raises(ValueError, match="slack"):
-        pareto_filter_triples([RateTriple(*row) for row in rows], -1.0)
+        _triple_front(rows, -1.0)

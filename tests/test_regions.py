@@ -7,10 +7,7 @@ import numpy as np
 import pytest
 
 from secbc import (
-    Frontier,
     GridSpec,
-    RatePoint,
-    RateTriple,
     SubCovParams,
     both_confidential_frontier,
     check_k1_zero,
@@ -19,8 +16,6 @@ from secbc import (
     frontier_power,
     make_channel,
     mi_xy,
-    pareto_filter_pairs,
-    pareto_filter_triples,
     psd_leq,
     r1_hat,
     r2_hat,
@@ -42,34 +37,32 @@ GOLDEN = Path(__file__).parent / "golden"
 
 class TestParetoFilters:
     def test_pairs_drop_dominated(self):
-        pts = [RatePoint(1.0, 1.0), RatePoint(0.5, 0.5), RatePoint(0.2, 2.0)]
-        kept = pareto_filter_pairs(pts)
-        assert [(p.r1, p.r2) for p in kept] == [(0.2, 2.0), (1.0, 1.0)]
+        rates = np.array([[1.0, 1.0], [0.5, 0.5], [0.2, 2.0]])
+        kept = rates[regions._pair_rows(rates)]
+        assert kept.tolist() == [[0.2, 2.0], [1.0, 1.0]]
 
     def test_pairs_idempotent(self, rng):
-        pts = [RatePoint(a, b) for a, b in rng.uniform(0, 3, size=(500, 2))]
-        once = pareto_filter_pairs(pts)
-        twice = pareto_filter_pairs(once)
-        assert [(p.r1, p.r2) for p in once] == [(p.r1, p.r2) for p in twice]
+        once = rng.uniform(0, 3, size=(500, 2))
+        once = once[regions._pair_rows(once)]
+        assert once[regions._pair_rows(once)].tobytes() == once.tobytes()
+        assert once.tolist() == sorted(once.tolist())  # by (r1, r2) ascending
 
     def test_pairs_no_mutual_domination(self, rng):
-        pts = [RatePoint(a, b) for a, b in rng.uniform(0, 3, size=(300, 2))]
-        kept = pareto_filter_pairs(pts)
+        rates = rng.uniform(0, 3, size=(300, 2))
+        kept = rates[regions._pair_rows(rates)].tolist()
         for i, p in enumerate(kept):
             for q in kept[i + 1 :]:
                 dominates = (
-                    q.r1 >= p.r1 and q.r2 >= p.r2
-                    and (q.r1 > p.r1 + 1e-9 or q.r2 > p.r2 + 1e-9)
+                    q[0] >= p[0] and q[1] >= p[1]
+                    and (q[0] > p[0] + 1e-9 or q[1] > p[1] + 1e-9)
                 )
                 assert not dominates
 
     def test_triples_idempotent(self, rng):
-        pts = [RateTriple(a, b, c) for a, b, c in rng.uniform(0, 2, size=(400, 3))]
-        once = pareto_filter_triples(pts)
-        twice = pareto_filter_triples(once)
-        assert [(p.r0, p.r1, p.r2) for p in once] == [
-            (p.r0, p.r1, p.r2) for p in twice
-        ]
+        once = rng.uniform(0, 2, size=(400, 3))
+        once = once[regions._triple_front(once)]
+        assert once[regions._triple_front(once)].tobytes() == once.tobytes()
+        assert once.tolist() == sorted(once.tolist())  # rows ascending
 
     def test_triple_front_drops_rows_near_an_earlier_kept_row(self, rng):
         # rows of a simplex with tied r0, plus copies moved by up to
@@ -89,8 +82,7 @@ class TestParetoFilters:
 
 class TestFrontierColumns:
     def test_points_match_the_columns_bitwise(self, example_channel, fast_grid):
-        # the per-point view holds the rows in order, generators included,
-        # and goes back into the same arrays
+        # the per-point view holds the rows in order, generators included
         k = np.diag([3.0, 2.0])
         for fr in (
             frontier_power(example_channel, 4.0, fast_grid),
@@ -109,9 +101,6 @@ class TestFrontierColumns:
                 assert np.array([p.gen[name] for p in pts]).tobytes() == mats.tobytes()
             assert not np.signbit(fr.rates).any()  # clamped as max(0, r)
             assert rows.tolist() == sorted(rows.tolist())
-            back = Frontier.from_points(pts, fr.meta)
-            assert back.rates.tobytes() == fr.rates.tobytes()
-            assert all(back.gens[n].tobytes() == fr.gens[n].tobytes() for n in fr.gens)
 
 
 class TestFrontierFixedCov:
@@ -592,6 +581,32 @@ class TestBothConfidential:
         for p in fr.points:
             value, _ = wtc_capacity(example_channel, p.gen["k"])
             assert p.r1 == pytest.approx(value, abs=1e-9)
+
+    @pytest.mark.parametrize("cond", [1.0, 1e-4])
+    @pytest.mark.parametrize("p", [1.0, 1e3, 1e6, 1e10])
+    def test_r2_is_the_swapped_wiretap_optimum(self, rng, cond, p):
+        # the swapped side read from the same pencil agrees with a separate
+        # solve of the swapped channel, also where gains are far apart
+        for t in (2, 3):
+            g1, g2 = rng.normal(size=(2, t, t))
+            ch = make_channel(g1 @ np.diag(cond ** rng.random(t)), g2)
+            k = random_spd(rng, t)
+            k *= p / np.trace(k)
+            r1, r2, kstar = regions._wtc_rectangle(ch, k)
+            value, argmax = wtc_capacity(ch, k)
+            assert (r1, kstar.tobytes()) == (value, argmax.tobytes())
+            swapped = wtc_capacity(make_channel(ch.g2, ch.g1), k)[0]
+            assert r2 == pytest.approx(swapped, rel=1e-9, abs=1e-12)
+
+    def test_max_r2_corner_where_one_gain_nearly_vanishes(self):
+        # receiver 1 hears the first axis 1e-9 as well as receiver 2, so the
+        # pencil has an eigenvalue near 1/P and 1 + (lambda - 1) cancels;
+        # the max-R2 corner is still 1/2 log2((1 + P) / (1 + 1e-18 P))
+        ch = make_channel(np.diag([1e-9, 1.0]), np.eye(2))
+        for p in (1e10, 1e12, 1e14):
+            fr = both_confidential_frontier(ch, p, GridSpec(theta_steps=6, trace_steps=5))
+            best = 0.5 * math.log2((1.0 + p) / (1.0 + 1e-18 * p))
+            assert fr.max_r2() == pytest.approx(best, rel=1e-12)
 
     def test_meta_reports_phase_times(self, example_channel, fast_grid):
         fr = both_confidential_frontier(example_channel, 6.0, fast_grid)
