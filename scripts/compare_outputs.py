@@ -39,7 +39,8 @@ The cases (``P`` is the power, ``K`` the covariance constraint):
 - ``wtc_capacity_power`` and ``both_confidential_frontier`` on the
   example channel at P = 0.1, 1e3, 1e4 and 1e6, the ends of the power
   range, with the gates above (the large powers are where a polish that
-  stalls in its iteration cap would fall short).
+  stalls in its iteration cap would fall short), and
+  ``region_common_power`` there at P = 1.
 - ``frontier_fixed_cov`` and ``region_common_fixed`` on the example
   channel with K = 6I and 4I, and on ``default_rng(100 t + s)`` channels
   (t = 1-3, s = 1-4) with K = A A^T + 0.1 I.  Default grid, except
@@ -54,7 +55,7 @@ The cases (``P`` is the power, ``K`` the covariance constraint):
   ``deep_theta_steps=4, deep_diag_steps=2, deep_trace_steps=3``.  The
   6- and 4-step lattices are closed under signed permutations, the
   8-step one is not, so both kinds of outer level are compared.
-- ``frontier_power`` on the example channel at P = 12, on
+- ``frontier_power`` on the example channel at P = 0.1, 12 and 1e6, on
   ``default_rng(s)`` t = 2 channels (s = 1-5, drawn as above) and on the
   t = 1 and t = 3 power channels above with s = 1-3 (t = 3 at its small
   grid), so that every spectrum branch of the K* scoring is compared:
@@ -143,6 +144,8 @@ def _cases(secbc):
         for fn in ("wtc_capacity_power", "both_confidential_frontier"):
             call = partial(getattr(secbc, fn), ch, p, grid)
             out.append((f"{fn}[{tag}]", power_gates[fn], call))
+    call = partial(secbc.region_common_power, example, 1.0)
+    out.append(("region_common_power[example,P=1]", COVERS, call))
 
     fixed_sets = [("example,6I", example, 6.0 * np.eye(2), None)]
     fixed_sets.append(("example,4I", example, 4.0 * np.eye(2), None))
@@ -172,6 +175,7 @@ def _cases(secbc):
             out.append((f"region_common_power[{tag}@deep4x2]", COVERS, call))
 
     pair_sets = [("example", example, 12.0, None)]
+    pair_sets += [(f"example,P={p:g}", example, p, None) for p in (0.1, 1e6)]
     for s in range(1, 6):
         rng = np.random.default_rng(s)
         ch = secbc.make_channel(_gain(rng, 2), _gain(rng, 2))

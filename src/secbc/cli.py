@@ -491,6 +491,10 @@ def _validate(cfg: RunConfig) -> Inputs | None:
     mode = _MODES.get(cfg.mode)
     if mode is None:
         raise ValueError(f"unknown mode {cfg.mode!r}")
+    # JSON true/false are Python bools, which pass every check for a number.
+    for name in "power eta lambda0 lambda1 lambda2 alpha seed trials dim".split():
+        if isinstance(getattr(cfg, name), bool):
+            raise ValueError(f"{name} must be a number, got {getattr(cfg, name)!r}")
     for flag in ("out", "svg"):
         path = getattr(cfg, flag)
         if path and flag not in mode.writes:

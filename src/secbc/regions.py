@@ -109,6 +109,8 @@ PARETO_SLACK = 1e-9
 ZOOM_LEVELS = 6
 ZOOM_POINTS = 3
 ZOOM_AXES = 2
+# Its blocks hold GRID_BLOCK_NODES / _KSTAR_SHARE nodes, whose scores stay in cache.
+_KSTAR_SHARE = 16
 
 
 @dataclass
@@ -188,6 +190,9 @@ def _clamp(rates: np.ndarray) -> np.ndarray:
 
 # r1 bins of the exact prefilter of _pareto_mask, which runs on more rows.
 _PREFILTER_BINS = 1024
+# (r0, r1) bins per axis of the prefilter of _pareto_rows_triples, and the rows it runs above.
+_TRIPLE_BINS = 64
+_TRIPLE_PREFILTER_ROWS = 256
 
 
 def _pareto_mask(r1: np.ndarray, r2: np.ndarray, slack: float = PARETO_SLACK):
@@ -250,7 +255,7 @@ def _zero_frontier(k: np.ndarray, names: tuple, meta: dict) -> Frontier:
     return Frontier(np.zeros((1, len(names))), gens, meta)
 
 
-def _pareto_rows_triples(arr: np.ndarray, slack: float = PARETO_SLACK) -> np.ndarray:
+def _pareto_rows_triples(arr: np.ndarray, slack: float = PARETO_SLACK, meta=None) -> np.ndarray:
     """Row indices of Pareto-maximal (r0, r1, r2) rows, duplicates deduped.
 
     A row is dropped when another is >= in every column and more than
@@ -258,24 +263,41 @@ def _pareto_rows_triples(arr: np.ndarray, slack: float = PARETO_SLACK) -> np.nda
     surviving distinct row, in ascending lexicographic order of the rows.
     A dominating row sorts before the row it dominates in descending
     lexicographic order, and a dominated row is also dominated by a kept
-    one, so the rows are walked in that order in blocks, each tested
-    against the rows kept so far and itself: n * (kept + block)
-    comparisons (Kung, Luccio & Preparata 1975).
+    one, so the rows are walked in that order in blocks, each row tested
+    against the rows kept so far and the earlier rows of its block, whose
+    r0 is no smaller: n * (kept + block) comparisons (Kung, Luccio &
+    Preparata 1975).
+
+    On more than ``_TRIPLE_PREFILTER_ROWS`` finite rows, rows whose r2 +
+    ``slack`` is below the largest r2 of a cell strictly higher in both
+    floor bins of r0 and r1 (a 2-D suffix maximum) go first: a higher floor
+    bin means a larger value, so they are dominated, and all copies of a
+    row go together.  ``meta`` gets their count (``prefiltered``).
     """
     if slack < 0:
         raise ValueError(f"slack must be nonnegative, got {slack!r}")
-    if arr.shape[0] == 0:
-        return np.zeros(0, dtype=int)
-    uniq, first = np.unique(arr, axis=0, return_index=True)
+    rows = np.arange(arr.shape[0])
+    if len(rows) > _TRIPLE_PREFILTER_ROWS and np.isfinite(arr).all():
+        lo, span = arr[:, :2].min(axis=0), np.ptp(arr[:, :2], axis=0)
+        if np.all((span > 0.0) & (span < np.inf)):
+            b0, b1 = ((arr[:, :2] - lo) / span * _TRIPLE_BINS).astype(np.intp).T
+            best = np.full((_TRIPLE_BINS + 2, _TRIPLE_BINS + 2), -np.inf)
+            np.maximum.at(best, (b0, b1), arr[:, 2])
+            top = np.maximum.accumulate(np.maximum.accumulate(best[::-1, ::-1], 0), 1)[::-1, ::-1]
+            rows = np.flatnonzero(top[b0 + 1, b1 + 1] <= arr[:, 2] + slack)
+    if meta is not None:
+        meta["prefiltered"] = arr.shape[0] - len(rows)
+    uniq, first = np.unique(arr[rows], axis=0, return_index=True)
+    first = rows[first]
     cols = np.ascontiguousarray(uniq[::-1].T)
     keep = np.zeros(len(uniq), dtype=bool)
     kept = cols[:, :0]
     for s in range(0, len(uniq), 256):
         blk = cols[:, s : s + 256]
         rivals = np.hstack([kept, blk])
-        geq = np.ones((blk.shape[1], rivals.shape[1]), dtype=bool)
-        strict = np.zeros_like(geq)
-        for mine, theirs in zip(blk, rivals):
+        geq = np.tri(blk.shape[1], rivals.shape[1], kept.shape[1] - 1, dtype=bool)
+        strict = rivals[0][None, :] > (blk[0] + slack)[:, None]
+        for mine, theirs in zip(blk[1:], rivals[1:]):
             geq &= theirs[None, :] >= mine[:, None]
             strict |= theirs[None, :] > (mine + slack)[:, None]
         free = ~(geq & strict).any(axis=1)
@@ -284,7 +306,7 @@ def _pareto_rows_triples(arr: np.ndarray, slack: float = PARETO_SLACK) -> np.nda
     return first[keep[::-1]]
 
 
-def _triple_front(arr: np.ndarray, slack: float = PARETO_SLACK) -> np.ndarray:
+def _triple_front(arr: np.ndarray, slack: float = PARETO_SLACK, meta=None) -> np.ndarray:
     """:func:`_pareto_rows_triples` less near-duplicates, in the same order.
 
     Rows that differ by rounding in opposite columns dominate neither
@@ -293,7 +315,7 @@ def _triple_front(arr: np.ndarray, slack: float = PARETO_SLACK) -> np.ndarray:
     column is dropped (rare, so resolved one by one).  A block is compared
     only with earlier rows whose r0 (descending) is within ``slack``.
     """
-    rows = _pareto_rows_triples(arr, slack)[::-1]
+    rows = _pareto_rows_triples(arr, slack, meta)[::-1]
     cols = arr[rows].T
     start = np.searchsorted(-cols[0], -(cols[0] + slack))
     keep = np.ones(len(rows), dtype=bool)
@@ -557,10 +579,17 @@ def _noise2(ch: GaussianBc) -> np.ndarray:
     return gram(np.linalg.inv(ch.g2))
 
 
-def _kstar_matrices(x, p: float, t: int) -> np.ndarray:
-    """K* = V(angles) diag(p u^2) V^T of parameter rows x = (angles, u)."""
-    m = t * (t - 1) // 2
-    return gram(contractions(np.column_stack([x[:, :m], p * x[:, m:] ** 2]), t))
+def _kstar_matrices(angles, e, t: int) -> np.ndarray:
+    """K* = V(angles) diag(e) V^T of rows (angles, e), or of one angle row and every e."""
+    angles = np.broadcast_to(angles, (len(e), angles.shape[1]))
+    return gram(contractions(np.column_stack([angles, e]), t))
+
+
+def _kstar_tails(ch: GaussianBc, p: float, u):
+    """(e = p u^2, tr N + sum e, p - sum e) of rows u, N = (G2^T G2)^-1."""
+    e = p * u**2
+    total = e.sum(axis=1)
+    return e, np.trace(_noise2(ch)) + total, p - total
 
 
 def _det_i_plus_kstar(a, e, turn) -> np.ndarray:
@@ -577,14 +606,16 @@ def _det_i_plus_kstar(a, e, turn) -> np.ndarray:
     return 1.0 + e1 * along + e2 * (np.trace(a) - along) + e1 * e2 * np.linalg.det(a)
 
 
-def _kstar_rates(ch: GaussianBc, p: float, x) -> np.ndarray:
-    """Rows (r1(K*), W(K*)) of K* = V diag(e) V^T, e = p u^2, for rows x = (angles, u).
+def _kstar_rates(ch: GaussianBc, p: float, angles, tails) -> np.ndarray:
+    """Rows (r1(K*), W(K*)) of K* = V(angles) diag(e) V^T, e = p u^2.
 
-    W(K*) is the best private rate over K = K* + Q with Q PSD and
-    tr Q <= p - tr K*: water-filling over the spectrum of N + K* with
-    N = (G2^T G2)^-1.  For t <= 2 each node is scored in closed form from
-    its parameters, with no per-node matrix.  With A_j = G_j^T G_j,
-    d_j = det(I + G_j K* G_j^T) is 1 + e g_j^2 at t = 1 and at t = 2
+    ``angles`` holds one row per node or one for all; ``tails`` is the
+    :func:`_kstar_tails` of their u.  W(K*) is the best private rate over
+    K = K* + Q with Q PSD and tr Q <= p - tr K*: water-filling over the
+    spectrum of N + K* with N = (G2^T G2)^-1.  For t <= 2 each node is
+    scored in closed form from its parameters, with no per-node matrix.
+    With A_j = G_j^T G_j, d_j = det(I + G_j K* G_j^T) is 1 + e g_j^2 at
+    t = 1 and at t = 2
     d_j = 1 + e_1 m_j + e_2 (tr A_j - m_j) + e_1 e_2 det A_j, where
     m_j = v^T A_j v = h_j + c_j cos 2 theta + A_j[0, 1] sin 2 theta is A_j
     along the first column v of V(theta), with h_j and c_j the half sum
@@ -598,26 +629,23 @@ def _kstar_rates(ch: GaussianBc, p: float, x) -> np.ndarray:
     arithmetic would move the frontier.
     """
     t = ch.t
-    m = t * (t - 1) // 2
-    e = p * x[:, m:] ** 2
-    total = e.sum(axis=1)
+    e, tr, left = tails
     noise = _noise2(ch)
     if t >= 3:
-        ks = _kstar_matrices(x, p, t)
+        ks = _kstar_matrices(angles, e, t)
         r1 = half_log2_det(ch.g1, ks) - half_log2_det(ch.g2, ks)
         nu = np.linalg.eigvalsh(noise + ks)
     else:
-        turn = (np.cos(2.0 * x[:, 0]), np.sin(2.0 * x[:, 0])) if t == 2 else None
+        turn = (np.cos(2.0 * angles[:, 0]), np.sin(2.0 * angles[:, 0])) if t == 2 else None
         d1, d2 = (_det_i_plus_kstar(g.T @ g, e, turn) for g in (ch.g1, ch.g2))
         r1 = half_log2(d1 / d2)
-        tr = np.trace(noise) + total
         if t == 1:
             nu = tr[:, None]
         else:
             det = np.linalg.det(noise) * d2
             hi = 0.5 * (tr + np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0)))
             nu = np.column_stack([det / hi, hi])
-    w, _ = _water_fill(nu, p - total)
+    w, _ = _water_fill(nu, left)
     return np.column_stack([np.maximum(r1, 0.0), w])
 
 
@@ -637,23 +665,27 @@ def _water_filled(ch: GaussianBc, p: float, kstars) -> np.ndarray:
 def _zoom_sweep(ch: GaussianBc, p: float, grid: GridSpec):
     """Pareto nodes of (r1(K*), W(K*)) over K* with tr K* <= p.
 
-    The coarse grid is :func:`_trace_grid` over the u-ball: ``trace_steps``
-    values of u in [0, 1] per eigenvalue e = p u^2 (square-root spacing
-    keeps small eigenvalues resolved), keeping sum u^2 <= 1.  Each zoom
-    level evaluates a local grid of ``ZOOM_POINTS`` per axis spanning +-1
-    cell around every Pareto node, restricted to points that move at most
-    ``ZOOM_AXES`` parameters (the full tensor grid grows as
-    3^(t(t+1)/2)), then halves the cell; points outside the ball
-    sum u^2 <= 1 are pulled onto its surface (tr K* = p).  Nodes are
-    evaluated in :func:`row_blocks`, and every level's Pareto nodes come
-    from :func:`_pareto_mask`, whose prefilter leaves the dominated bulk
-    of the coarse grid unsorted.  Returns (Pareto params, nodes evaluated
-    per level).
+    The coarse grid crosses the :func:`_trace_grid` angles with the u-ball:
+    ``trace_steps`` values of u in [0, 1] per eigenvalue e = p u^2
+    (square-root spacing keeps small eigenvalues resolved), keeping
+    sum u^2 <= 1.  Each zoom level evaluates a local grid of
+    ``ZOOM_POINTS`` per axis spanning +-1 cell around every Pareto node,
+    restricted to points that move at most ``ZOOM_AXES`` parameters (the
+    full tensor grid grows as 3^(t(t+1)/2)), then halves the cell; points
+    outside the ball sum u^2 <= 1 are pulled onto its surface
+    (tr K* = p).  No level or u table is built whole: each block (through
+    :func:`map_ordered`) scores one angle against u rows of whole first
+    entries, whose :func:`_kstar_tails` serve every angle, or Pareto nodes
+    with all offsets, and keeps its exactly nondominated rows.  Merged in
+    row order, they hold every row the slack-tolerant :func:`_pareto_mask`
+    of the whole level keeps (as in :func:`frontier_fixed_cov`).  Returns
+    (Pareto params, nodes evaluated per level, rows entering each mask).
     """
     t = ch.t
     m = t * (t - 1) // 2
-    u = diag_combos(np.linspace(0.0, 1.0, grid.trace_steps), t)
-    x = _trace_grid(t, grid.theta_steps, u[np.sum(u * u, axis=1) <= 1.0])
+    angles = diag_combos(canonical_angles(t, grid.theta_steps, _angle_span(t)), m)
+    v = np.linspace(0.0, 1.0, grid.trace_steps)
+    rest = diag_combos(v, t - 1)  # the u rows of one first entry, as diag_combos(v, t) orders them
     cell = np.array(
         [_angle_span(t) / grid.theta_steps] * m
         + [1.0 / max(grid.trace_steps - 1, 1)] * t
@@ -662,24 +694,39 @@ def _zoom_sweep(ch: GaussianBc, p: float, grid: GridSpec):
     moved = np.count_nonzero(offsets, axis=1)
     offsets = offsets[(moved >= 1) & (moved <= ZOOM_AXES)]
 
-    def evaluate(x):
-        spans = row_blocks(len(x), 1)
-        return np.vstack(map_ordered(lambda s: _kstar_rates(ch, p, x[s[0] : s[1]]), spans))
+    parts, n_u = {}, 0
+    for lo, hi in row_blocks(len(v), len(rest) * _KSTAR_SHARE):
+        u = np.column_stack([np.repeat(v[lo:hi], len(rest)), np.tile(rest, (hi - lo, 1))])
+        u = u[np.sum(u * u, axis=1) <= 1.0]
+        n_u += len(u)
 
-    rates = evaluate(x)
-    counts = [len(x)]
+        def coarse(i, u=u, tails=_kstar_tails(ch, p, u)):
+            rates = _kstar_rates(ch, p, angles[i : i + 1], tails)
+            keep = np.flatnonzero(_pareto_mask(rates[:, 0], rates[:, 1], 0.0))  # exact front
+            return np.column_stack([angles[[i] * len(keep)], u[keep]]), rates[keep]
+
+        parts.update(((i, lo), r) for i, r in enumerate(map_ordered(coarse, range(len(angles)))))
+    x, rates = (np.vstack(c) for c in zip(*(parts[key] for key in sorted(parts))))  # angle-major
+    counts, kept = [len(angles) * n_u], [len(x)]
     front = _pareto_mask(rates[:, 0], rates[:, 1])
     for _ in range(ZOOM_LEVELS):
         x, rates = x[front], rates[front]
-        new = (x[:, None, :] + offsets * cell).reshape(-1, m + t)
-        norm = np.sqrt(np.sum(new[:, m:] ** 2, axis=1))
-        new[:, m:] /= np.maximum(norm, 1.0)[:, None]
-        x = np.vstack([x, new])
-        rates = np.vstack([rates, evaluate(new)])
-        counts.append(len(new))
+
+        def zoom(span, x=x, step=offsets * cell):
+            new = (x[span[0] : span[1], None, :] + step).reshape(-1, m + t)
+            norm = np.sqrt(np.sum(new[:, m:] ** 2, axis=1))
+            new[:, m:] /= np.maximum(norm, 1.0)[:, None]
+            rates = _kstar_rates(ch, p, new[:, :m], _kstar_tails(ch, p, new[:, m:]))
+            keep = np.flatnonzero(_pareto_mask(rates[:, 0], rates[:, 1], 0.0))
+            return new[keep], rates[keep]
+
+        counts.append(len(x) * len(offsets))
+        news, scores = zip(*map_ordered(zoom, row_blocks(len(x), len(offsets) * _KSTAR_SHARE)))
+        x, rates = np.vstack([x, *news]), np.vstack([rates, *scores])
+        kept.append(len(x))
         cell = cell / 2.0
         front = _pareto_mask(rates[:, 0], rates[:, 1])
-    return x[front], counts
+    return x[front], counts, kept
 
 
 def frontier_power(ch: GaussianBc, p: float, grid: GridSpec | None = None) -> Frontier:
@@ -693,9 +740,10 @@ def frontier_power(ch: GaussianBc, p: float, grid: GridSpec | None = None) -> Fr
     constraint that attains W(K*), so tr K = p and K* <= K exactly.  The
     max-R1 corner re-water-fills the K* of :func:`wtc_capacity_power`;
     the max-R2 corner is K* = 0.  ``meta`` records the K* nodes scored
-    per zoom level (``nodes_per_level``) and the ``perf_counter`` seconds
-    of the K* sweep, the wiretap corner and the point construction
-    (``phase_s``).
+    per zoom level (``nodes_per_level``), the rows that survive their
+    block cuts and enter each level's Pareto mask (``kept_per_level``)
+    and the ``perf_counter`` seconds of the K* sweep, the wiretap corner
+    and the point construction (``phase_s``).
     """
     grid = grid or GridSpec()
     _check_power(p)
@@ -705,14 +753,12 @@ def frontier_power(ch: GaussianBc, p: float, grid: GridSpec | None = None) -> Fr
         return _zero_frontier(np.zeros((t, t)), ("k", "kstar"), meta)
 
     start = time.perf_counter()
-    x, counts = _zoom_sweep(ch, p, grid)
+    x, meta["nodes_per_level"], meta["kept_per_level"] = _zoom_sweep(ch, p, grid)
     swept = time.perf_counter()
-    meta["nodes_per_level"] = counts
     _, _, kstar_wtc = wtc_capacity_power(ch, p, grid)
     cornered = time.perf_counter()
-    kstars = np.concatenate(
-        [_kstar_matrices(x, p, t), kstar_wtc[None], np.zeros((1, t, t))]
-    )
+    kstars = _kstar_matrices(x[:, :-t], p * x[:, -t:] ** 2, t)
+    kstars = np.concatenate([kstars, kstar_wtc[None], np.zeros((1, t, t))])
     kmats = _water_filled(ch, p, kstars)
     h2 = half_log2_det(ch.g2, kstars)
     r1 = half_log2_det(ch.g1, kstars) - h2
@@ -834,8 +880,8 @@ def _common_triples(ch: GaussianBc, factors, kmats, tab, meta: dict) -> Frontier
     merged in order, so the lowest grid index wins ties.  Each
     constraint's max-R1 triple (r0 = 0, K2 = K*, K1 = K - K*) joins the
     winners in one triple Pareto filter.  ``meta`` gets the grid rows
-    (``candidates``), the rows entering that filter (``thinned``) and the
-    ``blocks``.
+    (``candidates``), the rows entering that filter (``thinned``), those
+    its cell prefilter drops (``prefiltered``) and the ``blocks``.
     """
     t = ch.t
     gains = (ch.g1, ch.g2)
@@ -873,7 +919,7 @@ def _common_triples(ch: GaussianBc, factors, kmats, tab, meta: dict) -> Frontier
     rates = np.vstack([np.column_stack([r0[flat // n], r1[sel], r2[sel]]), corners])
     meta.update(candidates=len(outer) * n, thinned=len(rates), blocks=len(spans))
 
-    keep = np.sort(_triple_front(rates))  # grid winners first, then corners
+    keep = np.sort(_triple_front(rates, meta=meta))  # grid winners first, then corners
     node, idx = np.divmod(flat[keep[keep < len(flat)]], m * n)
     corner = keep[keep >= len(flat)] - len(flat)
     # The inner split was swept from the chained outer factor, so the
@@ -921,7 +967,7 @@ def region_common_power(ch: GaussianBc, p: float, grid: GridSpec | None = None) 
         return _zero_frontier(np.zeros((t, t)), ("k", "k1", "k2"), meta)
     if t == 1:
         fr = region_common_fixed(ch, np.array([[float(p)]]), grid)
-        meta.update({key: fr.meta[key] for key in ("candidates", "thinned", "blocks")})
+        meta.update({k: fr.meta[k] for k in ("candidates", "thinned", "blocks", "prefiltered")})
         return Frontier(fr.rates, fr.gens, meta)
     x = _trace_grid(t, grid.deep_theta_steps, simplex_grid(t, p, grid.deep_trace_steps))
     factors = contractions(x, t)

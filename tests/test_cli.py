@@ -132,13 +132,29 @@ class TestExitCodes:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
-        "field",
-        [{"power": "12"}, {"power": 4, "grid_theta": "8"}, {"power": 4, "grid_theta": 10.5}],
+        "command, field",
+        [
+            pytest.param("region", {"power": "12"}, id="field0"),
+            pytest.param("region", {"power": 4, "grid_theta": "8"}, id="field1"),
+            pytest.param("region", {"power": 4, "grid_theta": 10.5}, id="field2"),
+            # JSON true is a Python bool, which is an int and compares as 1
+            ("region", {"power": True}),
+            ("region", {"power": 4, "seed": True}),
+            ("dpc-check", {"trials": True}),
+            ("dpc-check", {"seed": True}),
+            ("dpc-check", {"dim": True}),
+            ("decomp-check", {"trials": False}),
+            ("envelope", {"covariance": [[3, 0], [0, 2]], "eta": True}),
+            ("envelope", {"covariance": [[3, 0], [0, 2]], "lambda0": True}),
+            ("envelope", {"covariance": [[3, 0], [0, 2]], "lambda1": True}),
+            ("envelope", {"covariance": [[3, 0], [0, 2]], "lambda2": True}),
+            ("envelope", {"covariance": [[3, 0], [0, 2]], "lambda1": 1, "alpha": True}),
+        ],
     )
-    def test_config_type_error_exits_2(self, field, tmp_path, capsys):
+    def test_config_type_error_exits_2(self, command, field, tmp_path, capsys):
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"g1": EXAMPLE_G1, "g2": EXAMPLE_G2, **field}))
-        assert main(["region", "--config", str(path)]) == 2
+        assert main([command, "--config", str(path)]) == 2
         assert "invalid configuration" in capsys.readouterr().err
 
     @pytest.mark.parametrize(

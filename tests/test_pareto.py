@@ -1,8 +1,9 @@
 """Property tests of the Pareto filters.
 
 The triple filter walks the rows in descending lexicographic order and
-tests each block only against the rows kept so far; the reference is the
-quadratic definition in ``tests/oracles.py``.  The pair mask, which
+tests each block only against the rows kept so far, after an (r0, r1)
+cell prefilter on larger finite inputs; the reference is the quadratic
+definition in ``tests/oracles.py``.  The pair mask, which
 drops rows of a dominated r1 bin before its sort, must agree with its
 own quadratic definition there, and the region builders' pair frontier
 with the row filter of the clamped rates.  Inputs are tie-heavy: a few
@@ -16,8 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from secbc import regions
 from secbc.regions import (
     _PREFILTER_BINS,
+    _TRIPLE_PREFILTER_ROWS,
     PARETO_SLACK,
     _pair_front,
     _pair_rows,
@@ -32,10 +35,14 @@ SLACKS = [0.0, PARETO_SLACK]
 
 
 @st.composite
-def tie_heavy(draw, cols=3, max_rows=700):
-    """(rows, slack): integer levels plus offsets of 0, s/2, s and 2s."""
+def tie_heavy(draw, cols=3, max_rows=700, min_rows=None):
+    """(rows, slack): integer levels plus offsets of 0, s/2, s and 2s;
+    0 or 1 rows in some cases unless ``min_rows`` is given."""
     slack = draw(st.sampled_from(SLACKS))
-    n = draw(st.one_of(st.sampled_from([0, 1]), st.integers(0, max_rows)))
+    if min_rows is None:
+        n = draw(st.one_of(st.sampled_from([0, 1]), st.integers(0, max_rows)))
+    else:
+        n = draw(st.integers(min_rows, max_rows))
     levels = draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     base = rng.integers(0, levels, size=(n, cols)) * draw(st.sampled_from([1.0, 0.25, 1e-9]))
@@ -49,6 +56,58 @@ def test_triple_filter_matches_quadratic_definition(case):
     arr, slack = case
     got = _pareto_rows_triples(arr, slack)
     assert got.tolist() == pareto_rows_oracle(arr, slack).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(tie_heavy(min_rows=300, max_rows=1500))
+def test_triple_prefilter_matches_quadratic_definition(case):
+    # above the prefilter's size limit, so the (r0, r1) cells run
+    arr, slack = case
+    assert len(arr) > _TRIPLE_PREFILTER_ROWS
+    meta = {}
+    got = _pareto_rows_triples(arr, slack, meta)
+    assert got.tolist() == pareto_rows_oracle(arr, slack).tolist()
+    assert 0 <= meta["prefiltered"] <= len(arr) - len(got)
+
+
+@pytest.mark.parametrize("slack", SLACKS)
+@pytest.mark.parametrize("steep", [0, 1])
+def test_triple_prefilter_keeps_a_steep_front(steep, slack):
+    # a front where r0 (or r1) falls by a hundredth of what the other two
+    # gain, so rows of one of its bins reach far higher values in both
+    # others without dominating; and random rows under it, most of them
+    # in cells below a front row
+    rng = np.random.default_rng(8 + steep)
+    others = rng.uniform(0.0, 1.0, (1000, 2))
+    front = np.insert(others, steep, 1.0 - 0.01 * others.sum(axis=1), axis=1)
+    arr = np.vstack([front, rng.uniform(0.0, 0.95, (1000, 3))])
+    meta = {}
+    got = _pareto_rows_triples(arr, slack, meta)
+    assert got.tolist() == pareto_rows_oracle(arr, slack).tolist()
+    assert set(range(1000)) <= set(got.tolist())
+    assert meta["prefiltered"] > 500
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("column", [0, 1, 2])
+def test_nonfinite_triples_skip_the_prefilter(bad, column, monkeypatch):
+    rng = np.random.default_rng(7)
+    arr = np.round(rng.uniform(0.0, 3.0, (4 * _TRIPLE_PREFILTER_ROWS, 3)), 1)
+    arr[[5, 600], column] = bad
+    for slack in SLACKS:
+        meta = {}
+        got = _pareto_rows_triples(arr, slack, meta)
+        assert meta["prefiltered"] == 0
+        # the same indices as the walk alone, with no size that prefilters
+        monkeypatch.setattr(regions, "_TRIPLE_PREFILTER_ROWS", len(arr))
+        assert got.tolist() == _pareto_rows_triples(arr, slack).tolist()
+        monkeypatch.undo()
+        if not np.isnan(bad):
+            assert got.tolist() == pareto_rows_oracle(arr, slack).tolist()
+    # the finite rows alone are prefiltered
+    meta = {}
+    _pareto_rows_triples(np.delete(arr, [5, 600], axis=0), 0.0, meta)
+    assert meta["prefiltered"] > 0
 
 
 @settings(max_examples=100, deadline=None)

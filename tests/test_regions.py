@@ -207,7 +207,9 @@ class TestPowerBudget:
         def computed(*args):
             raise AssertionError("swept a grid before checking the power budget")
 
+        # the trace grids, and the K* sweep, which builds no trace grid
         monkeypatch.setattr(regions, "_trace_grid", computed)
+        monkeypatch.setattr(regions, "_kstar_rates", computed)
         with pytest.raises(ValueError, match="power must be finite and nonnegative"):
             fn(example_channel, power)
 
@@ -266,7 +268,17 @@ class TestFrontierPower:
 
     def test_meta_reports_nodes_and_phase_times(self, example_channel):
         fr = frontier_power(example_channel, 6.0, GridSpec(theta_steps=4, trace_steps=3))
-        assert len(fr.meta["nodes_per_level"]) == regions.ZOOM_LEVELS + 1
+        nodes, kept = fr.meta["nodes_per_level"], fr.meta["kept_per_level"]
+        assert len(nodes) == len(kept) == regions.ZOOM_LEVELS + 1
+        # 2 canonical angles times the 6 rows of the 3 x 3 u table in the ball
+        assert nodes[0] == 2 * 6
+        # each slack mask sees the block survivors: the coarse ones, then
+        # the last level's front plus the survivors of its new nodes
+        assert 1 <= kept[0] <= nodes[0]
+        for level in range(1, len(nodes)):
+            assert 1 <= kept[level] <= kept[level - 1] + nodes[level]
+        # the K* sweep's rows plus the two corners hold the frontier
+        assert len(fr.rates) <= kept[-1] + 2
         phases = fr.meta["phase_s"]
         assert set(phases) == {"kstar_sweep", "wtc_corner", "points"}
         assert all(math.isfinite(v) and v >= 0.0 for v in phases.values())
@@ -298,6 +310,92 @@ class TestFrontierPower:
         oracle = fig2_oracle(*gains, power, n_phi=12, n_q=13, n_theta=12, n_d=9, bins=128)
         for r1_edge, r2_best in zip(oracle["stair_r1"], oracle["stair_r2"]):
             assert fr.r2_available(r1_edge, slack=5e-3) >= r2_best - 5e-3
+
+
+def materialized_zoom_sweep(ch, p, grid):
+    """The K* sweep with every level held whole: the coarse
+    :func:`regions._trace_grid` scored as one block, then each level's
+    nodes appended to its front before one slack-tolerant mask."""
+    t = ch.t
+    m = t * (t - 1) // 2
+
+    def evaluate(x):
+        return regions._kstar_rates(ch, p, x[:, :m], regions._kstar_tails(ch, p, x[:, m:]))
+
+    u = diag_combos(np.linspace(0.0, 1.0, grid.trace_steps), t)
+    x = regions._trace_grid(t, grid.theta_steps, u[np.sum(u * u, axis=1) <= 1.0])
+    cell = np.array(
+        [regions._angle_span(t) / grid.theta_steps] * m
+        + [1.0 / max(grid.trace_steps - 1, 1)] * t
+    )
+    offsets = diag_combos(np.linspace(-1.0, 1.0, regions.ZOOM_POINTS), m + t)
+    moved = np.count_nonzero(offsets, axis=1)
+    offsets = offsets[(moved >= 1) & (moved <= regions.ZOOM_AXES)]
+    rates = evaluate(x)
+    counts = [len(x)]
+    front = regions._pareto_mask(rates[:, 0], rates[:, 1])
+    for _ in range(regions.ZOOM_LEVELS):
+        x, rates = x[front], rates[front]
+        new = (x[:, None, :] + offsets * cell).reshape(-1, m + t)
+        norm = np.sqrt(np.sum(new[:, m:] ** 2, axis=1))
+        new[:, m:] /= np.maximum(norm, 1.0)[:, None]
+        x = np.vstack([x, new])
+        rates = np.vstack([rates, evaluate(new)])
+        counts.append(len(new))
+        cell = cell / 2.0
+        front = regions._pareto_mask(rates[:, 0], rates[:, 1])
+    return x[front], counts
+
+
+class TestZoomStreaming:
+    """The block-cut K* sweep against the sweep that holds each level whole."""
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("p", [1e-6, 12.0, 1e6])
+    @pytest.mark.parametrize(
+        "t, grid",
+        [(1, GridSpec()), (2, GridSpec()), (3, GridSpec(theta_steps=4, trace_steps=3))],
+    )
+    def test_equals_the_materialized_sweep(self, t, grid, p, threads, monkeypatch):
+        monkeypatch.setenv("SECBC_THREADS", threads)
+        rng = np.random.default_rng(400 + t)
+        ch = make_channel(rng.normal(size=(t, t)), rng.normal(size=(t, t)))
+        x, counts, _ = regions._zoom_sweep(ch, p, grid)
+        ref, ref_counts = materialized_zoom_sweep(ch, p, grid)
+        assert x.tobytes() == ref.tobytes()
+        assert counts == ref_counts
+
+    @pytest.mark.parametrize(
+        "t, grid",
+        [(1, GridSpec()), (2, GridSpec()), (3, GridSpec(theta_steps=4, trace_steps=3))],
+    )
+    def test_small_blocks_equal_the_materialized_sweep(self, t, grid, monkeypatch):
+        # a few rows per block: each angle's u table spans several blocks
+        monkeypatch.setattr(sweeps, "GRID_BLOCK_NODES", 997)
+        rng = np.random.default_rng(410 + t)
+        ch = make_channel(rng.normal(size=(t, t)), rng.normal(size=(t, t)))
+        x, counts, _ = regions._zoom_sweep(ch, 12.0, grid)
+        ref, ref_counts = materialized_zoom_sweep(ch, 12.0, grid)
+        assert x.tobytes() == ref.tobytes()
+        assert counts == ref_counts
+
+    @pytest.mark.parametrize(
+        "grid, coarse",
+        # the Fig. 2 grid; one angle against a u table of 125 427 rows
+        [(GridSpec(), 32 * 3278), (GridSpec(theta_steps=2, trace_steps=400), 125427)],
+    )
+    def test_blocks_stay_small(self, grid, coarse, example_channel, monkeypatch):
+        # no array of the sweep holds a whole level or the whole u table
+        monkeypatch.setenv("SECBC_THREADS", "1")
+        frontier_power(example_channel, 12.0, grid)
+        tracemalloc.start()
+        try:
+            fr = frontier_power(example_channel, 12.0, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert fr.meta["nodes_per_level"][0] == coarse
+        assert peak < 4 * 2**20
 
 
 class TestKstarRates:
@@ -555,9 +653,16 @@ class TestCommonStreaming:
         assert power.meta["blocks"] == len(sweeps.row_blocks(nodes * n_deep, n_deep))
         for fr in (fixed, power):
             assert len(fr.points) <= fr.meta["thinned"] <= 96**2
+            # the cell prefilter drops only rows the exact filter drops
+            assert 0 <= fr.meta["prefiltered"] <= fr.meta["thinned"] - len(fr.points)
         scalar = region_common_power(scalar_channel, 3.0, fast_grid)
         assert scalar.meta["candidates"] == 5 * 5 and scalar.meta["blocks"] == 1
         assert len(scalar.points) <= scalar.meta["thinned"] <= 25
+        # too few rows for the prefilter
+        assert scalar.meta["prefiltered"] == 0
+        fig2 = region_common_power(example_channel, 12.0)
+        assert fig2.meta["thinned"] > regions._TRIPLE_PREFILTER_ROWS
+        assert 0 < fig2.meta["prefiltered"] <= fig2.meta["thinned"] - len(fig2.rates)
 
 
 class TestBothConfidential:
