@@ -48,7 +48,8 @@ manifold nodes.
 Every grid is streamed in the row blocks of :func:`secbc.sweeps.row_blocks`
 (at most about ``GRID_BLOCK_NODES`` nodes each) through
 :func:`secbc.sweeps.map_ordered`, which may run them in parallel (see
-SECBC_THREADS).  Both common-message regions run one kernel
+SECBC_THREADS; the K* sweep of :func:`frontier_power` runs its smaller
+blocks in a loop).  Both common-message regions run one kernel
 (:func:`_common_triples`) over a batch of constraints: one K, or every
 trace-P manifold node.  Its (r0, r1) cell scales are known before any
 inner node is scored, so each block is cut at once to one winner per
@@ -190,9 +191,8 @@ def _clamp(rates: np.ndarray) -> np.ndarray:
 
 # r1 bins of the exact prefilter of _pareto_mask, which runs on more rows.
 _PREFILTER_BINS = 1024
-# (r0, r1) bins per axis of the prefilter of _pareto_rows_triples, and the rows it runs above.
+# (r0, r1) bins per axis of the prefilter of _pareto_rows_triples.
 _TRIPLE_BINS = 64
-_TRIPLE_PREFILTER_ROWS = 256
 
 
 def _pareto_mask(r1: np.ndarray, r2: np.ndarray, slack: float = PARETO_SLACK):
@@ -265,19 +265,19 @@ def _pareto_rows_triples(arr: np.ndarray, slack: float = PARETO_SLACK, meta=None
     lexicographic order, and a dominated row is also dominated by a kept
     one, so the rows are walked in that order in blocks, each row tested
     against the rows kept so far and the earlier rows of its block, whose
-    r0 is no smaller: n * (kept + block) comparisons (Kung, Luccio &
-    Preparata 1975).
+    r0 is no smaller unless one of the two is NaN: n * (kept + block)
+    comparisons (Kung, Luccio & Preparata 1975).
 
-    On more than ``_TRIPLE_PREFILTER_ROWS`` finite rows, rows whose r2 +
-    ``slack`` is below the largest r2 of a cell strictly higher in both
-    floor bins of r0 and r1 (a 2-D suffix maximum) go first: a higher floor
-    bin means a larger value, so they are dominated, and all copies of a
-    row go together.  ``meta`` gets their count (``prefiltered``).
+    On finite rows whose r0 and r1 both vary, rows whose r2 + ``slack``
+    is below the largest r2 of a cell strictly higher in both floor bins
+    of r0 and r1 (a 2-D suffix maximum) go first: a higher floor bin means
+    a larger value, so they are dominated, and all copies of a row go
+    together.  ``meta`` gets their count (``prefiltered``).
     """
     if slack < 0:
         raise ValueError(f"slack must be nonnegative, got {slack!r}")
     rows = np.arange(arr.shape[0])
-    if len(rows) > _TRIPLE_PREFILTER_ROWS and np.isfinite(arr).all():
+    if len(rows) and np.isfinite(arr).all():
         lo, span = arr[:, :2].min(axis=0), np.ptp(arr[:, :2], axis=0)
         if np.all((span > 0.0) & (span < np.inf)):
             b0, b1 = ((arr[:, :2] - lo) / span * _TRIPLE_BINS).astype(np.intp).T
@@ -296,6 +296,7 @@ def _pareto_rows_triples(arr: np.ndarray, slack: float = PARETO_SLACK, meta=None
         blk = cols[:, s : s + 256]
         rivals = np.hstack([kept, blk])
         geq = np.tri(blk.shape[1], rivals.shape[1], kept.shape[1] - 1, dtype=bool)
+        geq[:, np.isnan(rivals[0])] = False  # NaN r0 rows sort first and dominate nothing
         strict = rivals[0][None, :] > (blk[0] + slack)[:, None]
         for mine, theirs in zip(blk[1:], rivals[1:]):
             geq &= theirs[None, :] >= mine[:, None]
@@ -673,13 +674,15 @@ def _zoom_sweep(ch: GaussianBc, p: float, grid: GridSpec):
     restricted to points that move at most ``ZOOM_AXES`` parameters (the
     full tensor grid grows as 3^(t(t+1)/2)), then halves the cell; points
     outside the ball sum u^2 <= 1 are pulled onto its surface
-    (tr K* = p).  No level or u table is built whole: each block (through
-    :func:`map_ordered`) scores one angle against u rows of whole first
-    entries, whose :func:`_kstar_tails` serve every angle, or Pareto nodes
-    with all offsets, and keeps its exactly nondominated rows.  Merged in
-    row order, they hold every row the slack-tolerant :func:`_pareto_mask`
-    of the whole level keeps (as in :func:`frontier_fixed_cov`).  Returns
-    (Pareto params, nodes evaluated per level, rows entering each mask).
+    (tr K* = p).  No level or u table is built whole: each block scores
+    one angle against u rows of whole first entries, whose
+    :func:`_kstar_tails` serve every angle, or Pareto nodes with all
+    offsets, and keeps its exactly nondominated rows (in a plain loop: on
+    blocks this small a second worker mostly waits for the interpreter
+    lock).  Merged in row order, they hold every row the slack-tolerant
+    :func:`_pareto_mask` of the whole level keeps (as in
+    :func:`frontier_fixed_cov`).  Returns (Pareto params, nodes evaluated
+    per level, rows entering each mask).
     """
     t = ch.t
     m = t * (t - 1) // 2
@@ -694,35 +697,31 @@ def _zoom_sweep(ch: GaussianBc, p: float, grid: GridSpec):
     moved = np.count_nonzero(offsets, axis=1)
     offsets = offsets[(moved >= 1) & (moved <= ZOOM_AXES)]
 
-    parts, n_u = {}, 0
+    per_angle, n_u = [[] for _ in angles], 0
     for lo, hi in row_blocks(len(v), len(rest) * _KSTAR_SHARE):
         u = np.column_stack([np.repeat(v[lo:hi], len(rest)), np.tile(rest, (hi - lo, 1))])
         u = u[np.sum(u * u, axis=1) <= 1.0]
         n_u += len(u)
-
-        def coarse(i, u=u, tails=_kstar_tails(ch, p, u)):
+        tails = _kstar_tails(ch, p, u)
+        for i, part in enumerate(per_angle):
             rates = _kstar_rates(ch, p, angles[i : i + 1], tails)
             keep = np.flatnonzero(_pareto_mask(rates[:, 0], rates[:, 1], 0.0))  # exact front
-            return np.column_stack([angles[[i] * len(keep)], u[keep]]), rates[keep]
-
-        parts.update(((i, lo), r) for i, r in enumerate(map_ordered(coarse, range(len(angles)))))
-    x, rates = (np.vstack(c) for c in zip(*(parts[key] for key in sorted(parts))))  # angle-major
+            part.append((np.column_stack([angles[[i] * len(keep)], u[keep]]), rates[keep]))
+    x, rates = (np.vstack(c) for c in zip(*sum(per_angle, [])))  # angle-major
     counts, kept = [len(angles) * n_u], [len(x)]
     front = _pareto_mask(rates[:, 0], rates[:, 1])
     for _ in range(ZOOM_LEVELS):
         x, rates = x[front], rates[front]
-
-        def zoom(span, x=x, step=offsets * cell):
-            new = (x[span[0] : span[1], None, :] + step).reshape(-1, m + t)
+        counts.append(len(x) * len(offsets))
+        found = [(x, rates)]
+        for lo, hi in row_blocks(len(x), len(offsets) * _KSTAR_SHARE):
+            new = (x[lo:hi, None, :] + offsets * cell).reshape(-1, m + t)
             norm = np.sqrt(np.sum(new[:, m:] ** 2, axis=1))
             new[:, m:] /= np.maximum(norm, 1.0)[:, None]
-            rates = _kstar_rates(ch, p, new[:, :m], _kstar_tails(ch, p, new[:, m:]))
-            keep = np.flatnonzero(_pareto_mask(rates[:, 0], rates[:, 1], 0.0))
-            return new[keep], rates[keep]
-
-        counts.append(len(x) * len(offsets))
-        news, scores = zip(*map_ordered(zoom, row_blocks(len(x), len(offsets) * _KSTAR_SHARE)))
-        x, rates = np.vstack([x, *news]), np.vstack([rates, *scores])
+            score = _kstar_rates(ch, p, new[:, :m], _kstar_tails(ch, p, new[:, m:]))
+            keep = np.flatnonzero(_pareto_mask(score[:, 0], score[:, 1], 0.0))
+            found.append((new[keep], score[keep]))
+        x, rates = (np.vstack(c) for c in zip(*found))
         kept.append(len(x))
         cell = cell / 2.0
         front = _pareto_mask(rates[:, 0], rates[:, 1])

@@ -2,7 +2,7 @@
 
 The triple filter walks the rows in descending lexicographic order and
 tests each block only against the rows kept so far, after an (r0, r1)
-cell prefilter on larger finite inputs; the reference is the quadratic
+cell prefilter on finite inputs; the reference is the quadratic
 definition in ``tests/oracles.py``.  The pair mask, which
 drops rows of a dominated r1 bin before its sort, must agree with its
 own quadratic definition there, and the region builders' pair frontier
@@ -17,10 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secbc import regions
 from secbc.regions import (
     _PREFILTER_BINS,
-    _TRIPLE_PREFILTER_ROWS,
     PARETO_SLACK,
     _pair_front,
     _pair_rows,
@@ -61,9 +59,8 @@ def test_triple_filter_matches_quadratic_definition(case):
 @settings(max_examples=60, deadline=None)
 @given(tie_heavy(min_rows=300, max_rows=1500))
 def test_triple_prefilter_matches_quadratic_definition(case):
-    # above the prefilter's size limit, so the (r0, r1) cells run
+    # larger inputs, where the (r0, r1) cells hold many rows each
     arr, slack = case
-    assert len(arr) > _TRIPLE_PREFILTER_ROWS
     meta = {}
     got = _pareto_rows_triples(arr, slack, meta)
     assert got.tolist() == pareto_rows_oracle(arr, slack).tolist()
@@ -90,20 +87,16 @@ def test_triple_prefilter_keeps_a_steep_front(steep, slack):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("column", [0, 1, 2])
-def test_nonfinite_triples_skip_the_prefilter(bad, column, monkeypatch):
+def test_nonfinite_triples_skip_the_prefilter(bad, column):
     rng = np.random.default_rng(7)
-    arr = np.round(rng.uniform(0.0, 3.0, (4 * _TRIPLE_PREFILTER_ROWS, 3)), 1)
+    arr = np.round(rng.uniform(0.0, 3.0, (1024, 3)), 1)
     arr[[5, 600], column] = bad
     for slack in SLACKS:
         meta = {}
         got = _pareto_rows_triples(arr, slack, meta)
         assert meta["prefiltered"] == 0
-        # the same indices as the walk alone, with no size that prefilters
-        monkeypatch.setattr(regions, "_TRIPLE_PREFILTER_ROWS", len(arr))
-        assert got.tolist() == _pareto_rows_triples(arr, slack).tolist()
-        monkeypatch.undo()
-        if not np.isnan(bad):
-            assert got.tolist() == pareto_rows_oracle(arr, slack).tolist()
+        # the walk alone; a NaN compares with nothing, so its rows stay
+        assert got.tolist() == pareto_rows_oracle(arr, slack).tolist()
     # the finite rows alone are prefiltered
     meta = {}
     _pareto_rows_triples(np.delete(arr, [5, 600], axis=0), 0.0, meta)

@@ -658,10 +658,8 @@ class TestCommonStreaming:
         scalar = region_common_power(scalar_channel, 3.0, fast_grid)
         assert scalar.meta["candidates"] == 5 * 5 and scalar.meta["blocks"] == 1
         assert len(scalar.points) <= scalar.meta["thinned"] <= 25
-        # too few rows for the prefilter
-        assert scalar.meta["prefiltered"] == 0
+        assert 0 <= scalar.meta["prefiltered"] <= scalar.meta["thinned"] - len(scalar.rates)
         fig2 = region_common_power(example_channel, 12.0)
-        assert fig2.meta["thinned"] > regions._TRIPLE_PREFILTER_ROWS
         assert 0 < fig2.meta["prefiltered"] <= fig2.meta["thinned"] - len(fig2.rates)
 
 
