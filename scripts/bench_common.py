@@ -15,10 +15,14 @@ the power pair regions and the identity checks.
         --tree parent=../parent --out BENCH_startup.json
 
 Each ``--tree LABEL=PATH`` names a secbc checkout (its ``src`` is put on
-the import path; default: this checkout as ``change``).  With
-SECBC_THREADS=1 (BLAS single-threaded too) and with all cores, each case
-runs in a fresh child process for every tree, the trees taking turns
-case by case:
+the import path; default: this checkout as ``change``).  Each case runs
+with BLAS on one thread (``threads`` = ``1``) and on all cores (``all``);
+the two settings differ only in BLAS threads, since every sweep scores
+its blocks on one thread.  Each tree runs each case in ``CHILDREN``
+fresh child processes, the trees taking turns child by child, and the
+tree that starts alternates, so a drifting machine speed, or a child
+that stays in a fast or slow mode for its whole life, reaches every
+tree alike.  The cases:
 
 - ``region_common_power``: the example channel at P = 12, default grid;
 - ``region_common_fixed``: a seeded t = 3 channel at chain grid (4, 3);
@@ -60,10 +64,13 @@ their ``peak_rss_mb`` is the largest ``ru_maxrss`` of those processes
 (``RUSAGE_CHILDREN``), not of the process that starts them.
 
 A child runs its call ``--repeats`` times and reports every wall time
-(``time.perf_counter``) and its ``ru_maxrss`` before and after the calls,
-so ``peak_rss_mb`` includes the interpreter and numpy.  The JSON written
-to ``--out`` holds the machine description and one record per tree,
-thread setting and case.
+(``time.perf_counter``), their median and its ``ru_maxrss`` before and
+after the calls, so ``peak_rss_mb`` includes the interpreter and numpy.
+The JSON written to ``--out`` holds the machine description and one
+record per tree, thread setting and case: the outputs of its first
+child, every child's report (``children``), the median of the child
+medians (``wall_s_median``), their quartiles (``wall_s_quartiles``) and
+the median child ``peak_rss_mb``.
 """
 
 from __future__ import annotations
@@ -92,8 +99,11 @@ CASE_SETS = {
     "fixed": ("frontier_fixed_cov", "region_no_common"),
     "startup": ("import_cli", "compare_cli", "region_cli"),
 }
+# Child processes per tree, thread setting and case.
+CHILDREN = 3
+# What a child reports that varies from child to child.
+CHILD_TIMINGS = ("wall_s", "wall_s_median", "phase_s_median", "rss_before_mb", "peak_rss_mb")
 SINGLE_THREAD_ENV = {
-    "SECBC_THREADS": "1",
     "OPENBLAS_NUM_THREADS": "1",
     "OMP_NUM_THREADS": "1",
     "MKL_NUM_THREADS": "1",
@@ -290,7 +300,7 @@ def tree_src(path: str) -> str:
     return src
 
 
-def run_case(label: str, src: str, threads: str, case: str, repeats: int) -> dict:
+def run_child(label: str, src: str, threads: str, case: str, repeats: int) -> dict:
     """One child run of ``case`` on the tree whose sources are ``src``."""
     env = {k: v for k, v in os.environ.items() if k not in SINGLE_THREAD_ENV}
     if threads == "1":
@@ -305,7 +315,34 @@ def run_case(label: str, src: str, threads: str, case: str, repeats: int) -> dic
         f"{result['wall_s_median']:8.3f} s {result['peak_rss_mb']:7.1f} MB",
         file=sys.stderr,
     )
-    return {"tree": label, "threads": threads, "case": case, **result}
+    return result
+
+
+def run_case(srcs, threads: str, case: str, repeats: int) -> list[dict]:
+    """``CHILDREN`` child runs of ``case`` per tree, the trees taking turns
+    and the first tree alternating; one record per tree."""
+    children = {label: [] for label, _ in srcs}
+    for turn in range(CHILDREN):
+        for label, src in srcs[::-1] if turn % 2 else srcs:
+            children[label].append(run_child(label, src, threads, case, repeats))
+    records = []
+    for label, runs in children.items():
+        medians = [r["wall_s_median"] for r in runs]
+        q1, _, q3 = statistics.quantiles(medians, n=4, method="inclusive")
+        outputs = {k: v for k, v in runs[0].items() if k not in CHILD_TIMINGS}
+        records.append(
+            {
+                "tree": label,
+                "threads": threads,
+                "case": case,
+                **outputs,
+                "wall_s_median": statistics.median(medians),
+                "wall_s_quartiles": [q1, q3],
+                "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in runs),
+                "children": runs,
+            }
+        )
+    return records
 
 
 def main(argv=None) -> int:
@@ -329,13 +366,11 @@ def main(argv=None) -> int:
         if not sep or not label:
             ap.error(f"--tree wants LABEL=PATH, got {spec!r}")
         srcs.append((label, tree_src(path)))
-    # The trees take turns case by case, so a drifting machine speed
-    # reaches every tree alike.
     records = [
-        run_case(label, src, threads, case, args.repeats)
+        record
         for threads in ("1", "all")
         for case in CASE_SETS[args.cases]
-        for label, src in srcs
+        for record in run_case(srcs, threads, case, args.repeats)
     ]
     import numpy as np
 

@@ -1,7 +1,7 @@
 """Record the outputs of a fixed call list and diff two records.
 
-    SECBC_THREADS=1 python scripts/compare_outputs.py record parent.json --src ../parent/src
-    SECBC_THREADS=1 python scripts/compare_outputs.py record change.json
+    python scripts/compare_outputs.py record parent.json --src ../parent/src
+    python scripts/compare_outputs.py record change.json
     python scripts/compare_outputs.py diff parent.json change.json
 
 ``record`` imports secbc from ``--src`` (default: this checkout's
@@ -332,7 +332,7 @@ def record(path: str, src: str) -> None:
     for name, gate, call in _cases(secbc):
         cases[name] = {"gate": list(gate), **_flat(call())}
         print(name, flush=True)
-    meta = {"src": os.path.abspath(src), "threads": os.environ.get("SECBC_THREADS")}
+    meta = {"src": os.path.abspath(src)}
     Path(path).write_text(json.dumps({"meta": meta, "cases": cases}) + "\n", encoding="utf-8")
 
 

@@ -41,7 +41,7 @@ from .envelopes import EnvelopeWeights, v_eta, v_hat, v_tilde
 from .errors import SecbcError
 from .matops import SubCovParams, compose_sub_cov, decompose_sub_cov
 from .regions import Frontier
-from .sweeps import GridSpec, worker_count
+from .sweeps import GridSpec
 
 __all__ = ["Inputs", "RunConfig", "main", "run", "emit_csv", "emit_svg", "parse_matrix"]
 
@@ -584,10 +584,9 @@ def main(argv=None) -> int:
             cfg.mode = args.command
         elif cfg.mode in _MODES and _command(cfg.mode) != "region":
             raise ValueError(f"{cfg.mode} is a command, not a region mode")
-        # Configuration and SECBC_THREADS are validated before any
-        # compute, so configuration mistakes exit with status 2.
+        # Configuration is validated before any compute, so
+        # configuration mistakes exit with status 2.
         inputs = _validate(cfg)
-        worker_count()
     except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2

@@ -48,10 +48,10 @@ seeds, a full-rank copy of the best one and the best spectral seeds
 together, in lockstep; the objective therefore takes a batch of chains.
 The polish is equivariant under (C_l R, R^T C_{l+1}) for orthogonal R,
 which maps V to V P S, so a dropped duplicate of a grid rotation would
-follow the same path in K.  Results are deterministic under any
-parallel evaluation order.  ``EnvelopeResult.grid_meta`` records the
-grid nodes, the nodes scored, the blocks, the iterations each start
-used, the starts that hit the ``refine_iters`` cap (``capped``), the
+follow the same path in K.  Results do not depend on the block size.
+``EnvelopeResult.grid_meta`` records the grid nodes, the nodes scored,
+the blocks, the iterations each start used, the starts that hit the
+``refine_iters`` cap (``capped``), the
 objective calls of the polish (``evaluations``; each evaluates the live
 starts at once), the projected-gradient residual ||P(C + grad f) - C||
 at the returned chain (``kkt_residual``), its distance from first-order

@@ -46,16 +46,13 @@ the users swapped.  The common-message region takes the best of its
 manifold nodes.
 
 Every grid is streamed in the row blocks of :func:`secbc.sweeps.row_blocks`
-(at most about ``GRID_BLOCK_NODES`` nodes each) through
-:func:`secbc.sweeps.map_ordered`, which may run them in parallel (see
-SECBC_THREADS; the K* sweep of :func:`frontier_power` runs its smaller
-blocks in a loop).  Both common-message regions run one kernel
+(at most about ``GRID_BLOCK_NODES`` nodes each), scored in order on
+one thread.  Both common-message regions run one kernel
 (:func:`_common_triples`) over a batch of constraints: one K, or every
 trace-P manifold node.  Its (r0, r1) cell scales are known before any
 inner node is scored, so each block is cut at once to one winner per
 cell, and the output-sensitive triple Pareto filter runs once.  Blocks
-are always merged in order, so output does not depend on the worker
-count or the block size.
+are merged in order, so output does not depend on the block size.
 """
 
 from __future__ import annotations
@@ -81,7 +78,6 @@ from .sweeps import (
     grid_params,
     grid_tables,
     layered_value_grad,
-    map_ordered,
     pair_dets,
     pair_dets_rows,
     row_blocks,
@@ -381,22 +377,15 @@ def _kept_root(s, w, mu):
     return s @ (q * (mu > 0.0)[..., None, :])
 
 
-def _wtc_root(ch: GaussianBc, k):
-    """Closed-form wiretap optimum over K* below ``k``: (value, B), K* = B B^T.
+def _wtc_gevd(ch: GaussianBc, k):
+    """Closed-form wiretap optimum over K* below ``k``: (value, argmax).
 
     ``k`` is one covariance (t, t) or a batch (..., t, t); both outputs
     keep its leading shape.  The optimum is attained at K* = S P S
     (:func:`_kept_root`); equal gains give K* = 0.
     """
     value, s, w, mu = _wtc_pencil(ch, k)
-    return value, _kept_root(s, w, mu)
-
-
-def _wtc_gevd(ch: GaussianBc, k):
-    """Closed-form wiretap optimum over K* below ``k``: (value, argmax)
-    (:func:`_wtc_root`)."""
-    value, root = _wtc_root(ch, k)
-    return value, gram(root)
+    return value, gram(_kept_root(s, w, mu))
 
 
 def _wtc_rectangle(ch: GaussianBc, k):
@@ -464,8 +453,7 @@ def frontier_fixed_cov(ch: GaussianBc, k, grid: GridSpec | None = None) -> Front
         return r1[idx], r2[idx], idx + lo * nd
 
     r1, r2, flat = (
-        np.concatenate(col)
-        for col in zip(*map_ordered(front, row_blocks(len(tab.rots), nd)))
+        np.concatenate(col) for col in zip(*map(front, row_blocks(len(tab.rots), nd)))
     )
     keep = np.flatnonzero(_pareto_mask(r1, r2))
     cs = contractions(grid_params(tab, flat[keep], 1), t)
@@ -677,12 +665,10 @@ def _zoom_sweep(ch: GaussianBc, p: float, grid: GridSpec):
     (tr K* = p).  No level or u table is built whole: each block scores
     one angle against u rows of whole first entries, whose
     :func:`_kstar_tails` serve every angle, or Pareto nodes with all
-    offsets, and keeps its exactly nondominated rows (in a plain loop: on
-    blocks this small a second worker mostly waits for the interpreter
-    lock).  Merged in row order, they hold every row the slack-tolerant
-    :func:`_pareto_mask` of the whole level keeps (as in
-    :func:`frontier_fixed_cov`).  Returns (Pareto params, nodes evaluated
-    per level, rows entering each mask).
+    offsets, and keeps its exactly nondominated rows.  Merged in row
+    order, they hold every row the slack-tolerant :func:`_pareto_mask`
+    of the whole level keeps (as in :func:`frontier_fixed_cov`).  Returns
+    (Pareto params, nodes evaluated per level, rows entering each mask).
     """
     t = ch.t
     m = t * (t - 1) // 2
@@ -821,7 +807,7 @@ def wtc_capacity_power(ch: GaussianBc, p: float, grid: GridSpec | None = None):
     :func:`secbc.sweeps.spg_max` on :func:`secbc.sweeps.layered_value_grad`
     (root sqrt(p) I, one level, weights (1, -1)) from one start: C = B /
     sqrt(p), where K* = B B^T is the closed-form argmax under the isotropic
-    constraint (p/t) I (:func:`_wtc_root`).  By Sylvester's inertia its
+    constraint (p/t) I (:func:`_kept_root`).  By Sylvester's inertia its
     pencil has as many eigenvalues above 1 as G_1^T G_1 - G_2^T G_2 has
     positive eigenvalues, so the start already has the largest rank an
     optimum can have (a step never raises the rank of C).  The polished
@@ -836,7 +822,8 @@ def wtc_capacity_power(ch: GaussianBc, p: float, grid: GridSpec | None = None):
     if p == 0:
         zero = np.zeros((t, t))
         return 0.0, zero, zero
-    start = _wtc_root(ch, p / t * np.eye(t))[1] / math.sqrt(p)
+    _, s, w, mu = _wtc_pencil(ch, p / t * np.eye(t))
+    start = _kept_root(s, w, mu) / math.sqrt(p)
     value_grad = layered_value_grad(
         np.stack([ch.g1, ch.g2]), math.sqrt(p) * np.eye(t), np.array([[1.0, -1.0]])
     )
@@ -911,7 +898,7 @@ def _common_triples(ch: GaussianBc, factors, kmats, tab, meta: dict) -> Frontier
         sel = _cell_winners(comb, r2)
         return comb[sel], r1[sel], r2[sel], sel + lo * n
 
-    comb, r1, r2, flat = (np.concatenate(c) for c in zip(*map_ordered(winners, spans)))
+    comb, r1, r2, flat = (np.concatenate(c) for c in zip(*map(winners, spans)))
     sel = _cell_winners(comb, r2)
     flat = flat[sel]
     corners = np.column_stack([np.zeros(len(kmats)), wtc, c2k - half_log2_det(ch.g2, kstar)])
@@ -923,7 +910,9 @@ def _common_triples(ch: GaussianBc, factors, kmats, tab, meta: dict) -> Frontier
     corner = keep[keep >= len(flat)] - len(flat)
     # The inner split was swept from the chained outer factor, so the
     # same chain (not a fresh Cholesky root) must rebuild it.
-    cs = contractions(grid_params(tab, idx, 2).reshape(2 * len(idx), -1), t)
+    # One (angles, scalings) row per level; the width is explicit, since
+    # no grid winner may survive the filter.
+    cs = contractions(grid_params(tab, idx, 2).reshape(2 * len(idx), t * (t + 1) // 2), t)
     ks = gram(chained_factors(factors[node], cs.reshape(-1, 2, t, t)))
     ksum = np.concatenate([ks[:, 0], kmats[corner]])
     k2 = np.concatenate([ks[:, 1], kstar[corner]])
@@ -966,7 +955,8 @@ def region_common_power(ch: GaussianBc, p: float, grid: GridSpec | None = None) 
         return _zero_frontier(np.zeros((t, t)), ("k", "k1", "k2"), meta)
     if t == 1:
         fr = region_common_fixed(ch, np.array([[float(p)]]), grid)
-        meta.update({k: fr.meta[k] for k in ("candidates", "thinned", "blocks", "prefiltered")})
+        counts = ("candidates", "thinned", "blocks", "prefiltered")
+        meta.update({k: fr.meta[k] for k in counts if k in fr.meta})
         return Frontier(fr.rates, fr.gens, meta)
     x = _trace_grid(t, grid.deep_theta_steps, simplex_grid(t, p, grid.deep_trace_steps))
     factors = contractions(x, t)

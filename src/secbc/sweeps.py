@@ -42,9 +42,9 @@ are merged.  Selection keeps the k best distinct values
 (:func:`top_k_flat`): exactly tied grid nodes count once, and each value
 is taken at its lowest flat index, i.e. the lexicographically smallest
 parameter vector.  The merged top k is therefore exactly the top k of
-the whole grid, and blocks may run on any number of workers
-(:func:`map_ordered`) without changing the result.  Given an upper bound
-per row, :func:`top_k_bounded` scores a sixteenth of the rows, the
+the whole grid, whatever the block size.  Every sweep scores its blocks
+in order on one thread.  Given an upper bound per row,
+:func:`top_k_bounded` scores a sixteenth of the rows, the
 best-bounded ones, first and then only the rows whose bound reaches the
 k-th value found there; its top k is still exact.
 :func:`pair_dets_rows` scores any subset of parents with the bits of the
@@ -71,8 +71,6 @@ import functools
 import itertools
 import math
 import numbers
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -104,11 +102,9 @@ __all__ = [
     "top_k_rows",
     "top_k_bounded",
     "row_blocks",
-    "worker_count",
-    "map_ordered",
 ]
 
-# Grid nodes per row block of row_blocks (and per worker task).
+# Grid nodes per row block of row_blocks.
 GRID_BLOCK_NODES = 1 << 16
 # Grid nodes that seed the polish.
 STARTS = 4
@@ -158,35 +154,6 @@ class GridSpec:
             val, least = getattr(self, name), 0 if name == "refine_iters" else 1
             if isinstance(val, bool) or not isinstance(val, numbers.Integral) or val < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {val!r}")
-
-
-def worker_count() -> int:
-    """Parallel workers: SECBC_THREADS if set, else logical core count."""
-    env = os.environ.get("SECBC_THREADS", "").strip()
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            n = 0
-        if n < 1:
-            raise ValueError(f"SECBC_THREADS must be an integer >= 1, got {env!r}")
-        return n
-    return os.cpu_count() or 1
-
-
-def map_ordered(fn, items):
-    """[fn(x) for x in items] on :func:`worker_count` threads, in item order."""
-    w = worker_count()
-    if w <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    err = np.geterr()  # numpy's error state is per thread
-
-    def task(x):
-        with np.errstate(**err):
-            return fn(x)
-
-    with ThreadPoolExecutor(max_workers=w) as ex:
-        return list(ex.map(task, items))
 
 
 def theta_values(steps: int, full: float = 2.0 * math.pi) -> np.ndarray:
@@ -719,11 +686,11 @@ def top_k_rows(score, n_rows: int, n_cols: int, k: int):
     """:func:`top_k_flat` of an (n_rows, n_cols) matrix scored in row blocks.
 
     ``score(lo, hi)`` returns rows lo..hi-1 of the matrix.  The blocks of
-    :func:`row_blocks` go through :func:`map_ordered` and each is cut to
-    its own top k.  A value's lowest index lies in the earliest block that
-    holds it, and each block keeps a value at most once, so the top k of
-    the survivors, concatenated in row order, is exactly the top k of the
-    whole matrix.  Returns (flat indices, their values, blocks).
+    :func:`row_blocks` are scored in order, each cut to its own top k.  A
+    value's lowest index lies in the earliest block that holds it, and
+    each block keeps a value at most once, so the top k of the survivors,
+    concatenated in row order, is exactly the top k of the whole matrix.
+    Returns (flat indices, their values, blocks).
     """
 
     def block(span):
@@ -739,7 +706,7 @@ def top_k_rows(score, n_rows: int, n_cols: int, k: int):
         idx = cand[top_k_flat(flat[cand], k)]
         return idx + lo * n_cols, flat[idx]
 
-    parts = map_ordered(block, row_blocks(n_rows, n_cols))
+    parts = [block(span) for span in row_blocks(n_rows, n_cols)]
     idx = np.concatenate([p[0] for p in parts])
     vals = np.concatenate([p[1] for p in parts])
     best = top_k_flat(vals, k)

