@@ -54,8 +54,16 @@ residual.  ``--cases fixed`` runs the fixed-covariance pair region:
 default grid (records add the output rows), and ``region_no_common``,
 ``region --mode no-common --out`` on the same channel and constraint as
 the ``fixed-cov`` benchmark workload runs it (records add the exit status
-and the CSV rows).  ``--cases startup`` times whole fresh interpreters, as
-a shell runs the CLI: ``import_cli`` (``python -c "import secbc.cli"``),
+and the CSV rows), and ``retained_kb``, the memory one returned frontier
+holds: the t = 3 ``region_common_fixed`` request of that workload (seed
+1, pass 0, built by ``perfbench/workloads.py`` of this checkout), whose
+``.points`` view is iterated as the workload's check does.  Its record
+adds ``retained_kb``, the kB (tracemalloc) still allocated from that
+call once the iteration is over and garbage is collected; a first call
+before the timed ones fills the grid-table cache, so the figure is the
+frontier alone.  Its timings include tracemalloc's overhead.
+``--cases startup`` times whole fresh interpreters, as a shell runs the
+CLI: ``import_cli`` (``python -c "import secbc.cli"``),
 ``compare_cli`` (``python -m secbc.cli compare`` on the example channel
 at P = 12, CSVs and SVG written into a temporary directory) and
 ``region_cli`` (``python -m secbc.cli region --covariance 6,0;0,6`` on
@@ -89,6 +97,7 @@ import tempfile
 import time
 from functools import partial
 
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EXAMPLE_G1 = [[0.3, 2.5], [2.2, 1.8]]
 EXAMPLE_G2 = [[1.3, 1.2], [1.5, 3.9]]
 CASE_SETS = {
@@ -96,7 +105,7 @@ CASE_SETS = {
     "envelope": ("v_eta", "v_hat", "v_tilde"),
     "power": ("frontier_power", "both_confidential_frontier", "wtc_capacity_power", "compare"),
     "checks": ("dpc_check_d2", "dpc_check_d3", "decomp_check_d2", "decomp_check_d3"),
-    "fixed": ("frontier_fixed_cov", "region_no_common"),
+    "fixed": ("frontier_fixed_cov", "region_no_common", "retained_kb"),
     "startup": ("import_cli", "compare_cli", "region_cli"),
 }
 # Child processes per tree, thread setting and case.
@@ -149,6 +158,25 @@ def _rows(frontier) -> dict:
     if "phase_s" in frontier.meta:
         out["phase_s"] = frontier.meta["phase_s"]
     return out
+
+
+def _retained(call) -> dict:
+    """The kB still allocated from ``call()`` after the ``.points`` view
+    of the frontier it returns has been iterated."""
+    import gc
+    import tracemalloc
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        frontier = call()
+        rows = sum(1 for _ in frontier.points)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    return {"output_rows": rows, "retained_kb": held / 1024.0}
 
 
 def _envelope_output(res) -> dict:
@@ -241,6 +269,17 @@ def _case_call(case: str):
         argv += [f"--g2={_matrix_arg(g2)}", f"--covariance={_matrix_arg(k)}"]
         argv += ["--out", "{tmp}/nc.csv"]
         return partial(_cli_output, argv, ("nc.csv",)), "t = 2, CSV"
+    if case == "retained_kb":
+        sys.path.insert(0, os.path.join(REPO, "perfbench"))
+        import workloads
+
+        import secbc.cli  # noqa: F401 - the workload's requests reach it as secbc.cli
+
+        with tempfile.TemporaryDirectory() as work:
+            requests = workloads.fixed_cov(secbc, 1, work, REPO, 0)
+        call = next(r.call for r in requests if r.kind == "region_common_fixed t3")
+        call()  # fills the grid-table cache outside the measurement
+        return partial(_retained, call), "fixed-cov seed 1 pass 0, t = 3"
     if case in CASE_SETS["power"]:
         fn = getattr(regions, case)
         if case == "wtc_capacity_power":
@@ -358,8 +397,7 @@ def main(argv=None) -> int:
     if args.child:
         print(json.dumps(child(args.child, args.repeats)))
         return 0
-    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    trees = args.tree or ["change=" + here]
+    trees = args.tree or ["change=" + REPO]
     srcs = []
     for spec in trees:
         label, sep, path = spec.partition("=")

@@ -314,14 +314,11 @@ def _flat(value) -> dict:
         v, k, ks = value
         gens = {"k": [np.ravel(k).tolist()], "kstar": [np.ravel(ks).tolist()]}
         return {"rates": [[float(v)]], "gens": gens}
-    pts = value.points
-    names = list(pts[0].gen) if pts else []
-    if value.is_triple:
-        rates = [[p.r0, p.r1, p.r2] for p in pts]
-    else:
-        rates = [[p.r1, p.r2] for p in pts]
-    gens = {n: [np.ravel(p.gen[n]).tolist() for p in pts] for n in names}
-    return {"rates": rates, "gens": gens}
+    # A Frontier: its rate columns, triples reordered to (r0, r1, r2).
+    rates = value.rates[:, [2, 0, 1]] if value.is_triple else value.rates
+    names = list(value.gens) if len(rates) else []
+    gens = {n: [np.ravel(m).tolist() for m in value.gens[n]] for n in names}
+    return {"rates": rates.tolist(), "gens": gens}
 
 
 def record(path: str, src: str) -> None:

@@ -30,7 +30,10 @@ built for the kept nodes only.
 Frontiers hold their rates as one array and the generating covariances
 of every point as (n, t, t) stacks beside it (:class:`Frontier`), so any
 output row can be re-verified by plugging the matrices back into the
-rate formulas.  Every rate term comes from the checked kernel of
+rate formulas.  A fixed constraint repeated on every row (``k`` of
+:func:`frontier_fixed_cov` and :func:`region_common_fixed`) is stored
+once, as a stride-0 view that every row reduction keeps (:func:`_take`).
+Every rate term comes from the checked kernel of
 :mod:`secbc.matops`, so a determinant that overflows raises
 ``FloatingPointError`` instead of giving a NaN rate.  Sweeps follow the
 grid resolutions in :class:`GridSpec`.  The
@@ -57,10 +60,10 @@ are merged in order, so output does not depend on the block size.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -145,18 +148,20 @@ class Frontier:
     ``rates`` holds rows (R1, R2) or (R1, R2, R0), clamped at zero and
     sorted by those columns; ``gens`` maps each generator name ("k",
     "kstar"; or "k", "k1", "k2") to the (n, t, t) stack of its matrices.
+    A stack that repeats one matrix may be a read-only stride-0 view.
     Every builder and emitter works on these columns; :attr:`points` is a
-    read-only per-point view of them.
+    per-point view of them, built on each access and never stored, so a
+    frontier holds only its columns.
     """
 
     rates: np.ndarray
     gens: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
 
-    @functools.cached_property
+    @property
     def points(self) -> list:
         """The rows as :class:`RatePoint` or :class:`RateTriple` objects,
-        built on first access."""
+        built anew on each access."""
         rows = self.rates.tolist()
         mats = [dict(zip(self.gens, row)) for row in zip(*self.gens.values())]
         mats = mats or [{} for _ in rows]
@@ -237,11 +242,19 @@ def _pair_rows(rates: np.ndarray, slack: float = PARETO_SLACK) -> np.ndarray:
     return rows[np.lexsort(rates[rows].T[::-1])]
 
 
+def _take(g: np.ndarray, rows) -> np.ndarray:
+    """``g[rows]`` of a generator stack; a stride-0 stack (one matrix
+    repeated) stays a stride-0 view of that matrix."""
+    if len(g) and g.strides[0] == 0:
+        return np.broadcast_to(g[0], (len(rows),) + g.shape[1:])
+    return g[rows]
+
+
 def _pair_front(r1, r2, gens: dict, meta: dict) -> Frontier:
     """The :class:`Frontier` of the Pareto-maximal clamped (r1, r2) rows."""
     rates = _clamp(np.column_stack([r1, r2]))
     rows = _pair_rows(rates)
-    return Frontier(rates[rows], {name: g[rows] for name, g in gens.items()}, meta)
+    return Frontier(rates[rows], {name: _take(g, rows) for name, g in gens.items()}, meta)
 
 
 def _zero_frontier(k: np.ndarray, names: tuple, meta: dict) -> Frontier:
@@ -574,34 +587,55 @@ def _kstar_matrices(angles, e, t: int) -> np.ndarray:
     return gram(contractions(np.column_stack([angles, e]), t))
 
 
-def _kstar_tails(ch: GaussianBc, p: float, u):
+class _KstarConsts(NamedTuple):
+    """The channel constants of the K* scoring, formed once per sweep:
+    N = (G2^T G2)^-1 with its trace and determinant, and (A_j, tr A_j,
+    det A_j) of each A_j = G_j^T G_j."""
+
+    noise: np.ndarray
+    tr_noise: float
+    det_noise: float
+    grams: tuple
+
+
+def _kstar_consts(ch: GaussianBc) -> _KstarConsts:
+    """The :class:`_KstarConsts` of ``ch``."""
+    noise = _noise2(ch)
+    grams = tuple((a, np.trace(a), np.linalg.det(a)) for a in (g.T @ g for g in (ch.g1, ch.g2)))
+    return _KstarConsts(noise, np.trace(noise), np.linalg.det(noise), grams)
+
+
+def _kstar_tails(consts: _KstarConsts, p: float, u):
     """(e = p u^2, tr N + sum e, p - sum e) of rows u, N = (G2^T G2)^-1."""
     e = p * u**2
     total = e.sum(axis=1)
-    return e, np.trace(_noise2(ch)) + total, p - total
+    return e, consts.tr_noise + total, p - total
 
 
-def _det_i_plus_kstar(a, e, turn) -> np.ndarray:
-    """det(I + G K* G^T) of K* = V(theta) diag(e) V^T for t <= 2, from A = G^T G.
+def _det_i_plus_kstar(gram_j, e, turn) -> np.ndarray:
+    """det(I + G K* G^T) of K* = V(theta) diag(e) V^T for t <= 2, from
+    ``gram_j`` = (A, tr A, det A) of A = G^T G.
 
     ``turn`` holds (cos 2 theta, sin 2 theta) per row at t = 2 and is
     None at t = 1 (see :func:`_kstar_rates`).
     """
+    a, tr_a, det_a = gram_j
     if turn is None:
         return 1.0 + e[:, 0] * a[0, 0]
     cos2, sin2 = turn
     along = 0.5 * (a[0, 0] + a[1, 1]) + 0.5 * (a[0, 0] - a[1, 1]) * cos2 + a[0, 1] * sin2
     e1, e2 = e[:, 0], e[:, 1]
-    return 1.0 + e1 * along + e2 * (np.trace(a) - along) + e1 * e2 * np.linalg.det(a)
+    return 1.0 + e1 * along + e2 * (tr_a - along) + e1 * e2 * det_a
 
 
-def _kstar_rates(ch: GaussianBc, p: float, angles, tails) -> np.ndarray:
+def _kstar_rates(ch: GaussianBc, consts: _KstarConsts, angles, tails) -> np.ndarray:
     """Rows (r1(K*), W(K*)) of K* = V(angles) diag(e) V^T, e = p u^2.
 
-    ``angles`` holds one row per node or one for all; ``tails`` is the
-    :func:`_kstar_tails` of their u.  W(K*) is the best private rate over
-    K = K* + Q with Q PSD and tr Q <= p - tr K*: water-filling over the
-    spectrum of N + K* with N = (G2^T G2)^-1.  For t <= 2 each node is
+    ``consts`` is the :func:`_kstar_consts` of ``ch``; ``angles`` holds
+    one row per node or one for all; ``tails`` is the :func:`_kstar_tails`
+    of their u.  W(K*) is the best private rate over K = K* + Q with Q
+    PSD and tr Q <= p - tr K*: water-filling over the spectrum of
+    N + K* with N = (G2^T G2)^-1.  For t <= 2 each node is
     scored in closed form from its parameters, with no per-node matrix.
     With A_j = G_j^T G_j, d_j = det(I + G_j K* G_j^T) is 1 + e g_j^2 at
     t = 1 and at t = 2
@@ -610,8 +644,11 @@ def _kstar_rates(ch: GaussianBc, p: float, angles, tails) -> np.ndarray:
     along the first column v of V(theta), with h_j and c_j the half sum
     and half difference of its diagonal; r1 = max(0.5 log2(d1 / d2), 0).
     The spectrum of N + K* is the single value T = tr N + sum e for t = 1
-    and for t = 2 the roots of nu^2 - T nu + D with D = det(N + K*) =
-    det N * d2; the small root is taken as D / nu_+, free of cancellation.
+    and for t = 2 the roots lo <= hi of nu^2 - T nu + D with D = det(N + K*)
+    = det N * d2; the small root is taken as D / hi, free of cancellation.
+    The two roots are water-filled in closed form, with the arithmetic of
+    :func:`_water_fill`: mu = min(q + lo, (q + (lo + hi)) / 2) for the
+    power q = max(p - sum e, 0) left.
     For t >= 3 the nodes are scored from K* itself: its angle grids hold
     many rows with the same K*, the Pareto mask keeps whichever of them
     rounds highest and the zoom refines around that one, so other
@@ -619,22 +656,23 @@ def _kstar_rates(ch: GaussianBc, p: float, angles, tails) -> np.ndarray:
     """
     t = ch.t
     e, tr, left = tails
-    noise = _noise2(ch)
     if t >= 3:
         ks = _kstar_matrices(angles, e, t)
         r1 = half_log2_det(ch.g1, ks) - half_log2_det(ch.g2, ks)
-        nu = np.linalg.eigvalsh(noise + ks)
+        w, _ = _water_fill(np.linalg.eigvalsh(consts.noise + ks), left)
     else:
         turn = (np.cos(2.0 * angles[:, 0]), np.sin(2.0 * angles[:, 0])) if t == 2 else None
-        d1, d2 = (_det_i_plus_kstar(g.T @ g, e, turn) for g in (ch.g1, ch.g2))
+        d1, d2 = (_det_i_plus_kstar(a, e, turn) for a in consts.grams)
         r1 = half_log2(d1 / d2)
         if t == 1:
-            nu = tr[:, None]
+            w, _ = _water_fill(tr[:, None], left)
         else:
-            det = np.linalg.det(noise) * d2
+            det = consts.det_noise * d2
             hi = 0.5 * (tr + np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0)))
-            nu = np.column_stack([det / hi, hi])
-    w, _ = _water_fill(nu, left)
+            lo = det / hi
+            left = np.maximum(left, 0.0)
+            mu = np.minimum(left + lo, (left + (lo + hi)) / 2.0)
+            w = (np.log2(np.maximum(mu, lo) / lo) + np.log2(np.maximum(mu, hi) / hi)) / 2.0
     return np.column_stack([np.maximum(r1, 0.0), w])
 
 
@@ -683,14 +721,15 @@ def _zoom_sweep(ch: GaussianBc, p: float, grid: GridSpec):
     moved = np.count_nonzero(offsets, axis=1)
     offsets = offsets[(moved >= 1) & (moved <= ZOOM_AXES)]
 
+    consts = _kstar_consts(ch)
     per_angle, n_u = [[] for _ in angles], 0
     for lo, hi in row_blocks(len(v), len(rest) * _KSTAR_SHARE):
         u = np.column_stack([np.repeat(v[lo:hi], len(rest)), np.tile(rest, (hi - lo, 1))])
         u = u[np.sum(u * u, axis=1) <= 1.0]
         n_u += len(u)
-        tails = _kstar_tails(ch, p, u)
+        tails = _kstar_tails(consts, p, u)
         for i, part in enumerate(per_angle):
-            rates = _kstar_rates(ch, p, angles[i : i + 1], tails)
+            rates = _kstar_rates(ch, consts, angles[i : i + 1], tails)
             keep = np.flatnonzero(_pareto_mask(rates[:, 0], rates[:, 1], 0.0))  # exact front
             part.append((np.column_stack([angles[[i] * len(keep)], u[keep]]), rates[keep]))
     x, rates = (np.vstack(c) for c in zip(*sum(per_angle, [])))  # angle-major
@@ -704,7 +743,7 @@ def _zoom_sweep(ch: GaussianBc, p: float, grid: GridSpec):
             new = (x[lo:hi, None, :] + offsets * cell).reshape(-1, m + t)
             norm = np.sqrt(np.sum(new[:, m:] ** 2, axis=1))
             new[:, m:] /= np.maximum(norm, 1.0)[:, None]
-            score = _kstar_rates(ch, p, new[:, :m], _kstar_tails(ch, p, new[:, m:]))
+            score = _kstar_rates(ch, consts, new[:, :m], _kstar_tails(consts, p, new[:, m:]))
             keep = np.flatnonzero(_pareto_mask(score[:, 0], score[:, 1], 0.0))
             found.append((new[keep], score[keep]))
         x, rates = (np.vstack(c) for c in zip(*found))
@@ -916,17 +955,18 @@ def _common_triples(ch: GaussianBc, factors, kmats, tab, meta: dict) -> Frontier
     ks = gram(chained_factors(factors[node], cs.reshape(-1, 2, t, t)))
     ksum = np.concatenate([ks[:, 0], kmats[corner]])
     k2 = np.concatenate([ks[:, 1], kstar[corner]])
-    gens = {"k": kmats[np.concatenate([node, corner])], "k1": ksum - k2, "k2": k2}
+    gens = {"k": _take(kmats, np.concatenate([node, corner])), "k1": ksum - k2, "k2": k2}
     kept = _clamp(rates[keep][:, [1, 2, 0]])  # rows (r1, r2, r0)
     order = np.lexsort(kept.T[::-1])
-    return Frontier(kept[order], {name: g[order] for name, g in gens.items()}, meta)
+    return Frontier(kept[order], {name: _take(g, order) for name, g in gens.items()}, meta)
 
 
 def region_common_fixed(ch: GaussianBc, k, grid: GridSpec | None = None) -> Frontier:
     """Pareto surface of (R0, R1, R2) under covariance constraint ``k``.
 
     The ``chain_*`` grid of :func:`_common_triples` over the single
-    constraint ``k``; its max-R1 corner is :func:`wtc_capacity`.
+    constraint ``k``, passed as a stride-0 stack so that generator "k"
+    stores it once; its max-R1 corner is :func:`wtc_capacity`.
     """
     grid = grid or GridSpec()
     k = check_cov(ch, k)
@@ -935,7 +975,8 @@ def region_common_fixed(ch: GaussianBc, k, grid: GridSpec | None = None) -> Fron
         return _zero_frontier(k, ("k", "k1", "k2"), meta)
     dvals = diag_values(grid.chain_diag_steps)
     tab = grid_tables(ch.t, grid.chain_theta_steps, dvals, chained=True)
-    return _common_triples(ch, sqrt_factor(k)[None], k[None], tab, meta)
+    kmats = np.broadcast_to(k, (1,) + k.shape)
+    return _common_triples(ch, sqrt_factor(k)[None], kmats, tab, meta)
 
 
 def region_common_power(ch: GaussianBc, p: float, grid: GridSpec | None = None) -> Frontier:

@@ -9,7 +9,7 @@ sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
 
 from secbc import GridSpec, make_channel
 from secbc.matops import rotation
-from secbc.regions import _kstar_rates, _kstar_tails
+from secbc.regions import _kstar_consts, _kstar_rates, _kstar_tails
 
 from oracles import kstar_rates_oracle
 
@@ -78,7 +78,8 @@ def assert_kstar_rates(ch, p, x, tol):
     """_kstar_rates of rows ``x`` match the rate formulas row by row."""
     t = ch.t
     m = t * (t - 1) // 2
-    got = _kstar_rates(ch, p, x[:, :m], _kstar_tails(ch, p, x[:, m:]))
+    c = _kstar_consts(ch)
+    got = _kstar_rates(ch, c, x[:, :m], _kstar_tails(c, p, x[:, m:]))
     for row, (r1, w) in zip(x, got):
         ref = kstar_rates_oracle(ch.g1, ch.g2, p, rotation(row[:m], t), p * row[m:] ** 2)
         assert abs(r1 - ref[0]) <= tol

@@ -92,15 +92,34 @@ class TestFrontierColumns:
             region_common_fixed(example_channel, k, fast_grid),
             frontier_power(example_channel, 0.0, fast_grid),
         ):
-            pts = fr.points
-            assert pts is fr.points
+            pts = list(fr.points)
+            assert "points" not in vars(fr)  # built on each access, never stored
             names = ("r1", "r2", "r0")[: fr.rates.shape[1]]
             rows = np.array([[getattr(p, n) for n in names] for p in pts])
             assert rows.tobytes() == fr.rates.tobytes()
+            again = np.array([[getattr(p, n) for n in names] for p in fr.points])
+            assert again.tobytes() == rows.tobytes()
             for name, mats in fr.gens.items():
                 assert np.array([p.gen[name] for p in pts]).tobytes() == mats.tobytes()
             assert not np.signbit(fr.rates).any()  # clamped as max(0, r)
             assert rows.tolist() == sorted(rows.tolist())
+
+    def test_fixed_constraint_is_stored_once(self, example_channel, fast_grid, tmp_path):
+        # generator "k" repeats the constraint on every row: one stride-0
+        # view of it, written exactly as a materialized stack would be
+        from secbc.cli import emit_csv
+
+        k = np.diag([3.0, 2.0])
+        for fr in (
+            frontier_fixed_cov(example_channel, k, fast_grid),
+            region_common_fixed(example_channel, k, fast_grid),
+            region_common_power(make_channel([[2.0]], [[1.0]]), 4.0, fast_grid),
+        ):
+            assert len(fr.rates) > 1 and fr.gens["k"].strides[0] == 0
+            copy = regions.Frontier(fr.rates, {n: g.copy() for n, g in fr.gens.items()}, fr.meta)
+            emit_csv(fr, tmp_path / "view.csv")
+            emit_csv(copy, tmp_path / "copy.csv")
+            assert (tmp_path / "view.csv").read_bytes() == (tmp_path / "copy.csv").read_bytes()
 
 
 class TestFrontierFixedCov:
@@ -316,8 +335,10 @@ def materialized_zoom_sweep(ch, p, grid):
     t = ch.t
     m = t * (t - 1) // 2
 
+    c = regions._kstar_consts(ch)
+
     def evaluate(x):
-        return regions._kstar_rates(ch, p, x[:, :m], regions._kstar_tails(ch, p, x[:, m:]))
+        return regions._kstar_rates(ch, c, x[:, :m], regions._kstar_tails(c, p, x[:, m:]))
 
     u = diag_combos(np.linspace(0.0, 1.0, grid.trace_steps), t)
     x = regions._trace_grid(t, grid.theta_steps, u[np.sum(u * u, axis=1) <= 1.0])
