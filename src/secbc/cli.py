@@ -17,7 +17,8 @@ lower_snake_case.  Explicit flags override config-file values, --mode
 included.
 
 Exit codes: 0 success, 2 invalid configuration, 3 numerical failure.
-Every configuration check runs before any computation.
+Every configuration check runs before any computation; a flag or config
+field that the command does not read (see ``_MODES``) exits 2.
 """
 
 from __future__ import annotations
@@ -39,14 +40,13 @@ from .channel import GaussianBc, check_cov, make_channel
 from .dpc import dpc_identity_check, random_instances
 from .envelopes import EnvelopeWeights, v_eta, v_hat, v_tilde
 from .errors import SecbcError
-from .matops import SubCovParams, compose_sub_cov, decompose_sub_cov
+from .matops import ROUNDTRIP_TOL, SubCovParams, compose_sub_cov, decompose_sub_cov
 from .regions import Frontier
 from .sweeps import GridSpec
 
 __all__ = ["Inputs", "RunConfig", "main", "run", "emit_csv", "emit_svg", "parse_matrix"]
 
 DPC_GAP_TOL = 1e-9
-DECOMP_TOL = 1e-7
 # dpc-check and decomp-check draw their trials one by one, in seed order,
 # and score them in stacked batches of this size, so memory stays flat
 # in --trials.
@@ -173,11 +173,14 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError(f"config file {args.config} holds no JSON object")
         known = {f.name for f in fields(RunConfig)}
         for key, val in raw.items():
             if key not in known:
                 raise ValueError(f"unknown config field {key!r}")
-            values[key] = np.asarray(val, dtype=float) if key in _MATRIX_FIELDS else val
+            if val is not None:  # JSON null leaves the field unset
+                values[key] = np.asarray(val, dtype=float) if key in _MATRIX_FIELDS else val
     for f in fields(RunConfig):
         arg = getattr(args, f.name.replace("-", "_"), None)
         if arg is not None:
@@ -397,8 +400,8 @@ def _cmd_decomp_check(cfg: RunConfig, inp: None) -> int:
         f"decomp-check: {cfg.trials} round trips (dim {t}, seed {cfg.seed}), "
         f"max Frobenius residual = {worst:.3e} ({elapsed:.2f} s)"
     )
-    if worst > DECOMP_TOL:
-        print(f"FAILED: residual exceeds {DECOMP_TOL}", file=sys.stderr)
+    if worst > ROUNDTRIP_TOL:
+        print(f"FAILED: residual exceeds {ROUNDTRIP_TOL}", file=sys.stderr)
         return 3
     return 0
 
@@ -440,34 +443,41 @@ def _cmd_compare(cfg: RunConfig, inp: Inputs) -> int:
 
 
 class _Mode(NamedTuple):
-    """What one mode runs: its handler, the one constraint it accepts
-    (None: either), the files it writes (SVG plots 2-D frontiers only) and
-    the names of its :mod:`secbc.regions` builders under --power and
-    --covariance, looked up at call time.  The --power builder's grid is
-    checked against MAX_GRID_ROWS."""
+    """What one mode runs: its handler, the :class:`RunConfig` fields it
+    reads (:func:`_validate` rejects any other field that is set, the
+    constraint it does not accept included) and the names of its
+    :mod:`secbc.regions` builders under --power and --covariance, looked
+    up at call time.  The --power builder's grid is checked against
+    MAX_GRID_ROWS."""
 
     handler: Callable[[RunConfig, Inputs | None], int]
-    needs: str | None = None
-    writes: tuple = ()
+    reads: frozenset
     power: str | None = None
     covariance: str | None = None
 
+
+# The fields each mode reads.  A mode that takes a channel reads the gains
+# and all three grid steps as one group.  SVG plots 2-D frontiers only.
+_CHANNEL = frozenset({"g1", "g2", "grid_theta", "grid_d", "grid_trace"})
+_EITHER = _CHANNEL | {"power", "covariance", "out"}  # either constraint
+_POWER = _CHANNEL | {"power", "out", "svg"}  # --power only
+_CHECK = frozenset({"seed", "trials", "dim"})
 
 # Every mode.  The modes of _cmd_region are the --mode choices of the
 # region command; every other mode is its own command.  compare also
 # runs the both-confidential region, whose grid is no larger than that of
 # frontier_power; wtc --power builds no grid.
 _MODES = {
-    "no-common": _Mode(_cmd_region, None, ("out", "svg"), "frontier_power", "frontier_fixed_cov"),
-    "common": _Mode(_cmd_region, None, ("out",), "region_common_power", "region_common_fixed"),
-    "both-confidential": _Mode(
-        _cmd_region, "power", ("out", "svg"), "both_confidential_frontier"
+    "no-common": _Mode(_cmd_region, _EITHER | {"svg"}, "frontier_power", "frontier_fixed_cov"),
+    "common": _Mode(_cmd_region, _EITHER, "region_common_power", "region_common_fixed"),
+    "both-confidential": _Mode(_cmd_region, _POWER, "both_confidential_frontier"),
+    "wtc": _Mode(_cmd_wtc, _EITHER),
+    "dpc-check": _Mode(_cmd_dpc_check, _CHECK),
+    "decomp-check": _Mode(_cmd_decomp_check, _CHECK),
+    "envelope": _Mode(
+        _cmd_envelope, _CHANNEL | {"covariance", "eta", "lambda0", "lambda1", "lambda2", "alpha"}
     ),
-    "wtc": _Mode(_cmd_wtc, writes=("out",)),
-    "dpc-check": _Mode(_cmd_dpc_check),
-    "decomp-check": _Mode(_cmd_decomp_check),
-    "envelope": _Mode(_cmd_envelope, "covariance"),
-    "compare": _Mode(_cmd_compare, "power", ("out", "svg"), "frontier_power"),
+    "compare": _Mode(_cmd_compare, _POWER, "frontier_power"),
 }
 
 
@@ -491,16 +501,18 @@ def _validate(cfg: RunConfig) -> Inputs | None:
     mode = _MODES.get(cfg.mode)
     if mode is None:
         raise ValueError(f"unknown mode {cfg.mode!r}")
-    # JSON true/false are Python bools, which pass every check for a number.
-    for name in "power eta lambda0 lambda1 lambda2 alpha seed trials dim".split():
-        if isinstance(getattr(cfg, name), bool):
-            raise ValueError(f"{name} must be a number, got {getattr(cfg, name)!r}")
-    for flag in ("out", "svg"):
-        path = getattr(cfg, flag)
-        if path and flag not in mode.writes:
-            raise ValueError(f"{cfg.mode} writes no --{flag} file")
-        if path:
-            _writable(path)
+    for f in fields(RunConfig):
+        val = getattr(cfg, f.name)
+        # JSON true/false are Python bools, which pass every check for a number.
+        if isinstance(val, bool):
+            raise ValueError(f"{f.name} must not be a boolean, got {val!r}")
+        # A field is set when it differs from its default.
+        if f.name == "mode" or (val is None if f.default is None else val == f.default):
+            continue
+        if f.name not in mode.reads:
+            raise ValueError(f"{cfg.mode} takes no --{f.name.replace('_', '-')}")
+        if f.name in ("out", "svg"):
+            _writable(val)
     if cfg.mode in ("dpc-check", "decomp-check"):
         for name in ("trials", "dim", "seed"):
             val, least = getattr(cfg, name), 0 if name == "seed" else 1
@@ -509,8 +521,6 @@ def _validate(cfg: RunConfig) -> Inputs | None:
         return None
     ch = cfg.channel()
     power, cov = cfg.constraint(ch)
-    if mode.needs is not None and getattr(cfg, mode.needs) is None:
-        raise ValueError(f"{cfg.mode} needs --{mode.needs}")
     grid = cfg.grid()
     if power and mode.power:
         rows = regions._power_grid_rows(ch.t, grid)[mode.power]

@@ -157,6 +157,16 @@ def dpc_joint(inst: DpcInstance) -> JointGaussian:
     return _assemble_joint(inst.ch.g1, inst.ch.g2, inst.kv, inst.k1, inst.k2, a)
 
 
+def _binning_rate(joint: JointGaussian, constant: bool):
+    """I(U;Y1) - I(U;V) - I(U;Y2|V) of the binning scheme, V the ``vstar``
+    block.  A constant V has I(U;V) = 0 and conditioning on it is vacuous,
+    but the log-det oracle cannot divide by |K_V|: then I(U;Y1) - I(U;Y2)."""
+    rate = joint_mi(joint, "u", "y1")
+    if constant:
+        return rate - joint_mi(joint, "u", "y2")
+    return rate - joint_mi(joint, "u", "vstar") - joint_mi(joint, "u", "y2", "vstar")
+
+
 def _identity_sides(insts, constant: bool):
     """(lhs, rhs) arrays of the precoding identity over a list of instances."""
     g1 = np.stack([i.ch.g1 for i in insts])
@@ -173,19 +183,9 @@ def _identity_sides(insts, constant: bool):
     if np.any(np.linalg.eigvalsh(0.5 * (ku + np.swapaxes(ku, -1, -2))).min(axis=-1) <= 1e-12):
         raise DegenerateInstanceError("U = X2 + A V is degenerate")
     joint = _assemble_joint(g1, g2, kv, k1, k2, a)
-    if constant:
-        # Constant interference: conditioning on V is vacuous and
-        # I(U; V) = 0, but the log-det oracle cannot divide by |K_V|.
-        lhs = joint_mi(joint, "x2", "y1") - joint_mi(joint, "x2", "y2")
-        rhs = joint_mi(joint, "u", "y1") - joint_mi(joint, "u", "y2")
-    else:
-        lhs = joint_mi(joint, "x2", "y1", "vstar") - joint_mi(joint, "x2", "y2", "vstar")
-        rhs = (
-            joint_mi(joint, "u", "y1")
-            - joint_mi(joint, "u", "vstar")
-            - joint_mi(joint, "u", "y2", "vstar")
-        )
-    return lhs, rhs
+    given = () if constant else "vstar"  # see _binning_rate
+    lhs = joint_mi(joint, "x2", "y1", given) - joint_mi(joint, "x2", "y2", given)
+    return lhs, _binning_rate(joint, constant)
 
 
 def dpc_identity_check(inst):
@@ -242,16 +242,10 @@ def wtc_point_check(ch: GaussianBc, kstar, k=None) -> tuple[float, float]:
     # interference layer is X2 (cov kdiff) and there is no noise layer.
     joint = _assemble_joint(ch.g1, ch.g2, kdiff, np.zeros((t, t)), kstar, a)
     # Blocks now read: vstar = X2, x2 = X1, u = X1 + A X2.
-    if np.abs(kdiff).max() < 1e-14 or np.linalg.eigvalsh(kdiff).min() <= 1e-12:
-        if np.abs(kdiff).max() >= 1e-14:
-            raise DegenerateInstanceError("k - kstar is singular but nonzero")
-        achieved = joint_mi(joint, "u", "y1") - joint_mi(joint, "u", "y2")
-    else:
-        achieved = (
-            joint_mi(joint, "u", "y1")
-            - joint_mi(joint, "u", "vstar")
-            - joint_mi(joint, "u", "y2", "vstar")
-        )
+    constant = np.abs(kdiff).max() < 1e-14
+    if not constant and np.linalg.eigvalsh(kdiff).min() <= 1e-12:
+        raise DegenerateInstanceError("k - kstar is singular but nonzero")
+    achieved = _binning_rate(joint, constant)
     h1, h2 = half_log2_det(np.stack([ch.g1, ch.g2]), kstar)
     return achieved, float(h1 - h2)
 

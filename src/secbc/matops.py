@@ -54,7 +54,6 @@ __all__ = [
     "sqrt_factor",
     "sym_sqrt",
     "rotation",
-    "rotation_batch",
     "rotation_angles",
     "compose_sub_cov",
     "decompose_sub_cov",
@@ -232,47 +231,31 @@ def givens_pairs(t: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(t) for j in range(i + 1, t)]
 
 
-def rotation_batch(theta_cols, t: int) -> np.ndarray:
-    """Givens products of a batch of angle tuples, shape (n, t, t).
+def rotation(angles, t: int) -> np.ndarray:
+    """Givens product of one angle tuple (t, t), or of a stack (..., t, t).
 
-    Row k of ``theta_cols`` holds the t(t-1)/2 angles of one product,
-    one per index pair (i, j), i < j, in lex order; the factors are
-    multiplied in that order.  For t = 2 this is the plane rotation.
+    ``angles`` must end in an axis of t(t-1)/2 values, one per index pair
+    (i, j), i < j, in lex order; the factors are multiplied in that order.
+    For t = 2 this is the plane rotation by ``angles[..., 0]``.
     """
-    theta_cols = np.atleast_2d(np.asarray(theta_cols, dtype=float))
-    n = theta_cols.shape[0]
+    angles = np.atleast_1d(np.asarray(angles, dtype=float))
     pairs = givens_pairs(t)
-    if theta_cols.shape[1] != len(pairs):
-        raise ValueError("angle tuple length does not match dimension")
-    cos, sin = np.cos(theta_cols), np.sin(theta_cols)
-    out = None
+    m = len(pairs)
+    if angles.shape[-1] != m:
+        raise ValueError(f"expected {m} angles for t={t}, got {angles.shape[-1]}")
+    lead = angles.shape[:-1]
+    n = math.prod(lead)
+    flat = angles.reshape(n, m)
+    cos, sin = np.cos(flat), np.sin(flat)
+    out = np.ones((n, 1, 1))  # t = 1 has no angles
     for k, (i, j) in enumerate(pairs):
         g = np.empty((n, t, t))
         g[:] = np.eye(t)
         g[:, i, i] = g[:, j, j] = cos[:, k]
         g[:, i, j] = -sin[:, k]
         g[:, j, i] = sin[:, k]
-        out = g if out is None else out @ g
-    if out is None:  # t = 1 has no angles
-        out = np.ones((n, 1, 1))
-    return out
-
-
-def rotation(angles, t: int) -> np.ndarray:
-    """Givens product of one angle tuple (t, t), or of a stack (..., t, t).
-
-    ``angles`` must end in an axis of t(t-1)/2 values, one per pair
-    (i, j) with i < j; see :func:`rotation_batch`.  For t = 2 this is the
-    plane rotation by ``angles[..., 0]``.
-    """
-    angles = np.asarray(angles, dtype=float)
-    if angles.ndim == 0:
-        angles = angles.reshape(1)
-    m = t * (t - 1) // 2
-    if angles.shape[-1] != m:
-        raise ValueError(f"expected {m} angles for t={t}, got {angles.shape[-1]}")
-    lead = angles.shape[:-1]
-    return rotation_batch(angles.reshape(math.prod(lead), m), t).reshape(lead + (t, t))
+        out = g if k == 0 else out @ g
+    return out.reshape(lead + (t, t))
 
 
 def rotation_angles(v: np.ndarray) -> np.ndarray:

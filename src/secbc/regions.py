@@ -72,6 +72,7 @@ from .matops import gram, half_log2, half_log2_det, sqrt_factor, sym_sqrt
 from .sweeps import (
     GridSpec,
     canonical_angles,
+    canonical_steps,
     chained_factors,
     children_factors,
     contractions,
@@ -528,8 +529,8 @@ def _power_grid_rows(t: int, grid: GridSpec) -> dict:
     """
     m = t * (t - 1) // 2
 
-    def angles(steps):  # len of the angle tuples, as canonical_angles gives them
-        return steps // math.gcd(2, steps) if t == 2 else steps**m
+    def angles(steps):  # angle tuples of one level, as _trace_grid builds them
+        return canonical_steps(t, steps, _angle_span(t)) ** m
 
     manifold = angles(grid.theta_steps) * math.comb(grid.trace_steps + t - 2, t - 1)
     kstar = angles(grid.theta_steps) * grid.trace_steps**t

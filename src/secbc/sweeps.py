@@ -75,16 +75,16 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .matops import _half_log2_det_of, rotation_batch
+from .matops import _half_log2_det_of, rotation
 
 __all__ = [
     "GridSpec",
     "theta_values",
     "canonical_angles",
+    "canonical_steps",
     "diag_values",
     "diag_combos",
     "diag_values_sqrt",
-    "rotation_batch",
     "GridTables",
     "grid_tables",
     "grid_params",
@@ -174,8 +174,12 @@ def canonical_angles(t: int, steps: int, full: float) -> np.ndarray:
     """
     if t != 2:
         return theta_values(steps, full)
-    quarters = round(full / (0.5 * math.pi))
-    return theta_values(steps // math.gcd(quarters, steps), 0.5 * math.pi)
+    return theta_values(canonical_steps(t, steps, full), 0.5 * math.pi)
+
+
+def canonical_steps(t: int, steps: int, full: float) -> int:
+    """How many angles :func:`canonical_angles` keeps, counted without building them."""
+    return steps // math.gcd(round(full / (0.5 * math.pi)), steps) if t == 2 else steps
 
 
 def diag_values(steps: int) -> np.ndarray:
@@ -302,7 +306,7 @@ def _cached_tables(t: int, theta_steps: int, dbytes: bytes, chained: bool) -> Gr
     """The :func:`grid_tables` of the scaling values held in ``dbytes``."""
     dvals = np.frombuffer(dbytes)
     tuples = diag_combos(theta_values(theta_steps), t * (t - 1) // 2)
-    rots = rotation_batch(tuples, t)
+    rots = rotation(tuples, t)
     cls = _class_ids(rots)
     _, first = np.unique(cls, return_index=True)
     keep = outer = np.sort(first)
@@ -464,7 +468,7 @@ def simplex_grid(t: int, total: float, steps: int) -> np.ndarray:
 def contractions(params: np.ndarray, t: int) -> np.ndarray:
     """The contraction V(angles) diag(sqrt(d)) of each row (angles, d) of a grid level."""
     m = t * (t - 1) // 2
-    return rotation_batch(params[:, :m], t) * np.sqrt(params[:, None, m:])
+    return rotation(params[:, :m], t) * np.sqrt(params[:, None, m:])
 
 
 def chained_factors(b0: np.ndarray, cs: np.ndarray) -> np.ndarray:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +115,13 @@ class TestExitCodes:
             ["region", "--power", "4", *GAINS_T3],
             ["region", "--mode", "common", "--power", "4", *GAINS_T3],
             ["region", "--mode", "both-confidential", "--power", "4", *GAINS_T3],
+            # flags the command does not read
+            ["dpc-check", "--trials", "3", "--g1", "1", "--power", "5", "--eta", "1.5",
+             "--grid-theta", "4"],
+            ["region", "--covariance", "6,0;0,6", "--eta", "1.9", "--trials", "7",
+             "--seed", "3", "--lambda0", "2"],
+            ["wtc", "--covariance", "6,0;0,6", "--alpha", "0.3", "--dim", "9"],
+            ["compare", "--power", "4", "--lambda2", "3"],
         ],
     )
     def test_bad_configuration_exits_2(self, argv, tmp_path, capsys):
@@ -149,6 +157,57 @@ class TestExitCodes:
         path.write_text(json.dumps({"g1": EXAMPLE_G1, "g2": EXAMPLE_G2, **field}))
         assert main([command, "--config", str(path)]) == 2
         assert "invalid configuration" in capsys.readouterr().err
+
+    # A value other than its RunConfig default for every field.
+    SET_VALUES = {
+        "g1": EXAMPLE_G1, "g2": EXAMPLE_G2, "power": 4.0, "covariance": [[6, 0], [0, 6]],
+        "grid_theta": 5, "grid_d": 5, "grid_trace": 5, "eta": 1.5, "lambda0": 2.0,
+        "lambda1": 1.0, "lambda2": 0.5, "alpha": 0.3, "seed": 3, "trials": 7, "dim": 3,
+        "out": "{dir}/x.csv", "svg": "{dir}/x.svg",
+    }
+
+    def test_reads_are_config_fields(self):
+        names = {f.name for f in fields(RunConfig)}
+        assert set(self.SET_VALUES) == names - {"mode"}
+        for mode in cli._MODES.values():
+            assert mode.reads <= names - {"mode"}
+
+    @pytest.mark.parametrize(
+        "mode, field",
+        [
+            (name, f.name)
+            for name, mode in cli._MODES.items()
+            for f in fields(RunConfig)
+            if f.name != "mode" and f.name not in mode.reads
+        ],
+    )
+    def test_unread_field_exits_2(self, mode, field, tmp_path, monkeypatch, capsys):
+        command = cli._command(mode)
+        cfg = {"mode": mode} if command == "region" else {}
+        if "g1" in cli._MODES[mode].reads:
+            constraint = "covariance" if mode == "envelope" else "power"
+            cfg.update(g1=EXAMPLE_G1, g2=EXAMPLE_G2, **{constraint: self.SET_VALUES[constraint]})
+        path = tmp_path / "run.json"
+        argv = [command, "--config", str(path)]
+        path.write_text(json.dumps(cfg))
+        monkeypatch.setattr(cli, "run", lambda cfg, inputs: 0)
+        assert main(argv) == 0  # the smallest valid config of the mode
+        monkeypatch.undo()
+        value = self.SET_VALUES[field]
+        cfg[field] = value.replace("{dir}", str(tmp_path)) if isinstance(value, str) else value
+        path.write_text(json.dumps(cfg))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"invalid configuration: {mode} takes no --{field.replace('_', '-')}" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+    @pytest.mark.parametrize("body", ["[1, 2]", '"text"', "null", "5"])
+    def test_config_without_an_object_exits_2(self, body, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(body)
+        assert main(["region", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -341,6 +400,13 @@ class TestRegionCommand:
         path.write_text(json.dumps(cfg))
         assert main(["region", "--config", str(path)]) == 0
         assert (tmp_path / "cfg.csv").exists()
+
+    def test_config_null_leaves_a_field_unset(self, tmp_path, capsys):
+        cfg = {"g1": EXAMPLE_G1, "g2": EXAMPLE_G2, "power": 3, "covariance": None, "seed": None}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["region", "--config", str(path), *FAST]) == 0
+        assert "max R1" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "mode, flags, header",
@@ -535,6 +601,12 @@ class TestGridLimit:
         deep_t3 = GridSpec(deep_theta_steps=4, deep_diag_steps=2, deep_trace_steps=3)
         assert regions._power_grid_rows(3, deep_t3)["region_common_power"] <= cli.MAX_GRID_ROWS
         assert min(regions._power_grid_rows(3, GridSpec()).values()) > cli.MAX_GRID_ROWS
+
+    def test_huge_steps_are_counted_not_built(self, capsys):
+        # an angle table of 5e14 entries would not fit in memory
+        argv = ["region", "--power", "4", "--g1", G1_ARG, "--g2", G2_ARG]
+        assert main(argv + ["--grid-theta", str(10**15)]) == 2
+        assert "more than" in capsys.readouterr().err
 
     def test_zero_power_builds_no_grid(self):
         # p = 0 returns before any grid, so the t = 3 default grid is fine

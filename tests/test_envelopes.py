@@ -25,7 +25,6 @@ from secbc.sweeps import (
     diag_combos,
     diag_values_sqrt,
     layered_value_grad,
-    rotation_batch,
     spg_max,
     theta_values,
 )
@@ -368,7 +367,7 @@ class TestT3Grids:
         k = random_spd(rng, 3, scale=3.0)
         tuples = diag_combos(theta_values(steps), 3)
         combos = diag_combos(diag_values_sqrt(3), 3)
-        factors = children_factors(sqrt_factor(k)[None], rotation_batch(tuples, 3), combos)
+        factors = children_factors(sqrt_factor(k)[None], rotation(tuples, 3), combos)
         h1, h2 = (half_log2_det(g, gram(factors)) for g in (ch.g1, ch.g2))
         grid = GridSpec(theta_steps=steps, diag_steps=3, refine_iters=0)
         res = v_eta(ch, k, 1.2, grid)

@@ -10,7 +10,7 @@ from scipy.spatial import cKDTree
 
 from secbc import EnvelopeWeights, GridSpec, make_channel, v_eta, v_hat, v_tilde
 from secbc import envelopes, regions, sweeps
-from secbc.matops import gram
+from secbc.matops import gram, rotation
 from secbc.sweeps import (
     canonical_angles,
     children_factors,
@@ -20,7 +20,6 @@ from secbc.sweeps import (
     grid_tables,
     pair_dets,
     pair_dets_rows,
-    rotation_batch,
     simplex_grid,
     theta_values,
     top_k_bounded,
@@ -150,7 +149,7 @@ class TestTupleTables:
 
 def gram_set(angles, tails):
     """Every V(theta) diag(e) V^T of ``angles`` x ``tails``, rounded to 1e-9."""
-    v = rotation_batch(angles[:, None], 2)
+    v = rotation(angles[:, None], 2)
     grams = np.einsum("aij,nj,akj->anik", v, tails, v)
     return {tuple(g) for g in np.round(grams.reshape(-1, 4), 9) + 0.0}
 
@@ -181,7 +180,7 @@ def full_table(t, steps):
     """Every angle tuple of the [0, 2 pi) lattice and its rotation: the
     grid table before rotation classes."""
     tuples = diag_combos(theta_values(steps), t * (t - 1) // 2)
-    return tuples, rotation_batch(tuples, t)
+    return tuples, rotation(tuples, t)
 
 
 def gram_rows(factors):
@@ -250,7 +249,7 @@ class TestRotationClasses:
         tab = grid_tables(t, steps, diag_values(3), chained=True)
         for got in (tab.tuples, tab.outer_tuples):
             assert got.tobytes() == tuples.tobytes()
-        assert tab.rots.tobytes() == tab.outer_rots.tobytes() == rotation_batch(tuples, t).tobytes()
+        assert tab.rots.tobytes() == tab.outer_rots.tobytes() == rotation(tuples, t).tobytes()
 
     @pytest.mark.parametrize(
         "t,steps,closed", [(2, 3, True), (2, 6, True), (3, 3, True), (3, 4, True), (3, 6, True),
