@@ -131,6 +131,14 @@ def check_cov(ch: GaussianBc, k, name: str = "k") -> np.ndarray:
     return k
 
 
+def check_power(p) -> float:
+    """``p`` as a float once it is a finite, nonnegative power budget:
+    the one check of every power argument."""
+    if not (math.isfinite(p) and p >= 0):
+        raise ValueError("power must be finite and nonnegative")
+    return float(p)
+
+
 def mi_xy(ch: GaussianBc, kx, receiver: int) -> float:
     """I(X; Y_receiver) in bits for Gaussian X with covariance ``kx``."""
     kx = check_cov(ch, kx, "kx")

@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 import time
@@ -36,7 +35,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import regions
-from .channel import GaussianBc, check_cov, make_channel
+from .channel import GaussianBc, check_cov, check_power, make_channel
 from .dpc import dpc_identity_check, random_instances
 from .envelopes import EnvelopeWeights, v_eta, v_hat, v_tilde
 from .errors import SecbcError
@@ -51,12 +50,13 @@ DPC_GAP_TOL = 1e-9
 # and score them in stacked batches of this size, so memory stays flat
 # in --trials.
 CHECK_CHUNK = 128
-# Most grid rows a power-constrained region may build (see
-# regions._power_grid_rows; wtc --power builds none).  The largest grid of
-# the tests, the output comparison script and the benchmark is the t = 3
-# K* grid at theta_steps = 8, trace_steps = 9 (373 248 rows); a t = 3
-# manifold scan of this many rows takes about 0.4 GB.  The t = 3 default
-# grids hold 562 million rows and more.
+# Most rows the largest table of a sweep may hold (see regions._grid_rows;
+# wtc builds none).  The largest grid of the tests, the output comparison
+# script and the benchmark is the t = 3 K* grid at theta_steps = 8,
+# trace_steps = 9 (373 248 rows); a t = 3 manifold scan of this many rows
+# takes about 0.4 GB.  At t = 3 the default grids of the power regions
+# hold 562 million rows and more, the chained ones about 3 million outer
+# rows and more; the single-level ones, 262 144 angle tuples, pass.
 MAX_GRID_ROWS = 1 << 19
 
 
@@ -115,35 +115,37 @@ class RunConfig:
             raise ValueError("this command needs --g1 and --g2")
         return make_channel(self.g1, self.g2)
 
-    def constraint(self, ch: GaussianBc):
-        """(power, None) or (None, covariance), checked against ``ch``."""
+    def constraint(self, ch: GaussianBc, reads: frozenset):
+        """(power, None) or (None, covariance), checked against ``ch``;
+        a missing constraint names the flags in ``reads``."""
         if (self.power is None) == (self.covariance is None):
-            raise ValueError("give exactly one of --power / --covariance")
+            flags = [f"--{name}" for name in ("power", "covariance") if name in reads]
+            if len(flags) > 1:
+                raise ValueError(f"give exactly one of {' / '.join(flags)}")
+            raise ValueError(f"{self.mode} needs {flags[0]}")
         if self.power is not None:
-            if not math.isfinite(self.power) or self.power < 0:
-                raise ValueError("power must be finite and nonnegative")
-            return float(self.power), None
+            return check_power(self.power), None
         return None, check_cov(ch, self.covariance, "covariance")
 
     def envelope(self) -> tuple[str, EnvelopeWeights]:
         """(level, weights) of the ``envelope`` command.
 
-        lambda0 picks v_tilde (which needs lambda0 > lambda2), lambda1 or
-        lambda2 picks v_hat, and eta alone v_eta (which needs eta >= 1).
+        lambda0 picks v_tilde, lambda1 or lambda2 picks v_hat, and eta
+        alone v_eta; the weights must suit the level
+        (:meth:`EnvelopeWeights.check_level`).
         """
         names = ("lambda0", "lambda1", "lambda2", "eta", "alpha")
         w = EnvelopeWeights(
             **{n: getattr(self, n) for n in names if getattr(self, n) is not None}
         )
         if self.lambda0 is not None:
-            if w.lambda0 <= w.lambda2:
-                raise ValueError("v_tilde needs lambda0 > lambda2")
-            return "v_tilde", w
-        if self.lambda1 is not None or self.lambda2 is not None:
-            return "v_hat", w
-        if w.eta < 1.0:
-            raise ValueError("v_eta needs eta >= 1")
-        return "v_eta", w
+            level = "v_tilde"
+        elif self.lambda1 is not None or self.lambda2 is not None:
+            level = "v_hat"
+        else:
+            level = "v_eta"
+        w.check_level(level)
+        return level, w
 
 
 class Inputs(NamedTuple):
@@ -447,8 +449,8 @@ class _Mode(NamedTuple):
     reads (:func:`_validate` rejects any other field that is set, the
     constraint it does not accept included) and the names of its
     :mod:`secbc.regions` builders under --power and --covariance, looked
-    up at call time.  The --power builder's grid is checked against
-    MAX_GRID_ROWS."""
+    up at call time.  The grid of the builder that runs (for
+    ``envelope``, of its level) is checked against MAX_GRID_ROWS."""
 
     handler: Callable[[RunConfig, Inputs | None], int]
     reads: frozenset
@@ -520,16 +522,18 @@ def _validate(cfg: RunConfig) -> Inputs | None:
                 raise ValueError(f"{name} must be an integer >= {least}, got {val!r}")
         return None
     ch = cfg.channel()
-    power, cov = cfg.constraint(ch)
+    power, cov = cfg.constraint(ch, mode.reads)
     grid = cfg.grid()
-    if power and mode.power:
-        rows = regions._power_grid_rows(ch.t, grid)[mode.power]
+    envelope = cfg.envelope() if cfg.mode == "envelope" else None
+    builder = envelope[0] if envelope else mode.power if cov is None else mode.covariance
+    # Zero power returns before any grid is built.
+    if builder and power != 0:
+        rows = regions._grid_rows(ch.t, grid)[builder]
         if rows > MAX_GRID_ROWS:
             raise ValueError(
                 f"the {cfg.mode} grid at t = {ch.t} has {rows} rows, more than "
                 f"{MAX_GRID_ROWS}; lower the --grid-* steps"
             )
-    envelope = cfg.envelope() if cfg.mode == "envelope" else None
     return Inputs(ch, power, cov, grid, envelope)
 
 

@@ -75,14 +75,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import GaussianBc, check_cov, make_channel, mi_xy
-from .matops import gram, half_log2, logdet2, sqrt_factor
+from .matops import chained_factors, contractions, gram, half_log2, logdet2, sqrt_factor
 from .sweeps import (
     LIFT,
     STARTS,
     GridSpec,
-    chained_factors,
     children_factors,
-    contractions,
     det_i_plus_gram,
     diag_values_sqrt,
     grid_params,
@@ -114,8 +112,8 @@ class EnvelopeWeights:
 
     All lambdas must be positive and finite, and eta must lie in (0, 2);
     eta > 1 is the regime of the boundedness results, smaller values are
-    allowed for convexity scans.  ``lambda0 > lambda2`` is additionally
-    required by the level-3 computations and checked there.
+    allowed for convexity scans.  Each envelope level adds its own rule
+    (:meth:`check_level`).
     """
 
     lambda0: float = 2.0
@@ -132,6 +130,21 @@ class EnvelopeWeights:
             raise ValueError("eta must lie in (0, 2)")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
+
+    def check_level(self, level: str) -> None:
+        """Raise ValueError unless the weights suit the envelope ``level``:
+        "v_eta" needs eta >= 1, "v_tilde" (and :func:`f_value`) needs
+        lambda0 > lambda2, and "v_hat" takes any weights."""
+        if level == "v_eta":
+            _check_eta(self.eta)
+        elif level == "v_tilde" and not self.lambda0 > self.lambda2:
+            raise ValueError("level-3 computations require lambda0 > lambda2")
+
+
+def _check_eta(eta: float) -> None:
+    """The rule of the level-1 envelope: eta >= 1."""
+    if not eta >= 1.0:
+        raise ValueError("v_eta requires eta >= 1")
 
 
 @dataclass
@@ -281,8 +294,8 @@ def _layered_max(ch: GaussianBc, k, outer, inner: float, eta: float, grid):
         )
         scored = n_rows
     m = t * (t - 1) // 2
-    params = grid_params(tab, flat, levels).reshape(-1, m + t)
-    seeds = contractions(params, t).reshape(-1, levels, t, t)
+    params = grid_params(tab, flat, levels).reshape(-1, levels, m + t)
+    seeds = contractions(params, t)
     weights = np.array([*outer, (-inner * eta, inner)], dtype=float)
     value_grad = layered_value_grad(np.stack(gains), b0, weights)
     gridded = time.perf_counter()
@@ -304,9 +317,9 @@ def _layered_max(ch: GaussianBc, k, outer, inner: float, eta: float, grid):
         # gradient vanishes there (the innermost level always), so only the
         # copy can reach an optimum of higher rank than the node.
         starts = seeds
-        lifted = params[:levels].copy()
+        lifted = params[0].copy()
         lifted[:, m:] = np.maximum(lifted[:, m:], LIFT)
-        if (lifted != params[:levels]).any():
+        if (lifted != params[0]).any():
             starts = np.concatenate([starts, contractions(lifted, t)[None]])
         extra = _spectral_seeds(ch, b0, eta, levels)
         if len(extra):
@@ -344,8 +357,7 @@ def v_eta(ch: GaussianBc, k, eta: float, grid: GridSpec | None = None) -> Envelo
     ``eta`` must be >= 1 (equality is the direct continuity evaluation).
     One level: no outer weights, inner weight 1.
     """
-    if eta < 1.0:
-        raise ValueError("v_eta requires eta >= 1")
+    _check_eta(eta)
     return _layered_max(ch, k, [], 1.0, eta, grid or GridSpec())
 
 
@@ -389,8 +401,7 @@ def f_value(
     (lam2 - (1-alpha)*lam0)*I(X;Y2) - alpha*lam0*I(X;Y1) plus the level-2
     envelope of the input's covariance.  Requires lambda0 > lambda2.
     """
-    if w.lambda0 <= w.lambda2:
-        raise ValueError("level-3 computations require lambda0 > lambda2")
+    w.check_level("v_tilde")
     abar = 1.0 - w.alpha
     return (
         (w.lambda2 - abar * w.lambda0) * mi_xy(ch, kx, 2)
@@ -409,8 +420,7 @@ def v_tilde(
     (-alpha*lam0, lam2 - (1-alpha)*lam0) and (lam1, -(lam1+lam2)), inner
     weight lam1; argmax_splits holds [K1, K2, K3].
     """
-    if w.lambda0 <= w.lambda2:
-        raise ValueError("level-3 computations require lambda0 > lambda2")
+    w.check_level("v_tilde")
     lam0, lam1, lam2, alpha = w.lambda0, w.lambda1, w.lambda2, w.alpha
     outer = [(-alpha * lam0, lam2 - (1.0 - alpha) * lam0), (lam1, -(lam1 + lam2))]
     return _layered_max(ch, k, outer, lam1, w.eta, grid or GridSpec())

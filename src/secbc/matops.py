@@ -4,14 +4,18 @@ Every covariance that enters a rate formula is a real symmetric positive
 semidefinite (PSD) matrix.  This module provides the ordering test, the
 base-2 log-determinant, the checked rate kernel, square-root factors
 (Cholesky, or the symmetric eigen square root of a singular matrix),
-Givens rotation products and the (angles, diagonal scalings)
-parameterization of all sub-covariances ``K* ⪯ K``:
+Givens rotation products and the one map of (angles, diagonal scalings
+d in [0, 1]) to all sub-covariances ``K* ⪯ K``, which turns the
+matrix-ordered feasible set into a box that grids can sweep:
 
-    K* = K^{1/2} V D V^T (K^{1/2})^T,   V = rotation(angles),  D = diag(d),
+    K* = B C C^T B^T,   C = rotation(angles) diag(sqrt(d)),   B B^T = K.
 
-with every diagonal scaling in [0, 1].  The parameterization turns the
-matrix-ordered feasible set into a box, which is what makes grid sweeps of
-rate regions tractable.
+:func:`contractions` forms C, :func:`chained_factors` the factors
+B_l = B_{l-1} C_l of nested K_L ⪯ ... ⪯ K_1 ⪯ B_0 B_0^T, and
+:func:`compose_sub_cov` the one-level chain from B = sqrt_factor(K)
+(:func:`decompose_sub_cov` inverts it).  Every grid, polish seed and
+generator matrix of the package is built by this product, so a scored
+factor and the matrix written out share their bits.
 
 Every rate term 0.5 log2 det(I + G K G^T) comes from :func:`half_log2_det`
 (whose log-determinant and check :func:`secbc.sweeps.layered_value_grad`
@@ -55,6 +59,8 @@ __all__ = [
     "sym_sqrt",
     "rotation",
     "rotation_angles",
+    "contractions",
+    "chained_factors",
     "compose_sub_cov",
     "decompose_sub_cov",
     "validate_psd",
@@ -289,6 +295,32 @@ def rotation_angles(v: np.ndarray) -> np.ndarray:
     return np.mod(angles, 2.0 * math.pi)
 
 
+def contractions(params: np.ndarray, t: int) -> np.ndarray:
+    """V(angles) diag(sqrt(d)) (..., t, t) of rows (angles, d) (..., t(t-1)/2 + t)."""
+    m = t * (t - 1) // 2
+    return rotation(params[..., :m], t) * np.sqrt(params[..., None, m:])
+
+
+def chained_factors(b0: np.ndarray, cs: np.ndarray) -> np.ndarray:
+    """B_l = B_{l-1} C_l for contraction chains ``cs`` (S, L, t, t).
+
+    ``b0`` is one root B_0 (t, t) or one per chain (S, t, t); returns
+    (S, L, t, t), level 0 the outermost.
+    """
+    return _chain(b0, cs)[:, 1:]
+
+
+def _chain(b0: np.ndarray, cs: np.ndarray) -> np.ndarray:
+    """B_0, B_1, ..., B_L of :func:`chained_factors` as one (S, L + 1, t, t) array."""
+    n, levels = cs.shape[:2]
+    out = np.empty((n, levels + 1) + cs.shape[2:])
+    out[:, 0] = b = b0
+    for lev in range(levels):
+        b = b @ cs[:, lev]
+        out[:, lev + 1] = b
+    return out
+
+
 @dataclass(frozen=True)
 class SubCovParams:
     """Rotation angles plus diagonal scalings describing some ``K* ⪯ K``.
@@ -324,7 +356,7 @@ class SubCovParams:
 
 
 def compose_sub_cov(k, p: SubCovParams) -> np.ndarray:
-    """Evaluate the parameterization: ``K^{1/2} V D V^T (K^{1/2})^T``.
+    """Evaluate the parameterization: ``gram(sqrt_factor(k) @ contractions(p))``.
 
     ``k`` is one constraint (t, t) or a stack (..., t, t), and ``p`` one
     parameter set or a stack; their leading axes broadcast.  Every
@@ -333,10 +365,8 @@ def compose_sub_cov(k, p: SubCovParams) -> np.ndarray:
     k = validate_psd_stack(k, name="k")
     if p.dim != k.shape[-1]:
         raise ValueError(f"params are for t={p.dim}, matrix is {k.shape[-1]}")
-    b = sqrt_factor(k)
-    w = b @ rotation(p.angles, p.dim)
-    out = (w * p.diag[..., None, :]) @ np.swapaxes(w, -1, -2)
-    return 0.5 * (out + np.swapaxes(out, -1, -2))
+    rows = np.concatenate([p.angles, p.diag], axis=-1)
+    return gram(sqrt_factor(k) @ contractions(rows, p.dim))
 
 
 def decompose_sub_cov(k, kstar) -> SubCovParams:

@@ -14,7 +14,7 @@ generating covariances:
 
 Every covariance under the power constraint is K = V diag(e) V^T, a
 Givens product V of angles and eigenvalues e >= 0, built from rows
-(angles, e) by one factor builder (:func:`secbc.sweeps.contractions`).  Its grids
+(angles, e) by one factor builder (:func:`secbc.matops.contractions`).  Its grids
 cross the angle tuples with a table of eigenvalue rows
 (:func:`_trace_grid`), and there are two such tables: the trace-P
 simplex (``simplex_grid``) for the constraint matrices of the
@@ -67,15 +67,23 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import GaussianBc, check_cov
-from .matops import gram, half_log2, half_log2_det, sqrt_factor, sym_sqrt
+from .channel import GaussianBc, check_cov, check_power
+from .matops import (
+    SubCovParams,
+    chained_factors,
+    compose_sub_cov,
+    contractions,
+    gram,
+    half_log2,
+    half_log2_det,
+    sqrt_factor,
+    sym_sqrt,
+)
 from .sweeps import (
     GridSpec,
     canonical_angles,
     canonical_steps,
-    chained_factors,
     children_factors,
-    contractions,
     det_i_plus_gram,
     diag_combos,
     diag_values,
@@ -346,12 +354,6 @@ def _meta(ch: GaussianBc, grid: GridSpec, mode: str, k=None, p=None) -> dict:
     return {"kind": kind, "mode": mode, key: val, "channel": (ch.g1, ch.g2), "grid": grid}
 
 
-def _check_power(p) -> None:
-    """Reject a negative, nan or infinite power budget before any compute."""
-    if not (math.isfinite(p) and p >= 0):
-        raise ValueError("power must be finite and nonnegative")
-
-
 def _wtc_pencil(ch: GaussianBc, k):
     """The wiretap pencil of ``k`` (one (t, t) or a batch (..., t, t)).
 
@@ -470,8 +472,8 @@ def frontier_fixed_cov(ch: GaussianBc, k, grid: GridSpec | None = None) -> Front
         np.concatenate(col) for col in zip(*map(front, row_blocks(len(tab.rots), nd)))
     )
     keep = np.flatnonzero(_pareto_mask(r1, r2))
-    cs = contractions(grid_params(tab, flat[keep], 1), t)
-    kstars = gram(chained_factors(b0, cs[:, None])[:, 0])
+    nodes = grid_params(tab, flat[keep], 1)
+    kstars = compose_sub_cov(k, SubCovParams(nodes[:, :-t], nodes[:, -t:]))
 
     rmax, kstar = _wtc_gevd(ch, k)
     r2_at = c2k - half_log2_det(ch.g2, kstar)
@@ -512,37 +514,45 @@ def _manifold_scan(t: int, p: float, grid: GridSpec) -> np.ndarray:
     return gram(contractions(x, t))
 
 
-def _power_grid_rows(t: int, grid: GridSpec) -> dict:
-    """Rows of the largest grid each power-constrained region builds, by name.
+def _grid_rows(t: int, grid: GridSpec) -> dict:
+    """Rows of the largest table each grid-building function holds, by name.
 
-    Counted from the table sizes alone, so nothing is allocated: a
-    :func:`_trace_grid` has one row per angle tuple and eigenvalue row.
-    ``both_confidential_frontier`` holds the trace-p simplex manifold;
-    ``frontier_power`` the coarse K* grid, counted before its cut to the
-    u-ball (``trace_steps``^t rows, never fewer than the manifold's);
-    ``region_common_power`` holds the outer rows of its chained grid,
-    counted over the whole rotation lattice (manifold nodes x
-    ``deep_theta_steps``^m x ``deep_diag_steps``^t), or at t = 1 the
-    ``chain_diag_steps`` outer rows of its one constraint.  The counts
-    are exact or, where noted, upper bounds.  ``wtc_capacity_power``
-    builds no grid.
+    Counted from the table sizes alone, so nothing is allocated; the
+    counts are exact or upper bounds.  A single-level sweep streams its
+    nodes, so it holds the angle tuples of the whole lattice and the
+    scaling tuples.  A chained sweep holds its outer rows (one rotation
+    per class at t <= 2, the whole lattice at t = 3): one level for
+    ``region_common_fixed`` and ``v_hat``, two for ``v_tilde``, and one
+    per manifold node for ``region_common_power`` (at t = 1 it runs
+    ``region_common_fixed``).  ``both_confidential_frontier`` holds the
+    trace-p simplex manifold and ``frontier_power`` the coarse K* grid
+    before its cut to the u-ball (``trace_steps``^t rows, never fewer
+    than the manifold's), one row per angle tuple and eigenvalue row.
+    The wiretap capacities build no grid.
     """
     m = t * (t - 1) // 2
 
-    def angles(steps):  # angle tuples of one level, as _trace_grid builds them
-        return canonical_steps(t, steps, _angle_span(t)) ** m
+    def angles(steps, span):  # angle tuples of one level, one per matrix at t = 2
+        return canonical_steps(t, steps, span) ** m
 
-    manifold = angles(grid.theta_steps) * math.comb(grid.trace_steps + t - 2, t - 1)
-    kstar = angles(grid.theta_steps) * grid.trace_steps**t
-    if t == 1:
-        common = grid.chain_diag_steps
-    else:
-        nodes = angles(grid.deep_theta_steps) * math.comb(grid.deep_trace_steps + t - 2, t - 1)
-        common = nodes * grid.deep_theta_steps**m * grid.deep_diag_steps**t
+    def outer(steps, dsteps):  # rows of one outer level of a chained grid
+        return angles(steps, 2.0 * math.pi) * dsteps**t
+
+    chain = outer(grid.chain_theta_steps, grid.chain_diag_steps)
+    deep = outer(grid.deep_theta_steps, grid.deep_diag_steps)
+    single = max(grid.theta_steps**m, grid.diag_steps**t)
+    span = _angle_span(t)
+    manifold = angles(grid.theta_steps, span) * math.comb(grid.trace_steps + t - 2, t - 1)
+    nodes = angles(grid.deep_theta_steps, span) * math.comb(grid.deep_trace_steps + t - 2, t - 1)
     return {
+        "frontier_fixed_cov": single,
+        "v_eta": single,
+        "region_common_fixed": chain,
+        "v_hat": chain,
+        "v_tilde": deep**2,
         "both_confidential_frontier": manifold,
-        "frontier_power": kstar,
-        "region_common_power": common,
+        "frontier_power": angles(grid.theta_steps, span) * grid.trace_steps**t,
+        "region_common_power": chain if t == 1 else nodes * deep,
     }
 
 
@@ -771,7 +781,7 @@ def frontier_power(ch: GaussianBc, p: float, grid: GridSpec | None = None) -> Fr
     and the point construction (``phase_s``).
     """
     grid = grid or GridSpec()
-    _check_power(p)
+    check_power(p)
     t = ch.t
     meta = _meta(ch, grid, "one_confidential", p=p)
     if p == 0:
@@ -814,7 +824,7 @@ def both_confidential_frontier(
     ``scan`` and of the ``max_r1_corner`` and ``max_r2_corner``.
     """
     grid = grid or GridSpec()
-    _check_power(p)
+    check_power(p)
     t = ch.t
     meta = _meta(ch, grid, "both_confidential", p=p)
     if p == 0:
@@ -857,7 +867,7 @@ def wtc_capacity_power(ch: GaussianBc, p: float, grid: GridSpec | None = None):
     the isotropic closed form.  Returns (value, constraint, argmax).
     """
     grid = grid or GridSpec()
-    _check_power(p)
+    check_power(p)
     t = ch.t
     if p == 0:
         zero = np.zeros((t, t))
@@ -952,8 +962,8 @@ def _common_triples(ch: GaussianBc, factors, kmats, tab, meta: dict) -> Frontier
     # same chain (not a fresh Cholesky root) must rebuild it.
     # One (angles, scalings) row per level; the width is explicit, since
     # no grid winner may survive the filter.
-    cs = contractions(grid_params(tab, idx, 2).reshape(2 * len(idx), t * (t + 1) // 2), t)
-    ks = gram(chained_factors(factors[node], cs.reshape(-1, 2, t, t)))
+    cs = contractions(grid_params(tab, idx, 2).reshape(-1, 2, t * (t + 1) // 2), t)
+    ks = gram(chained_factors(factors[node], cs))
     ksum = np.concatenate([ks[:, 0], kmats[corner]])
     k2 = np.concatenate([ks[:, 1], kstar[corner]])
     gens = {"k": _take(kmats, np.concatenate([node, corner])), "k1": ksum - k2, "k2": k2}
@@ -990,7 +1000,7 @@ def region_common_power(ch: GaussianBc, p: float, grid: GridSpec | None = None) 
     grid.
     """
     grid = grid or GridSpec()
-    _check_power(p)
+    check_power(p)
     t = ch.t
     meta = _meta(ch, grid, "common", p=p)
     if p == 0:
@@ -1023,9 +1033,9 @@ def check_k1_zero(ch: GaussianBc, k, samples: int = 100, seed: int = 0) -> bool:
     # angles are the draws of rng.uniform(0, 2 pi).
     draws = np.random.default_rng(seed).random((samples, 2 * (m + t)))
     draws[:, np.r_[:m, m + t : 2 * m + t]] *= 2 * math.pi
-    cs = contractions(draws.reshape(2 * samples, m + t), t).reshape(samples, 2, t, t)
-    bs = chained_factors(sqrt_factor(k), cs)
-    ksum, k2 = (b @ np.swapaxes(b, -1, -2) for b in (bs[:, 0], bs[:, 1]))
+    cs = contractions(draws.reshape(samples, 2, m + t), t)
+    ks = gram(chained_factors(sqrt_factor(k), cs))
+    ksum, k2 = ks[:, 0], ks[:, 1]
     w, kstar = _wtc_gevd(ch, ksum)
     h1, h2 = (half_log2_det(g, np.stack([ksum, ksum - k2, kstar])) for g in (ch.g1, ch.g2))
     r1_split = h1[0] - h1[1] - h2[0] + h2[1]

@@ -25,12 +25,13 @@ lattice.  The trace-p grids of :mod:`secbc.regions` use
 :func:`canonical_angles`, the t = 2 half of the same rule.
 
 The grid half works on square-root factors: a child of the factor ``B``
-under parameters (theta, d) is ``B @ V(theta) @ diag(sqrt(d))``, whose
-Gram matrix is exactly the sub-covariance.  One :class:`GridTables`
-holds the angle tuples and rotations of the innermost and of the outer
-levels and the scaling tuples, built once per resolution and shared
-read-only by every later sweep, and :func:`grid_params` turns a flat
-index of a chained grid back into its parameter vector.  Determinants of
+under parameters (theta, d) is ``B @ C`` with C = V(theta) diag(sqrt(d))
+the contraction of :mod:`secbc.matops`, whose Gram matrix is exactly
+the sub-covariance.  One :class:`GridTables` holds the angle tuples and
+rotations of the innermost and of the outer levels and the scaling
+tuples, built once per resolution and shared read-only by every later
+sweep, and :func:`grid_params` turns a flat index of a chained grid
+back into its parameter vector.  Determinants of
 ``I + G K* G^T`` over a whole diagonal grid come from the principal-minor
 expansion of ``det(I + D M)`` (:func:`det_i_plus_diag`), which costs 2^t
 coefficient arrays instead of one determinant per grid node.
@@ -50,12 +51,11 @@ k-th value found there; its top k is still exact.
 :func:`pair_dets_rows` scores any subset of parents with the bits of the
 full batch.
 
-The polish half works on chains of contractions C_1, ..., C_L: level l's
-factor is B_l = B_{l-1} C_l from a root B_0 (:func:`chained_factors`),
-and a grid node (angles, d) is the contraction V(angles) diag(sqrt(d))
-(:func:`contractions`), so a grid node and its chain give the same
-matrices.  :func:`layered_value_grad` gives the value and closed-form
-gradient of any weighted sum of the h_j(B_l B_l^T) =
+The polish half works on the chains of contractions C_1, ..., C_L of
+:mod:`secbc.matops`, which also maps every grid node (angles, d) to its
+contraction, so a grid node and its chain give the same matrices.
+:func:`layered_value_grad` gives the value and closed-form gradient of
+any weighted sum of the h_j(B_l B_l^T) =
 0.5*log2 det(I + G_j B_l B_l^T G_j^T), and :func:`spg_max` ascends it
 with a projection onto the callers' convex set of chains.  It runs a
 batch of starts in lockstep: every objective call evaluates the live
@@ -75,7 +75,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .matops import _half_log2_det_of, rotation
+from .matops import _chain, _half_log2_det_of, contractions, rotation
 
 __all__ = [
     "GridSpec",
@@ -95,7 +95,6 @@ __all__ = [
     "pair_dets_rows",
     "simplex_grid",
     "contractions",
-    "chained_factors",
     "layered_value_grad",
     "spg_max",
     "top_k_flat",
@@ -346,12 +345,12 @@ def children_factors(
     """Square-root factors of all sub-covariances of all parents.
 
     parents (N,t,t), vbatch (nv,t,t), dcombos (nd,t) combine to factors of
-    shape (N, nv, nd, t, t) with B_child = B V diag(sqrt(d)); the Gram
-    matrix B_child @ B_child.T is the sub-covariance exactly.
+    shape (N, nv, nd, t, t) with B_child = B C, C = V diag(sqrt(d)) the
+    contraction of :mod:`secbc.matops`, so each child is bitwise the
+    factor that :func:`secbc.matops.chained_factors` builds from its row.
     """
-    w = np.einsum("nij,vjk->nvik", parents, vbatch)
-    sq = np.sqrt(dcombos)  # (nd, t) scales columns
-    return w[:, :, None, :, :] * sq[None, None, :, None, :]
+    cs = vbatch[:, None] * np.sqrt(dcombos)[None, :, None, :]
+    return parents[:, None, None] @ cs
 
 
 def det_i_plus_gram(g: np.ndarray, factors: np.ndarray) -> np.ndarray:
@@ -463,32 +462,6 @@ def simplex_grid(t: int, total: float, steps: int) -> np.ndarray:
     rest = total - head.sum(axis=1)
     keep = rest >= -1e-12
     return np.column_stack([head[keep], np.maximum(rest[keep], 0.0)])
-
-
-def contractions(params: np.ndarray, t: int) -> np.ndarray:
-    """The contraction V(angles) diag(sqrt(d)) of each row (angles, d) of a grid level."""
-    m = t * (t - 1) // 2
-    return rotation(params[:, :m], t) * np.sqrt(params[:, None, m:])
-
-
-def chained_factors(b0: np.ndarray, cs: np.ndarray) -> np.ndarray:
-    """B_l = B_{l-1} C_l for contraction chains ``cs`` (S, L, t, t).
-
-    ``b0`` is one root B_0 (t, t) or one per chain (S, t, t); returns
-    (S, L, t, t), level 0 the outermost.
-    """
-    return _chain(b0, cs)[:, 1:]
-
-
-def _chain(b0: np.ndarray, cs: np.ndarray) -> np.ndarray:
-    """B_0, B_1, ..., B_L of :func:`chained_factors` as one (S, L + 1, t, t) array."""
-    n, levels = cs.shape[:2]
-    out = np.empty((n, levels + 1) + cs.shape[2:])
-    out[:, 0] = b = b0
-    for lev in range(levels):
-        b = b @ cs[:, lev]
-        out[:, lev + 1] = b
-    return out
 
 
 def layered_value_grad(gains: np.ndarray, b0: np.ndarray, weights: np.ndarray):

@@ -12,7 +12,19 @@ import numpy as np
 import pytest
 
 import secbc
-from secbc import GridSpec, cli, frontier_fixed_cov, make_channel, r1_hat, r2_hat, regions
+from secbc import (
+    EnvelopeWeights,
+    GridSpec,
+    cli,
+    frontier_fixed_cov,
+    make_channel,
+    r1_hat,
+    r2_hat,
+    regions,
+    v_eta,
+    v_hat,
+    v_tilde,
+)
 from secbc.cli import RunConfig, emit_csv, emit_svg, main, parse_matrix
 from secbc.dpc import dpc_identity_check, random_instance
 from secbc.regions import Frontier
@@ -61,6 +73,20 @@ class TestExitCodes:
         )
         assert code == 2
         assert "exactly one" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["region"], "give exactly one of --power / --covariance"),
+            (["wtc"], "give exactly one of --power / --covariance"),
+            (["compare"], "compare needs --power"),
+            (["region", "--mode", "both-confidential"], "both-confidential needs --power"),
+            (["envelope", "--eta", "1.2"], "envelope needs --covariance"),
+        ],
+    )
+    def test_missing_constraint_names_the_flags_read(self, argv, message, capsys):
+        assert main(argv + ["--g1", G1_ARG, "--g2", G2_ARG]) == 2
+        assert message in capsys.readouterr().err
 
     def test_missing_channel(self):
         assert main(["region", "--power", "4"]) == 2
@@ -563,9 +589,17 @@ class TestGridFlags:
 
 
 class TestGridLimit:
-    """Power grids are counted from their tables before anything is built
-    (``regions._power_grid_rows``), and the CLI refuses counts above
-    ``MAX_GRID_ROWS``."""
+    """Every grid is counted from its tables before anything is built
+    (``regions._grid_rows``), and the CLI refuses counts above
+    ``MAX_GRID_ROWS`` under either constraint."""
+
+    SINGLE = {"frontier_fixed_cov", "v_eta"}
+
+    def test_keys_are_the_builders_and_levels(self):
+        builders = {b for mode in cli._MODES.values() for b in (mode.power, mode.covariance)}
+        levels = {"v_eta", "v_hat", "v_tilde"}
+        for t in (1, 2, 3):
+            assert set(regions._grid_rows(t, GridSpec())) == (builders - {None}) | levels
 
     @pytest.mark.parametrize("t", [1, 2, 3])
     def test_counts_bound_the_grids_built(self, t):
@@ -574,8 +608,8 @@ class TestGridLimit:
             deep_theta_steps=2, deep_diag_steps=2, deep_trace_steps=3,
         )
         ch = make_channel(*np.random.default_rng(t).normal(size=(2, t, t)))
-        rows = regions._power_grid_rows(t, grid)
-        assert set(rows) == {mode.power for mode in cli._MODES.values()} - {None}
+        rows = regions._grid_rows(t, grid)
+        assert set(rows) >= {mode.power for mode in cli._MODES.values()} - {None}
         kmats = regions._manifold_scan(t, 2.0, grid)
         assert rows["both_confidential_frontier"] == len(kmats)
         coarse = regions.frontier_power(ch, 2.0, grid).meta["nodes_per_level"][0]
@@ -588,19 +622,81 @@ class TestGridLimit:
         common = regions.region_common_power(ch, 2.0, grid).meta["candidates"]
         assert common // (len(tab.rots) * len(tab.combos)) <= rows["region_common_power"]
 
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_counts_bound_the_covariance_grids(self, t):
+        grid = GridSpec(
+            theta_steps=4, diag_steps=3, chain_theta_steps=4, chain_diag_steps=2,
+            deep_theta_steps=2, deep_diag_steps=2, refine_iters=0,
+        )
+        ch = make_channel(*np.random.default_rng(t).normal(size=(2, t, t)))
+        k, w = np.eye(t), EnvelopeWeights(lambda2=0.8, eta=1.2)
+        rows = regions._grid_rows(t, grid)
+        # a single level streams its rotations: its tables are the whole
+        # angle lattice and the scaling tuples
+        lattice = 4 ** (t * (t - 1) // 2)
+        assert rows["frontier_fixed_cov"] == rows["v_eta"] == max(lattice, 3**t)
+        assert v_eta(ch, k, 1.2, grid).grid_meta["grid_nodes"] <= lattice * 3**t
+        # a chained sweep holds the parents of its innermost level
+        chained = [
+            ("region_common_fixed", 4, lambda: regions.region_common_fixed(ch, k, grid).meta["candidates"]),
+            ("v_hat", 4, lambda: v_hat(ch, k, w, grid).grid_meta["grid_nodes"]),
+            ("v_tilde", 2, lambda: v_tilde(ch, k, w, grid).grid_meta["grid_nodes"]),
+        ]
+        for name, theta, nodes in chained:
+            inner = len(grid_tables(t, theta, diag_values(2), chained=True).rots) * 2**t
+            assert nodes() // inner <= rows[name], name
+
     def test_limit_admits_the_grids_in_use(self):
         # the default grids at t <= 2, the --grid-* flags of these tests, and
         # the t = 3 grids of scripts/compare_outputs.py
         grids = [(t, GridSpec()) for t in (1, 2)]
         grids += [(t, RunConfig(grid_theta=10, grid_d=7, grid_trace=7).grid()) for t in (1, 2)]
         for t, grid in grids:
-            assert max(regions._power_grid_rows(t, grid).values()) <= cli.MAX_GRID_ROWS
-        pair_t3 = regions._power_grid_rows(3, GridSpec(theta_steps=8, trace_steps=9))
-        pair_t3.pop("region_common_power")
-        assert max(pair_t3.values()) <= cli.MAX_GRID_ROWS
+            assert max(regions._grid_rows(t, grid).values()) <= cli.MAX_GRID_ROWS
+        pair_t3 = regions._grid_rows(3, GridSpec(theta_steps=8, diag_steps=9, trace_steps=9))
+        for name in ("both_confidential_frontier", "frontier_power", "frontier_fixed_cov"):
+            assert pair_t3[name] <= cli.MAX_GRID_ROWS
+        for chain in ((4, 3), (6, 3), (8, 2)):
+            chain_t3 = GridSpec(chain_theta_steps=chain[0], chain_diag_steps=chain[1])
+            assert regions._grid_rows(3, chain_t3)["region_common_fixed"] <= cli.MAX_GRID_ROWS
         deep_t3 = GridSpec(deep_theta_steps=4, deep_diag_steps=2, deep_trace_steps=3)
-        assert regions._power_grid_rows(3, deep_t3)["region_common_power"] <= cli.MAX_GRID_ROWS
-        assert min(regions._power_grid_rows(3, GridSpec()).values()) > cli.MAX_GRID_ROWS
+        for name in ("region_common_power", "v_tilde"):
+            assert regions._grid_rows(3, deep_t3)[name] <= cli.MAX_GRID_ROWS
+        # at the t = 3 defaults only the streamed single-level sweeps pass
+        default_t3 = regions._grid_rows(3, GridSpec())
+        assert max(default_t3[name] for name in self.SINGLE) <= cli.MAX_GRID_ROWS
+        assert min(v for name, v in default_t3.items() if name not in self.SINGLE) > cli.MAX_GRID_ROWS
+
+    GAINS_3 = ["--g1", "1,0.2,0;0.1,1,0.3;0,0.2,1", "--g2", "0.5,0,0.1;0,0.7,0;0.2,0,0.4"]
+    HUGE = ["--grid-theta", str(10**15), "--g1", G1_ARG, "--g2", G2_ARG]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # t = 3 default chained grids: about 3 million outer rows and more
+            ["envelope", *GAINS_3, "--covariance", "1,0,0;0,1,0;0,0,1",
+             "--lambda0", "2", "--lambda1", "1", "--lambda2", "0.8", "--eta", "1.2"],
+            ["envelope", *GAINS_3, "--covariance", "1,0,0;0,1,0;0,0,1",
+             "--lambda1", "1", "--lambda2", "0.8", "--eta", "1.2"],
+            ["region", "--mode", "common", *GAINS_3, "--covariance", "1,0,0;0,1,0;0,0,1"],
+            # an angle table of 1e15 entries would not fit in memory
+            ["region", "--mode", "common", "--covariance", "6,0;0,6", *HUGE],
+            ["region", "--mode", "no-common", "--covariance", "6,0;0,6", *HUGE],
+            ["envelope", "--covariance", "6,0;0,6", "--eta", "1.2", *HUGE],
+            ["envelope", "--covariance", "6,0;0,6", "--lambda1", "1", "--lambda2", "0.8",
+             "--eta", "1.2", *HUGE],
+        ],
+    )
+    def test_covariance_grids_are_counted_not_built(self, argv, capsys):
+        assert main(argv) == 2
+        assert "lower the --grid-* steps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode, extra", [("no-common", {}), ("envelope", {"eta": 1.2})])
+    def test_t3_single_level_defaults_pass(self, mode, extra):
+        # validation only: the streamed t = 3 sweeps are allowed, not run here
+        g1, g2 = (parse_matrix(a) for a in self.GAINS_3[1::2])
+        cfg = RunConfig(mode=mode, g1=g1, g2=g2, covariance=np.eye(3), **extra)
+        assert cli._validate(cfg).grid == GridSpec()
 
     def test_huge_steps_are_counted_not_built(self, capsys):
         # an angle table of 5e14 entries would not fit in memory

@@ -49,6 +49,24 @@ class TestWeights:
         with pytest.raises(ValueError):
             EnvelopeWeights(alpha=1.5)
 
+    def test_level_rules(self, example_channel, fast_grid):
+        # each level rule is checked in one place, whichever entry point
+        # hits it, the CLI's included
+        low_eta = EnvelopeWeights(eta=0.9)
+        low_lam0 = EnvelopeWeights(lambda0=0.5, lambda2=0.8)
+        cases = [
+            ("eta >= 1", lambda: low_eta.check_level("v_eta")),
+            ("eta >= 1", lambda: v_eta(example_channel, np.eye(2), 0.9, fast_grid)),
+            ("lambda0 > lambda2", lambda: low_lam0.check_level("v_tilde")),
+            ("lambda0 > lambda2", lambda: v_tilde(example_channel, np.eye(2), low_lam0, fast_grid)),
+            ("lambda0 > lambda2", lambda: f_value(example_channel, np.eye(2), low_lam0, fast_grid)),
+        ]
+        for message, call in cases:
+            with pytest.raises(ValueError, match=message):
+                call()
+        for w in (low_eta, low_lam0):
+            w.check_level("v_hat")
+
 
 class TestSEta:
     def test_zero_input(self, example_channel):

@@ -5,7 +5,14 @@ import pytest
 
 from secbc import SubCovParams, compose_sub_cov, decompose_sub_cov, logdet2, psd_leq, rotation, sqrt_factor
 from secbc.errors import SingularMatrixError
-from secbc.matops import gram, half_log2, half_log2_det, rotation_angles, validate_psd
+from secbc.matops import (
+    contractions,
+    gram,
+    half_log2,
+    half_log2_det,
+    rotation_angles,
+    validate_psd,
+)
 
 from conftest import large_singular_covariance, random_spd
 from oracles import mi_gauss
@@ -334,6 +341,32 @@ class TestSubCov:
             SubCovParams([0.1], [0.5, 1.5])
         with pytest.raises(ValueError):
             SubCovParams([0.1, 0.2], [0.5, 0.5])
+
+
+class TestComposeIsTheChain:
+    """compose_sub_cov is the one-level contraction chain from sqrt_factor(k),
+    the product every grid and generator is built with, to the bit."""
+
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_single_and_broadcast_stacks(self, rng, t):
+        m = t * (t - 1) // 2
+        a = rng.normal(size=(t, t - 1))
+        ks = np.stack([random_spd(rng, t), random_spd(rng, t), a @ a.T])  # one singular
+        p = SubCovParams(rng.uniform(0, 2 * math.pi, (3, m)), rng.uniform(0, 1, (3, t)))
+        rows = np.concatenate([p.angles, p.diag], axis=-1)
+        one = SubCovParams(p.angles[0], p.diag[0])
+        cases = [
+            (ks[0], one, rows[0]),
+            (ks[2], one, rows[0]),
+            (ks[0], p, rows),
+            (ks, one, rows[0]),
+            (ks, p, rows),
+            (ks[:, None], p, rows),  # (3, 1) against (3,): a (3, 3) stack
+        ]
+        for k, params, r in cases:
+            want = gram(sqrt_factor(k) @ contractions(r, t))
+            got = compose_sub_cov(k, params)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_logdet_monotone_in_psd_order(rng):

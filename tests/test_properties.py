@@ -29,6 +29,7 @@ from secbc import (
     SubCovParams,
     both_confidential_frontier,
     compose_sub_cov,
+    frontier_fixed_cov,
     frontier_power,
     make_channel,
     r1_hat,
@@ -101,6 +102,26 @@ def test_closed_form_beats_brute_force(inst, seed):
     g1, g2, k, tol = inst
     value, _ = wtc_capacity(make_channel(g1, g2), k)
     assert value >= _brute_force(g1, g2, k, np.random.default_rng(seed)) - tol
+
+
+@settings(max_examples=100, deadline=None)
+@given(instances(), st.integers(0, 2**32 - 1), st.floats(-3.0, 9.0))
+def test_frontier_corners_never_fall_when_the_constraint_grows(inst, seed, log_trace):
+    # max R1 (the wiretap corner) and max R2 (the K* = 0 node at C2(K)) are
+    # closed forms, monotone in K, so from K to K' = K + D (D PSD of any
+    # rank and trace 1e-3 to 1e9) they may fall only by rounding: at most
+    # 1e-9 of 1 + the larger rate
+    g1, g2, k, _ = inst
+    t = k.shape[0]
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(t, rng.integers(0, t + 1)))
+    d = a @ a.T
+    if a.shape[1]:
+        d *= 10.0**log_trace / np.trace(d)
+    ch, grid = make_channel(g1, g2), GridSpec(theta_steps=4, diag_steps=3)
+    small, big = (frontier_fixed_cov(ch, m, grid) for m in (k, k + 0.5 * (d + d.T)))
+    for lo, hi in ((small.max_r1(), big.max_r1()), (small.max_r2(), big.max_r2())):
+        assert hi >= lo - 1e-9 * (1.0 + max(lo, hi))
 
 
 @settings(max_examples=300, deadline=None)

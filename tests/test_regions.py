@@ -12,6 +12,7 @@ from secbc import (
     both_confidential_frontier,
     check_k1_zero,
     compose_sub_cov,
+    decompose_sub_cov,
     frontier_fixed_cov,
     frontier_power,
     make_channel,
@@ -26,7 +27,7 @@ from secbc import (
     wtc_capacity_power,
 )
 from secbc import regions, sweeps
-from secbc.matops import rotation_angles
+from secbc.matops import ROUNDTRIP_TOL, rotation_angles
 from secbc.sweeps import diag_combos, diag_values, theta_values
 
 from conftest import assert_kstar_rates, kstar_rows, random_spd
@@ -123,6 +124,15 @@ class TestFrontierColumns:
 
 
 class TestFrontierFixedCov:
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_kstar_generators_round_trip(self, rng, t):
+        # every K* the CSV writes round-trips through the map decomp-check verifies
+        ch = make_channel(*rng.normal(size=(2, t, t)))
+        k = random_spd(rng, t, scale=3.0)
+        ks = frontier_fixed_cov(ch, k, GridSpec(theta_steps=8, diag_steps=5)).gens["kstar"]
+        back = compose_sub_cov(k, decompose_sub_cov(k, ks))
+        assert np.linalg.norm(back - ks, axis=(-2, -1)).max() <= ROUNDTRIP_TOL
+
     def test_zero_constraint(self, example_channel):
         fr = frontier_fixed_cov(example_channel, np.zeros((2, 2)))
         assert len(fr.points) == 1

@@ -10,7 +10,7 @@ from scipy.spatial import cKDTree
 
 from secbc import EnvelopeWeights, GridSpec, make_channel, v_eta, v_hat, v_tilde
 from secbc import envelopes, regions, sweeps
-from secbc.matops import gram, rotation
+from secbc.matops import chained_factors, contractions, gram, rotation
 from secbc.sweeps import (
     canonical_angles,
     children_factors,
@@ -222,6 +222,23 @@ def children_by_outer(outer_rots, inner_rots, combos, stride):
             children = children_factors(f[None], inner_rots, combos)
             groups.setdefault(key, []).append(gram_rows(children))
     return {key: np.concatenate(rows) for key, rows in groups.items()}
+
+
+class TestChildrenFactors:
+    @pytest.mark.parametrize("chained", [False, True])
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_equals_the_matops_chain(self, t, chained):
+        # an outer grid factor is bitwise the factor chained_factors
+        # rebuilds from its (angles, scalings) row
+        tab = grid_tables(t, 8, diag_values(3), chained=chained)
+        parents = np.random.default_rng(t).normal(size=(3, t, t))
+        nv, nd = len(tab.outer_rots), len(tab.combos)
+        rows = np.hstack([np.repeat(tab.outer_tuples, nd, axis=0), np.tile(tab.combos, (nv, 1))])
+        cs = np.tile(contractions(rows, t), (len(parents), 1, 1))
+        want = chained_factors(np.repeat(parents, nv * nd, axis=0), cs[:, None])
+        got = children_factors(parents, tab.outer_rots, tab.combos)
+        assert got.shape == (len(parents), nv, nd, t, t)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestRotationClasses:
