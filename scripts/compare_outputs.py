@@ -21,8 +21,10 @@ minus a slack (for maxima whose search may improve); or ``covers``,
 every rate row of the first record at most some row of the second plus
 a slack in each coordinate (for regions whose point sets may differ;
 ``diff`` prints the largest shortfall and the change of each column
-maximum).  The exit
-status is 1 when a gate fails or a case is missing from either record.
+maximum).  The last line tallies the cases: bitwise equal, the others
+that pass per gate kind, and failed (a missing case counts as failed).
+The exit status is 1 when a gate fails or a case is missing from either
+record.
 
 The cases (``P`` is the power, ``K`` the covariance constraint):
 
@@ -356,8 +358,10 @@ def _max_abs(a, b) -> float:
 def diff(path_a: str, path_b: str) -> int:
     a = json.loads(Path(path_a).read_text(encoding="utf-8"))["cases"]
     b = json.loads(Path(path_b).read_text(encoding="utf-8"))["cases"]
-    failed = 0
-    for name in sorted(set(a) | set(b)):
+    names = sorted(set(a) | set(b))
+    failed = equal = 0
+    passed = dict.fromkeys(("within", "close", "dominates", "covers"), 0)
+    for name in names:
         if name not in a or name not in b:
             print(f"FAIL {name}: missing from the {'first' if name not in a else 'second'} record")
             failed += 1
@@ -407,7 +411,11 @@ def diff(path_a: str, path_b: str) -> int:
         }.get(kind, f"dominates up to {tol:g}")
         print(f"{'ok  ' if ok else 'FAIL'} {line} (gate: {gate})")
         failed += not ok
-    print(f"{failed} case(s) failed" if failed else "all gates pass")
+        equal += bitwise
+        if ok and not bitwise:
+            passed[kind] += 1
+    gates = ", ".join(f"{kind} {count}" for kind, count in passed.items())
+    print(f"{len(names)} cases: {equal} bitwise equal; others passing by gate: {gates}; {failed} failed")
     return 1 if failed else 0
 
 

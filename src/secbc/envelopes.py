@@ -20,12 +20,13 @@ and each level is one weight table:
 One maximizer serves all three: a coarse tensor-grid sweep over the
 chained sub-covariance parameters (``GridSpec`` theta/diag steps for one
 level, ``chain_*`` for two, ``deep_*`` for three) followed by one
-batched spectral projected-gradient polish.  The outer levels are
-enumerated; the innermost level is streamed, scored in row blocks of
-its parents (:func:`secbc.sweeps.top_k_rows`), so memory stays at one
-block whatever the grid size.  Since K_L <= K_{L-1} and c > 0, no
-child of a parent scores above terms + c*h2(parent), with the outer
-terms and h2(parent) already known from the outer level, so
+batched spectral projected-gradient polish.  Every level is scored by
+:func:`secbc.sweeps.pair_dets`: each outer level whole, from its
+parents, before its factors are built; the innermost level streamed in
+row blocks of its parents (:func:`secbc.sweeps.top_k_rows`), so memory
+stays at one block whatever the grid size.  Since K_L <= K_{L-1} and
+c > 0, no child of a parent scores above terms + c*h2(parent), with the
+outer terms and h2(parent) already known from the outer level, so
 :func:`secbc.sweeps.top_k_bounded` scores only the parents whose bound
 can reach the top k, with the same result.  The seeds are the
 ``sweeps.STARTS`` best distinct grid values, each at its lowest flat
@@ -75,19 +76,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import GaussianBc, check_cov, make_channel, mi_xy
-from .matops import chained_factors, contractions, gram, half_log2, logdet2, sqrt_factor
+from .matops import _factor, chained_factors, contractions, gram, half_log2, logdet2
 from .sweeps import (
     LIFT,
     STARTS,
     GridSpec,
     children_factors,
-    det_i_plus_gram,
     diag_values_sqrt,
     grid_params,
     grid_tables,
     layered_value_grad,
     pair_dets,
-    pair_dets_rows,
     spg_max,
     top_k_bounded,
     top_k_rows,
@@ -245,14 +244,14 @@ def _layered_max(ch: GaussianBc, k, outer, inner: float, eta: float, grid):
     """Maximize the layered objective (module docstring) below ``k``.
 
     ``outer`` lists (a_l, b_l) from the outermost level in, ``inner`` is
-    c; L = len(outer) + 1 picks the grid resolution.  The outer levels
-    are enumerated on the grid and summed per level, then across levels;
-    the innermost level is streamed by :func:`top_k_rows`, its rows being
-    the innermost parents (or the rotations when ``k`` is the only
-    parent).  With outer levels, :func:`top_k_bounded` scores
-    only the parents whose bound terms + c*h2(parent) can reach the top
-    k, with the same result.  argmax_splits holds K_L, K_{L-1} - K_L,
-    ..., K_1 - K_2.
+    c; L = len(outer) + 1 picks the grid resolution.  Each outer level is
+    scored whole by :func:`pair_dets` of its parents, summed per level,
+    then across levels; the innermost level is streamed by
+    :func:`top_k_rows`, its rows being the innermost parents (or the
+    rotations when ``k`` is the only parent).  With outer levels,
+    :func:`top_k_bounded` scores only the parents whose bound terms +
+    c*h2(parent) can reach the top k, with the same result.
+    argmax_splits holds K_L, K_{L-1} - K_L, ..., K_1 - K_2.
     """
     start = time.perf_counter()
     k = check_cov(ch, k)
@@ -261,23 +260,23 @@ def _layered_max(ch: GaussianBc, k, outer, inner: float, eta: float, grid):
     theta_name, diag_name, keep = _LEVEL_GRID[levels]
     theta_steps, diag_steps = getattr(grid, theta_name), getattr(grid, diag_name)
     gains = (ch.g1, ch.g2)
-    b0 = sqrt_factor(k)
+    b0 = _factor(k)
     dvals = diag_values_sqrt(diag_steps)
     tab = grid_tables(t, theta_steps, dvals, chained=bool(outer))
     nv, nd = len(tab.rots), len(tab.combos)
 
     parents, terms = b0[None], None
     for a, b in outer:
+        h1, h2 = (
+            half_log2(pair_dets(g, parents, tab.outer_rots, tab.dgrids)).ravel() for g in gains
+        )
         parents = children_factors(parents, tab.outer_rots, tab.combos).reshape(-1, t, t)
-        h1, h2 = (half_log2(det_i_plus_gram(g, parents)) for g in gains)
         term = a * h1 + b * h2
         terms = term if terms is None else np.repeat(terms, len(tab.outer_rots) * nd) + term
 
     def score(rows):
-        if outer:
-            dets = (pair_dets_rows(g, parents, rows, tab.rots, tab.dgrids) for g in gains)
-        else:
-            dets = (pair_dets(g, parents, tab.rots[rows], tab.dgrids) for g in gains)
+        ps, vs = (parents[rows], tab.rots) if outer else (parents, tab.rots[rows])
+        dets = (pair_dets(g, ps, vs, tab.dgrids) for g in gains)
         h1, h2 = (half_log2(d).reshape(len(rows), -1) for d in dets)
         last = inner * (h2 - eta * h1)
         return last if terms is None else terms[rows, None] + last

@@ -206,7 +206,11 @@ def sqrt_factor(k) -> np.ndarray:
     holding a singular member is factored member by member, so every
     member keeps the bits of its own call.
     """
-    k = validate_psd_stack(k, name="sqrt_factor input")
+    return _factor(validate_psd_stack(k, name="sqrt_factor input"))
+
+
+def _factor(k: np.ndarray) -> np.ndarray:
+    """:func:`sqrt_factor` of a ``k`` that has already been validated."""
     t = k.shape[-1]
     if t == 0:
         return k.copy()
@@ -215,7 +219,7 @@ def sqrt_factor(k) -> np.ndarray:
     except np.linalg.LinAlgError:
         pass
     if k.ndim > 2:
-        return np.stack([sqrt_factor(m) for m in k.reshape(-1, t, t)]).reshape(k.shape)
+        return np.stack([_factor(m) for m in k.reshape(-1, t, t)]).reshape(k.shape)
     return sym_sqrt(k)
 
 
@@ -366,7 +370,7 @@ def compose_sub_cov(k, p: SubCovParams) -> np.ndarray:
     if p.dim != k.shape[-1]:
         raise ValueError(f"params are for t={p.dim}, matrix is {k.shape[-1]}")
     rows = np.concatenate([p.angles, p.diag], axis=-1)
-    return gram(sqrt_factor(k) @ contractions(rows, p.dim))
+    return gram(_factor(k) @ contractions(rows, p.dim))
 
 
 def decompose_sub_cov(k, kstar) -> SubCovParams:

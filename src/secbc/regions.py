@@ -70,13 +70,13 @@ import numpy as np
 from .channel import GaussianBc, check_cov, check_power
 from .matops import (
     SubCovParams,
+    _factor,
     chained_factors,
     compose_sub_cov,
     contractions,
     gram,
     half_log2,
     half_log2_det,
-    sqrt_factor,
     sym_sqrt,
 )
 from .sweeps import (
@@ -84,14 +84,12 @@ from .sweeps import (
     canonical_angles,
     canonical_steps,
     children_factors,
-    det_i_plus_gram,
     diag_combos,
     diag_values,
     grid_params,
     grid_tables,
     layered_value_grad,
     pair_dets,
-    pair_dets_rows,
     row_blocks,
     simplex_grid,
     spg_max,
@@ -453,7 +451,7 @@ def frontier_fixed_cov(ch: GaussianBc, k, grid: GridSpec | None = None) -> Front
     if np.abs(k).max() < 1e-15:
         return _zero_frontier(k, ("k", "kstar"), meta)
     c2k = half_log2_det(ch.g2, k)
-    b0 = sqrt_factor(k)
+    b0 = _factor(k)
     tab = grid_tables(t, grid.theta_steps, diag_values(grid.diag_steps))
     nd = tab.combos.shape[0]
 
@@ -921,11 +919,13 @@ def _common_triples(ch: GaussianBc, factors, kmats, tab, meta: dict) -> Frontier
     """
     t = ch.t
     gains = (ch.g1, ch.g2)
-    outer = children_factors(factors, tab.outer_rots, tab.combos).reshape(-1, t, t)
     m = len(tab.outer_rots) * len(tab.combos)  # outer rows per constraint
     n = len(tab.rots) * len(tab.combos)  # inner nodes per row
     c1k, c2k = (half_log2_det(g, kmats) for g in gains)
-    l1o, l2o = (half_log2(det_i_plus_gram(g, outer)) for g in gains)
+    l1o, l2o = (
+        half_log2(pair_dets(g, factors, tab.outer_rots, tab.dgrids)).ravel() for g in gains
+    )
+    outer = children_factors(factors, tab.outer_rots, tab.combos).reshape(-1, t, t)
     r0 = np.maximum(np.minimum(np.repeat(c1k, m) - l1o, np.repeat(c2k, m) - l2o), 0.0)
     wtc, kstar = _wtc_gevd(ch, kmats)
     c0 = _cell_index(r0, r0.max() + 1e-12) * _CELLS
@@ -934,9 +934,8 @@ def _common_triples(ch: GaussianBc, factors, kmats, tab, meta: dict) -> Frontier
 
     def winners(span):
         lo, hi = span
-        rows = np.arange(lo, hi)
         l1i, l2i = (
-            half_log2(pair_dets_rows(g, outer, rows, tab.rots, tab.dgrids)).reshape(-1, n)
+            half_log2(pair_dets(g, outer[lo:hi], tab.rots, tab.dgrids)).reshape(-1, n)
             for g in gains
         )
         # In place: fresh block-sized arrays each cost page faults, since
@@ -987,7 +986,7 @@ def region_common_fixed(ch: GaussianBc, k, grid: GridSpec | None = None) -> Fron
     dvals = diag_values(grid.chain_diag_steps)
     tab = grid_tables(ch.t, grid.chain_theta_steps, dvals, chained=True)
     kmats = np.broadcast_to(k, (1,) + k.shape)
-    return _common_triples(ch, sqrt_factor(k)[None], kmats, tab, meta)
+    return _common_triples(ch, _factor(k)[None], kmats, tab, meta)
 
 
 def region_common_power(ch: GaussianBc, p: float, grid: GridSpec | None = None) -> Frontier:
@@ -1034,7 +1033,7 @@ def check_k1_zero(ch: GaussianBc, k, samples: int = 100, seed: int = 0) -> bool:
     draws = np.random.default_rng(seed).random((samples, 2 * (m + t)))
     draws[:, np.r_[:m, m + t : 2 * m + t]] *= 2 * math.pi
     cs = contractions(draws.reshape(samples, 2, m + t), t)
-    ks = gram(chained_factors(sqrt_factor(k), cs))
+    ks = gram(chained_factors(_factor(k), cs))
     ksum, k2 = ks[:, 0], ks[:, 1]
     w, kstar = _wtc_gevd(ch, ksum)
     h1, h2 = (half_log2_det(g, np.stack([ksum, ksum - k2, kstar])) for g in (ch.g1, ch.g2))

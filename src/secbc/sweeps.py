@@ -31,10 +31,10 @@ the sub-covariance.  One :class:`GridTables` holds the angle tuples and
 rotations of the innermost and of the outer levels and the scaling
 tuples, built once per resolution and shared read-only by every later
 sweep, and :func:`grid_params` turns a flat index of a chained grid
-back into its parameter vector.  Determinants of
-``I + G K* G^T`` over a whole diagonal grid come from the principal-minor
-expansion of ``det(I + D M)`` (:func:`det_i_plus_diag`), which costs 2^t
-coefficient arrays instead of one determinant per grid node.
+back into its parameter vector.  Every level of every grid is scored by
+:func:`pair_dets`: ``I + G K* G^T`` over a whole diagonal grid from the
+principal-minor expansion of ``det(I + D M)`` (:func:`det_i_plus_diag`),
+2^t coefficient arrays instead of one determinant per grid node.
 
 Grids are reduced in row blocks (:func:`row_blocks`), so no sweep holds
 more than about ``GRID_BLOCK_NODES`` nodes at once.  In
@@ -48,8 +48,6 @@ in order on one thread.  Given an upper bound per row,
 :func:`top_k_bounded` scores a sixteenth of the rows, the
 best-bounded ones, first and then only the rows whose bound reaches the
 k-th value found there; its top k is still exact.
-:func:`pair_dets_rows` scores any subset of parents with the bits of the
-full batch.
 
 The polish half works on the chains of contractions C_1, ..., C_L of
 :mod:`secbc.matops`, which also maps every grid node (angles, d) to its
@@ -89,10 +87,8 @@ __all__ = [
     "grid_tables",
     "grid_params",
     "children_factors",
-    "det_i_plus_gram",
     "det_i_plus_diag",
     "pair_dets",
-    "pair_dets_rows",
     "simplex_grid",
     "contractions",
     "layered_value_grad",
@@ -353,15 +349,6 @@ def children_factors(
     return parents[:, None, None] @ cs
 
 
-def det_i_plus_gram(g: np.ndarray, factors: np.ndarray) -> np.ndarray:
-    """det(I + G B B^T G^T) for a batch of factors B (..., t, t)."""
-    a = np.einsum("ij,...jk->...ik", g, factors)
-    t = a.shape[-1]
-    m = np.einsum("...ki,...kj->...ij", a, a)
-    m[..., np.arange(t), np.arange(t)] += 1.0
-    return np.linalg.det(m)
-
-
 def pair_dets(
     g: np.ndarray,
     parents: np.ndarray,
@@ -374,15 +361,19 @@ def pair_dets(
     vbatch (nv,t,t) the rotations; the result has shape
     (N, nv, len(d_0), ..., len(d_{t-1})) and is evaluated through the
     principal-minor expansion of det(I + D M) with M = (G B V)^T (G B V).
+    Flattened, it is in the order (N, nv, nd) of :func:`children_factors`.
+    A parent gets the same bits in any batch, and a zero scaling drops its
+    terms exactly, so rank-deficient nodes stay exact.
     """
     t = parents.shape[-1]
     if len(dgrids) != t:
         raise ValueError("need one diagonal grid per dimension")
     # M = V^T P V with P = (G B)^T (G B): one Gram per parent, then all
-    # rotations at once as a single (N, t^2) @ (t^2, nv t^2) product.
+    # rotations as one (1, t^2) @ (t^2, nv t^2) product per parent, since
+    # a product of several rows rounds differently.
     n, nv = parents.shape[0], vbatch.shape[0]
     gb = g @ parents
-    p = (np.swapaxes(gb, -1, -2) @ gb).reshape(n, t * t)
+    p = (np.swapaxes(gb, -1, -2) @ gb).reshape(n, 1, t * t)
     w = np.einsum("vki,vlj->klvij", vbatch, vbatch).reshape(t * t, nv * t * t)
     m = (p @ w).reshape(n, nv, t, t)
     dres = [
@@ -429,26 +420,6 @@ def det_i_plus_diag(m: np.ndarray, d: list[np.ndarray]) -> np.ndarray:
             else:
                 out = out + term
     return out
-
-
-def pair_dets_rows(
-    g: np.ndarray,
-    parents: np.ndarray,
-    rows: np.ndarray,
-    vbatch: np.ndarray,
-    dgrids: list[np.ndarray],
-) -> np.ndarray:
-    """:func:`pair_dets` of ``parents[rows]``, whatever the batch, to the bit.
-
-    numpy multiplies a single row by gemv, which rounds differently from
-    gemm, so a lone row is scored together with a neighbour: every row
-    then gets the same bits in any batch of rows.
-    """
-    if len(rows) == 1 and len(parents) > 1:
-        lo = min(int(rows[0]), len(parents) - 2)
-        off = int(rows[0]) - lo
-        return pair_dets(g, parents[lo : lo + 2], vbatch, dgrids)[off : off + 1]
-    return pair_dets(g, parents[rows], vbatch, dgrids)
 
 
 def simplex_grid(t: int, total: float, steps: int) -> np.ndarray:
@@ -694,16 +665,18 @@ def top_k_bounded(score, bound: np.ndarray, n_cols: int, k: int):
     """:func:`top_k_rows` that skips the rows unable to reach the top k.
 
     ``score(rows)`` returns the rows ``rows`` (an ascending index array)
-    of an (len(bound), n_cols) matrix, and ``bound[r]`` is an upper bound
-    on the maximum of row r, up to rounding.  The rows with the highest
-    distinct bounds are scored first, max(k, n_rows / 16) of them (rounded
-    up) but at most one :func:`row_blocks` block; the k-th best distinct
-    value found there, tau, is at most the k-th best of the whole matrix.  A row whose bound plus a relative slack of
-    1e-9 stays below tau holds none of the top k, so only the remaining
-    rows go through :func:`top_k_rows`, in row order.  Both parts keep
-    each value at its lowest index, and the merged top k is exactly that
-    of the whole matrix.  Returns (flat indices, their values, blocks,
-    rows scored).
+    of an (len(bound), n_cols) matrix, each row with the same bits
+    whichever rows come with it (as :func:`pair_dets` gives them), and
+    ``bound[r]`` is an upper bound on the maximum of row r, up to
+    rounding.  The rows with the highest distinct bounds are scored
+    first, max(k, n_rows / 16) of them (rounded up) but at most one
+    :func:`row_blocks` block; the k-th best distinct value found there,
+    tau, is at most the k-th best of the whole matrix.  A row whose bound
+    plus a relative slack of 1e-9 stays below tau holds none of the top
+    k, so only the remaining rows go through :func:`top_k_rows`, in row
+    order.  Both parts keep each value at its lowest index, and the
+    merged top k is exactly that of the whole matrix.  Returns (flat
+    indices, their values, blocks, rows scored).
     """
     bound = np.asarray(bound, dtype=float)
 

@@ -786,7 +786,9 @@ class TestOverflowingCovariance:
             ["envelope", "--covariance", "1e300,0;0,1e300", "--eta", "1.2"],
             ["envelope", "--covariance", "1e300,0;0,1e300", "--lambda1", "1",
              "--lambda2", "0.8", "--eta", "1.2"],
-            ["envelope", "--covariance", "1e15,0;0,1e15", "--lambda0", "2", "--lambda1", "1",
+            # at 1e18 I the rotated 2x2 minors of the innermost grid level
+            # cancel at about 1e37 (1e15 I runs: test_v_tilde_at_1e15_is_its_1e9_value)
+            ["envelope", "--covariance", "1e18,0;0,1e18", "--lambda0", "2", "--lambda1", "1",
              "--lambda2", "0.8", "--eta", "1.2"],
             ["region", "--mode", "no-common", "--covariance", "1e300,0;0,1e300"],
             # symmetrizing these must not overflow to inf
@@ -809,6 +811,23 @@ class TestOverflowingCovariance:
         assert main(argv[:1] + gains + argv[1:] + out) == 3
         err = capsys.readouterr().err
         assert "numerical failure" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "weights", [["--lambda0", "2", "--alpha", "0.5"], ["--lambda0", "1.2", "--alpha", "0.9"]]
+    )
+    def test_v_tilde_at_1e15_is_its_1e9_value(self, weights, capsys):
+        # det(I + G K G^T) is about 1e31 at 1e15 I, finite.  Every grid
+        # level is scored by the principal-minor expansion, where a zero
+        # scaling drops its terms exactly, so the rank-deficient outer
+        # nodes stay exact and v_tilde prints what it prints at 1e9 I.
+        printed = []
+        for scale in ("1e9", "1e15"):
+            argv = ["envelope", "--g1", G1_ARG, "--g2", G2_ARG,
+                    "--covariance", f"{scale},0;0,{scale}", *weights,
+                    "--lambda1", "1", "--lambda2", "0.8", "--eta", "1.2"]
+            assert main(argv) == 0
+            printed.append(capsys.readouterr().out.split(" bits")[0])
+        assert printed[0].startswith("v_tilde = ") and printed[1] == printed[0]
 
     @pytest.mark.parametrize(
         "argv",

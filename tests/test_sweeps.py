@@ -10,16 +10,16 @@ from scipy.spatial import cKDTree
 
 from secbc import EnvelopeWeights, GridSpec, make_channel, v_eta, v_hat, v_tilde
 from secbc import envelopes, regions, sweeps
-from secbc.matops import chained_factors, contractions, gram, rotation
+from secbc.matops import chained_factors, contractions, gram, half_log2, half_log2_det, rotation
 from secbc.sweeps import (
     canonical_angles,
     children_factors,
     det_i_plus_diag,
     diag_combos,
     diag_values,
+    diag_values_sqrt,
     grid_tables,
     pair_dets,
-    pair_dets_rows,
     simplex_grid,
     theta_values,
     top_k_bounded,
@@ -376,16 +376,38 @@ class TestGridTablesCache:
         assert grid_tables(2, 8, dvals).dvals.tolist() == [0.0, 0.75, 1.0]
 
 
-class TestPairDetsRows:
+class TestPairDetsSubsets:
     @pytest.mark.parametrize("t", [1, 2, 3])
     def test_any_batch_gives_the_same_bits(self, rng, t):
+        # lone rows included: a parent's determinants never depend on
+        # which other parents share the call
         tab = grid_tables(t, 3, np.linspace(0.0, 1.0, 3) ** 2)
         parents = rng.normal(size=(9, t, t))
         g = rng.normal(size=(t, t))
         full = pair_dets(g, parents, tab.rots, tab.dgrids)
         for rows in ([0], [4], [8], [2, 5], [1, 3, 8]):
-            part = pair_dets_rows(g, parents, np.array(rows), tab.rots, tab.dgrids)
+            part = pair_dets(g, parents[rows], tab.rots, tab.dgrids)
             assert part.tobytes() == full[rows].tobytes()
+
+
+class TestOuterLevelScores:
+    """An outer level of a chained grid is scored by pair_dets of its
+    parents, in the flat order of their children_factors rows, which the
+    terms and bound of _layered_max and the r0 of _common_triples use."""
+
+    # the t = 3 4-step lattice is closed (one rotation per class in every
+    # level), the 8-step one is not (the outer levels keep all 512)
+    @pytest.mark.parametrize("t,steps", [(1, 4), (2, 8), (2, 16), (3, 4), (3, 8)])
+    def test_scores_are_the_childrens_determinants(self, rng, t, steps):
+        tab = grid_tables(t, steps, diag_values_sqrt(3), chained=True)
+        parents = rng.normal(size=(3, t, t))
+        parents[2, :, 0] = 0.0  # a singular parent
+        g = rng.normal(size=(t, t))
+        got = half_log2(pair_dets(g, parents, tab.outer_rots, tab.dgrids)).ravel()
+        children = children_factors(parents, tab.outer_rots, tab.combos).reshape(-1, t, t)
+        want = half_log2_det(g, gram(children))
+        assert got.shape == want.shape == (len(parents) * len(tab.outer_rots) * len(tab.combos),)
+        assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
 
 
 class TestDetIPlusDiag:
