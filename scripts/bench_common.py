@@ -33,11 +33,16 @@ tree alike.  The cases:
 
 ``--cases envelope`` runs ``v_eta``, ``v_hat`` and ``v_tilde`` instead,
 on the example channel with K = diag(3, 2), lambda = (2, 1, 0.8),
-eta = 1.2 and alpha = 0.5 at the default grid; each record adds the
-value and the grid nodes scored (``grid_meta["nodes_scored"]``), and the objective
-calls of the polish and the median seconds of each
-``grid_meta["phase_s"]`` phase (``grid``, ``polish``), where the tree
-reports them.  ``--cases power`` runs the power-constrained pair regions
+eta = 1.2 and alpha = 0.5 at the default grid, plus two calls that take
+a closed form: ``v_eta_1``, ``v_eta`` at eta = 1 on the same channel and
+K, and ``v_tilde_scalar``, ``v_tilde`` on the scalar channel, K and
+weights of ``TestVTildeTinySplits`` (gains 2.636 and 1.150,
+K = 0.882); each record adds the
+value and the grid nodes scored (``grid_meta["nodes_scored"]``), and the
+path taken (``grid`` or ``closed_form``), the objective calls of the
+polish and the median seconds of each ``grid_meta["phase_s"]`` phase
+(``grid`` and ``polish``, or ``closed_form``), where the tree reports
+them.  ``--cases power`` runs the power-constrained pair regions
 and the wiretap capacity: ``frontier_power``,
 ``both_confidential_frontier`` and ``wtc_capacity_power`` on the example
 channel at P = 12 and the default grid (records add the output rows, or
@@ -102,7 +107,7 @@ EXAMPLE_G1 = [[0.3, 2.5], [2.2, 1.8]]
 EXAMPLE_G2 = [[1.3, 1.2], [1.5, 3.9]]
 CASE_SETS = {
     "common": ("region_common_power", "region_common_fixed", "pareto_filter"),
-    "envelope": ("v_eta", "v_hat", "v_tilde"),
+    "envelope": ("v_eta", "v_hat", "v_tilde", "v_eta_1", "v_tilde_scalar"),
     "power": ("frontier_power", "both_confidential_frontier", "wtc_capacity_power", "compare"),
     "checks": ("dpc_check_d2", "dpc_check_d3", "decomp_check_d2", "decomp_check_d3"),
     "fixed": ("frontier_fixed_cov", "region_no_common", "retained_kb"),
@@ -181,7 +186,7 @@ def _retained(call) -> dict:
 
 def _envelope_output(res) -> dict:
     out = {"value": res.value, "nodes_scored": res.grid_meta.get("nodes_scored")}
-    for key in ("evaluations", "phase_s"):
+    for key in ("path", "evaluations", "phase_s"):
         if key in res.grid_meta:
             out[key] = res.grid_meta[key]
     return out
@@ -250,6 +255,18 @@ def _case_call(case: str):
         w = secbc.EnvelopeWeights(lambda0=2.0, lambda1=1.0, lambda2=0.8, eta=1.2, alpha=0.5)
         if case == "v_eta":
             return lambda: _envelope_output(secbc.v_eta(example, k, w.eta)), "K = diag(3, 2)"
+        if case == "v_eta_1":
+            return lambda: _envelope_output(secbc.v_eta(example, k, 1.0)), "K = diag(3, 2), eta = 1"
+        if case == "v_tilde_scalar":
+            ch = secbc.make_channel([[2.636316851362973]], [[1.1503208079067702]])
+            w = secbc.EnvelopeWeights(
+                lambda0=1.4653366606987612,
+                lambda1=1.0,
+                lambda2=0.9898295890574751,
+                eta=1.4265499875347296,
+                alpha=0.4089569203770177,
+            )
+            return lambda: _envelope_output(secbc.v_tilde(ch, [[0.8818900033421035]], w)), "t = 1"
         fn = getattr(secbc, case)
         return lambda: _envelope_output(fn(example, k, w)), "K = diag(3, 2)"
     if case == "compare":

@@ -79,6 +79,17 @@ The cases (``P`` is the power, ``K`` the covariance constraint):
   seeded eta on (8, 5), ``v_eta`` on (16, 5), ``v_hat`` at chain grids
   (6, 3) and (8, 2) and ``v_tilde`` at deep grid (4, 2), refined and at
   ``refine_iters=0``, with the gates above.
+- t = 1 envelopes, which take the closed form when refined: ``v_eta``
+  at eta = 1 and at the seeded eta, ``v_hat`` and ``v_tilde`` for seeds
+  1-6 (from ``default_rng([1, seed])``: gains U(2, 3) and U(0.3, 0.8),
+  the stronger one first at odd seeds, K = 10^U(-3, 3), weights as above
+  but alpha U(0, 0.3)), and at K = 1e50 ``v_eta`` (eta = 1.2) on
+  gains (2, 3) and ``v_hat``/``v_tilde`` on the scalar channel and
+  weights of ``TestVTildeTinySplits``, where a polish from the grid once
+  fell to 0; and ``v_eta`` at eta = 1 on the example channel at
+  K = 1e15 I and 1e50 I, where the rates of a rank-deficient argmax lose
+  their unit eigenvalues; refined and at ``refine_iters=0``, with the
+  gates above.
 """
 
 from __future__ import annotations
@@ -210,6 +221,9 @@ def _cases(secbc):
             tag = f"{name}[t3s{seed}]"
             out.append((tag, DOMINATES, partial(call, grid)))
             out.append((f"{tag}@grid", CLOSE, partial(call, replace(grid, refine_iters=0))))
+    for tag, call in _closed_form_calls(secbc, example):
+        out.append((tag, DOMINATES, partial(call, None)))
+        out.append((f"{tag}@grid", CLOSE, partial(call, unrefined)))
     return out
 
 
@@ -277,6 +291,48 @@ def _envelope_calls_t3(secbc, seed: int):
         ("v_tilde@deep4x2", grid(deep_theta_steps=4, deep_diag_steps=2),
          lambda g: envelopes.v_tilde(ch, k, w, g)),
     ]
+
+
+def _closed_form_calls(secbc, example):
+    """(tag, call(grid)) of the envelope cases that take a closed form
+    when refined: t = 1 and v_eta at eta = 1."""
+    from secbc import envelopes
+
+    calls = []
+    for seed in range(1, 7):
+        # the stronger receiver alternates, so that every level has
+        # optima above 0: v_eta where it is the second, v_hat and v_tilde
+        # (low alpha) where it is the first
+        rng = np.random.default_rng([1, seed])
+        gains = [[[rng.uniform(2.0, 3.0)]], [[rng.uniform(0.3, 0.8)]]]
+        ch = secbc.make_channel(*gains[:: 1 if seed % 2 else -1])
+        k = [[float(10.0 ** rng.uniform(-3.0, 3.0))]]
+        w = secbc.EnvelopeWeights(**{**_envelope_weights(rng), "alpha": rng.uniform(0.0, 0.3)})
+        calls += [
+            (f"v_eta@1[t1s{seed}]", partial(envelopes.v_eta, ch, k, 1.0)),
+            (f"v_eta[t1s{seed}]", partial(envelopes.v_eta, ch, k, w.eta)),
+            (f"v_hat[t1s{seed}]", partial(envelopes.v_hat, ch, k, w)),
+            (f"v_tilde[t1s{seed}]", partial(envelopes.v_tilde, ch, k, w)),
+        ]
+    big = [[1e50]]
+    gains23 = secbc.make_channel([[2.0]], [[3.0]])
+    tiny = secbc.make_channel([[2.636316851362973]], [[1.1503208079067702]])
+    w = secbc.EnvelopeWeights(
+        lambda0=1.4653366606987612,
+        lambda1=1.0,
+        lambda2=0.9898295890574751,
+        eta=1.4265499875347296,
+        alpha=0.4089569203770177,
+    )
+    calls += [
+        ("v_eta[t1,K=1e50]", partial(envelopes.v_eta, gains23, big, 1.2)),
+        ("v_hat[t1,K=1e50]", partial(envelopes.v_hat, tiny, big, w)),
+        ("v_tilde[t1,K=1e50]", partial(envelopes.v_tilde, tiny, big, w)),
+    ]
+    for scale in (1e15, 1e50):
+        call = partial(envelopes.v_eta, example, scale * np.eye(2), 1.0)
+        calls.append((f"v_eta@1[example,K={scale:g}I]", call))
+    return calls
 
 
 def _csv_rates(name, cols, tmp) -> dict:

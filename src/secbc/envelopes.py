@@ -17,7 +17,8 @@ and each level is one weight table:
 - level 3, ``v_tilde`` (L = 3): outer (-alpha*lam0, lam2 - (1-alpha)*lam0)
   and (lam1, -(lam1+lam2)), c = lam1.
 
-One maximizer serves all three: a coarse tensor-grid sweep over the
+One maximizer serves all three, except where a closed form applies
+(below): a coarse tensor-grid sweep over the
 chained sub-covariance parameters (``GridSpec`` theta/diag steps for one
 level, ``chain_*`` for two, ``deep_*`` for three) followed by one
 batched spectral projected-gradient polish.  Every level is scored by
@@ -50,7 +51,8 @@ together, in lockstep; the objective therefore takes a batch of chains.
 The polish is equivariant under (C_l R, R^T C_{l+1}) for orthogonal R,
 which maps V to V P S, so a dropped duplicate of a grid rotation would
 follow the same path in K.  Results do not depend on the block size.
-``EnvelopeResult.grid_meta`` records the grid nodes, the nodes scored,
+``EnvelopeResult.grid_meta`` records the path taken (``path``), the
+grid nodes, the nodes scored,
 the blocks, the iterations each start used, the starts that hit the
 ``refine_iters`` cap (``capped``), the
 objective calls of the polish (``evaluations``; each evaluates the live
@@ -61,6 +63,19 @@ stationarity, and the ``perf_counter`` seconds of the two phases
 seeds) and ``polish`` (spectral seeds, :func:`secbc.sweeps.spg_max`,
 splits and residual).  Only ``phase_s`` varies from run to run.
 
+Two inputs have an exact closed form, which replaces the grid and the
+polish whenever ``refine_iters`` > 0 (with 0 every call returns its
+grid maximum).  At t = 1, every level, each level's term has at most
+one stationary point, so a KKT enumeration of the runs of equal values
+in the chain gives the maximum (:func:`_scalar_max`); and the level-1
+objective at eta = 1 is the wiretap capacity with the users swapped,
+the generalized-eigenvalue optimum of :func:`secbc.regions._wtc_gevd`
+(:func:`_swapped_wiretap`).  ``grid_meta["path"]`` is then
+``"closed_form"`` (otherwise ``"grid"``): the grid counts and
+``evaluations`` are 0, ``iterations`` and ``capped`` are empty,
+``kkt_residual`` is measured at the chain of the returned splits, and
+``phase_s`` holds one ``closed_form`` phase.
+
 ``bound_b`` is the closed-form eigenvalue bound certifying that the
 level-2 objective stays bounded over all inputs, and
 ``factorization_gap`` checks the sub-additivity of all three levels on
@@ -69,6 +84,7 @@ product channels.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -76,7 +92,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import GaussianBc, check_cov, make_channel, mi_xy
-from .matops import _factor, chained_factors, contractions, gram, half_log2, logdet2
+from .matops import (
+    _factor,
+    _half_log2_det_of,
+    chained_factors,
+    contractions,
+    gram,
+    half_log2,
+    half_log2_det,
+    logdet2,
+)
+from .regions import _kept_root, _wtc_pencil
 from .sweeps import (
     LIFT,
     STARTS,
@@ -240,11 +266,75 @@ _LEVEL_GRID = {
 }
 
 
+def _scalar_max(ch: GaussianBc, k: np.ndarray, weights: np.ndarray):
+    """Exact maximum of the layered objective at t = 1: (value, x).
+
+    ``weights`` (L, 2) holds each level's (a_l, b_l), the outermost
+    first; x is the maximizing chain k >= x_1 >= ... >= x_L >= 0.  Level
+    l scores f_l(x) = a_l*h_1(x) + b_l*h_2(x) with h_j(x) =
+    0.5*log2(1 + g_j^2 x), and the derivative of a*h_1 + b*h_2 vanishes
+    only at x = -(a g_1^2 + b g_2^2) / (g_1^2 g_2^2 (a + b)).  So the
+    chain of a maximum splits into runs of equal values, each at 0, at k
+    or at that zero of its summed weights (a run whose summed term is
+    constant can join a neighbour without loss).  Every run pattern with
+    every value choice is scored by the checked rate kernel and the best
+    feasible candidate wins, ties to the first; the all-zero chain comes
+    first.  At most 48 candidates at L = 3.
+    """
+    sq1, sq2 = ch.g1[0, 0] ** 2, ch.g2[0, 0] ** 2
+    top = float(k[0, 0])
+    levels = len(weights)
+    rows = []
+    for cuts in itertools.product((False, True), repeat=levels - 1):
+        ends = [lev + 1 for lev, cut in enumerate(cuts) if cut] + [levels]
+        choices = []
+        for lo, hi in zip([0, *ends], ends):
+            a, b = weights[lo:hi].sum(axis=0).tolist()
+            vals = [0.0, top]
+            if a + b != 0.0:
+                x = -(a * sq1 + b * sq2) / (sq1 * sq2 * (a + b))
+                if 0.0 < x < top:
+                    vals.append(x)
+            choices.append([(v,) * (hi - lo) for v in vals])
+        for pick in itertools.product(*choices):
+            row = sum(pick, ())
+            if all(u >= v for u, v in zip(row, row[1:])):
+                rows.append(row)
+    xs = np.array(rows)
+    h1, h2 = (half_log2_det(g, xs[..., None, None]) for g in (ch.g1, ch.g2))
+    scores = sum(a * h1[:, lev] + b * h2[:, lev] for lev, (a, b) in enumerate(weights))
+    best = int(np.argmax(scores))
+    return float(scores[best]), xs[best]
+
+
+def _swapped_wiretap(ch: GaussianBc, k: np.ndarray):
+    """Exact level-1 maximum at eta = 1: (value, R), attained at K* = R R^T.
+
+    max h_2(K*) - h_1(K*) over K* below ``k`` is the wiretap capacity
+    with the users swapped (Bustin, Liu, Poor & Shamai 2009), attained at
+    the K* of :func:`secbc.regions._wtc_gevd`, whose root R is built here
+    too.  The value is scored by the checked rate kernel as
+    0.5*log2 det(I + A^T A), A = G_j R, and clamped at 0, the value of
+    K* = 0.  R has an exact zero column per dropped direction of the
+    pencil, so det(I + A^T A) keeps its unit eigenvalues at any scale of
+    ``k``, where det(I + G K* G^T) of a rank-deficient K* loses them
+    once eps*||G K* G^T|| nears 1.
+    """
+    _, s, w, mu = _wtc_pencil(make_channel(ch.g2, ch.g1), k)
+    root = _kept_root(s, w, mu)
+    a = np.stack((ch.g1, ch.g2)) @ root
+    h1, h2 = _half_log2_det_of(np.swapaxes(a, -1, -2) @ a + np.eye(ch.t))
+    return max(float(h2 - h1), 0.0), root
+
+
 def _layered_max(ch: GaussianBc, k, outer, inner: float, eta: float, grid):
     """Maximize the layered objective (module docstring) below ``k``.
 
     ``outer`` lists (a_l, b_l) from the outermost level in, ``inner`` is
-    c; L = len(outer) + 1 picks the grid resolution.  Each outer level is
+    c; L = len(outer) + 1 picks the grid resolution.  With
+    ``grid.refine_iters`` > 0 two inputs take a closed form and build no
+    grid: t = 1 at every level (:func:`_scalar_max`) and L = 1 at
+    eta = 1 (:func:`_swapped_wiretap`).  Otherwise each outer level is
     scored whole by :func:`pair_dets` of its parents, summed per level,
     then across levels; the innermost level is streamed by
     :func:`top_k_rows`, its rows being the innermost parents (or the
@@ -261,6 +351,42 @@ def _layered_max(ch: GaussianBc, k, outer, inner: float, eta: float, grid):
     theta_steps, diag_steps = getattr(grid, theta_name), getattr(grid, diag_name)
     gains = (ch.g1, ch.g2)
     b0 = _factor(k)
+    weights = np.array([*outer, (-inner * eta, inner)], dtype=float)
+    value_grad = layered_value_grad(np.stack(gains), b0, weights)
+    meta = {
+        "path": "grid",
+        "resolution": {
+            "theta_steps": theta_steps,
+            "diag_steps": diag_steps,
+            "levels": levels,
+        },
+        "refine_budget": grid.refine_iters,
+    }
+    if grid.refine_iters > 0 and (t == 1 or (not outer and eta == 1.0)):
+        if t == 1:
+            value, xs = _scalar_max(ch, k, weights)
+            steps = xs - np.append(xs[1:], 0.0)  # x_l - x_{l+1}, x_{L+1} = 0
+            splits = [step.reshape(1, 1) for step in steps[::-1]]
+            roots = np.concatenate([b0[None], np.sqrt(xs)[:, None, None]])
+        else:
+            value, root = _swapped_wiretap(ch, k)
+            splits, roots = [gram(root)], np.stack([b0, root])
+        # the chain of the maximum: roots[l] = roots[l-1] C_l
+        cs = _contract(np.linalg.pinv(roots[:-1]) @ roots[1:])
+        grad = value_grad(cs[None])[1][0]
+        meta.update(
+            path="closed_form",
+            starts=0,
+            grid_nodes=0,
+            nodes_scored=0,
+            grid_blocks=0,
+            iterations=[],
+            capped=[],
+            evaluations=0,
+            kkt_residual=float(np.linalg.norm(_contract(cs + grad) - cs)),
+            phase_s={"closed_form": time.perf_counter() - start},
+        )
+        return EnvelopeResult(value, splits, meta)
     dvals = diag_values_sqrt(diag_steps)
     tab = grid_tables(t, theta_steps, dvals, chained=bool(outer))
     nv, nd = len(tab.rots), len(tab.combos)
@@ -295,8 +421,6 @@ def _layered_max(ch: GaussianBc, k, outer, inner: float, eta: float, grid):
     m = t * (t - 1) // 2
     params = grid_params(tab, flat, levels).reshape(-1, levels, m + t)
     seeds = contractions(params, t)
-    weights = np.array([*outer, (-inner * eta, inner)], dtype=float)
-    value_grad = layered_value_grad(np.stack(gains), b0, weights)
     gridded = time.perf_counter()
     evaluations = 0
 
@@ -329,22 +453,16 @@ def _layered_max(ch: GaussianBc, k, outer, inner: float, eta: float, grid):
         cs, value, grad, used = xs[best], float(fx[best]), gx[best], used.tolist()
     grams = gram(chained_factors(b0, cs[None])[0])
     splits = [grams[-1]] + [grams[lev - 1] - grams[lev] for lev in range(levels - 1, 0, -1)]
-    meta = {
-        "resolution": {
-            "theta_steps": theta_steps,
-            "diag_steps": diag_steps,
-            "levels": levels,
-        },
-        "refine_budget": grid.refine_iters,
-        "starts": len(seeds),
-        "grid_nodes": n_rows * n_cols,
-        "nodes_scored": scored * n_cols,
-        "grid_blocks": blocks,
-        "iterations": used,
-        "capped": [i for i, u in enumerate(used) if u >= grid.refine_iters],
-        "evaluations": evaluations,
-        "kkt_residual": float(np.linalg.norm(_contract(cs + grad) - cs)),
-    }
+    meta.update(
+        starts=len(seeds),
+        grid_nodes=n_rows * n_cols,
+        nodes_scored=scored * n_cols,
+        grid_blocks=blocks,
+        iterations=used,
+        capped=[i for i, u in enumerate(used) if u >= grid.refine_iters],
+        evaluations=evaluations,
+        kkt_residual=float(np.linalg.norm(_contract(cs + grad) - cs)),
+    )
     meta["phase_s"] = {"grid": gridded - start, "polish": time.perf_counter() - gridded}
     return EnvelopeResult(value, splits, meta)
 

@@ -131,7 +131,9 @@ class GridSpec:
     (:func:`spg_max`) of the envelopes and of the power corners, which
     stops on its own once it no longer gains; 0 keeps the best start,
     which for a power corner is the closed form of the isotropic
-    constraint (P/t) I.
+    constraint (P/t) I.  Above 0, the envelopes of a t = 1 channel (every
+    level) and ``v_eta`` at eta = 1 (any t) take their exact closed
+    forms and sweep no grid; at 0 they return the grid maximum too.
     """
 
     theta_steps: int = 64

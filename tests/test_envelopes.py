@@ -16,6 +16,7 @@ from secbc import (
     v_eta,
     v_hat,
     v_tilde,
+    wtc_capacity,
 )
 
 from secbc import envelopes, sweeps
@@ -593,21 +594,37 @@ class TestProjectedGradient:
                 assert np.all(psd_leq(below, above))
 
 
-def brute_v_tilde_scalar(g1, g2, k, w, n=200001):
-    """Scalar level-3 maximum by nested running maxima on a dense grid.
+def nested_max_scalar(terms):
+    """max of sum_l terms[l][i_l] over i_1 >= i_2 >= ... >= i_L, the
+    outermost level first, by nested running maxima on one sorted grid.
 
-    With 0 <= k1 <= k12 <= k123 <= k the layered objective separates into
-    A(k123) + B(k12) + C(k1), so the triple maximum is a cumulative max of
-    C, added to B, cumulative max again, added to A.
+    With 0 <= x_L <= ... <= x_1 <= k the layered objective separates into
+    one term per level, so the maximum is a cumulative max of the
+    innermost term, added to the next, cumulative max again, and so on.
     """
-    xs = np.linspace(0.0, k, n)
+    best = np.maximum.accumulate(terms[-1])
+    for term in terms[-2::-1]:
+        best = np.maximum.accumulate(term + best)
+    return float(best[-1])
+
+
+def scalar_level_terms(level, g1, g2, xs, w):
+    """Each level's term on the grid ``xs``, the outermost first."""
     c1 = 0.5 * np.log2(1 + g1 * g1 * xs)
     c2 = 0.5 * np.log2(1 + g2 * g2 * xs)
-    abar = 1.0 - w.alpha
-    a = (w.lambda2 - abar * w.lambda0) * c2 - w.alpha * w.lambda0 * c1
-    b = w.lambda1 * c1 - (w.lambda1 + w.lambda2) * c2
-    c = w.lambda1 * (c2 - w.eta * c1)
-    return float(np.max(a + np.maximum.accumulate(b + np.maximum.accumulate(c))))
+    if level == "v_eta":
+        return [c2 - w.eta * c1]
+    lam0, lam1, lam2 = w.lambda0, w.lambda1, w.lambda2
+    terms = [lam1 * c1 - (lam1 + lam2) * c2, lam1 * (c2 - w.eta * c1)]
+    if level == "v_hat":
+        return terms
+    outer = (lam2 - (1.0 - w.alpha) * lam0) * c2 - w.alpha * lam0 * c1
+    return [outer] + terms
+
+
+def brute_v_tilde_scalar(g1, g2, k, w, n=200001):
+    """Scalar level-3 maximum by nested running maxima on a dense grid."""
+    return nested_max_scalar(scalar_level_terms("v_tilde", g1, g2, np.linspace(0.0, k, n), w))
 
 
 class TestVTildeTinySplits:
@@ -637,6 +654,103 @@ class TestVTildeTinySplits:
             self.W, mode="vtilde",
         )
         assert product <= total + 1e-6
+
+
+def envelope_call(level, ch, k, w, grid=None):
+    if level == "v_eta":
+        return v_eta(ch, k, w.eta, grid)
+    return {"v_hat": v_hat, "v_tilde": v_tilde}[level](ch, k, w, grid)
+
+
+def assert_closed_form(res):
+    meta = res.grid_meta
+    assert meta["path"] == "closed_form"
+    assert meta["evaluations"] == 0 and meta["grid_nodes"] == 0
+    assert meta["iterations"] == [] and meta["capped"] == []
+    assert set(meta["phase_s"]) == {"closed_form"}
+
+
+class TestScalarClosedForm:
+    """Refined t = 1 envelopes are exact at every level: no grid, no polish."""
+
+    LEVELS = ("v_eta", "v_hat", "v_tilde")
+
+    @staticmethod
+    def cases():
+        """15 seeded gain pairs in both orders, K from 1e-3 to 1e3.  One
+        gain is at least twice the other and alpha is below 0.5, so that
+        every level has optima above 0, with runs of equal values inside
+        (0, K) among them."""
+        for seed in range(15):
+            rng = np.random.default_rng([33, seed])
+            gains = np.array([rng.uniform(1.5, 3.0), rng.uniform(0.3, 0.75)])
+            k = float(10.0 ** rng.uniform(-3.0, 3.0))
+            lam2 = float(rng.uniform(0.5, 1.2))
+            w = EnvelopeWeights(
+                lambda0=float(rng.uniform(lam2 + 0.3, 2.5)),
+                lambda1=1.0,
+                lambda2=lam2,
+                eta=float(rng.uniform(1.0, 1.6)),
+                alpha=float(rng.uniform(0.0, 0.5)),
+            )
+            for g1, g2 in (gains, gains[::-1]):
+                yield g1, g2, k, w
+
+    def test_matches_nested_running_max_oracles(self):
+        unrefined = GridSpec(refine_iters=0)
+        for g1, g2, k, w in self.cases():
+            ch = scalar_ch(g1, g2)
+            # a linear and a geometric grid: optima sit at any scale below k
+            xs = np.union1d(np.linspace(0.0, k, 20001), np.geomspace(k * 1e-12, k, 40001))
+            for level in self.LEVELS:
+                res = envelope_call(level, ch, [[k]], w)
+                assert_closed_form(res)
+                oracle = nested_max_scalar(scalar_level_terms(level, g1, g2, xs, w))
+                assert oracle - 1e-12 <= res.value <= oracle + 1e-6, (level, g1, g2, k)
+                grid_max = envelope_call(level, ch, [[k]], w, unrefined).value
+                assert res.value >= grid_max - 1e-12
+                splits = [float(s[0, 0]) for s in res.argmax_splits]
+                assert min(splits) >= 0.0 and sum(splits) <= k * (1 + 1e-15)
+                again = layered_objective(level, ch, res.argmax_splits, w)
+                assert res.value == pytest.approx(again, abs=1e-12)
+
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_large_constraints_keep_the_value(self, level):
+        # the envelopes are nondecreasing in K, and every optimum here lies
+        # far below K = 3, so K up to 1e300 gives the same value
+        if level == "v_eta":
+            ch, w = scalar_ch(2.0, 3.0), EnvelopeWeights(eta=1.2)
+        else:
+            ch, w = scalar_ch(*TestVTildeTinySplits.GA), TestVTildeTinySplits.W
+        small = envelope_call(level, ch, [[3.0]], w).value
+        assert small > 2e-3
+        for k in (1e20, 1e50, 1e300):
+            assert envelope_call(level, ch, [[k]], w).value == pytest.approx(small, abs=1e-12)
+
+
+class TestSwappedWiretap:
+    """Refined v_eta at eta = 1 is the wiretap capacity with the users swapped."""
+
+    @pytest.mark.parametrize("t", [2, 3])
+    def test_equals_the_swapped_wiretap_capacity(self, rng, t):
+        for trial in range(4):
+            g1, g2 = rng.normal(size=(2, t, t)) * 1.5
+            k = singular_spd(rng, t) if trial % 2 else random_spd(rng, t, scale=3.0)
+            res = v_eta(make_channel(g1, g2), k, 1.0)
+            assert_closed_form(res)
+            capacity, _ = wtc_capacity(make_channel(g2, g1), k)
+            assert res.value == pytest.approx(capacity, abs=1e-12)
+            (split,) = res.argmax_splits
+            assert psd_leq(np.zeros((t, t)), split) and psd_leq(split, k)
+
+    def test_huge_constraints_keep_the_value(self, example_channel):
+        # the argmax has rank one and trace about the constraint's, so its
+        # rates are scored from its root, where the unit eigenvalue is exact
+        swapped = make_channel(EXAMPLE_G2, EXAMPLE_G1)
+        for scale in (1e3, 1e9, 1e15, 1e18, 1e50):
+            k = scale * np.eye(2)
+            res = v_eta(example_channel, k, 1.0)
+            assert res.value == pytest.approx(wtc_capacity(swapped, k)[0], abs=1e-12)
 
 
 class TestBoundB:

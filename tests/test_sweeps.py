@@ -468,6 +468,7 @@ class TestEnvelopeSweeps:
         for grid in (fast_grid, replace(fast_grid, refine_iters=0)):
             for res in self.run_all(grid):
                 meta = res.grid_meta
+                assert meta["path"] == "grid"
                 assert set(meta["phase_s"]) == {"grid", "polish"}
                 assert all(s >= 0.0 for s in meta["phase_s"].values())
                 # every objective call advances each live start by at most one iteration
@@ -543,7 +544,8 @@ class TestInnermostPruning:
         ch = make_channel(rng.normal(size=(t, t)) * 1.5, rng.normal(size=(t, t)) * 1.5)
         k = rng.normal(size=(t, t))
         k = k @ k.T + 0.5 * np.eye(t)
-        grids = [self.GRIDS[t]] + ([replace(self.GRIDS[t], refine_iters=4)] if t < 3 else [])
+        # refined, t = 1 takes the closed form and t = 3 is slow
+        grids = [self.GRIDS[t]] + ([replace(self.GRIDS[t], refine_iters=4)] if t == 2 else [])
         for grid in grids:
             pruned = self.results(ch, k, grid)
             with monkeypatch.context() as m:
