@@ -105,6 +105,17 @@ from functools import partial
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EXAMPLE_G1 = [[0.3, 2.5], [2.2, 1.8]]
 EXAMPLE_G2 = [[1.3, 1.2], [1.5, 3.9]]
+# The scalar inputs of TestVTildeTinySplits (tests/test_envelopes.py),
+# whose v_tilde optimum lies below the first grid node.
+TINY_GAINS = (2.636316851362973, 1.1503208079067702)
+TINY_K = 0.8818900033421035
+TINY_WEIGHTS = {
+    "lambda0": 1.4653366606987612,
+    "lambda1": 1.0,
+    "lambda2": 0.9898295890574751,
+    "eta": 1.4265499875347296,
+    "alpha": 0.4089569203770177,
+}
 CASE_SETS = {
     "common": ("region_common_power", "region_common_fixed", "pareto_filter"),
     "envelope": ("v_eta", "v_hat", "v_tilde", "v_eta_1", "v_tilde_scalar"),
@@ -258,15 +269,9 @@ def _case_call(case: str):
         if case == "v_eta_1":
             return lambda: _envelope_output(secbc.v_eta(example, k, 1.0)), "K = diag(3, 2), eta = 1"
         if case == "v_tilde_scalar":
-            ch = secbc.make_channel([[2.636316851362973]], [[1.1503208079067702]])
-            w = secbc.EnvelopeWeights(
-                lambda0=1.4653366606987612,
-                lambda1=1.0,
-                lambda2=0.9898295890574751,
-                eta=1.4265499875347296,
-                alpha=0.4089569203770177,
-            )
-            return lambda: _envelope_output(secbc.v_tilde(ch, [[0.8818900033421035]], w)), "t = 1"
+            ch = secbc.make_channel(*([[g]] for g in TINY_GAINS))
+            w = secbc.EnvelopeWeights(**TINY_WEIGHTS)
+            return lambda: _envelope_output(secbc.v_tilde(ch, [[TINY_K]], w)), "t = 1"
         fn = getattr(secbc, case)
         return lambda: _envelope_output(fn(example, k, w)), "K = diag(3, 2)"
     if case == "compare":

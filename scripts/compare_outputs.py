@@ -107,6 +107,8 @@ from pathlib import Path
 
 import numpy as np
 
+from bench_common import TINY_GAINS, TINY_WEIGHTS
+
 EXAMPLE_G1 = [[0.3, 2.5], [2.2, 1.8]]
 EXAMPLE_G2 = [[1.3, 1.2], [1.5, 3.9]]
 RATE_TOL = 1e-12
@@ -316,14 +318,8 @@ def _closed_form_calls(secbc, example):
         ]
     big = [[1e50]]
     gains23 = secbc.make_channel([[2.0]], [[3.0]])
-    tiny = secbc.make_channel([[2.636316851362973]], [[1.1503208079067702]])
-    w = secbc.EnvelopeWeights(
-        lambda0=1.4653366606987612,
-        lambda1=1.0,
-        lambda2=0.9898295890574751,
-        eta=1.4265499875347296,
-        alpha=0.4089569203770177,
-    )
+    tiny = secbc.make_channel(*([[g]] for g in TINY_GAINS))
+    w = secbc.EnvelopeWeights(**TINY_WEIGHTS)
     calls += [
         ("v_eta[t1,K=1e50]", partial(envelopes.v_eta, gains23, big, 1.2)),
         ("v_hat[t1,K=1e50]", partial(envelopes.v_hat, tiny, big, w)),

@@ -94,7 +94,6 @@ import numpy as np
 from .channel import GaussianBc, check_cov, make_channel, mi_xy
 from .matops import (
     _factor,
-    _half_log2_det_of,
     chained_factors,
     contractions,
     gram,
@@ -311,20 +310,14 @@ def _swapped_wiretap(ch: GaussianBc, k: np.ndarray):
     """Exact level-1 maximum at eta = 1: (value, R), attained at K* = R R^T.
 
     max h_2(K*) - h_1(K*) over K* below ``k`` is the wiretap capacity
-    with the users swapped (Bustin, Liu, Poor & Shamai 2009), attained at
-    the K* of :func:`secbc.regions._wtc_gevd`, whose root R is built here
-    too.  The value is scored by the checked rate kernel as
-    0.5*log2 det(I + A^T A), A = G_j R, and clamped at 0, the value of
-    K* = 0.  R has an exact zero column per dropped direction of the
-    pencil, so det(I + A^T A) keeps its unit eigenvalues at any scale of
-    ``k``, where det(I + G K* G^T) of a rank-deficient K* loses them
-    once eps*||G K* G^T|| nears 1.
+    with the users swapped (Bustin, Liu, Poor & Shamai 2009): the value
+    of the pencil of :func:`secbc.regions._wtc_pencil`, which is at
+    least 0 and raises ``FloatingPointError`` when not finite, attained
+    at the K* of :func:`secbc.regions._wtc_gevd`, whose root R is
+    returned.
     """
-    _, s, w, mu = _wtc_pencil(make_channel(ch.g2, ch.g1), k)
-    root = _kept_root(s, w, mu)
-    a = np.stack((ch.g1, ch.g2)) @ root
-    h1, h2 = _half_log2_det_of(np.swapaxes(a, -1, -2) @ a + np.eye(ch.t))
-    return max(float(h2 - h1), 0.0), root
+    value, s, w, mu = _wtc_pencil(make_channel(ch.g2, ch.g1), k)
+    return float(value), _kept_root(s, w, mu)
 
 
 def _layered_max(ch: GaussianBc, k, outer, inner: float, eta: float, grid):

@@ -37,6 +37,17 @@ def scalar_ch(g1, g2):
     return make_channel([[float(g1)]], [[float(g2)]])
 
 
+def scalar_and_embedded(g1, g2, k):
+    """Two (channel, constraint) pairs with the scalar envelope values of
+    (g1, g2, k): the t = 1 inputs, which refined envelopes solve in
+    closed form, and their embedding in t = 2, gains diag(g_j, 1) under
+    diag(k, 0), where the constraint holds the second axis at 0 and the
+    grid and polish do the solving."""
+    g1, g2, k = float(g1), float(g2), float(k)
+    embedded = make_channel(np.diag([g1, 1.0]), np.diag([g2, 1.0]))
+    return [(scalar_ch(g1, g2), np.array([[k]])), (embedded, np.diag([k, 0.0]))]
+
+
 def scalar_mi(g, k):
     return 0.5 * math.log2(1.0 + g * g * k)
 
@@ -157,15 +168,13 @@ class TestTLambdaEta:
     def test_scalar_against_nested_grid_oracle(self, fast_grid):
         g1, g2, kx = 1.0, 2.0, 1.5
         w = EnvelopeWeights(lambda1=1.0, lambda2=0.6, eta=1.2)
-        ch = scalar_ch(g1, g2)
         oracle = (
             w.lambda1 * scalar_mi(g1, kx)
             - (w.lambda1 + w.lambda2) * scalar_mi(g2, kx)
             + w.lambda1 * brute_v_eta_scalar(g1, g2, kx, w.eta)
         )
-        assert t_lambda_eta(ch, [[kx]], w, fast_grid) == pytest.approx(
-            oracle, abs=1e-4
-        )
+        for ch, k in scalar_and_embedded(g1, g2, kx):
+            assert t_lambda_eta(ch, k, w, fast_grid) == pytest.approx(oracle, abs=1e-4)
 
 
 def brute_v_hat_scalar(g1, g2, k, w, n=301):
@@ -198,13 +207,14 @@ class TestVHat:
     )
     def test_scalar_against_2d_grid_oracle(self, g1, g2, fast_grid):
         w = EnvelopeWeights(lambda1=1.0, lambda2=0.8, eta=1.15)
-        ch = scalar_ch(g1, g2)
-        res = v_hat(ch, [[2.0]], w, fast_grid)
         oracle = brute_v_hat_scalar(g1, g2, 2.0, w)
-        assert res.value == pytest.approx(oracle, abs=1e-4)
-        k1, k2 = res.argmax_splits
-        assert k1[0, 0] >= -1e-9 and k2[0, 0] >= -1e-9
-        assert k1[0, 0] + k2[0, 0] <= 2.0 + 1e-8
+        for (ch, k), path in zip(scalar_and_embedded(g1, g2, 2.0), ("closed_form", "grid")):
+            res = v_hat(ch, k, w, fast_grid)
+            assert res.grid_meta["path"] == path
+            assert res.value == pytest.approx(oracle, abs=1e-4)
+            k1, k2 = res.argmax_splits
+            assert k1[0, 0] >= -1e-9 and k2[0, 0] >= -1e-9
+            assert k1[0, 0] + k2[0, 0] <= 2.0 + 1e-8
 
     def test_monotone_under_constraint_growth(self, example_channel, rng, fast_grid):
         w = EnvelopeWeights(lambda1=1.0, lambda2=0.7, eta=1.2)
@@ -280,9 +290,9 @@ class TestFValue:
 
     def test_scalar_against_3d_grid_oracle(self, fast_grid):
         w = EnvelopeWeights(lambda0=2.0, lambda1=1.0, lambda2=0.6, eta=1.25, alpha=0.4)
-        ch = scalar_ch(1.3, 0.9)
-        got = f_value(ch, [[1.5]], w, fast_grid)
-        assert got == pytest.approx(brute_f_scalar(1.3, 0.9, 1.5, w), abs=1e-3)
+        oracle = brute_f_scalar(1.3, 0.9, 1.5, w)
+        for ch, k in scalar_and_embedded(1.3, 0.9, 1.5):
+            assert f_value(ch, k, w, fast_grid) == pytest.approx(oracle, abs=1e-3)
 
 
 class TestVTilde:
@@ -295,12 +305,12 @@ class TestVTilde:
 
     def test_refinement_monotone_scalar(self):
         w = EnvelopeWeights(lambda0=1.5, lambda1=1.0, lambda2=0.5, eta=1.2, alpha=0.6)
-        ch = scalar_ch(1.8, 1.1)
         coarse = GridSpec(deep_theta_steps=1, deep_diag_steps=5)
         fine = GridSpec(deep_theta_steps=1, deep_diag_steps=9)
-        vc = v_tilde(ch, [[2.0]], w, coarse).value
-        vf = v_tilde(ch, [[2.0]], w, fine).value
-        assert vf >= vc - 1e-9
+        for ch, k in scalar_and_embedded(1.8, 1.1, 2.0):
+            vc = v_tilde(ch, k, w, coarse).value
+            vf = v_tilde(ch, k, w, fine).value
+            assert vf >= vc - 1e-9
 
     def test_monotone_under_constraint_growth(self, example_channel, rng, fast_grid):
         w = EnvelopeWeights(lambda0=2.0, lambda1=1.0, lambda2=0.5, eta=1.2, alpha=0.4)
@@ -644,9 +654,11 @@ class TestVTildeTinySplits:
     def test_matches_dense_oracle(self):
         oracle = brute_v_tilde_scalar(*self.GA, self.KA, self.W)
         assert oracle > 2e-3
-        res = v_tilde(scalar_ch(*self.GA), [[self.KA]], self.W)
-        assert res.value == pytest.approx(oracle, abs=1e-6)
-        assert sum(s[0, 0] for s in res.argmax_splits) <= self.KA + 1e-9
+        for (ch, k), path in zip(scalar_and_embedded(*self.GA, self.KA), ("closed_form", "grid")):
+            res = v_tilde(ch, k, self.W)
+            assert res.grid_meta["path"] == path
+            assert res.value == pytest.approx(oracle, abs=1e-6)
+            assert sum(s[0, 0] for s in res.argmax_splits) <= self.KA + 1e-9
 
     def test_factorization_holds(self):
         product, total = factorization_gap(
